@@ -158,7 +158,11 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
 
 
 def _pcg(matvec, b, x0, precond, rtol, max_iter):
-    """Preconditioned conjugate gradients; returns (x, iterations, converged)."""
+    """Preconditioned conjugate gradients; returns (x, iterations, converged).
+
+    A step with p.Ap <= 0 means the operator is not positive definite on the
+    Krylov space; the iteration stops there and reports failure.
+    """
     x = x0.copy()
     r = b - matvec(x)
     target = rtol * max(float(np.linalg.norm(b)), 1e-300)
@@ -169,7 +173,10 @@ def _pcg(matvec, b, x0, precond, rtol, max_iter):
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
         Ap = matvec(p)
-        alpha = rz / float(p @ Ap)
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            return x, it, False
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         if np.linalg.norm(r) <= target:

@@ -70,11 +70,14 @@ def example1(parameterization: str = "exp") -> Problem:
         out[outside] = x[outside] * (1.0 - 1.0 / rho[outside])[:, None]
         return out
 
+    def denom(y):
+        return 1.0 + y[..., 0] + 2.0 * y[..., 1]
+
     def value_y(x, y):
-        return w_profile(np.atleast_2d(x)) / (1.0 + y[0] + 2.0 * y[1])
+        return w_profile(np.atleast_2d(x)) / denom(y)[..., None]
 
     def grad_y(x, y):
-        return w_grad(np.atleast_2d(x)) / (1.0 + y[0] + 2.0 * y[1])
+        return w_grad(np.atleast_2d(x)) / denom(y)[..., None, None]
 
     rect = (-1.5, 1.5, -1.5, 1.5)
     span = np.e - 1.0 / np.e
@@ -131,11 +134,14 @@ def example2(parameterization: str = "exp") -> Problem:
     def u_profile_grad(x):
         return 4.0 * np.maximum(_rho(x) - r0sq, 0.0)[:, None] * x
 
+    def scale(y):
+        return y[..., 0] + 2.0 * y[..., 1]
+
     def value_y(x, y):
-        return u_profile(np.atleast_2d(x)) * (y[0] + 2.0 * y[1])
+        return u_profile(np.atleast_2d(x)) * scale(y)[..., None]
 
     def grad_y(x, y):
-        return u_profile_grad(np.atleast_2d(x)) * (y[0] + 2.0 * y[1])
+        return u_profile_grad(np.atleast_2d(x)) * scale(y)[..., None, None]
 
     rect = (-1.0, 1.0, -1.0, 1.0)
     span = np.e - 1.0 / np.e

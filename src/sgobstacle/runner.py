@@ -4,9 +4,11 @@ Configs are JSON files with nested sections (problem, schedule, solver, mc,
 output).  A convergence study walks a refinement schedule, solves the tensor
 Galerkin problem per level (warm-started from the previous level), computes
 relative errors of the first two moments against the exact solution by
-tensor quadrature, and writes a CSV table plus a JSON report.  Reported
-``seconds`` cover assembly and solve; error evaluation against the exact
-solution is excluded since it is diagnostic only.
+tensor quadrature, and writes a CSV table plus a JSON report.  The errors
+of a level take one chunked sweep over the parameter quadrature nodes, each
+chunk a single batched call of the exact solution.  Reported ``seconds``
+cover assembly and solve; error evaluation against the exact solution is
+excluded since it is diagnostic only.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .mc import mc_run
 from .mesh import Mesh, build_uniform_mesh
 from .param import ParamGrid, build_param_grid, multilinear_evaluate
 from .problems import Problem, get_problem, problem_from_config
-from .stats import (ParametricFunction, StatField, _full_blocks, sg_mean,
-                    sg_second_moment, sg_variance, tensor_quadrature,
-                    write_stat_csv, write_stat_vtk)
+from .stats import (ParametricFunction, StatField, _exact_moments, _full_blocks,
+                    sg_mean, sg_second_moment, sg_variance, write_stat_csv,
+                    write_stat_vtk)
 from .system import EXPLICIT_LIMIT, SGSystem, assemble_sg
 
 __all__ = [
@@ -269,9 +271,9 @@ def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
                        quad_order: int = 64) -> dict:
     """Relative L2/H1-seminorm errors of the first two moment fields.
 
-    One sweep over the tensor parameter quadrature accumulates the exact
-    mean, second moment and their gradients at all spatial quadrature points;
-    the discrete moments are P1 fields from the Galerkin coefficients.
+    One chunked sweep over the tensor parameter quadrature accumulates the
+    exact mean, second moment and their gradients at all spatial quadrature
+    points; the discrete moments are P1 fields from the Galerkin coefficients.
     """
     mean_f = sg_mean(system, u).values
     m2_f = sg_second_moment(system, u).values
@@ -287,18 +289,8 @@ def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
     mh, gmh = discrete(mean_f)
     m2h, gm2h = discrete(m2_f)
 
-    y_nodes, y_wts = tensor_quadrature(tuple(densities), quad_order)
-    em = np.zeros(nt * nq)
-    em2 = np.zeros(nt * nq)
-    egm = np.zeros((nt * nq, 2))
-    egm2 = np.zeros((nt * nq, 2))
-    for y, w in zip(y_nodes, y_wts):
-        v = np.asarray(exact.value(flat, y))
-        g = np.asarray(exact.grad(flat, y))
-        em += w * v
-        em2 += w * v * v
-        egm += w * g
-        egm2 += (2.0 * w) * v[:, None] * g
+    (em, em2), (egm, egm2) = _exact_moments(exact, flat, densities, quad_order,
+                                            (1, 2), with_grad=True)
 
     def l2(diff_tq):
         return float(np.sqrt(np.sum(2.0 * area * (diff_tq ** 2 @ wq))))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
+from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem, _pcg,
                             active_set_solve, brute_force_solve,
                             complementarity_residual, psor_solve, solve_lcp)
 
@@ -121,6 +121,16 @@ class TestActiveSet:
         x0 = obs + np.abs(rng.standard_normal(8))
         u_warm, _ = active_set_solve(system, obs, cfg, x0=x0)
         assert np.max(np.abs(u_cold - u_warm)) <= 1e-9
+
+    def test_indefinite_system_reports_failure(self):
+        # with A = diag(1, -1) the first PCG step has p.Ap = 0
+        system = SparseObstacleSystem(sp.csr_array(np.diag([1.0, -1.0])),
+                                      np.ones(2))
+        _, _, ok = _pcg(system.matvec, system.b, np.zeros(2),
+                        system.precond(), 1e-12, 10)
+        assert not ok
+        _, rep = active_set_solve(system, np.zeros(2), SolverConfig())
+        assert not rep.converged
 
     def test_report_counts_inner_iterations(self):
         rng = np.random.default_rng(29)

@@ -156,6 +156,24 @@ class TestExample2:
         assert not example2("xi").sg_ready
 
 
+@pytest.mark.parametrize("make", [example1, example2])
+@pytest.mark.parametrize("parameterization", ["exp", "xi"])
+def test_exact_solution_evaluates_parameter_blocks(make, parameterization):
+    # a (B, M) block of parameter points gives the stacked single-point calls
+    prob = make(parameterization)
+    rng = np.random.default_rng(10)
+    x = ring_points(rng, 0.0, 1.4, n=40)
+    ys = np.column_stack([rho.sample(rng, 9) for rho in prob.densities])
+    values = prob.exact.value(x, ys)
+    grads = prob.exact.grad(x, ys)
+    assert values.shape == (9, 40)
+    assert grads.shape == (9, 40, 2)
+    assert_allclose(values, np.stack([prob.exact.value(x, y) for y in ys]),
+                    rtol=1e-14)
+    assert_allclose(grads, np.stack([prob.exact.grad(x, y) for y in ys]),
+                    rtol=1e-14)
+
+
 class TestRegistry:
     def test_get_problem(self):
         assert get_problem("example1").name == "example1"

@@ -4,10 +4,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+from sgobstacle import stats
+from sgobstacle.fem import _quad_points
 from sgobstacle.fields import AffineField
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import (Density1D, build_param_grid,
                               multilinear_evaluate)
+from sgobstacle.problems import example1, example2
+from sgobstacle.runner import _solve_level, convergence_errors, validate_config
 from sgobstacle.stats import (ParametricFunction, exact_statistic, sg_mean,
                               sg_second_moment, sg_variance, tensor_quadrature,
                               write_stat_csv, write_stat_vtk)
@@ -52,7 +56,8 @@ class TestExactStatistics:
         # y_k = exp(xi_k), xi uniform on (-1, 1); references computed with
         # mpmath at high precision
         fn = ParametricFunction(
-            value=lambda x, y: np.full(x.shape[0], 1.0 / (1.0 + y[0] + 2.0 * y[1])))
+            value=lambda x, y: np.multiply.outer(1.0 / (1.0 + y[..., 0] + 2.0 * y[..., 1]),
+                                                 one(x)))
         densities = (Density1D.exp_uniform(), Density1D.exp_uniform())
         x = np.zeros((1, 2))
         m1 = exact_statistic(fn, densities, moment=1)
@@ -63,7 +68,7 @@ class TestExactStatistics:
     def test_affine_second_moment_closed_form(self):
         # E[(2 + 3 y)^2] = 4 + 12 E[y] + 9 E[y^2]
         fn = ParametricFunction(
-            value=lambda x, y: np.full(x.shape[0], 2.0 + 3.0 * y[0]))
+            value=lambda x, y: np.multiply.outer(2.0 + 3.0 * y[..., 0], one(x)))
         m2 = exact_statistic(fn, (Density1D.exp_uniform(),), moment=2)
         expected = 4.0 + 12.0 * EY + 9.0 * EY2
         assert m2.values(np.zeros((1, 2)))[0] == pytest.approx(expected, rel=1e-13)
@@ -71,11 +76,65 @@ class TestExactStatistics:
     def test_gradient_of_second_moment(self):
         # u = x1 * y: E[2 u grad u] = 2 x1 E[y^2] * (1, 0)
         fn = ParametricFunction(
-            value=lambda x, y: x[:, 0] * y[0],
-            grad=lambda x, y: np.column_stack([y[0] * one(x), 0.0 * one(x)]))
+            value=lambda x, y: np.multiply.outer(y[..., 0], x[:, 0]),
+            grad=lambda x, y: np.multiply.outer(y[..., 0],
+                                                np.column_stack([one(x), 0.0 * one(x)])))
         m2 = exact_statistic(fn, (Density1D.exp_uniform(),), moment=2)
         x = np.array([[0.7, 0.1]])
         assert_allclose(m2.grad(x), [[2 * 0.7 * EY2, 0.0]], rtol=1e-13)
+
+
+def per_node_moments(analytic, x, densities, quad_order, moments, with_grad):
+    """Reference for the chunked sweep: one value/grad call per quadrature node."""
+    nodes, weights = tensor_quadrature(tuple(densities), quad_order)
+    vals = [np.zeros(x.shape[0]) for _ in moments]
+    grads = [np.zeros((x.shape[0], 2)) for _ in moments]
+    for y, w in zip(nodes, weights):
+        v = analytic.value(x, y)
+        g = analytic.grad(x, y) if with_grad else None
+        for i, k in enumerate(moments):
+            vals[i] += w * v ** k
+            if with_grad:
+                grads[i] += (w * k) * (v ** (k - 1))[:, None] * g
+    return vals, (grads if with_grad else None)
+
+
+def small_chunks(monkeypatch, n_points, nodes_per_chunk, quad_order):
+    """Shrink the sweep's chunk so that the quadrature ends on a partial chunk."""
+    assert (quad_order ** 2) % nodes_per_chunk != 0
+    monkeypatch.setattr(stats, "_CHUNK_VALUES", nodes_per_chunk * n_points)
+
+
+class TestChunkedQuadrature:
+    @pytest.mark.parametrize("make", [example1, example2])
+    @pytest.mark.parametrize("parameterization", ["exp", "xi"])
+    @pytest.mark.parametrize("moment", [1, 2, 3])
+    def test_exact_statistic_matches_per_node_loop(self, make, parameterization,
+                                                   moment, monkeypatch):
+        prob = make(parameterization)
+        x = np.random.default_rng(11).uniform(-1.0, 1.0, (40, 2))
+        small_chunks(monkeypatch, len(x), 7, 9)
+        stat = exact_statistic(prob.exact, prob.densities, moment, quad_order=9)
+        (ref_v,), (ref_g,) = per_node_moments(prob.exact, x, prob.densities, 9,
+                                              (moment,), with_grad=True)
+        assert_allclose(stat.values(x), ref_v, rtol=1e-12)
+        assert_allclose(stat.grad(x), ref_g, rtol=1e-12)
+
+    @pytest.mark.parametrize("problem", ["example1", "example2"])
+    def test_convergence_errors_match_per_node_loop(self, problem, monkeypatch):
+        cfg = validate_config({"problem": problem,
+                               "schedule": {"levels": [[4, 2]]},
+                               "solver": {"tol": 1e-10}, "quad_order": 9})
+        mesh, _, system, u, _, _ = _solve_level(cfg, cfg.levels[0])
+        args = (mesh, system, u, cfg.problem.exact, cfg.problem.densities, 9)
+        pts, _, _ = _quad_points(mesh, 5)
+        small_chunks(monkeypatch, pts.shape[0] * pts.shape[1], 5, 9)
+        errs = convergence_errors(*args)
+        monkeypatch.setattr("sgobstacle.runner._exact_moments", per_node_moments)
+        ref = convergence_errors(*args)
+        assert errs.keys() == ref.keys()
+        for key in ref:
+            assert errs[key] == pytest.approx(ref[key], rel=1e-12)
 
 
 class TestGalerkinMoments:
