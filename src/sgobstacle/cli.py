@@ -65,8 +65,7 @@ def _info(cfg) -> None:
     x0, x1, _, _ = problem.rect
     for k, level in enumerate(cfg.levels):
         h = (x1 - x0) / level.nx
-        interior = (level.nx - 1) * (level.ny - 1)
-        j = (level.cells + 1) ** problem.n_dims
+        interior, j = level.sizes(problem.n_dims)
         print(f"  {k}: nx={level.nx} cells={level.cells}  h={h:.6g}  "
               f"I={interior} J={j} IJ={interior * j}")
     if cfg.mode in ("mc", "both"):

@@ -155,12 +155,15 @@ class Gramians:
 
     G0[j, t] = <psi_j, psi_t>, Gk[j, t] = <y_k psi_j, psi_t>,
     g0[t] = <psi_t, 1>, gk[t] = <y_k, psi_t>; all with the product density.
+    ``mass[d]`` is the dense weighted mass matrix of the hats of dimension d;
+    G0 is their Kronecker product, dimension 0 first (empty if M = 0).
     """
 
     G0: sp.csr_array
     Gk: tuple[sp.csr_array, ...]
     g0: np.ndarray
     gk: tuple[np.ndarray, ...]
+    mass: tuple[np.ndarray, ...]
 
 
 def _hat_factors_1d(rho: Density1D, breaks: np.ndarray, n_pts: int):
@@ -202,7 +205,7 @@ def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
     """
     if grid.n_dims == 0:
         one = sp.csr_array(np.array([[1.0]]))
-        return Gramians(G0=one, Gk=(), g0=np.array([1.0]), gk=())
+        return Gramians(G0=one, Gk=(), g0=np.array([1.0]), gk=(), mass=())
 
     factors = [_hat_factors_1d(rho, brk, n_pts)
                for rho, brk in zip(grid.densities, grid.breakpoints)]
@@ -219,7 +222,8 @@ def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
             out = np.kron(out, v)
         return out
 
-    G0 = kron_chain([f[0] for f in factors])
+    mass = tuple(f[0] for f in factors)
+    G0 = kron_chain(mass)
     g0 = kron_vec([f[2] for f in factors])
     Gk = []
     gk = []
@@ -231,7 +235,7 @@ def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
     G0.sort_indices()
     for G in Gk:
         G.sort_indices()
-    return Gramians(G0=G0, Gk=tuple(Gk), g0=g0, gk=tuple(gk))
+    return Gramians(G0=G0, Gk=tuple(Gk), g0=g0, gk=tuple(gk), mass=mass)
 
 
 def multilinear_evaluate(grid: ParamGrid, block_values: np.ndarray,

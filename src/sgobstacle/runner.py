@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fem import _quad_points, _triangle_geometry, evaluate_p1
+from .fields import AffineField, bounds_check
 from .lcp import SolverConfig, solve_lcp
 from .mc import mc_run
 from .mesh import Mesh, build_uniform_mesh
@@ -63,6 +64,10 @@ class Level:
     nx: int
     ny: int
     cells: int
+
+    def sizes(self, n_dims: int) -> tuple[int, int]:
+        """Interior mesh nodes I and parameter nodes J of this level."""
+        return (self.nx - 1) * (self.ny - 1), (self.cells + 1) ** n_dims
 
 
 @dataclass
@@ -121,6 +126,38 @@ def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
             continue
         levels.append(Level(nx=int(round(nx)), ny=int(round(ny)), cells=cells))
     return levels
+
+
+def _int_option(section: dict, key: str, default: int, name: str,
+                errors: list) -> int | None:
+    """``section[key]`` as an int (``default`` if absent); None if not a number."""
+    value = section.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        errors.append(f"{name} must be an integer, got {value!r}")
+        return None
+
+
+def _check_ellipticity(problem: Problem, levels: list[Level], errors: list) -> None:
+    """Refuse an affine coefficient that is not positive on the parameter box.
+
+    The range is taken over the box vertices and the finest level's mesh
+    nodes (``fields.bounds_check``).
+    """
+    a = problem.fields["a"]
+    if not isinstance(a, AffineField) or not levels:
+        return
+    finest = max(levels, key=lambda lv: lv.nx * lv.ny)
+    nodes = build_uniform_mesh(problem.rect, finest.nx, finest.ny).nodes
+    try:
+        lo = bounds_check(a, [rho.support for rho in problem.densities], nodes).lo
+    except ValueError as exc:
+        errors.append(f"coefficient a: {exc}")
+        return
+    if not lo > 0.0:
+        errors.append(f"coefficient a is not uniformly positive: its minimum over "
+                      f"the parameter box and the mesh nodes is {lo:.6g}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -206,11 +243,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         errors.append(f"solver: {exc}")
 
+    if problem is not None:
+        _check_ellipticity(problem, levels, errors)
+
     mc_raw = dict(raw.get("mc", {}))
-    mc_samples = int(mc_raw.get("n_samples", 4096))
-    mc_seed = int(mc_raw.get("seed", 0))
-    mc_level = int(mc_raw.get("level", 0))
-    if mc_samples < 1:
+    mc_samples = _int_option(mc_raw, "n_samples", 4096, "mc.n_samples", errors)
+    mc_seed = _int_option(mc_raw, "seed", 0, "mc.seed", errors)
+    mc_level = _int_option(mc_raw, "level", 0, "mc.level", errors)
+    if mc_samples is not None and mc_samples < 1:
         errors.append("mc.n_samples must be at least 1")
     mc_solver = None
     if "solver" in mc_raw:
@@ -218,13 +258,25 @@ def validate_config(raw: dict) -> ExperimentConfig:
             mc_solver = SolverConfig(**mc_raw["solver"])
         except (TypeError, ValueError) as exc:
             errors.append(f"mc.solver: {exc}")
-    if levels and not (0 <= mc_level < len(levels)):
+    if levels and mc_level is not None and not (0 <= mc_level < len(levels)):
         errors.append(f"mc.level {mc_level} outside the schedule (0..{len(levels) - 1})")
 
-    quad_order = int(raw.get("quad_order", 64))
-    if quad_order < 2:
+    quad_order = _int_option(raw, "quad_order", 64, "quad_order", errors)
+    if quad_order is not None and quad_order < 2:
         errors.append("quad_order must be at least 2")
-    explicit_limit = int(raw.get("explicit_limit", EXPLICIT_LIMIT))
+    explicit_limit = _int_option(raw, "explicit_limit", EXPLICIT_LIMIT,
+                                 "explicit_limit", errors)
+    if explicit_limit is not None and explicit_limit < 0:
+        errors.append("explicit_limit must be non-negative")
+    elif (explicit_limit is not None and solver is not None
+          and solver.method == "psor" and mode in ("sg", "both")):
+        for k, level in enumerate(levels):
+            I, J = level.sizes(problem.n_dims)
+            if I * J > explicit_limit:
+                errors.append(
+                    f"level {k} has I*J = {I * J} > explicit_limit = "
+                    f"{explicit_limit}, but projected SOR needs the explicit "
+                    "matrix; raise explicit_limit or use method 'active-set'")
 
     if errors:
         raise ConfigError("; ".join(errors))

@@ -4,7 +4,8 @@ The fully discrete problem couples a P1 space on the mesh (I interior nodes)
 with the multilinear hat basis on the parameter grid (J nodes).  The system
 matrix is a sum of Kronecker products G ⊗ K and is kept in factored form;
 matrix-vector products work blockwise on (J, I) reshapes of flat vectors
-with index j*I + i.
+with index j*I + i.  The explicit sparse sum is built only when a caller
+asks for it (projected SOR, ``dump_matrix``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ class SGSystem:
     boundary_values : (n_boundary, J) Dirichlet data per parameter node.
     mean_stiffness : stiffness at the y-averaged coefficient, used to build
         the Kronecker preconditioner G0 ⊗ K_mean.
-    A : explicit CSR matrix when I*J is small enough, else None.
+    explicit_limit : largest I*J for which ``explicit()`` builds the matrix.
+    A : explicit CSR matrix, None until the first ``explicit()`` call builds
+        it (and for good when I*J exceeds ``explicit_limit``).
     """
 
     mesh: Mesh
@@ -52,7 +55,8 @@ class SGSystem:
     obs: np.ndarray
     boundary_values: np.ndarray
     mean_stiffness: sp.csr_array
-    A: sp.csr_array | None
+    explicit_limit: int = EXPLICIT_LIMIT
+    A: sp.csr_array | None = None
 
     def __post_init__(self):
         self._precond = None
@@ -86,19 +90,40 @@ class SGSystem:
         return d.reshape(-1)
 
     def explicit(self) -> sp.csr_array | None:
+        """The summed Kronecker matrix, built and cached on the first call.
+
+        None when I*J exceeds ``explicit_limit``.
+        """
+        if self.A is None and self.n <= self.explicit_limit:
+            A = sp.kron(self.gram.G0, self.K0, format="csr")
+            for G, K in zip(self.gram.Gk, self.Kk):
+                if K is not None:
+                    A = A + sp.kron(G, K, format="csr")
+            self.A = sp.csr_array(A)
+            self.A.sort_indices()
         return self.A
 
     def precond(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Apply (G0 ⊗ K_mean)^-1, factorizations cached on first use."""
+        """Apply (G0 ⊗ K_mean)^-1, factorizations cached on first use.
+
+        K_mean is solved by SuperLU on the (I, J) transpose of the residual
+        blocks.  G0 is the Kronecker product of the 1-D mass matrices, so its
+        inverse is applied one parameter dimension at a time with the dense
+        inverse of each factor on a C-contiguous reshape, never forming G0^-1.
+        """
         if self._precond is None:
             lu_k = spla.splu(sp.csc_matrix(self.mean_stiffness))
-            lu_g = spla.splu(sp.csc_matrix(self.gram.G0))
+            inverses = [np.linalg.inv(m) for m in self.gram.mass]
             I, J = self.n_spatial, self.n_param
 
             def apply(r: np.ndarray) -> np.ndarray:
-                R = r.reshape(J, I)
-                W = lu_k.solve(R.T).T
-                return lu_g.solve(W).reshape(-1)
+                W = lu_k.solve(r.reshape(J, I).T).T
+                lead = 1
+                for inv in inverses:
+                    n_d = inv.shape[0]
+                    W = np.matmul(inv, W.reshape(lead, n_d, -1))
+                    lead *= n_d
+                return W.reshape(-1)
 
             self._precond = apply
         return self._precond
@@ -190,18 +215,10 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
         for j in range(J):
             obs[j] = np.asarray(g_field(x_int, y_nodes[j]), dtype=float)
 
-    A = None
-    if I * J <= explicit_limit:
-        A = sp.kron(gram.G0, K0, format="csr")
-        for G, K in zip(gram.Gk, Kk):
-            if K is not None:
-                A = A + sp.kron(G, K, format="csr")
-        A = sp.csr_array(A)
-        A.sort_indices()
-
     return SGSystem(mesh=mesh, grid=grid, K0=K0, Kk=Kk, gram=gram,
                     b=B.reshape(-1), obs=obs.reshape(-1),
-                    boundary_values=D, mean_stiffness=Kmean, A=A)
+                    boundary_values=D, mean_stiffness=Kmean,
+                    explicit_limit=explicit_limit)
 
 
 def dump_matrix(system: SGSystem, path: str) -> None:

@@ -126,6 +126,70 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="custom"):
             validate_config(base_config(problem="custom"))
 
+    @pytest.mark.parametrize("section, key, name", [
+        (None, "quad_order", "quad_order"),
+        (None, "explicit_limit", "explicit_limit"),
+        ("mc", "n_samples", "mc.n_samples"),
+        ("mc", "seed", "mc.seed"),
+        ("mc", "level", "mc.level"),
+    ])
+    def test_non_numeric_integers_rejected(self, section, key, name):
+        cfg = base_config()
+        if section is None:
+            cfg[key] = "many"
+        else:
+            cfg[section] = {key: "lots"}
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            validate_config(cfg)
+
+    def test_every_non_numeric_integer_listed(self):
+        cfg = base_config(quad_order="many", mc={"n_samples": "lots", "seed": None})
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg)
+        for name in ("quad_order", "mc.n_samples", "mc.seed"):
+            assert f"{name} must be an integer" in str(info.value)
+
+    def test_negative_explicit_limit_rejected(self):
+        with pytest.raises(ConfigError, match="explicit_limit must be non-negative"):
+            validate_config(base_config(explicit_limit=-1))
+
+    def test_psor_within_explicit_limit(self):
+        # levels [4, 1] and [8, 2] of example2: I*J = 9*4 and 49*9
+        psor = {"method": "psor"}
+        validate_config(base_config(solver=psor, explicit_limit=441))
+        with pytest.raises(ConfigError, match="level 1 has I\\*J = 441"):
+            validate_config(base_config(solver=psor, explicit_limit=440))
+        # the limit only binds the solver that reads the explicit matrix
+        validate_config(base_config(explicit_limit=0))
+        validate_config(base_config(mode="mc", solver=psor, explicit_limit=0))
+
+    def test_coefficient_mode_outside_parameter_box(self):
+        with pytest.raises(ConfigError, match="coefficient a: mode dimension 1"):
+            validate_config(custom_config(
+                {"mean": 1.0, "modes": [{"coeff": 1.0, "shape": 1.0, "dim": 1}]}))
+
+    def test_positive_coefficient_accepted(self):
+        cfg = validate_config(custom_config(
+            {"mean": 3.5, "modes": [{"coeff": -1.0, "shape": 1.0, "dim": 0}]}))
+        assert cfg.problem.name == "custom"
+
+
+def custom_config(a_spec, **overrides):
+    """Custom problem on (-1, 1)^2 with y1 ~ U(0, 3) and the given coefficient."""
+    cfg = {
+        "problem": "custom",
+        "custom": {
+            "domain": [-1.0, 1.0, -1.0, 1.0],
+            "densities": [{"kind": "uniform", "lo": 0.0, "hi": 3.0}],
+            "fields": {"a": a_spec, "f": -2.0, "g": -0.05},
+        },
+        "mode": "sg",
+        "schedule": {"levels": [[8, 4]]},
+        "solver": {"method": "active-set"},
+    }
+    cfg.update(overrides)
+    return cfg
+
 
 class TestErrorTable:
     def test_csv_layout(self, tmp_path):
@@ -322,6 +386,31 @@ class TestCLI:
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["-q", "converge", path]) == 2
         assert "solver failure" in capsys.readouterr().err
+
+    def test_psor_above_explicit_limit_exits_one(self, tmp_path, capsys):
+        cfg = {"problem": "example1", "mode": "sg",
+               "schedule": {"levels": [[8, 4]]}, "explicit_limit": 10,
+               "solver": {"method": "psor"}, "output_dir": str(tmp_path / "out")}
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert "explicit_limit" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_elliptic_coefficient_exits_one(self, tmp_path, capsys):
+        # a = 1 - y1 with y1 ~ U(0, 3) changes sign on the parameter box;
+        # solving it anyway gives a "converged" run with every node active
+        cfg = custom_config(
+            {"mean": 1.0, "modes": [{"coeff": -1.0, "shape": 1.0, "dim": 0}]},
+            output_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert "not uniformly positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_mc_subcommand_requires_mc_mode(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config())

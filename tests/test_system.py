@@ -85,6 +85,20 @@ class TestKroneckerStructure:
         with pytest.raises(ValueError):
             dump_matrix(sys_, "/tmp/should_not_exist.txt")
 
+    def test_explicit_built_on_first_request(self):
+        sys_ = make_system(nx=4, cells=2)
+        assert sys_.A is None
+        A = sys_.explicit()
+        assert A is not None and sys_.A is A
+        assert sys_.explicit() is A
+
+    def test_explicit_limit_is_inclusive(self):
+        n = make_system(nx=4, cells=2).n
+        assert make_system(nx=4, cells=2, explicit_limit=n).explicit() is not None
+        sys_ = make_system(nx=4, cells=2, explicit_limit=n - 1)
+        assert sys_.explicit() is None
+        assert sys_.A is None
+
     def test_flat_index_is_parameter_major(self):
         # flat index j*I + i: a vector supported on parameter node j = 1
         # must produce output supported on rows of the same parameter block
@@ -105,6 +119,28 @@ class TestKroneckerStructure:
         rng = np.random.default_rng(2)
         r = rng.standard_normal(sys_.n)
         assert_allclose(P @ sys_.precond()(r), r, atol=1e-10)
+
+    @pytest.mark.parametrize("cells", [[3], [2, 4], [3, 1, 2], None])
+    def test_precond_matches_explicit_solve(self, cells):
+        # the factor-wise G0 inverse against a sparse solve with the
+        # assembled G0 ⊗ K_mean; cells=None is the deterministic grid
+        mesh = build_uniform_mesh(RECT, 5)
+        if cells is None:
+            grid = deterministic_grid()
+            a = AffineField.build(2.0)
+        else:
+            densities = [Density1D.exp_uniform(), Density1D.uniform(0.5, 2.0),
+                         Density1D.exp_uniform(-0.5, 0.5)][:len(cells)]
+            grid = build_param_grid(densities, cells)
+            a = AffineField.build(1.0, [(1.0 + k, one, k) for k in range(len(cells))])
+        sys_ = assemble_sg(mesh, grid, a, AffineField.build(1.0), AffineField.build(0.0))
+        P = sp.csc_matrix(sp.kron(sys_.gram.G0, sys_.mean_stiffness))
+        apply = sys_.precond()
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            r = rng.standard_normal(sys_.n)
+            assert_allclose(apply(r), spla.spsolve(P, r), rtol=1e-10)
+        assert sys_.precond() is apply
 
 
 class TestRightHandSide:
