@@ -3,7 +3,8 @@
 Subcommands: converge (error table over a refinement schedule), solve (one
 level with field exports), mc (Monte Carlo baseline), info (print the
 experiment plan without running).  Exit codes: 0 on success, 1 on config
-errors, 2 when a solver fails to converge.
+errors (a config mode the subcommand does not run included), 2 when a
+solver fails to converge or a computed variance is clearly negative.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from .runner import (ConfigError, SolverNotConverged, load_config,
                      run_convergence, run_mc, run_single)
 
 log = logging.getLogger("sgobstacle")
+
+# config modes each solving subcommand runs on
+COMMAND_MODES = {"converge": ("sg", "both"), "solve": ("sg", "both"),
+                 "mc": ("mc", "both")}
 
 TABLE_PRINT_HEADER = (f"{'h':>10} {'s':>10} {'eL2m1':>10} {'eH1m1':>10} "
                       f"{'eL2m2':>10} {'eH1m2':>10} {'iters':>5} {'seconds':>8}")
@@ -82,6 +87,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if getattr(args, "output_dir", None):
             cfg.output_dir = args.output_dir
+        needs = COMMAND_MODES.get(args.command)
+        if needs is not None and cfg.mode not in needs:
+            raise ConfigError(f"{args.command} subcommand needs mode "
+                              f"{needs[0]!r} or {needs[1]!r}")
         if args.command == "info":
             _info(cfg)
         elif args.command == "converge":
@@ -94,13 +103,12 @@ def main(argv=None) -> int:
         elif args.command == "solve":
             run_single(cfg, args.level)
         elif args.command == "mc":
-            if cfg.mode == "sg":
-                raise ConfigError("mc subcommand needs mode 'mc' or 'both'")
             run_mc(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except SolverNotConverged as exc:
+    except (SolverNotConverged, FloatingPointError) as exc:
+        # FloatingPointError: the variance of a solution fell clearly below zero
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,9 +1,14 @@
 """Solvers for the linear complementarity problem u >= g, Au >= b, complementary.
 
 Systems are given as objects exposing ``n``, ``b``, ``matvec``, ``diag``,
-``precond`` (approximate inverse used by conjugate gradients) and
-``explicit`` (CSR matrix or None).  Tensor Galerkin systems and plain sparse
-systems both implement this protocol; A must be symmetric positive definite.
+``precond`` (approximate inverse of A used by conjugate gradients),
+``reduced_precond(inactive)`` (the same for A[inactive][:, inactive], used
+on every active-set update) and ``explicit`` (CSR matrix or None).  Tensor
+Galerkin systems and plain sparse systems both implement this protocol; A
+must be symmetric positive definite.  The Galerkin system restricts its
+Kronecker preconditioner to the inactive set (``restrict_operator``); the
+plain sparse system solves the reduced system exactly by banded Cholesky,
+so each active-set update costs one conjugate gradient step.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 __all__ = [
     "SolverConfig",
     "SolveReport",
+    "SolverNotConverged",
     "SparseObstacleSystem",
+    "restrict_operator",
     "complementarity_residual",
     "psor_solve",
     "active_set_solve",
@@ -56,6 +63,10 @@ class SolverConfig:
             raise ValueError("tol must be positive")
 
 
+class SolverNotConverged(RuntimeError):
+    """A solve, or too many Monte Carlo sample solves, did not converge."""
+
+
 @dataclass
 class SolveReport:
     converged: bool
@@ -78,7 +89,13 @@ class SolveReport:
 
 
 class SparseObstacleSystem:
-    """Plain sparse LCP data; the preconditioner is a full LU solve."""
+    """Plain sparse LCP data; the preconditioners are exact banded Cholesky solves.
+
+    The band is read off the CSR pattern, so the solves are cheap for the
+    banded matrices of P1 stiffness on structured meshes.  A matrix that is
+    not positive definite raises ``numpy.linalg.LinAlgError`` on the first
+    apply, which conjugate gradients report as a failed solve.
+    """
 
     def __init__(self, A, b):
         self.A = sp.csr_array(A)
@@ -86,7 +103,8 @@ class SparseObstacleSystem:
         self.n = self.A.shape[0]
         assert self.A.shape == (self.n, self.n)
         assert self.b.shape == (self.n,)
-        self._lu = None
+        self._lower = None
+        self._precond = None
 
     def matvec(self, v):
         return self.A @ v
@@ -97,10 +115,71 @@ class SparseObstacleSystem:
     def explicit(self):
         return self.A
 
+    def _lower_entries(self):
+        """(rows, cols, values) of the lower triangle of A, cached."""
+        if self._lower is None:
+            rows = np.repeat(np.arange(self.n), np.diff(self.A.indptr))
+            keep = self.A.indices <= rows
+            self._lower = rows[keep], self.A.indices[keep], self.A.data[keep]
+        return self._lower
+
     def precond(self):
-        if self._lu is None:
-            self._lu = spla.splu(sp.csc_matrix(self.A))
-        return self._lu.solve
+        """Exact solve with A; the factorization runs on the first apply."""
+        if self._precond is None:
+            self._precond = _banded_cholesky_solver(*self._lower_entries(), self.n)
+        return self._precond
+
+    def reduced_precond(self, inactive):
+        """Exact solve with A[inactive][:, inactive] on vectors over ``inactive``.
+
+        The active rows and columns of A are zeroed with a unit diagonal, which
+        decouples them and keeps the band, and the result is restricted.
+        """
+        rows, cols, vals = self._lower_entries()
+        active = np.ones(self.n, dtype=bool)
+        active[inactive] = False
+        keep = ~(active[rows] | active[cols])
+        unit = np.flatnonzero(active)
+        solve = _banded_cholesky_solver(np.concatenate((rows[keep], unit)),
+                                        np.concatenate((cols[keep], unit)),
+                                        np.concatenate((vals[keep], np.ones(unit.size))),
+                                        self.n)
+        return restrict_operator(solve, inactive, self.n)
+
+
+def _banded_cholesky_solver(rows, cols, vals, n):
+    """Solve with the SPD matrix whose lower triangle has the given entries.
+
+    LAPACK banded Cholesky (lower form, band from the largest row - col);
+    duplicate entries are summed.  The factorization runs on the first call.
+    """
+    factor = []
+
+    def solve(r):
+        if not factor:
+            offset = rows - cols
+            band = np.zeros((int(offset.max(initial=0)) + 1, n))
+            np.add.at(band, (offset, cols), vals)
+            factor.append(cholesky_banded(band, lower=True, check_finite=False))
+        return cho_solve_banded((factor[0], True), r, check_finite=False)
+
+    return solve
+
+
+def restrict_operator(apply, inactive, n):
+    """A full-space operator restricted to the index set ``inactive``.
+
+    The vector is extended by zeros, ``apply`` runs on all ``n`` entries and
+    the result is read back on ``inactive``.  The full-length vector lives
+    only during the call, so the reduced matvec and preconditioner of one
+    solve never hold two at once.
+    """
+    def apply_reduced(r):
+        full = np.zeros(n)
+        full[inactive] = r
+        return apply(full)[inactive]
+
+    return apply_reduced
 
 
 def complementarity_residual(system, u: np.ndarray, obs: np.ndarray) -> float:
@@ -160,50 +239,41 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
 def _pcg(matvec, b, x0, precond, rtol, max_iter):
     """Preconditioned conjugate gradients; returns (x, iterations, converged).
 
-    A step with p.Ap <= 0 means the operator is not positive definite on the
-    Krylov space; the iteration stops there and reports failure.
+    A step with p.Ap <= 0, or a preconditioner whose factorization finds the
+    operator not positive definite (``LinAlgError``), means A is not SPD; the
+    iteration stops there and reports failure.
     """
     x = x0.copy()
     r = b - matvec(x)
     target = rtol * max(float(np.linalg.norm(b)), 1e-300)
-    if np.linalg.norm(r) <= target:
-        return x, 0, True
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, max_iter + 1):
+    p = None
+    rz = 1.0
+    for it in range(max_iter + 1):
+        if np.linalg.norm(r) <= target:
+            return x, it, True
+        if it == max_iter:
+            break
+        try:
+            z = precond(r)
+        except np.linalg.LinAlgError:
+            return x, it, False
+        rz_new = float(r @ z)
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            return x, it, False
+            return x, it + 1, False
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= target:
-            return x, it, True
-        z = precond(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     return x, max_iter, False
 
 
-def _solve_inactive(system, inactive, rhs, x0, rtol, max_iter, precond):
+def _solve_inactive(system, inactive, rhs, x0, rtol, max_iter):
     """Solve the reduced SPD system on the inactive index set by PCG."""
-    n = system.n
-    scratch = np.zeros(n)
-
-    def matvec_red(v):
-        scratch[:] = 0.0
-        scratch[inactive] = v
-        return system.matvec(scratch)[inactive]
-
-    def precond_red(r):
-        scratch[:] = 0.0
-        scratch[inactive] = r
-        return precond(scratch)[inactive]
-
-    return _pcg(matvec_red, rhs, x0, precond_red, rtol, max_iter)
+    return _pcg(restrict_operator(system.matvec, inactive, system.n), rhs, x0,
+                system.reduced_precond(inactive), rtol, max_iter)
 
 
 def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(),
@@ -212,11 +282,11 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
 
     The contact indicator is lambda - d*(u - obs) > 0 with d = diag(A) and
     lambda = Au - b; ties (u = obs, lambda = 0) count as inactive.  Each
-    update solves the linear system on the inactive set by preconditioned
-    conjugate gradients, warm-started from the current iterate.  The
-    iteration stops when the active set repeats or the complementarity
-    residual drops below tol; a revisited earlier set (a cycle) aborts with
-    ``converged=False``.
+    update solves the linear system on the inactive set by conjugate
+    gradients preconditioned with ``system.reduced_precond``, warm-started
+    from the current iterate.  The iteration stops when the active set
+    repeats or the complementarity residual drops below tol; a revisited
+    earlier set (a cycle) aborts with ``converged=False``.
     """
     n = system.n
     b = system.b
@@ -254,7 +324,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         if inactive.size > 0:
             rhs = (b - system.matvec(u_new))[inactive]
             sol, it, ok = _solve_inactive(system, inactive, rhs, u[inactive],
-                                          rtol, cg_max, precond)
+                                          rtol, cg_max)
             inner_total += it
             if not ok:
                 u_new[inactive] = sol

@@ -4,8 +4,11 @@ Each sample draws an independent parameter vector from its own RNG stream
 (derived from seed and sample index), assembles the deterministic obstacle
 problem at that parameter, solves it with the configured LCP solver, and
 feeds the full nodal solution into a Welford accumulator.  Affine fields get
-a fast path: the spatial factor matrices are assembled once and combined per
-sample.
+a fast path: the spatial factor matrices are assembled once and aligned on
+one CSR pattern, so a sample matrix is a weighted sum of fixed data arrays
+wrapped around shared indices, with no sparse matrix arithmetic per sample.
+The per-sample systems are ``SparseObstacleSystem``s, whose active-set
+updates solve the reduced system exactly by banded Cholesky.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import assemble_load, assemble_weighted_stiffness
 from .fields import AffineField, scenario_rng
-from .lcp import SolverConfig, SparseObstacleSystem, solve_lcp
+from .lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
+                  solve_lcp)
 from .mesh import Mesh
 
 __all__ = ["MCAccumulator", "MCResult", "mc_run"]
@@ -86,7 +91,12 @@ class MCResult:
 
 
 class _AffineSampler:
-    """Per-sample system factory with spatial factors assembled once."""
+    """Per-sample system factory with spatial factors assembled once.
+
+    The interior stiffness factors K0 and Kk are laid on one union CSR
+    pattern, explicit zeros kept, so a sample matrix is the data vector
+    d0 + sum_k y_k dk wrapped around the shared index arrays.
+    """
 
     def __init__(self, mesh: Mesh, a_field: AffineField, f_field: AffineField,
                  g_field: AffineField, dirichlet, n_dims: int, quad_degree: int):
@@ -102,11 +112,12 @@ class _AffineSampler:
             K = assemble_weighted_stiffness(mesh, w, quad_degree)
             return K[interior][:, interior], K[interior][:, bnd]
 
-        self.K0_ii, self.K0_ib = stiff(a_field.mean)
-        self.Kk = []
-        for k in range(n_dims):
-            w = a_field.dim_weight(k)
-            self.Kk.append(None if w is None else stiff(w))
+        K0_ii, self.K0_ib = stiff(a_field.mean)
+        factors = [None if w is None else stiff(w)
+                   for w in map(a_field.dim_weight, range(n_dims))]
+        self.Kk_ib = [None if f is None else f[1] for f in factors]
+        self.indptr, self.indices, (self.d0, *self.dk) = _union_pattern(
+            [K0_ii] + [None if f is None else f[0] for f in factors])
         self.f0 = assemble_load(mesh, f_field.mean, quad_degree)[interior]
         self.fk = []
         for k in range(n_dims):
@@ -119,25 +130,51 @@ class _AffineSampler:
             self.gk.append(None if w is None else w(self.x_int))
 
     def build(self, y: np.ndarray):
-        K = self.K0_ii.copy()
-        K_ib = self.K0_ib
+        data = self.d0.copy()
         rhs = self.f0.copy()
         obs = self.g0.copy()
         boundary = None
         for k, yk in enumerate(y):
-            if self.Kk[k] is not None:
-                K = K + yk * self.Kk[k][0]
-                K_ib = K_ib + yk * self.Kk[k][1]
+            if self.dk[k] is not None:
+                data += yk * self.dk[k]
             if self.fk[k] is not None:
                 rhs += yk * self.fk[k]
             if self.gk[k] is not None:
                 obs += yk * self.gk[k]
+        n = self.interior.size
+        K = sp.csr_array((data, self.indices, self.indptr), shape=(n, n))
         if self.dirichlet is not None and self.bnd.size:
             boundary = np.asarray(self.dirichlet(self.xb, y), dtype=float)
-            rhs = rhs - K_ib @ boundary
+            rhs -= self.K0_ib @ boundary
+            for yk, K_ib in zip(y, self.Kk_ib):
+                if K_ib is not None:
+                    rhs -= yk * (K_ib @ boundary)
         elif self.bnd.size:
             boundary = np.zeros(self.bnd.size)
         return SparseObstacleSystem(K, rhs), obs, boundary
+
+
+def _union_pattern(mats):
+    """Square CSR matrices on their union pattern: (indptr, indices, datas).
+
+    Entries stored in any of the matrices, explicit zeros included, are in
+    the pattern; ``datas`` holds each matrix's values at those positions
+    (None for a None matrix).
+    """
+    n = mats[0].shape[0]
+    coos = [None if M is None else sp.coo_array(M) for M in mats]
+    keys = [None if c is None else c.row.astype(np.int64) * n + c.col for c in coos]
+    union = np.unique(np.concatenate([k for k in keys if k is not None]))
+    datas = []
+    for c, key in zip(coos, keys):
+        if c is None:
+            datas.append(None)
+            continue
+        d = np.zeros(union.size)
+        np.add.at(d, np.searchsorted(union, key), c.data)
+        datas.append(d)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(union // n, minlength=n))))
+    return indptr, union % n, datas
 
 
 class _GenericSampler:
@@ -184,7 +221,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     ``fields`` maps 'a', 'f', 'g' to AffineFields or parametric callables;
     ``densities`` is one Density1D per parameter dimension.  Samples whose
     LCP solve does not converge are skipped and counted; more than 0.1%
-    failures raise.
+    failures raise ``SolverNotConverged``.
     """
     if solver is None:
         solver = SolverConfig(method="active-set")
@@ -224,7 +261,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     loop_seconds = time.perf_counter() - t_loop
 
     if n_failed > MAX_FAILURE_FRACTION * n_samples:
-        raise RuntimeError(
+        raise SolverNotConverged(
             f"{n_failed} of {n_samples} sample solves failed to converge")
     return MCResult(
         accumulator=acc,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fem import _quad_points, _triangle_geometry, evaluate_p1
 from .fields import AffineField, bounds_check
-from .lcp import SolverConfig, solve_lcp
+from .lcp import SolverConfig, SolverNotConverged, solve_lcp
 from .mc import mc_run
 from .mesh import Mesh, build_uniform_mesh
 from .param import ParamGrid, build_param_grid, multilinear_evaluate
@@ -53,10 +53,6 @@ TABLE_HEADER = "h,s,eL2m1,ordL2m1,eH1m1,ordH1m1,eL2m2,ordL2m2,eH1m2,ordH1m2,iter
 
 class ConfigError(Exception):
     """Invalid configuration; the message lists every problem found."""
-
-
-class SolverNotConverged(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -103,11 +99,13 @@ def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
     if h_over_s is None:
         errors.append("schedule.coupled needs h_over_s (no problem default)")
         return []
-    if not h_over_s > 0.0:
-        errors.append(f"schedule.coupled.h_over_s must be positive, got {h_over_s}")
+    if not isinstance(h_over_s, (int, float)) or not h_over_s > 0.0:
+        errors.append(f"schedule.coupled.h_over_s must be positive, got {h_over_s!r}")
         return []
-    m_min = int(spec.get("m_min", 1))
-    m_max = int(spec.get("m_max", 4))
+    m_min = _int_option(spec, "m_min", 1, "schedule.coupled.m_min", errors)
+    m_max = _int_option(spec, "m_max", 4, "schedule.coupled.m_max", errors)
+    if m_min is None or m_max is None:
+        return []
     if m_min < 0 or m_max < m_min:
         errors.append("schedule.coupled needs 0 <= m_min <= m_max")
         return []
@@ -166,6 +164,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     Raises ConfigError listing every problem found; unknown top-level keys
     are rejected to catch typos.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     errors: list[str] = []
     known = {"problem", "mode", "parameterization", "dirichlet", "schedule",
              "solver", "mc", "quad_order", "explicit_limit", "output_dir",
@@ -210,6 +210,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     elif problem is not None:
         if "levels" in schedule and "coupled" in schedule:
             errors.append("schedule takes either levels or coupled, not both")
+        elif "levels" in schedule and not isinstance(schedule["levels"], list):
+            errors.append("schedule.levels must be a list of [nx, cells] pairs")
         elif "levels" in schedule:
             for entry in schedule["levels"]:
                 try:
@@ -226,6 +228,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
                     errors.append(f"nx={nx} gives non-integer cell count on the y side")
                     continue
                 levels.append(Level(nx=nx, ny=int(round(ny)), cells=cells))
+        elif "coupled" in schedule and not isinstance(schedule["coupled"], dict):
+            errors.append("schedule.coupled must be an object")
         elif "coupled" in schedule:
             levels = _coupled_levels(problem, schedule["coupled"], errors)
         else:
@@ -236,17 +240,23 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if "solver" not in raw:
         log.warning("no solver section in config, using defaults (%s)",
                     SolverConfig().method)
-    solver_raw = dict(raw.get("solver", {}))
+    solver_raw = raw.get("solver", {})
     solver = None
-    try:
-        solver = SolverConfig(**solver_raw)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"solver: {exc}")
+    if not isinstance(solver_raw, dict):
+        errors.append("solver must be an object")
+    else:
+        try:
+            solver = SolverConfig(**solver_raw)
+        except (TypeError, ValueError) as exc:
+            errors.append(f"solver: {exc}")
 
     if problem is not None:
         _check_ellipticity(problem, levels, errors)
 
-    mc_raw = dict(raw.get("mc", {}))
+    mc_raw = raw.get("mc", {})
+    if not isinstance(mc_raw, dict):
+        errors.append("mc must be an object")
+        mc_raw = {}
     mc_samples = _int_option(mc_raw, "n_samples", 4096, "mc.n_samples", errors)
     mc_seed = _int_option(mc_raw, "seed", 0, "mc.seed", errors)
     mc_level = _int_option(mc_raw, "level", 0, "mc.level", errors)
@@ -278,6 +288,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
                     f"{explicit_limit}, but projected SOR needs the explicit "
                     "matrix; raise explicit_limit or use method 'active-set'")
 
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        errors.append(f"output_dir must be a string, got {output_dir!r}")
+
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -285,7 +299,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         problem=problem, mode=mode, levels=levels, solver=solver,
         dirichlet_mode=dirichlet_mode, mc_samples=mc_samples, mc_seed=mc_seed,
         mc_level=mc_level, mc_solver=mc_solver, quad_order=quad_order,
-        explicit_limit=explicit_limit, output_dir=raw.get("output_dir", "out"),
+        explicit_limit=explicit_limit, output_dir=output_dir,
         raw=raw,
     )
 

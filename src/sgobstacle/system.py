@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .fem import assemble_load, assemble_weighted_stiffness
 from .fields import AffineField
+from .lcp import restrict_operator
 from .mesh import Mesh
 from .param import Gramians, ParamGrid, assemble_gramians
 
@@ -127,6 +128,10 @@ class SGSystem:
 
             self._precond = apply
         return self._precond
+
+    def reduced_precond(self, inactive: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``precond()`` restricted to the inactive index set of an active-set update."""
+        return restrict_operator(self.precond(), inactive, self.n)
 
     def mean_weights(self) -> np.ndarray:
         """Weights turning coefficient blocks into the mean field: g0."""

@@ -1,11 +1,17 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from sgobstacle.fem import assemble_weighted_stiffness
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem, _pcg,
                             active_set_solve, brute_force_solve,
                             complementarity_residual, psor_solve, solve_lcp)
+from sgobstacle.mesh import build_uniform_mesh
 
 
 def random_lcp(rng, n=8):
@@ -71,6 +77,60 @@ class TestSolversAgainstEnumeration:
         assert rep.active_count == int(np.sum(np.isclose(u, obs, atol=1e-9)))
 
 
+@st.composite
+def m_matrix_lcps(draw):
+    """Symmetric sparse M-matrix (strictly diagonally dominant) LCPs, n <= 10."""
+    n = draw(st.integers(1, 10))
+    weights = draw(hnp.arrays(float, (n, n), elements=st.floats(0.0, 1.0)))
+    mask = draw(hnp.arrays(bool, (n, n)))
+    off = np.triu(weights * mask, 1)
+    off = off + off.T
+    margin = draw(hnp.arrays(float, n, elements=st.floats(0.1, 2.0)))
+    A = np.diag(off.sum(axis=1) + margin) - off
+    b = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    obs = draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    return A, b, obs
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(m_matrix_lcps())
+def test_solvers_match_enumeration_on_m_matrices(lcp):
+    A, b, obs = lcp
+    exact = brute_force_solve(A, b, obs)
+    system = SparseObstacleSystem(sp.csr_array(A), b)
+    for u, rep in (active_set_solve(system, obs, SolverConfig(tol=1e-12)),
+                   psor_solve(system, obs, SolverConfig(method="psor", tol=1e-12,
+                                                        max_iter=20_000))):
+        assert rep.converged
+        assert np.max(np.abs(u - exact)) <= 1e-8
+
+
+class TestReducedPrecond:
+    @pytest.mark.parametrize("kind", ["stiffness", "dense"])
+    def test_matches_sparse_direct_solve(self, kind):
+        rng = np.random.default_rng(37)
+        if kind == "stiffness":
+            # banded, with explicit zeros where the hypotenuse couplings vanish
+            mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7)
+            ii = mesh.interior
+            A = assemble_weighted_stiffness(mesh)[ii][:, ii]
+            assert np.any(A.data == 0.0)
+        else:
+            A = sp.csr_array(random_lcp(rng, 12)[0])
+        n = A.shape[0]
+        system = SparseObstacleSystem(A, np.zeros(n))
+        r = rng.standard_normal(n)
+        assert_allclose(system.precond()(r), spla.spsolve(sp.csc_matrix(A), r),
+                        rtol=1e-12)
+        subsets = [np.arange(n), np.array([n // 2]),
+                   np.flatnonzero(rng.random(n) < 0.5), np.arange(1, n, 3)]
+        for inactive in subsets:
+            r = rng.standard_normal(inactive.size)
+            reduced = sp.csc_matrix(A[inactive][:, inactive])
+            assert_allclose(system.reduced_precond(inactive)(r),
+                            np.atleast_1d(spla.spsolve(reduced, r)), rtol=1e-12)
+
+
 class TestPSOR:
     def test_energy_monotone(self):
         rng = np.random.default_rng(11)
@@ -131,6 +191,11 @@ class TestActiveSet:
         assert not ok
         _, rep = active_set_solve(system, np.zeros(2), SolverConfig())
         assert not rep.converged
+        # warm-started, the banded Cholesky of the reduced system fails instead
+        _, rep = active_set_solve(system, np.zeros(2), SolverConfig(),
+                                  x0=np.zeros(2))
+        assert not rep.converged
+        assert rep.iterations == 1
 
     def test_report_counts_inner_iterations(self):
         rng = np.random.default_rng(29)

@@ -7,7 +7,7 @@ from sgobstacle.fem import assemble_load, assemble_weighted_stiffness
 from sgobstacle.fields import AffineField, scenario_rng
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
                             active_set_solve)
-from sgobstacle.mc import MCAccumulator, mc_run
+from sgobstacle.mc import MCAccumulator, _AffineSampler, _union_pattern, mc_run
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D
 
@@ -63,6 +63,54 @@ class TestAccumulator:
         acc.update(np.array([1.0]))
         with pytest.raises(ValueError):
             acc.variance()
+
+
+class TestAffineSampler:
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_build_matches_direct_assembly(self, lifted):
+        # the coefficient has modes on dimensions 0 and 2 but none on 1; the
+        # dimension-2 shape vanishes on the left half, so that factor stores
+        # explicit zeros, and so does K0 where hypotenuse couplings vanish
+        mesh = build_uniform_mesh(RECT, 6)
+        ii = mesh.interior
+        bnd = np.flatnonzero(mesh.boundary)
+        a = AffineField.build(2.0, [(0.5, lambda x: x[:, 0] + x[:, 1], 0),
+                                    (0.3, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 2)])
+        f = AffineField.build(-1.0, [(0.5, one, 1)])
+        g = AffineField.build(-0.1, [(0.01, lambda x: x[:, 1], 0)])
+
+        def dirichlet(x, y):
+            return x[:, 0] * y[0] - x[:, 1] * y[2]
+
+        sampler = _AffineSampler(mesh, a, f, g, dirichlet if lifted else None,
+                                 3, 2)
+        assert sampler.dk[1] is None
+        assert np.any(sampler.d0 == 0.0) and np.any(sampler.dk[2] == 0.0)
+        for y in np.random.default_rng(0).uniform(0.5, 1.5, (4, 3)):
+            system, obs, boundary = sampler.build(y)
+            K = assemble_weighted_stiffness(mesh, lambda x: a.evaluate(x, y))
+            rhs = assemble_load(mesh, lambda x: f.evaluate(x, y))[ii]
+            lift = dirichlet(mesh.nodes[bnd], y) if lifted else np.zeros(bnd.size)
+            rhs -= K[ii][:, bnd] @ lift
+            assert_allclose(system.A.toarray(), K[ii][:, ii].toarray(), rtol=1e-12)
+            assert_allclose(system.b, rhs, rtol=1e-12)
+            assert_allclose(obs, g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
+            assert_allclose(boundary, lift, rtol=1e-12)
+
+
+    def test_union_pattern_keeps_every_stored_entry(self):
+        # different patterns, one explicit zero and one duplicate entry
+        A = sp.csr_array((np.array([1.0, 0.0, 2.0]), np.array([0, 2, 1]),
+                          np.array([0, 2, 3, 3])), shape=(3, 3))
+        B = sp.csr_array((np.array([3.0, 4.0, 5.0]), np.array([1, 2, 2]),
+                          np.array([0, 0, 1, 3])), shape=(3, 3))
+        indptr, indices, (dA, dnone, dB) = _union_pattern([A, None, B])
+        assert dnone is None
+        assert indptr.tolist() == [0, 2, 3, 4]
+        assert indices.tolist() == [0, 2, 1, 2]
+        for M, d in ((A, dA), (B, dB)):
+            aligned = sp.csr_array((d, indices, indptr), shape=(3, 3))
+            assert_allclose(aligned.toarray(), M.toarray(), rtol=0)
 
 
 class TestMCRun:

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from sgobstacle import stats
 from sgobstacle.cli import main as cli_main
 from sgobstacle.fem import norm_error
 from sgobstacle.runner import (TABLE_HEADER, ConfigError, ErrorTable,
@@ -148,6 +149,29 @@ class TestValidateConfig:
             validate_config(cfg)
         for name in ("quad_order", "mc.n_samples", "mc.seed"):
             assert f"{name} must be an integer" in str(info.value)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"mc": 5}, "mc must be an object"),
+        ({"solver": 5}, "solver must be an object"),
+        ({"schedule": {"levels": 5}}, "schedule.levels must be a list"),
+        ({"schedule": {"coupled": 5}}, "schedule.coupled must be an object"),
+        ({"schedule": {"coupled": {"h_over_s": "x"}}},
+         "schedule.coupled.h_over_s must be positive"),
+        ({"schedule": {"coupled": {"m_min": "a"}}},
+         "schedule.coupled.m_min must be an integer"),
+        ({"output_dir": 5}, "output_dir must be a string"),
+    ])
+    def test_wrongly_typed_sections_rejected(self, overrides, message, tmp_path,
+                                             capsys):
+        cfg = base_config(**overrides)
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["-q", "solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert message in err
 
     def test_negative_explicit_limit_rejected(self):
         with pytest.raises(ConfigError, match="explicit_limit must be non-negative"):
@@ -379,6 +403,10 @@ class TestCLI:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli_main(["-q", "info", str(bad)]) == 1
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        assert cli_main(["-q", "info", str(listed)]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_solver_failure_exits_two(self, tmp_path, capsys):
         cfg = base_config(output_dir=str(tmp_path / "out"),
@@ -386,6 +414,40 @@ class TestCLI:
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["-q", "converge", path]) == 2
         assert "solver failure" in capsys.readouterr().err
+
+    def test_mc_sample_failures_exit_two(self, tmp_path, capsys):
+        cfg = {"problem": "example1", "mode": "mc",
+               "schedule": {"levels": [[8, 2]]},
+               "solver": {"method": "psor", "tol": 1e-14, "max_iter": 1},
+               "mc": {"n_samples": 8, "seed": 0, "level": 0},
+               "output_dir": str(tmp_path / "out")}
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "mc", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver failure: 8 of 8 sample solves failed to converge")
+
+    def test_negative_variance_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a negative tolerance makes sg_variance refuse any variance field
+        monkeypatch.setattr(stats, "VAR_CLIP_TOL", -1.0)
+        path = self.write_config(tmp_path,
+                                 base_config(output_dir=str(tmp_path / "out")))
+        assert cli_main(["-q", "solve", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver failure: variance fell below")
+
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    def test_galerkin_subcommands_require_sg_mode(self, tmp_path, capsys, command):
+        # PSOR above explicit_limit is a valid Monte Carlo config; run as a
+        # Galerkin solve it would need the explicit matrix the limit forbids
+        cfg = {"problem": "example1", "mode": "mc",
+               "schedule": {"levels": [[8, 4]]}, "explicit_limit": 10,
+               "solver": {"method": "psor"}, "output_dir": str(tmp_path / "out")}
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command} subcommand needs mode "
+                              "'sg' or 'both'")
+        assert not (tmp_path / "out").exists()
 
     def test_psor_above_explicit_limit_exits_one(self, tmp_path, capsys):
         cfg = {"problem": "example1", "mode": "sg",
