@@ -9,11 +9,18 @@ must be symmetric positive definite.  The Galerkin system restricts its
 Kronecker preconditioner to the inactive set (``restrict_operator``); the
 plain sparse system solves the reduced system exactly by banded Cholesky,
 so each active-set update costs one conjugate gradient step.
+
+Projected SOR sweeps the rows of the explicit matrix in multicolour order:
+a greedy colouring, made once per solve, splits the rows into classes that
+do not couple, and each class is updated as one vectorized projected step.
+That is sequential SOR with the rows taken class by class, so it converges
+for SPD A and omega in (0, 2); ``iterations`` counts sweeps.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -29,6 +36,7 @@ __all__ = [
     "SparseObstacleSystem",
     "restrict_operator",
     "complementarity_residual",
+    "greedy_colouring",
     "psor_solve",
     "active_set_solve",
     "solve_lcp",
@@ -101,8 +109,10 @@ class SparseObstacleSystem:
         self.A = sp.csr_array(A)
         self.b = np.asarray(b, dtype=float)
         self.n = self.A.shape[0]
-        assert self.A.shape == (self.n, self.n)
-        assert self.b.shape == (self.n,)
+        if self.A.shape != (self.n, self.n):
+            raise ValueError(f"A must be square, got shape {self.A.shape}")
+        if self.b.shape != (self.n,):
+            raise ValueError(f"b must have length {self.n}, got shape {self.b.shape}")
         self._lower = None
         self._precond = None
 
@@ -184,52 +194,122 @@ def restrict_operator(apply, inactive, n):
 
 def complementarity_residual(system, u: np.ndarray, obs: np.ndarray) -> float:
     """max-norm of min(u - obs, Au - b), zero exactly at the solution."""
-    r = system.matvec(u) - system.b
-    return float(np.max(np.abs(np.minimum(u - obs, r))))
+    return _max_violation(u, obs, system.matvec(u) - system.b)
+
+
+def _max_violation(u, obs, lam) -> float:
+    """max-norm of min(u - obs, lam): the complementarity residual for lam = Au - b."""
+    return float(np.abs(np.minimum(u - obs, lam)).max())
 
 
 def _energy(system, u):
     return 0.5 * float(u @ system.matvec(u)) - float(system.b @ u)
 
 
+_COLOUR_CHUNK = 64  # rows whose row pointers and column indices are Python ints at once
+
+
+def greedy_colouring(A) -> list:
+    """First-fit greedy colouring of the rows of a CSR matrix, in row order.
+
+    Returns one colour (0, 1, ...) per row as a list of ints: row i gets the
+    smallest colour that no row stored in row i's pattern already has.  For
+    a matrix with a symmetric pattern (every symmetric A) no stored
+    off-diagonal entry then joins two rows of one colour.  The row pointers
+    and column indices become Python ints one chunk of rows at a time, which
+    keeps the memory of the colouring small next to A itself.
+    """
+    n = A.shape[0]
+    colour = [-1] * n
+    for start in range(0, n, _COLOUR_CHUNK):
+        ptr = A.indptr[start:start + _COLOUR_CHUNK + 1].tolist()
+        cols = A.indices[ptr[0]:ptr[-1]].tolist()
+        for i in range(len(ptr) - 1):
+            used = {colour[j] for j in cols[ptr[i] - ptr[0]:ptr[i + 1] - ptr[0]]}
+            c = 0
+            while c in used:
+                c += 1
+            colour[start + i] = c
+    return colour
+
+
+def _colour_ordered(A):
+    """A with rows and columns in greedy colour order, as raw CSR arrays.
+
+    Returns (data, cols, ptr, bounds, order, rank): row k of the permuted
+    matrix is row ``order[k]`` of A, ``rank`` inverts ``order``, and colour c
+    owns the rows ``bounds[c]:bounds[c + 1]``.  When A's rows already are in
+    colour order (one colour, or a dense matrix) A's own arrays come back
+    and ``order`` and ``rank`` are full slices.  This runs on every PSOR
+    call, so a one-row Monte Carlo sample system costs a few list operations
+    here and no permutation.
+    """
+    colour = greedy_colouring(A)
+    ranked = sorted(colour)
+    bounds = [bisect_left(ranked, c) for c in range(ranked[-1] + 2)]
+    if ranked == colour:
+        return A.data, A.indices, A.indptr, bounds, slice(None), slice(None)
+    order = np.argsort(colour, kind="stable")
+    rank = order.argsort()
+    lengths = (A.indptr[1:] - A.indptr[:-1])[order]
+    ptr = np.zeros_like(A.indptr)
+    lengths.cumsum(out=ptr[1:])
+    gather = (A.indptr[:-1][order] - ptr[:-1]).repeat(lengths) + np.arange(ptr[-1])
+    return A.data[gather], rank[A.indices[gather]], ptr, bounds, order, rank
+
+
 def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(method="psor"),
                x0: np.ndarray | None = None):
-    """Projected SOR sweeps; converges for SPD A and omega in (0, 2).
+    """Projected SOR in multicolour order; converges for SPD A and omega in (0, 2).
 
-    Needs the explicit CSR matrix for row access.  Returns (u, SolveReport);
-    ``iterations`` counts full sweeps.
+    Needs the explicit CSR matrix.  Its rows are coloured once per call
+    (``greedy_colouring``), and each sweep updates one colour class at a
+    time as a single vectorized projected step.  Rows of one colour do not
+    couple, so a sweep is exactly sequential projected SOR with the rows
+    taken in colour order.  The complementarity residual after each sweep
+    is taken with the same explicit matrix.  Returns (u, SolveReport);
+    ``iterations`` counts sweeps.
     """
     A = system.explicit()
     if A is None:
         raise ValueError("projected SOR needs an explicit sparse matrix")
-    n = system.n
-    b = system.b
-    indptr, indices, data = A.indptr, A.indices, A.data
     diag = A.diagonal()
-    assert np.all(diag > 0.0)
-    u = np.array(obs if x0 is None else np.maximum(x0, obs), dtype=float)
-    omega = config.omega
-    max_sweeps = config.max_iter if config.max_iter is not None else 50
+    if not np.minimum.reduce(diag) > 0.0:
+        raise ValueError("projected SOR needs a positive diagonal of A")
     t0 = time.perf_counter()
+    # work in colour order, where each colour class owns a contiguous block
+    # of rows: per class, its CSR entries, the row starts within them, and
+    # views of u, b, omega / d and the obstacle on its rows
+    data, cols, ptr, bounds, order, rank = _colour_ordered(A)
+    omega = config.omega
+    u = np.array(obs if x0 is None else np.maximum(x0, obs), dtype=float)[order]
+    b, w, g = system.b[order], omega / diag[order], obs[order]
+    classes = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        p, q = int(ptr[s]), int(ptr[e])
+        classes.append((data[p:q], cols[p:q], ptr[s:e] - p,
+                        u[s:e], b[s:e], w[s:e], g[s:e]))
+    max_sweeps = config.max_iter if config.max_iter is not None else 50
     trace = []
     residual = np.inf
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for i in range(n):
-            sl = slice(indptr[i], indptr[i + 1])
-            row_dot = data[sl] @ u[indices[sl]]
-            gs = u[i] + (b[i] - row_dot) / diag[i]
-            u[i] = max(obs[i], (1.0 - omega) * u[i] + omega * gs)
-        residual = complementarity_residual(system, u, obs)
+        # (1 - omega) u + omega (u + (b - A u) / d), as u + (omega / d) (b - A u)
+        for data_c, cols_c, rows_c, u_c, b_c, w_c, g_c in classes:
+            row_dot = np.add.reduceat(data_c * u.take(cols_c), rows_c)
+            np.maximum(g_c, u_c + w_c * (b_c - row_dot), out=u_c)
+        lam = np.add.reduceat(data * u.take(cols), ptr[:-1]) - b
+        residual = _max_violation(u, g, lam)
         if config.record_energy:
-            trace.append(_energy(system, u))
+            trace.append(_energy(system, u[rank]))
         if residual <= config.tol:
             break
+    u = u[rank]
     report = SolveReport(
         converged=residual <= config.tol,
         iterations=sweeps,
         residual=residual,
-        active_count=int(np.sum(u <= obs)),
+        active_count=int(np.count_nonzero(u <= obs)),
         seconds=time.perf_counter() - t0,
         energy_trace=trace,
     )
@@ -309,7 +389,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     active = (lam - d * (u - obs)) > 0.0
 
     seen = set()
-    residual = complementarity_residual(system, u, obs)
+    residual = _max_violation(u, obs, lam)
     updates = 0
     converged = residual <= config.tol
     while not converged and updates < max_updates:
@@ -335,7 +415,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         u = u_new
         lam = system.matvec(u) - b
         new_active = (lam - d * (u - obs)) > 0.0
-        residual = complementarity_residual(system, u, obs)
+        residual = _max_violation(u, obs, lam)
         if residual <= config.tol or np.array_equal(new_active, active):
             active = new_active
             converged = residual <= config.tol

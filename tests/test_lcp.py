@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sgobstacle.fem import assemble_weighted_stiffness
+from sgobstacle.fields import AffineField
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem, _pcg,
                             active_set_solve, brute_force_solve,
-                            complementarity_residual, psor_solve, solve_lcp)
+                            complementarity_residual, greedy_colouring,
+                            psor_solve, solve_lcp)
 from sgobstacle.mesh import build_uniform_mesh
+from sgobstacle.param import Density1D, build_param_grid
+from sgobstacle.system import assemble_sg
 
 
 def random_lcp(rng, n=8):
@@ -162,6 +166,107 @@ class TestPSOR:
         assert complementarity_residual(system, u, obs) <= 1e-10
 
 
+def small_sg_system():
+    """Tensor Galerkin LCP of example1's data, I = 25, J = 9, with contact."""
+    mesh = build_uniform_mesh((-1.5, 1.5, -1.5, 1.5), 6)
+    grid = build_param_grid([Density1D.exp_uniform()] * 2, 2)
+    a = AffineField.build(1.0, [(1.0, 1.0, 0), (2.0, 1.0, 1)])
+    return assemble_sg(mesh, grid, a, AffineField.build(-2.0), AffineField.build(-0.05))
+
+
+def assert_first_fit_colouring(A, colour):
+    """One colour per row, no stored off-diagonal entry inside a colour, first fit."""
+    A = sp.csr_array(A)
+    n = A.shape[0]
+    assert len(colour) == n
+    assert all(isinstance(c, int) and c >= 0 for c in colour)
+    colour = np.asarray(colour)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    off = rows != A.indices
+    assert not np.any(colour[rows[off]] == colour[A.indices[off]])
+    for i in range(n):
+        earlier = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        earlier = earlier[earlier < i]
+        assert set(range(colour[i])) <= set(colour[earlier].tolist())
+
+
+def sequential_psor(A, b, obs, omega, sweeps, order):
+    """Row-by-row projected SOR over the rows in the given order (reference)."""
+    A = sp.csr_array(A)
+    d = A.diagonal()
+    u = np.array(obs, dtype=float)
+    for _ in range(sweeps):
+        for i in order:
+            sl = slice(A.indptr[i], A.indptr[i + 1])
+            gs = u[i] + (b[i] - A.data[sl] @ u[A.indices[sl]]) / d[i]
+            u[i] = max(obs[i], (1.0 - omega) * u[i] + omega * gs)
+    return u
+
+
+class TestMulticolourPSOR:
+    def test_colouring_of_galerkin_matrix(self):
+        A = small_sg_system().explicit()
+        colour = greedy_colouring(A)
+        assert_first_fit_colouring(A, colour)
+        assert 1 < max(colour) + 1 <= np.diff(A.indptr).max()
+
+    def test_colouring_of_dense_matrix(self):
+        A = random_lcp(np.random.default_rng(41), 8)[0]
+        colour = greedy_colouring(sp.csr_array(A))
+        assert colour == list(range(8))
+        assert_first_fit_colouring(A, colour)
+
+    def test_colouring_of_diagonal_matrix(self):
+        A = sp.diags_array(np.arange(1.0, 7.0)).tocsr()
+        colour = greedy_colouring(A)
+        assert colour == [0] * 6
+        assert_first_fit_colouring(A, colour)
+
+    def test_colouring_counts_explicit_zeros(self):
+        # the stored zeros of P1 stiffness still separate their rows
+        mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7)
+        A = assemble_weighted_stiffness(mesh)[mesh.interior][:, mesh.interior]
+        assert np.any(A.data == 0.0)
+        assert_first_fit_colouring(A, greedy_colouring(A))
+
+    def test_matches_sequential_sweeps_in_colour_order(self):
+        system = small_sg_system()
+        A = system.explicit()
+        order = np.argsort(greedy_colouring(A), kind="stable")
+        assert np.any(order != np.arange(system.n))
+        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-300, max_iter=3)
+        u, rep = psor_solve(system, system.obs, cfg)
+        assert rep.iterations == 3 and not rep.converged
+        ref = sequential_psor(A, system.b, system.obs, 1.7, 3, order)
+        assert_allclose(u, ref, rtol=1e-13)
+
+    def test_agrees_with_active_set_on_galerkin_system(self):
+        system = small_sg_system()
+        u_psor, rep_psor = psor_solve(
+            system, system.obs, SolverConfig(method="psor", omega=1.7, tol=1e-12,
+                                             max_iter=5000))
+        u_pdas, rep_pdas = active_set_solve(system, system.obs, SolverConfig(tol=1e-12))
+        assert rep_psor.converged and rep_pdas.converged
+        assert 0 < rep_psor.active_count < system.n
+        assert np.max(np.abs(u_psor - u_pdas)) <= 1e-8
+
+    @pytest.mark.parametrize("diag", [[2.0, 0.0, 1.0], [2.0, -1.0, 1.0]])
+    def test_non_positive_diagonal_rejected(self, diag):
+        system = SparseObstacleSystem(np.diag(diag), np.ones(3))
+        with pytest.raises(ValueError, match="positive diagonal"):
+            psor_solve(system, np.zeros(3))
+
+
+class TestSparseSystemShapes:
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            SparseObstacleSystem(np.ones((2, 3)), np.ones(2))
+
+    def test_wrong_rhs_length_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            SparseObstacleSystem(np.eye(3), np.ones(2))
+
+
 class TestActiveSet:
     def test_inactive_obstacle_gives_linear_solution(self):
         rng = np.random.default_rng(19)
@@ -196,6 +301,20 @@ class TestActiveSet:
                                   x0=np.zeros(2))
         assert not rep.converged
         assert rep.iterations == 1
+
+    def test_residual_is_that_of_the_returned_iterate(self):
+        # the active set reuses lambda = Au - b of its last update
+        rng = np.random.default_rng(43)
+        A, b, obs = random_lcp(rng, 10)
+        system = SparseObstacleSystem(sp.csr_array(A), b)
+        for x0 in (None, obs + 0.5):
+            u, rep = active_set_solve(system, obs, SolverConfig(tol=1e-12), x0=x0)
+            assert rep.residual == complementarity_residual(system, u, obs)
+        # PSOR takes it with the explicit matrix in colour order: same up to rounding
+        u, rep = psor_solve(system, obs, SolverConfig(method="psor", tol=1e-12,
+                                                      max_iter=20_000))
+        assert rep.residual == pytest.approx(complementarity_residual(system, u, obs),
+                                             abs=1e-14)
 
     def test_report_counts_inner_iterations(self):
         rng = np.random.default_rng(29)
