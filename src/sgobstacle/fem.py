@@ -149,6 +149,15 @@ def interpolate_nodal(mesh: Mesh, fn) -> np.ndarray:
     return _eval_weight(fn, mesh.nodes)
 
 
+def _nodal_coefficients(mesh: Mesh, coeffs) -> np.ndarray:
+    """``coeffs`` as a float array with one entry per mesh node, else ValueError."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (mesh.n_nodes,):
+        raise ValueError(f"need one coefficient per mesh node ({mesh.n_nodes}), "
+                         f"got shape {coeffs.shape}")
+    return coeffs
+
+
 def evaluate_p1(mesh: Mesh, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate a P1 field given by full nodal coefficients at arbitrary points.
 
@@ -156,8 +165,7 @@ def evaluate_p1(mesh: Mesh, coeffs: np.ndarray, points: np.ndarray) -> np.ndarra
     grid; a point on the cell diagonal belongs to either triangle (the two
     interpolants agree there).
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    assert coeffs.shape == (mesh.n_nodes,)
+    coeffs = _nodal_coefficients(mesh, coeffs)
     x0, x1, y0, y1 = mesh.rect
     px = np.clip(points[:, 0], x0, x1)
     py = np.clip(points[:, 1], y0, y1)
@@ -189,8 +197,7 @@ def norm_error(mesh: Mesh, coeffs: np.ndarray, exact, kind: str = "l2",
     the norm of ``exact`` itself with the same quadrature.
     """
     exact = as_spatial_function(exact)
-    coeffs = np.asarray(coeffs, dtype=float)
-    assert coeffs.shape == (mesh.n_nodes,)
+    coeffs = _nodal_coefficients(mesh, coeffs)
     _, area, grads = _triangle_geometry(mesh)
     pts, shapes, wq = _quad_points(mesh, quad_degree)
     nt, nq, _ = pts.shape

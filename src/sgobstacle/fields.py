@@ -71,17 +71,6 @@ class AffineField:
 
         return combined
 
-    def mean_weight(self, dim_means: Sequence[float]):
-        """Spatial weight of the y-averaged field, mu + sum c_k phi_k E[y_k]."""
-
-        def averaged(x):
-            out = np.asarray(self.mean.values(x), dtype=float).copy()
-            for m in self.modes:
-                out += m.coeff * np.asarray(m.shape.values(x)) * dim_means[m.dim]
-            return out
-
-        return averaged
-
 
 @dataclass(frozen=True)
 class FieldBounds:
@@ -91,29 +80,27 @@ class FieldBounds:
 
 def bounds_check(field: AffineField, supports: Sequence[tuple[float, float]],
                  points: np.ndarray) -> FieldBounds:
-    """Conservative range of an affine field over a parameter box.
+    """Range of an affine field over a parameter box and a set of points.
 
-    For each sample point the field is affine in y, so its extremes over the
-    box sit at box vertices; the estimate enumerates all vertices and takes
-    min/max over the supplied spatial sample points (typically mesh nodes).
+    At each point the field is mu + sum_d s_d y_d, with s_d the summed modes
+    of dimension d, so over the box its extremes take each y_d at the end
+    of its support that makes s_d y_d smallest or largest.  The range is
+    the min/max of these over the supplied spatial points (typically mesh
+    nodes).
     """
     points = np.atleast_2d(points)
-    mean_vals = np.asarray(field.mean.values(points), dtype=float)
-    mode_vals = [(m.dim, m.coeff * np.asarray(m.shape.values(points))) for m in field.modes]
     n_dims = len(supports)
+    slope = np.zeros((n_dims, points.shape[0]))
     for m in field.modes:
         if m.dim >= n_dims:
             raise ValueError(f"mode dimension {m.dim} outside parameter box")
-    lo = np.inf
-    hi = -np.inf
-    for vertex in range(2 ** n_dims):
-        y = np.array([supports[d][(vertex >> d) & 1] for d in range(n_dims)])
-        vals = mean_vals.copy()
-        for d, mv in mode_vals:
-            vals = vals + mv * y[d]
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-    return FieldBounds(lo=lo, hi=hi)
+        slope[m.dim] += m.coeff * np.asarray(m.shape.values(points))
+    ends = np.asarray(supports, dtype=float).reshape(n_dims, 2)
+    at_lo, at_hi = slope * ends[:, :1], slope * ends[:, 1:]
+    mean_vals = np.asarray(field.mean.values(points), dtype=float)
+    lo = mean_vals + np.minimum(at_lo, at_hi).sum(axis=0)
+    hi = mean_vals + np.maximum(at_lo, at_hi).sum(axis=0)
+    return FieldBounds(lo=float(lo.min()), hi=float(hi.max()))
 
 
 @dataclass(frozen=True)

@@ -366,12 +366,21 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     gradients preconditioned with ``system.reduced_precond``, warm-started
     from the current iterate.  The iteration stops when the active set
     repeats or the complementarity residual drops below tol; a revisited
-    earlier set (a cycle) aborts with ``converged=False``.
+    earlier set (a cycle) aborts with ``converged=False``, and so does a
+    system whose ``precond()`` raises ``numpy.linalg.LinAlgError``.
     """
     n = system.n
     b = system.b
     d = system.diag()
-    precond = system.precond()
+    try:
+        precond = system.precond()
+    except np.linalg.LinAlgError:
+        # precond() found the operator not positive definite
+        u = np.array(obs if x0 is None else np.maximum(x0, obs), dtype=float)
+        return u, SolveReport(converged=False, iterations=0,
+                              residual=complementarity_residual(system, u, obs),
+                              active_count=int(np.count_nonzero(u <= obs)),
+                              seconds=0.0)
     rtol = config.cg_tol if config.cg_tol is not None else max(1e-13, min(1e-10, config.tol * 1e-4))
     cg_max = config.cg_max_iter if config.cg_max_iter is not None else max(500, 2 * n)
     max_updates = config.max_iter if config.max_iter is not None else 100

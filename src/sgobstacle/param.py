@@ -155,8 +155,10 @@ class Gramians:
 
     G0[j, t] = <psi_j, psi_t>, Gk[j, t] = <y_k psi_j, psi_t>,
     g0[t] = <psi_t, 1>, gk[t] = <y_k, psi_t>; all with the product density.
-    ``mass[d]`` is the dense weighted mass matrix of the hats of dimension d;
-    G0 is their Kronecker product, dimension 0 first (empty if M = 0).
+    ``mass[d]`` and ``mass_y[d]`` are the dense weighted mass matrices of the
+    hats of dimension d, without and with the factor y_d.  G0 is the
+    Kronecker product of the ``mass`` factors, dimension 0 first, and Gk the
+    same product with ``mass_y[k]`` in slot k (both empty if M = 0).
     """
 
     G0: sp.csr_array
@@ -164,6 +166,24 @@ class Gramians:
     g0: np.ndarray
     gk: tuple[np.ndarray, ...]
     mass: tuple[np.ndarray, ...]
+    mass_y: tuple[np.ndarray, ...]
+
+    def eigenbasis(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-dimension generalized eigenpairs of ``mass_y[d]`` against ``mass[d]``.
+
+        Returns one (W_d, lam_d) per dimension with W_d^T mass[d] W_d = I and
+        W_d^T mass_y[d] W_d = diag(lam_d), from the Cholesky factor L of
+        mass[d] and the symmetric eigenproblem of L^-1 mass_y[d] L^-T.
+        W = W_0 ⊗ W_1 ⊗ ... then turns G0 into the identity and every Gk into
+        a diagonal at once: the doubly orthogonal basis of the hats.  Each
+        lam_d lies in the support of the density of dimension d.
+        """
+        basis = []
+        for m0, my in zip(self.mass, self.mass_y):
+            L = np.linalg.cholesky(m0)
+            lam, Q = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, my).T))
+            basis.append((np.linalg.solve(L.T, Q), lam))
+        return basis
 
 
 def _hat_factors_1d(rho: Density1D, breaks: np.ndarray, n_pts: int):
@@ -205,7 +225,7 @@ def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
     """
     if grid.n_dims == 0:
         one = sp.csr_array(np.array([[1.0]]))
-        return Gramians(G0=one, Gk=(), g0=np.array([1.0]), gk=(), mass=())
+        return Gramians(G0=one, Gk=(), g0=np.array([1.0]), gk=(), mass=(), mass_y=())
 
     factors = [_hat_factors_1d(rho, brk, n_pts)
                for rho, brk in zip(grid.densities, grid.breakpoints)]
@@ -235,7 +255,8 @@ def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
     G0.sort_indices()
     for G in Gk:
         G.sort_indices()
-    return Gramians(G0=G0, Gk=tuple(Gk), g0=g0, gk=tuple(gk), mass=mass)
+    return Gramians(G0=G0, Gk=tuple(Gk), g0=g0, gk=tuple(gk), mass=mass,
+                    mass_y=tuple(f[1] for f in factors))
 
 
 def multilinear_evaluate(grid: ParamGrid, block_values: np.ndarray,
@@ -244,13 +265,18 @@ def multilinear_evaluate(grid: ParamGrid, block_values: np.ndarray,
 
     ``block_values`` has shape (n_nodes, ...) with one block per parameter
     node (C order); ``y`` has shape (n_pts, n_dims).  Returns (n_pts, ...).
+    Other shapes raise ValueError.
     """
     if grid.n_dims == 0:
         return np.broadcast_to(block_values[0], (y.shape[0],) + block_values.shape[1:]).copy()
     y = np.atleast_2d(np.asarray(y, dtype=float))
     npts = y.shape[0]
-    assert y.shape[1] == grid.n_dims
-    assert block_values.shape[0] == grid.n_nodes
+    if y.shape[1] != grid.n_dims:
+        raise ValueError(f"parameter points have {y.shape[1]} coordinates, "
+                         f"the grid has {grid.n_dims} dimensions")
+    if block_values.shape[0] != grid.n_nodes:
+        raise ValueError(f"{block_values.shape[0]} blocks given for "
+                         f"{grid.n_nodes} parameter nodes")
 
     shape = grid.shape
     strides = np.ones(grid.n_dims, dtype=np.int64)

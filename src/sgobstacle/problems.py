@@ -180,11 +180,41 @@ def example2(parameterization: str = "exp") -> Problem:
 
 _BUILTINS = {"example1": example1, "example2": example2}
 
+MAX_EXPONENT = 64  # largest power of x1 or x2 in a polynomial spec
+
 
 def get_problem(name: str, parameterization: str = "exp") -> Problem:
     if name not in _BUILTINS:
         raise KeyError(f"unknown problem {name!r}; built-ins: {sorted(_BUILTINS)}")
     return _BUILTINS[name](parameterization)
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number as a float; anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = float("inf")
+    if not np.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _count(value, what: str, limit: int | None = None) -> int:
+    """A JSON integer in 0..limit (no upper limit if None); else a ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < 0
+            or (limit is not None and value > limit)):
+        raise ValueError(f"{what} must be an integer in 0..{limit or ''}, got {value!r}")
+    return value
+
+
+def _entries(spec, what: str, length: int | None = None) -> list:
+    if not isinstance(spec, list) or (length is not None and len(spec) != length):
+        want = "a list" if length is None else f"a list of {length} entries"
+        raise ValueError(f"{what} must be {want}, got {spec!r}")
+    return spec
 
 
 def spatial_from_spec(spec) -> SpatialFunction:
@@ -193,16 +223,22 @@ def spatial_from_spec(spec) -> SpatialFunction:
     Accepts a bare number (constant) or a dict:
       {"kind": "constant", "value": v}
       {"kind": "polynomial", "terms": [[c, p, q], ...]}  for sum c x1^p x2^q
+    Numbers must be finite and exponents integers in 0..MAX_EXPONENT; any
+    other spec raises ValueError.
     """
-    if isinstance(spec, (int, float)):
-        return SpatialFunction.constant(float(spec))
-    if not isinstance(spec, dict) or "kind" not in spec:
+    if not isinstance(spec, dict):
+        return SpatialFunction.constant(_number(spec, "a constant spatial function"))
+    if "kind" not in spec:
         raise ValueError(f"bad spatial function spec {spec!r}")
     kind = spec["kind"]
     if kind == "constant":
-        return SpatialFunction.constant(float(spec["value"]))
+        return SpatialFunction.constant(_number(spec.get("value"), "constant value"))
     if kind == "polynomial":
-        terms = [(float(c), int(p), int(q)) for c, p, q in spec["terms"]]
+        terms = [(_number(c, "polynomial coefficient"),
+                  _count(p, "polynomial exponent", MAX_EXPONENT),
+                  _count(q, "polynomial exponent", MAX_EXPONENT))
+                 for c, p, q in (_entries(t, "polynomial term", 3)
+                                 for t in _entries(spec.get("terms"), "polynomial terms"))]
 
         def values(x, terms=tuple(terms)):
             out = np.zeros(x.shape[0])
@@ -228,18 +264,28 @@ def density_from_spec(spec) -> Density1D:
         raise ValueError(f"bad density spec {spec!r}")
     kind = spec["kind"]
     if kind == "uniform":
-        return Density1D.uniform(spec["lo"], spec["hi"])
+        return Density1D.uniform(_number(spec.get("lo"), "uniform lo"),
+                                 _number(spec.get("hi"), "uniform hi"))
     if kind == "exp-uniform":
-        return Density1D.exp_uniform(spec.get("lo", -1.0), spec.get("hi", 1.0))
+        lo = _number(spec.get("lo", -1.0), "exp-uniform lo")
+        hi = _number(spec.get("hi", 1.0), "exp-uniform hi")
+        if not -700.0 <= lo < hi <= 700.0:
+            raise ValueError(f"exp-uniform needs -700 <= lo < hi <= 700, got ({lo}, {hi})")
+        return Density1D.exp_uniform(lo, hi)
     raise ValueError(f"unknown density kind {kind!r}")
 
 
-def _affine_from_spec(spec) -> AffineField:
-    if isinstance(spec, (int, float)):
-        return AffineField.build(float(spec))
+def _affine_from_spec(spec, what: str) -> AffineField:
+    if not isinstance(spec, dict):
+        return AffineField.build(_number(spec, f"field {what}"))
     mean = spatial_from_spec(spec.get("mean", 0.0))
-    modes = [(m["coeff"], spatial_from_spec(m["shape"]), m["dim"])
-             for m in spec.get("modes", [])]
+    modes = []
+    for m in _entries(spec.get("modes", []), f"field {what} modes"):
+        if not isinstance(m, dict):
+            raise ValueError(f"field {what}: a mode must be an object, got {m!r}")
+        modes.append((_number(m.get("coeff"), f"field {what} mode coeff"),
+                      spatial_from_spec(m.get("shape")),
+                      _count(m.get("dim"), f"field {what} mode dim")))
     return AffineField.build(mean, modes)
 
 
@@ -249,13 +295,24 @@ def problem_from_config(custom: dict) -> Problem:
     Custom problems have no exact solution; convergence errors are not
     available for them.
     """
-    rect = tuple(float(v) for v in custom["domain"])
-    if len(rect) != 4:
-        raise ValueError("domain must be [x0, x1, y0, y1]")
-    densities = tuple(density_from_spec(d) for d in custom["densities"])
-    fields = {key: _affine_from_spec(custom["fields"][key]) for key in ("a", "f", "g")}
+    if not isinstance(custom, dict):
+        raise ValueError(f"custom must be an object, got {custom!r}")
+    rect = tuple(_number(v, "domain bound")
+                 for v in _entries(custom.get("domain"), "domain [x0, x1, y0, y1]", 4))
+    if not (0.0 < rect[1] - rect[0] < np.inf and 0.0 < rect[3] - rect[2] < np.inf):
+        raise ValueError(f"domain [x0, x1, y0, y1] needs x0 < x1 and y0 < y1 with "
+                         f"finite sides, got {rect}")
+    densities = tuple(density_from_spec(d)
+                      for d in _entries(custom.get("densities"), "densities"))
+    fields = custom.get("fields")
+    if not isinstance(fields, dict):
+        raise ValueError(f"fields must be an object, got {fields!r}")
+    fields = {key: _affine_from_spec(fields.get(key), key) for key in ("a", "f", "g")}
+    name = custom.get("name", "custom")
+    if not isinstance(name, str):
+        raise ValueError(f"custom name must be a string, got {name!r}")
     return Problem(
-        name=custom.get("name", "custom"), rect=rect, n_dims=len(densities),
+        name=name, rect=rect, n_dims=len(densities),
         parameterization="exp", densities=densities, fields=fields,
         dirichlet=None, exact=None, h_over_s=None,
     )

@@ -48,6 +48,10 @@ __all__ = [
 
 log = logging.getLogger("sgobstacle")
 
+# Largest mesh (nodes) of a level: validation builds the finest mesh to
+# check the coefficient, so larger requests are refused before that.
+MAX_MESH_NODES = 2 ** 22
+
 TABLE_HEADER = "h,s,eL2m1,ordL2m1,eH1m1,ordH1m1,eL2m2,ordL2m2,eH1m2,ordH1m2,iters,seconds"
 
 
@@ -99,25 +103,34 @@ def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
     if h_over_s is None:
         errors.append("schedule.coupled needs h_over_s (no problem default)")
         return []
-    if not isinstance(h_over_s, (int, float)) or not h_over_s > 0.0:
+    if (isinstance(h_over_s, bool) or not isinstance(h_over_s, (int, float))
+            or not 0.0 < h_over_s < float("inf")):
         errors.append(f"schedule.coupled.h_over_s must be positive, got {h_over_s!r}")
         return []
     m_min = _int_option(spec, "m_min", 1, "schedule.coupled.m_min", errors)
     m_max = _int_option(spec, "m_max", 4, "schedule.coupled.m_max", errors)
     if m_min is None or m_max is None:
         return []
-    if m_min < 0 or m_max < m_min:
-        errors.append("schedule.coupled needs 0 <= m_min <= m_max")
+    if m_min < 0 or m_max < m_min or m_max > 30:
+        errors.append("schedule.coupled needs 0 <= m_min <= m_max <= 30")
         return []
     span = max(rho.support[1] - rho.support[0] for rho in problem.densities)
     x0, x1, y0, y1 = problem.rect
     levels = []
     for m in range(m_min, m_max + 1):
         cells = 2 ** m
-        s = span / cells
-        h = h_over_s * s
+        h = h_over_s * span / cells
+        if not (h > 0.0 and ((x1 - x0) / h + 1.0) * ((y1 - y0) / h + 1.0) <= MAX_MESH_NODES):
+            # h halves with every m, so every finer level is larger still
+            errors.append(f"coupled level m={m}: a mesh with h={h!r} has more than "
+                          f"{MAX_MESH_NODES} nodes")
+            break
         nx = (x1 - x0) / h
         ny = (y1 - y0) / h
+        if min(nx, ny) < 1.5:
+            errors.append(f"coupled level m={m}: h={h!r} leaves fewer than 2 cells "
+                          "on a domain side")
+            continue
         if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
             errors.append(
                 f"coupled level m={m}: h={h!r} does not divide the domain sides")
@@ -132,7 +145,7 @@ def _int_option(section: dict, key: str, default: int, name: str,
     value = section.get(key, default)
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"{name} must be an integer, got {value!r}")
         return None
 
@@ -215,17 +228,24 @@ def validate_config(raw: dict) -> ExperimentConfig:
         elif "levels" in schedule:
             for entry in schedule["levels"]:
                 try:
-                    nx, cells = int(entry[0]), int(entry[1])
-                except (TypeError, ValueError, IndexError):
+                    nx, cells = (int(v) for v in entry) if isinstance(entry, list) else ()
+                except (TypeError, ValueError, OverflowError):
                     errors.append(f"bad schedule level {entry!r}, want [nx, cells]")
                     continue
                 if nx < 2 or cells < 1:
                     errors.append(f"level [nx={nx}, cells={cells}] needs nx >= 2, cells >= 1")
                     continue
                 x0, x1, y0, y1 = problem.rect
-                ny = nx * (y1 - y0) / (x1 - x0)
+                ny = nx * (y1 - y0) / (x1 - x0) if nx < MAX_MESH_NODES else float("inf")
+                if (nx + 1) * (ny + 1) > MAX_MESH_NODES:
+                    errors.append(f"level [nx={nx}, cells={cells}] has a mesh of more "
+                                  f"than {MAX_MESH_NODES} nodes")
+                    continue
                 if abs(ny - round(ny)) > 1e-9:
                     errors.append(f"nx={nx} gives non-integer cell count on the y side")
+                    continue
+                if ny < 1.5:
+                    errors.append(f"nx={nx} gives fewer than 2 cells on the y side")
                     continue
                 levels.append(Level(nx=nx, ny=int(round(ny)), cells=cells))
         elif "coupled" in schedule and not isinstance(schedule["coupled"], dict):

@@ -5,7 +5,10 @@ with the multilinear hat basis on the parameter grid (J nodes).  The system
 matrix is a sum of Kronecker products G ⊗ K and is kept in factored form;
 matrix-vector products work blockwise on (J, I) reshapes of flat vectors
 with index j*I + i.  The explicit sparse sum is built only when a caller
-asks for it (projected SOR, ``dump_matrix``).
+asks for it (projected SOR, ``dump_matrix``).  Conjugate gradients are
+preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
+(Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
+orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).
 """
 
 from __future__ import annotations
@@ -36,12 +39,10 @@ class SGSystem:
     ----------
     K0, Kk : CSR stiffness factors over interior nodes (Kk entries may be None
         for parameter dimensions the coefficient does not touch).
-    gram : parametric Gramians (G0, Gk, g0, gk).
+    gram : parametric Gramians (G0, Gk, g0, gk and their 1-D factors).
     b : flat right-hand side of length I*J, parameter-major.
     obs : flat obstacle values at the tensor nodes.
     boundary_values : (n_boundary, J) Dirichlet data per parameter node.
-    mean_stiffness : stiffness at the y-averaged coefficient, used to build
-        the Kronecker preconditioner G0 ⊗ K_mean.
     explicit_limit : largest I*J for which ``explicit()`` builds the matrix.
     A : explicit CSR matrix, None until the first ``explicit()`` call builds
         it (and for good when I*J exceeds ``explicit_limit``).
@@ -55,7 +56,6 @@ class SGSystem:
     b: np.ndarray
     obs: np.ndarray
     boundary_values: np.ndarray
-    mean_stiffness: sp.csr_array
     explicit_limit: int = EXPLICIT_LIMIT
     A: sp.csr_array | None = None
 
@@ -105,26 +105,67 @@ class SGSystem:
         return self.A
 
     def precond(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Apply (G0 ⊗ K_mean)^-1, factorizations cached on first use.
+        """Apply (G̃ ⊗ K̄)^-1, the inverse of the best Kronecker approximation of A.
 
-        K_mean is solved by SuperLU on the (I, J) transpose of the residual
-        blocks.  G0 is the Kronecker product of the 1-D mass matrices, so its
-        inverse is applied one parameter dimension at a time with the dense
-        inverse of each factor on a C-contiguous reshape, never forming G0^-1.
+        A = G0 ⊗ K0 + sum_k Gk ⊗ Kk.  K̄ = K0 + sum_k E[y_k] Kk is the
+        stiffness at the y-averaged coefficient, and G̃ = sum_k alpha_k Gk
+        (k = 0 included) with alpha_k = <Kk, K̄>_F / <K̄, K̄>_F.  So the
+        preconditioner is A itself when every Kk is a multiple of K̄ (a
+        coefficient whose modes all have the mean's shape), and G0 ⊗ K̄
+        without modes.
+
+        K̄ is solved by SuperLU on the (I, J) transpose of the residual
+        blocks.  G̃^-1 = W diag(1 / delta) W^T with W = ⊗ W_d the doubly
+        orthogonal basis (``Gramians.eigenbasis``) and delta_j = alpha_0 +
+        sum_k alpha_k lam_{k, j_k}, so W and W^T act one parameter dimension
+        at a time on C-contiguous reshapes.  delta_j = <K(lam_j), K̄>_F /
+        <K̄, K̄>_F for the stiffness K(lam_j) at a point of the parameter box,
+        which is positive when the coefficient is positive on the box.
+
+        Built on the first call and cached.  Raises numpy.linalg.LinAlgError
+        when K̄ is singular or some delta_j <= 0 (a coefficient that is not
+        positive on the parameter box).
         """
         if self._precond is None:
-            lu_k = spla.splu(sp.csc_matrix(self.mean_stiffness))
-            inverses = [np.linalg.inv(m) for m in self.gram.mass]
+            means = [rho.moment(1) for rho in self.grid.densities]
+            K_bar = self.K0.copy()
+            for mean, K in zip(means, self.Kk):
+                if K is not None:
+                    K_bar = K_bar + mean * K
+            try:
+                lu_k = spla.splu(sp.csc_matrix(K_bar))
+            except RuntimeError as exc:
+                raise np.linalg.LinAlgError(f"mean stiffness K̄: {exc}") from exc
+            norm2 = float(K_bar.multiply(K_bar).sum())
+
+            def alpha(K):
+                return 0.0 if K is None else float(K.multiply(K_bar).sum()) / norm2
+
+            basis = self.gram.eigenbasis()
+            delta = np.full(self.grid.shape, alpha(self.K0))
+            for k, ((_, lam), K) in enumerate(zip(basis, self.Kk)):
+                delta += alpha(K) * lam.reshape((-1,) + (1,) * (len(basis) - 1 - k))
+            if not delta.min() > 0.0:
+                raise np.linalg.LinAlgError(
+                    "Kronecker preconditioner is not positive definite: the "
+                    "coefficient is not positive on the parameter box")
             I, J = self.n_spatial, self.n_param
+            inv_delta = (1.0 / delta).reshape(J, 1)
+            W = [W_d for W_d, _ in basis]
+            W_T = [W_d.T for W_d in W]
+
+            def per_dimension(factors, V):
+                """(⊗ factors) V for V of shape (J, I), one dimension at a time."""
+                lead = 1
+                for F in factors:
+                    n_d = F.shape[0]
+                    V = np.matmul(F, V.reshape(lead, n_d, -1))
+                    lead *= n_d
+                return V.reshape(J, I)
 
             def apply(r: np.ndarray) -> np.ndarray:
-                W = lu_k.solve(r.reshape(J, I).T).T
-                lead = 1
-                for inv in inverses:
-                    n_d = inv.shape[0]
-                    W = np.matmul(inv, W.reshape(lead, n_d, -1))
-                    lead *= n_d
-                return W.reshape(-1)
+                V = lu_k.solve(r.reshape(J, I).T).T
+                return per_dimension(W, per_dimension(W_T, V) * inv_delta).reshape(-1)
 
             self._precond = apply
         return self._precond
@@ -183,16 +224,11 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
         if wf is not None:
             fk_full[k] = assemble_load(mesh, wf, quad_degree)
 
-    dim_means = [rho.moment(1) for rho in grid.densities]
-    mean_stiff = assemble_weighted_stiffness(mesh, a_field.mean_weight(dim_means),
-                                             quad_degree)
-
     def restrict(K):
         return None if K is None else K[interior][:, interior]
 
     K0 = restrict(K0_full)
     Kk = [restrict(K) for K in Kk_full]
-    Kmean = restrict(mean_stiff)
 
     # right-hand side blocks, (J, I)
     B = np.outer(gram.g0, f0_full[interior])
@@ -222,8 +258,7 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
 
     return SGSystem(mesh=mesh, grid=grid, K0=K0, Kk=Kk, gram=gram,
                     b=B.reshape(-1), obs=obs.reshape(-1),
-                    boundary_values=D, mean_stiffness=Kmean,
-                    explicit_limit=explicit_limit)
+                    boundary_values=D, explicit_limit=explicit_limit)
 
 
 def dump_matrix(system: SGSystem, path: str) -> None:

@@ -108,6 +108,11 @@ class TestInterpolationAndEvaluation:
         got = evaluate_p1(mesh, coeffs, mesh.nodes)
         assert_allclose(got, coeffs, atol=1e-12)
 
+    def test_evaluate_p1_needs_one_coefficient_per_node(self):
+        mesh = unit_mesh(3)
+        with pytest.raises(ValueError, match="one coefficient per mesh node"):
+            evaluate_p1(mesh, np.zeros(mesh.n_nodes - 1), mesh.nodes)
+
 
 class TestNormError:
     def test_norm_of_constant_field(self):
@@ -132,6 +137,11 @@ class TestNormError:
         with pytest.raises(ValueError):
             norm_error(mesh, np.zeros(mesh.n_nodes),
                        SpatialFunction(values=lambda x: x[:, 0]), "h1semi")
+
+    def test_needs_one_coefficient_per_node(self):
+        mesh = unit_mesh(2)
+        with pytest.raises(ValueError, match="one coefficient per mesh node"):
+            norm_error(mesh, np.zeros((mesh.n_nodes, 1)), SpatialFunction.constant(0.0))
 
     def test_unknown_kind_rejected(self):
         mesh = unit_mesh(2)

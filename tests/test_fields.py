@@ -43,12 +43,6 @@ class TestAffineField:
         assert w(x)[0] == pytest.approx(1.0 + 6.0)
         assert a.dim_weight(1) is None
 
-    def test_mean_weight(self):
-        a, _ = two_fields()
-        w = a.mean_weight([EY, EY])
-        x = np.zeros((4, 2))
-        assert_allclose(w(x), 1.0 + 3.0 * EY)
-
 
 class TestBounds:
     def test_known_range(self):
@@ -58,6 +52,20 @@ class TestBounds:
         b = bounds_check(a, supports, np.zeros((1, 2)))
         assert b.lo == pytest.approx(2.103638323514327, rel=1e-12)
         assert b.hi == pytest.approx(9.154845485377136, rel=1e-12)
+
+    def test_matches_vertex_enumeration(self):
+        # the field is affine in y, so its extremes over the box sit at the
+        # vertices; two modes share dimension 0
+        a = AffineField.build(lambda x: 2.0 + x[:, 0],
+                              [(0.5, lambda x: x[:, 1], 0), (-0.7, lambda x: x[:, 0] ** 2, 0),
+                               (1.3, lambda x: np.sin(3.0 * x[:, 0]), 2)])
+        supports = [(0.2, 1.7), (-1.0, 2.0), (-0.5, 0.5)]
+        pts = np.random.default_rng(4).uniform(-1, 1, (30, 2))
+        vertex_vals = [a.evaluate(pts, np.array([supports[d][(v >> d) & 1] for d in range(3)]))
+                       for v in range(8)]
+        b = bounds_check(a, supports, pts)
+        assert b.lo == pytest.approx(min(v.min() for v in vertex_vals), rel=1e-13)
+        assert b.hi == pytest.approx(max(v.max() for v in vertex_vals), rel=1e-13)
 
     def test_bounds_bracket_samples(self):
         a = AffineField.build(lambda x: 1.0 + x[:, 0] ** 2,

@@ -133,6 +133,35 @@ class TestGramians:
         assert gram.g0 @ vals == pytest.approx(3 * EY, rel=1e-11)
 
 
+class TestEigenbasis:
+    @pytest.mark.parametrize("cells", [[1], [4, 2], [3, 1, 5]])
+    def test_diagonalizes_every_gramian(self, cells):
+        # W = ⊗ W_d turns G0 into the identity and Gk into diag of lam_k
+        # taken at each node's k-th index
+        densities = [Density1D.exp_uniform(), Density1D.uniform(-1.0, 2.0),
+                     Density1D.exp_uniform(0.0, 0.5)][:len(cells)]
+        grid = build_param_grid(densities, cells)
+        gram = assemble_gramians(grid)
+        basis = gram.eigenbasis()
+        W = np.ones((1, 1))
+        for W_d, _ in basis:
+            W = np.kron(W, W_d)
+        assert_allclose(W.T @ gram.G0 @ W, np.eye(grid.n_nodes), atol=1e-12)
+        index = np.indices(grid.shape).reshape(len(cells), -1)
+        for k, (_, lam) in enumerate(basis):
+            assert_allclose(W.T @ gram.Gk[k] @ W, np.diag(lam[index[k]]), atol=1e-12)
+
+    def test_eigenvalues_lie_in_the_support(self):
+        grid = build_param_grid([Density1D.exp_uniform(), Density1D.uniform(1.0, 2.0)], 6)
+        for (W_d, lam), rho in zip(assemble_gramians(grid).eigenbasis(), grid.densities):
+            c, d = rho.support
+            assert np.all((lam > c) & (lam < d))
+            assert np.all(np.diff(lam) > 0)
+
+    def test_deterministic_grid_has_no_factors(self):
+        assert assemble_gramians(deterministic_grid()).eigenbasis() == []
+
+
 class TestMultilinearEvaluate:
     def test_reproduces_multilinear_function(self):
         grid = build_param_grid([Density1D.uniform(0, 1), Density1D.uniform(-1, 1)], [3, 4])
@@ -154,6 +183,16 @@ class TestMultilinearEvaluate:
         coeffs = np.array([1.0, 2.0, 3.0])
         got = multilinear_evaluate(grid, coeffs, np.array([[-5.0], [5.0]]))
         assert_allclose(got, [1.0, 3.0])
+
+    def test_point_dimension_must_match_grid(self):
+        grid = build_param_grid([Density1D.uniform(0, 1)] * 2, 2)
+        with pytest.raises(ValueError, match="coordinates"):
+            multilinear_evaluate(grid, np.zeros(grid.n_nodes), np.zeros((4, 3)))
+
+    def test_block_count_must_match_grid(self):
+        grid = build_param_grid([Density1D.uniform(0, 1)] * 2, 2)
+        with pytest.raises(ValueError, match="blocks"):
+            multilinear_evaluate(grid, np.zeros(grid.n_nodes + 1), np.zeros((4, 2)))
 
     def test_deterministic_grid_broadcast(self):
         got = multilinear_evaluate(deterministic_grid(), np.array([[7.0, 8.0]]),

@@ -1,8 +1,11 @@
+import copy
 import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgobstacle import stats
 from sgobstacle.cli import main as cli_main
@@ -196,6 +199,60 @@ class TestValidateConfig:
         cfg = validate_config(custom_config(
             {"mean": 3.5, "modes": [{"coeff": -1.0, "shape": 1.0, "dim": 0}]}))
         assert cfg.problem.name == "custom"
+
+
+class TestValidateConfigRegressions:
+    """Inputs the validate_config fuzz found raising something else than ConfigError."""
+
+    @pytest.mark.parametrize("custom_overrides, message", [
+        ({"fields": {"a": None, "f": 1.0, "g": 0.0}}, "field a must be a number"),
+        ({"fields": {"a": {"modes": 3}, "f": 1.0, "g": 0.0}}, "field a modes must be a list"),
+        ({"fields": {"a": {"modes": [5]}, "f": 1.0, "g": 0.0}}, "a mode must be an object"),
+        ({"fields": {"a": {"mean": {"kind": "polynomial", "terms": [[1.0, 10 ** 30, 0]]}},
+                     "f": 1.0, "g": 0.0}}, "polynomial exponent must be an integer"),
+        ({"fields": 7}, "fields must be an object"),
+        ({"domain": [1.0, 0.0, 0.0, 1.0]}, "needs x0 < x1"),
+        ({"domain": [-1e308, 1e308, 0.0, 1.0]}, "finite sides"),
+        ({"domain": [0.0, 1.0, 0.0, 1e-20]}, "fewer than 2 cells on the y side"),
+        ({"densities": [{"kind": "uniform", "lo": 0.0, "hi": float("inf")}]},
+         "uniform hi must be finite"),
+        ({"densities": [{"kind": "exp-uniform", "lo": 0.0, "hi": 1000.0}]},
+         "exp-uniform needs"),
+        ({"name": ["x"]}, "custom name must be a string"),
+    ])
+    def test_malformed_custom_section(self, custom_overrides, message):
+        cfg = custom_config(3.0)
+        cfg["custom"].update(custom_overrides)
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("schedule, message", [
+        ({"levels": [[1e300, 1]]}, "more than 4194304 nodes"),
+        ({"levels": [[float("inf"), 1]]}, "bad schedule level"),
+        ({"levels": [{"0": 4, "1": 2}]}, "bad schedule level"),
+        ({"coupled": {"h_over_s": 5e-324, "m_max": 2}}, "more than 4194304 nodes"),
+        ({"coupled": {"h_over_s": 1e300, "m_max": 2}}, "fewer than 2 cells"),
+        ({"coupled": {"h_over_s": float("inf")}}, "h_over_s must be positive"),
+        ({"coupled": {"h_over_s": 1.0, "m_max": 10 ** 30}}, "m_max <= 30"),
+    ])
+    def test_unbuildable_levels(self, schedule, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_config(custom_config(3.0, schedule=schedule))
+
+    def test_huge_integer_option(self):
+        with pytest.raises(ConfigError, match="quad_order must be an integer"):
+            validate_config(base_config(quad_order=float("inf")))
+
+    def test_many_parameter_dimensions(self):
+        # the ellipticity bound is separable in y: 40 dimensions do not
+        # enumerate 2^40 box vertices
+        cfg = custom_config({"mean": 50.0, "modes": [{"coeff": 1.0, "shape": 1.0, "dim": d}
+                                                     for d in range(40)]})
+        cfg["custom"]["densities"] = [{"kind": "uniform", "lo": -1.0, "hi": 1.0}] * 40
+        assert validate_config(cfg).problem.n_dims == 40
+        cfg["custom"]["fields"]["a"]["mean"] = 39.5
+        with pytest.raises(ConfigError, match="not uniformly positive"):
+            validate_config(cfg)
 
 
 def custom_config(a_spec, **overrides):
@@ -481,3 +538,102 @@ class TestCLI:
                           mc={"n_samples": 4, "seed": 0, "level": 0})
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["-q", "mc", path]) == 0
+
+
+# -- fuzzing validate_config ---------------------------------------------------
+
+_FUZZ_BASES = [
+    {
+        "problem": "custom", "mode": "both", "parameterization": "exp",
+        "dirichlet": "exact", "name": "fuzz",
+        "schedule": {"levels": [[4, 2], [6, 1]]},
+        "solver": {"method": "active-set", "omega": 1.5, "tol": 1e-8, "max_iter": None,
+                   "cg_tol": None, "cg_max_iter": None, "record_energy": False},
+        "mc": {"n_samples": 8, "seed": 0, "level": 1, "solver": {"method": "psor"}},
+        "quad_order": 8, "explicit_limit": 1000, "output_dir": "out",
+        "custom": {
+            "name": "c", "domain": [0.0, 1.0, 0.0, 1.0],
+            "densities": [{"kind": "uniform", "lo": 1.0, "hi": 2.0},
+                          {"kind": "exp-uniform", "lo": -1.0, "hi": 1.0}],
+            "fields": {
+                "a": {"mean": {"kind": "constant", "value": 2.0},
+                      "modes": [{"coeff": 0.5, "dim": 0,
+                                 "shape": {"kind": "polynomial", "terms": [[1.0, 1, 0]]}},
+                                {"coeff": 0.1, "shape": 1.0, "dim": 1}]},
+                "f": 1.0,
+                "g": {"mean": -1.0, "modes": []},
+            },
+        },
+    },
+    {
+        "problem": "example1", "mode": "mc", "parameterization": "xi",
+        "schedule": {"coupled": {"h_over_s": 1.0, "m_min": 1, "m_max": 2}},
+        "solver": {"method": "psor", "omega": 1.2},
+        "mc": {"n_samples": 4},
+    },
+]
+
+
+def _paths(value, prefix=()):
+    """Every key path into nested dicts and lists, parents before children."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(cfg, path, new):
+    """Set ``cfg[path] = new`` if the path still exists."""
+    node = cfg
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if (isinstance(node, dict) and isinstance(key, str)
+            or isinstance(node, list) and isinstance(key, int) and key < len(node)):
+        node[key] = new
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-3, 12)
+                 | st.sampled_from([2 ** 31, 2 ** 63, 10 ** 30, -10 ** 30])
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.text(max_size=6)
+                 | st.sampled_from(["uniform", "exp-uniform", "constant", "polynomial",
+                                    "psor", "active-set", "sg", "mc", "exp", "xi",
+                                    "example1", "example2", "custom"]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["kind", "lo", "hi", "mean"]),
+                      children, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    paths = list(_paths(cfg))
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=4)):
+        _replace(cfg, path, draw(_json_values))
+    if draw(st.booleans()):
+        cfg[draw(st.text(max_size=6))] = draw(_json_values)
+    return draw(st.sampled_from([cfg, draw(_json_values)]))
+
+
+class TestValidateConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_fuzzed_configs())
+    def test_only_config_errors_escape(self, cfg):
+        # any JSON-like value in any section or key either validates or is
+        # refused with ConfigError, never another exception
+        try:
+            validate_config(cfg)
+        except ConfigError:
+            pass
+
+    def test_bases_are_valid(self):
+        for cfg in _FUZZ_BASES:
+            validate_config(copy.deepcopy(cfg))

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from sgobstacle.fem import assemble_load, assemble_weighted_stiffness
 from sgobstacle.fields import AffineField
+from sgobstacle.lcp import SolverConfig, active_set_solve
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid, deterministic_grid
 from sgobstacle.stats import sg_mean
@@ -113,34 +114,102 @@ class TestKroneckerStructure:
             expected_0 += G[0, 1] * (K @ v[I:2 * I])
         assert_allclose(blocks[0], expected_0, rtol=1e-13)
 
-    def test_precond_inverts_mean_kronecker(self):
-        sys_ = make_system(nx=4, cells=2)
-        P = sp.kron(sys_.gram.G0, sys_.mean_stiffness, format="csr")
-        rng = np.random.default_rng(2)
-        r = rng.standard_normal(sys_.n)
-        assert_allclose(P @ sys_.precond()(r), r, atol=1e-10)
 
+
+def _param_grid(cells):
+    """Grid with unequal densities and cell counts; None is the deterministic grid."""
+    if cells is None:
+        return deterministic_grid()
+    densities = [Density1D.exp_uniform(), Density1D.uniform(0.5, 2.0),
+                 Density1D.exp_uniform(-0.5, 0.5)][:len(cells)]
+    return build_param_grid(densities, cells)
+
+
+def bump(x):
+    return 1.0 + x[:, 0] * x[:, 1]
+
+
+def frobenius(A, B):
+    return float(A.multiply(B).sum())
+
+
+class TestKroneckerPreconditioner:
     @pytest.mark.parametrize("cells", [[3], [2, 4], [3, 1, 2], None])
-    def test_precond_matches_explicit_solve(self, cells):
-        # the factor-wise G0 inverse against a sparse solve with the
-        # assembled G0 ⊗ K_mean; cells=None is the deterministic grid
+    def test_exact_inverse_for_proportional_modes(self, cells):
+        # every mode has the mean's shape, so A = G̃ ⊗ K̄ and the
+        # preconditioner is A^-1; cells=None is the deterministic grid
         mesh = build_uniform_mesh(RECT, 5)
-        if cells is None:
-            grid = deterministic_grid()
-            a = AffineField.build(2.0)
-        else:
-            densities = [Density1D.exp_uniform(), Density1D.uniform(0.5, 2.0),
-                         Density1D.exp_uniform(-0.5, 0.5)][:len(cells)]
-            grid = build_param_grid(densities, cells)
-            a = AffineField.build(1.0, [(1.0 + k, one, k) for k in range(len(cells))])
+        grid = _param_grid(cells)
+        M = grid.n_dims
+        a = AffineField.build(bump, [(1.0 + k, bump, k) for k in range(M)])
         sys_ = assemble_sg(mesh, grid, a, AffineField.build(1.0), AffineField.build(0.0))
-        P = sp.csc_matrix(sp.kron(sys_.gram.G0, sys_.mean_stiffness))
+        A = sp.csc_matrix(sys_.explicit())
         apply = sys_.precond()
         rng = np.random.default_rng(5)
         for _ in range(3):
             r = rng.standard_normal(sys_.n)
-            assert_allclose(apply(r), spla.spsolve(P, r), rtol=1e-10)
+            assert_allclose(apply(r), spla.spsolve(A, r), rtol=1e-10)
         assert sys_.precond() is apply
+
+    @pytest.mark.parametrize("cells, modes", [
+        ([3], [(0.3, lambda x: x[:, 0], 0)]),
+        ([2, 3], [(0.4, lambda x: x[:, 0], 0), (0.2, lambda x: 1.0 + x[:, 1] ** 2, 1),
+                  (0.1, one, 1)]),
+        ([2, 2, 3], [(0.3, lambda x: x[:, 1], 0), (0.5, bump, 2)]),
+    ])
+    def test_matches_best_kronecker_approximation(self, cells, modes):
+        # modes of other shapes than the mean: the preconditioner solves with
+        # G̃ ⊗ K̄, K̄ the stiffness of the y-averaged coefficient and
+        # G̃ = sum_k alpha_k Gk from the assembled Gramians; the last case
+        # leaves dimension 1 without a mode
+        mesh = build_uniform_mesh(RECT, 5)
+        grid = _param_grid(cells)
+        a = AffineField.build(2.0, modes)
+        sys_ = assemble_sg(mesh, grid, a, AffineField.build(1.0), AffineField.build(0.0))
+        means = [rho.moment(1) for rho in grid.densities]
+
+        def averaged(x):
+            return 2.0 + sum(c * np.asarray(phi(x)) * means[d] for c, phi, d in modes)
+
+        ii = mesh.interior
+        K_bar = assemble_weighted_stiffness(mesh, averaged)[ii][:, ii]
+        norm2 = frobenius(K_bar, K_bar)
+        G = frobenius(sys_.K0, K_bar) / norm2 * sys_.gram.G0
+        for Gk, Kk in zip(sys_.gram.Gk, sys_.Kk):
+            if Kk is not None:
+                G = G + frobenius(Kk, K_bar) / norm2 * Gk
+        P = sp.csc_matrix(sp.kron(G, K_bar))
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            r = rng.standard_normal(sys_.n)
+            assert_allclose(sys_.precond()(r), spla.spsolve(P, r), rtol=1e-10)
+
+    def test_unconstrained_proportional_solve_takes_one_step(self):
+        sys_ = make_system(nx=6, cells=3)  # a = 1 + y1 + 2 y2, obstacle -10
+        u, report = active_set_solve(sys_, sys_.obs, SolverConfig(tol=1e-10))
+        assert report.converged
+        assert report.inner_iterations == 1
+        assert report.active_count == 0
+        u_ref = spla.spsolve(sp.csc_matrix(sys_.explicit()), sys_.b)
+        assert_allclose(u, u_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("a, density", [
+        # E[y] = 1.5 makes the averaged coefficient vanish: K̄ is singular
+        (AffineField.build(-1.5, [(1.0, one, 0)]), Density1D.uniform(1.0, 2.0)),
+        # K̄ is regular but some delta_j < 0: a = 0.2 - y changes sign
+        (AffineField.build(0.2, [(-1.0, one, 0)]), Density1D.uniform(0.0, 1.0)),
+    ])
+    def test_non_positive_coefficient_reports_failure(self, a, density):
+        # assemble_sg does not check ellipticity (validate_config does), so
+        # the preconditioner must refuse, and the solver report a failure
+        mesh = build_uniform_mesh(RECT, 6)
+        grid = build_param_grid([density], 4)
+        sys_ = assemble_sg(mesh, grid, a, AffineField.build(1.0), AffineField.build(0.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            sys_.precond()
+        u, report = active_set_solve(sys_, sys_.obs, SolverConfig())
+        assert not report.converged
+        assert np.all(u >= sys_.obs)
 
 
 class TestRightHandSide:
