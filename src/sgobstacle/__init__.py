@@ -3,14 +3,13 @@
 from .fem import (SpatialFunction, assemble_load, assemble_mass,
                   assemble_weighted_stiffness, evaluate_p1, interpolate_nodal,
                   norm_error)
-from .fields import (AffineField, AffineMode, FieldBounds, SampledScenario,
-                     bounds_check, sample_scenario)
+from .fields import AffineField, AffineMode, FieldBounds, bounds_check
 from .lcp import (SolverConfig, SolveReport, SparseObstacleSystem,
                   active_set_solve, brute_force_solve, complementarity_residual,
                   psor_solve, solve_lcp)
 from .mc import MCAccumulator, MCResult, mc_run
-from .mesh import (Mesh, TriQuadRule, build_uniform_mesh, mesh_size,
-                   triangle_quadrature, write_vtk)
+from .mesh import (Mesh, TriQuadRule, build_uniform_mesh, triangle_quadrature,
+                   write_vtk)
 from .param import (Density1D, Gramians, ParamGrid, assemble_gramians,
                     build_param_grid, deterministic_grid, multilinear_evaluate)
 from .problems import Problem, example1, example2, get_problem

@@ -1,26 +1,33 @@
-"""Parametric coefficient fields and sampled scenarios.
+"""Parametric coefficient fields, their spatial factors and the parameter draw.
 
 An affine field is mu(x) + sum_k c_k phi_k(x) y_{d_k}; several modes may
 attach to the same parameter dimension.  Non-affine parametric fields are
-plain callables (x, y) -> values and are only usable by the sampling paths.
+plain callables (x, y) -> values; frozen at one parameter point they are
+affine fields with no modes, which is how the Monte Carlo path uses them.
+``affine_factors`` turns a, f, g into interior spatial factors once, for
+both the tensor Galerkin system and a single sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .fem import SpatialFunction, as_spatial_function
+from .fem import (SpatialFunction, as_spatial_function, assemble_load,
+                  assemble_weighted_stiffness)
+from .mesh import Mesh
 
 __all__ = [
     "AffineMode",
     "AffineField",
+    "AffineFactors",
     "FieldBounds",
-    "SampledScenario",
+    "affine_factors",
     "bounds_check",
-    "sample_scenario",
+    "contract",
+    "sample_parameters",
 ]
 
 
@@ -104,19 +111,82 @@ def bounds_check(field: AffineField, supports: Sequence[tuple[float, float]],
 
 
 @dataclass(frozen=True)
-class SampledScenario:
-    """One parameter draw with frozen spatial evaluators."""
+class AffineFactors:
+    """Interior spatial factors of affine data a, f, g, one entry per affine term.
 
-    y: np.ndarray
-    a: Callable[[np.ndarray], np.ndarray]
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    Entry 0 is the mean and entry k + 1 parameter dimension k; an entry is
+    None where the field has no mode on that dimension.  ``K_ii`` and
+    ``K_ib`` are the interior and interior-to-boundary blocks of a's
+    weighted stiffness, ``load`` f's interior load vectors and ``obs`` g's
+    values at the interior nodes.
+    """
+
+    x_boundary: np.ndarray
+    K_ii: list
+    K_ib: list
+    load: list
+    obs: list
+
+    def lift(self, rhs: np.ndarray, dirichlet, y_points, weights) -> np.ndarray:
+        """Subtract the Dirichlet lifting from ``rhs`` blocks (J, I) and return D.
+
+        D (n_boundary, J) holds the Dirichlet data at the J parameter points
+        ``y_points`` (zero without data, ``dirichlet`` None), and the lifting
+        is sum_k W_k (K_ib,k D)^T with one (J, J) weight per term: the
+        Gramians G0, Gk for the Galerkin system, 1 and y_k for one sample.
+        """
+        D = np.zeros((len(self.x_boundary), len(y_points)))
+        if dirichlet is None:
+            return D
+        for j, y in enumerate(y_points):
+            D[:, j] = dirichlet(self.x_boundary, y)
+        for W, K_ib in zip(weights, self.K_ib):
+            if K_ib is not None:
+                rhs -= W @ (K_ib @ D).T
+        return D
 
 
-def _freeze(fld, y: np.ndarray):
-    if isinstance(fld, AffineField):
-        return lambda x: fld.evaluate(x, y)
-    return lambda x: np.asarray(fld(np.atleast_2d(x), y), dtype=float)
+def affine_factors(mesh: Mesh, a: AffineField, f: AffineField, g: AffineField,
+                   n_dims: int, quad_degree: int = 2) -> AffineFactors:
+    """Assemble the interior spatial factors of a, f and g over ``n_dims`` dimensions."""
+    if not all(isinstance(fld, AffineField) for fld in (a, f, g)):
+        raise TypeError("spatial factors need affine fields a, f and g")
+    if max(a.n_dims, f.n_dims, g.n_dims) > n_dims:
+        raise ValueError("field parameter dimensions exceed the parameter count")
+    interior = mesh.interior
+    bnd = np.flatnonzero(mesh.boundary)
+    x_int = mesh.nodes[interior]
+
+    def per_term(fld, factor):
+        return [None if w is None else factor(w)
+                for w in (fld.mean, *map(fld.dim_weight, range(n_dims)))]
+
+    def stiffness(w):
+        rows = assemble_weighted_stiffness(mesh, w, quad_degree)[interior]
+        return rows[:, interior], rows[:, bnd]
+
+    blocks = per_term(a, stiffness)
+    return AffineFactors(
+        x_boundary=mesh.nodes[bnd],
+        K_ii=[None if b is None else b[0] for b in blocks],
+        K_ib=[None if b is None else b[1] for b in blocks],
+        load=per_term(f, lambda w: assemble_load(mesh, w, quad_degree)[interior]),
+        obs=per_term(g, lambda w: np.asarray(as_spatial_function(w).values(x_int),
+                                             dtype=float)),
+    )
+
+
+def contract(terms: list, weights) -> np.ndarray:
+    """sum_k outer(w_k, t_k) over the terms that are not None: (J, n) blocks.
+
+    ``terms`` is one ``AffineFactors`` list of vectors, and ``weights``
+    holds one length-J vector per term (the mean's first).
+    """
+    out = weights[0][:, None] * terms[0]
+    for w, t in zip(weights[1:], terms[1:]):
+        if t is not None:
+            out += w[:, None] * t
+    return out
 
 
 def scenario_rng(seed: int, index: int) -> np.random.Generator:
@@ -124,19 +194,11 @@ def scenario_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def sample_scenario(fields: Mapping[str, object], densities, seed: int,
-                    index: int = 0) -> SampledScenario:
-    """Draw y from the given per-dimension densities and freeze the fields.
+def sample_parameters(densities, seed: int, index: int) -> np.ndarray:
+    """Draw one parameter vector y, one entry per density.
 
-    ``fields`` maps 'a', 'f', 'g' to AffineFields or callables (x, y) -> v.
-    The stream depends only on (seed, index), so scenarios can be generated
-    in any order.
+    The stream depends only on (seed, index), so samples can be drawn in
+    any order.
     """
     rng = scenario_rng(seed, index)
-    y = np.array([rho.sample(rng, 1)[0] for rho in densities])
-    return SampledScenario(
-        y=y,
-        a=_freeze(fields["a"], y),
-        f=_freeze(fields["f"], y),
-        g=_freeze(fields["g"], y),
-    )
+    return np.array([rho.sample(rng, 1)[0] for rho in densities])

@@ -19,6 +19,7 @@ for SPD A and omega in (0, 2); ``iterations`` counts sweeps.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -65,10 +66,34 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("psor", "active-set"):
             raise ValueError(f"unknown solver method {self.method!r}")
+        for name in ("omega", "tol", "cg_tol"):
+            value = getattr(self, name)
+            if not (value is None and name == "cg_tol" or _is_finite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not (0.0 < self.omega < 2.0):
             raise ValueError("omega must lie in (0, 2)")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if self.tol <= 0.0 or self.cg_tol is not None and self.cg_tol <= 0.0:
+            raise ValueError("tol and cg_tol must be positive")
+        for name in ("max_iter", "cg_max_iter"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be None or an integer >= 1, got {value!r}")
+        if not isinstance(self.record_energy, bool):
+            raise ValueError(f"record_energy must be true or false, got {self.record_energy!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A number, not a bool, that is finite as a float."""
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class SolverNotConverged(RuntimeError):

@@ -3,12 +3,16 @@
 Each sample draws an independent parameter vector from its own RNG stream
 (derived from seed and sample index), assembles the deterministic obstacle
 problem at that parameter, solves it with the configured LCP solver, and
-feeds the full nodal solution into a Welford accumulator.  Affine fields get
-a fast path: the spatial factor matrices are assembled once and aligned on
-one CSR pattern, so a sample matrix is a weighted sum of fixed data arrays
-wrapped around shared indices, with no sparse matrix arithmetic per sample.
-The per-sample systems are ``SparseObstacleSystem``s, whose active-set
-updates solve the reduced system exactly by banded Cholesky.
+feeds the full nodal solution into a Welford accumulator.  A sample is the
+Galerkin system at one parameter point, so one sampler serves every field:
+it takes the spatial factors of ``fields.affine_factors``, aligns the
+stiffness factors on one CSR pattern, and makes a sample matrix a weighted
+sum of fixed data arrays wrapped around shared indices, with no sparse
+matrix arithmetic per sample.  Affine fields are factored once per run.  A
+non-affine field, frozen at the drawn y, is an affine field with that mean
+and no modes, so its sampler is built again for every sample.  The
+per-sample systems are ``SparseObstacleSystem``s, whose active-set updates
+solve the reduced system exactly by banded Cholesky.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import assemble_load, assemble_weighted_stiffness
-from .fields import AffineField, scenario_rng
+from .fields import AffineField, affine_factors, contract, sample_parameters
 from .lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                   solve_lcp)
 from .mesh import Mesh
@@ -91,67 +94,33 @@ class MCResult:
 
 
 class _AffineSampler:
-    """Per-sample system factory with spatial factors assembled once.
+    """Per-sample system factory on the shared affine factors.
 
     The interior stiffness factors K0 and Kk are laid on one union CSR
     pattern, explicit zeros kept, so a sample matrix is the data vector
-    d0 + sum_k y_k dk wrapped around the shared index arrays.
+    d0 + sum_k y_k dk wrapped around the shared index arrays.  Load,
+    obstacle and Dirichlet lifting contract their factors with (1, y), the
+    Galerkin weights of a single parameter point.
     """
 
     def __init__(self, mesh: Mesh, a_field: AffineField, f_field: AffineField,
                  g_field: AffineField, dirichlet, n_dims: int, quad_degree: int):
-        interior = mesh.interior
-        bnd = np.flatnonzero(mesh.boundary)
-        self.interior = interior
-        self.bnd = bnd
-        self.xb = mesh.nodes[bnd]
-        self.x_int = mesh.nodes[interior]
+        self.factors = affine_factors(mesh, a_field, f_field, g_field, n_dims, quad_degree)
         self.dirichlet = dirichlet
-
-        def stiff(w):
-            K = assemble_weighted_stiffness(mesh, w, quad_degree)
-            return K[interior][:, interior], K[interior][:, bnd]
-
-        K0_ii, self.K0_ib = stiff(a_field.mean)
-        factors = [None if w is None else stiff(w)
-                   for w in map(a_field.dim_weight, range(n_dims))]
-        self.Kk_ib = [None if f is None else f[1] for f in factors]
-        self.indptr, self.indices, (self.d0, *self.dk) = _union_pattern(
-            [K0_ii] + [None if f is None else f[0] for f in factors])
-        self.f0 = assemble_load(mesh, f_field.mean, quad_degree)[interior]
-        self.fk = []
-        for k in range(n_dims):
-            w = f_field.dim_weight(k)
-            self.fk.append(None if w is None else assemble_load(mesh, w, quad_degree)[interior])
-        self.g0 = np.asarray(g_field.mean.values(self.x_int), dtype=float)
-        self.gk = []
-        for k in range(n_dims):
-            w = g_field.dim_weight(k)
-            self.gk.append(None if w is None else w(self.x_int))
+        self.indptr, self.indices, (self.d0, *self.dk) = _union_pattern(self.factors.K_ii)
 
     def build(self, y: np.ndarray):
         data = self.d0.copy()
-        rhs = self.f0.copy()
-        obs = self.g0.copy()
-        boundary = None
-        for k, yk in enumerate(y):
-            if self.dk[k] is not None:
-                data += yk * self.dk[k]
-            if self.fk[k] is not None:
-                rhs += yk * self.fk[k]
-            if self.gk[k] is not None:
-                obs += yk * self.gk[k]
-        n = self.interior.size
+        for yk, dk in zip(y, self.dk):
+            if dk is not None:
+                data += yk * dk
+        n = self.indptr.size - 1
         K = sp.csr_array((data, self.indices, self.indptr), shape=(n, n))
-        if self.dirichlet is not None and self.bnd.size:
-            boundary = np.asarray(self.dirichlet(self.xb, y), dtype=float)
-            rhs -= self.K0_ib @ boundary
-            for yk, K_ib in zip(y, self.Kk_ib):
-                if K_ib is not None:
-                    rhs -= yk * (K_ib @ boundary)
-        elif self.bnd.size:
-            boundary = np.zeros(self.bnd.size)
-        return SparseObstacleSystem(K, rhs), obs, boundary
+        weights = np.concatenate(([1.0], y))[:, None]
+        rhs = contract(self.factors.load, weights)
+        boundary = self.factors.lift(rhs, self.dirichlet, [y], weights[:, :, None])
+        obs = contract(self.factors.obs, weights)
+        return SparseObstacleSystem(K, rhs[0]), obs[0], boundary[:, 0]
 
 
 def _union_pattern(mats):
@@ -177,40 +146,12 @@ def _union_pattern(mats):
     return indptr, union % n, datas
 
 
-class _GenericSampler:
-    """Assembles from scratch per sample; works for non-affine fields."""
-
-    def __init__(self, mesh: Mesh, fields: dict, dirichlet, quad_degree: int):
-        self.mesh = mesh
-        self.fields = fields
-        self.dirichlet = dirichlet
-        self.quad_degree = quad_degree
-        self.interior = mesh.interior
-        self.bnd = np.flatnonzero(mesh.boundary)
-        self.xb = mesh.nodes[self.bnd]
-        self.x_int = mesh.nodes[self.interior]
-
-    def build(self, y: np.ndarray):
-        scen_a = self.fields["a"]
-        scen_f = self.fields["f"]
-        scen_g = self.fields["g"]
-
-        def at_y(fld):
-            if isinstance(fld, AffineField):
-                return lambda x: fld.evaluate(x, y)
-            return lambda x: np.asarray(fld(x, y), dtype=float)
-
-        K = assemble_weighted_stiffness(self.mesh, at_y(scen_a), self.quad_degree)
-        rhs = assemble_load(self.mesh, at_y(scen_f), self.quad_degree)[self.interior]
-        obs = at_y(scen_g)(self.x_int)
-        K_ii = K[self.interior][:, self.interior]
-        boundary = None
-        if self.dirichlet is not None and self.bnd.size:
-            boundary = np.asarray(self.dirichlet(self.xb, y), dtype=float)
-            rhs = rhs - K[self.interior][:, self.bnd] @ boundary
-        elif self.bnd.size:
-            boundary = np.zeros(self.bnd.size)
-        return SparseObstacleSystem(K_ii, rhs), obs, boundary
+def _frozen(fld, y: np.ndarray) -> AffineField:
+    """A field at one parameter point: a non-affine callable (x, y) -> values
+    is the AffineField with its values at y as the mean and no modes."""
+    if isinstance(fld, AffineField):
+        return fld
+    return AffineField.build(lambda x: fld(x, y))
 
 
 def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
@@ -228,11 +169,12 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     n_dims = len(densities)
     t_setup = time.perf_counter()
     affine = all(isinstance(fields[k], AffineField) for k in ("a", "f", "g"))
-    if affine:
-        sampler = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"],
-                                 dirichlet, n_dims, quad_degree)
-    else:
-        sampler = _GenericSampler(mesh, fields, dirichlet, quad_degree)
+
+    def sampler_at(y):
+        return _AffineSampler(mesh, *(_frozen(fields[k], y) for k in ("a", "f", "g")),
+                              dirichlet, n_dims, quad_degree)
+
+    sampler = sampler_at(None) if affine else None
     setup_seconds = time.perf_counter() - t_setup
 
     acc = MCAccumulator()
@@ -244,8 +186,9 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     iters = 0
     t_loop = time.perf_counter()
     for idx in range(n_samples):
-        rng = scenario_rng(seed, idx)
-        y = np.array([rho.sample(rng, 1)[0] for rho in densities])
+        y = sample_parameters(densities, seed, idx)
+        if not affine:
+            sampler = sampler_at(y)
         system, obs, boundary = sampler.build(y)
         x0 = None if warm is None else np.maximum(warm, obs)
         u, report = solve_lcp(system, obs, solver, x0=x0)
@@ -254,8 +197,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
             n_failed += 1
             continue
         full[interior] = u
-        if bnd.size:
-            full[bnd] = boundary
+        full[bnd] = boundary
         acc.update(full)
         warm = acc.mean[interior]
     loop_seconds = time.perf_counter() - t_loop

@@ -15,7 +15,6 @@ __all__ = [
     "Mesh",
     "TriQuadRule",
     "build_uniform_mesh",
-    "mesh_size",
     "triangle_quadrature",
     "write_vtk",
 ]
@@ -127,15 +126,6 @@ def build_uniform_mesh(rect: Rect, nx: int, ny: int | None = None) -> Mesh:
     assert np.all(areas > 0.0)
     assert abs(areas.sum() - (x1 - x0) * (y1 - y0)) <= 1e-12 * (x1 - x0) * (y1 - y0)
     return mesh
-
-
-def mesh_size(mesh: Mesh) -> float:
-    """Maximum triangle diameter (longest edge over all triangles)."""
-    p = mesh.nodes[mesh.triangles]
-    e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-    e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-    return float(np.max(np.stack([e0, e1, e2])))
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,10 @@ __all__ = [
 
 log = logging.getLogger("sgobstacle")
 
-# Largest mesh (nodes) of a level: validation builds the finest mesh to
-# check the coefficient, so larger requests are refused before that.
-MAX_MESH_NODES = 2 ** 22
+# Largest mesh and largest parameter grid (nodes) of a level: validation
+# builds the finest mesh to check the coefficient, and a Galerkin run builds
+# the grid's nodes, so larger requests are refused before either.
+MAX_NODES = 2 ** 22
 
 TABLE_HEADER = "h,s,eL2m1,ordL2m1,eH1m1,ordH1m1,eL2m2,ordL2m2,eH1m2,ordH1m2,iters,seconds"
 
@@ -120,10 +121,10 @@ def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
     for m in range(m_min, m_max + 1):
         cells = 2 ** m
         h = h_over_s * span / cells
-        if not (h > 0.0 and ((x1 - x0) / h + 1.0) * ((y1 - y0) / h + 1.0) <= MAX_MESH_NODES):
+        if not (h > 0.0 and ((x1 - x0) / h + 1.0) * ((y1 - y0) / h + 1.0) <= MAX_NODES):
             # h halves with every m, so every finer level is larger still
             errors.append(f"coupled level m={m}: a mesh with h={h!r} has more than "
-                          f"{MAX_MESH_NODES} nodes")
+                          f"{MAX_NODES} nodes")
             break
         nx = (x1 - x0) / h
         ny = (y1 - y0) / h
@@ -236,10 +237,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
                     errors.append(f"level [nx={nx}, cells={cells}] needs nx >= 2, cells >= 1")
                     continue
                 x0, x1, y0, y1 = problem.rect
-                ny = nx * (y1 - y0) / (x1 - x0) if nx < MAX_MESH_NODES else float("inf")
-                if (nx + 1) * (ny + 1) > MAX_MESH_NODES:
+                ny = nx * (y1 - y0) / (x1 - x0) if nx < MAX_NODES else float("inf")
+                if (nx + 1) * (ny + 1) > MAX_NODES:
                     errors.append(f"level [nx={nx}, cells={cells}] has a mesh of more "
-                                  f"than {MAX_MESH_NODES} nodes")
+                                  f"than {MAX_NODES} nodes")
                     continue
                 if abs(ny - round(ny)) > 1e-9:
                     errors.append(f"nx={nx} gives non-integer cell count on the y side")
@@ -256,6 +257,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
             errors.append("schedule needs a levels list or a coupled rule")
         if not levels and not errors:
             errors.append("schedule is empty")
+        if mode in ("sg", "both"):
+            for level in levels:
+                if (level.cells + 1) ** problem.n_dims > MAX_NODES:
+                    errors.append(f"level [nx={level.nx}, cells={level.cells}] has a "
+                                  f"parameter grid of more than {MAX_NODES} nodes")
 
     if "solver" not in raw:
         log.warning("no solver section in config, using defaults (%s)",
@@ -480,18 +486,16 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
     return table, reports
 
 
-def _write_fields(cfg: ExperimentConfig, system: SGSystem, u: np.ndarray,
-                  tag: str) -> dict:
-    mean = sg_mean(system, u)
-    var = sg_variance(system, u)
+def _write_fields(cfg: ExperimentConfig, fields: list[StatField], tag: str) -> dict:
+    """Write each field as ``<tag>_<name>.csv`` and all of them as ``<tag>.vtk``."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     paths = {}
-    for fld in (mean, var):
+    for fld in fields:
         base = os.path.join(cfg.output_dir, f"{tag}_{fld.name}")
         write_stat_csv(fld, base + ".csv")
         paths[fld.name] = base + ".csv"
-    write_stat_vtk([mean, var], os.path.join(cfg.output_dir, f"{tag}.vtk"))
     paths["vtk"] = os.path.join(cfg.output_dir, f"{tag}.vtk")
+    write_stat_vtk(fields, paths["vtk"])
     return paths
 
 
@@ -503,7 +507,7 @@ def run_single(cfg: ExperimentConfig, level_index: int):
     level = cfg.levels[level_index]
     mesh, grid, system, u, report, seconds = _solve_level(cfg, level)
     tag = f"{cfg.problem.name}_level{level_index}"
-    paths = _write_fields(cfg, system, u, tag)
+    paths = _write_fields(cfg, [sg_mean(system, u), sg_variance(system, u)], tag)
     payload = {
         "problem": cfg.problem.name,
         "level": level_index,
@@ -540,14 +544,8 @@ def run_mc(cfg: ExperimentConfig):
     mean = StatField(mesh=mesh, name="mean", values=result.mean)
     var = StatField(mesh=mesh, name="variance",
                     values=np.maximum(result.variance(), 0.0))
-    os.makedirs(cfg.output_dir, exist_ok=True)
     tag = f"{problem.name}_mc"
-    paths = {}
-    for fld in (mean, var):
-        base = os.path.join(cfg.output_dir, f"{tag}_{fld.name}")
-        write_stat_csv(fld, base + ".csv")
-        paths[fld.name] = base + ".csv"
-    write_stat_vtk([mean, var], os.path.join(cfg.output_dir, f"{tag}.vtk"))
+    paths = _write_fields(cfg, [mean, var], tag)
     timing_path = os.path.join(cfg.output_dir, f"{tag}_timing.csv")
     with open(timing_path, "w") as fh:
         fh.write("phase,seconds\n")

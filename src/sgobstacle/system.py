@@ -20,8 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import assemble_load, assemble_weighted_stiffness
-from .fields import AffineField
+from .fields import AffineField, affine_factors, contract
 from .lcp import restrict_operator
 from .mesh import Mesh
 from .param import Gramians, ParamGrid, assemble_gramians
@@ -174,90 +173,26 @@ class SGSystem:
         """``precond()`` restricted to the inactive index set of an active-set update."""
         return restrict_operator(self.precond(), inactive, self.n)
 
-    def mean_weights(self) -> np.ndarray:
-        """Weights turning coefficient blocks into the mean field: g0."""
-        return self.gram.g0
-
-
-def _nodal_affine(field: AffineField, points: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
-    """Evaluate an affine field at all (point, parameter-node) pairs, (J, n)."""
-    J = y_nodes.shape[0]
-    vals = np.tile(np.asarray(field.mean.values(points), dtype=float), (J, 1))
-    for m in field.modes:
-        shape_vals = np.asarray(m.shape.values(points))
-        vals += m.coeff * y_nodes[:, m.dim][:, None] * shape_vals[None, :]
-    return vals
-
 
 def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
-                f_field: AffineField, g_field, dirichlet=None,
+                f_field: AffineField, g_field: AffineField, dirichlet=None,
                 explicit_limit: int = EXPLICIT_LIMIT,
                 quad_degree: int = 2) -> SGSystem:
     """Assemble the tensor Galerkin LCP for given coefficient/source/obstacle.
 
-    ``g_field`` may be an AffineField or a callable (x, y) -> values.
+    The spatial factors of the three affine fields are contracted with the
+    Gramians (stiffness and load) and with the parameter nodes (obstacle).
     ``dirichlet`` is a callable (x, y) -> boundary values or None for
     homogeneous data; nonhomogeneous data enters b through lifting.
     """
-    if not isinstance(a_field, AffineField) or not isinstance(f_field, AffineField):
-        raise TypeError("Galerkin assembly needs affine coefficient and source fields")
-    M = grid.n_dims
-    if a_field.n_dims > M or f_field.n_dims > M:
-        raise ValueError("field parameter dimensions exceed the grid's")
-
-    interior = mesh.interior
-    bnd = np.flatnonzero(mesh.boundary)
+    factors = affine_factors(mesh, a_field, f_field, g_field, grid.n_dims, quad_degree)
     gram = assemble_gramians(grid)
-    I = len(interior)
-    J = grid.n_nodes
     y_nodes = grid.nodes()
-
-    K0_full = assemble_weighted_stiffness(mesh, a_field.mean, quad_degree)
-    f0_full = assemble_load(mesh, f_field.mean, quad_degree)
-    Kk_full = [None] * M
-    fk_full = [None] * M
-    for k in range(M):
-        wa = a_field.dim_weight(k)
-        if wa is not None:
-            Kk_full[k] = assemble_weighted_stiffness(mesh, wa, quad_degree)
-        wf = f_field.dim_weight(k)
-        if wf is not None:
-            fk_full[k] = assemble_load(mesh, wf, quad_degree)
-
-    def restrict(K):
-        return None if K is None else K[interior][:, interior]
-
-    K0 = restrict(K0_full)
-    Kk = [restrict(K) for K in Kk_full]
-
-    # right-hand side blocks, (J, I)
-    B = np.outer(gram.g0, f0_full[interior])
-    for k in range(M):
-        if fk_full[k] is not None:
-            B += np.outer(gram.gk[k], fk_full[k][interior])
-
-    if dirichlet is not None and len(bnd) > 0:
-        xb = mesh.nodes[bnd]
-        D = np.empty((len(bnd), J))
-        for j in range(J):
-            D[:, j] = np.asarray(dirichlet(xb, y_nodes[j]), dtype=float)
-        B -= gram.G0 @ (K0_full[interior][:, bnd] @ D).T
-        for k in range(M):
-            if Kk_full[k] is not None:
-                B -= gram.Gk[k] @ (Kk_full[k][interior][:, bnd] @ D).T
-    else:
-        D = np.zeros((len(bnd), J))
-
-    x_int = mesh.nodes[interior]
-    if isinstance(g_field, AffineField):
-        obs = _nodal_affine(g_field, x_int, y_nodes)
-    else:
-        obs = np.empty((J, I))
-        for j in range(J):
-            obs[j] = np.asarray(g_field(x_int, y_nodes[j]), dtype=float)
-
-    return SGSystem(mesh=mesh, grid=grid, K0=K0, Kk=Kk, gram=gram,
-                    b=B.reshape(-1), obs=obs.reshape(-1),
+    B = contract(factors.load, [gram.g0, *gram.gk])
+    D = factors.lift(B, dirichlet, y_nodes, [gram.G0, *gram.Gk])
+    obs = contract(factors.obs, [np.ones(grid.n_nodes), *y_nodes.T])
+    return SGSystem(mesh=mesh, grid=grid, K0=factors.K_ii[0], Kk=factors.K_ii[1:],
+                    gram=gram, b=B.reshape(-1), obs=obs.reshape(-1),
                     boundary_values=D, explicit_limit=explicit_limit)
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sgobstacle.fields import (AffineField, bounds_check, sample_scenario,
-                               scenario_rng)
+from sgobstacle.fields import AffineField, bounds_check, sample_parameters
 from sgobstacle.param import Density1D
 
 E = np.e
@@ -89,43 +88,25 @@ class TestBounds:
 
 class TestScenarios:
     def test_deterministic_in_seed_and_index(self):
-        a, densities = two_fields()
-        fields = {"a": a, "f": a, "g": a}
-        s1 = sample_scenario(fields, densities, seed=42, index=7)
-        s2 = sample_scenario(fields, densities, seed=42, index=7)
-        assert_allclose(s1.y, s2.y)
-        s3 = sample_scenario(fields, densities, seed=42, index=8)
-        assert not np.allclose(s1.y, s3.y)
+        _, densities = two_fields()
+        y1 = sample_parameters(densities, seed=42, index=7)
+        y2 = sample_parameters(densities, seed=42, index=7)
+        assert y1.shape == (2,)
+        assert_allclose(y1, y2, rtol=0)
+        y3 = sample_parameters(densities, seed=42, index=8)
+        assert not np.allclose(y1, y3)
 
     def test_order_independent_streams(self):
         # stream i must not depend on how many draws happened before it
-        ys = [scenario_rng(0, i).uniform(size=3) for i in range(5)]
-        ys_rev = [scenario_rng(0, i).uniform(size=3) for i in reversed(range(5))]
+        _, densities = two_fields()
+        ys = [sample_parameters(densities, 0, i) for i in range(5)]
+        ys_rev = [sample_parameters(densities, 0, i) for i in reversed(range(5))]
         for y, yr in zip(ys, reversed(ys_rev)):
-            assert_allclose(y, yr)
-
-    def test_frozen_callables_use_drawn_y(self):
-        a, densities = two_fields()
-        fields = {"a": a, "f": a, "g": a}
-        s = sample_scenario(fields, densities, seed=1, index=0)
-        x = np.array([[0.0, 0.0]])
-        assert s.a(x)[0] == pytest.approx(1.0 + s.y[0] + 2.0 * s.y[1])
-
-    def test_non_affine_callable_field(self):
-        densities = (Density1D.exp_uniform(),)
-        fields = {
-            "a": lambda x, y: np.exp(y[0]) * np.ones(x.shape[0]),
-            "f": AffineField.build(1.0),
-            "g": AffineField.build(0.0),
-        }
-        s = sample_scenario(fields, densities, seed=5, index=2)
-        x = np.zeros((2, 2))
-        assert_allclose(s.a(x), np.exp(s.y[0]))
+            assert_allclose(y, yr, rtol=0)
 
     def test_sample_mean_near_expectation(self):
-        a, densities = two_fields()
-        fields = {"a": a, "f": a, "g": a}
-        draws = np.array([sample_scenario(fields, densities, seed=9, index=i).y
+        _, densities = two_fields()
+        draws = np.array([sample_parameters(densities, seed=9, index=i)
                           for i in range(4000)])
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - EY) < 4 * se)

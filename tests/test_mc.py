@@ -7,7 +7,8 @@ from sgobstacle.fem import assemble_load, assemble_weighted_stiffness
 from sgobstacle.fields import AffineField, scenario_rng
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
                             active_set_solve)
-from sgobstacle.mc import MCAccumulator, _AffineSampler, _union_pattern, mc_run
+from sgobstacle.mc import (MCAccumulator, _AffineSampler, _frozen, _union_pattern,
+                           mc_run)
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D
 
@@ -66,37 +67,60 @@ class TestAccumulator:
 
 
 class TestAffineSampler:
-    @pytest.mark.parametrize("lifted", [False, True])
-    def test_build_matches_direct_assembly(self, lifted):
-        # the coefficient has modes on dimensions 0 and 2 but none on 1; the
-        # dimension-2 shape vanishes on the left half, so that factor stores
-        # explicit zeros, and so does K0 where hypotenuse couplings vanish
+    @pytest.mark.parametrize("affine, lifted", [
+        pytest.param(True, False, id="False"),
+        pytest.param(True, True, id="True"),
+        pytest.param(False, False, id="callable-False"),
+        pytest.param(False, True, id="callable-True"),
+    ])
+    def test_build_matches_direct_assembly(self, affine, lifted):
+        # the affine coefficient has modes on dimensions 0 and 2 but none on
+        # 1; the dimension-2 shape vanishes on the left half, so that factor
+        # stores explicit zeros, and so does K0 where hypotenuse couplings
+        # vanish.  The callable a and f are not affine in y; frozen at each y
+        # they are factored without modes.
         mesh = build_uniform_mesh(RECT, 6)
         ii = mesh.interior
         bnd = np.flatnonzero(mesh.boundary)
-        a = AffineField.build(2.0, [(0.5, lambda x: x[:, 0] + x[:, 1], 0),
-                                    (0.3, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 2)])
-        f = AffineField.build(-1.0, [(0.5, one, 1)])
         g = AffineField.build(-0.1, [(0.01, lambda x: x[:, 1], 0)])
+        if affine:
+            a = AffineField.build(2.0, [(0.5, lambda x: x[:, 0] + x[:, 1], 0),
+                                        (0.3, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 2)])
+            f = AffineField.build(-1.0, [(0.5, one, 1)])
+            a_at, f_at = a.evaluate, f.evaluate
+        else:
+            def a(x, y):
+                return 2.0 + np.exp(y[0] * x[:, 0]) * y[2]
+
+            def f(x, y):
+                return np.sin(y[1] * x[:, 1]) - 1.0
+
+            a_at, f_at = a, f
 
         def dirichlet(x, y):
             return x[:, 0] * y[0] - x[:, 1] * y[2]
 
-        sampler = _AffineSampler(mesh, a, f, g, dirichlet if lifted else None,
-                                 3, 2)
-        assert sampler.dk[1] is None
-        assert np.any(sampler.d0 == 0.0) and np.any(sampler.dk[2] == 0.0)
+        def sampler_at(y):
+            return _AffineSampler(mesh, _frozen(a, y), _frozen(f, y), g,
+                                  dirichlet if lifted else None, 3, 2)
+
+        if affine:
+            sampler = sampler_at(None)
+            assert sampler.dk[1] is None
+            assert np.any(sampler.d0 == 0.0) and np.any(sampler.dk[2] == 0.0)
         for y in np.random.default_rng(0).uniform(0.5, 1.5, (4, 3)):
+            if not affine:
+                sampler = sampler_at(y)
+                assert all(dk is None for dk in sampler.dk)
             system, obs, boundary = sampler.build(y)
-            K = assemble_weighted_stiffness(mesh, lambda x: a.evaluate(x, y))
-            rhs = assemble_load(mesh, lambda x: f.evaluate(x, y))[ii]
+            K = assemble_weighted_stiffness(mesh, lambda x: a_at(x, y))
+            rhs = assemble_load(mesh, lambda x: f_at(x, y))[ii]
             lift = dirichlet(mesh.nodes[bnd], y) if lifted else np.zeros(bnd.size)
             rhs -= K[ii][:, bnd] @ lift
             assert_allclose(system.A.toarray(), K[ii][:, ii].toarray(), rtol=1e-12)
             assert_allclose(system.b, rhs, rtol=1e-12)
             assert_allclose(obs, g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
             assert_allclose(boundary, lift, rtol=1e-12)
-
 
     def test_union_pattern_keeps_every_stored_entry(self):
         # different patterns, one explicit zero and one duplicate entry
@@ -182,8 +206,9 @@ class TestMCRun:
             mc_run(mesh, fields, dens, n_samples=8, seed=0, solver=starved)
 
     def test_non_affine_field_uses_generic_path(self):
-        # exp(y) * 1 coefficient: non-affine in y, so the per-sample assembly
-        # path runs; compare against the affine path at matched samples
+        # a coefficient given as a callable of (x, y) is frozen at each drawn
+        # y and factored per sample; compare against the affine path at
+        # matched samples
         mesh = build_uniform_mesh(RECT, 3)
         dens = (Density1D.uniform(0.5, 1.5),)
         f = AffineField.build(-2.0)

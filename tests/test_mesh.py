@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sgobstacle.mesh import (build_uniform_mesh, mesh_size, triangle_quadrature,
-                             write_vtk)
+from sgobstacle.mesh import build_uniform_mesh, triangle_quadrature, write_vtk
 
 
 class TestUniformMesh:
@@ -30,7 +29,6 @@ class TestUniformMesh:
 
     def test_mesh_size_is_diagonal(self):
         mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 4)
-        assert mesh_size(mesh) == pytest.approx(math.sqrt(2) * 0.25, rel=1e-13)
         assert mesh.cell_side() == pytest.approx(0.25, rel=1e-13)
 
     def test_refinement_halves_cell_side(self):

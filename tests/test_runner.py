@@ -1,6 +1,7 @@
 import copy
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,24 @@ class TestValidateConfig:
             validate_config(base_config(solver={"method": "psor", "omega": 5.0}))
         with pytest.raises(ConfigError, match="solver"):
             validate_config(base_config(solver={"sweeps": 3}))
+
+    @pytest.mark.parametrize("solver, message", [
+        ({"tol": float("nan")}, "tol must be a finite number"),
+        ({"tol": True}, "tol must be a finite number"),
+        ({"omega": float("inf")}, "omega must be a finite number"),
+        ({"cg_tol": "x"}, "cg_tol must be a finite number"),
+        ({"cg_tol": 0.0}, "cg_tol must be positive"),
+        ({"max_iter": "7"}, "max_iter must be None or an integer"),
+        ({"max_iter": 0}, "max_iter must be None or an integer"),
+        ({"max_iter": True}, "max_iter must be None or an integer"),
+        ({"cg_max_iter": 2.0}, "cg_max_iter must be None or an integer"),
+        ({"record_energy": 1}, "record_energy must be true or false"),
+    ])
+    def test_solver_values_checked(self, solver, message):
+        with pytest.raises(ConfigError, match=f"solver: .*{message}"):
+            validate_config(base_config(solver=solver))
+        with pytest.raises(ConfigError, match=f"mc.solver: .*{message}"):
+            validate_config(base_config(mc={"solver": solver}))
 
     def test_schedule_required(self):
         cfg = base_config()
@@ -234,6 +253,8 @@ class TestValidateConfigRegressions:
         ({"coupled": {"h_over_s": 1e300, "m_max": 2}}, "fewer than 2 cells"),
         ({"coupled": {"h_over_s": float("inf")}}, "h_over_s must be positive"),
         ({"coupled": {"h_over_s": 1.0, "m_max": 10 ** 30}}, "m_max <= 30"),
+        ({"levels": [[8, 10 ** 30]]}, "parameter grid of more than 4194304 nodes"),
+        ({"levels": [[8, 2 ** 22]]}, "parameter grid of more than 4194304 nodes"),
     ])
     def test_unbuildable_levels(self, schedule, message):
         with pytest.raises(ConfigError, match=message):
@@ -245,11 +266,14 @@ class TestValidateConfigRegressions:
 
     def test_many_parameter_dimensions(self):
         # the ellipticity bound is separable in y: 40 dimensions do not
-        # enumerate 2^40 box vertices
+        # enumerate 2^40 box vertices.  Monte Carlo builds no parameter grid,
+        # while a Galerkin run would need 5^40 parameter nodes.
         cfg = custom_config({"mean": 50.0, "modes": [{"coeff": 1.0, "shape": 1.0, "dim": d}
-                                                     for d in range(40)]})
+                                                     for d in range(40)]}, mode="mc")
         cfg["custom"]["densities"] = [{"kind": "uniform", "lo": -1.0, "hi": 1.0}] * 40
         assert validate_config(cfg).problem.n_dims == 40
+        with pytest.raises(ConfigError, match="parameter grid of more than"):
+            validate_config(dict(cfg, mode="sg"))
         cfg["custom"]["fields"]["a"]["mean"] = 39.5
         with pytest.raises(ConfigError, match="not uniformly positive"):
             validate_config(cfg)
@@ -506,6 +530,14 @@ class TestCLI:
                               "'sg' or 'both'")
         assert not (tmp_path / "out").exists()
 
+    def test_huge_parameter_grid_exits_one(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {"problem": "example2",
+                                            "schedule": {"levels": [[4, 10 ** 30]]}})
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "parameter grid" in err
+        assert "Traceback" not in err
+
     def test_psor_above_explicit_limit_exits_one(self, tmp_path, capsys):
         cfg = {"problem": "example1", "mode": "sg",
                "schedule": {"levels": [[8, 4]]}, "explicit_limit": 10,
@@ -623,16 +655,48 @@ def _fuzzed_configs(draw):
     return draw(st.sampled_from([cfg, draw(_json_values)]))
 
 
+@st.composite
+def _fuzzed_solvers(draw):
+    cfg = copy.deepcopy(_FUZZ_BASES[0])
+    values = _json_scalars | st.sampled_from([1, 7, 1e-9, 0.5, 1.9])
+    for key in draw(st.lists(st.sampled_from(sorted(cfg["solver"])), min_size=1, max_size=3)):
+        cfg["solver"][key] = draw(values)
+    return cfg
+
+
+def _assert_usable_solver(solver):
+    for value in (solver.omega, solver.tol, solver.cg_tol):
+        assert value is None or type(value) in (int, float) and math.isfinite(value)
+    for value in (solver.max_iter, solver.cg_max_iter):
+        assert value is None or type(value) is int and value >= 1
+    assert type(solver.record_energy) is bool
+
+
 class TestValidateConfigFuzz:
     @settings(max_examples=400, deadline=None)
     @given(_fuzzed_configs())
     def test_only_config_errors_escape(self, cfg):
         # any JSON-like value in any section or key either validates or is
-        # refused with ConfigError, never another exception
+        # refused with ConfigError, never another exception; solver options
+        # that validate are usable as they are
         try:
-            validate_config(cfg)
+            parsed = validate_config(cfg)
         except ConfigError:
-            pass
+            return
+        for solver in (parsed.solver, parsed.mc_solver):
+            if solver is not None:
+                _assert_usable_solver(solver)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fuzzed_solvers())
+    def test_accepted_solver_options_are_usable(self, cfg):
+        # few fully fuzzed configs validate at all, so the solver section
+        # gets its own fuzz on an otherwise valid config
+        try:
+            parsed = validate_config(cfg)
+        except ConfigError:
+            return
+        _assert_usable_solver(parsed.solver)
 
     def test_bases_are_valid(self):
         for cfg in _FUZZ_BASES:

@@ -259,13 +259,11 @@ class TestRightHandSide:
         grid = build_param_grid([Density1D.exp_uniform()], 2)
         a = AffineField.build(1.0)
         f = AffineField.build(1.0)
-
-        def g(x, y):
-            return x[:, 0] * y[0]
-
+        g = AffineField.build(-0.5, [(2.0, lambda x: x[:, 0], 0)])
         sys_ = assemble_sg(mesh, grid, a, f, g)
         x_int = mesh.nodes[mesh.interior]
-        expected = np.concatenate([g(x_int, yj) for yj in grid.nodes()])
+        expected = np.concatenate([-0.5 + 2.0 * x_int[:, 0] * yj[0]
+                                   for yj in grid.nodes()])
         assert_allclose(sys_.obs, expected, rtol=1e-14)
 
     def test_dump_matrix_roundtrip(self, tmp_path):
