@@ -83,13 +83,9 @@ def _quad_points(mesh: Mesh, degree: int):
 
 
 def _eval_weight(weight, pts_flat: np.ndarray) -> np.ndarray:
-    if weight is None:
-        return np.ones(pts_flat.shape[0])
-    if np.isscalar(weight):
-        return np.full(pts_flat.shape[0], float(weight))
-    if isinstance(weight, SpatialFunction):
-        return np.asarray(weight.values(pts_flat), dtype=float)
-    return np.asarray(weight(pts_flat), dtype=float)
+    """Weight values at the points; None is the unit weight."""
+    weight = as_spatial_function(1.0 if weight is None else weight)
+    return np.asarray(weight.values(pts_flat), dtype=float)
 
 
 def assemble_weighted_stiffness(mesh: Mesh, weight=None, quad_degree: int = 2) -> sp.csr_array:

@@ -147,8 +147,13 @@ class AffineFactors:
 
 
 def affine_factors(mesh: Mesh, a: AffineField, f: AffineField, g: AffineField,
-                   n_dims: int, quad_degree: int = 2) -> AffineFactors:
-    """Assemble the interior spatial factors of a, f and g over ``n_dims`` dimensions."""
+                   n_dims: int) -> AffineFactors:
+    """Assemble the interior spatial factors of a, f and g over ``n_dims`` dimensions.
+
+    Every stiffness factor stores the full CSR pattern of the mesh, explicit
+    zeros included, so the ``K_ii`` entries share one ``indptr`` and
+    ``indices`` and differ only in their data.
+    """
     if not all(isinstance(fld, AffineField) for fld in (a, f, g)):
         raise TypeError("spatial factors need affine fields a, f and g")
     if max(a.n_dims, f.n_dims, g.n_dims) > n_dims:
@@ -162,7 +167,7 @@ def affine_factors(mesh: Mesh, a: AffineField, f: AffineField, g: AffineField,
                 for w in (fld.mean, *map(fld.dim_weight, range(n_dims)))]
 
     def stiffness(w):
-        rows = assemble_weighted_stiffness(mesh, w, quad_degree)[interior]
+        rows = assemble_weighted_stiffness(mesh, w)[interior]
         return rows[:, interior], rows[:, bnd]
 
     blocks = per_term(a, stiffness)
@@ -170,7 +175,7 @@ def affine_factors(mesh: Mesh, a: AffineField, f: AffineField, g: AffineField,
         x_boundary=mesh.nodes[bnd],
         K_ii=[None if b is None else b[0] for b in blocks],
         K_ib=[None if b is None else b[1] for b in blocks],
-        load=per_term(f, lambda w: assemble_load(mesh, w, quad_degree)[interior]),
+        load=per_term(f, lambda w: assemble_load(mesh, w)[interior]),
         obs=per_term(g, lambda w: np.asarray(as_spatial_function(w).values(x_int),
                                              dtype=float)),
     )

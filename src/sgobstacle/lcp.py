@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -50,36 +50,31 @@ class SolverConfig:
     """Knobs shared by both solvers.
 
     ``max_iter`` counts PSOR sweeps or active-set updates; None picks 50
-    sweeps for PSOR and 100 updates for the active-set method.  ``cg_tol``
-    is the relative residual target of the inner conjugate gradient solves
-    (None derives it from ``tol``).
+    sweeps for PSOR and 100 updates for the active-set method.  The inner
+    conjugate gradient solves of the active-set method derive their
+    relative residual target and step budget from ``tol`` and the system
+    size.
     """
 
     method: str = "active-set"
     omega: float = 1.5
     tol: float = 1e-8
     max_iter: int | None = None
-    cg_tol: float | None = None
-    cg_max_iter: int | None = None
-    record_energy: bool = False
 
     def __post_init__(self):
         if self.method not in ("psor", "active-set"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        for name in ("omega", "tol", "cg_tol"):
+        for name in ("omega", "tol"):
             value = getattr(self, name)
-            if not (value is None and name == "cg_tol" or _is_finite(value)):
+            if not _is_finite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not (0.0 < self.omega < 2.0):
             raise ValueError("omega must lie in (0, 2)")
-        if self.tol <= 0.0 or self.cg_tol is not None and self.cg_tol <= 0.0:
-            raise ValueError("tol and cg_tol must be positive")
-        for name in ("max_iter", "cg_max_iter"):
-            value = getattr(self, name)
-            if value is not None and not (_is_int(value) and value >= 1):
-                raise ValueError(f"{name} must be None or an integer >= 1, got {value!r}")
-        if not isinstance(self.record_energy, bool):
-            raise ValueError(f"record_energy must be true or false, got {self.record_energy!r}")
+        if self.tol <= 0.0:
+            raise ValueError("tol must be positive")
+        max_iter = self.max_iter
+        if max_iter is not None and not (_is_int(max_iter) and max_iter >= 1):
+            raise ValueError(f"max_iter must be None or an integer >= 1, got {max_iter!r}")
 
 
 def _is_int(value) -> bool:
@@ -108,17 +103,9 @@ class SolveReport:
     active_count: int
     seconds: float
     inner_iterations: int = 0
-    energy_trace: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "active_count": self.active_count,
-            "seconds": self.seconds,
-            "inner_iterations": self.inner_iterations,
-        }
+        return asdict(self)
 
 
 class SparseObstacleSystem:
@@ -227,10 +214,6 @@ def _max_violation(u, obs, lam) -> float:
     return float(np.abs(np.minimum(u - obs, lam)).max())
 
 
-def _energy(system, u):
-    return 0.5 * float(u @ system.matvec(u)) - float(system.b @ u)
-
-
 _COLOUR_CHUNK = 64  # rows whose row pointers and column indices are Python ints at once
 
 
@@ -315,7 +298,6 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
         classes.append((data[p:q], cols[p:q], ptr[s:e] - p,
                         u[s:e], b[s:e], w[s:e], g[s:e]))
     max_sweeps = config.max_iter if config.max_iter is not None else 50
-    trace = []
     residual = np.inf
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -325,8 +307,6 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
             np.maximum(g_c, u_c + w_c * (b_c - row_dot), out=u_c)
         lam = np.add.reduceat(data * u.take(cols), ptr[:-1]) - b
         residual = _max_violation(u, g, lam)
-        if config.record_energy:
-            trace.append(_energy(system, u[rank]))
         if residual <= config.tol:
             break
     u = u[rank]
@@ -336,7 +316,6 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
         residual=residual,
         active_count=int(np.count_nonzero(u <= obs)),
         seconds=time.perf_counter() - t0,
-        energy_trace=trace,
     )
     return u, report
 
@@ -406,8 +385,8 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
                               residual=complementarity_residual(system, u, obs),
                               active_count=int(np.count_nonzero(u <= obs)),
                               seconds=0.0)
-    rtol = config.cg_tol if config.cg_tol is not None else max(1e-13, min(1e-10, config.tol * 1e-4))
-    cg_max = config.cg_max_iter if config.cg_max_iter is not None else max(500, 2 * n)
+    rtol = max(1e-13, min(1e-10, config.tol * 1e-4))
+    cg_max = max(500, 2 * n)
     max_updates = config.max_iter if config.max_iter is not None else 100
     t0 = time.perf_counter()
     inner_total = 0

@@ -5,14 +5,14 @@ Each sample draws an independent parameter vector from its own RNG stream
 problem at that parameter, solves it with the configured LCP solver, and
 feeds the full nodal solution into a Welford accumulator.  A sample is the
 Galerkin system at one parameter point, so one sampler serves every field:
-it takes the spatial factors of ``fields.affine_factors``, aligns the
-stiffness factors on one CSR pattern, and makes a sample matrix a weighted
-sum of fixed data arrays wrapped around shared indices, with no sparse
-matrix arithmetic per sample.  Affine fields are factored once per run.  A
-non-affine field, frozen at the drawn y, is an affine field with that mean
-and no modes, so its sampler is built again for every sample.  The
-per-sample systems are ``SparseObstacleSystem``s, whose active-set updates
-solve the reduced system exactly by banded Cholesky.
+it takes the spatial factors of ``fields.affine_factors``, whose stiffness
+factors all store the CSR pattern of the mesh, and makes a sample matrix a
+weighted sum of their data arrays wrapped around the shared indices, with
+no sparse matrix arithmetic per sample.  Affine fields are factored once
+per run.  A non-affine field, frozen at the drawn y, is an affine field
+with that mean and no modes, so its sampler is built again for every
+sample.  The per-sample systems are ``SparseObstacleSystem``s, whose
+active-set updates solve the reduced system exactly by banded Cholesky.
 """
 
 from __future__ import annotations
@@ -96,18 +96,20 @@ class MCResult:
 class _AffineSampler:
     """Per-sample system factory on the shared affine factors.
 
-    The interior stiffness factors K0 and Kk are laid on one union CSR
-    pattern, explicit zeros kept, so a sample matrix is the data vector
-    d0 + sum_k y_k dk wrapped around the shared index arrays.  Load,
+    The interior stiffness factors K0 and Kk all store the CSR pattern of
+    the mesh (``fields.affine_factors``), so a sample matrix is the data
+    vector d0 + sum_k y_k dk wrapped around K0's index arrays.  Load,
     obstacle and Dirichlet lifting contract their factors with (1, y), the
     Galerkin weights of a single parameter point.
     """
 
     def __init__(self, mesh: Mesh, a_field: AffineField, f_field: AffineField,
-                 g_field: AffineField, dirichlet, n_dims: int, quad_degree: int):
-        self.factors = affine_factors(mesh, a_field, f_field, g_field, n_dims, quad_degree)
+                 g_field: AffineField, dirichlet, n_dims: int):
+        self.factors = affine_factors(mesh, a_field, f_field, g_field, n_dims)
         self.dirichlet = dirichlet
-        self.indptr, self.indices, (self.d0, *self.dk) = _union_pattern(self.factors.K_ii)
+        K0 = self.factors.K_ii[0]
+        self.indptr, self.indices = K0.indptr, K0.indices
+        self.d0, *self.dk = (None if K is None else K.data for K in self.factors.K_ii)
 
     def build(self, y: np.ndarray):
         data = self.d0.copy()
@@ -123,29 +125,6 @@ class _AffineSampler:
         return SparseObstacleSystem(K, rhs[0]), obs[0], boundary[:, 0]
 
 
-def _union_pattern(mats):
-    """Square CSR matrices on their union pattern: (indptr, indices, datas).
-
-    Entries stored in any of the matrices, explicit zeros included, are in
-    the pattern; ``datas`` holds each matrix's values at those positions
-    (None for a None matrix).
-    """
-    n = mats[0].shape[0]
-    coos = [None if M is None else sp.coo_array(M) for M in mats]
-    keys = [None if c is None else c.row.astype(np.int64) * n + c.col for c in coos]
-    union = np.unique(np.concatenate([k for k in keys if k is not None]))
-    datas = []
-    for c, key in zip(coos, keys):
-        if c is None:
-            datas.append(None)
-            continue
-        d = np.zeros(union.size)
-        np.add.at(d, np.searchsorted(union, key), c.data)
-        datas.append(d)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(union // n, minlength=n))))
-    return indptr, union % n, datas
-
-
 def _frozen(fld, y: np.ndarray) -> AffineField:
     """A field at one parameter point: a non-affine callable (x, y) -> values
     is the AffineField with its values at y as the mean and no modes."""
@@ -155,8 +134,7 @@ def _frozen(fld, y: np.ndarray) -> AffineField:
 
 
 def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
-           solver: SolverConfig | None = None, dirichlet=None,
-           quad_degree: int = 2) -> MCResult:
+           solver: SolverConfig | None = None, dirichlet=None) -> MCResult:
     """Run the Monte Carlo baseline and return accumulated nodal moments.
 
     ``fields`` maps 'a', 'f', 'g' to AffineFields or parametric callables;
@@ -172,15 +150,12 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
 
     def sampler_at(y):
         return _AffineSampler(mesh, *(_frozen(fields[k], y) for k in ("a", "f", "g")),
-                              dirichlet, n_dims, quad_degree)
+                              dirichlet, n_dims)
 
     sampler = sampler_at(None) if affine else None
     setup_seconds = time.perf_counter() - t_setup
 
     acc = MCAccumulator()
-    interior = mesh.interior
-    bnd = np.flatnonzero(mesh.boundary)
-    full = np.zeros(mesh.n_nodes)
     warm = None
     n_failed = 0
     iters = 0
@@ -196,10 +171,8 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         if not report.converged:
             n_failed += 1
             continue
-        full[interior] = u
-        full[bnd] = boundary
-        acc.update(full)
-        warm = acc.mean[interior]
+        acc.update(mesh.full_values(u, boundary))
+        warm = acc.mean[mesh.interior]
     loop_seconds = time.perf_counter() - t_loop
 
     if n_failed > MAX_FAILURE_FRACTION * n_samples:

@@ -67,6 +67,18 @@ class Mesh:
     def dy(self) -> float:
         return (self.rect[3] - self.rect[2]) / self.ny
 
+    def full_values(self, interior_values, boundary_values) -> np.ndarray:
+        """Values on every node from the values at the interior and boundary nodes.
+
+        The two arrays share their leading axes; the last one runs over
+        ``interior`` and over the boundary nodes in index order.
+        """
+        interior_values = np.asarray(interior_values)
+        full = np.zeros(interior_values.shape[:-1] + (self.n_nodes,))
+        full[..., self.interior] = interior_values
+        full[..., self.boundary] = boundary_values
+        return full
+
     def cell_side(self) -> float:
         """Largest cell edge length (the h reported in convergence tables)."""
         return max(self.dx, self.dy)

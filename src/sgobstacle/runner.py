@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,7 @@ class ExperimentConfig:
     mc_level: int = 0
     mc_solver: SolverConfig | None = None
     quad_order: int = 64
-    explicit_limit: int = EXPLICIT_LIMIT
     output_dir: str = "out"
-    raw: dict = dc_field(default_factory=dict)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -182,8 +180,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     errors: list[str] = []
     known = {"problem", "mode", "parameterization", "dirichlet", "schedule",
-             "solver", "mc", "quad_order", "explicit_limit", "output_dir",
-             "custom", "name"}
+             "solver", "mc", "quad_order", "output_dir", "custom", "name"}
     for key in raw:
         if key not in known:
             errors.append(f"unknown config key {key!r}")
@@ -300,19 +297,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     quad_order = _int_option(raw, "quad_order", 64, "quad_order", errors)
     if quad_order is not None and quad_order < 2:
         errors.append("quad_order must be at least 2")
-    explicit_limit = _int_option(raw, "explicit_limit", EXPLICIT_LIMIT,
-                                 "explicit_limit", errors)
-    if explicit_limit is not None and explicit_limit < 0:
-        errors.append("explicit_limit must be non-negative")
-    elif (explicit_limit is not None and solver is not None
-          and solver.method == "psor" and mode in ("sg", "both")):
+    if solver is not None and solver.method == "psor" and mode in ("sg", "both"):
         for k, level in enumerate(levels):
             I, J = level.sizes(problem.n_dims)
-            if I * J > explicit_limit:
+            if I * J > EXPLICIT_LIMIT:
                 errors.append(
-                    f"level {k} has I*J = {I * J} > explicit_limit = "
-                    f"{explicit_limit}, but projected SOR needs the explicit "
-                    "matrix; raise explicit_limit or use method 'active-set'")
+                    f"level {k} has I*J = {I * J}, above the explicit matrix "
+                    f"limit of {EXPLICIT_LIMIT} that projected SOR needs; use "
+                    "method 'active-set'")
 
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -325,8 +317,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         problem=problem, mode=mode, levels=levels, solver=solver,
         dirichlet_mode=dirichlet_mode, mc_samples=mc_samples, mc_seed=mc_seed,
         mc_level=mc_level, mc_solver=mc_solver, quad_order=quad_order,
-        explicit_limit=explicit_limit, output_dir=output_dir,
-        raw=raw,
+        output_dir=output_dir,
     )
 
 
@@ -423,8 +414,7 @@ def _solve_level(cfg: ExperimentConfig, level: Level, warm_from=None):
     dirichlet = problem.dirichlet if cfg.dirichlet_mode == "exact" else None
     t0 = time.perf_counter()
     system = assemble_sg(mesh, grid, problem.fields["a"], problem.fields["f"],
-                         problem.fields["g"], dirichlet,
-                         explicit_limit=cfg.explicit_limit)
+                         problem.fields["g"], dirichlet)
     x0 = None
     if warm_from is not None:
         x0 = _interpolate_solution(warm_from[0], warm_from[1], mesh, grid)

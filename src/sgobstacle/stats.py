@@ -56,14 +56,8 @@ class StatField:
 
 def _full_blocks(system: SGSystem, u: np.ndarray) -> np.ndarray:
     """Coefficient blocks extended by boundary data, shape (J, n_nodes)."""
-    I, J = system.n_spatial, system.n_param
-    U = u.reshape(J, I)
-    full = np.zeros((J, system.mesh.n_nodes))
-    full[:, system.mesh.interior] = U
-    bnd = np.flatnonzero(system.mesh.boundary)
-    if bnd.size:
-        full[:, bnd] = system.boundary_values.T
-    return full
+    return system.mesh.full_values(u.reshape(system.n_param, system.n_spatial),
+                                   system.boundary_values.T)
 
 
 def sg_mean(system: SGSystem, u: np.ndarray) -> StatField:

@@ -27,6 +27,8 @@ from .param import Gramians, ParamGrid, assemble_gramians
 
 __all__ = ["SGSystem", "assemble_sg", "dump_matrix"]
 
+# Largest I*J for which ``SGSystem.explicit()`` builds the Kronecker matrix;
+# projected SOR needs that matrix, so a PSOR level above it is a config error.
 EXPLICIT_LIMIT = 500_000
 
 
@@ -42,9 +44,8 @@ class SGSystem:
     b : flat right-hand side of length I*J, parameter-major.
     obs : flat obstacle values at the tensor nodes.
     boundary_values : (n_boundary, J) Dirichlet data per parameter node.
-    explicit_limit : largest I*J for which ``explicit()`` builds the matrix.
     A : explicit CSR matrix, None until the first ``explicit()`` call builds
-        it (and for good when I*J exceeds ``explicit_limit``).
+        it (and for good when I*J exceeds ``EXPLICIT_LIMIT``).
     """
 
     mesh: Mesh
@@ -55,7 +56,6 @@ class SGSystem:
     b: np.ndarray
     obs: np.ndarray
     boundary_values: np.ndarray
-    explicit_limit: int = EXPLICIT_LIMIT
     A: sp.csr_array | None = None
 
     def __post_init__(self):
@@ -92,9 +92,9 @@ class SGSystem:
     def explicit(self) -> sp.csr_array | None:
         """The summed Kronecker matrix, built and cached on the first call.
 
-        None when I*J exceeds ``explicit_limit``.
+        None when I*J exceeds ``EXPLICIT_LIMIT``.
         """
-        if self.A is None and self.n <= self.explicit_limit:
+        if self.A is None and self.n <= EXPLICIT_LIMIT:
             A = sp.kron(self.gram.G0, self.K0, format="csr")
             for G, K in zip(self.gram.Gk, self.Kk):
                 if K is not None:
@@ -175,17 +175,16 @@ class SGSystem:
 
 
 def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
-                f_field: AffineField, g_field: AffineField, dirichlet=None,
-                explicit_limit: int = EXPLICIT_LIMIT,
-                quad_degree: int = 2) -> SGSystem:
+                f_field: AffineField, g_field: AffineField, dirichlet=None) -> SGSystem:
     """Assemble the tensor Galerkin LCP for given coefficient/source/obstacle.
 
     The spatial factors of the three affine fields are contracted with the
     Gramians (stiffness and load) and with the parameter nodes (obstacle).
     ``dirichlet`` is a callable (x, y) -> boundary values or None for
-    homogeneous data; nonhomogeneous data enters b through lifting.
+    homogeneous data; nonhomogeneous data enters b through lifting.  The
+    explicit Kronecker matrix is not built here (``SGSystem.explicit``).
     """
-    factors = affine_factors(mesh, a_field, f_field, g_field, grid.n_dims, quad_degree)
+    factors = affine_factors(mesh, a_field, f_field, g_field, grid.n_dims)
     gram = assemble_gramians(grid)
     y_nodes = grid.nodes()
     B = contract(factors.load, [gram.g0, *gram.gk])
@@ -193,7 +192,7 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
     obs = contract(factors.obs, [np.ones(grid.n_nodes), *y_nodes.T])
     return SGSystem(mesh=mesh, grid=grid, K0=factors.K_ii[0], Kk=factors.K_ii[1:],
                     gram=gram, b=B.reshape(-1), obs=obs.reshape(-1),
-                    boundary_values=D, explicit_limit=explicit_limit)
+                    boundary_values=D)
 
 
 def dump_matrix(system: SGSystem, path: str) -> None:

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from sgobstacle.fem import assemble_load, assemble_weighted_stiffness
-from sgobstacle.fields import AffineField, scenario_rng
+from sgobstacle.fields import AffineField, affine_factors, scenario_rng
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
                             active_set_solve)
-from sgobstacle.mc import (MCAccumulator, _AffineSampler, _frozen, _union_pattern,
-                           mc_run)
+from sgobstacle.mc import MCAccumulator, _AffineSampler, _frozen, mc_run
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D
 
@@ -102,7 +100,7 @@ class TestAffineSampler:
 
         def sampler_at(y):
             return _AffineSampler(mesh, _frozen(a, y), _frozen(f, y), g,
-                                  dirichlet if lifted else None, 3, 2)
+                                  dirichlet if lifted else None, 3)
 
         if affine:
             sampler = sampler_at(None)
@@ -122,19 +120,21 @@ class TestAffineSampler:
             assert_allclose(obs, g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
             assert_allclose(boundary, lift, rtol=1e-12)
 
-    def test_union_pattern_keeps_every_stored_entry(self):
-        # different patterns, one explicit zero and one duplicate entry
-        A = sp.csr_array((np.array([1.0, 0.0, 2.0]), np.array([0, 2, 1]),
-                          np.array([0, 2, 3, 3])), shape=(3, 3))
-        B = sp.csr_array((np.array([3.0, 4.0, 5.0]), np.array([1, 2, 2]),
-                          np.array([0, 0, 1, 3])), shape=(3, 3))
-        indptr, indices, (dA, dnone, dB) = _union_pattern([A, None, B])
-        assert dnone is None
-        assert indptr.tolist() == [0, 2, 3, 4]
-        assert indices.tolist() == [0, 2, 1, 2]
-        for M, d in ((A, dA), (B, dB)):
-            aligned = sp.csr_array((d, indices, indptr), shape=(3, 3))
-            assert_allclose(aligned.toarray(), M.toarray(), rtol=0)
+    def test_stiffness_factors_share_one_pattern(self):
+        # the sampler wraps every factor's data around K0's index arrays: a
+        # mode that vanishes on the left half and one that is identically
+        # zero must still store the full pattern, explicit zeros included
+        mesh = build_uniform_mesh(RECT, 6)
+        a = AffineField.build(1.0, [(0.5, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 0),
+                                    (1.0, lambda x: np.zeros(x.shape[0]), 1),
+                                    (0.3, lambda x: x[:, 1], 3)])
+        K_ii = affine_factors(mesh, a, AffineField.build(1.0), AffineField.build(0.0),
+                              4).K_ii
+        assert K_ii[3] is None
+        assert np.any(K_ii[1].data == 0.0) and np.all(K_ii[2].data == 0.0)
+        for K in (K_ii[1], K_ii[2], K_ii[4]):
+            assert np.array_equal(K.indptr, K_ii[0].indptr)
+            assert np.array_equal(K.indices, K_ii[0].indices)
 
 
 class TestMCRun:

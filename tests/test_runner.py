@@ -15,6 +15,7 @@ from sgobstacle.runner import (TABLE_HEADER, ConfigError, ErrorTable,
                                SolverNotConverged, TableRow, load_config,
                                run_convergence, run_mc, run_single,
                                validate_config)
+from sgobstacle.system import EXPLICIT_LIMIT
 
 SPAN = np.e - 1.0 / np.e
 
@@ -41,6 +42,8 @@ class TestValidateConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="solvers"):
             validate_config(base_config(solvers={}))
+        with pytest.raises(ConfigError, match="unknown config key 'explicit_limit'"):
+            validate_config(base_config(explicit_limit=EXPLICIT_LIMIT))
 
     def test_unknown_problem_names_valid_ids(self):
         with pytest.raises(ConfigError, match="example1.*example2"):
@@ -73,20 +76,19 @@ class TestValidateConfig:
     def test_bad_solver_options_rejected(self):
         with pytest.raises(ConfigError, match="solver"):
             validate_config(base_config(solver={"method": "psor", "omega": 5.0}))
-        with pytest.raises(ConfigError, match="solver"):
-            validate_config(base_config(solver={"sweeps": 3}))
+        for key in ("sweeps", "cg_tol", "cg_max_iter", "record_energy"):
+            with pytest.raises(ConfigError, match=f"solver: .*'{key}'"):
+                validate_config(base_config(solver={key: 3}))
 
     @pytest.mark.parametrize("solver, message", [
         ({"tol": float("nan")}, "tol must be a finite number"),
         ({"tol": True}, "tol must be a finite number"),
         ({"omega": float("inf")}, "omega must be a finite number"),
-        ({"cg_tol": "x"}, "cg_tol must be a finite number"),
-        ({"cg_tol": 0.0}, "cg_tol must be positive"),
+        ({"omega": 2.0}, "omega must lie in"),
+        ({"tol": 0.0}, "tol must be positive"),
         ({"max_iter": "7"}, "max_iter must be None or an integer"),
         ({"max_iter": 0}, "max_iter must be None or an integer"),
         ({"max_iter": True}, "max_iter must be None or an integer"),
-        ({"cg_max_iter": 2.0}, "cg_max_iter must be None or an integer"),
-        ({"record_energy": 1}, "record_energy must be true or false"),
     ])
     def test_solver_values_checked(self, solver, message):
         with pytest.raises(ConfigError, match=f"solver: .*{message}"):
@@ -151,7 +153,6 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("section, key, name", [
         (None, "quad_order", "quad_order"),
-        (None, "explicit_limit", "explicit_limit"),
         ("mc", "n_samples", "mc.n_samples"),
         ("mc", "seed", "mc.seed"),
         ("mc", "level", "mc.level"),
@@ -195,19 +196,20 @@ class TestValidateConfig:
         assert err.startswith("config error")
         assert message in err
 
-    def test_negative_explicit_limit_rejected(self):
-        with pytest.raises(ConfigError, match="explicit_limit must be non-negative"):
-            validate_config(base_config(explicit_limit=-1))
-
     def test_psor_within_explicit_limit(self):
-        # levels [4, 1] and [8, 2] of example2: I*J = 9*4 and 49*9
+        # level [100, 8] of example1 (two parameter dimensions) has
+        # I*J = 99**2 * 9**2 = 793881, above the limit; [8, 4] is far below
         psor = {"method": "psor"}
-        validate_config(base_config(solver=psor, explicit_limit=441))
-        with pytest.raises(ConfigError, match="level 1 has I\\*J = 441"):
-            validate_config(base_config(solver=psor, explicit_limit=440))
+        levels = {"levels": [[8, 4], [100, 8]]}
+        validate_config(base_config(problem="example1", solver=psor,
+                                    schedule={"levels": [[8, 4]]}))
+        with pytest.raises(ConfigError, match=f"level 1 has I\\*J = 793881, above "
+                                              f".*{EXPLICIT_LIMIT}"):
+            validate_config(base_config(problem="example1", solver=psor, schedule=levels))
         # the limit only binds the solver that reads the explicit matrix
-        validate_config(base_config(explicit_limit=0))
-        validate_config(base_config(mode="mc", solver=psor, explicit_limit=0))
+        validate_config(base_config(problem="example1", schedule=levels))
+        validate_config(base_config(problem="example1", mode="mc", solver=psor,
+                                    schedule=levels))
 
     def test_coefficient_mode_outside_parameter_box(self):
         with pytest.raises(ConfigError, match="coefficient a: mode dimension 1"):
@@ -518,10 +520,10 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", ["solve", "converge"])
     def test_galerkin_subcommands_require_sg_mode(self, tmp_path, capsys, command):
-        # PSOR above explicit_limit is a valid Monte Carlo config; run as a
-        # Galerkin solve it would need the explicit matrix the limit forbids
+        # PSOR above the explicit limit is a valid Monte Carlo config; run as
+        # a Galerkin solve it would need the explicit matrix the limit forbids
         cfg = {"problem": "example1", "mode": "mc",
-               "schedule": {"levels": [[8, 4]]}, "explicit_limit": 10,
+               "schedule": {"levels": [[100, 8]]},
                "solver": {"method": "psor"}, "output_dir": str(tmp_path / "out")}
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["-q", command, path]) == 1
@@ -540,13 +542,13 @@ class TestCLI:
 
     def test_psor_above_explicit_limit_exits_one(self, tmp_path, capsys):
         cfg = {"problem": "example1", "mode": "sg",
-               "schedule": {"levels": [[8, 4]]}, "explicit_limit": 10,
+               "schedule": {"levels": [[100, 8]]},
                "solver": {"method": "psor"}, "output_dir": str(tmp_path / "out")}
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["-q", "solve", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error")
-        assert "explicit_limit" in err
+        assert f"limit of {EXPLICIT_LIMIT}" in err
         assert not (tmp_path / "out").exists()
 
     def test_non_elliptic_coefficient_exits_one(self, tmp_path, capsys):
@@ -579,10 +581,9 @@ _FUZZ_BASES = [
         "problem": "custom", "mode": "both", "parameterization": "exp",
         "dirichlet": "exact", "name": "fuzz",
         "schedule": {"levels": [[4, 2], [6, 1]]},
-        "solver": {"method": "active-set", "omega": 1.5, "tol": 1e-8, "max_iter": None,
-                   "cg_tol": None, "cg_max_iter": None, "record_energy": False},
+        "solver": {"method": "active-set", "omega": 1.5, "tol": 1e-8, "max_iter": None},
         "mc": {"n_samples": 8, "seed": 0, "level": 1, "solver": {"method": "psor"}},
-        "quad_order": 8, "explicit_limit": 1000, "output_dir": "out",
+        "quad_order": 8, "output_dir": "out",
         "custom": {
             "name": "c", "domain": [0.0, 1.0, 0.0, 1.0],
             "densities": [{"kind": "uniform", "lo": 1.0, "hi": 2.0},
@@ -665,11 +666,9 @@ def _fuzzed_solvers(draw):
 
 
 def _assert_usable_solver(solver):
-    for value in (solver.omega, solver.tol, solver.cg_tol):
-        assert value is None or type(value) in (int, float) and math.isfinite(value)
-    for value in (solver.max_iter, solver.cg_max_iter):
-        assert value is None or type(value) is int and value >= 1
-    assert type(solver.record_energy) is bool
+    for value in (solver.omega, solver.tol):
+        assert type(value) in (int, float) and math.isfinite(value)
+    assert solver.max_iter is None or type(solver.max_iter) is int and solver.max_iter >= 1
 
 
 class TestValidateConfigFuzz:

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+from sgobstacle import system
 from sgobstacle.fem import assemble_load, assemble_weighted_stiffness
 from sgobstacle.fields import AffineField
 from sgobstacle.lcp import SolverConfig, active_set_solve
@@ -19,13 +20,13 @@ def one(x):
     return np.ones(x.shape[0])
 
 
-def make_system(nx=4, cells=2, explicit_limit=500_000):
+def make_system(nx=4, cells=2):
     mesh = build_uniform_mesh(RECT, nx)
     grid = build_param_grid([Density1D.exp_uniform()] * 2, cells)
     a = AffineField.build(1.0, [(1.0, one, 0), (2.0, one, 1)])
     f = AffineField.build(lambda x: x[:, 0] + 1.0, [(0.5, one, 1)])
     g = AffineField.build(-10.0)
-    return assemble_sg(mesh, grid, a, f, g, explicit_limit=explicit_limit)
+    return assemble_sg(mesh, grid, a, f, g)
 
 
 class TestDegenerateCases:
@@ -80,8 +81,9 @@ class TestKroneckerStructure:
         assert_allclose(A, A.T, atol=1e-13)
         assert np.linalg.eigvalsh(A).min() > 0
 
-    def test_explicit_skipped_above_limit(self):
-        sys_ = make_system(nx=4, cells=2, explicit_limit=10)
+    def test_explicit_skipped_above_limit(self, monkeypatch):
+        monkeypatch.setattr(system, "EXPLICIT_LIMIT", 10)
+        sys_ = make_system(nx=4, cells=2)
         assert sys_.explicit() is None
         with pytest.raises(ValueError):
             dump_matrix(sys_, "/tmp/should_not_exist.txt")
@@ -93,10 +95,12 @@ class TestKroneckerStructure:
         assert A is not None and sys_.A is A
         assert sys_.explicit() is A
 
-    def test_explicit_limit_is_inclusive(self):
+    def test_explicit_limit_is_inclusive(self, monkeypatch):
         n = make_system(nx=4, cells=2).n
-        assert make_system(nx=4, cells=2, explicit_limit=n).explicit() is not None
-        sys_ = make_system(nx=4, cells=2, explicit_limit=n - 1)
+        monkeypatch.setattr(system, "EXPLICIT_LIMIT", n)
+        assert make_system(nx=4, cells=2).explicit() is not None
+        monkeypatch.setattr(system, "EXPLICIT_LIMIT", n - 1)
+        sys_ = make_system(nx=4, cells=2)
         assert sys_.explicit() is None
         assert sys_.A is None
 
