@@ -1,0 +1,34 @@
+"""The one rule for numbers in configs and solver settings.
+
+JSON numbers and numpy scalars count.  A bool or a string is never a
+number, and a float is never truncated to an integer, so ``8.0``, ``8.9``,
+``"8"`` and ``true`` are all refused where an integer is wanted.  Both
+checks raise ValueError naming ``what``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def number(value, what: str) -> float:
+    """``value`` as a finite float."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def integer(value, what: str, lo: int = 0, hi: int | None = None) -> int:
+    """``value`` as an int in ``lo..hi`` (no upper end if ``hi`` is None)."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return int(value)
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise ValueError(f"{what} must be an integer {span}, got {value!r}")

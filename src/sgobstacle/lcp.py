@@ -19,7 +19,6 @@ for SPD A and omega in (0, 2); ``iterations`` counts sweeps.
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
@@ -29,6 +28,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
+
+from ._checks import integer, number
 
 __all__ = [
     "SolverConfig",
@@ -64,31 +65,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("psor", "active-set"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        for name in ("omega", "tol"):
-            value = getattr(self, name)
-            if not _is_finite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not (0.0 < self.omega < 2.0):
+        if not 0.0 < number(self.omega, "omega") < 2.0:
             raise ValueError("omega must lie in (0, 2)")
-        if self.tol <= 0.0:
+        if number(self.tol, "tol") <= 0.0:
             raise ValueError("tol must be positive")
-        max_iter = self.max_iter
-        if max_iter is not None and not (_is_int(max_iter) and max_iter >= 1):
-            raise ValueError(f"max_iter must be None or an integer >= 1, got {max_iter!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A number, not a bool, that is finite as a float."""
-    if not (_is_int(value) or isinstance(value, (float, np.floating))):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        if self.max_iter is not None:
+            integer(self.max_iter, "max_iter", 1)
 
 
 class SolverNotConverged(RuntimeError):

@@ -127,10 +127,14 @@ class ParamGrid:
 
 
 def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int]) -> ParamGrid:
-    """Uniform partition of each density's support into ``cells`` cells."""
+    """Uniform partition of each density's support into ``cells`` cells.
+
+    With no densities the data are deterministic: the grid is
+    ``deterministic_grid()``, one parameter node of unit weight.
+    """
     densities = tuple(densities)
     if len(densities) == 0:
-        raise ValueError("need at least one dimension; use deterministic_grid()")
+        return deterministic_grid()
     if np.isscalar(cells):
         cells = [int(cells)] * len(densities)
     if len(cells) != len(densities):

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import integer, number
 from .fem import SpatialFunction
 from .fields import AffineField
 from .param import Density1D
@@ -189,27 +190,6 @@ def get_problem(name: str, parameterization: str = "exp") -> Problem:
     return _BUILTINS[name](parameterization)
 
 
-def _number(value, what: str) -> float:
-    """A finite JSON number as a float; anything else is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:
-        out = float("inf")
-    if not np.isfinite(out):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return out
-
-
-def _count(value, what: str, limit: int | None = None) -> int:
-    """A JSON integer in 0..limit (no upper limit if None); else a ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < 0
-            or (limit is not None and value > limit)):
-        raise ValueError(f"{what} must be an integer in 0..{limit or ''}, got {value!r}")
-    return value
-
-
 def _entries(spec, what: str, length: int | None = None) -> list:
     if not isinstance(spec, list) or (length is not None and len(spec) != length):
         want = "a list" if length is None else f"a list of {length} entries"
@@ -227,16 +207,16 @@ def spatial_from_spec(spec) -> SpatialFunction:
     other spec raises ValueError.
     """
     if not isinstance(spec, dict):
-        return SpatialFunction.constant(_number(spec, "a constant spatial function"))
+        return SpatialFunction.constant(number(spec, "a constant spatial function"))
     if "kind" not in spec:
         raise ValueError(f"bad spatial function spec {spec!r}")
     kind = spec["kind"]
     if kind == "constant":
-        return SpatialFunction.constant(_number(spec.get("value"), "constant value"))
+        return SpatialFunction.constant(number(spec.get("value"), "constant value"))
     if kind == "polynomial":
-        terms = [(_number(c, "polynomial coefficient"),
-                  _count(p, "polynomial exponent", MAX_EXPONENT),
-                  _count(q, "polynomial exponent", MAX_EXPONENT))
+        terms = [(number(c, "polynomial coefficient"),
+                  integer(p, "polynomial exponent", 0, MAX_EXPONENT),
+                  integer(q, "polynomial exponent", 0, MAX_EXPONENT))
                  for c, p, q in (_entries(t, "polynomial term", 3)
                                  for t in _entries(spec.get("terms"), "polynomial terms"))]
 
@@ -264,11 +244,11 @@ def density_from_spec(spec) -> Density1D:
         raise ValueError(f"bad density spec {spec!r}")
     kind = spec["kind"]
     if kind == "uniform":
-        return Density1D.uniform(_number(spec.get("lo"), "uniform lo"),
-                                 _number(spec.get("hi"), "uniform hi"))
+        return Density1D.uniform(number(spec.get("lo"), "uniform lo"),
+                                 number(spec.get("hi"), "uniform hi"))
     if kind == "exp-uniform":
-        lo = _number(spec.get("lo", -1.0), "exp-uniform lo")
-        hi = _number(spec.get("hi", 1.0), "exp-uniform hi")
+        lo = number(spec.get("lo", -1.0), "exp-uniform lo")
+        hi = number(spec.get("hi", 1.0), "exp-uniform hi")
         if not -700.0 <= lo < hi <= 700.0:
             raise ValueError(f"exp-uniform needs -700 <= lo < hi <= 700, got ({lo}, {hi})")
         return Density1D.exp_uniform(lo, hi)
@@ -277,15 +257,15 @@ def density_from_spec(spec) -> Density1D:
 
 def _affine_from_spec(spec, what: str) -> AffineField:
     if not isinstance(spec, dict):
-        return AffineField.build(_number(spec, f"field {what}"))
+        return AffineField.build(number(spec, f"field {what}"))
     mean = spatial_from_spec(spec.get("mean", 0.0))
     modes = []
     for m in _entries(spec.get("modes", []), f"field {what} modes"):
         if not isinstance(m, dict):
             raise ValueError(f"field {what}: a mode must be an object, got {m!r}")
-        modes.append((_number(m.get("coeff"), f"field {what} mode coeff"),
+        modes.append((number(m.get("coeff"), f"field {what} mode coeff"),
                       spatial_from_spec(m.get("shape")),
-                      _count(m.get("dim"), f"field {what} mode dim")))
+                      integer(m.get("dim"), f"field {what} mode dim")))
     return AffineField.build(mean, modes)
 
 
@@ -297,7 +277,7 @@ def problem_from_config(custom: dict) -> Problem:
     """
     if not isinstance(custom, dict):
         raise ValueError(f"custom must be an object, got {custom!r}")
-    rect = tuple(_number(v, "domain bound")
+    rect = tuple(number(v, "domain bound")
                  for v in _entries(custom.get("domain"), "domain [x0, x1, y0, y1]", 4))
     if not (0.0 < rect[1] - rect[0] < np.inf and 0.0 < rect[3] - rect[2] < np.inf):
         raise ValueError(f"domain [x0, x1, y0, y1] needs x0 < x1 and y0 < y1 with "

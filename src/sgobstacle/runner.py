@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, number
 from .fem import _quad_points, _triangle_geometry, evaluate_p1
 from .fields import AffineField, bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
@@ -97,56 +99,61 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(raw)
 
 
+def _checked(errors: list, check, *args):
+    """``check(*args)``, or None after noting its ValueError in ``errors``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        errors.append(str(exc))
+        return None
+
+
+def _level(problem: Problem, h: float, cells: int, label: str,
+           errors: list) -> Level | None:
+    """The level of cell side ``h``, or None after noting why it cannot be built."""
+    x0, x1, y0, y1 = problem.rect
+    if not (h > 0.0 and ((x1 - x0) / h + 1.0) * ((y1 - y0) / h + 1.0) <= MAX_NODES):
+        errors.append(f"{label} has a mesh of more than {MAX_NODES} nodes")
+        return None
+    nx, ny = (x1 - x0) / h, (y1 - y0) / h
+    if min(nx, ny) < 1.5:
+        side = "x" if nx < ny else "y"
+        errors.append(f"{label} leaves fewer than 2 cells on the {side} side")
+        return None
+    if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
+        errors.append(f"{label} does not divide the domain sides")
+        return None
+    return Level(nx=round(nx), ny=round(ny), cells=cells)
+
+
 def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
+    if not problem.densities:
+        errors.append("schedule.coupled needs a parameter dimension; use levels")
+        return []
     h_over_s = spec.get("h_over_s", problem.h_over_s)
     if h_over_s is None:
         errors.append("schedule.coupled needs h_over_s (no problem default)")
         return []
-    if (isinstance(h_over_s, bool) or not isinstance(h_over_s, (int, float))
-            or not 0.0 < h_over_s < float("inf")):
+    h_over_s = _checked(errors, number, h_over_s, "schedule.coupled.h_over_s")
+    m_min = _checked(errors, integer, spec.get("m_min", 1), "schedule.coupled.m_min", 0, 30)
+    m_max = _checked(errors, integer, spec.get("m_max", 4), "schedule.coupled.m_max",
+                     m_min or 0, 30)
+    if h_over_s is None or m_min is None or m_max is None:
+        return []
+    if h_over_s <= 0.0:
         errors.append(f"schedule.coupled.h_over_s must be positive, got {h_over_s!r}")
         return []
-    m_min = _int_option(spec, "m_min", 1, "schedule.coupled.m_min", errors)
-    m_max = _int_option(spec, "m_max", 4, "schedule.coupled.m_max", errors)
-    if m_min is None or m_max is None:
-        return []
-    if m_min < 0 or m_max < m_min or m_max > 30:
-        errors.append("schedule.coupled needs 0 <= m_min <= m_max <= 30")
-        return []
     span = max(rho.support[1] - rho.support[0] for rho in problem.densities)
-    x0, x1, y0, y1 = problem.rect
     levels = []
     for m in range(m_min, m_max + 1):
         cells = 2 ** m
         h = h_over_s * span / cells
-        if not (h > 0.0 and ((x1 - x0) / h + 1.0) * ((y1 - y0) / h + 1.0) <= MAX_NODES):
-            # h halves with every m, so every finer level is larger still
-            errors.append(f"coupled level m={m}: a mesh with h={h!r} has more than "
-                          f"{MAX_NODES} nodes")
+        level = _level(problem, h, cells, f"coupled level m={m} (h={h!r})", errors)
+        if level is None:
+            # every level shares h_over_s, so the first one refused names the fault
             break
-        nx = (x1 - x0) / h
-        ny = (y1 - y0) / h
-        if min(nx, ny) < 1.5:
-            errors.append(f"coupled level m={m}: h={h!r} leaves fewer than 2 cells "
-                          "on a domain side")
-            continue
-        if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
-            errors.append(
-                f"coupled level m={m}: h={h!r} does not divide the domain sides")
-            continue
-        levels.append(Level(nx=int(round(nx)), ny=int(round(ny)), cells=cells))
+        levels.append(level)
     return levels
-
-
-def _int_option(section: dict, key: str, default: int, name: str,
-                errors: list) -> int | None:
-    """``section[key]`` as an int (``default`` if absent); None if not a number."""
-    value = section.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        errors.append(f"{name} must be an integer, got {value!r}")
-        return None
 
 
 def _check_ellipticity(problem: Problem, levels: list[Level], errors: list) -> None:
@@ -180,7 +187,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     errors: list[str] = []
     known = {"problem", "mode", "parameterization", "dirichlet", "schedule",
-             "solver", "mc", "quad_order", "output_dir", "custom", "name"}
+             "solver", "mc", "quad_order", "output_dir", "custom"}
     for key in raw:
         if key not in known:
             errors.append(f"unknown config key {key!r}")
@@ -224,28 +231,22 @@ def validate_config(raw: dict) -> ExperimentConfig:
         elif "levels" in schedule and not isinstance(schedule["levels"], list):
             errors.append("schedule.levels must be a list of [nx, cells] pairs")
         elif "levels" in schedule:
+            x0, x1 = problem.rect[:2]
             for entry in schedule["levels"]:
-                try:
-                    nx, cells = (int(v) for v in entry) if isinstance(entry, list) else ()
-                except (TypeError, ValueError, OverflowError):
+                if not (isinstance(entry, list) and len(entry) == 2):
                     errors.append(f"bad schedule level {entry!r}, want [nx, cells]")
                     continue
-                if nx < 2 or cells < 1:
-                    errors.append(f"level [nx={nx}, cells={cells}] needs nx >= 2, cells >= 1")
+                nx = _checked(errors, integer, entry[0], f"bad schedule level {entry!r}: nx", 2)
+                cells = _checked(errors, integer, entry[1],
+                                 f"bad schedule level {entry!r}: cells", 1)
+                if nx is None or cells is None:
                     continue
-                x0, x1, y0, y1 = problem.rect
-                ny = nx * (y1 - y0) / (x1 - x0) if nx < MAX_NODES else float("inf")
-                if (nx + 1) * (ny + 1) > MAX_NODES:
-                    errors.append(f"level [nx={nx}, cells={cells}] has a mesh of more "
-                                  f"than {MAX_NODES} nodes")
-                    continue
-                if abs(ny - round(ny)) > 1e-9:
-                    errors.append(f"nx={nx} gives non-integer cell count on the y side")
-                    continue
-                if ny < 1.5:
-                    errors.append(f"nx={nx} gives fewer than 2 cells on the y side")
-                    continue
-                levels.append(Level(nx=nx, ny=int(round(ny)), cells=cells))
+                # more than MAX_NODES cells on a side is too many nodes, and such
+                # an nx need not convert to a float for the division
+                h = (x1 - x0) / nx if nx <= MAX_NODES else 0.0
+                level = _level(problem, h, cells, f"level [nx={nx}, cells={cells}]", errors)
+                if level is not None:
+                    levels.append(level)
         elif "coupled" in schedule and not isinstance(schedule["coupled"], dict):
             errors.append("schedule.coupled must be an object")
         elif "coupled" in schedule:
@@ -280,23 +281,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(mc_raw, dict):
         errors.append("mc must be an object")
         mc_raw = {}
-    mc_samples = _int_option(mc_raw, "n_samples", 4096, "mc.n_samples", errors)
-    mc_seed = _int_option(mc_raw, "seed", 0, "mc.seed", errors)
-    mc_level = _int_option(mc_raw, "level", 0, "mc.level", errors)
-    if mc_samples is not None and mc_samples < 1:
-        errors.append("mc.n_samples must be at least 1")
+    mc_samples = _checked(errors, integer, mc_raw.get("n_samples", 4096), "mc.n_samples", 1)
+    mc_seed = _checked(errors, integer, mc_raw.get("seed", 0), "mc.seed")
+    mc_level = _checked(errors, integer, mc_raw.get("level", 0), "mc.level", 0,
+                        len(levels) - 1 if levels else None)
     mc_solver = None
     if "solver" in mc_raw:
         try:
             mc_solver = SolverConfig(**mc_raw["solver"])
         except (TypeError, ValueError) as exc:
             errors.append(f"mc.solver: {exc}")
-    if levels and mc_level is not None and not (0 <= mc_level < len(levels)):
-        errors.append(f"mc.level {mc_level} outside the schedule (0..{len(levels) - 1})")
 
-    quad_order = _int_option(raw, "quad_order", 64, "quad_order", errors)
-    if quad_order is not None and quad_order < 2:
-        errors.append("quad_order must be at least 2")
+    # leggauss(q) solves a q x q eigenproblem, and a 2-D tensor rule of this
+    # order has at most MAX_NODES nodes, the bound of a parameter grid
+    quad_order = _checked(errors, integer, raw.get("quad_order", 64), "quad_order", 2,
+                          math.isqrt(MAX_NODES))
     if solver is not None and solver.method == "psor" and mode in ("sg", "both"):
         for k, level in enumerate(levels):
             I, J = level.sizes(problem.n_dims)

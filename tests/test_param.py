@@ -73,6 +73,7 @@ class TestParamGrid:
         assert grid.n_dims == 0
         assert grid.n_nodes == 1
         assert grid.s == 0.0
+        assert build_param_grid([], 4) == grid
 
     def test_bad_cells_rejected(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,9 @@ class TestValidateConfig:
             validate_config(base_config(solvers={}))
         with pytest.raises(ConfigError, match="unknown config key 'explicit_limit'"):
             validate_config(base_config(explicit_limit=EXPLICIT_LIMIT))
+        # a custom problem's name is custom.name; nothing read a top-level one
+        with pytest.raises(ConfigError, match="unknown config key 'name'"):
+            validate_config(base_config(name="fuzz"))
 
     def test_unknown_problem_names_valid_ids(self):
         with pytest.raises(ConfigError, match="example1.*example2"):
@@ -86,9 +89,9 @@ class TestValidateConfig:
         ({"omega": float("inf")}, "omega must be a finite number"),
         ({"omega": 2.0}, "omega must lie in"),
         ({"tol": 0.0}, "tol must be positive"),
-        ({"max_iter": "7"}, "max_iter must be None or an integer"),
-        ({"max_iter": 0}, "max_iter must be None or an integer"),
-        ({"max_iter": True}, "max_iter must be None or an integer"),
+        ({"max_iter": "7"}, "max_iter must be an integer >= 1"),
+        ({"max_iter": 0}, "max_iter must be an integer >= 1"),
+        ({"max_iter": True}, "max_iter must be an integer >= 1"),
     ])
     def test_solver_values_checked(self, solver, message):
         with pytest.raises(ConfigError, match=f"solver: .*{message}"):
@@ -109,9 +112,9 @@ class TestValidateConfig:
             validate_config(cfg)
 
     def test_bad_level_entries(self):
-        with pytest.raises(ConfigError, match="nx >= 2"):
+        with pytest.raises(ConfigError, match="nx must be an integer >= 2"):
             validate_config(base_config(schedule={"levels": [[1, 1]]}))
-        with pytest.raises(ConfigError, match="cells >= 1"):
+        with pytest.raises(ConfigError, match="cells must be an integer >= 1"):
             validate_config(base_config(schedule={"levels": [[4, 0]]}))
 
     def test_coupled_schedule_uses_problem_constant(self):
@@ -151,18 +154,25 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="custom"):
             validate_config(base_config(problem="custom"))
 
-    @pytest.mark.parametrize("section, key, name", [
-        (None, "quad_order", "quad_order"),
-        ("mc", "n_samples", "mc.n_samples"),
-        ("mc", "seed", "mc.seed"),
-        ("mc", "level", "mc.level"),
+    @pytest.mark.parametrize("section, key, name, value", [
+        pytest.param(None, "quad_order", "quad_order", "many", id="None-quad_order-quad_order"),
+        pytest.param("mc", "n_samples", "mc.n_samples", "lots", id="mc-n_samples-mc.n_samples"),
+        pytest.param("mc", "seed", "mc.seed", "lots", id="mc-seed-mc.seed"),
+        pytest.param("mc", "level", "mc.level", "lots", id="mc-level-mc.level"),
+        # integers are never truncated or parsed from strings
+        pytest.param(None, "quad_order", "quad_order", 3.9, id="quad_order=3.9"),
+        pytest.param(None, "quad_order", "quad_order", "7", id="quad_order='7'"),
+        pytest.param(None, "quad_order", "quad_order", True, id="quad_order=true"),
+        pytest.param("mc", "seed", "mc.seed", True, id="seed=true"),
+        pytest.param("mc", "seed", "mc.seed", -1, id="seed=-1"),
+        pytest.param("mc", "n_samples", "mc.n_samples", 2.5, id="n_samples=2.5"),
     ])
-    def test_non_numeric_integers_rejected(self, section, key, name):
+    def test_non_numeric_integers_rejected(self, section, key, name, value):
         cfg = base_config()
         if section is None:
-            cfg[key] = "many"
+            cfg[key] = value
         else:
-            cfg[section] = {key: "lots"}
+            cfg[section] = {key: value}
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             validate_config(cfg)
 
@@ -179,7 +189,7 @@ class TestValidateConfig:
         ({"schedule": {"levels": 5}}, "schedule.levels must be a list"),
         ({"schedule": {"coupled": 5}}, "schedule.coupled must be an object"),
         ({"schedule": {"coupled": {"h_over_s": "x"}}},
-         "schedule.coupled.h_over_s must be positive"),
+         "schedule.coupled.h_over_s must be a finite number"),
         ({"schedule": {"coupled": {"m_min": "a"}}},
          "schedule.coupled.m_min must be an integer"),
         ({"output_dir": 5}, "output_dir must be a string"),
@@ -226,7 +236,7 @@ class TestValidateConfigRegressions:
     """Inputs the validate_config fuzz found raising something else than ConfigError."""
 
     @pytest.mark.parametrize("custom_overrides, message", [
-        ({"fields": {"a": None, "f": 1.0, "g": 0.0}}, "field a must be a number"),
+        ({"fields": {"a": None, "f": 1.0, "g": 0.0}}, "field a must be a finite number"),
         ({"fields": {"a": {"modes": 3}, "f": 1.0, "g": 0.0}}, "field a modes must be a list"),
         ({"fields": {"a": {"modes": [5]}, "f": 1.0, "g": 0.0}}, "a mode must be an object"),
         ({"fields": {"a": {"mean": {"kind": "polynomial", "terms": [[1.0, 10 ** 30, 0]]}},
@@ -236,7 +246,7 @@ class TestValidateConfigRegressions:
         ({"domain": [-1e308, 1e308, 0.0, 1.0]}, "finite sides"),
         ({"domain": [0.0, 1.0, 0.0, 1e-20]}, "fewer than 2 cells on the y side"),
         ({"densities": [{"kind": "uniform", "lo": 0.0, "hi": float("inf")}]},
-         "uniform hi must be finite"),
+         "uniform hi must be a finite number"),
         ({"densities": [{"kind": "exp-uniform", "lo": 0.0, "hi": 1000.0}]},
          "exp-uniform needs"),
         ({"name": ["x"]}, "custom name must be a string"),
@@ -248,15 +258,22 @@ class TestValidateConfigRegressions:
             validate_config(cfg)
 
     @pytest.mark.parametrize("schedule, message", [
-        ({"levels": [[1e300, 1]]}, "more than 4194304 nodes"),
+        ({"levels": [[10 ** 300, 1]]}, "more than 4194304 nodes"),
         ({"levels": [[float("inf"), 1]]}, "bad schedule level"),
         ({"levels": [{"0": 4, "1": 2}]}, "bad schedule level"),
         ({"coupled": {"h_over_s": 5e-324, "m_max": 2}}, "more than 4194304 nodes"),
         ({"coupled": {"h_over_s": 1e300, "m_max": 2}}, "fewer than 2 cells"),
-        ({"coupled": {"h_over_s": float("inf")}}, "h_over_s must be positive"),
-        ({"coupled": {"h_over_s": 1.0, "m_max": 10 ** 30}}, "m_max <= 30"),
+        ({"coupled": {"h_over_s": float("inf")}}, "h_over_s must be a finite number, got inf"),
+        ({"coupled": {"h_over_s": 1.0, "m_max": 10 ** 30}},
+         "m_max must be an integer in 1..30"),
         ({"levels": [[8, 10 ** 30]]}, "parameter grid of more than 4194304 nodes"),
         ({"levels": [[8, 2 ** 22]]}, "parameter grid of more than 4194304 nodes"),
+        # a float or a string is refused, never truncated or parsed
+        ({"levels": [[8.9, 4]]}, "nx must be an integer >= 2, got 8.9"),
+        ({"levels": [["8", 4]]}, "nx must be an integer >= 2, got '8'"),
+        ({"levels": [[1e300, 1]]}, "nx must be an integer >= 2, got 1e"),
+        ({"coupled": {"h_over_s": 1.0, "m_min": 1.9}},
+         "schedule.coupled.m_min must be an integer in 0..30, got 1.9"),
     ])
     def test_unbuildable_levels(self, schedule, message):
         with pytest.raises(ConfigError, match=message):
@@ -265,6 +282,21 @@ class TestValidateConfigRegressions:
     def test_huge_integer_option(self):
         with pytest.raises(ConfigError, match="quad_order must be an integer"):
             validate_config(base_config(quad_order=float("inf")))
+
+    def test_quad_order_capped(self):
+        # leggauss(q) builds and diagonalizes a q x q matrix; the cap keeps a
+        # 2-D tensor rule within MAX_NODES nodes.  Validation only: no rule
+        # of either order is built here.
+        assert validate_config(base_config(quad_order=2048)).quad_order == 2048
+        with pytest.raises(ConfigError, match="quad_order must be an integer in "
+                                              "2..2048, got 2049"):
+            validate_config(base_config(quad_order=2049))
+
+    def test_coupled_schedule_needs_a_parameter_dimension(self):
+        cfg = custom_config(3.0, schedule={"coupled": {"h_over_s": 1.0}})
+        cfg["custom"]["densities"] = []
+        with pytest.raises(ConfigError, match="schedule.coupled needs a parameter dimension"):
+            validate_config(cfg)
 
     def test_many_parameter_dimensions(self):
         # the ellipticity bound is separable in y: 40 dimensions do not
@@ -565,6 +597,31 @@ class TestCLI:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        cfg = base_config(mode="mc", output_dir=str(tmp_path / "out"),
+                          mc={"n_samples": 4, "seed": -1, "level": 0})
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "mc", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mc.seed must be an integer >= 0, got -1")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["active-set", "psor"])
+    def test_custom_problem_without_densities_solves(self, tmp_path, method):
+        # no densities: deterministic data, one parameter node (J = 1)
+        cfg = custom_config(3.0, output_dir=str(tmp_path / "out"),
+                            solver={"method": method})
+        cfg["custom"]["densities"] = []
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 0
+        out = tmp_path / "out"
+        report = json.loads((out / "custom_level0_report.json").read_text())
+        assert report["J"] == 1 and report["solver"]["converged"]
+        variance = np.loadtxt(out / "custom_level0_variance.csv", delimiter=",",
+                              skiprows=1)[:, 2]
+        assert variance.size == 81 and not variance.any()
+
     def test_mc_subcommand_requires_mc_mode(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config())
         assert cli_main(["-q", "mc", path]) == 1
@@ -579,7 +636,7 @@ class TestCLI:
 _FUZZ_BASES = [
     {
         "problem": "custom", "mode": "both", "parameterization": "exp",
-        "dirichlet": "exact", "name": "fuzz",
+        "dirichlet": "exact",
         "schedule": {"levels": [[4, 2], [6, 1]]},
         "solver": {"method": "active-set", "omega": 1.5, "tol": 1e-8, "max_iter": None},
         "mc": {"n_samples": 8, "seed": 0, "level": 1, "solver": {"method": "psor"}},
