@@ -3,7 +3,8 @@
 JSON numbers and numpy scalars count.  A bool or a string is never a
 number, and a float is never truncated to an integer, so ``8.0``, ``8.9``,
 ``"8"`` and ``true`` are all refused where an integer is wanted.  Both
-checks raise ValueError naming ``what``.
+checks raise ValueError naming ``what`` and quoting the value through
+``shown``, which keeps a message short whatever the config holds.
 """
 
 from __future__ import annotations
@@ -11,6 +12,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+SHOWN_CHARS = 40
+
+
+def shown(value) -> str:
+    """``repr(value)``, cut to ``SHOWN_CHARS`` characters with an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS - 3] + "..."
 
 
 def number(value, what: str) -> float:
@@ -22,7 +31,7 @@ def number(value, what: str) -> float:
             out = math.inf
         if math.isfinite(out):
             return out
-    raise ValueError(f"{what} must be a finite number, got {value!r}")
+    raise ValueError(f"{what} must be a finite number, got {shown(value)}")
 
 
 def integer(value, what: str, lo: int = 0, hi: int | None = None) -> int:
@@ -31,4 +40,4 @@ def integer(value, what: str, lo: int = 0, hi: int | None = None) -> int:
             and lo <= value and (hi is None or value <= hi)):
         return int(value)
     span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-    raise ValueError(f"{what} must be an integer {span}, got {value!r}")
+    raise ValueError(f"{what} must be an integer {span}, got {shown(value)}")

@@ -5,7 +5,7 @@ attach to the same parameter dimension.  Non-affine parametric fields are
 plain callables (x, y) -> values; frozen at one parameter point they are
 affine fields with no modes, which is how the Monte Carlo path uses them.
 ``affine_factors`` turns a, f, g into interior spatial factors once, for
-both the tensor Galerkin system and a single sample.
+both the tensor Galerkin system and the Monte Carlo sample blocks.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ class AffineFactors:
         D (n_boundary, J) holds the Dirichlet data at the J parameter points
         ``y_points`` (zero without data, ``dirichlet`` None), and the lifting
         is sum_k W_k (K_ib,k D)^T with one (J, J) weight per term: the
-        Gramians G0, Gk for the Galerkin system, 1 and y_k for one sample.
+        Gramians G0, Gk for the Galerkin system, diag(1) and diag(y_k) over
+        a block of samples.
         """
         D = np.zeros((len(self.x_boundary), len(y_points)))
         if dirichlet is None:

@@ -162,8 +162,9 @@ def _banded_cholesky_solver(rows, cols, vals, n):
     def solve(r):
         if not factor:
             offset = rows - cols
-            band = np.zeros((int(offset.max(initial=0)) + 1, n))
-            np.add.at(band, (offset, cols), vals)
+            depth = int(offset.max(initial=0)) + 1
+            band = np.bincount(offset * n + cols, weights=vals,
+                               minlength=depth * n).reshape(depth, n)
             factor.append(cholesky_banded(band, lower=True, check_finite=False))
         return cho_solve_banded((factor[0], True), r, check_finite=False)
 
@@ -231,8 +232,8 @@ def _colour_ordered(A):
     owns the rows ``bounds[c]:bounds[c + 1]``.  When A's rows already are in
     colour order (one colour, or a dense matrix) A's own arrays come back
     and ``order`` and ``rank`` are full slices.  This runs on every PSOR
-    call, so a one-row Monte Carlo sample system costs a few list operations
-    here and no permutation.
+    call, so a Monte Carlo block of one-node samples (a diagonal matrix)
+    costs one colouring pass here and no permutation.
     """
     colour = greedy_colouring(A)
     ranked = sorted(colour)

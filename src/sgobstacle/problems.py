@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import integer, number
+from ._checks import integer, number, shown
 from .fem import SpatialFunction
 from .fields import AffineField
 from .param import Density1D
@@ -193,7 +193,7 @@ def get_problem(name: str, parameterization: str = "exp") -> Problem:
 def _entries(spec, what: str, length: int | None = None) -> list:
     if not isinstance(spec, list) or (length is not None and len(spec) != length):
         want = "a list" if length is None else f"a list of {length} entries"
-        raise ValueError(f"{what} must be {want}, got {spec!r}")
+        raise ValueError(f"{what} must be {want}, got {shown(spec)}")
     return spec
 
 
@@ -209,7 +209,7 @@ def spatial_from_spec(spec) -> SpatialFunction:
     if not isinstance(spec, dict):
         return SpatialFunction.constant(number(spec, "a constant spatial function"))
     if "kind" not in spec:
-        raise ValueError(f"bad spatial function spec {spec!r}")
+        raise ValueError(f"bad spatial function spec {shown(spec)}")
     kind = spec["kind"]
     if kind == "constant":
         return SpatialFunction.constant(number(spec.get("value"), "constant value"))
@@ -236,12 +236,12 @@ def spatial_from_spec(spec) -> SpatialFunction:
             return out
 
         return SpatialFunction(values=values, grad=grad)
-    raise ValueError(f"unknown spatial function kind {kind!r}")
+    raise ValueError(f"unknown spatial function kind {shown(kind)}")
 
 
 def density_from_spec(spec) -> Density1D:
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"bad density spec {spec!r}")
+        raise ValueError(f"bad density spec {shown(spec)}")
     kind = spec["kind"]
     if kind == "uniform":
         return Density1D.uniform(number(spec.get("lo"), "uniform lo"),
@@ -252,7 +252,7 @@ def density_from_spec(spec) -> Density1D:
         if not -700.0 <= lo < hi <= 700.0:
             raise ValueError(f"exp-uniform needs -700 <= lo < hi <= 700, got ({lo}, {hi})")
         return Density1D.exp_uniform(lo, hi)
-    raise ValueError(f"unknown density kind {kind!r}")
+    raise ValueError(f"unknown density kind {shown(kind)}")
 
 
 def _affine_from_spec(spec, what: str) -> AffineField:
@@ -262,7 +262,7 @@ def _affine_from_spec(spec, what: str) -> AffineField:
     modes = []
     for m in _entries(spec.get("modes", []), f"field {what} modes"):
         if not isinstance(m, dict):
-            raise ValueError(f"field {what}: a mode must be an object, got {m!r}")
+            raise ValueError(f"field {what}: a mode must be an object, got {shown(m)}")
         modes.append((number(m.get("coeff"), f"field {what} mode coeff"),
                       spatial_from_spec(m.get("shape")),
                       integer(m.get("dim"), f"field {what} mode dim")))
@@ -276,7 +276,7 @@ def problem_from_config(custom: dict) -> Problem:
     available for them.
     """
     if not isinstance(custom, dict):
-        raise ValueError(f"custom must be an object, got {custom!r}")
+        raise ValueError(f"custom must be an object, got {shown(custom)}")
     rect = tuple(number(v, "domain bound")
                  for v in _entries(custom.get("domain"), "domain [x0, x1, y0, y1]", 4))
     if not (0.0 < rect[1] - rect[0] < np.inf and 0.0 < rect[3] - rect[2] < np.inf):
@@ -286,11 +286,11 @@ def problem_from_config(custom: dict) -> Problem:
                       for d in _entries(custom.get("densities"), "densities"))
     fields = custom.get("fields")
     if not isinstance(fields, dict):
-        raise ValueError(f"fields must be an object, got {fields!r}")
+        raise ValueError(f"fields must be an object, got {shown(fields)}")
     fields = {key: _affine_from_spec(fields.get(key), key) for key in ("a", "f", "g")}
     name = custom.get("name", "custom")
     if not isinstance(name, str):
-        raise ValueError(f"custom name must be a string, got {name!r}")
+        raise ValueError(f"custom name must be a string, got {shown(name)}")
     return Problem(
         name=name, rect=rect, n_dims=len(densities),
         parameterization="exp", densities=densities, fields=fields,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, number
+from ._checks import integer, number, shown
 from .fem import _quad_points, _triangle_geometry, evaluate_p1
 from .fields import AffineField, bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
@@ -94,7 +94,7 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to parse
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return validate_config(raw)
 
@@ -190,14 +190,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
              "solver", "mc", "quad_order", "output_dir", "custom"}
     for key in raw:
         if key not in known:
-            errors.append(f"unknown config key {key!r}")
+            errors.append(f"unknown config key {shown(key)}")
 
     mode = raw.get("mode", "sg")
     if mode not in ("sg", "mc", "both"):
-        errors.append(f"mode must be sg, mc or both, got {mode!r}")
+        errors.append(f"mode must be sg, mc or both, got {shown(mode)}")
     parameterization = raw.get("parameterization", "exp")
     if parameterization not in ("exp", "xi"):
-        errors.append(f"parameterization must be exp or xi, got {parameterization!r}")
+        errors.append(f"parameterization must be exp or xi, got {shown(parameterization)}")
 
     problem = None
     name = raw.get("problem", "example1")
@@ -219,7 +219,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     dirichlet_mode = raw.get("dirichlet", "exact")
     if dirichlet_mode not in ("exact", "zero"):
-        errors.append(f"dirichlet must be exact or zero, got {dirichlet_mode!r}")
+        errors.append(f"dirichlet must be exact or zero, got {shown(dirichlet_mode)}")
 
     levels: list[Level] = []
     schedule = raw.get("schedule", {})
@@ -234,17 +234,20 @@ def validate_config(raw: dict) -> ExperimentConfig:
             x0, x1 = problem.rect[:2]
             for entry in schedule["levels"]:
                 if not (isinstance(entry, list) and len(entry) == 2):
-                    errors.append(f"bad schedule level {entry!r}, want [nx, cells]")
+                    errors.append(f"bad schedule level {shown(entry)}, want [nx, cells]")
                     continue
-                nx = _checked(errors, integer, entry[0], f"bad schedule level {entry!r}: nx", 2)
-                cells = _checked(errors, integer, entry[1],
-                                 f"bad schedule level {entry!r}: cells", 1)
-                if nx is None or cells is None:
+                # one message per entry, naming it once whatever is wrong in it
+                faults: list[str] = []
+                nx = _checked(faults, integer, entry[0], "nx", 2)
+                cells = _checked(faults, integer, entry[1], "cells", 1)
+                if faults:
+                    errors.append(f"bad schedule level {shown(entry)}: {'; '.join(faults)}")
                     continue
                 # more than MAX_NODES cells on a side is too many nodes, and such
                 # an nx need not convert to a float for the division
                 h = (x1 - x0) / nx if nx <= MAX_NODES else 0.0
-                level = _level(problem, h, cells, f"level [nx={nx}, cells={cells}]", errors)
+                level = _level(problem, h, cells,
+                               f"level [nx={shown(nx)}, cells={shown(cells)}]", errors)
                 if level is not None:
                     levels.append(level)
         elif "coupled" in schedule and not isinstance(schedule["coupled"], dict):
@@ -258,7 +261,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if mode in ("sg", "both"):
             for level in levels:
                 if (level.cells + 1) ** problem.n_dims > MAX_NODES:
-                    errors.append(f"level [nx={level.nx}, cells={level.cells}] has a "
+                    errors.append(f"level [nx={level.nx}, cells={shown(level.cells)}] has a "
                                   f"parameter grid of more than {MAX_NODES} nodes")
 
     if "solver" not in raw:
@@ -307,7 +310,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
-        errors.append(f"output_dir must be a string, got {output_dir!r}")
+        errors.append(f"output_dir must be a string, got {shown(output_dir)}")
 
     if errors:
         raise ConfigError("; ".join(errors))

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from sgobstacle.fem import assemble_weighted_stiffness
 from sgobstacle.fields import AffineField
-from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem, _pcg,
-                            active_set_solve, brute_force_solve,
+from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
+                            _banded_cholesky_solver, _pcg, active_set_solve, brute_force_solve,
                             complementarity_residual, greedy_colouring,
                             psor_solve, solve_lcp)
 from sgobstacle.mesh import build_uniform_mesh
@@ -107,6 +107,36 @@ def test_solvers_match_enumeration_on_m_matrices(lcp):
                                                         max_iter=20_000))):
         assert rep.converged
         assert np.max(np.abs(u - exact)) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(m_matrix_lcps(), min_size=1, max_size=4))
+def test_block_diagonal_lcp_matches_enumeration_per_block(lcps):
+    # independent LCPs stacked into one block-diagonal system, as Monte
+    # Carlo solves a block of samples, decouple: each block of the joint
+    # solution is that block's own solution
+    A = sp.block_diag([A for A, _, _ in lcps], format="csr")
+    b = np.concatenate([b for _, b, _ in lcps])
+    obs = np.concatenate([obs for _, _, obs in lcps])
+    exact = np.concatenate([brute_force_solve(*lcp) for lcp in lcps])
+    system = SparseObstacleSystem(A, b)
+    for u, rep in (active_set_solve(system, obs, SolverConfig(tol=1e-12)),
+                   psor_solve(system, obs, SolverConfig(method="psor", tol=1e-12,
+                                                        max_iter=20_000))):
+        assert rep.converged
+        assert np.max(np.abs(u - exact)) <= 1e-8
+
+
+def test_banded_cholesky_sums_duplicate_entries():
+    # lower-triangle entries given in pieces, (0, 0), (2, 1) and (2, 2)
+    # twice, must add up to the matrix they split
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
+    rows = np.array([0, 0, 1, 1, 2, 2, 2, 2])
+    cols = np.array([0, 0, 0, 1, 1, 1, 2, 2])
+    vals = np.array([1.5, 2.5, 1.0, 5.0, 0.5, 1.5, 2.0, 4.0])
+    r = np.array([1.0, -2.0, 3.0])
+    assert_allclose(_banded_cholesky_solver(rows, cols, vals, 3)(r),
+                    np.linalg.solve(A, r), rtol=1e-12)
 
 
 class TestReducedPrecond:

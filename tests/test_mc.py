@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sgobstacle.fem import assemble_load, assemble_weighted_stiffness
-from sgobstacle.fields import AffineField, affine_factors, scenario_rng
-from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
+from sgobstacle.fields import (AffineField, affine_factors, sample_parameters,
+                               scenario_rng)
+from sgobstacle.lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                             active_set_solve)
-from sgobstacle.mc import MCAccumulator, _AffineSampler, _frozen, mc_run
+from sgobstacle.mc import (MC_BLOCK_NODES, MCAccumulator, _AffineSampler, _frozen,
+                           mc_run)
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D
 
@@ -104,13 +106,13 @@ class TestAffineSampler:
 
         if affine:
             sampler = sampler_at(None)
-            assert sampler.dk[1] is None
-            assert np.any(sampler.d0 == 0.0) and np.any(sampler.dk[2] == 0.0)
+            assert sampler.dims == [0, 2]
+            assert np.any(sampler.d0 == 0.0) and np.any(sampler.dk[1] == 0.0)
         for y in np.random.default_rng(0).uniform(0.5, 1.5, (4, 3)):
             if not affine:
                 sampler = sampler_at(y)
-                assert all(dk is None for dk in sampler.dk)
-            system, obs, boundary = sampler.build(y)
+                assert sampler.dims == []
+            system, obs, boundary = sampler.build(y[None])
             K = assemble_weighted_stiffness(mesh, lambda x: a_at(x, y))
             rhs = assemble_load(mesh, lambda x: f_at(x, y))[ii]
             lift = dirichlet(mesh.nodes[bnd], y) if lifted else np.zeros(bnd.size)
@@ -118,7 +120,7 @@ class TestAffineSampler:
             assert_allclose(system.A.toarray(), K[ii][:, ii].toarray(), rtol=1e-12)
             assert_allclose(system.b, rhs, rtol=1e-12)
             assert_allclose(obs, g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
-            assert_allclose(boundary, lift, rtol=1e-12)
+            assert_allclose(boundary[:, 0], lift, rtol=1e-12)
 
     def test_stiffness_factors_share_one_pattern(self):
         # the sampler wraps every factor's data around K0's index arrays: a
@@ -232,6 +234,61 @@ class TestMCRun:
         assert set(res.timings) == {"setup", "samples"}
         assert res.timings["samples"] > 0.0
         assert res.solver_iterations >= 4  # at least one sweep per sample
+
+
+class TestBlocks:
+    MESH = build_uniform_mesh(RECT, 8)  # I = 49 interior nodes
+    BLOCK = MC_BLOCK_NODES // 49
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["affine", "lifted"])
+    @pytest.mark.parametrize("n_samples", [BLOCK - 3, BLOCK, 2 * BLOCK + 5],
+                             ids=["below-B", "B", "not-multiple"])
+    def test_block_solves_match_serial_solves(self, lifted, n_samples):
+        # the reference solves every sample on its own, cold, and feeds the
+        # same accumulator; the block run must agree to rounding
+        mesh = self.MESH
+        fields = {"a": AffineField.build(1.0, [(0.5, lambda x: x[:, 0], 0),
+                                               (0.3, one, 1)]),
+                  "f": AffineField.build(-6.0, [(2.0, lambda x: x[:, 1], 1)]),
+                  "g": AffineField.build(-0.08, [(0.02, one, 0)])}
+        dens = (Density1D.exp_uniform(), Density1D.uniform(-1.0, 1.0))
+
+        def dirichlet(x, y):
+            return 0.05 * (x[:, 0] * y[0] - x[:, 1] * y[1])
+
+        lift = dirichlet if lifted else None
+        cfg = SolverConfig(tol=1e-12)
+        res = mc_run(mesh, fields, dens, n_samples, seed=11, solver=cfg, dirichlet=lift)
+
+        sampler = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"], lift, 2)
+        ref = MCAccumulator()
+        contact = 0
+        for idx in range(n_samples):
+            system, obs, boundary = sampler.build(sample_parameters(dens, 11, idx)[None])
+            u, report = active_set_solve(system, obs, cfg)
+            assert report.converged
+            contact += report.active_count
+            ref.update(mesh.full_values(u, boundary[:, 0]))
+        assert contact > 0  # the obstacle really binds
+        assert res.n_failed == 0 and res.accumulator.n == n_samples
+        assert_allclose(res.mean, ref.mean, rtol=0, atol=1e-12)
+        assert_allclose(res.variance(), ref.variance(), rtol=0, atol=1e-12)
+
+    def test_failures_counted_per_sample(self):
+        # a = y0 with y0 ~ uniform(-0.2, 1): a negative draw makes one sample
+        # system negative definite inside a block of good ones; the block
+        # fails and its samples are solved again one by one
+        mesh = build_uniform_mesh(RECT, 6)
+        dens = (Density1D.uniform(-0.2, 1.0),)
+        fields = {"a": AffineField.build(0.0, [(1.0, one, 0)]),
+                  "f": AffineField.build(2.0),
+                  "g": AffineField.build(-10.0)}
+        n = 100
+        negative = sum(sample_parameters(dens, 0, idx)[0] < 0.0 for idx in range(n))
+        assert 0 < negative < n
+        with pytest.raises(SolverNotConverged,
+                           match=f"^{negative} of {n} sample solves failed"):
+            mc_run(mesh, fields, dens, n_samples=n, seed=0)
 
 
 class TestConvergenceRate:

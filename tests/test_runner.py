@@ -279,6 +279,29 @@ class TestValidateConfigRegressions:
         with pytest.raises(ConfigError, match=message):
             validate_config(custom_config(3.0, schedule=schedule))
 
+    def test_huge_level_is_quoted_short(self):
+        with pytest.raises(ConfigError, match="more than 4194304 nodes") as info:
+            validate_config(custom_config(3.0, schedule={"levels": [[10 ** 300, 1]]}))
+        message = str(info.value)
+        assert "1" + "0" * 36 + "..." in message
+        assert "0" * 37 not in message
+
+    def test_bad_level_named_once(self):
+        with pytest.raises(ConfigError) as info:
+            validate_config(custom_config(3.0, schedule={"levels": [[8.9, "4"]]}))
+        message = str(info.value)
+        assert message.count("bad schedule level") == 1
+        assert "bad schedule level [8.9, '4']: nx must be an integer >= 2, got 8.9; " \
+               "cells must be an integer >= 1, got '4'" in message
+
+    def test_long_config_values_are_cut(self):
+        with pytest.raises(ConfigError) as info:
+            validate_config(base_config(mode="x" * 500, quad_order=[0.5] * 100))
+        message = str(info.value)
+        assert "got '" + "x" * 36 + "...;" in message
+        assert "got " + repr([0.5] * 100)[:37] + "..." in message
+        assert len(message) < 200
+
     def test_huge_integer_option(self):
         with pytest.raises(ConfigError, match="quad_order must be an integer"):
             validate_config(base_config(quad_order=float("inf")))
@@ -518,6 +541,13 @@ class TestCLI:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli_main(["-q", "info", str(bad)]) == 1
+        # past Python's digit limit for parsing an int, json.load raises a
+        # ValueError that is not a JSONDecodeError; without the limit the
+        # level is refused as too large
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"schedule": {"levels": [[' + "1" * 5000 + ', 1]]}}')
+        assert cli_main(["-q", "info", str(huge)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
         listed = tmp_path / "list.json"
         listed.write_text("[1, 2]")
         assert cli_main(["-q", "info", str(listed)]) == 1
