@@ -1,9 +1,12 @@
 """P1 finite element assembly and norms on triangular meshes.
 
-All assembly routines return operators over the full node set; Dirichlet
-conditions are applied by the callers through index restriction.  Element
-contributions are accumulated serially in triangle order, so repeated runs
-produce bitwise-identical matrices.
+``P1Operator`` holds the linear assembly maps of one mesh (the CSR pattern
+of the node couplings, the stiffness and the load map), so assembly is one
+sparse product for any number of coefficient rows.  Each map sums in a
+fixed order, so repeated runs produce bitwise-identical matrices.  The
+``assemble_*`` functions work over all nodes; callers apply Dirichlet
+conditions through the interior and coupling blocks.  ``p1_distance`` is
+the one quadrature of L2 and H1-seminorm errors.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import scipy.sparse as sp
 from .mesh import Mesh, triangle_quadrature
 
 __all__ = [
+    "Block",
+    "P1Operator",
     "SpatialFunction",
     "assemble_weighted_stiffness",
     "assemble_mass",
@@ -24,6 +29,8 @@ __all__ = [
     "interpolate_nodal",
     "evaluate_p1",
     "norm_error",
+    "p1_distance",
+    "quadrature_points",
 ]
 
 
@@ -55,7 +62,7 @@ def as_spatial_function(f) -> SpatialFunction:
 
 
 def _triangle_geometry(mesh: Mesh):
-    """Vertex coords, areas and constant P1 gradients for all triangles."""
+    """Areas and constant P1 gradients (nt, 3, 2) of all triangles."""
     p = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
@@ -68,14 +75,13 @@ def _triangle_geometry(mesh: Mesh):
     grads[:, 2, 0] = -d1[:, 1] / det
     grads[:, 2, 1] = d1[:, 0] / det
     grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return p, area, grads
+    return area, grads
 
 
 def _quad_points(mesh: Mesh, degree: int):
     """Physical quadrature points (nt, nq, 2), shape values (nq, 3), weights."""
     rule = triangle_quadrature(degree)
-    s = rule.points[:, 0]
-    t = rule.points[:, 1]
+    s, t = rule.points.T
     shapes = np.column_stack([1.0 - s - t, s, t])  # (nq, 3)
     p = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
     pts = np.einsum("qv,tvd->tqd", shapes, p)
@@ -88,56 +94,120 @@ def _eval_weight(weight, pts_flat: np.ndarray) -> np.ndarray:
     return np.asarray(weight.values(pts_flat), dtype=float)
 
 
-def assemble_weighted_stiffness(mesh: Mesh, weight=None, quad_degree: int = 2) -> sp.csr_array:
+def _columns(rows: np.ndarray, values: np.ndarray, n_rows: int) -> sp.csr_array:
+    """The matrix whose column c holds ``values[c]`` at the distinct rows ``rows[c]``."""
+    n, k = rows.shape
+    return sp.csc_array((values.ravel(), rows.ravel(), np.arange(0, n * k + 1, k)),
+                        shape=(n_rows, n)).tocsr()
+
+
+def _apply(A: sp.csr_array, X: np.ndarray) -> np.ndarray:
+    """A applied to the last axis of X: (..., n) -> (..., A.shape[0])."""
+    return (A @ X.reshape(-1, X.shape[-1]).T).T.reshape(X.shape[:-1] + (A.shape[0],))
+
+
+@dataclass(frozen=True)
+class Block:
+    """Couplings of a row node set with a column node set: a CSR pattern and
+    its stiffness map ``S`` (nnz, n_triangles) from the triangle integrals
+    of a coefficient to the stored entries, explicit zeros included."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    S: sp.csr_array
+
+    def data(self, integrals: np.ndarray) -> np.ndarray:
+        """Stored entries (..., nnz) from triangle integrals (..., n_triangles)."""
+        return _apply(self.S, integrals)
+
+    def apply(self, data: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Products (..., n) of the matrices with entries ``data`` (..., nnz)
+        and the vectors ``V`` (..., m), broadcast row by row."""
+        nnz = self.indices.size
+        row_sums = sp.csr_array((np.ones(nnz), np.arange(nnz), self.indptr),
+                                shape=(self.shape[0], nnz))
+        return _apply(row_sums, data * V[..., self.indices])
+
+    def csr(self, data: np.ndarray) -> sp.csr_array:
+        """The matrix with entries ``data``; the rows of a (B, nnz) array are
+        the diagonal blocks of a block-diagonal matrix."""
+        data = np.atleast_2d(data)
+        (B, nnz), (n, m) = data.shape, self.shape
+        j = np.arange(B)[:, None]
+        indptr = np.append((self.indptr[:-1] + nnz * j).ravel(), B * nnz)
+        return sp.csr_array((data.ravel(), (self.indices + m * j).ravel(), indptr),
+                            shape=(B * n, B * m))
+
+
+class P1Operator:
+    """The linear assembly maps of one mesh: a P1 stiffness matrix is linear
+    in the integrals of its coefficient over the triangles, a load vector (a
+    mass matrix) in its source (weight) at the degree-2 quadrature ``points``.
+    ``full`` holds the pattern of all node couplings with S, whose column t
+    holds the gradient products of triangle t; ``interior`` and ``coupling``
+    take its interior rows with the interior and the boundary columns."""
+
+    def __init__(self, mesh: Mesh):
+        area, grads = _triangle_geometry(mesh)
+        pts, self._shapes, self._wq = _quad_points(mesh, 2)
+        tri, n, nt = mesh.triangles, mesh.n_nodes, mesh.n_triangles
+        self.mesh, self.points, self._area2 = mesh, pts.reshape(-1, 2), 2.0 * area
+        pairs, slot = np.unique((tri[:, :, None] * n + tri[:, None, :]).reshape(nt, 9),
+                                return_inverse=True)
+        S = _columns(slot.reshape(nt, 9), np.einsum("tid,tjd->tij", grads, grads), pairs.size)
+
+        def block(row_nodes, col_nodes) -> Block:
+            number = np.full((2, n), -1)
+            number[0, row_nodes] = np.arange(row_nodes.size)
+            number[1, col_nodes] = np.arange(col_nodes.size)
+            r, c = number[0, pairs // n], number[1, pairs % n]
+            keep = np.flatnonzero((r >= 0) & (c >= 0))
+            indptr = np.append(0, np.cumsum(np.bincount(r[keep], minlength=row_nodes.size)))
+            return Block((row_nodes.size, col_nodes.size), indptr, c[keep], S[keep])
+
+        self.full = block(np.arange(n), np.arange(n))
+        self.interior = block(mesh.interior, mesh.interior)
+        self.coupling = block(mesh.interior, np.flatnonzero(mesh.boundary))
+        self._load = _columns(np.repeat(tri, self._wq.size, axis=0),
+                              self._area2[:, None, None] * self._wq[:, None] * self._shapes, n)
+
+    def integrals(self, values: np.ndarray) -> np.ndarray:
+        """Triangle integrals (..., n_triangles) of values (..., n_points) at ``points``."""
+        return self._area2 * (values.reshape(values.shape[:-1] + (-1, self._wq.size))
+                              @ self._wq)
+
+    def load(self, values: np.ndarray) -> np.ndarray:
+        """Load vectors (..., n_nodes) of source values (..., n_points) at ``points``."""
+        return _apply(self._load, values)
+
+
+def assemble_weighted_stiffness(mesh: Mesh, weight=None) -> sp.csr_array:
     """Assemble K with K[r, i] = integral of weight(x) grad(phi_i).grad(phi_r).
 
     ``weight`` may be None (unit coefficient), a scalar, a callable on point
     batches, or a SpatialFunction.  Returns a CSR matrix over all nodes.
     """
-    _, area, grads = _triangle_geometry(mesh)
-    pts, _, wq = _quad_points(mesh, quad_degree)
-    nt, nq, _ = pts.shape
-    wvals = _eval_weight(weight, pts.reshape(-1, 2)).reshape(nt, nq)
-    # integral of weight over each triangle: 2*A_T * sum_q w_q weight(x_q)
-    wint = 2.0 * area * (wvals @ wq)
-    local = np.einsum("tid,tjd->tij", grads, grads) * wint[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    n = mesh.n_nodes
-    K = sp.coo_array((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    K.sum_duplicates()
-    K.sort_indices()
-    return K
+    op = P1Operator(mesh)
+    return op.full.csr(op.full.data(op.integrals(_eval_weight(weight, op.points))))
 
 
-def assemble_mass(mesh: Mesh, weight=None, quad_degree: int = 2) -> sp.csr_array:
-    """Assemble M with M[r, i] = integral of weight(x) phi_i phi_r."""
-    _, area, _ = _triangle_geometry(mesh)
-    pts, shapes, wq = _quad_points(mesh, quad_degree)
-    nt, nq, _ = pts.shape
-    wvals = _eval_weight(weight, pts.reshape(-1, 2)).reshape(nt, nq)
-    # local[t, i, j] = 2*A_T sum_q w_q weight_q N_i(q) N_j(q)
-    wmat = np.einsum("q,tq,qi,qj->tij", wq, wvals, shapes, shapes)
-    local = 2.0 * area[:, None, None] * wmat
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    n = mesh.n_nodes
-    M = sp.coo_array((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M.sum_duplicates()
+def assemble_mass(mesh: Mesh, weight=None) -> sp.csr_array:
+    """Assemble M with M[r, i] = integral of weight(x) phi_i phi_r: the load
+    map times the weight at the quadrature points times the P1 basis there."""
+    op = P1Operator(mesh)
+    nq, nt = op._wq.size, mesh.n_triangles
+    basis = _columns(np.repeat(mesh.triangles, nq, axis=0), np.tile(op._shapes, (nt, 1)),
+                     mesh.n_nodes)
+    M = sp.csr_array(op._load.multiply(_eval_weight(weight, op.points)) @ basis.T)
     M.sort_indices()
     return M
 
 
-def assemble_load(mesh: Mesh, source, quad_degree: int = 2) -> np.ndarray:
+def assemble_load(mesh: Mesh, source) -> np.ndarray:
     """Assemble f with f[r] = integral of source(x) phi_r, over all nodes."""
-    _, area, _ = _triangle_geometry(mesh)
-    pts, shapes, wq = _quad_points(mesh, quad_degree)
-    nt, nq, _ = pts.shape
-    svals = _eval_weight(source, pts.reshape(-1, 2)).reshape(nt, nq)
-    local = 2.0 * area[:, None] * np.einsum("q,tq,qi->ti", wq, svals, shapes)
-    f = np.zeros(mesh.n_nodes)
-    np.add.at(f, mesh.triangles.ravel(), local.ravel())
-    return f
+    op = P1Operator(mesh)
+    return op.load(_eval_weight(source, op.points))
 
 
 def interpolate_nodal(mesh: Mesh, fn) -> np.ndarray:
@@ -183,33 +253,42 @@ def evaluate_p1(mesh: Mesh, coeffs: np.ndarray, points: np.ndarray) -> np.ndarra
     return out
 
 
-def norm_error(mesh: Mesh, coeffs: np.ndarray, exact, kind: str = "l2",
-               quad_degree: int = 5) -> float:
-    """Norm of (P1 field - exact) over the mesh.
+def quadrature_points(mesh: Mesh) -> np.ndarray:
+    """Points (n_triangles * 7, 2) of the degree-5 rule, as ``p1_distance`` reads them."""
+    return _quad_points(mesh, 5)[0].reshape(-1, 2)
+
+
+def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact: np.ndarray) -> float:
+    """Distance of a P1 field (full nodal coefficients) to exact data at
+    ``quadrature_points(mesh)``: the L2 norm of the difference for exact
+    values (n_points,), the H1 seminorm for exact gradients (n_points, 2).
+    Zero coefficients give the norm of the exact data itself.
+    """
+    coeffs = _nodal_coefficients(mesh, coeffs)
+    area, grads = _triangle_geometry(mesh)
+    _, shapes, wq = _quad_points(mesh, 5)
+    tri_vals = coeffs[mesh.triangles]  # (nt, 3)
+    exact = np.asarray(exact, dtype=float).reshape(mesh.n_triangles, wq.size, -1)
+    if exact.shape[2] == 1:
+        sq = ((tri_vals @ shapes.T - exact[:, :, 0]) ** 2) @ wq
+    else:
+        guh = np.einsum("tv,tvd->td", tri_vals, grads)  # constant per triangle
+        diff = exact - guh[:, None, :]
+        sq = np.einsum("tqd,tqd,q->t", diff, diff, wq)
+    return float(np.sqrt(np.sum(2.0 * area * sq)))
+
+
+def norm_error(mesh: Mesh, coeffs: np.ndarray, exact, kind: str = "l2") -> float:
+    """Norm of (P1 field - exact) over the mesh, by ``p1_distance``.
 
     kind = "l2" integrates the squared difference of values; kind = "h1semi"
     integrates the squared difference of gradients and requires ``exact`` to
-    provide a gradient.  Passing zero coefficients and kind of choice yields
-    the norm of ``exact`` itself with the same quadrature.
+    provide a gradient.
     """
     exact = as_spatial_function(exact)
-    coeffs = _nodal_coefficients(mesh, coeffs)
-    _, area, grads = _triangle_geometry(mesh)
-    pts, shapes, wq = _quad_points(mesh, quad_degree)
-    nt, nq, _ = pts.shape
-    tri_vals = coeffs[mesh.triangles]  # (nt, 3)
-
-    if kind == "l2":
-        uh = tri_vals @ shapes.T  # (nt, nq)
-        ue = np.asarray(exact.values(pts.reshape(-1, 2))).reshape(nt, nq)
-        sq = ((uh - ue) ** 2) @ wq
-    elif kind == "h1semi":
-        if exact.grad is None:
-            raise ValueError("h1semi error needs an exact gradient")
-        guh = np.einsum("tv,tvd->td", tri_vals, grads)  # constant per triangle
-        ge = np.asarray(exact.grad(pts.reshape(-1, 2))).reshape(nt, nq, 2)
-        diff = ge - guh[:, None, :]
-        sq = np.einsum("tqd,tqd,q->t", diff, diff, wq)
-    else:
+    if kind not in ("l2", "h1semi"):
         raise ValueError(f"unknown norm kind {kind!r}")
-    return float(np.sqrt(np.sum(2.0 * area * sq)))
+    if kind == "h1semi" and exact.grad is None:
+        raise ValueError("h1semi error needs an exact gradient")
+    at = exact.values if kind == "l2" else exact.grad
+    return p1_distance(mesh, coeffs, at(quadrature_points(mesh)))

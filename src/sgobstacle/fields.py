@@ -1,11 +1,12 @@
-"""Parametric coefficient fields, their spatial factors and the parameter draw.
+"""Parametric coefficient fields, their spatial data and the parameter draw.
 
 An affine field is mu(x) + sum_k c_k phi_k(x) y_{d_k}; several modes may
 attach to the same parameter dimension.  Non-affine parametric fields are
-plain callables (x, y) -> values; frozen at one parameter point they are
-affine fields with no modes, which is how the Monte Carlo path uses them.
-``affine_factors`` turns a, f, g into interior spatial factors once, for
-both the tensor Galerkin system and the Monte Carlo sample blocks.
+plain callables (x, y) -> values.  ``spatial_data`` maps rows of field
+values through the mesh operator (``fem.P1Operator``): the affine terms
+for the Galerkin system (``affine_factors``), the parameter rows of a
+sample block for Monte Carlo (``at_points``).  ``lift`` is the one
+Dirichlet lifting of both.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fem import (SpatialFunction, as_spatial_function, assemble_load,
-                  assemble_weighted_stiffness)
-from .mesh import Mesh
+from .fem import P1Operator, SpatialFunction, as_spatial_function
 
 __all__ = [
     "AffineMode",
@@ -25,9 +24,11 @@ __all__ = [
     "AffineFactors",
     "FieldBounds",
     "affine_factors",
+    "at_points",
     "bounds_check",
-    "contract",
+    "lift",
     "sample_parameters",
+    "spatial_data",
 ]
 
 
@@ -58,25 +59,22 @@ class AffineField:
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Field values at points x (n, 2) for one parameter vector y (M,)."""
+        y = np.asarray(y, dtype=float)
+        return np.concatenate(([1.0], y)) @ self.terms(x, y.size)
+
+    def terms(self, x: np.ndarray, n_dims: int) -> np.ndarray:
+        """Values (1 + n_dims, n) at points x of the mean and of the summed
+        modes of each parameter dimension; a dimension without modes has a
+        zero row."""
+        if self.n_dims > n_dims:
+            raise ValueError(f"mode dimension {self.n_dims - 1} outside the "
+                             f"{n_dims} parameter dimensions")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.asarray(self.mean.values(x), dtype=float).copy()
+        out = np.zeros((1 + n_dims, x.shape[0]))
+        out[0] = self.mean.values(x)
         for m in self.modes:
-            out += m.coeff * np.asarray(m.shape.values(x)) * float(y[m.dim])
+            out[1 + m.dim] += m.coeff * np.asarray(m.shape.values(x))
         return out
-
-    def dim_weight(self, dim: int):
-        """Combined spatial weight of all modes on one dimension, or None."""
-        parts = [m for m in self.modes if m.dim == dim]
-        if not parts:
-            return None
-
-        def combined(x, parts=tuple(parts)):
-            out = np.zeros(x.shape[0])
-            for m in parts:
-                out += m.coeff * np.asarray(m.shape.values(x))
-            return out
-
-        return combined
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,10 @@ def bounds_check(field: AffineField, supports: Sequence[tuple[float, float]],
     the min/max of these over the supplied spatial points (typically mesh
     nodes).
     """
-    points = np.atleast_2d(points)
-    n_dims = len(supports)
-    slope = np.zeros((n_dims, points.shape[0]))
-    for m in field.modes:
-        if m.dim >= n_dims:
-            raise ValueError(f"mode dimension {m.dim} outside parameter box")
-        slope[m.dim] += m.coeff * np.asarray(m.shape.values(points))
-    ends = np.asarray(supports, dtype=float).reshape(n_dims, 2)
+    ends = np.asarray(supports, dtype=float).reshape(-1, 2)
+    terms = field.terms(points, len(ends))
+    mean_vals, slope = terms[0], terms[1:]
     at_lo, at_hi = slope * ends[:, :1], slope * ends[:, 1:]
-    mean_vals = np.asarray(field.mean.values(points), dtype=float)
     lo = mean_vals + np.minimum(at_lo, at_hi).sum(axis=0)
     hi = mean_vals + np.maximum(at_lo, at_hi).sum(axis=0)
     return FieldBounds(lo=float(lo.min()), hi=float(hi.max()))
@@ -112,87 +104,65 @@ def bounds_check(field: AffineField, supports: Sequence[tuple[float, float]],
 
 @dataclass(frozen=True)
 class AffineFactors:
-    """Interior spatial factors of affine data a, f, g, one entry per affine term.
+    """Interior spatial data of a, f and g, one row per affine term or sample:
+    a's stiffness entries (rows, nnz) on the ``interior`` and ``coupling``
+    blocks of the mesh operator, f's interior loads and g's values at the
+    interior nodes (rows, I)."""
 
-    Entry 0 is the mean and entry k + 1 parameter dimension k; an entry is
-    None where the field has no mode on that dimension.  ``K_ii`` and
-    ``K_ib`` are the interior and interior-to-boundary blocks of a's
-    weighted stiffness, ``load`` f's interior load vectors and ``obs`` g's
-    values at the interior nodes.
-    """
-
-    x_boundary: np.ndarray
-    K_ii: list
-    K_ib: list
-    load: list
-    obs: list
-
-    def lift(self, rhs: np.ndarray, dirichlet, y_points, weights) -> np.ndarray:
-        """Subtract the Dirichlet lifting from ``rhs`` blocks (J, I) and return D.
-
-        D (n_boundary, J) holds the Dirichlet data at the J parameter points
-        ``y_points`` (zero without data, ``dirichlet`` None), and the lifting
-        is sum_k W_k (K_ib,k D)^T with one (J, J) weight per term: the
-        Gramians G0, Gk for the Galerkin system, diag(1) and diag(y_k) over
-        a block of samples.
-        """
-        D = np.zeros((len(self.x_boundary), len(y_points)))
-        if dirichlet is None:
-            return D
-        for j, y in enumerate(y_points):
-            D[:, j] = dirichlet(self.x_boundary, y)
-        for W, K_ib in zip(weights, self.K_ib):
-            if K_ib is not None:
-                rhs -= W @ (K_ib @ D).T
-        return D
+    K_ii: np.ndarray
+    K_ib: np.ndarray
+    load: np.ndarray
+    obs: np.ndarray
 
 
-def affine_factors(mesh: Mesh, a: AffineField, f: AffineField, g: AffineField,
+def spatial_data(op: P1Operator, a_values: np.ndarray, f_values: np.ndarray,
+                 g_values: np.ndarray) -> AffineFactors:
+    """Map rows of a's and f's values at ``op.points`` and of g's values at
+    the interior nodes through the mesh operator."""
+    integrals = op.integrals(a_values)
+    return AffineFactors(op.interior.data(integrals), op.coupling.data(integrals),
+                         op.load(f_values)[..., op.mesh.interior], g_values)
+
+
+def affine_factors(op: P1Operator, a: AffineField, f: AffineField, g: AffineField,
                    n_dims: int) -> AffineFactors:
-    """Assemble the interior spatial factors of a, f and g over ``n_dims`` dimensions.
+    """The spatial data of the affine terms of a, f and g over ``n_dims`` dimensions.
 
-    Every stiffness factor stores the full CSR pattern of the mesh, explicit
-    zeros included, so the ``K_ii`` entries share one ``indptr`` and
-    ``indices`` and differ only in their data.
+    Row 0 is the mean and row k + 1 parameter dimension k; the rows of a
+    dimension on which a field has no mode are zero.
     """
     if not all(isinstance(fld, AffineField) for fld in (a, f, g)):
         raise TypeError("spatial factors need affine fields a, f and g")
-    if max(a.n_dims, f.n_dims, g.n_dims) > n_dims:
-        raise ValueError("field parameter dimensions exceed the parameter count")
-    interior = mesh.interior
-    bnd = np.flatnonzero(mesh.boundary)
-    x_int = mesh.nodes[interior]
-
-    def per_term(fld, factor):
-        return [None if w is None else factor(w)
-                for w in (fld.mean, *map(fld.dim_weight, range(n_dims)))]
-
-    def stiffness(w):
-        rows = assemble_weighted_stiffness(mesh, w)[interior]
-        return rows[:, interior], rows[:, bnd]
-
-    blocks = per_term(a, stiffness)
-    return AffineFactors(
-        x_boundary=mesh.nodes[bnd],
-        K_ii=[None if b is None else b[0] for b in blocks],
-        K_ib=[None if b is None else b[1] for b in blocks],
-        load=per_term(f, lambda w: assemble_load(mesh, w)[interior]),
-        obs=per_term(g, lambda w: np.asarray(as_spatial_function(w).values(x_int),
-                                             dtype=float)),
-    )
+    x_int = op.mesh.nodes[op.mesh.interior]
+    return spatial_data(op, a.terms(op.points, n_dims), f.terms(op.points, n_dims),
+                        g.terms(x_int, n_dims))
 
 
-def contract(terms: list, weights) -> np.ndarray:
-    """sum_k outer(w_k, t_k) over the terms that are not None: (J, n) blocks.
+def at_points(fld, x: np.ndarray, n_dims: int):
+    """The map from parameter rows Y (B, M) to a field's values (B, n) at the
+    points x: an AffineField's mean plus Y @ modes, with its terms taken at
+    x once, or a callable (x, y) -> values evaluated row by row."""
+    if isinstance(fld, AffineField):
+        terms = fld.terms(x, n_dims)
+        return lambda Y: terms[0] + Y @ terms[1:]
+    return lambda Y: np.array([fld(x, y) for y in Y], dtype=float).reshape(len(Y), len(x))
 
-    ``terms`` is one ``AffineFactors`` list of vectors, and ``weights``
-    holds one length-J vector per term (the mean's first).
+
+def lift(op: P1Operator, dirichlet, y_points: np.ndarray, K_ib: np.ndarray):
+    """Dirichlet data D (n_boundary, J) at the parameter points (zero without
+    ``dirichlet``) and the lifting K_ib D.
+
+    The coupling entries ``K_ib`` (..., nnz) broadcast against the columns
+    of D row by row: a Monte Carlo block (J, nnz) pairs sample j with column
+    j, and the Galerkin stack (T, 1, nnz) of its affine terms applies each
+    term to every column (T, J, I) before its Gramians contract them.
     """
-    out = weights[0][:, None] * terms[0]
-    for w, t in zip(weights[1:], terms[1:]):
-        if t is not None:
-            out += w[:, None] * t
-    return out
+    x_boundary = op.mesh.nodes[op.mesh.boundary]
+    D = np.zeros((len(x_boundary), len(y_points)))
+    if dirichlet is not None:
+        for j, y in enumerate(y_points):
+            D[:, j] = dirichlet(x_boundary, y)
+    return D, op.coupling.apply(K_ib, D.T)
 
 
 def scenario_rng(seed: int, index: int) -> np.random.Generator:

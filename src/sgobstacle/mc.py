@@ -6,25 +6,21 @@ samples are grouped.  Samples are solved in blocks: a block of B samples
 is one block-diagonal LCP whose diagonal block j is the obstacle problem at
 the j-th parameter row, solved with the configured LCP solver from the
 running mean and fed sample by sample, in index order, into a Welford
-accumulator.  A sample system is the Galerkin system at one parameter
-point, so one sampler serves every field: it takes the spatial factors of
-``fields.affine_factors``, whose stiffness factors all store the CSR
-pattern of the mesh, and builds a block's matrix as one (B, nnz) product of
-the parameter rows with their data arrays, wrapped around the shared
-indices with block offsets; load, obstacle and Dirichlet lifting are one
-contraction over the block.  The systems are ``SparseObstacleSystem``s,
-whose active-set updates solve the reduced system exactly by banded
-Cholesky; block-diagonal stacking keeps the band of one sample.
+accumulator.  One sampler per run serves every field: it evaluates a, f
+and g at a block's rows (an affine field as its mean plus the rows times
+its modes, a callable row by row) and maps the values through the mesh
+operator (``fem.P1Operator``) into the block's stiffness entries, loads,
+obstacle values and Dirichlet lifting.  The systems are
+``SparseObstacleSystem``s, whose active-set updates solve the reduced
+system exactly by banded Cholesky; block-diagonal stacking keeps the band
+of one sample.
 
 B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
 one sample).  The cap keeps the working set of the band Cholesky small:
 blocks of 16384 nodes raised the peak memory of a run, 4096 did not.  One
 sample that does not converge (a coefficient that is not positive at the
 drawn point, say) fails its whole block, so a failed block is solved again
-one sample at a time and failures stay counted per sample.  Affine fields
-are factored once per run.  A non-affine field, frozen at the drawn y, is
-an affine field with that mean and no modes, so its sampler is built again
-for every sample and its blocks hold one sample.
+one sample at a time and failures stay counted per sample.
 """
 
 from __future__ import annotations
@@ -33,9 +29,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fields import AffineField, affine_factors, contract, sample_parameters
+from .fem import P1Operator
+from .fields import at_points, lift, sample_parameters, spatial_data
 from .lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                   solve_lcp)
 from .mesh import Mesh
@@ -107,23 +103,19 @@ class MCResult:
 
 
 class _AffineSampler:
-    """Block system factory on the shared affine factors.
+    """Block system factory of one run, for affine and callable fields.
 
-    The interior stiffness factors K0 and Kk all store the CSR pattern of
-    the mesh (``fields.affine_factors``), so the matrix of a parameter row
-    y is the data vector d0 + sum_k y_k dk wrapped around K0's index
-    arrays.  Load, obstacle and Dirichlet lifting contract their factors
-    with (1, y), the Galerkin weights of a single parameter point.
+    The mesh operator and the points at which a, f (quadrature points) and
+    g (interior nodes) are evaluated are fixed once; ``build`` evaluates the
+    fields at a block of parameter rows and maps the values through the
+    operator (``fields.spatial_data`` and ``fields.lift``).
     """
 
-    def __init__(self, mesh: Mesh, a_field: AffineField, f_field: AffineField,
-                 g_field: AffineField, dirichlet, n_dims: int):
-        self.factors = affine_factors(mesh, a_field, f_field, g_field, n_dims)
-        self.dirichlet = dirichlet
-        K0, *Kk = self.factors.K_ii
-        self.indptr, self.indices, self.d0 = K0.indptr, K0.indices, K0.data
-        self.dims = [k for k, K in enumerate(Kk) if K is not None]
-        self.dk = np.array([Kk[k].data for k in self.dims]).reshape(-1, self.d0.size)
+    def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int):
+        self.op, self.dirichlet = P1Operator(mesh), dirichlet
+        points = (self.op.points, self.op.points, mesh.nodes[mesh.interior])
+        self.fields = [at_points(fld, x, n_dims)
+                       for fld, x in zip((a_field, f_field, g_field), points)]
 
     def build(self, Y: np.ndarray):
         """The block-diagonal system of the parameter rows ``Y`` (B, M).
@@ -132,26 +124,10 @@ class _AffineSampler:
         sample system at ``Y[j]``, the stacked obstacle (B * I,) and the
         Dirichlet data (n_boundary, B).
         """
-        B = Y.shape[0]
-        n, nnz = self.indptr.size - 1, self.indices.size
-        data = self.d0 + Y[:, self.dims] @ self.dk
-        j = np.arange(B)[:, None]
-        indices = (self.indices + n * j).ravel()
-        indptr = np.append((self.indptr[:-1] + nnz * j).ravel(), B * nnz)
-        K = sp.csr_array((data.ravel(), indices, indptr), shape=(B * n, B * n))
-        weights = np.vstack((np.ones(B), Y.T))
-        rhs = contract(self.factors.load, weights)
-        boundary = self.factors.lift(rhs, self.dirichlet, Y, [sp.diags(w) for w in weights])
-        obs = contract(self.factors.obs, weights)
-        return SparseObstacleSystem(K, rhs.ravel()), obs.ravel(), boundary
-
-
-def _frozen(fld, y: np.ndarray) -> AffineField:
-    """A field at one parameter point: a non-affine callable (x, y) -> values
-    is the AffineField with its values at y as the mean and no modes."""
-    if isinstance(fld, AffineField):
-        return fld
-    return AffineField.build(lambda x: fld(x, y))
+        data = spatial_data(self.op, *(values(Y) for values in self.fields))
+        D, lifting = lift(self.op, self.dirichlet, Y, data.K_ib)
+        K = self.op.interior.csr(data.K_ii)
+        return SparseObstacleSystem(K, (data.load - lifting).ravel()), data.obs.ravel(), D
 
 
 def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
@@ -165,16 +141,10 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     """
     if solver is None:
         solver = SolverConfig(method="active-set")
-    n_dims = len(densities)
     t_setup = time.perf_counter()
-    affine = all(isinstance(fields[k], AffineField) for k in ("a", "f", "g"))
-
-    def sampler_at(y):
-        return _AffineSampler(mesh, *(_frozen(fields[k], y) for k in ("a", "f", "g")),
-                              dirichlet, n_dims)
-
-    sampler = sampler_at(None) if affine else None
-    block = max(1, MC_BLOCK_NODES // mesh.interior.size) if affine else 1
+    sampler = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"], dirichlet,
+                             len(densities))
+    block = max(1, MC_BLOCK_NODES // mesh.interior.size)
     setup_seconds = time.perf_counter() - t_setup
 
     acc = MCAccumulator()
@@ -184,8 +154,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     def solve_block(Y) -> int:
         """Solve the rows of Y as one system, warm-started from the running
         mean, and accumulate them in order; returns the number that failed.
-        A block fails as a whole when one sample does, so a failed block is
-        solved again sample by sample."""
+        A failed block is solved again sample by sample."""
         nonlocal iters
         system, obs, boundary = sampler.build(Y)
         x0 = None if acc.mean is None else np.maximum(
@@ -202,19 +171,12 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     for start in range(0, n_samples, block):
         Y = np.array([sample_parameters(densities, seed, idx)
                       for idx in range(start, min(start + block, n_samples))])
-        if not affine:
-            sampler = sampler_at(Y[0])
         n_failed += solve_block(Y)
     loop_seconds = time.perf_counter() - t_loop
 
     if n_failed > MAX_FAILURE_FRACTION * n_samples:
         raise SolverNotConverged(
             f"{n_failed} of {n_samples} sample solves failed to converge")
-    return MCResult(
-        accumulator=acc,
-        n_samples=n_samples,
-        n_failed=n_failed,
-        seed=seed,
-        timings={"setup": setup_seconds, "samples": loop_seconds},
-        solver_iterations=iters,
-    )
+    return MCResult(accumulator=acc, n_samples=n_samples, n_failed=n_failed, seed=seed,
+                    timings={"setup": setup_seconds, "samples": loop_seconds},
+                    solver_iterations=iters)

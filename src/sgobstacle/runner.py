@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import integer, number, shown
-from .fem import _quad_points, _triangle_geometry, evaluate_p1
+from .fem import evaluate_p1, p1_distance, quadrature_points
 from .fields import AffineField, bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
 from .mc import mc_run
@@ -362,37 +362,18 @@ def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
     """
     mean_f = sg_mean(system, u).values
     m2_f = sg_second_moment(system, u).values
-    pts, shapes, wq = _quad_points(mesh, 5)
-    _, area, grads = _triangle_geometry(mesh)
-    nt, nq, _ = pts.shape
-    flat = pts.reshape(-1, 2)
+    (em, em2), (egm, egm2) = _exact_moments(exact, quadrature_points(mesh), densities,
+                                            quad_order, (1, 2), with_grad=True)
 
-    def discrete(vals):
-        tv = vals[mesh.triangles]
-        return tv @ shapes.T, np.einsum("tv,tvd->td", tv, grads)
+    def relative(coeffs, exact_data):
+        norm = p1_distance(mesh, np.zeros_like(coeffs), exact_data)
+        return p1_distance(mesh, coeffs, exact_data) / norm
 
-    mh, gmh = discrete(mean_f)
-    m2h, gm2h = discrete(m2_f)
-
-    (em, em2), (egm, egm2) = _exact_moments(exact, flat, densities, quad_order,
-                                            (1, 2), with_grad=True)
-
-    def l2(diff_tq):
-        return float(np.sqrt(np.sum(2.0 * area * (diff_tq ** 2 @ wq))))
-
-    def h1(diff_tqd):
-        return float(np.sqrt(np.sum(2.0 * area * np.einsum("tqd,tqd,q->t",
-                                                           diff_tqd, diff_tqd, wq))))
-
-    em_t = em.reshape(nt, nq)
-    em2_t = em2.reshape(nt, nq)
-    egm_t = egm.reshape(nt, nq, 2)
-    egm2_t = egm2.reshape(nt, nq, 2)
     return {
-        "eL2m1": l2(mh - em_t) / l2(em_t),
-        "eH1m1": h1(egm_t - gmh[:, None, :]) / h1(egm_t),
-        "eL2m2": l2(m2h - em2_t) / l2(em2_t),
-        "eH1m2": h1(egm2_t - gm2h[:, None, :]) / h1(egm2_t),
+        "eL2m1": relative(mean_f, em),
+        "eH1m1": relative(mean_f, egm),
+        "eL2m2": relative(m2_f, em2),
+        "eH1m2": relative(m2_f, egm2),
     }
 
 

@@ -20,7 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import AffineField, affine_factors, contract
+from .fem import P1Operator
+from .fields import AffineField, affine_factors, lift
 from .lcp import restrict_operator
 from .mesh import Mesh
 from .param import Gramians, ParamGrid, assemble_gramians
@@ -178,21 +179,25 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
                 f_field: AffineField, g_field: AffineField, dirichlet=None) -> SGSystem:
     """Assemble the tensor Galerkin LCP for given coefficient/source/obstacle.
 
-    The spatial factors of the three affine fields are contracted with the
-    Gramians (stiffness and load) and with the parameter nodes (obstacle).
-    ``dirichlet`` is a callable (x, y) -> boundary values or None for
-    homogeneous data; nonhomogeneous data enters b through lifting.  The
-    explicit Kronecker matrix is not built here (``SGSystem.explicit``).
+    The spatial data of the affine terms (``fields.affine_factors``) are
+    contracted with the Gramians (stiffness, load and the Dirichlet lifting
+    of ``dirichlet``, a callable (x, y) -> boundary values or None for
+    homogeneous data) and with the parameter nodes (obstacle).  The explicit
+    Kronecker matrix is not built here (``SGSystem.explicit``).
     """
-    factors = affine_factors(mesh, a_field, f_field, g_field, grid.n_dims)
+    op = P1Operator(mesh)
+    factors = affine_factors(op, a_field, f_field, g_field, grid.n_dims)
     gram = assemble_gramians(grid)
     y_nodes = grid.nodes()
-    B = contract(factors.load, [gram.g0, *gram.gk])
-    D = factors.lift(B, dirichlet, y_nodes, [gram.G0, *gram.Gk])
-    obs = contract(factors.obs, [np.ones(grid.n_nodes), *y_nodes.T])
-    return SGSystem(mesh=mesh, grid=grid, K0=factors.K_ii[0], Kk=factors.K_ii[1:],
-                    gram=gram, b=B.reshape(-1), obs=obs.reshape(-1),
-                    boundary_values=D)
+    B = np.array([gram.g0, *gram.gk]).T @ factors.load
+    D, lifting = lift(op, dirichlet, y_nodes, factors.K_ib[:, None])
+    for G, L in zip([gram.G0, *gram.Gk], lifting):
+        B -= G @ L
+    obs = np.column_stack([np.ones(grid.n_nodes), y_nodes]) @ factors.obs
+    # a dimension on which a has no mode has a zero stiffness row
+    Kk = [op.interior.csr(d) if d.any() else None for d in factors.K_ii[1:]]
+    return SGSystem(mesh=mesh, grid=grid, K0=op.interior.csr(factors.K_ii[0]), Kk=Kk,
+                    gram=gram, b=B.reshape(-1), obs=obs.reshape(-1), boundary_values=D)
 
 
 def dump_matrix(system: SGSystem, path: str) -> None:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sgobstacle.fem import (SpatialFunction, assemble_load, assemble_mass,
+from sgobstacle.fem import (P1Operator, SpatialFunction, assemble_load, assemble_mass,
                             assemble_weighted_stiffness, evaluate_p1,
                             interpolate_nodal, norm_error)
-from sgobstacle.mesh import build_uniform_mesh
+from sgobstacle.mesh import build_uniform_mesh, triangle_quadrature
 
 
 def unit_mesh(n):
@@ -85,6 +85,54 @@ class TestMassAndLoad:
         u = mesh.nodes[:, 0]
         r = K @ u
         assert np.max(np.abs(r[mesh.interior])) < 1e-13
+
+
+class TestOperator:
+    def test_matches_per_triangle_loop(self):
+        # reference: element matrices of each triangle from its vertex
+        # coordinates, added entry by entry in a plain loop
+        mesh = build_uniform_mesh((-0.5, 1.5, 0.0, 0.75), 4, 3)
+
+        def weight(x):
+            return 1.0 + x[:, 0] ** 2 + 0.5 * np.sin(3.0 * x[:, 1])
+
+        rule = triangle_quadrature(2)
+        n = mesh.n_nodes
+        K, M, F = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+        for tri in mesh.triangles:
+            p = mesh.nodes[tri]
+            coef = np.linalg.inv(np.column_stack([np.ones(3), p]))  # phi_i = c0 + c1 x1 + c2 x2
+            grads = coef[1:].T
+            area = 0.5 * abs(np.linalg.det(np.column_stack([np.ones(3), p])))
+            for (s, t), wq in zip(rule.points, rule.weights):
+                shapes = np.array([1.0 - s - t, s, t])
+                w = 2.0 * area * wq * weight((shapes @ p)[None])[0]
+                for i in range(3):
+                    F[tri[i]] += w * shapes[i]
+                    for j in range(3):
+                        K[tri[i], tri[j]] += w * grads[i] @ grads[j]
+                        M[tri[i], tri[j]] += w * shapes[i] * shapes[j]
+
+        for got, ref in ((assemble_weighted_stiffness(mesh, weight).toarray(), K),
+                         (assemble_mass(mesh, weight).toarray(), M),
+                         (assemble_load(mesh, weight), F)):
+            assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+        # the interior and coupling blocks, and a block-diagonal pair of rows
+        op = P1Operator(mesh)
+        ii, bnd = mesh.interior, np.flatnonzero(mesh.boundary)
+        values = np.array([weight(op.points), 2.0 - op.points[:, 1]])
+        interior = op.interior.csr(op.interior.data(op.integrals(values))).toarray()
+        coupling = op.coupling.csr(op.coupling.data(op.integrals(values[0]))).toarray()
+        K2 = assemble_weighted_stiffness(mesh, lambda x: 2.0 - x[:, 1]).toarray()
+        assert_allclose(interior[:ii.size, :ii.size], K[np.ix_(ii, ii)], rtol=1e-13,
+                        atol=1e-13 * np.abs(K).max())
+        assert_allclose(interior[ii.size:, ii.size:], K2[np.ix_(ii, ii)], rtol=1e-13)
+        assert not np.any(interior[:ii.size, ii.size:])
+        assert_allclose(coupling, K[np.ix_(ii, bnd)], rtol=1e-13, atol=1e-13 * np.abs(K).max())
+        v = np.random.default_rng(2).normal(size=bnd.size)
+        assert_allclose(op.coupling.apply(op.coupling.data(op.integrals(values[0])), v),
+                        coupling @ v, rtol=1e-13)
 
 
 class TestInterpolationAndEvaluation:

@@ -35,12 +35,12 @@ class TestAffineField:
         assert a.n_dims == 2
         assert AffineField.build(1.0).n_dims == 0
 
-    def test_dim_weight_combines_modes(self):
-        a = AffineField.build(0.0, [(1.0, one, 0), (2.0, lambda x: x[:, 0], 0)])
-        w = a.dim_weight(0)
+    def test_terms_combine_modes(self):
+        a = AffineField.build(0.5, [(1.0, one, 0), (2.0, lambda x: x[:, 0], 0)])
         x = np.array([[3.0, 0.0]])
-        assert w(x)[0] == pytest.approx(1.0 + 6.0)
-        assert a.dim_weight(1) is None
+        assert_allclose(a.terms(x, 2), [[0.5], [1.0 + 6.0], [0.0]])
+        with pytest.raises(ValueError, match="outside the 0 parameter dimensions"):
+            a.terms(x, 0)
 
 
 class TestBounds:

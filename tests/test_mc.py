@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sgobstacle.fem import assemble_load, assemble_weighted_stiffness
+import sgobstacle.mc as mc
+from sgobstacle.fem import P1Operator, assemble_load, assemble_weighted_stiffness
 from sgobstacle.fields import (AffineField, affine_factors, sample_parameters,
                                scenario_rng)
 from sgobstacle.lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                             active_set_solve)
-from sgobstacle.mc import (MC_BLOCK_NODES, MCAccumulator, _AffineSampler, _frozen,
-                           mc_run)
+from sgobstacle.mc import MC_BLOCK_NODES, MCAccumulator, _AffineSampler, mc_run
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D
+from sgobstacle.problems import get_problem
 
 RECT = (0.0, 1.0, 0.0, 1.0)
 
@@ -66,6 +67,17 @@ class TestAccumulator:
             acc.variance()
 
 
+def direct_sample_system(mesh, a_at, f_at, dirichlet, y):
+    """One sample system assembled directly at y: interior K, lifted load and
+    the boundary values."""
+    ii = mesh.interior
+    bnd = np.flatnonzero(mesh.boundary)
+    K = assemble_weighted_stiffness(mesh, lambda x: a_at(x, y))
+    rhs = assemble_load(mesh, lambda x: f_at(x, y))[ii]
+    lift = np.zeros(bnd.size) if dirichlet is None else dirichlet(mesh.nodes[bnd], y)
+    return K[ii][:, ii], rhs - K[ii][:, bnd] @ lift, lift
+
+
 class TestAffineSampler:
     @pytest.mark.parametrize("affine, lifted", [
         pytest.param(True, False, id="False"),
@@ -75,13 +87,12 @@ class TestAffineSampler:
     ])
     def test_build_matches_direct_assembly(self, affine, lifted):
         # the affine coefficient has modes on dimensions 0 and 2 but none on
-        # 1; the dimension-2 shape vanishes on the left half, so that factor
-        # stores explicit zeros, and so does K0 where hypotenuse couplings
-        # vanish.  The callable a and f are not affine in y; frozen at each y
-        # they are factored without modes.
+        # 1; the dimension-2 shape vanishes on the left half.  The callable a
+        # and f are not affine in y.  One build of four rows must hold each
+        # row's directly assembled system as its diagonal block.
         mesh = build_uniform_mesh(RECT, 6)
         ii = mesh.interior
-        bnd = np.flatnonzero(mesh.boundary)
+        n = ii.size
         g = AffineField.build(-0.1, [(0.01, lambda x: x[:, 1], 0)])
         if affine:
             a = AffineField.build(2.0, [(0.5, lambda x: x[:, 0] + x[:, 1], 0),
@@ -100,43 +111,49 @@ class TestAffineSampler:
         def dirichlet(x, y):
             return x[:, 0] * y[0] - x[:, 1] * y[2]
 
-        def sampler_at(y):
-            return _AffineSampler(mesh, _frozen(a, y), _frozen(f, y), g,
-                                  dirichlet if lifted else None, 3)
-
-        if affine:
-            sampler = sampler_at(None)
-            assert sampler.dims == [0, 2]
-            assert np.any(sampler.d0 == 0.0) and np.any(sampler.dk[1] == 0.0)
-        for y in np.random.default_rng(0).uniform(0.5, 1.5, (4, 3)):
-            if not affine:
-                sampler = sampler_at(y)
-                assert sampler.dims == []
-            system, obs, boundary = sampler.build(y[None])
-            K = assemble_weighted_stiffness(mesh, lambda x: a_at(x, y))
-            rhs = assemble_load(mesh, lambda x: f_at(x, y))[ii]
-            lift = dirichlet(mesh.nodes[bnd], y) if lifted else np.zeros(bnd.size)
-            rhs -= K[ii][:, bnd] @ lift
-            assert_allclose(system.A.toarray(), K[ii][:, ii].toarray(), rtol=1e-12)
-            assert_allclose(system.b, rhs, rtol=1e-12)
-            assert_allclose(obs, g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
-            assert_allclose(boundary[:, 0], lift, rtol=1e-12)
+        lift = dirichlet if lifted else None
+        sampler = _AffineSampler(mesh, a, f, g, lift, 3)
+        Y = np.random.default_rng(0).uniform(0.5, 1.5, (4, 3))
+        system, obs, boundary = sampler.build(Y)
+        A = system.A.toarray()
+        assert A.shape == (4 * n, 4 * n) and obs.shape == (4 * n,)
+        assert boundary.shape == (mesh.n_nodes - n, 4)
+        for j, y in enumerate(Y):
+            rows = slice(j * n, (j + 1) * n)
+            K, rhs, bvals = direct_sample_system(mesh, a_at, f_at, lift, y)
+            assert_allclose(A[rows, rows], K.toarray(), rtol=1e-12)
+            assert not np.any(np.delete(A[rows], np.arange(j * n, (j + 1) * n), axis=1))
+            assert_allclose(system.b[rows], rhs, rtol=1e-12)
+            assert_allclose(obs[rows], g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
+            assert_allclose(boundary[:, j], bvals, rtol=1e-12)
+        # the affine coefficient has no mode on dimension 1, the callable one
+        # does not read y[1]: moving it moves the load, not the matrix
+        moved = Y.copy()
+        moved[:, 1] += 0.25
+        again, _, _ = sampler.build(moved)
+        assert_allclose(again.A.toarray(), A, rtol=0, atol=0)
+        assert not np.allclose(again.b, system.b)
 
     def test_stiffness_factors_share_one_pattern(self):
-        # the sampler wraps every factor's data around K0's index arrays: a
+        # the factor rows are the stored entries of the interior pattern: a
         # mode that vanishes on the left half and one that is identically
-        # zero must still store the full pattern, explicit zeros included
+        # zero keep the full pattern, explicit zeros included, and a
+        # dimension without modes has a zero row
         mesh = build_uniform_mesh(RECT, 6)
-        a = AffineField.build(1.0, [(0.5, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 0),
-                                    (1.0, lambda x: np.zeros(x.shape[0]), 1),
-                                    (0.3, lambda x: x[:, 1], 3)])
-        K_ii = affine_factors(mesh, a, AffineField.build(1.0), AffineField.build(0.0),
+        ii = mesh.interior
+        op = P1Operator(mesh)
+        shapes = {1: lambda x: 0.5 * np.maximum(x[:, 0] - 0.5, 0.0),
+                  2: lambda x: np.zeros(x.shape[0]), 4: lambda x: 0.3 * x[:, 1]}
+        a = AffineField.build(1.0, [(1.0, shapes[k], k - 1) for k in shapes])
+        K_ii = affine_factors(op, a, AffineField.build(1.0), AffineField.build(0.0),
                               4).K_ii
-        assert K_ii[3] is None
-        assert np.any(K_ii[1].data == 0.0) and np.all(K_ii[2].data == 0.0)
-        for K in (K_ii[1], K_ii[2], K_ii[4]):
-            assert np.array_equal(K.indptr, K_ii[0].indptr)
-            assert np.array_equal(K.indices, K_ii[0].indices)
+        assert K_ii.shape == (5, op.interior.indices.size)
+        assert not np.any(K_ii[3]) and not np.any(K_ii[2]) and np.any(K_ii[1] == 0.0)
+        for k, shape in [(0, None), *shapes.items()]:
+            K = op.interior.csr(K_ii[k])
+            assert K.nnz == op.interior.indices.size
+            direct = assemble_weighted_stiffness(mesh, shape)[ii][:, ii]
+            assert_allclose(K.toarray(), direct.toarray(), rtol=1e-12, atol=1e-15)
 
 
 class TestMCRun:
@@ -207,10 +224,9 @@ class TestMCRun:
         with pytest.raises(RuntimeError):
             mc_run(mesh, fields, dens, n_samples=8, seed=0, solver=starved)
 
-    def test_non_affine_field_uses_generic_path(self):
-        # a coefficient given as a callable of (x, y) is frozen at each drawn
-        # y and factored per sample; compare against the affine path at
-        # matched samples
+    def test_non_affine_field_uses_generic_path(self, monkeypatch):
+        # a coefficient given as a callable of (x, y) is evaluated at each
+        # drawn y; compare against the affine path at matched samples
         mesh = build_uniform_mesh(RECT, 3)
         dens = (Density1D.uniform(0.5, 1.5),)
         f = AffineField.build(-2.0)
@@ -224,6 +240,32 @@ class TestMCRun:
                          dens, n_samples=12, seed=7,
                          solver=SolverConfig(tol=1e-12))
         assert_allclose(res_gen.mean, res_aff.mean, rtol=1e-9)
+
+        # the paper's examples with y = exp(xi): affine in y (exp) and a
+        # callable of xi (xi) draw the same samples, solved in blocks of
+        # MC_BLOCK_NODES // I samples on both paths
+        solves = []
+
+        def counted(system, obs, config, x0=None):
+            solves.append(obs.size // mesh.interior.size)
+            return solve_lcp(system, obs, config, x0=x0)
+
+        solve_lcp = mc.solve_lcp
+        monkeypatch.setattr(mc, "solve_lcp", counted)
+        block = MC_BLOCK_NODES // 49  # I = 49 on the 8 x 8 meshes
+        n = block + 17
+        for name in ("example1", "example2"):
+            means = {}
+            for parameterization in ("exp", "xi"):
+                prob = get_problem(name, parameterization)
+                mesh = build_uniform_mesh(prob.rect, 8)
+                solves.clear()
+                res = mc_run(mesh, prob.fields, prob.densities, n, seed=5,
+                             solver=SolverConfig(tol=1e-12), dirichlet=prob.dirichlet)
+                assert res.n_failed == 0 and solves == [block, n - block]
+                means[parameterization] = res.mean
+            assert np.max(np.abs(means["exp"])) > 0.01
+            assert_allclose(means["xi"], means["exp"], rtol=0, atol=1e-12)
 
     def test_timings_reported(self):
         mesh = build_uniform_mesh(RECT, 3)
@@ -240,17 +282,32 @@ class TestBlocks:
     MESH = build_uniform_mesh(RECT, 8)  # I = 49 interior nodes
     BLOCK = MC_BLOCK_NODES // 49
 
-    @pytest.mark.parametrize("lifted", [False, True], ids=["affine", "lifted"])
+    @pytest.mark.parametrize("affine, lifted", [
+        pytest.param(True, False, id="affine"),
+        pytest.param(True, True, id="lifted"),
+        pytest.param(False, False, id="callable"),
+        pytest.param(False, True, id="callable-lifted"),
+    ])
     @pytest.mark.parametrize("n_samples", [BLOCK - 3, BLOCK, 2 * BLOCK + 5],
                              ids=["below-B", "B", "not-multiple"])
-    def test_block_solves_match_serial_solves(self, lifted, n_samples):
-        # the reference solves every sample on its own, cold, and feeds the
-        # same accumulator; the block run must agree to rounding
+    def test_block_solves_match_serial_solves(self, affine, lifted, n_samples):
+        # the reference assembles and solves every sample on its own, cold,
+        # and feeds the same accumulator; the block run must agree to
+        # rounding.  The callable a and f are not affine in y.
         mesh = self.MESH
-        fields = {"a": AffineField.build(1.0, [(0.5, lambda x: x[:, 0], 0),
-                                               (0.3, one, 1)]),
-                  "f": AffineField.build(-6.0, [(2.0, lambda x: x[:, 1], 1)]),
-                  "g": AffineField.build(-0.08, [(0.02, one, 0)])}
+        g = AffineField.build(-0.08, [(0.02, one, 0)])
+        if affine:
+            a = AffineField.build(1.0, [(0.5, lambda x: x[:, 0], 0), (0.3, one, 1)])
+            f = AffineField.build(-6.0, [(2.0, lambda x: x[:, 1], 1)])
+            a_at, f_at = a.evaluate, f.evaluate
+        else:
+            def a(x, y):
+                return 1.0 + 0.5 * np.exp(y[1] * x[:, 0]) * y[0]
+
+            def f(x, y):
+                return -6.0 + 2.0 * np.sin(3.0 * y[1] * x[:, 1])
+
+            a_at, f_at = a, f
         dens = (Density1D.exp_uniform(), Density1D.uniform(-1.0, 1.0))
 
         def dirichlet(x, y):
@@ -258,17 +315,19 @@ class TestBlocks:
 
         lift = dirichlet if lifted else None
         cfg = SolverConfig(tol=1e-12)
-        res = mc_run(mesh, fields, dens, n_samples, seed=11, solver=cfg, dirichlet=lift)
+        res = mc_run(mesh, {"a": a, "f": f, "g": g}, dens, n_samples, seed=11,
+                     solver=cfg, dirichlet=lift)
 
-        sampler = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"], lift, 2)
         ref = MCAccumulator()
         contact = 0
         for idx in range(n_samples):
-            system, obs, boundary = sampler.build(sample_parameters(dens, 11, idx)[None])
-            u, report = active_set_solve(system, obs, cfg)
+            y = sample_parameters(dens, 11, idx)
+            K, rhs, bvals = direct_sample_system(mesh, a_at, f_at, lift, y)
+            obs = g.evaluate(mesh.nodes[mesh.interior], y)
+            u, report = active_set_solve(SparseObstacleSystem(K, rhs), obs, cfg)
             assert report.converged
             contact += report.active_count
-            ref.update(mesh.full_values(u, boundary[:, 0]))
+            ref.update(mesh.full_values(u, bvals))
         assert contact > 0  # the obstacle really binds
         assert res.n_failed == 0 and res.accumulator.n == n_samples
         assert_allclose(res.mean, ref.mean, rtol=0, atol=1e-12)
