@@ -1,10 +1,12 @@
-"""The one rule for numbers in configs and solver settings.
+"""The one rule for numbers and for keys in configs and solver settings.
 
 JSON numbers and numpy scalars count.  A bool or a string is never a
 number, and a float is never truncated to an integer, so ``8.0``, ``8.9``,
-``"8"`` and ``true`` are all refused where an integer is wanted.  Both
-checks raise ValueError naming ``what`` and quoting the value through
-``shown``, which keeps a message short whatever the config holds.
+``"8"`` and ``true`` are all refused where an integer is wanted.  A config
+object takes only the keys its section knows, so a typo is an error and
+never a silent default.  The checks raise ValueError naming ``what`` and
+quoting the value through ``shown``, which keeps a message short whatever
+the config holds.
 """
 
 from __future__ import annotations
@@ -41,3 +43,11 @@ def integer(value, what: str, lo: int = 0, hi: int | None = None) -> int:
         return int(value)
     span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
     raise ValueError(f"{what} must be an integer {span}, got {shown(value)}")
+
+
+def known_keys(mapping: dict, known, what: str) -> dict:
+    """``mapping``, after checking that each of its keys is in ``known``."""
+    unknown = [f"unknown {what} key {shown(key)}" for key in mapping if key not in known]
+    if unknown:
+        raise ValueError("; ".join(unknown))
+    return mapping

@@ -3,8 +3,9 @@
 Subcommands: converge (error table over a refinement schedule), solve (one
 level with field exports), mc (Monte Carlo baseline), info (print the
 experiment plan without running).  Exit codes: 0 on success, 1 on config
-errors (a config mode the subcommand does not run included), 2 when a
-solver fails to converge or a computed variance is clearly negative.
+errors (a config mode the subcommand does not run and an output directory
+that cannot be created included), 2 when a solver fails to converge or a
+computed variance is clearly negative.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import logging
 import sys
 
-from .runner import (ConfigError, SolverNotConverged, load_config,
+from .runner import (ConfigError, SolverNotConverged, load_config, make_output_dir,
                      run_convergence, run_mc, run_single)
 
 log = logging.getLogger("sgobstacle")
@@ -88,9 +89,11 @@ def main(argv=None) -> int:
         if getattr(args, "output_dir", None):
             cfg.output_dir = args.output_dir
         needs = COMMAND_MODES.get(args.command)
-        if needs is not None and cfg.mode not in needs:
-            raise ConfigError(f"{args.command} subcommand needs mode "
-                              f"{needs[0]!r} or {needs[1]!r}")
+        if needs is not None:
+            if cfg.mode not in needs:
+                raise ConfigError(f"{args.command} subcommand needs mode "
+                                  f"{needs[0]!r} or {needs[1]!r}")
+            make_output_dir(cfg)  # before the solve, not after it
         if args.command == "info":
             _info(cfg)
         elif args.command == "converge":

@@ -1,8 +1,11 @@
 """Parametric coefficient fields, their spatial data and the parameter draw.
 
 An affine field is mu(x) + sum_k c_k phi_k(x) y_{d_k}; several modes may
-attach to the same parameter dimension.  Non-affine parametric fields are
-plain callables (x, y) -> values.  ``spatial_data`` maps rows of field
+attach to the same parameter dimension.  Non-affine parametric fields and
+Dirichlet data are plain callables (x, y) -> values that take a block of
+parameter rows at once: for points x (n, 2) and y (..., M) they return
+values of shape y.shape[:-1] + (n,), the contract of the exact solutions
+(``stats.ParametricFunction``).  ``spatial_data`` maps rows of field
 values through the mesh operator (``fem.P1Operator``): the affine terms
 for the Galerkin system (``affine_factors``), the parameter rows of a
 sample block for Monte Carlo (``at_points``).  ``lift`` is the one
@@ -141,16 +144,17 @@ def affine_factors(op: P1Operator, a: AffineField, f: AffineField, g: AffineFiel
 def at_points(fld, x: np.ndarray, n_dims: int):
     """The map from parameter rows Y (B, M) to a field's values (B, n) at the
     points x: an AffineField's mean plus Y @ modes, with its terms taken at
-    x once, or a callable (x, y) -> values evaluated row by row."""
+    x once, or one call of a callable (x, y) -> values on the whole block."""
     if isinstance(fld, AffineField):
         terms = fld.terms(x, n_dims)
         return lambda Y: terms[0] + Y @ terms[1:]
-    return lambda Y: np.array([fld(x, y) for y in Y], dtype=float).reshape(len(Y), len(x))
+    return lambda Y: np.asarray(fld(x, Y), dtype=float).reshape(len(Y), len(x))
 
 
 def lift(op: P1Operator, dirichlet, y_points: np.ndarray, K_ib: np.ndarray):
     """Dirichlet data D (n_boundary, J) at the parameter points (zero without
-    ``dirichlet``) and the lifting K_ib D.
+    ``dirichlet``, one call of it on all J points otherwise) and the lifting
+    K_ib D.
 
     The coupling entries ``K_ib`` (..., nnz) broadcast against the columns
     of D row by row: a Monte Carlo block (J, nnz) pairs sample j with column
@@ -158,11 +162,10 @@ def lift(op: P1Operator, dirichlet, y_points: np.ndarray, K_ib: np.ndarray):
     term to every column (T, J, I) before its Gramians contract them.
     """
     x_boundary = op.mesh.nodes[op.mesh.boundary]
-    D = np.zeros((len(x_boundary), len(y_points)))
+    D = np.zeros((len(y_points), len(x_boundary)))
     if dirichlet is not None:
-        for j, y in enumerate(y_points):
-            D[:, j] = dirichlet(x_boundary, y)
-    return D, op.coupling.apply(K_ib, D.T)
+        D[:] = dirichlet(x_boundary, y_points)
+    return D.T, op.coupling.apply(K_ib, D)
 
 
 def scenario_rng(seed: int, index: int) -> np.random.Generator:

@@ -1,14 +1,16 @@
 """Solvers for the linear complementarity problem u >= g, Au >= b, complementary.
 
 Systems are given as objects exposing ``n``, ``b``, ``matvec``, ``diag``,
-``precond`` (approximate inverse of A used by conjugate gradients),
-``reduced_precond(inactive)`` (the same for A[inactive][:, inactive], used
-on every active-set update) and ``explicit`` (CSR matrix or None).  Tensor
-Galerkin systems and plain sparse systems both implement this protocol; A
-must be symmetric positive definite.  The Galerkin system restricts its
-Kronecker preconditioner to the inactive set (``restrict_operator``); the
-plain sparse system solves the reduced system exactly by banded Cholesky,
-so each active-set update costs one conjugate gradient step.
+``precond()`` (approximate inverse of A used by conjugate gradients),
+``reduced_precond(active)`` and ``explicit`` (CSR matrix or None); A must be
+symmetric positive definite.  ``reduced_precond`` takes the boolean mask of
+an active-set update and returns a full-length approximate inverse of the
+inactive block for vectors that are zero on the active entries.  Updates
+never leave the index space of A: masking the matvec and the
+preconditioner output holds the active entries at zero.  The Galerkin
+system returns its Kronecker preconditioner, which does not depend on the
+set; the plain sparse system solves the inactive block exactly by banded
+Cholesky, so each of its updates costs one conjugate gradient step.
 
 Projected SOR sweeps the rows of the explicit matrix in multicolour order:
 a greedy colouring, made once per solve, splits the rows into classes that
@@ -23,7 +25,6 @@ import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +37,6 @@ __all__ = [
     "SolveReport",
     "SolverNotConverged",
     "SparseObstacleSystem",
-    "restrict_operator",
     "complementarity_residual",
     "greedy_colouring",
     "psor_solve",
@@ -107,8 +107,9 @@ class SparseObstacleSystem:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
         if self.b.shape != (self.n,):
             raise ValueError(f"b must have length {self.n}, got shape {self.b.shape}")
-        self._lower = None
-        self._precond = None
+        rows = np.repeat(np.arange(self.n), np.diff(self.A.indptr))
+        lower = self.A.indices <= rows
+        self._lower = rows[lower], self.A.indices[lower], self.A.data[lower]
 
     def matvec(self, v):
         return self.A @ v
@@ -119,36 +120,25 @@ class SparseObstacleSystem:
     def explicit(self):
         return self.A
 
-    def _lower_entries(self):
-        """(rows, cols, values) of the lower triangle of A, cached."""
-        if self._lower is None:
-            rows = np.repeat(np.arange(self.n), np.diff(self.A.indptr))
-            keep = self.A.indices <= rows
-            self._lower = rows[keep], self.A.indices[keep], self.A.data[keep]
-        return self._lower
-
     def precond(self):
-        """Exact solve with A; the factorization runs on the first apply."""
-        if self._precond is None:
-            self._precond = _banded_cholesky_solver(*self._lower_entries(), self.n)
-        return self._precond
+        """Exact solve with A: ``reduced_precond`` with nothing active."""
+        return self.reduced_precond(np.zeros(self.n, dtype=bool))
 
-    def reduced_precond(self, inactive):
-        """Exact solve with A[inactive][:, inactive] on vectors over ``inactive``.
+    def reduced_precond(self, active):
+        """Exact solve with A[inactive][:, inactive], on full-length vectors.
 
-        The active rows and columns of A are zeroed with a unit diagonal, which
-        decouples them and keeps the band, and the result is restricted.
+        The ``active`` rows and columns of A are zeroed with a unit diagonal,
+        which decouples them and keeps the band, so a vector that is zero on
+        the active entries comes back zero there.  The factorization runs on
+        the first apply.
         """
-        rows, cols, vals = self._lower_entries()
-        active = np.ones(self.n, dtype=bool)
-        active[inactive] = False
+        rows, cols, vals = self._lower
         keep = ~(active[rows] | active[cols])
         unit = np.flatnonzero(active)
-        solve = _banded_cholesky_solver(np.concatenate((rows[keep], unit)),
-                                        np.concatenate((cols[keep], unit)),
-                                        np.concatenate((vals[keep], np.ones(unit.size))),
-                                        self.n)
-        return restrict_operator(solve, inactive, self.n)
+        return _banded_cholesky_solver(np.concatenate((rows[keep], unit)),
+                                       np.concatenate((cols[keep], unit)),
+                                       np.concatenate((vals[keep], np.ones(unit.size))),
+                                       self.n)
 
 
 def _banded_cholesky_solver(rows, cols, vals, n):
@@ -169,22 +159,6 @@ def _banded_cholesky_solver(rows, cols, vals, n):
         return cho_solve_banded((factor[0], True), r, check_finite=False)
 
     return solve
-
-
-def restrict_operator(apply, inactive, n):
-    """A full-space operator restricted to the index set ``inactive``.
-
-    The vector is extended by zeros, ``apply`` runs on all ``n`` entries and
-    the result is read back on ``inactive``.  The full-length vector lives
-    only during the call, so the reduced matvec and preconditioner of one
-    solve never hold two at once.
-    """
-    def apply_reduced(r):
-        full = np.zeros(n)
-        full[inactive] = r
-        return apply(full)[inactive]
-
-    return apply_reduced
 
 
 def complementarity_residual(system, u: np.ndarray, obs: np.ndarray) -> float:
@@ -337,26 +311,20 @@ def _pcg(matvec, b, x0, precond, rtol, max_iter):
     return x, max_iter, False
 
 
-def _solve_inactive(system, inactive, rhs, x0, rtol, max_iter):
-    """Solve the reduced SPD system on the inactive index set by PCG."""
-    return _pcg(restrict_operator(system.matvec, inactive, system.n), rhs, x0,
-                system.reduced_precond(inactive), rtol, max_iter)
-
-
 def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(),
                      x0: np.ndarray | None = None):
     """Primal-dual active set iteration.
 
     The contact indicator is lambda - d*(u - obs) > 0 with d = diag(A) and
     lambda = Au - b; ties (u = obs, lambda = 0) count as inactive.  Each
-    update solves the linear system on the inactive set by conjugate
-    gradients preconditioned with ``system.reduced_precond``, warm-started
-    from the current iterate.  The iteration stops when the active set
-    repeats or the complementarity residual drops below tol; a revisited
-    earlier set (a cycle) aborts with ``converged=False``, and so does a
-    system whose ``precond()`` raises ``numpy.linalg.LinAlgError``.
+    update holds the active entries at the obstacle and solves for the rest
+    by conjugate gradients on full-length vectors that are zero on the
+    active set, preconditioned with ``system.reduced_precond(active)`` and
+    warm-started from the current iterate.  The iteration stops when the
+    active set repeats or the complementarity residual drops below tol; a
+    revisited earlier set (a cycle) aborts with ``converged=False``, and so
+    does a system whose ``precond()`` raises ``numpy.linalg.LinAlgError``.
     """
-    n = system.n
     b = system.b
     d = system.diag()
     try:
@@ -369,18 +337,15 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
                               active_count=int(np.count_nonzero(u <= obs)),
                               seconds=0.0)
     rtol = max(1e-13, min(1e-10, config.tol * 1e-4))
-    cg_max = max(500, 2 * n)
+    cg_max = max(500, 2 * system.n)
     max_updates = config.max_iter if config.max_iter is not None else 100
     t0 = time.perf_counter()
     inner_total = 0
-
-    if x0 is not None:
-        u = np.maximum(np.asarray(x0, dtype=float), obs)
-    else:
-        u, it, ok = _pcg(system.matvec, b, np.zeros(n), precond, rtol,
-                         cg_max)
-        inner_total += it
-        u = np.maximum(u, obs)
+    if x0 is None:
+        # cold start: the unconstrained solution, lifted onto the obstacle
+        x0, inner_total, _ = _pcg(system.matvec, b, np.zeros(system.n), precond, rtol,
+                                  cg_max)
+    u = np.maximum(np.asarray(x0, dtype=float), obs)
     lam = system.matvec(u) - b
     active = (lam - d * (u - obs)) > 0.0
 
@@ -395,28 +360,24 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
             break
         seen.add(key)
 
-        u_new = np.where(active, obs, 0.0)
-        inactive = np.flatnonzero(~active)
-        if inactive.size > 0:
-            rhs = (b - system.matvec(u_new))[inactive]
-            sol, it, ok = _solve_inactive(system, inactive, rhs, u[inactive],
-                                          rtol, cg_max)
-            inner_total += it
-            if not ok:
-                u_new[inactive] = sol
-                u = u_new
-                residual = complementarity_residual(system, u, obs)
-                break
-            u_new[inactive] = sol
-        u = u_new
-        lam = system.matvec(u) - b
-        new_active = (lam - d * (u - obs)) > 0.0
-        residual = _max_violation(u, obs, lam)
-        if residual <= config.tol or np.array_equal(new_active, active):
-            active = new_active
-            converged = residual <= config.tol
+        # the inactive system on full-length vectors, held at zero on the
+        # active entries by masking the matvec and the preconditioner output
+        free = ~active
+        rhs = (b - system.matvec(np.where(active, obs, 0.0))) * free
+        reduced = system.reduced_precond(active)
+        sol, it, ok = _pcg(lambda v: system.matvec(v) * free, rhs, u * free,
+                           lambda r: reduced(r) * free, rtol, cg_max)
+        inner_total += it
+        u = np.where(active, obs, sol)
+        if not ok:
+            residual = complementarity_residual(system, u, obs)
             break
-        active = new_active
+        lam = system.matvec(u) - b
+        previous, active = active, (lam - d * (u - obs)) > 0.0
+        residual = _max_violation(u, obs, lam)
+        converged = residual <= config.tol
+        if np.array_equal(previous, active):
+            break
 
     report = SolveReport(
         converged=converged,

@@ -11,9 +11,10 @@ and g at a block's rows (an affine field as its mean plus the rows times
 its modes, a callable row by row) and maps the values through the mesh
 operator (``fem.P1Operator``) into the block's stiffness entries, loads,
 obstacle values and Dirichlet lifting.  The systems are
-``SparseObstacleSystem``s, whose active-set updates solve the reduced
-system exactly by banded Cholesky; block-diagonal stacking keeps the band
-of one sample.
+``SparseObstacleSystem``s: the preconditioner of an active-set update is a
+banded Cholesky solve of the system with unit rows on the active entries,
+exact on the inactive ones, so an update takes one conjugate gradient
+step; block-diagonal stacking keeps the band of one sample.
 
 B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
 one sample).  The cap keeps the working set of the band Cholesky small:

@@ -8,12 +8,13 @@ exact solution (which is nonzero on the boundary of the domain).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._checks import integer, number, shown
+from ._checks import integer, known_keys, number, shown
 from .fem import SpatialFunction
 from .fields import AffineField
 from .param import Density1D
@@ -93,7 +94,8 @@ def example1(parameterization: str = "exp") -> Problem:
         dirichlet = value_y
     elif parameterization == "xi":
         def a_xi(x, xi):
-            return 1.0 + np.exp(xi[0]) + 2.0 * np.exp(xi[1]) + 0.0 * x[:, 0]
+            a = 1.0 + np.exp(xi[..., 0]) + 2.0 * np.exp(xi[..., 1])
+            return a[..., None] + 0.0 * x[:, 0]
 
         fields = {
             "a": a_xi,
@@ -157,7 +159,7 @@ def example2(parameterization: str = "exp") -> Problem:
         dirichlet = value_y
     elif parameterization == "xi":
         def f_xi(x, xi):
-            return f_profile(x) * (np.exp(xi[0]) + 2.0 * np.exp(xi[1]))
+            return f_profile(x) * (np.exp(xi[..., 0]) + 2.0 * np.exp(xi[..., 1]))[..., None]
 
         fields = {
             "a": AffineField.build(1.0),
@@ -204,7 +206,7 @@ def spatial_from_spec(spec) -> SpatialFunction:
       {"kind": "constant", "value": v}
       {"kind": "polynomial", "terms": [[c, p, q], ...]}  for sum c x1^p x2^q
     Numbers must be finite and exponents integers in 0..MAX_EXPONENT; any
-    other spec raises ValueError.
+    other spec, or a key the kind does not take, raises ValueError.
     """
     if not isinstance(spec, dict):
         return SpatialFunction.constant(number(spec, "a constant spatial function"))
@@ -212,8 +214,10 @@ def spatial_from_spec(spec) -> SpatialFunction:
         raise ValueError(f"bad spatial function spec {shown(spec)}")
     kind = spec["kind"]
     if kind == "constant":
+        known_keys(spec, ("kind", "value"), "spatial function")
         return SpatialFunction.constant(number(spec.get("value"), "constant value"))
     if kind == "polynomial":
+        known_keys(spec, ("kind", "terms"), "spatial function")
         terms = [(number(c, "polynomial coefficient"),
                   integer(p, "polynomial exponent", 0, MAX_EXPONENT),
                   integer(q, "polynomial exponent", 0, MAX_EXPONENT))
@@ -243,6 +247,7 @@ def density_from_spec(spec) -> Density1D:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"bad density spec {shown(spec)}")
     kind = spec["kind"]
+    known_keys(spec, ("kind", "lo", "hi"), "density")
     if kind == "uniform":
         return Density1D.uniform(number(spec.get("lo"), "uniform lo"),
                                  number(spec.get("hi"), "uniform hi"))
@@ -258,11 +263,13 @@ def density_from_spec(spec) -> Density1D:
 def _affine_from_spec(spec, what: str) -> AffineField:
     if not isinstance(spec, dict):
         return AffineField.build(number(spec, f"field {what}"))
+    known_keys(spec, ("mean", "modes"), f"field {what}")
     mean = spatial_from_spec(spec.get("mean", 0.0))
     modes = []
     for m in _entries(spec.get("modes", []), f"field {what} modes"):
         if not isinstance(m, dict):
             raise ValueError(f"field {what}: a mode must be an object, got {shown(m)}")
+        known_keys(m, ("coeff", "shape", "dim"), f"field {what} mode")
         modes.append((number(m.get("coeff"), f"field {what} mode coeff"),
                       spatial_from_spec(m.get("shape")),
                       integer(m.get("dim"), f"field {what} mode dim")))
@@ -273,10 +280,12 @@ def problem_from_config(custom: dict) -> Problem:
     """Assemble a custom problem from its config section.
 
     Custom problems have no exact solution; convergence errors are not
-    available for them.
+    available for them.  The name becomes part of output file names, so it
+    must be a plain file name (no directory part).
     """
     if not isinstance(custom, dict):
         raise ValueError(f"custom must be an object, got {shown(custom)}")
+    known_keys(custom, ("domain", "densities", "fields", "name"), "custom")
     rect = tuple(number(v, "domain bound")
                  for v in _entries(custom.get("domain"), "domain [x0, x1, y0, y1]", 4))
     if not (0.0 < rect[1] - rect[0] < np.inf and 0.0 < rect[3] - rect[2] < np.inf):
@@ -287,10 +296,13 @@ def problem_from_config(custom: dict) -> Problem:
     fields = custom.get("fields")
     if not isinstance(fields, dict):
         raise ValueError(f"fields must be an object, got {shown(fields)}")
+    known_keys(fields, ("a", "f", "g"), "custom.fields")
     fields = {key: _affine_from_spec(fields.get(key), key) for key in ("a", "f", "g")}
     name = custom.get("name", "custom")
     if not isinstance(name, str):
         raise ValueError(f"custom name must be a string, got {shown(name)}")
+    if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+        raise ValueError(f"custom name must be a plain file name, got {shown(name)}")
     return Problem(
         name=name, rect=rect, n_dims=len(densities),
         parameterization="exp", densities=densities, fields=fields,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, number, shown
+from ._checks import integer, known_keys, number, shown
 from .fem import evaluate_p1, p1_distance, quadrature_points
 from .fields import AffineField, bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
@@ -42,6 +42,7 @@ __all__ = [
     "ErrorTable",
     "validate_config",
     "load_config",
+    "make_output_dir",
     "run_convergence",
     "run_single",
     "run_mc",
@@ -127,6 +128,7 @@ def _level(problem: Problem, h: float, cells: int, label: str,
 
 
 def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
+    _checked(errors, known_keys, spec, ("h_over_s", "m_min", "m_max"), "schedule.coupled")
     if not problem.densities:
         errors.append("schedule.coupled needs a parameter dimension; use levels")
         return []
@@ -156,6 +158,18 @@ def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
     return levels
 
 
+def _solver(spec, what: str, errors: list) -> SolverConfig | None:
+    """The SolverConfig of a solver section, or None after noting why not."""
+    if not isinstance(spec, dict):
+        errors.append(f"{what} must be an object")
+        return None
+    try:
+        return SolverConfig(**spec)
+    except (TypeError, ValueError) as exc:
+        errors.append(f"{what}: {exc}")
+        return None
+
+
 def _check_ellipticity(problem: Problem, levels: list[Level], errors: list) -> None:
     """Refuse an affine coefficient that is not positive on the parameter box.
 
@@ -180,17 +194,16 @@ def _check_ellipticity(problem: Problem, levels: list[Level], errors: list) -> N
 def validate_config(raw: dict) -> ExperimentConfig:
     """Check a parsed config and build the experiment plan.
 
-    Raises ConfigError listing every problem found; unknown top-level keys
-    are rejected to catch typos.
+    Raises ConfigError listing every problem found; unknown keys (top level,
+    ``schedule``, ``schedule.coupled``, ``mc`` and the custom sections) are
+    rejected to catch typos.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     errors: list[str] = []
-    known = {"problem", "mode", "parameterization", "dirichlet", "schedule",
-             "solver", "mc", "quad_order", "output_dir", "custom"}
-    for key in raw:
-        if key not in known:
-            errors.append(f"unknown config key {shown(key)}")
+    _checked(errors, known_keys, raw, ("problem", "mode", "parameterization", "dirichlet",
+                                       "schedule", "solver", "mc", "quad_order",
+                                       "output_dir", "custom"), "config")
 
     mode = raw.get("mode", "sg")
     if mode not in ("sg", "mc", "both"):
@@ -226,6 +239,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(schedule, dict):
         errors.append("schedule must be an object")
     elif problem is not None:
+        _checked(errors, known_keys, schedule, ("levels", "coupled"), "schedule")
         if "levels" in schedule and "coupled" in schedule:
             errors.append("schedule takes either levels or coupled, not both")
         elif "levels" in schedule and not isinstance(schedule["levels"], list):
@@ -267,15 +281,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if "solver" not in raw:
         log.warning("no solver section in config, using defaults (%s)",
                     SolverConfig().method)
-    solver_raw = raw.get("solver", {})
-    solver = None
-    if not isinstance(solver_raw, dict):
-        errors.append("solver must be an object")
-    else:
-        try:
-            solver = SolverConfig(**solver_raw)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"solver: {exc}")
+    solver = _solver(raw.get("solver", {}), "solver", errors)
 
     if problem is not None:
         _check_ellipticity(problem, levels, errors)
@@ -284,16 +290,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(mc_raw, dict):
         errors.append("mc must be an object")
         mc_raw = {}
+    _checked(errors, known_keys, mc_raw, ("n_samples", "seed", "level", "solver"), "mc")
     mc_samples = _checked(errors, integer, mc_raw.get("n_samples", 4096), "mc.n_samples", 1)
     mc_seed = _checked(errors, integer, mc_raw.get("seed", 0), "mc.seed")
     mc_level = _checked(errors, integer, mc_raw.get("level", 0), "mc.level", 0,
                         len(levels) - 1 if levels else None)
-    mc_solver = None
-    if "solver" in mc_raw:
-        try:
-            mc_solver = SolverConfig(**mc_raw["solver"])
-        except (TypeError, ValueError) as exc:
-            errors.append(f"mc.solver: {exc}")
+    mc_solver = _solver(mc_raw["solver"], "mc.solver", errors) if "solver" in mc_raw else None
 
     # leggauss(q) solves a q x q eigenproblem, and a 2-D tensor rule of this
     # order has at most MAX_NODES nodes, the bound of a parameter grid
@@ -449,7 +451,7 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
         prev = (system, u)
     table = ErrorTable(rows=rows)
     if write:
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        make_output_dir(cfg)
         table.to_csv(os.path.join(cfg.output_dir, "table.csv"))
         with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
             json.dump({"problem": problem.name, "mode": cfg.mode,
@@ -459,9 +461,19 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
     return table, reports
 
 
+def make_output_dir(cfg: ExperimentConfig) -> None:
+    """Create ``cfg.output_dir`` if needed; a path that cannot be made a
+    directory (an existing file, say) is a config error."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {cfg.output_dir!r}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _write_fields(cfg: ExperimentConfig, fields: list[StatField], tag: str) -> dict:
     """Write each field as ``<tag>_<name>.csv`` and all of them as ``<tag>.vtk``."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    make_output_dir(cfg)
     paths = {}
     for fld in fields:
         base = os.path.join(cfg.output_dir, f"{tag}_{fld.name}")

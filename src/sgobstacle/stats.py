@@ -10,6 +10,7 @@ product density.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable
@@ -114,20 +115,13 @@ def tensor_quadrature(densities: tuple[Density1D, ...], order: int):
     if len(densities) == 0:
         return np.zeros((1, 0)), np.ones(1)
     gx, gw = np.polynomial.legendre.leggauss(order)
-    pts_1d = []
-    wts_1d = []
+    pts_1d, wts_1d = [], []
     for rho in densities:
         c, d = rho.support
-        y = 0.5 * (c + d) + 0.5 * (d - c) * gx
-        w = 0.5 * (d - c) * gw * rho.pdf(y)
-        pts_1d.append(y)
-        wts_1d.append(w)
+        pts_1d.append(0.5 * (c + d) + 0.5 * (d - c) * gx)
+        wts_1d.append(0.5 * (d - c) * gw * rho.pdf(pts_1d[-1]))
     grids = np.meshgrid(*pts_1d, indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    weights = wts_1d[0]
-    for w in wts_1d[1:]:
-        weights = np.kron(weights, w)
-    return nodes, weights
+    return np.column_stack([g.ravel() for g in grids]), functools.reduce(np.kron, wts_1d)
 
 
 # Values (parameter nodes x spatial points) evaluated per chunk of the

@@ -8,7 +8,9 @@ with index j*I + i.  The explicit sparse sum is built only when a caller
 asks for it (projected SOR, ``dump_matrix``).  Conjugate gradients are
 preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
 (Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
-orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).
+orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  The
+same preconditioner serves every active-set update, on full-length vectors
+(``reduced_precond``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import scipy.sparse.linalg as spla
 
 from .fem import P1Operator
 from .fields import AffineField, affine_factors, lift
-from .lcp import restrict_operator
 from .mesh import Mesh
 from .param import Gramians, ParamGrid, assemble_gramians
 
@@ -170,9 +171,9 @@ class SGSystem:
             self._precond = apply
         return self._precond
 
-    def reduced_precond(self, inactive: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``precond()`` restricted to the inactive index set of an active-set update."""
-        return restrict_operator(self.precond(), inactive, self.n)
+    def reduced_precond(self, active: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``precond()`` itself: G̃ ⊗ K̄ does not depend on the ``active`` mask."""
+        return self.precond()
 
 
 def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,

@@ -127,6 +127,47 @@ def test_block_diagonal_lcp_matches_enumeration_per_block(lcps):
         assert np.max(np.abs(u - exact)) <= 1e-8
 
 
+# (nx, ny, cells per parameter dimension) of every Galerkin system with I*J <= 12
+SMALL_SG_SHAPES = [(nx, ny, cells) for nx in range(2, 6) for ny in range(2, 5)
+                   for cells in [(c,) for c in range(1, 4)]
+                   + [(c, e) for c in range(1, 4) for e in range(1, 4)]
+                   if (nx - 1) * (ny - 1) * np.prod([c + 1 for c in cells]) <= 12]
+MODE_SHAPES = [1.0, lambda x: x[:, 0], lambda x: x[:, 1], lambda x: x[:, 0] * x[:, 1]]
+
+
+@st.composite
+def small_sg_lcps(draw):
+    """Galerkin LCPs on (0, 1)^2 with I*J <= 12: a coefficient with drawn
+    modes (positive on the parameter box [0, 1]^M), a drawn affine source
+    and a drawn obstacle vector, and a start x0 >= obstacle."""
+    nx, ny, cells = draw(st.sampled_from(SMALL_SG_SHAPES))
+    coeff = st.floats(-0.45, 2.0)
+    modes = [(draw(coeff), draw(st.sampled_from(MODE_SHAPES)), d) for d in range(len(cells))]
+    a = AffineField.build(draw(st.floats(0.5, 2.0)), modes)
+    f = AffineField.build(draw(st.floats(-10.0, 10.0)), [(draw(st.floats(-5.0, 5.0)), 1.0, 0)])
+    system = assemble_sg(build_uniform_mesh((0.0, 1.0, 0.0, 1.0), nx, ny),
+                         build_param_grid([Density1D.uniform(0.0, 1.0)] * len(cells),
+                                          list(cells)),
+                         a, f, AffineField.build(0.0))
+    obs = draw(hnp.arrays(float, system.n, elements=st.floats(-0.3, 0.3)))
+    lift = draw(hnp.arrays(float, system.n, elements=st.floats(0.0, 1.0)))
+    return system, obs, obs + lift
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(small_sg_lcps())
+def test_active_set_matches_enumeration_on_galerkin_systems(lcp):
+    # the Kronecker preconditioner is inexact once a mode's shape differs
+    # from the mean's, so the masked conjugate gradients of an update take
+    # several steps here, unlike the exact sparse preconditioner
+    system, obs, x0 = lcp
+    exact = brute_force_solve(system.explicit().toarray(), system.b, obs)
+    for start in (None, x0):
+        u, rep = active_set_solve(system, obs, SolverConfig(tol=1e-12), x0=start)
+        assert rep.converged
+        assert np.max(np.abs(u - exact)) <= 1e-8
+
+
 def test_banded_cholesky_sums_duplicate_entries():
     # lower-triangle entries given in pieces, (0, 0), (2, 1) and (2, 2)
     # twice, must add up to the matrix they split
@@ -156,13 +197,29 @@ class TestReducedPrecond:
         r = rng.standard_normal(n)
         assert_allclose(system.precond()(r), spla.spsolve(sp.csc_matrix(A), r),
                         rtol=1e-12)
-        subsets = [np.arange(n), np.array([n // 2]),
-                   np.flatnonzero(rng.random(n) < 0.5), np.arange(1, n, 3)]
-        for inactive in subsets:
-            r = rng.standard_normal(inactive.size)
-            reduced = sp.csc_matrix(A[inactive][:, inactive])
-            assert_allclose(system.reduced_precond(inactive)(r),
-                            np.atleast_1d(spla.spsolve(reduced, r)), rtol=1e-12)
+        # full-length contract: for r zero on the active entries, the output
+        # is the reduced direct solve on the inactive entries and 0 elsewhere
+        masks = [np.zeros(n, dtype=bool), np.arange(n) != n // 2, rng.random(n) < 0.5,
+                 np.arange(n) % 3 != 1, np.ones(n, dtype=bool)]
+        for active in masks:
+            inactive = np.flatnonzero(~active)
+            r = np.where(active, 0.0, rng.standard_normal(n))
+            out = system.reduced_precond(active)(r)
+            assert out.shape == (n,)
+            assert np.all(out[active] == 0.0)
+            if inactive.size:
+                reduced = sp.csc_matrix(A[inactive][:, inactive])
+                assert_allclose(out[inactive],
+                                np.atleast_1d(spla.spsolve(reduced, r[inactive])),
+                                rtol=1e-12)
+
+    def test_galerkin_preconditioner_ignores_the_set(self):
+        system = small_sg_system()
+        rng = np.random.default_rng(47)
+        r = rng.standard_normal(system.n)
+        expect = system.precond()(r)
+        for active in (np.zeros(system.n, dtype=bool), rng.random(system.n) < 0.5):
+            assert_allclose(system.reduced_precond(active)(r), expect, rtol=0, atol=0)
 
 
 class TestPSOR:

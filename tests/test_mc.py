@@ -101,15 +101,15 @@ class TestAffineSampler:
             a_at, f_at = a.evaluate, f.evaluate
         else:
             def a(x, y):
-                return 2.0 + np.exp(y[0] * x[:, 0]) * y[2]
+                return 2.0 + np.exp(y[..., 0, None] * x[:, 0]) * y[..., 2, None]
 
             def f(x, y):
-                return np.sin(y[1] * x[:, 1]) - 1.0
+                return np.sin(y[..., 1, None] * x[:, 1]) - 1.0
 
             a_at, f_at = a, f
 
         def dirichlet(x, y):
-            return x[:, 0] * y[0] - x[:, 1] * y[2]
+            return x[:, 0] * y[..., 0, None] - x[:, 1] * y[..., 2, None]
 
         lift = dirichlet if lifted else None
         sampler = _AffineSampler(mesh, a, f, g, lift, 3)
@@ -127,7 +127,7 @@ class TestAffineSampler:
             assert_allclose(obs[rows], g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
             assert_allclose(boundary[:, j], bvals, rtol=1e-12)
         # the affine coefficient has no mode on dimension 1, the callable one
-        # does not read y[1]: moving it moves the load, not the matrix
+        # does not read y[..., 1]: moving it moves the load, not the matrix
         moved = Y.copy()
         moved[:, 1] += 0.25
         again, _, _ = sampler.build(moved)
@@ -200,7 +200,7 @@ class TestMCRun:
         dens = (Density1D.exp_uniform(),)
 
         def dirichlet(x, y):
-            return (x[:, 0] + x[:, 1]) * y[0]
+            return (x[:, 0] + x[:, 1]) * y[..., 0, None]
 
         n = 40
         res = mc_run(mesh, fields, dens, n_samples=n, seed=3,
@@ -231,7 +231,7 @@ class TestMCRun:
         dens = (Density1D.uniform(0.5, 1.5),)
         f = AffineField.build(-2.0)
         g = AffineField.build(-10.0)
-        res_gen = mc_run(mesh, {"a": lambda x, y: np.full(x.shape[0], y[0]),
+        res_gen = mc_run(mesh, {"a": lambda x, y: y[..., 0, None] + 0.0 * x[:, 0],
                                 "f": f, "g": g},
                          dens, n_samples=12, seed=7,
                          solver=SolverConfig(tol=1e-12))
@@ -302,16 +302,16 @@ class TestBlocks:
             a_at, f_at = a.evaluate, f.evaluate
         else:
             def a(x, y):
-                return 1.0 + 0.5 * np.exp(y[1] * x[:, 0]) * y[0]
+                return 1.0 + 0.5 * np.exp(y[..., 1, None] * x[:, 0]) * y[..., 0, None]
 
             def f(x, y):
-                return -6.0 + 2.0 * np.sin(3.0 * y[1] * x[:, 1])
+                return -6.0 + 2.0 * np.sin(3.0 * y[..., 1, None] * x[:, 1])
 
             a_at, f_at = a, f
         dens = (Density1D.exp_uniform(), Density1D.uniform(-1.0, 1.0))
 
         def dirichlet(x, y):
-            return 0.05 * (x[:, 0] * y[0] - x[:, 1] * y[1])
+            return 0.05 * (x[:, 0] * y[..., 0, None] - x[:, 1] * y[..., 1, None])
 
         lift = dirichlet if lifted else None
         cfg = SolverConfig(tol=1e-12)

@@ -48,6 +48,45 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="unknown config key 'name'"):
             validate_config(base_config(name="fuzz"))
 
+    @pytest.mark.parametrize("section", ["mc", "schedule", "schedule.coupled", "custom",
+                                         "custom.fields", "field", "mode", "density",
+                                         "spatial function"])
+    def test_unknown_key_in_nested_section_rejected(self, section):
+        # a typo in a nested section is a config error, never a silent default
+        cfg = custom_config(3.0, mode="both")
+        custom = cfg["custom"]
+        if section == "mc":
+            cfg = base_config(mc={"n_sample": 100})
+            typo = "n_sample"
+        elif section == "schedule":
+            cfg["schedule"]["level"] = [[8, 2]]
+            typo = "level"
+        elif section == "schedule.coupled":
+            cfg["schedule"] = {"coupled": {"h_over_s": 1.0, "m_mn": 0, "m_max": 1}}
+            typo = "m_mn"
+        elif section == "custom":
+            custom["nmae"] = "mine"
+            typo = "nmae"
+        elif section == "custom.fields":
+            custom["fields"]["h"] = 1.0
+            typo = "h"
+        elif section == "field":
+            custom["fields"]["a"] = {"mean": 3.0,
+                                     "mdoes": [{"coeff": 1.0, "shape": 1.0, "dim": 0}]}
+            section, typo = "field a", "mdoes"
+        elif section == "mode":
+            custom["fields"]["a"] = {"mean": 3.0,
+                                     "modes": [{"coeff": 1.0, "shape": 1.0, "dimm": 0}]}
+            section, typo = "field a mode", "dimm"
+        elif section == "density":
+            custom["densities"] = [{"kind": "uniform", "lo": 0.0, "high": 3.0}]
+            typo = "high"
+        else:
+            custom["fields"]["a"] = {"mean": {"kind": "constant", "value": 3.0, "vlaue": 2.0}}
+            typo = "vlaue"
+        with pytest.raises(ConfigError, match=f"unknown {section} key '{typo}'"):
+            validate_config(cfg)
+
     def test_unknown_problem_names_valid_ids(self):
         with pytest.raises(ConfigError, match="example1.*example2"):
             validate_config(base_config(problem="example9"))
@@ -250,6 +289,13 @@ class TestValidateConfigRegressions:
         ({"densities": [{"kind": "exp-uniform", "lo": 0.0, "hi": 1000.0}]},
          "exp-uniform needs"),
         ({"name": ["x"]}, "custom name must be a string"),
+        ({"name": "sub/dir"}, "custom name must be a plain file name, got 'sub/dir'"),
+        ({"name": "../x"}, "custom name must be a plain file name"),
+        ({"name": ".."}, "custom name must be a plain file name"),
+        ({"name": ""}, "custom name must be a plain file name"),
+        ({"fields": {"a": 3.0, "f": {"mean": {"kind": "polynomial", "terms": [],
+                                              "term": [[1.0, 0, 0]]}}, "g": 0.0}},
+         "unknown spatial function key 'term'"),
     ])
     def test_malformed_custom_section(self, custom_overrides, message):
         cfg = custom_config(3.0)
@@ -626,6 +672,34 @@ class TestCLI:
         assert "not uniformly positive" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["sub/dir", "../x"])
+    def test_custom_name_with_directory_part_exits_one(self, tmp_path, capsys, name):
+        # the name is part of the output file names: a directory in it
+        # failed after the solve, or wrote outside output_dir
+        cfg = custom_config(3.0, output_dir=str(tmp_path / "out"))
+        cfg["custom"]["name"] = name
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: custom name must be a plain file name")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["converge", "solve", "mc"])
+    def test_output_dir_that_is_a_file_exits_one(self, tmp_path, capsys, command):
+        # the output directory is made before the solve, so a path that
+        # cannot be one fails at once as a config error
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = base_config(mode="both", output_dir=str(taken),
+                          mc={"n_samples": 4, "seed": 0, "level": 0})
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output_dir '{taken}'")
+        assert "Traceback" not in err
+        assert taken.read_text() == ""
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         cfg = base_config(mode="mc", output_dir=str(tmp_path / "out"),

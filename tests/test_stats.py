@@ -180,7 +180,7 @@ class TestGalerkinMoments:
         # mean of u(x, y) = (x1 + x2) y at a boundary node is (x1 + x2) E[y],
         # quadrature-level accuracy because g0 integrates the density
         def dirichlet(x, y):
-            return (x[:, 0] + x[:, 1]) * y[0]
+            return (x[:, 0] + x[:, 1]) * y[..., 0, None]
 
         sys_, u = solved_system([], AffineField.build(0.0), cells=4, nx=4,
                                 dirichlet=dirichlet)

@@ -249,7 +249,7 @@ class TestRightHandSide:
         g = AffineField.build(-100.0)
 
         def dirichlet(x, y):
-            return (x[:, 0] + x[:, 1]) * y[0]
+            return (x[:, 0] + x[:, 1]) * y[..., 0, None]
 
         sys_ = assemble_sg(mesh, grid, a, f, g, dirichlet=dirichlet)
         u = spla.spsolve(sp.csr_matrix(sys_.explicit()), sys_.b)
