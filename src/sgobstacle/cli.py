@@ -4,8 +4,9 @@ Subcommands: converge (error table over a refinement schedule), solve (one
 level with field exports), mc (Monte Carlo baseline), info (print the
 experiment plan without running).  Exit codes: 0 on success, 1 on config
 errors (a config mode the subcommand does not run and an output directory
-that cannot be created included), 2 when a solver fails to converge or a
-computed variance is clearly negative.
+that cannot be created included) and on output files that cannot be
+written, 2 when a solver fails to converge or a computed variance is
+clearly negative.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ def main(argv=None) -> int:
             run_mc(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an output file that cannot be written: a directory in its place,
+        # a full disk, a file system that refuses the name
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except (SolverNotConverged, FloatingPointError) as exc:
         # FloatingPointError: the variance of a solution fell clearly below zero

@@ -12,6 +12,13 @@ system returns its Kronecker preconditioner, which does not depend on the
 set; the plain sparse system solves the inactive block exactly by banded
 Cholesky, so each of its updates costs one conjugate gradient step.
 
+The active set method is an inexact semismooth Newton iteration: while the
+set still moves, an update's conjugate gradients stop at a relative target
+tied to the complementarity residual, and once the set repeats after such a
+loose solve, that set is solved once more to the tight target before the
+iteration stops.  ``iterations`` counts every update, the tight re-solve
+included, and ``trace`` records each one (``active_set_solve``).
+
 Projected SOR sweeps the rows of the explicit matrix in multicolour order:
 a greedy colouring, made once per solve, splits the rows into classes that
 do not couple, and each class is updated as one vectorized projected step.
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -85,6 +92,7 @@ class SolveReport:
     active_count: int
     seconds: float
     inner_iterations: int = 0
+    trace: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -278,53 +286,85 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
 
 
 def _pcg(matvec, b, x0, precond, rtol, max_iter):
-    """Preconditioned conjugate gradients; returns (x, iterations, converged).
+    """Preconditioned conjugate gradients.
 
-    A step with p.Ap <= 0, or a preconditioner whose factorization finds the
-    operator not positive definite (``LinAlgError``), means A is not SPD; the
-    iteration stops there and reports failure.
+    Returns (x, iterations, converged, relative residual ||b - Ax|| / ||b||
+    of the returned x).  A step with p.Ap <= 0, or a preconditioner whose
+    factorization finds the operator not positive definite
+    (``LinAlgError``), means A is not SPD; the iteration stops there and
+    reports failure.
     """
     x = x0.copy()
     r = b - matvec(x)
-    target = rtol * max(float(np.linalg.norm(b)), 1e-300)
+    scale = max(float(np.linalg.norm(b)), 1e-300)
     p = None
     rz = 1.0
     for it in range(max_iter + 1):
-        if np.linalg.norm(r) <= target:
-            return x, it, True
+        rnorm = float(np.linalg.norm(r)) / scale
+        if rnorm <= rtol:
+            return x, it, True, rnorm
         if it == max_iter:
             break
         try:
             z = precond(r)
         except np.linalg.LinAlgError:
-            return x, it, False
+            return x, it, False, rnorm
         rz_new = float(r @ z)
         p = z.copy() if p is None else z + (rz_new / rz) * p
         rz = rz_new
         Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            return x, it + 1, False
+            return x, it + 1, False, rnorm
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-    return x, max_iter, False
+    return x, max_iter, False, rnorm
 
 
 def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(),
                      x0: np.ndarray | None = None):
-    """Primal-dual active set iteration.
+    """Primal-dual active set iteration, run as an inexact semismooth Newton method.
 
     The contact indicator is lambda - d*(u - obs) > 0 with d = diag(A) and
     lambda = Au - b; ties (u = obs, lambda = 0) count as inactive.  Each
     update holds the active entries at the obstacle and solves for the rest
     by conjugate gradients on full-length vectors that are zero on the
     active set, preconditioned with ``system.reduced_precond(active)`` and
-    warm-started from the current iterate.  The iteration stops when the
-    active set repeats or the complementarity residual drops below tol; a
-    revisited earlier set (a cycle) aborts with ``converged=False``, and so
-    does a system whose ``precond()`` raises ``numpy.linalg.LinAlgError``.
+    warm-started from the current iterate.
+
+    The primal-dual active set method is a semismooth Newton method
+    (Hintermüller, Ito and Kunisch, SIOPT 2003), so an update's linear solve
+    need only be as accurate as the current complementarity residual
+    (Eisenstat and Walker, SISC 1996).  A set solved for the first time
+    gets the loose relative target ``rtol_loose``: a tenth of the 2-norm of
+    min(u - obs, lambda) over that of the update's right-hand side, never
+    below ``rtol_tight``.  A solve is tight when it reaches ``rtol_tight``,
+    whatever it asked for (an exact preconditioner does so in one step).
+    When the set repeats after a loose solve, that set is solved once more
+    at ``rtol_tight``; a revisited earlier set (a cycle) makes every
+    remaining solve tight.  The iteration stops when the complementarity
+    residual drops below tol or the set repeats after a tight solve; a set
+    revisited after a tight solve of it ends the solve with
+    ``converged=False``, and so does a system whose ``precond()`` raises
+    ``numpy.linalg.LinAlgError``.
+
+    ``iterations`` counts the updates (every linear solve of an active set,
+    the tight re-solve included), ``inner_iterations`` every conjugate
+    gradient step (the unconstrained cold-start solve included), and
+    ``trace`` holds one record per update: ``active`` (entries held at the
+    obstacle), ``changed`` (entries whose membership differs from the
+    previous update's set; the first update counts its whole set),
+    ``rtol`` (the relative target asked of conjugate gradients), ``pcg``
+    (their steps), ``residual`` (the max-norm complementarity residual
+    after the update) and ``tight``.
     """
+    rtol_tight = max(1e-13, min(1e-10, config.tol * 1e-4))
+
+    def rtol_loose(u, lam, rhs):
+        return max(rtol_tight, 0.1 * float(np.linalg.norm(np.minimum(u - obs, lam)))
+                   / max(float(np.linalg.norm(rhs)), 1e-300))
+
     b = system.b
     d = system.diag()
     try:
@@ -336,48 +376,57 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
                               residual=complementarity_residual(system, u, obs),
                               active_count=int(np.count_nonzero(u <= obs)),
                               seconds=0.0)
-    rtol = max(1e-13, min(1e-10, config.tol * 1e-4))
     cg_max = max(500, 2 * system.n)
     max_updates = config.max_iter if config.max_iter is not None else 100
     t0 = time.perf_counter()
     inner_total = 0
     if x0 is None:
         # cold start: the unconstrained solution, lifted onto the obstacle
-        x0, inner_total, _ = _pcg(system.matvec, b, np.zeros(system.n), precond, rtol,
-                                  cg_max)
+        x0, inner_total, _, _ = _pcg(system.matvec, b, np.zeros(system.n), precond,
+                                     rtol_tight, cg_max)
     u = np.maximum(np.asarray(x0, dtype=float), obs)
     lam = system.matvec(u) - b
     active = (lam - d * (u - obs)) > 0.0
-
-    seen = set()
     residual = _max_violation(u, obs, lam)
+
+    solved = {}  # set (as bytes) -> whether its last solve was tight
+    all_tight = False  # set by a cycle: every remaining solve is tight
+    trace = []
+    previous = np.zeros_like(active)
     updates = 0
     converged = residual <= config.tol
     while not converged and updates < max_updates:
+        key = np.packbits(active).tobytes()
+        if solved.get(key):
+            break  # the set repeats after a tight solve, or cycles back to it
+        changed = int(np.count_nonzero(active != previous))
+        if key in solved and changed:
+            all_tight = True  # an earlier set, not the one just solved
         updates += 1
-        key = active.tobytes()
-        if key in seen:
-            break
-        seen.add(key)
 
         # the inactive system on full-length vectors, held at zero on the
         # active entries by masking the matvec and the preconditioner output
         free = ~active
         rhs = (b - system.matvec(np.where(active, obs, 0.0))) * free
+        rtol = rtol_tight if all_tight or key in solved else rtol_loose(u, lam, rhs)
         reduced = system.reduced_precond(active)
-        sol, it, ok = _pcg(lambda v: system.matvec(v) * free, rhs, u * free,
-                           lambda r: reduced(r) * free, rtol, cg_max)
+        sol, it, ok, achieved = _pcg(lambda v: system.matvec(v) * free, rhs, u * free,
+                                     lambda r: reduced(r) * free, rtol, cg_max)
         inner_total += it
         u = np.where(active, obs, sol)
-        if not ok:
+        tight = achieved <= rtol_tight
+        solved[key] = tight
+        if ok:
+            lam = system.matvec(u) - b
+            residual = _max_violation(u, obs, lam)
+        else:
             residual = complementarity_residual(system, u, obs)
+        trace.append({"active": int(np.count_nonzero(active)), "changed": changed,
+                      "rtol": rtol, "pcg": it, "residual": residual, "tight": tight})
+        if not ok:
             break
-        lam = system.matvec(u) - b
         previous, active = active, (lam - d * (u - obs)) > 0.0
-        residual = _max_violation(u, obs, lam)
         converged = residual <= config.tol
-        if np.array_equal(previous, active):
-            break
 
     report = SolveReport(
         converged=converged,
@@ -386,6 +435,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         active_count=int(np.sum(active)),
         seconds=time.perf_counter() - t0,
         inner_iterations=inner_total,
+        trace=trace,
     )
     return u, report
 

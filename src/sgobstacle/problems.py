@@ -276,6 +276,15 @@ def _affine_from_spec(spec, what: str) -> AffineField:
     return AffineField.build(mean, modes)
 
 
+def _encodes_as_file_name(name: str) -> bool:
+    """Whether the file system encoding takes ``name`` (a lone surrogate it cannot)."""
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def problem_from_config(custom: dict) -> Problem:
     """Assemble a custom problem from its config section.
 
@@ -301,7 +310,8 @@ def problem_from_config(custom: dict) -> Problem:
     name = custom.get("name", "custom")
     if not isinstance(name, str):
         raise ValueError(f"custom name must be a string, got {shown(name)}")
-    if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+    if (name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name
+            or not _encodes_as_file_name(name)):
         raise ValueError(f"custom name must be a plain file name, got {shown(name)}")
     return Problem(
         name=name, rect=rect, n_dims=len(densities),

@@ -310,6 +310,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
                     f"limit of {EXPLICIT_LIMIT} that projected SOR needs; use "
                     "method 'active-set'")
 
+    if problem is not None and levels and mode in ("sg", "mc", "both"):
+        # the problem name starts every output file name, and the longest of
+        # them must fit the 255-byte file name limit of common file systems
+        suffix = ("_mc_variance.csv" if mode == "mc"
+                  else f"_level{len(levels) - 1}_variance.csv")
+        size = len(os.fsencode(problem.name)) + len(suffix)
+        if size > 255:
+            errors.append(f"problem name {shown(problem.name)} is too long: output file "
+                          f"<name>{suffix} would take {size} bytes, above the 255-byte "
+                          "file name limit")
+
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         errors.append(f"output_dir must be a string, got {shown(output_dir)}")

@@ -15,6 +15,7 @@ from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
                             psor_solve, solve_lcp)
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid
+from sgobstacle.problems import get_problem
 from sgobstacle.system import assemble_sg
 
 
@@ -382,7 +383,7 @@ class TestActiveSet:
         # with A = diag(1, -1) the first PCG step has p.Ap = 0
         system = SparseObstacleSystem(sp.csr_array(np.diag([1.0, -1.0])),
                                       np.ones(2))
-        _, _, ok = _pcg(system.matvec, system.b, np.zeros(2),
+        _, _, ok, _ = _pcg(system.matvec, system.b, np.zeros(2),
                         system.precond(), 1e-12, 10)
         assert not ok
         _, rep = active_set_solve(system, np.zeros(2), SolverConfig())
@@ -416,7 +417,80 @@ class TestActiveSet:
         assert rep.seconds >= 0.0
         d = rep.as_dict()
         assert set(d) == {"converged", "iterations", "residual",
-                          "active_count", "seconds", "inner_iterations"}
+                          "active_count", "seconds", "inner_iterations", "trace"}
+        # one trace record per update; the cold start's steps come on top
+        assert len(rep.trace) == rep.iterations >= 1
+        assert sum(r["pcg"] for r in rep.trace) <= rep.inner_iterations
+        assert all(set(r) == {"active", "changed", "rtol", "pcg", "residual", "tight"}
+                   for r in rep.trace)
+        assert rep.trace[0]["changed"] == rep.trace[0]["active"]
+        assert rep.trace[-1]["residual"] == rep.residual
+
+
+def galerkin_system(kind: str):
+    """Small tensor Galerkin LCPs with contact, solved by inexact updates."""
+    if kind == "example2":
+        problem = get_problem("example2")
+        fields = problem.fields
+        return assemble_sg(build_uniform_mesh(problem.rect, 8),
+                           build_param_grid(problem.densities, 2),
+                           fields["a"], fields["f"], fields["g"], problem.dirichlet)
+    if kind == "example1":
+        return small_sg_system()
+    # example1's data with modes whose shapes differ from the mean's, so the
+    # Kronecker preconditioner is inexact even before any entry is active
+    a = AffineField.build(1.0, [(1.0, lambda x: 1.0 + 0.5 * x[:, 0], 0),
+                                (2.0, lambda x: 1.0 - 0.3 * x[:, 1], 1)])
+    return assemble_sg(build_uniform_mesh((-1.5, 1.5, -1.5, 1.5), 8),
+                       build_param_grid([Density1D.exp_uniform()] * 2, 2),
+                       a, AffineField.build(-2.0), AffineField.build(-0.05))
+
+
+class TestInexactUpdates:
+    @pytest.mark.parametrize("kind", ["example1", "example1-shapes", "example2"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_solution_is_exact_for_its_final_set(self, kind, tol):
+        # loose updates move the set; the tight solve at the end makes u the
+        # solution of the inactive block of the set it holds at the obstacle
+        system = galerkin_system(kind)
+        obs = system.obs
+        u, rep = active_set_solve(system, obs, SolverConfig(tol=tol))
+        assert rep.converged and rep.residual <= tol
+        assert any(not r["tight"] for r in rep.trace)
+        active = u == obs
+        free = ~active
+        A = system.explicit().tocsc()
+        assert 0 < np.count_nonzero(active) < system.n
+        direct = spla.spsolve(A[free][:, free],
+                              system.b[free] - A[free][:, active] @ obs[active])
+        assert np.max(np.abs(u[free] - direct)) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["example1", "example1-shapes", "example2"])
+    def test_last_update_is_tight(self, kind):
+        system = galerkin_system(kind)
+        rng = np.random.default_rng(53)
+        for x0 in (None, system.obs + rng.random(system.n)):
+            u, rep = active_set_solve(system, system.obs, SolverConfig(), x0=x0)
+            assert rep.converged
+            assert any(not r["tight"] for r in rep.trace)
+            last = rep.trace[-1]
+            assert last["tight"] and last["changed"] == 0
+            assert last["rtol"] == max(1e-13, min(1e-10, SolverConfig().tol * 1e-4))
+
+    def test_sparse_system_takes_one_step_per_update(self):
+        # the exact banded Cholesky of the inactive block meets any target in
+        # one step, so every update is tight and no re-solve is added
+        mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 16)
+        ii = mesh.interior
+        A = assemble_weighted_stiffness(mesh)[ii][:, ii]
+        x = mesh.nodes[ii]
+        obs = -0.02 - 0.05 * x[:, 0]
+        system = SparseObstacleSystem(A, np.full(ii.size, -2.0 / 256))
+        for x0 in (None, np.zeros(ii.size)):
+            u, rep = active_set_solve(system, obs, SolverConfig(), x0=x0)
+            assert rep.converged and rep.iterations >= 2
+            assert all(r["pcg"] <= 1 and r["tight"] for r in rep.trace)
+            assert rep.inner_iterations <= rep.iterations + (x0 is None)
 
 
 class TestDispatcherAndConfig:

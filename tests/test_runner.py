@@ -433,6 +433,10 @@ class TestRunConvergence:
         report = json.loads((tmp_path / "report.json").read_text())
         assert len(report["levels"]) == 2
         assert all(lv["converged"] for lv in report["levels"])
+        # each level carries its per-update trace, one record per update
+        for lv in report["levels"]:
+            assert len(lv["trace"]) == lv["iterations"]
+            assert all(r["pcg"] >= 0 and r["rtol"] > 0.0 for r in lv["trace"])
 
     def test_table_deterministic_up_to_timings(self, tmp_path):
         cfg1 = validate_config(base_config(output_dir=str(tmp_path / "a")))
@@ -505,6 +509,12 @@ class TestRunSingle:
         assert "example2_level0.vtk" in out
         assert "example2_level0_report.json" in out
         assert payload["errors"]["eL2m1"] > 0
+        # level 0 converges at its cold start; level 1 takes active-set updates
+        _, _, report, _ = run_single(cfg, 1)
+        written = json.loads((tmp_path / "example2_level1_report.json").read_text())
+        trace = written["solver"]["trace"]
+        assert len(trace) == report.iterations >= 1
+        assert trace[-1]["tight"] and trace[-1]["residual"] == report.residual
 
     def test_level_out_of_range(self, tmp_path):
         cfg = validate_config(base_config(output_dir=str(tmp_path)))
@@ -685,6 +695,50 @@ class TestCLI:
         assert err.startswith("config error: custom name must be a plain file name")
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_custom_name_too_long_for_its_files_exits_one(self, tmp_path, capsys):
+        # "<name>_level0_variance.csv" must fit 255 bytes: the name used to
+        # pass validation, solve the level and die writing the first field
+        cfg = custom_config(3.0, output_dir=str(tmp_path / "out"))
+        cfg["schedule"] = {"levels": [[4, 1]]}
+        cfg["custom"]["name"] = "x" * 300
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem name 'xxx")
+        assert "320 bytes, above the 255-byte file name limit" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        # the longest name that fits is solved and written
+        cfg["custom"]["name"] = "x" * 235
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 0
+        assert (tmp_path / "out" / ("x" * 235 + "_level0_variance.csv")).exists()
+        cfg["custom"]["name"] = "x" * 236
+        with pytest.raises(ConfigError, match="256 bytes"):
+            validate_config(cfg)
+
+    def test_custom_name_the_file_system_cannot_encode_exits_one(self, tmp_path, capsys):
+        # a lone surrogate is valid JSON but no file name: it used to solve
+        # and die writing the first field with a UnicodeEncodeError
+        cfg = custom_config(3.0, output_dir=str(tmp_path / "out"))
+        cfg["custom"]["name"] = "a\ud800"
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: custom name must be a plain file name")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_file_exits_one(self, tmp_path, capsys):
+        # a directory where an output file goes fails after the solve
+        out = tmp_path / "out"
+        (out / "example2_level0_mean.csv").mkdir(parents=True)
+        path = self.write_config(tmp_path, base_config(output_dir=str(out)))
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: [Errno 21] Is a directory")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["converge", "solve", "mc"])
     def test_output_dir_that_is_a_file_exits_one(self, tmp_path, capsys, command):
