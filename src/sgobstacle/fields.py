@@ -4,8 +4,8 @@ An affine field is mu(x) + sum_k c_k phi_k(x) y_{d_k}; several modes may
 attach to the same parameter dimension.  Non-affine parametric fields and
 Dirichlet data are plain callables (x, y) -> values that take a block of
 parameter rows at once: for points x (n, 2) and y (..., M) they return
-values of shape y.shape[:-1] + (n,), the contract of the exact solutions
-(``stats.ParametricFunction``).  ``spatial_data`` maps rows of field
+values of shape y.shape[:-1] + (n,), the shapes of an exact solution's
+``value`` (``stats.ParametricFunction``).  ``spatial_data`` maps rows of field
 values through the mesh operator (``fem.P1Operator``): the affine terms
 for the Galerkin system (``affine_factors``), the parameter rows of a
 sample block for Monte Carlo (``at_points``).  ``lift`` is the one

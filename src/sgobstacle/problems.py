@@ -72,14 +72,8 @@ def example1(parameterization: str = "exp") -> Problem:
         out[outside] = x[outside] * (1.0 - 1.0 / rho[outside])[:, None]
         return out
 
-    def denom(y):
-        return 1.0 + y[..., 0] + 2.0 * y[..., 1]
-
-    def value_y(x, y):
-        return w_profile(np.atleast_2d(x)) / denom(y)[..., None]
-
-    def grad_y(x, y):
-        return w_grad(np.atleast_2d(x)) / denom(y)[..., None, None]
+    def inv_denom(y):
+        return 1.0 / (1.0 + y[..., 0] + 2.0 * y[..., 1])
 
     rect = (-1.5, 1.5, -1.5, 1.5)
     span = np.e - 1.0 / np.e
@@ -89,9 +83,8 @@ def example1(parameterization: str = "exp") -> Problem:
             "f": AffineField.build(-2.0),
             "g": AffineField.build(0.0),
         }
-        exact = ParametricFunction(value=value_y, grad=grad_y)
+        exact = ParametricFunction(space=w_profile, param=inv_denom, space_grad=w_grad)
         densities = (Density1D.exp_uniform(), Density1D.exp_uniform())
-        dirichlet = value_y
     elif parameterization == "xi":
         def a_xi(x, xi):
             a = 1.0 + np.exp(xi[..., 0]) + 2.0 * np.exp(xi[..., 1])
@@ -102,17 +95,14 @@ def example1(parameterization: str = "exp") -> Problem:
             "f": AffineField.build(-2.0),
             "g": AffineField.build(0.0),
         }
-        exact = ParametricFunction(
-            value=lambda x, xi: value_y(x, np.exp(xi)),
-            grad=lambda x, xi: grad_y(x, np.exp(xi)),
-        )
+        exact = ParametricFunction(space=w_profile, param=lambda xi: inv_denom(np.exp(xi)),
+                                   space_grad=w_grad)
         densities = (Density1D.uniform(-1.0, 1.0), Density1D.uniform(-1.0, 1.0))
-        dirichlet = exact.value
     else:
         raise ValueError(f"unknown parameterization {parameterization!r}")
     return Problem(
         name="example1", rect=rect, n_dims=2, parameterization=parameterization,
-        densities=densities, fields=fields, dirichlet=dirichlet, exact=exact,
+        densities=densities, fields=fields, dirichlet=exact.value, exact=exact,
         h_over_s=3.0 / (2.0 * span),
     )
 
@@ -140,12 +130,6 @@ def example2(parameterization: str = "exp") -> Problem:
     def scale(y):
         return y[..., 0] + 2.0 * y[..., 1]
 
-    def value_y(x, y):
-        return u_profile(np.atleast_2d(x)) * scale(y)[..., None]
-
-    def grad_y(x, y):
-        return u_profile_grad(np.atleast_2d(x)) * scale(y)[..., None, None]
-
     rect = (-1.0, 1.0, -1.0, 1.0)
     span = np.e - 1.0 / np.e
     if parameterization == "exp":
@@ -154,9 +138,8 @@ def example2(parameterization: str = "exp") -> Problem:
             "f": AffineField.build(0.0, [(1.0, f_profile, 0), (2.0, f_profile, 1)]),
             "g": AffineField.build(0.0),
         }
-        exact = ParametricFunction(value=value_y, grad=grad_y)
+        exact = ParametricFunction(space=u_profile, param=scale, space_grad=u_profile_grad)
         densities = (Density1D.exp_uniform(), Density1D.exp_uniform())
-        dirichlet = value_y
     elif parameterization == "xi":
         def f_xi(x, xi):
             return f_profile(x) * (np.exp(xi[..., 0]) + 2.0 * np.exp(xi[..., 1]))[..., None]
@@ -166,17 +149,14 @@ def example2(parameterization: str = "exp") -> Problem:
             "f": f_xi,
             "g": AffineField.build(0.0),
         }
-        exact = ParametricFunction(
-            value=lambda x, xi: value_y(x, np.exp(xi)),
-            grad=lambda x, xi: grad_y(x, np.exp(xi)),
-        )
+        exact = ParametricFunction(space=u_profile, param=lambda xi: scale(np.exp(xi)),
+                                   space_grad=u_profile_grad)
         densities = (Density1D.uniform(-1.0, 1.0), Density1D.uniform(-1.0, 1.0))
-        dirichlet = exact.value
     else:
         raise ValueError(f"unknown parameterization {parameterization!r}")
     return Problem(
         name="example2", rect=rect, n_dims=2, parameterization=parameterization,
-        densities=densities, fields=fields, dirichlet=dirichlet, exact=exact,
+        densities=densities, fields=fields, dirichlet=exact.value, exact=exact,
         h_over_s=1.0 / span,
     )
 

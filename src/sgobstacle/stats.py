@@ -3,8 +3,9 @@
 First and second moments of a tensor Galerkin solution reduce to weighted
 sums of the coefficient blocks: the parametric basis integrals g0 give the
 mean, the Gramian G0 gives the second moment.  Reference statistics of a
-known parametric solution are tensor Gauss-Legendre quadratures against the
-product density.
+known product solution u(x, y) = phi(x) psi(y) are E[u^k] = phi^k E[psi^k],
+with E[psi^k] one tensor Gauss-Legendre quadrature against the product
+density.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import integer
 from .fem import SpatialFunction
 from .mesh import Mesh, write_vtk
 from .param import Density1D
@@ -97,17 +99,25 @@ def sg_variance(system: SGSystem, u: np.ndarray) -> StatField:
 
 @dataclass(frozen=True)
 class ParametricFunction:
-    """u(x, y) with values and x-gradient, vectorized over x and y batches.
+    """A product u(x, y) = space(x) * param(y) with its x-gradient.
 
-    ``value(x, y)`` takes spatial points x of shape (n, 2) and parameter
-    points y of shape (..., M) and returns shape ``y.shape[:-1] + (n,)``;
-    ``grad(x, y)`` returns ``y.shape[:-1] + (n, 2)``.  A single point y of
-    shape (M,) gives (n,) and (n, 2); a block of shape (B, M) gives (B, n)
-    and (B, n, 2).
+    ``space`` maps spatial points x of shape (n, 2) to (n,), ``param`` maps
+    parameter points y of shape (..., M) to ``y.shape[:-1]`` and
+    ``space_grad`` maps x to (n, 2).  ``value(x, y)`` returns shape
+    ``y.shape[:-1] + (n,)`` and ``grad(x, y)`` returns
+    ``y.shape[:-1] + (n, 2)``: a single point y of shape (M,) gives (n,) and
+    (n, 2), a block of shape (B, M) gives (B, n) and (B, n, 2).
     """
 
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    space: Callable[[np.ndarray], np.ndarray]
+    param: Callable[[np.ndarray], np.ndarray]
+    space_grad: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.multiply.outer(self.param(y), self.space(np.atleast_2d(x)))
+
+    def grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.multiply.outer(self.param(y), self.space_grad(np.atleast_2d(x)))
 
 
 def tensor_quadrature(densities: tuple[Density1D, ...], order: int):
@@ -124,43 +134,25 @@ def tensor_quadrature(densities: tuple[Density1D, ...], order: int):
     return np.column_stack([g.ravel() for g in grids]), functools.reduce(np.kron, wts_1d)
 
 
-# Values (parameter nodes x spatial points) evaluated per chunk of the
-# parameter quadrature; keeps the working set at a few MB for any mesh.
-_CHUNK_VALUES = 2 ** 18
-
-
 def _exact_moments(analytic: ParametricFunction, x: np.ndarray, densities,
                    quad_order: int, moments: tuple[int, ...], with_grad: bool):
     """E[u^k] and, if asked, E[k u^(k-1) grad u] at points x for each k >= 1.
 
-    One sweep over the tensor quadrature nodes in chunks; each chunk is a
-    single batched call of ``analytic.value`` (and ``analytic.grad``).
-    Returns (values, grads): lists over ``moments`` of arrays of shape (n,)
-    and (n, 2); grads is None without ``with_grad``.
+    ``analytic.param`` is evaluated once on the tensor quadrature nodes, and
+    E[psi^k] scales phi^k and k phi^(k-1) grad phi.  Returns (values, grads):
+    lists over ``moments`` of arrays of shape (n,) and (n, 2); grads is None
+    without ``with_grad``.
     """
     nodes, weights = tensor_quadrature(tuple(densities), quad_order)
-    n = x.shape[0]
-    chunk = max(1, _CHUNK_VALUES // max(n, 1))
-    vals = [np.zeros(n) for _ in moments]
-    grads = [np.zeros((n, 2)) for _ in moments] if with_grad else None
-    for start in range(0, len(weights), chunk):
-        y = nodes[start:start + chunk]
-        w = weights[start:start + chunk]
-        V = np.asarray(analytic.value(x, y))
-        G = np.asarray(analytic.grad(x, y)) if with_grad else None
-        for i, k in enumerate(moments):
-            if k == 1:
-                vals[i] += w @ V
-                if with_grad:
-                    grads[i] += np.einsum("b,bnd->nd", w, G)
-                continue
-            wv = w[:, None] * V ** (k - 1)
-            vals[i] += np.einsum("bn,bn->n", wv, V)
-            if with_grad:
-                # one reduction per component: "bn,bnd->nd" in a single
-                # einsum runs about twice as long on (B, n, 2) blocks
-                for d in range(2):
-                    grads[i][:, d] += k * np.einsum("bn,bn->n", wv, G[..., d])
+    psi = analytic.param(nodes)
+    phi = analytic.space(x)
+    dphi = analytic.space_grad(x) if with_grad else None
+    vals, grads = [], ([] if with_grad else None)
+    for k in moments:
+        m = weights @ psi ** k
+        vals.append(m * phi ** k)
+        if with_grad:
+            grads.append((k * m) * (phi ** (k - 1))[:, None] * dphi)
     return vals, grads
 
 
@@ -169,10 +161,12 @@ def exact_statistic(analytic: ParametricFunction, densities, moment: int = 1,
     """Spatial function x -> E[u(x, .)^moment] by tensor quadrature.
 
     The returned gradient is E[moment * u^(moment-1) grad u] and requires
-    ``analytic.grad``.  Intended for solutions smooth in y; 64 points per
-    dimension leave the parametric quadrature error far below the spatial
-    discretization errors studied here.
+    ``analytic.space_grad``.  ``moment`` is an integer >= 1.  Intended for
+    solutions smooth in y; 64 points per dimension leave the parametric
+    quadrature error far below the spatial discretization errors studied
+    here.
     """
+    moment = integer(moment, "moment", 1)
     densities = tuple(densities)
 
     def values(x: np.ndarray) -> np.ndarray:
@@ -181,7 +175,7 @@ def exact_statistic(analytic: ParametricFunction, densities, moment: int = 1,
         return vals[0]
 
     grad = None
-    if analytic.grad is not None:
+    if analytic.space_grad is not None:
         def grad(x: np.ndarray) -> np.ndarray:
             _, grads = _exact_moments(analytic, np.atleast_2d(x), densities,
                                       quad_order, (moment,), with_grad=True)

@@ -435,6 +435,7 @@ class TestRunConvergence:
         assert all(lv["converged"] for lv in report["levels"])
         # each level carries its per-update trace, one record per update
         for lv in report["levels"]:
+            assert lv["errors_seconds"] > 0.0
             assert len(lv["trace"]) == lv["iterations"]
             assert all(r["pcg"] >= 0 and r["rtol"] > 0.0 for r in lv["trace"])
 
@@ -452,7 +453,7 @@ class TestRunConvergence:
             strip_seconds(tmp_path / "b" / "table.csv")
 
     def test_fused_errors_match_direct_norms(self, tmp_path):
-        # the single-sweep error evaluation must agree with composing the
+        # the fused error evaluation must agree with composing the
         # reference statistic and the plain norm routine
         from sgobstacle.runner import _solve_level, convergence_errors
         from sgobstacle.stats import exact_statistic, sg_mean
@@ -494,8 +495,37 @@ class TestRunConvergence:
             run_convergence(cfg)
         # single-level solves still work, they just skip the error block
         system, u, report, payload = run_single(cfg, 0)
-        assert "errors" not in payload
+        assert "errors" not in payload and "errors_seconds" not in payload
         assert report.converged
+
+
+# The four errors of every row of the example tables on levels [4, 8],
+# [8, 8] and [16, 8] (quad_order 64, tol 1e-10), recorded from the tensor
+# quadrature of u itself; the product-form moments must reproduce them.
+PINNED_ERRORS = {
+    "example1": [
+        (0.36588724417723417, 0.46711938633509875, 0.8226688360918777, 0.771986022363288),
+        (0.08164621183707384, 0.23814739644090688, 0.23758986179855843, 0.42758472034306483),
+        (0.026506323235444995, 0.12203424253653262, 0.07018098376453727, 0.21962303509743755),
+    ],
+    "example2": [
+        (0.5467344784025979, 0.6074270515439154, 1.370115403258371, 1.0038908118894236),
+        (0.13852179753744048, 0.3222132649435107, 0.410967650615485, 0.6017715708048342),
+        (0.035312695846037724, 0.16351737488595983, 0.10924400662866131, 0.3181474798609676),
+    ],
+}
+
+
+@pytest.mark.parametrize("problem", sorted(PINNED_ERRORS))
+def test_error_table_is_pinned(problem):
+    cfg = validate_config({"problem": problem,
+                           "schedule": {"levels": [[4, 8], [8, 8], [16, 8]]},
+                           "solver": {"method": "active-set", "tol": 1e-10},
+                           "quad_order": 64})
+    table, _ = run_convergence(cfg, write=False)
+    got = [tuple(row.errors[k] for k in ("eL2m1", "eH1m1", "eL2m2", "eH1m2"))
+           for row in table.rows]
+    np.testing.assert_allclose(got, PINNED_ERRORS[problem], rtol=1e-10, atol=0.0)
 
 
 class TestRunSingle:
@@ -509,6 +539,7 @@ class TestRunSingle:
         assert "example2_level0.vtk" in out
         assert "example2_level0_report.json" in out
         assert payload["errors"]["eL2m1"] > 0
+        assert payload["errors_seconds"] > 0.0
         # level 0 converges at its cold start; level 1 takes active-set updates
         _, _, report, _ = run_single(cfg, 1)
         written = json.loads((tmp_path / "example2_level1_report.json").read_text())

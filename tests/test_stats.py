@@ -4,8 +4,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from sgobstacle import stats
-from sgobstacle.fem import _quad_points
 from sgobstacle.fields import AffineField
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import (Density1D, build_param_grid,
@@ -55,9 +53,8 @@ class TestExactStatistics:
         # E[1/(1 + y1 + 2 y2)] and the matching second moment for
         # y_k = exp(xi_k), xi uniform on (-1, 1); references computed with
         # mpmath at high precision
-        fn = ParametricFunction(
-            value=lambda x, y: np.multiply.outer(1.0 / (1.0 + y[..., 0] + 2.0 * y[..., 1]),
-                                                 one(x)))
+        fn = ParametricFunction(space=one,
+                                param=lambda y: 1.0 / (1.0 + y[..., 0] + 2.0 * y[..., 1]))
         densities = (Density1D.exp_uniform(), Density1D.exp_uniform())
         x = np.zeros((1, 2))
         m1 = exact_statistic(fn, densities, moment=1)
@@ -67,25 +64,45 @@ class TestExactStatistics:
 
     def test_affine_second_moment_closed_form(self):
         # E[(2 + 3 y)^2] = 4 + 12 E[y] + 9 E[y^2]
-        fn = ParametricFunction(
-            value=lambda x, y: np.multiply.outer(2.0 + 3.0 * y[..., 0], one(x)))
+        fn = ParametricFunction(space=one, param=lambda y: 2.0 + 3.0 * y[..., 0])
         m2 = exact_statistic(fn, (Density1D.exp_uniform(),), moment=2)
         expected = 4.0 + 12.0 * EY + 9.0 * EY2
         assert m2.values(np.zeros((1, 2)))[0] == pytest.approx(expected, rel=1e-13)
 
     def test_gradient_of_second_moment(self):
         # u = x1 * y: E[2 u grad u] = 2 x1 E[y^2] * (1, 0)
-        fn = ParametricFunction(
-            value=lambda x, y: np.multiply.outer(y[..., 0], x[:, 0]),
-            grad=lambda x, y: np.multiply.outer(y[..., 0],
-                                                np.column_stack([one(x), 0.0 * one(x)])))
+        fn = ParametricFunction(space=lambda x: x[:, 0], param=lambda y: y[..., 0],
+                                space_grad=lambda x: np.column_stack([one(x), 0.0 * one(x)]))
         m2 = exact_statistic(fn, (Density1D.exp_uniform(),), moment=2)
         x = np.array([[0.7, 0.1]])
         assert_allclose(m2.grad(x), [[2 * 0.7 * EY2, 0.0]], rtol=1e-13)
 
+    @pytest.mark.parametrize("moment", [0, -1, 1.5, 2.0, True, "2"])
+    def test_moment_must_be_a_positive_integer(self, moment):
+        fn = ParametricFunction(space=one, param=lambda y: y[..., 0])
+        with pytest.raises(ValueError, match="moment must be an integer"):
+            exact_statistic(fn, (Density1D.exp_uniform(),), moment=moment)
+
+    @pytest.mark.parametrize("batch", [(), (3,), (3, 4)])
+    def test_value_and_grad_shapes(self, batch):
+        # u = x1 x2 (y1 - y2): value is param(y) outer space(x), grad is
+        # param(y) outer space_grad(x)
+        fn = ParametricFunction(space=lambda x: x[:, 0] * x[:, 1],
+                                param=lambda y: y[..., 0] - y[..., 1],
+                                space_grad=lambda x: x[:, ::-1])
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, (5, 2))
+        y = rng.uniform(-1.0, 1.0, batch + (2,))
+        psi = y[..., 0] - y[..., 1]
+        values, grads = fn.value(x, y), fn.grad(x, y)
+        assert values.shape == batch + (5,)
+        assert grads.shape == batch + (5, 2)
+        assert_allclose(values, psi[..., None] * x[:, 0] * x[:, 1], rtol=1e-14)
+        assert_allclose(grads, psi[..., None, None] * x[:, ::-1], rtol=1e-14)
+
 
 def per_node_moments(analytic, x, densities, quad_order, moments, with_grad):
-    """Reference for the chunked sweep: one value/grad call per quadrature node."""
+    """Reference for the product-form moments: one value/grad call per quadrature node."""
     nodes, weights = tensor_quadrature(tuple(densities), quad_order)
     vals = [np.zeros(x.shape[0]) for _ in moments]
     grads = [np.zeros((x.shape[0], 2)) for _ in moments]
@@ -99,21 +116,15 @@ def per_node_moments(analytic, x, densities, quad_order, moments, with_grad):
     return vals, (grads if with_grad else None)
 
 
-def small_chunks(monkeypatch, n_points, nodes_per_chunk, quad_order):
-    """Shrink the sweep's chunk so that the quadrature ends on a partial chunk."""
-    assert (quad_order ** 2) % nodes_per_chunk != 0
-    monkeypatch.setattr(stats, "_CHUNK_VALUES", nodes_per_chunk * n_points)
-
-
 class TestChunkedQuadrature:
+    """The product-form moments against the per-node quadrature of u itself."""
+
     @pytest.mark.parametrize("make", [example1, example2])
     @pytest.mark.parametrize("parameterization", ["exp", "xi"])
     @pytest.mark.parametrize("moment", [1, 2, 3])
-    def test_exact_statistic_matches_per_node_loop(self, make, parameterization,
-                                                   moment, monkeypatch):
+    def test_exact_statistic_matches_per_node_loop(self, make, parameterization, moment):
         prob = make(parameterization)
         x = np.random.default_rng(11).uniform(-1.0, 1.0, (40, 2))
-        small_chunks(monkeypatch, len(x), 7, 9)
         stat = exact_statistic(prob.exact, prob.densities, moment, quad_order=9)
         (ref_v,), (ref_g,) = per_node_moments(prob.exact, x, prob.densities, 9,
                                               (moment,), with_grad=True)
@@ -127,8 +138,6 @@ class TestChunkedQuadrature:
                                "solver": {"tol": 1e-10}, "quad_order": 9})
         mesh, _, system, u, _, _ = _solve_level(cfg, cfg.levels[0])
         args = (mesh, system, u, cfg.problem.exact, cfg.problem.densities, 9)
-        pts, _, _ = _quad_points(mesh, 5)
-        small_chunks(monkeypatch, pts.shape[0] * pts.shape[1], 5, 9)
         errs = convergence_errors(*args)
         monkeypatch.setattr("sgobstacle.runner._exact_moments", per_node_moments)
         ref = convergence_errors(*args)
