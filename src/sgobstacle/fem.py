@@ -1,12 +1,14 @@
 """P1 finite element assembly and norms on triangular meshes.
 
-``P1Operator`` holds the linear assembly maps of one mesh (the CSR pattern
-of the node couplings, the stiffness and the load map), so assembly is one
-sparse product for any number of coefficient rows.  Each map sums in a
-fixed order, so repeated runs produce bitwise-identical matrices.  The
-``assemble_*`` functions work over all nodes; callers apply Dirichlet
-conditions through the interior and coupling blocks.  ``p1_distance`` is
-the one quadrature of L2 and H1-seminorm errors.
+``P1Operator`` holds the linear assembly maps of one mesh (the CSR patterns
+of the interior and the interior-boundary node couplings with their
+stiffness maps, and the load map), so assembly is one sparse product for any
+number of coefficient rows.  Each map sums in a fixed order, so repeated
+runs produce bitwise-identical matrices.  The ``assemble_*`` functions work
+over all nodes and cut the all-nodes block from the same pattern code
+(``_stiffness_blocks``) when they are called.  ``evaluate_p1`` evaluates any
+number of P1 fields at once, and ``p1_distance`` is the one quadrature of
+L2 and H1-seminorm errors.
 """
 
 from __future__ import annotations
@@ -140,37 +142,44 @@ class Block:
                             shape=(B * n, B * m))
 
 
+def _stiffness_blocks(mesh: Mesh, grads: np.ndarray, *node_sets) -> list[Block]:
+    """One ``Block`` per (row nodes, column nodes) pair in ``node_sets``,
+    cut from the pattern of all node couplings and its stiffness map, whose
+    column t holds the gradient products ``grads`` of triangle t."""
+    tri, n, nt = mesh.triangles, mesh.n_nodes, mesh.n_triangles
+    pairs, slot = np.unique((tri[:, :, None] * n + tri[:, None, :]).reshape(nt, 9),
+                            return_inverse=True)
+    S = _columns(slot.reshape(nt, 9), np.einsum("tid,tjd->tij", grads, grads), pairs.size)
+
+    def block(row_nodes, col_nodes) -> Block:
+        number = np.full((2, n), -1)
+        number[0, row_nodes] = np.arange(row_nodes.size)
+        number[1, col_nodes] = np.arange(col_nodes.size)
+        r, c = number[0, pairs // n], number[1, pairs % n]
+        keep = np.flatnonzero((r >= 0) & (c >= 0))
+        indptr = np.append(0, np.cumsum(np.bincount(r[keep], minlength=row_nodes.size)))
+        return Block((row_nodes.size, col_nodes.size), indptr, c[keep], S[keep])
+
+    return [block(rows, cols) for rows, cols in node_sets]
+
+
 class P1Operator:
     """The linear assembly maps of one mesh: a P1 stiffness matrix is linear
     in the integrals of its coefficient over the triangles, a load vector (a
     mass matrix) in its source (weight) at the degree-2 quadrature ``points``.
-    ``full`` holds the pattern of all node couplings with S, whose column t
-    holds the gradient products of triangle t; ``interior`` and ``coupling``
-    take its interior rows with the interior and the boundary columns."""
+    ``interior`` couples the interior nodes with themselves and ``coupling``
+    with the boundary nodes: the two blocks that Dirichlet conditions need."""
 
     def __init__(self, mesh: Mesh):
         area, grads = _triangle_geometry(mesh)
         pts, self._shapes, self._wq = _quad_points(mesh, 2)
-        tri, n, nt = mesh.triangles, mesh.n_nodes, mesh.n_triangles
         self.mesh, self.points, self._area2 = mesh, pts.reshape(-1, 2), 2.0 * area
-        pairs, slot = np.unique((tri[:, :, None] * n + tri[:, None, :]).reshape(nt, 9),
-                                return_inverse=True)
-        S = _columns(slot.reshape(nt, 9), np.einsum("tid,tjd->tij", grads, grads), pairs.size)
-
-        def block(row_nodes, col_nodes) -> Block:
-            number = np.full((2, n), -1)
-            number[0, row_nodes] = np.arange(row_nodes.size)
-            number[1, col_nodes] = np.arange(col_nodes.size)
-            r, c = number[0, pairs // n], number[1, pairs % n]
-            keep = np.flatnonzero((r >= 0) & (c >= 0))
-            indptr = np.append(0, np.cumsum(np.bincount(r[keep], minlength=row_nodes.size)))
-            return Block((row_nodes.size, col_nodes.size), indptr, c[keep], S[keep])
-
-        self.full = block(np.arange(n), np.arange(n))
-        self.interior = block(mesh.interior, mesh.interior)
-        self.coupling = block(mesh.interior, np.flatnonzero(mesh.boundary))
-        self._load = _columns(np.repeat(tri, self._wq.size, axis=0),
-                              self._area2[:, None, None] * self._wq[:, None] * self._shapes, n)
+        self.interior, self.coupling = _stiffness_blocks(
+            mesh, grads, (mesh.interior, mesh.interior),
+            (mesh.interior, np.flatnonzero(mesh.boundary)))
+        self._load = _columns(np.repeat(mesh.triangles, self._wq.size, axis=0),
+                              self._area2[:, None, None] * self._wq[:, None] * self._shapes,
+                              mesh.n_nodes)
 
     def integrals(self, values: np.ndarray) -> np.ndarray:
         """Triangle integrals (..., n_triangles) of values (..., n_points) at ``points``."""
@@ -188,8 +197,9 @@ def assemble_weighted_stiffness(mesh: Mesh, weight=None) -> sp.csr_array:
     ``weight`` may be None (unit coefficient), a scalar, a callable on point
     batches, or a SpatialFunction.  Returns a CSR matrix over all nodes.
     """
-    op = P1Operator(mesh)
-    return op.full.csr(op.full.data(op.integrals(_eval_weight(weight, op.points))))
+    op, nodes = P1Operator(mesh), np.arange(mesh.n_nodes)
+    (full,) = _stiffness_blocks(mesh, _triangle_geometry(mesh)[1], (nodes, nodes))
+    return full.csr(full.data(op.integrals(_eval_weight(weight, op.points))))
 
 
 def assemble_mass(mesh: Mesh, weight=None) -> sp.csr_array:
@@ -216,20 +226,22 @@ def interpolate_nodal(mesh: Mesh, fn) -> np.ndarray:
 
 
 def _nodal_coefficients(mesh: Mesh, coeffs) -> np.ndarray:
-    """``coeffs`` as a float array with one entry per mesh node, else ValueError."""
+    """``coeffs`` as a float array whose rows hold one entry per mesh node,
+    else ValueError."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (mesh.n_nodes,):
+    if coeffs.shape[-1:] != (mesh.n_nodes,):
         raise ValueError(f"need one coefficient per mesh node ({mesh.n_nodes}), "
                          f"got shape {coeffs.shape}")
     return coeffs
 
 
 def evaluate_p1(mesh: Mesh, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate a P1 field given by full nodal coefficients at arbitrary points.
+    """Evaluate P1 fields given by full nodal coefficients at arbitrary points.
 
-    Points are clamped into the mesh rectangle, then located in the structured
-    grid; a point on the cell diagonal belongs to either triangle (the two
-    interpolants agree there).
+    ``coeffs`` has shape (..., n_nodes), one field per row, and the result
+    (..., n_points).  Points are clamped into the mesh rectangle, then
+    located in the structured grid; a point on the cell diagonal belongs to
+    either triangle (the two interpolants agree there).
     """
     coeffs = _nodal_coefficients(mesh, coeffs)
     x0, x1, y0, y1 = mesh.rect
@@ -240,17 +252,15 @@ def evaluate_p1(mesh: Mesh, coeffs: np.ndarray, points: np.ndarray) -> np.ndarra
     xi = (px - x0) / mesh.dx - cx
     eta = (py - y0) / mesh.dy - cy
     bl = cy * (mesh.nx + 1) + cx
-    vbl = coeffs[bl]
-    vbr = coeffs[bl + 1]
-    vtl = coeffs[bl + mesh.nx + 1]
-    vtr = coeffs[bl + mesh.nx + 2]
+    vbl = coeffs[..., bl]
+    vbr = coeffs[..., bl + 1]
+    vtl = coeffs[..., bl + mesh.nx + 1]
+    vtr = coeffs[..., bl + mesh.nx + 2]
+    # slopes along x and y on the lower-right or the upper-left triangle
     lower = eta <= xi
-    out = np.where(
-        lower,
-        vbl + xi * (vbr - vbl) + eta * (vtr - vbr),
-        vbl + xi * (vtr - vtl) + eta * (vtl - vbl),
-    )
-    return out
+    slope_x = np.where(lower, vbr - vbl, vtr - vtl)
+    slope_y = np.where(lower, vtr - vbr, vtl - vbl)
+    return vbl + xi * slope_x + eta * slope_y
 
 
 def quadrature_points(mesh: Mesh) -> np.ndarray:
@@ -262,9 +272,10 @@ def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact: np.ndarray) -> float:
     """Distance of a P1 field (full nodal coefficients) to exact data at
     ``quadrature_points(mesh)``: the L2 norm of the difference for exact
     values (n_points,), the H1 seminorm for exact gradients (n_points, 2).
-    Zero coefficients give the norm of the exact data itself.
+    Zero coefficients give the norm of the exact data itself.  Stacked
+    fields raise ValueError.
     """
-    coeffs = _nodal_coefficients(mesh, coeffs)
+    coeffs = _nodal_coefficients(mesh, coeffs).reshape(mesh.n_nodes)
     area, grads = _triangle_geometry(mesh)
     _, shapes, wq = _quad_points(mesh, 5)
     tri_vals = coeffs[mesh.triangles]  # (nt, 3)

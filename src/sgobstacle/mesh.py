@@ -153,31 +153,9 @@ class TriQuadRule:
     weights: np.ndarray  # (n_q,)
 
 
-def _rule_deg1() -> TriQuadRule:
-    return TriQuadRule(1, np.array([[1 / 3, 1 / 3]]), np.array([0.5]))
-
-
 def _rule_deg2() -> TriQuadRule:
     pts = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
     return TriQuadRule(2, pts, np.full(3, 1 / 6))
-
-
-def _rule_deg3() -> TriQuadRule:
-    pts = np.array([[1 / 3, 1 / 3], [0.6, 0.2], [0.2, 0.6], [0.2, 0.2]])
-    w = np.array([-27.0, 25.0, 25.0, 25.0]) / 96.0
-    return TriQuadRule(3, pts, w)
-
-
-def _rule_deg4() -> TriQuadRule:
-    a = 0.445948490915965
-    b = 0.091576213509771
-    wa = 0.223381589678011 / 2
-    wb = 0.109951743655322 / 2
-    pts = np.array([
-        [a, a], [1 - 2 * a, a], [a, 1 - 2 * a],
-        [b, b], [1 - 2 * b, b], [b, 1 - 2 * b],
-    ])
-    return TriQuadRule(4, pts, np.array([wa, wa, wa, wb, wb, wb]))
 
 
 def _rule_deg5() -> TriQuadRule:
@@ -193,14 +171,17 @@ def _rule_deg5() -> TriQuadRule:
     return TriQuadRule(5, pts, np.array([0.1125, wa, wa, wa, wb, wb, wb]))
 
 
-_RULES = {1: _rule_deg1, 2: _rule_deg2, 3: _rule_deg3, 4: _rule_deg4, 5: _rule_deg5}
+# The rules the package reads, lowest degree first: degree 2 for assembly,
+# degree 5 for error norms.
+_RULES = {2: _rule_deg2, 5: _rule_deg5}
 
 
 def triangle_quadrature(degree: int) -> TriQuadRule:
     """Smallest tabulated rule exact for polynomials up to ``degree`` (1..5)."""
-    if degree < 1 or degree > 5:
-        raise ValueError(f"no tabulated triangle rule of degree {degree}")
-    return _RULES[degree]()
+    for top, rule in _RULES.items():
+        if 1 <= degree <= top:
+            return rule()
+    raise ValueError(f"no tabulated triangle rule of degree {degree}")
 
 
 def write_vtk(mesh: Mesh, path: str, point_data: dict[str, np.ndarray] | None = None,

@@ -3,11 +3,15 @@
 The parametric domain is a box, discretized per dimension by a partition
 into cells carrying piecewise linear hat functions.  The tensor products of
 these hats form the multilinear basis; all inner products are taken with the
-product probability density.
+product probability density.  Every integral against a density (moments,
+hat Gramians, the reference statistics of ``stats``) uses one composite
+rule, ``Density1D.rule``, on the cached Gauss-Legendre points of
+``gauss_legendre``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -15,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "gauss_legendre",
     "Density1D",
     "ParamGrid",
     "Gramians",
@@ -23,6 +28,22 @@ __all__ = [
     "assemble_gramians",
     "multilinear_evaluate",
 ]
+
+# Cells and points per cell of the composite rule behind ``Density1D.moment``.
+MOMENT_CELLS = 64
+MOMENT_POINTS = 10
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Built once per n and cached, so both arrays are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -42,16 +63,20 @@ class Density1D:
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"density {self.kind!r} integrates to {mass!r}, not 1")
 
-    def moment(self, k: int, n_cells: int = 64, n_pts: int = 10) -> float:
-        """integral of y^k p(y) by composite Gauss-Legendre."""
-        c, d = self.support
-        edges = np.linspace(c, d, n_cells + 1)
-        gx, gw = np.polynomial.legendre.leggauss(n_pts)
-        h = (d - c) / n_cells
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        y = (mids[:, None] + 0.5 * h * gx[None, :]).ravel()
-        w = np.tile(0.5 * h * gw, n_cells)
-        return float(np.sum(w * self.pdf(y) * y ** k))
+    def rule(self, breaks: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
+        """Composite Gauss-Legendre rule with ``n_pts`` points on each cell
+        between consecutive ``breaks``: the nodes y and the weights w p(y),
+        both of shape (cells, n_pts)."""
+        gx, gw = gauss_legendre(n_pts)
+        a, b = breaks[:-1, None], breaks[1:, None]
+        half = 0.5 * (b - a)
+        y = 0.5 * (a + b) + half * gx
+        return y, half * gw * self.pdf(y)
+
+    def moment(self, k: int) -> float:
+        """integral of y^k p(y) on MOMENT_CELLS equal cells of the support."""
+        y, w = self.rule(np.linspace(*self.support, MOMENT_CELLS + 1), MOMENT_POINTS)
+        return float(np.sum(w * y ** k))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.sampler is None:
@@ -81,11 +106,6 @@ class Density1D:
             pdf=lambda y: np.where((y >= c) & (y <= d), 1.0 / (width * y), 0.0),
             sampler=lambda rng, n: np.exp(rng.uniform(a, b, n)),
         )
-
-    @staticmethod
-    def from_callable(pdf, support, kind: str = "custom") -> "Density1D":
-        return Density1D(kind=kind, support=(float(support[0]), float(support[1])),
-                         pdf=pdf)
 
 
 @dataclass(frozen=True)
@@ -191,33 +211,20 @@ class Gramians:
 
 
 def _hat_factors_1d(rho: Density1D, breaks: np.ndarray, n_pts: int):
-    """Per-dimension weighted mass matrices and moment vectors of the hats."""
-    n = len(breaks)
-    gx, gw = np.polynomial.legendre.leggauss(n_pts)
-    mass0 = np.zeros((n, n))
-    massy = np.zeros((n, n))
-    vec0 = np.zeros(n)
-    vecy = np.zeros(n)
-    for l in range(n - 1):
-        a, b = breaks[l], breaks[l + 1]
-        h = b - a
-        y = 0.5 * (a + b) + 0.5 * h * gx
-        w = 0.5 * h * gw * rho.pdf(y)
-        left = (b - y) / h
-        right = (y - a) / h
-        mass0[l, l] += np.sum(w * left * left)
-        mass0[l, l + 1] += np.sum(w * left * right)
-        mass0[l + 1, l] += np.sum(w * left * right)
-        mass0[l + 1, l + 1] += np.sum(w * right * right)
-        massy[l, l] += np.sum(w * y * left * left)
-        massy[l, l + 1] += np.sum(w * y * left * right)
-        massy[l + 1, l] += np.sum(w * y * left * right)
-        massy[l + 1, l + 1] += np.sum(w * y * right * right)
-        vec0[l] += np.sum(w * left)
-        vec0[l + 1] += np.sum(w * right)
-        vecy[l] += np.sum(w * y * left)
-        vecy[l + 1] += np.sum(w * y * right)
-    return mass0, massy, vec0, vecy
+    """Per-dimension weighted mass matrices and moment vectors of the hats,
+    (mass, mass_y, vec, vec_y), from the per-cell rule of ``rho``."""
+    y, w = rho.rule(breaks, n_pts)
+    h = np.diff(breaks)[:, None]
+    left, right = (breaks[1:, None] - y) / h, (y - breaks[:-1, None]) / h
+    v = np.stack([w, w * y])  # cell weights without and with the factor y
+    n, d = len(breaks), np.arange(len(breaks) - 1)
+    mass, vec = np.zeros((2, n, n)), np.zeros((2, n))
+    mass[:, d, d] += np.sum(v * left * left, axis=-1)
+    mass[:, d + 1, d + 1] += np.sum(v * right * right, axis=-1)
+    mass[:, d, d + 1] = mass[:, d + 1, d] = np.sum(v * left * right, axis=-1)
+    vec[:, :-1] += np.sum(v * left, axis=-1)
+    vec[:, 1:] += np.sum(v * right, axis=-1)
+    return mass[0], mass[1], vec[0], vec[1]
 
 
 def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:

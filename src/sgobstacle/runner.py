@@ -397,11 +397,7 @@ def _interpolate_solution(old_system: SGSystem, u_old: np.ndarray,
     blocks = _full_blocks(old_system, u_old)
     y_new = new_grid.nodes()
     interp = multilinear_evaluate(old_system.grid, blocks, y_new)
-    x_int = new_mesh.nodes[new_mesh.interior]
-    out = np.empty((new_grid.n_nodes, len(new_mesh.interior)))
-    for j in range(new_grid.n_nodes):
-        out[j] = evaluate_p1(old_system.mesh, interp[j], x_int)
-    return out.reshape(-1)
+    return evaluate_p1(old_system.mesh, interp, new_mesh.nodes[new_mesh.interior]).reshape(-1)
 
 
 def _solve_level(cfg: ExperimentConfig, level: Level, warm_from=None):

@@ -5,7 +5,7 @@ sums of the coefficient blocks: the parametric basis integrals g0 give the
 mean, the Gramian G0 gives the second moment.  Reference statistics of a
 known product solution u(x, y) = phi(x) psi(y) are E[u^k] = phi^k E[psi^k],
 with E[psi^k] one tensor Gauss-Legendre quadrature against the product
-density.
+density, built from the per-dimension rules of ``param.Density1D.rule``.
 """
 
 from __future__ import annotations
@@ -121,17 +121,14 @@ class ParametricFunction:
 
 
 def tensor_quadrature(densities: tuple[Density1D, ...], order: int):
-    """Tensor Gauss-Legendre nodes on the parameter box with density weights."""
+    """Tensor Gauss-Legendre nodes on the parameter box with density weights:
+    the product of the one-cell ``Density1D.rule`` of each dimension."""
     if len(densities) == 0:
         return np.zeros((1, 0)), np.ones(1)
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    pts_1d, wts_1d = [], []
-    for rho in densities:
-        c, d = rho.support
-        pts_1d.append(0.5 * (c + d) + 0.5 * (d - c) * gx)
-        wts_1d.append(0.5 * (d - c) * gw * rho.pdf(pts_1d[-1]))
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids]), functools.reduce(np.kron, wts_1d)
+    rules = [rho.rule(np.array(rho.support), order) for rho in densities]
+    grids = np.meshgrid(*(y[0] for y, _ in rules), indexing="ij")
+    return (np.column_stack([g.ravel() for g in grids]),
+            functools.reduce(np.kron, [w[0] for _, w in rules]))
 
 
 def _exact_moments(analytic: ParametricFunction, x: np.ndarray, densities,

@@ -4,8 +4,8 @@ The fully discrete problem couples a P1 space on the mesh (I interior nodes)
 with the multilinear hat basis on the parameter grid (J nodes).  The system
 matrix is a sum of Kronecker products G ⊗ K and is kept in factored form;
 matrix-vector products work blockwise on (J, I) reshapes of flat vectors
-with index j*I + i.  The explicit sparse sum is built only when a caller
-asks for it (projected SOR, ``dump_matrix``).  Conjugate gradients are
+with index j*I + i.  The explicit sparse sum is built only when projected
+SOR asks for it (``SGSystem.explicit``).  Conjugate gradients are
 preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
 (Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
 orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  The
@@ -27,7 +27,7 @@ from .fields import AffineField, affine_factors, lift
 from .mesh import Mesh
 from .param import Gramians, ParamGrid, assemble_gramians
 
-__all__ = ["SGSystem", "assemble_sg", "dump_matrix"]
+__all__ = ["SGSystem", "assemble_sg"]
 
 # Largest I*J for which ``SGSystem.explicit()`` builds the Kronecker matrix;
 # projected SOR needs that matrix, so a PSOR level above it is a config error.
@@ -200,13 +200,3 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
     return SGSystem(mesh=mesh, grid=grid, K0=op.interior.csr(factors.K_ii[0]), Kk=Kk,
                     gram=gram, b=B.reshape(-1), obs=obs.reshape(-1), boundary_values=D)
 
-
-def dump_matrix(system: SGSystem, path: str) -> None:
-    """Write the explicit matrix as 'row col value' lines (0-based indices)."""
-    A = system.explicit()
-    if A is None:
-        raise ValueError("explicit matrix was not assembled for this system size")
-    coo = sp.coo_array(A)
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.16e}\n")

@@ -148,6 +148,12 @@ class TestInterpolationAndEvaluation:
         pts = rng.uniform(0, 1, size=(200, 2))
         got = evaluate_p1(mesh, coeffs, pts)
         assert_allclose(got, 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1], rtol=1e-12)
+        # stacked rows (2, 3, n_nodes) give (2, 3, n_points), row by row
+        rows = np.arange(1.0, 7.0).reshape(2, 3, 1) * coeffs
+        stacked = evaluate_p1(mesh, rows, pts)
+        assert stacked.shape == (2, 3, len(pts))
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(stacked[index], evaluate_p1(mesh, rows[index], pts))
 
     def test_evaluate_p1_at_nodes(self):
         mesh = unit_mesh(5)
@@ -190,6 +196,9 @@ class TestNormError:
         mesh = unit_mesh(2)
         with pytest.raises(ValueError, match="one coefficient per mesh node"):
             norm_error(mesh, np.zeros((mesh.n_nodes, 1)), SpatialFunction.constant(0.0))
+        # rows of fields are for evaluate_p1; a norm takes one field
+        with pytest.raises(ValueError):
+            norm_error(mesh, np.zeros((2, mesh.n_nodes)), SpatialFunction.constant(0.0))
 
     def test_unknown_kind_rejected(self):
         mesh = unit_mesh(2)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sgobstacle.param import (Density1D, assemble_gramians, build_param_grid,
-                              deterministic_grid, multilinear_evaluate)
+from sgobstacle.param import (Density1D, _hat_factors_1d, assemble_gramians,
+                              build_param_grid, deterministic_grid, gauss_legendre,
+                              multilinear_evaluate)
 
 E = np.e
 EY = (E - 1.0 / E) / 2.0          # mean of exp(uniform(-1, 1))
@@ -25,7 +26,7 @@ class TestDensities:
 
     def test_unnormalized_density_rejected(self):
         with pytest.raises(ValueError):
-            Density1D.from_callable(lambda y: np.full_like(y, 0.7), (0.0, 1.0))
+            Density1D("custom", (0.0, 1.0), lambda y: np.full_like(y, 0.7))
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
@@ -42,7 +43,7 @@ class TestDensities:
         assert abs(draws.mean() - EY) < 3 * se
 
     def test_callable_density_has_no_sampler(self):
-        rho = Density1D.from_callable(lambda y: np.full_like(y, 0.5), (0.0, 2.0))
+        rho = Density1D("custom", (0.0, 2.0), lambda y: np.full_like(y, 0.5))
         with pytest.raises(ValueError):
             rho.sample(np.random.default_rng(0), 1)
 
@@ -132,6 +133,61 @@ class TestGramians:
         nodes = grid.nodes()
         vals = nodes[:, 0] + 2.0 * nodes[:, 1]
         assert gram.g0 @ vals == pytest.approx(3 * EY, rel=1e-11)
+
+
+def _hat_factors_per_cell(rho, breaks, n_pts):
+    """The hat factors cell by cell: the reference for the vectorised rule."""
+    n = len(breaks)
+    gx, gw = np.polynomial.legendre.leggauss(n_pts)
+    mass0 = np.zeros((n, n))
+    massy = np.zeros((n, n))
+    vec0 = np.zeros(n)
+    vecy = np.zeros(n)
+    for l in range(n - 1):
+        a, b = breaks[l], breaks[l + 1]
+        h = b - a
+        y = 0.5 * (a + b) + 0.5 * h * gx
+        w = 0.5 * h * gw * rho.pdf(y)
+        left = (b - y) / h
+        right = (y - a) / h
+        mass0[l, l] += np.sum(w * left * left)
+        mass0[l, l + 1] += np.sum(w * left * right)
+        mass0[l + 1, l] += np.sum(w * left * right)
+        mass0[l + 1, l + 1] += np.sum(w * right * right)
+        massy[l, l] += np.sum(w * y * left * left)
+        massy[l, l + 1] += np.sum(w * y * left * right)
+        massy[l + 1, l] += np.sum(w * y * left * right)
+        massy[l + 1, l + 1] += np.sum(w * y * right * right)
+        vec0[l] += np.sum(w * left)
+        vec0[l + 1] += np.sum(w * right)
+        vecy[l] += np.sum(w * y * left)
+        vecy[l + 1] += np.sum(w * y * right)
+    return mass0, massy, vec0, vecy
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("rho", [Density1D.uniform(-1.0, 2.0), Density1D.exp_uniform()],
+                             ids=["uniform", "exp-uniform"])
+    def test_hat_factors_match_per_cell_loop(self, rho):
+        for cells in range(1, 65):
+            breaks = build_param_grid([rho], cells).breakpoints[0]
+            for got, want in zip(_hat_factors_1d(rho, breaks, 12),
+                                 _hat_factors_per_cell(rho, breaks, 12)):
+                assert np.array_equal(got, want), cells
+
+    def test_cached_rule_is_read_only(self):
+        x, w = gauss_legendre(7)
+        assert gauss_legendre(7)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_rule_shapes_and_mass(self):
+        rho = Density1D.uniform(-1.0, 3.0)
+        y, w = rho.rule(np.array([-1.0, 0.0, 0.5, 3.0]), 4)
+        assert y.shape == w.shape == (3, 4)
+        assert w.sum() == pytest.approx(1.0, rel=1e-14)
+        assert np.sum(w * y ** 7) == pytest.approx((3.0 ** 8 - 1.0) / 32.0, rel=1e-13)
 
 
 class TestEigenbasis:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgobstacle import stats
+from sgobstacle import param, stats
 from sgobstacle.cli import main as cli_main
 from sgobstacle.fem import norm_error
 from sgobstacle.runner import (TABLE_HEADER, ConfigError, ErrorTable,
@@ -526,6 +526,26 @@ def test_error_table_is_pinned(problem):
     got = [tuple(row.errors[k] for k in ("eL2m1", "eH1m1", "eL2m2", "eH1m2"))
            for row in table.rows]
     np.testing.assert_allclose(got, PINNED_ERRORS[problem], rtol=1e-10, atol=0.0)
+
+
+def test_converge_builds_each_gauss_rule_once(monkeypatch):
+    # the moments, the hat Gramians and the reference statistics share one
+    # cached rule per order: 10, 12 and quad_order points
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    param.gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    cfg = validate_config({"problem": "example1",
+                           "schedule": {"levels": [[4, 8], [8, 8], [16, 8]]},
+                           "solver": {"method": "active-set", "tol": 1e-10},
+                           "quad_order": 64})
+    run_convergence(cfg, write=False)
+    assert len(calls) == len(set(calls)) == 3
 
 
 class TestRunSingle:

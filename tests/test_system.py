@@ -11,7 +11,7 @@ from sgobstacle.lcp import SolverConfig, active_set_solve
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid, deterministic_grid
 from sgobstacle.stats import sg_mean
-from sgobstacle.system import assemble_sg, dump_matrix
+from sgobstacle.system import assemble_sg
 
 RECT = (0.0, 1.0, 0.0, 1.0)
 
@@ -85,8 +85,6 @@ class TestKroneckerStructure:
         monkeypatch.setattr(system, "EXPLICIT_LIMIT", 10)
         sys_ = make_system(nx=4, cells=2)
         assert sys_.explicit() is None
-        with pytest.raises(ValueError):
-            dump_matrix(sys_, "/tmp/should_not_exist.txt")
 
     def test_explicit_built_on_first_request(self):
         sys_ = make_system(nx=4, cells=2)
@@ -269,16 +267,3 @@ class TestRightHandSide:
         expected = np.concatenate([-0.5 + 2.0 * x_int[:, 0] * yj[0]
                                    for yj in grid.nodes()])
         assert_allclose(sys_.obs, expected, rtol=1e-14)
-
-    def test_dump_matrix_roundtrip(self, tmp_path):
-        sys_ = make_system(nx=3, cells=1)
-        path = tmp_path / "matrix.txt"
-        dump_matrix(sys_, str(path))
-        rows, cols, vals = [], [], []
-        for line in path.read_text().splitlines():
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-        back = sp.coo_array((vals, (rows, cols)), shape=(sys_.n, sys_.n)).toarray()
-        assert_allclose(back, sys_.explicit().toarray(), rtol=1e-14)
