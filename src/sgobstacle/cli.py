@@ -65,7 +65,7 @@ def _info(cfg) -> None:
           f"{problem.n_dims} parameter dimensions)")
     print(f"domain:  x in [{problem.rect[0]}, {problem.rect[1]}], "
           f"y in [{problem.rect[2]}, {problem.rect[3]}]")
-    print(f"mode:    {cfg.mode}, dirichlet: {cfg.dirichlet_mode}")
+    print(f"mode:    {cfg.mode}")
     print(f"solver:  {cfg.solver.method} (omega={cfg.solver.omega}, "
           f"tol={cfg.solver.tol:g})")
     print("levels:")

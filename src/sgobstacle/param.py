@@ -6,12 +6,16 @@ these hats form the multilinear basis; all inner products are taken with the
 product probability density.  Every integral against a density (moments,
 hat Gramians, the reference statistics of ``stats``) uses one composite
 rule, ``Density1D.rule``, on the cached Gauss-Legendre points of
-``gauss_legendre``.
+``gauss_legendre``.  A tensor Gramian is kept as its 1-D factors and
+applied one dimension at a time (``kron_apply``).  Every product over the
+parameter dimensions is empty when there are none (M = 0, deterministic
+data): one node, unit weight and identity Gramians.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +24,8 @@ import scipy.sparse as sp
 
 __all__ = [
     "gauss_legendre",
+    "tensor_points",
+    "kron_apply",
     "Density1D",
     "ParamGrid",
     "Gramians",
@@ -44,6 +50,31 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """All points of the tensor grid of the 1-D ``axes``, one row each, in C
+    order (last axis fastest): shape (prod of the axis lengths, len(axes)),
+    so (1, 0) without axes."""
+    shape = tuple(len(a) for a in axes)
+    points = np.empty((math.prod(shape), len(shape)))
+    for d, g in enumerate(np.meshgrid(*axes, indexing="ij")):
+        points[:, d] = g.ravel()
+    return points
+
+
+def kron_apply(factors: Sequence[np.ndarray], V: np.ndarray) -> np.ndarray:
+    """(F_0 ⊗ F_1 ⊗ ...) V for square factors F_d and V of shape (J, ...),
+    J the product of the factor sizes, one dimension at a time on C-ordered
+    reshapes.  Without factors the product is the identity and V is returned
+    as it is."""
+    shape = V.shape
+    lead = 1
+    for F in factors:
+        n_d = F.shape[0]
+        V = np.matmul(F, V.reshape(lead, n_d, -1))
+        lead *= n_d
+    return V.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -129,21 +160,16 @@ class ParamGrid:
 
     @property
     def n_nodes(self) -> int:
-        return int(np.prod(self.shape)) if self.n_dims else 1
+        return math.prod(self.shape)
 
     @property
     def s(self) -> float:
         """Largest parametric cell width over all dimensions (0 if M = 0)."""
-        if self.n_dims == 0:
-            return 0.0
-        return max(float(np.max(np.diff(b))) for b in self.breakpoints)
+        return max((float(np.max(np.diff(b))) for b in self.breakpoints), default=0.0)
 
     def nodes(self) -> np.ndarray:
         """All parameter nodes as a (n_nodes, n_dims) array, C order."""
-        if self.n_dims == 0:
-            return np.zeros((1, 0))
-        grids = np.meshgrid(*self.breakpoints, indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
+        return tensor_points(self.breakpoints)
 
 
 def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int]) -> ParamGrid:
@@ -153,8 +179,6 @@ def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int])
     ``deterministic_grid()``, one parameter node of unit weight.
     """
     densities = tuple(densities)
-    if len(densities) == 0:
-        return deterministic_grid()
     if np.isscalar(cells):
         cells = [int(cells)] * len(densities)
     if len(cells) != len(densities):
@@ -175,22 +199,36 @@ def deterministic_grid() -> ParamGrid:
 
 @dataclass(frozen=True)
 class Gramians:
-    """Density-weighted Gramians of the multilinear basis.
+    """Density-weighted Gramians of the multilinear basis, as 1-D factors.
 
-    G0[j, t] = <psi_j, psi_t>, Gk[j, t] = <y_k psi_j, psi_t>,
-    g0[t] = <psi_t, 1>, gk[t] = <y_k, psi_t>; all with the product density.
-    ``mass[d]`` and ``mass_y[d]`` are the dense weighted mass matrices of the
-    hats of dimension d, without and with the factor y_d.  G0 is the
-    Kronecker product of the ``mass`` factors, dimension 0 first, and Gk the
-    same product with ``mass_y[k]`` in slot k (both empty if M = 0).
+    Term k = 0 is the plain Gramian G_0[j, t] = <psi_j, psi_t> and term
+    k = d + 1 the Gramian G_k[j, t] = <y_d psi_j, psi_t> of dimension d, all
+    with the product density.  ``mass[d]`` and ``mass_y[d]`` are the dense
+    weighted mass matrices of the hats of dimension d, without and with the
+    factor y_d, and G_k is the Kronecker product of ``factors(k)``, dimension
+    0 first.  g0[t] = <psi_t, 1> and gk[d][t] = <y_d, psi_t> are the basis
+    integrals.  With no dimensions every G_k is the 1 x 1 identity and g0 = [1].
     """
 
-    G0: sp.csr_array
-    Gk: tuple[sp.csr_array, ...]
     g0: np.ndarray
     gk: tuple[np.ndarray, ...]
     mass: tuple[np.ndarray, ...]
     mass_y: tuple[np.ndarray, ...]
+
+    def factors(self, k: int) -> list[np.ndarray]:
+        """The 1-D factors of G_k: ``mass``, with ``mass_y[k - 1]`` in slot
+        k - 1 for k >= 1."""
+        return [my if d == k - 1 else m
+                for d, (m, my) in enumerate(zip(self.mass, self.mass_y))]
+
+    def diagonal(self, k: int) -> np.ndarray:
+        """The diagonal of G_k, the Kronecker product of the factors' diagonals."""
+        return functools.reduce(np.kron, [np.diag(F) for F in self.factors(k)], np.ones(1))
+
+    def matrix(self, k: int) -> sp.csr_array:
+        """G_k as a sparse CSR matrix; only an explicit Kronecker matrix needs it."""
+        mats = [sp.csr_array(F) for F in self.factors(k)] or [sp.csr_array(np.ones((1, 1)))]
+        return functools.reduce(lambda A, F: sp.kron(A, F, format="csr"), mats)
 
     def eigenbasis(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-dimension generalized eigenpairs of ``mass_y[d]`` against ``mass[d]``.
@@ -198,9 +236,9 @@ class Gramians:
         Returns one (W_d, lam_d) per dimension with W_d^T mass[d] W_d = I and
         W_d^T mass_y[d] W_d = diag(lam_d), from the Cholesky factor L of
         mass[d] and the symmetric eigenproblem of L^-1 mass_y[d] L^-T.
-        W = W_0 ⊗ W_1 ⊗ ... then turns G0 into the identity and every Gk into
-        a diagonal at once: the doubly orthogonal basis of the hats.  Each
-        lam_d lies in the support of the density of dimension d.
+        W = W_0 ⊗ W_1 ⊗ ... then turns G_0 into the identity and every other
+        G_k into a diagonal at once: the doubly orthogonal basis of the hats.
+        Each lam_d lies in the support of the density of dimension d.
         """
         basis = []
         for m0, my in zip(self.mass, self.mass_y):
@@ -228,46 +266,23 @@ def _hat_factors_1d(rho: Density1D, breaks: np.ndarray, n_pts: int):
 
 
 def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
-    """Assemble the tensor Gramians by Kronecker products of 1D factors.
+    """The 1-D Gramian factors of each dimension and the basis integrals,
+    which are Kronecker products of the 1-D moment vectors.
 
     ``n_pts`` Gauss-Legendre points per parametric cell; 12 points integrate
     the smooth densities used here to machine precision, which keeps the
     normalization error out of derived statistics.
     """
-    if grid.n_dims == 0:
-        one = sp.csr_array(np.array([[1.0]]))
-        return Gramians(G0=one, Gk=(), g0=np.array([1.0]), gk=(), mass=(), mass_y=())
-
     factors = [_hat_factors_1d(rho, brk, n_pts)
                for rho, brk in zip(grid.densities, grid.breakpoints)]
 
-    def kron_chain(mats):
-        out = sp.csr_array(mats[0])
-        for m in mats[1:]:
-            out = sp.kron(out, sp.csr_array(m), format="csr")
-        return out
+    def basis_integrals(k):
+        vecs = [f[3] if d == k - 1 else f[2] for d, f in enumerate(factors)]
+        return functools.reduce(np.kron, vecs, np.ones(1))
 
-    def kron_vec(vecs):
-        out = vecs[0]
-        for v in vecs[1:]:
-            out = np.kron(out, v)
-        return out
-
-    mass = tuple(f[0] for f in factors)
-    G0 = kron_chain(mass)
-    g0 = kron_vec([f[2] for f in factors])
-    Gk = []
-    gk = []
-    for k in range(grid.n_dims):
-        mats = [factors[d][1] if d == k else factors[d][0] for d in range(grid.n_dims)]
-        vecs = [factors[d][3] if d == k else factors[d][2] for d in range(grid.n_dims)]
-        Gk.append(kron_chain(mats))
-        gk.append(kron_vec(vecs))
-    G0.sort_indices()
-    for G in Gk:
-        G.sort_indices()
-    return Gramians(G0=G0, Gk=tuple(Gk), g0=g0, gk=tuple(gk), mass=mass,
-                    mass_y=tuple(f[1] for f in factors))
+    return Gramians(g0=basis_integrals(0),
+                    gk=tuple(basis_integrals(k) for k in range(1, grid.n_dims + 1)),
+                    mass=tuple(f[0] for f in factors), mass_y=tuple(f[1] for f in factors))
 
 
 def multilinear_evaluate(grid: ParamGrid, block_values: np.ndarray,
@@ -278,8 +293,6 @@ def multilinear_evaluate(grid: ParamGrid, block_values: np.ndarray,
     node (C order); ``y`` has shape (n_pts, n_dims).  Returns (n_pts, ...).
     Other shapes raise ValueError.
     """
-    if grid.n_dims == 0:
-        return np.broadcast_to(block_values[0], (y.shape[0],) + block_values.shape[1:]).copy()
     y = np.atleast_2d(np.asarray(y, dtype=float))
     npts = y.shape[0]
     if y.shape[1] != grid.n_dims:

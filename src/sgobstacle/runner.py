@@ -80,7 +80,6 @@ class ExperimentConfig:
     mode: str
     levels: list[Level]
     solver: SolverConfig
-    dirichlet_mode: str = "exact"
     mc_samples: int = 4096
     mc_seed: int = 0
     mc_level: int = 0
@@ -201,9 +200,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     errors: list[str] = []
-    _checked(errors, known_keys, raw, ("problem", "mode", "parameterization", "dirichlet",
-                                       "schedule", "solver", "mc", "quad_order",
-                                       "output_dir", "custom"), "config")
+    _checked(errors, known_keys, raw, ("problem", "mode", "parameterization", "schedule",
+                                       "solver", "mc", "quad_order", "output_dir",
+                                       "custom"), "config")
 
     mode = raw.get("mode", "sg")
     if mode not in ("sg", "mc", "both"):
@@ -229,10 +228,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
             f"problem {problem.name!r} with parameterization "
             f"{parameterization!r} has non-affine fields; Galerkin runs need "
             "affine fields (use parameterization 'exp' or mode 'mc')")
-
-    dirichlet_mode = raw.get("dirichlet", "exact")
-    if dirichlet_mode not in ("exact", "zero"):
-        errors.append(f"dirichlet must be exact or zero, got {shown(dirichlet_mode)}")
 
     levels: list[Level] = []
     schedule = raw.get("schedule", {})
@@ -291,7 +286,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         errors.append("mc must be an object")
         mc_raw = {}
     _checked(errors, known_keys, mc_raw, ("n_samples", "seed", "level", "solver"), "mc")
-    mc_samples = _checked(errors, integer, mc_raw.get("n_samples", 4096), "mc.n_samples", 1)
+    # the variance estimate divides by n_samples - 1
+    mc_samples = _checked(errors, integer, mc_raw.get("n_samples", 4096), "mc.n_samples", 2)
     mc_seed = _checked(errors, integer, mc_raw.get("seed", 0), "mc.seed")
     mc_level = _checked(errors, integer, mc_raw.get("level", 0), "mc.level", 0,
                         len(levels) - 1 if levels else None)
@@ -330,9 +326,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         problem=problem, mode=mode, levels=levels, solver=solver,
-        dirichlet_mode=dirichlet_mode, mc_samples=mc_samples, mc_seed=mc_seed,
-        mc_level=mc_level, mc_solver=mc_solver, quad_order=quad_order,
-        output_dir=output_dir,
+        mc_samples=mc_samples, mc_seed=mc_seed, mc_level=mc_level,
+        mc_solver=mc_solver, quad_order=quad_order, output_dir=output_dir,
     )
 
 
@@ -404,10 +399,9 @@ def _solve_level(cfg: ExperimentConfig, level: Level, warm_from=None):
     problem = cfg.problem
     mesh = build_uniform_mesh(problem.rect, level.nx, level.ny)
     grid = build_param_grid(problem.densities, level.cells)
-    dirichlet = problem.dirichlet if cfg.dirichlet_mode == "exact" else None
     t0 = time.perf_counter()
     system = assemble_sg(mesh, grid, problem.fields["a"], problem.fields["f"],
-                         problem.fields["g"], dirichlet)
+                         problem.fields["g"], problem.dirichlet)
     x0 = None
     if warm_from is not None:
         x0 = _interpolate_solution(warm_from[0], warm_from[1], mesh, grid)
@@ -439,13 +433,15 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
         errors_seconds = time.perf_counter() - t0
         h = mesh.cell_side()
         s = grid.s
-        orders = {}
-        for key, e in errs.items():
-            if prev_row is None:
-                orders[key] = None
-            else:
-                ratio = prev_row.h / h if abs(prev_row.h - h) > 1e-14 else prev_row.s / s
-                orders[key] = float(np.log(prev_row.errors[key] / e) / np.log(ratio))
+        # the order is taken in h, or in s where h stays; a repeated level has none
+        ratio = None
+        if prev_row is not None and abs(prev_row.h - h) > 1e-14:
+            ratio = prev_row.h / h
+        elif prev_row is not None and abs(prev_row.s - s) > 1e-14:
+            ratio = prev_row.s / s
+        orders = {key: None if ratio is None
+                  else float(np.log(prev_row.errors[key] / e) / np.log(ratio))
+                  for key, e in errs.items()}
         row = TableRow(h=h, s=s, errors=errs, orders=orders,
                        iters=report.iterations, seconds=seconds)
         rows.append(row)
@@ -531,11 +527,10 @@ def run_mc(cfg: ExperimentConfig):
     problem = cfg.problem
     level = cfg.levels[cfg.mc_level]
     mesh = build_uniform_mesh(problem.rect, level.nx, level.ny)
-    dirichlet = problem.dirichlet if cfg.dirichlet_mode == "exact" else None
     solver = cfg.mc_solver if cfg.mc_solver is not None else cfg.solver
     t0 = time.perf_counter()
     result = mc_run(mesh, problem.fields, problem.densities, cfg.mc_samples,
-                    cfg.mc_seed, solver, dirichlet)
+                    cfg.mc_seed, solver, problem.dirichlet)
     mc_seconds = time.perf_counter() - t0
 
     mean = StatField(mesh=mesh, name="mean", values=result.mean)

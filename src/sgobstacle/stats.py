@@ -2,10 +2,11 @@
 
 First and second moments of a tensor Galerkin solution reduce to weighted
 sums of the coefficient blocks: the parametric basis integrals g0 give the
-mean, the Gramian G0 gives the second moment.  Reference statistics of a
-known product solution u(x, y) = phi(x) psi(y) are E[u^k] = phi^k E[psi^k],
-with E[psi^k] one tensor Gauss-Legendre quadrature against the product
-density, built from the per-dimension rules of ``param.Density1D.rule``.
+mean, and the Gramian G_0, applied by its 1-D factors, the second moment.
+Reference statistics of a known product solution u(x, y) = phi(x) psi(y)
+are E[u^k] = phi^k E[psi^k], with E[psi^k] one tensor Gauss-Legendre
+quadrature against the product density, built from the per-dimension rules
+of ``param.Density1D.rule``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from ._checks import integer
 from .fem import SpatialFunction
 from .mesh import Mesh, write_vtk
-from .param import Density1D
+from .param import Density1D, kron_apply, tensor_points
 from .system import SGSystem
 
 __all__ = [
@@ -71,7 +72,7 @@ def sg_mean(system: SGSystem, u: np.ndarray) -> StatField:
 
 def sg_second_moment(system: SGSystem, u: np.ndarray) -> StatField:
     full = _full_blocks(system, u)
-    vals = np.sum(full * (system.gram.G0 @ full), axis=0)
+    vals = np.sum(full * kron_apply(system.gram.factors(0), full), axis=0)
     return StatField(mesh=system.mesh, name="second_moment", values=vals)
 
 
@@ -123,12 +124,9 @@ class ParametricFunction:
 def tensor_quadrature(densities: tuple[Density1D, ...], order: int):
     """Tensor Gauss-Legendre nodes on the parameter box with density weights:
     the product of the one-cell ``Density1D.rule`` of each dimension."""
-    if len(densities) == 0:
-        return np.zeros((1, 0)), np.ones(1)
     rules = [rho.rule(np.array(rho.support), order) for rho in densities]
-    grids = np.meshgrid(*(y[0] for y, _ in rules), indexing="ij")
-    return (np.column_stack([g.ravel() for g in grids]),
-            functools.reduce(np.kron, [w[0] for _, w in rules]))
+    return (tensor_points([y[0] for y, _ in rules]),
+            functools.reduce(np.kron, [w[0] for _, w in rules], np.ones(1)))
 
 
 def _exact_moments(analytic: ParametricFunction, x: np.ndarray, densities,

@@ -2,10 +2,12 @@
 
 The fully discrete problem couples a P1 space on the mesh (I interior nodes)
 with the multilinear hat basis on the parameter grid (J nodes).  The system
-matrix is a sum of Kronecker products G ⊗ K and is kept in factored form;
-matrix-vector products work blockwise on (J, I) reshapes of flat vectors
-with index j*I + i.  The explicit sparse sum is built only when projected
-SOR asks for it (``SGSystem.explicit``).  Conjugate gradients are
+matrix is a sum of Kronecker products G_k ⊗ K_k and is kept in factored
+form: each parametric Gramian G_k as its 1-D factors (``param.Gramians``).
+Matrix-vector products work blockwise on (J, I) reshapes of flat vectors
+with index j*I + i, K_k on the rows and G_k one parameter dimension at a
+time (``param.kron_apply``).  The explicit sparse sum is built only when
+projected SOR asks for it (``SGSystem.explicit``).  Conjugate gradients are
 preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
 (Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
 orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  The
@@ -25,7 +27,7 @@ import scipy.sparse.linalg as spla
 from .fem import P1Operator
 from .fields import AffineField, affine_factors, lift
 from .mesh import Mesh
-from .param import Gramians, ParamGrid, assemble_gramians
+from .param import Gramians, ParamGrid, assemble_gramians, kron_apply
 
 __all__ = ["SGSystem", "assemble_sg"]
 
@@ -41,8 +43,9 @@ class SGSystem:
     Attributes
     ----------
     K0, Kk : CSR stiffness factors over interior nodes (Kk entries may be None
-        for parameter dimensions the coefficient does not touch).
-    gram : parametric Gramians (G0, Gk, g0, gk and their 1-D factors).
+        for parameter dimensions the coefficient does not touch); K0 pairs
+        with the Gramian G_0 and Kk[d] with G_{d+1}.
+    gram : parametric Gramians as 1-D factors, with the basis integrals.
     b : flat right-hand side of length I*J, parameter-major.
     obs : flat obstacle values at the tensor nodes.
     boundary_values : (n_boundary, J) Dirichlet data per parameter node.
@@ -69,27 +72,24 @@ class SGSystem:
 
     @property
     def n_param(self) -> int:
-        return self.gram.G0.shape[0]
+        return len(self.gram.g0)
 
     @property
     def n(self) -> int:
         return self.n_spatial * self.n_param
 
+    def _terms(self):
+        """(k, K_k) for every stiffness term that is present."""
+        return [(k, K) for k, K in enumerate([self.K0, *self.Kk]) if K is not None]
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        I, J = self.n_spatial, self.n_param
-        V = v.reshape(J, I)
-        out = self.gram.G0 @ (self.K0 @ V.T).T
-        for G, K in zip(self.gram.Gk, self.Kk):
-            if K is not None:
-                out += G @ (K @ V.T).T
-        return out.reshape(-1)
+        V = v.reshape(self.n_param, self.n_spatial)
+        return sum(kron_apply(self.gram.factors(k), (K @ V.T).T)
+                   for k, K in self._terms()).reshape(-1)
 
     def diag(self) -> np.ndarray:
-        d = np.outer(self.gram.G0.diagonal(), self.K0.diagonal())
-        for G, K in zip(self.gram.Gk, self.Kk):
-            if K is not None:
-                d += np.outer(G.diagonal(), K.diagonal())
-        return d.reshape(-1)
+        return sum(np.outer(self.gram.diagonal(k), K.diagonal())
+                   for k, K in self._terms()).reshape(-1)
 
     def explicit(self) -> sp.csr_array | None:
         """The summed Kronecker matrix, built and cached on the first call.
@@ -97,10 +97,9 @@ class SGSystem:
         None when I*J exceeds ``EXPLICIT_LIMIT``.
         """
         if self.A is None and self.n <= EXPLICIT_LIMIT:
-            A = sp.kron(self.gram.G0, self.K0, format="csr")
-            for G, K in zip(self.gram.Gk, self.Kk):
-                if K is not None:
-                    A = A + sp.kron(G, K, format="csr")
+            A = sp.kron(self.gram.matrix(0), self.K0, format="csr")
+            for k, K in self._terms()[1:]:
+                A = A + sp.kron(self.gram.matrix(k), K, format="csr")
             self.A = sp.csr_array(A)
             self.A.sort_indices()
         return self.A
@@ -108,18 +107,19 @@ class SGSystem:
     def precond(self) -> Callable[[np.ndarray], np.ndarray]:
         """Apply (G̃ ⊗ K̄)^-1, the inverse of the best Kronecker approximation of A.
 
-        A = G0 ⊗ K0 + sum_k Gk ⊗ Kk.  K̄ = K0 + sum_k E[y_k] Kk is the
-        stiffness at the y-averaged coefficient, and G̃ = sum_k alpha_k Gk
-        (k = 0 included) with alpha_k = <Kk, K̄>_F / <K̄, K̄>_F.  So the
-        preconditioner is A itself when every Kk is a multiple of K̄ (a
-        coefficient whose modes all have the mean's shape), and G0 ⊗ K̄
+        A = G_0 ⊗ K_0 + sum_k G_k ⊗ K_k, with K_0 = ``K0`` and the stiffness
+        K_k = ``Kk[k - 1]`` of y_k.  K̄ = K_0 + sum_k E[y_k] K_k is the
+        stiffness at the y-averaged coefficient, and G̃ = sum_k alpha_k G_k (k = 0
+        included) with alpha_k = <K_k, K̄>_F / <K̄, K̄>_F.  So the
+        preconditioner is A itself when every K_k is a multiple of K̄ (a
+        coefficient whose modes all have the mean's shape), and G_0 ⊗ K̄
         without modes.
 
         K̄ is solved by SuperLU on the (I, J) transpose of the residual
         blocks.  G̃^-1 = W diag(1 / delta) W^T with W = ⊗ W_d the doubly
         orthogonal basis (``Gramians.eigenbasis``) and delta_j = alpha_0 +
         sum_k alpha_k lam_{k, j_k}, so W and W^T act one parameter dimension
-        at a time on C-contiguous reshapes.  delta_j = <K(lam_j), K̄>_F /
+        at a time (``param.kron_apply``).  delta_j = <K(lam_j), K̄>_F /
         <K̄, K̄>_F for the stiffness K(lam_j) at a point of the parameter box,
         which is positive when the coefficient is positive on the box.
 
@@ -155,18 +155,9 @@ class SGSystem:
             W = [W_d for W_d, _ in basis]
             W_T = [W_d.T for W_d in W]
 
-            def per_dimension(factors, V):
-                """(⊗ factors) V for V of shape (J, I), one dimension at a time."""
-                lead = 1
-                for F in factors:
-                    n_d = F.shape[0]
-                    V = np.matmul(F, V.reshape(lead, n_d, -1))
-                    lead *= n_d
-                return V.reshape(J, I)
-
             def apply(r: np.ndarray) -> np.ndarray:
                 V = lu_k.solve(r.reshape(J, I).T).T
-                return per_dimension(W, per_dimension(W_T, V) * inv_delta).reshape(-1)
+                return kron_apply(W, kron_apply(W_T, V) * inv_delta).reshape(-1)
 
             self._precond = apply
         return self._precond
@@ -192,8 +183,8 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
     y_nodes = grid.nodes()
     B = np.array([gram.g0, *gram.gk]).T @ factors.load
     D, lifting = lift(op, dirichlet, y_nodes, factors.K_ib[:, None])
-    for G, L in zip([gram.G0, *gram.Gk], lifting):
-        B -= G @ L
+    for k, L in enumerate(lifting):
+        B -= kron_apply(gram.factors(k), L)
     obs = np.column_stack([np.ones(grid.n_nodes), y_nodes]) @ factors.obs
     # a dimension on which a has no mode has a zero stiffness row
     Kk = [op.interior.csr(d) if d.any() else None for d in factors.K_ii[1:]]

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from sgobstacle.param import (Density1D, _hat_factors_1d, assemble_gramians,
                               build_param_grid, deterministic_grid, gauss_legendre,
-                              multilinear_evaluate)
+                              kron_apply, multilinear_evaluate, tensor_points)
+from sgobstacle.stats import tensor_quadrature
 
 E = np.e
 EY = (E - 1.0 / E) / 2.0          # mean of exp(uniform(-1, 1))
@@ -89,17 +90,17 @@ class TestGramians:
         # [[1/3, 1/6], [1/6, 1/3]] (hand integration)
         grid = build_param_grid([Density1D.uniform(-1.0, 1.0)], 1)
         gram = assemble_gramians(grid)
-        assert_allclose(gram.G0.toarray(),
+        assert_allclose(gram.matrix(0).toarray(),
                         [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], rtol=1e-12)
         assert_allclose(gram.g0, [0.5, 0.5], rtol=1e-12)
 
     def test_partition_of_unity(self):
-        # hats sum to one, so row sums of G0 give g0 regardless of the
+        # hats sum to one, so row sums of G_0 give g0 regardless of the
         # quadrature used (same points on both sides)
         grid = build_param_grid([Density1D.exp_uniform()] * 2, 4)
         gram = assemble_gramians(grid)
-        assert_allclose(gram.G0 @ np.ones(grid.n_nodes), gram.g0, rtol=1e-12)
-        assert_allclose(gram.Gk[0] @ np.ones(grid.n_nodes), gram.gk[0], rtol=1e-12)
+        assert_allclose(gram.matrix(0) @ np.ones(grid.n_nodes), gram.g0, rtol=1e-12)
+        assert_allclose(gram.matrix(1) @ np.ones(grid.n_nodes), gram.gk[0], rtol=1e-12)
 
     def test_weighted_gramians_reduce_to_moments(self):
         # value-level checks need the density integrated accurately, so
@@ -111,19 +112,19 @@ class TestGramians:
         for k in range(2):
             assert gram.gk[k].sum() == pytest.approx(EY, rel=1e-12)
             # <y_k, 1> twice contracted = E[y_k]
-            assert ones @ (gram.Gk[k] @ ones) == pytest.approx(EY, rel=1e-12)
+            assert ones @ (gram.matrix(k + 1) @ ones) == pytest.approx(EY, rel=1e-12)
 
     def test_g0_positive_definite(self):
         grid = build_param_grid([Density1D.exp_uniform()] * 2, 4)
         gram = assemble_gramians(grid)
-        eigs = np.linalg.eigvalsh(gram.G0.toarray())
+        eigs = np.linalg.eigvalsh(gram.matrix(0).toarray())
         assert eigs.min() > 0
 
     def test_deterministic_gramians(self):
         gram = assemble_gramians(deterministic_grid())
-        assert_allclose(gram.G0.toarray(), [[1.0]])
+        assert_allclose(gram.matrix(0).toarray(), [[1.0]])
         assert_allclose(gram.g0, [1.0])
-        assert gram.Gk == ()
+        assert gram.gk == () and gram.mass_y == ()
 
     def test_interpolated_affine_function_integrates_exactly(self):
         # y1 + 2 y2 is multilinear, so its interpolant is itself; integrating
@@ -133,6 +134,69 @@ class TestGramians:
         nodes = grid.nodes()
         vals = nodes[:, 0] + 2.0 * nodes[:, 1]
         assert gram.g0 @ vals == pytest.approx(3 * EY, rel=1e-11)
+
+
+# grids of M = 0..3 dimensions with unequal densities and cell counts
+KRON_CELLS = [[], [3], [2, 4], [3, 1, 2]]
+KRON_DENSITIES = [Density1D.exp_uniform(), Density1D.uniform(0.5, 2.0),
+                  Density1D.exp_uniform(-0.5, 0.5)]
+
+
+def _kron_grid(cells):
+    return build_param_grid(KRON_DENSITIES[:len(cells)], cells)
+
+
+def _dense_kron(mats):
+    """Dense Kronecker product of ``mats``, the 1 x 1 identity for none."""
+    out = np.ones((1, 1))
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+@pytest.mark.parametrize("cells", KRON_CELLS, ids=lambda c: f"M={len(c)}")
+class TestKroneckerFactors:
+    def test_kron_apply_matches_dense_kron(self, cells):
+        rng = np.random.default_rng(len(cells))
+        factors = [rng.standard_normal((m + 1, m + 1)) for m in cells]
+        J = int(np.prod([m + 1 for m in cells]))
+        for trailing in [(), (5,), (2, 3)]:
+            V = rng.standard_normal((J,) + trailing)
+            want = (_dense_kron(factors) @ V.reshape(J, -1)).reshape(V.shape)
+            assert_allclose(kron_apply(factors, V), want, rtol=1e-12, atol=1e-14)
+
+    def test_gramian_matrix_and_diagonal_match_dense_kron(self, cells):
+        grid = _kron_grid(cells)
+        gram = assemble_gramians(grid)
+        for k in range(grid.n_dims + 1):
+            mats = [gram.mass_y[d] if d == k - 1 else gram.mass[d]
+                    for d in range(grid.n_dims)]
+            want = _dense_kron(mats)
+            assert_allclose(gram.matrix(k).toarray(), want, rtol=1e-14, atol=1e-300)
+            assert_allclose(gram.diagonal(k), np.diag(want), rtol=1e-14)
+            V = np.random.default_rng(k).standard_normal((grid.n_nodes, 4))
+            assert_allclose(kron_apply(gram.factors(k), V), want @ V, rtol=1e-12,
+                            atol=1e-15)
+        assert len(gram.gk) == grid.n_dims
+        assert gram.g0.shape == (grid.n_nodes,)
+
+    def test_tensor_points_match_meshgrid(self, cells):
+        grid = _kron_grid(cells)
+        points = tensor_points(grid.breakpoints)
+        assert points.shape == (grid.n_nodes, grid.n_dims)
+        if cells:
+            mesh = np.meshgrid(*grid.breakpoints, indexing="ij")
+            assert np.array_equal(points, np.column_stack([g.ravel() for g in mesh]))
+        assert np.array_equal(grid.nodes(), points)
+
+    def test_tensor_quadrature_is_the_product_rule(self, cells):
+        densities = tuple(KRON_DENSITIES[:len(cells)])
+        nodes, weights = tensor_quadrature(densities, 5)
+        assert nodes.shape == (5 ** len(cells), len(cells))
+        want = np.ones(1)
+        for rho in densities:
+            want = np.multiply.outer(want, rho.rule(np.array(rho.support), 5)[1][0]).ravel()
+        assert_allclose(weights, want, rtol=1e-15)
 
 
 def _hat_factors_per_cell(rho, breaks, n_pts):
@@ -193,7 +257,7 @@ class TestGaussRule:
 class TestEigenbasis:
     @pytest.mark.parametrize("cells", [[1], [4, 2], [3, 1, 5]])
     def test_diagonalizes_every_gramian(self, cells):
-        # W = ⊗ W_d turns G0 into the identity and Gk into diag of lam_k
+        # W = ⊗ W_d turns G_0 into the identity and G_{k+1} into diag of lam_k
         # taken at each node's k-th index
         densities = [Density1D.exp_uniform(), Density1D.uniform(-1.0, 2.0),
                      Density1D.exp_uniform(0.0, 0.5)][:len(cells)]
@@ -203,10 +267,10 @@ class TestEigenbasis:
         W = np.ones((1, 1))
         for W_d, _ in basis:
             W = np.kron(W, W_d)
-        assert_allclose(W.T @ gram.G0 @ W, np.eye(grid.n_nodes), atol=1e-12)
+        assert_allclose(W.T @ gram.matrix(0) @ W, np.eye(grid.n_nodes), atol=1e-12)
         index = np.indices(grid.shape).reshape(len(cells), -1)
         for k, (_, lam) in enumerate(basis):
-            assert_allclose(W.T @ gram.Gk[k] @ W, np.diag(lam[index[k]]), atol=1e-12)
+            assert_allclose(W.T @ gram.matrix(k + 1) @ W, np.diag(lam[index[k]]), atol=1e-12)
 
     def test_eigenvalues_lie_in_the_support(self):
         grid = build_param_grid([Density1D.exp_uniform(), Density1D.uniform(1.0, 2.0)], 6)

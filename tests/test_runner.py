@@ -2,6 +2,7 @@ import copy
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,11 @@ class TestValidateConfig:
         cfg = base_config(mode="mc", mc={"n_samples": 0})
         with pytest.raises(ConfigError, match="n_samples"):
             validate_config(cfg)
+
+    def test_dirichlet_key_removed(self):
+        # boundary data come from the problem; there is no key to drop them
+        with pytest.raises(ConfigError, match="unknown config key 'dirichlet'"):
+            validate_config(base_config(dirichlet="exact"))
 
     def test_custom_problem_needs_section(self):
         with pytest.raises(ConfigError, match="custom"):
@@ -438,6 +444,21 @@ class TestRunConvergence:
             assert lv["errors_seconds"] > 0.0
             assert len(lv["trace"]) == lv["iterations"]
             assert all(r["pcg"] >= 0 and r["rtol"] > 0.0 for r in lv["trace"])
+
+    def test_repeated_level_has_no_order(self, tmp_path):
+        # neither h nor s changes between the rows, so there is no order to
+        # take, and no log(1) division may warn
+        cfg = validate_config(base_config(schedule={"levels": [[4, 2], [4, 2]]},
+                                          output_dir=str(tmp_path)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, _ = run_convergence(cfg)
+        assert all(order is None for row in table.rows for order in row.orders.values())
+        lines = (tmp_path / "table.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            cells = dict(zip(header, line.split(",")))
+            assert [cells[k] for k in header if k.startswith("ord")] == [""] * 4
 
     def test_table_deterministic_up_to_timings(self, tmp_path):
         cfg1 = validate_config(base_config(output_dir=str(tmp_path / "a")))
@@ -701,6 +722,18 @@ class TestCLI:
                               "'sg' or 'both'")
         assert not (tmp_path / "out").exists()
 
+    def test_single_mc_sample_exits_one(self, tmp_path, capsys):
+        # one sample has no variance estimate: refused before the run starts
+        cfg = {"problem": "example1", "mode": "mc", "schedule": {"levels": [[4, 2]]},
+               "mc": {"n_samples": 1}, "output_dir": str(tmp_path / "out")}
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "mc", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "mc.n_samples must be an integer >= 2, got 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_huge_parameter_grid_exits_one(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"problem": "example2",
                                             "schedule": {"levels": [[4, 10 ** 30]]}})
@@ -845,7 +878,6 @@ class TestCLI:
 _FUZZ_BASES = [
     {
         "problem": "custom", "mode": "both", "parameterization": "exp",
-        "dirichlet": "exact",
         "schedule": {"levels": [[4, 2], [6, 1]]},
         "solver": {"method": "active-set", "omega": 1.5, "tol": 1e-8, "max_iter": None},
         "mc": {"n_samples": 8, "seed": 0, "level": 1, "solver": {"method": "psor"}},

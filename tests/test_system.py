@@ -111,9 +111,9 @@ class TestKroneckerStructure:
         v = np.zeros(sys_.n)
         v[1 * I:2 * I] = np.arange(1.0, I + 1.0)
         blocks = sys_.matvec(v).reshape(J, I)
-        expected_0 = (sys_.gram.G0[0, 1] * (sys_.K0 @ v[I:2 * I]))
-        for G, K in zip(sys_.gram.Gk, sys_.Kk):
-            expected_0 += G[0, 1] * (K @ v[I:2 * I])
+        expected_0 = (sys_.gram.matrix(0)[0, 1] * (sys_.K0 @ v[I:2 * I]))
+        for k, K in enumerate(sys_.Kk, 1):
+            expected_0 += sys_.gram.matrix(k)[0, 1] * (K @ v[I:2 * I])
         assert_allclose(blocks[0], expected_0, rtol=1e-13)
 
 
@@ -162,7 +162,7 @@ class TestKroneckerPreconditioner:
     def test_matches_best_kronecker_approximation(self, cells, modes):
         # modes of other shapes than the mean: the preconditioner solves with
         # G̃ ⊗ K̄, K̄ the stiffness of the y-averaged coefficient and
-        # G̃ = sum_k alpha_k Gk from the assembled Gramians; the last case
+        # G̃ = sum_k alpha_k G_k from the assembled Gramians; the last case
         # leaves dimension 1 without a mode
         mesh = build_uniform_mesh(RECT, 5)
         grid = _param_grid(cells)
@@ -176,10 +176,10 @@ class TestKroneckerPreconditioner:
         ii = mesh.interior
         K_bar = assemble_weighted_stiffness(mesh, averaged)[ii][:, ii]
         norm2 = frobenius(K_bar, K_bar)
-        G = frobenius(sys_.K0, K_bar) / norm2 * sys_.gram.G0
-        for Gk, Kk in zip(sys_.gram.Gk, sys_.Kk):
+        G = frobenius(sys_.K0, K_bar) / norm2 * sys_.gram.matrix(0)
+        for k, Kk in enumerate(sys_.Kk, 1):
             if Kk is not None:
-                G = G + frobenius(Kk, K_bar) / norm2 * Gk
+                G = G + frobenius(Kk, K_bar) / norm2 * sys_.gram.matrix(k)
         P = sp.csc_matrix(sp.kron(G, K_bar))
         rng = np.random.default_rng(6)
         for _ in range(3):
