@@ -5,8 +5,7 @@ level with field exports), mc (Monte Carlo baseline), info (print the
 experiment plan without running).  Exit codes: 0 on success, 1 on config
 errors (a config mode the subcommand does not run and an output directory
 that cannot be created included) and on output files that cannot be
-written, 2 when a solver fails to converge or a computed variance is
-clearly negative.
+written, 2 when a solver fails to converge.
 """
 
 from __future__ import annotations
@@ -116,8 +115,7 @@ def main(argv=None) -> int:
         # a full disk, a file system that refuses the name
         print(f"output error: {exc}", file=sys.stderr)
         return 1
-    except (SolverNotConverged, FloatingPointError) as exc:
-        # FloatingPointError: the variance of a solution fell clearly below zero
+    except SolverNotConverged as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -268,25 +268,33 @@ def quadrature_points(mesh: Mesh) -> np.ndarray:
     return _quad_points(mesh, 5)[0].reshape(-1, 2)
 
 
-def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact: np.ndarray) -> float:
-    """Distance of a P1 field (full nodal coefficients) to exact data at
-    ``quadrature_points(mesh)``: the L2 norm of the difference for exact
-    values (n_points,), the H1 seminorm for exact gradients (n_points, 2).
-    Zero coefficients give the norm of the exact data itself.  Stacked
-    fields raise ValueError.
+def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """Distances of P1 fields to exact data at ``quadrature_points(mesh)``.
+
+    ``coeffs`` has shape (..., n_nodes), one field of full nodal coefficients
+    per row, and the result (...): the L2 norm of the difference for exact
+    values (..., n_points), the H1 seminorm for exact gradients
+    (..., n_points, 2).  Zero coefficients give the norm of the exact data
+    itself.  Exact data of any other shape raise ValueError.
     """
-    coeffs = _nodal_coefficients(mesh, coeffs).reshape(mesh.n_nodes)
+    coeffs = _nodal_coefficients(mesh, coeffs)
+    lead = coeffs.shape[:-1]
     area, grads = _triangle_geometry(mesh)
     _, shapes, wq = _quad_points(mesh, 5)
-    tri_vals = coeffs[mesh.triangles]  # (nt, 3)
-    exact = np.asarray(exact, dtype=float).reshape(mesh.n_triangles, wq.size, -1)
-    if exact.shape[2] == 1:
-        sq = ((tri_vals @ shapes.T - exact[:, :, 0]) ** 2) @ wq
+    n_points = mesh.n_triangles * wq.size
+    exact = np.asarray(exact, dtype=float)
+    if exact.shape not in (lead + (n_points,), lead + (n_points, 2)):
+        raise ValueError(f"need exact data of shape {lead + (n_points,)} or "
+                         f"{lead + (n_points, 2)}, got {exact.shape}")
+    tri_vals = coeffs[..., mesh.triangles]  # (..., nt, 3)
+    exact = exact.reshape(lead + (mesh.n_triangles, wq.size, -1))
+    if exact.shape[-1] == 1:
+        sq = ((tri_vals @ shapes.T - exact[..., 0]) ** 2) @ wq
     else:
-        guh = np.einsum("tv,tvd->td", tri_vals, grads)  # constant per triangle
-        diff = exact - guh[:, None, :]
-        sq = np.einsum("tqd,tqd,q->t", diff, diff, wq)
-    return float(np.sqrt(np.sum(2.0 * area * sq)))
+        guh = np.einsum("...tv,tvd->...td", tri_vals, grads)  # constant per triangle
+        diff = exact - guh[..., None, :]
+        sq = np.einsum("...tqd,...tqd,q->...t", diff, diff, wq)
+    return np.sqrt(np.sum(2.0 * area * sq, axis=-1))
 
 
 def norm_error(mesh: Mesh, coeffs: np.ndarray, exact, kind: str = "l2") -> float:
@@ -302,4 +310,4 @@ def norm_error(mesh: Mesh, coeffs: np.ndarray, exact, kind: str = "l2") -> float
     if kind == "h1semi" and exact.grad is None:
         raise ValueError("h1semi error needs an exact gradient")
     at = exact.values if kind == "l2" else exact.grad
-    return p1_distance(mesh, coeffs, at(quadrature_points(mesh)))
+    return float(p1_distance(mesh, coeffs, at(quadrature_points(mesh))))

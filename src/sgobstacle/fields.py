@@ -152,20 +152,20 @@ def at_points(fld, x: np.ndarray, n_dims: int):
 
 
 def lift(op: P1Operator, dirichlet, y_points: np.ndarray, K_ib: np.ndarray):
-    """Dirichlet data D (n_boundary, J) at the parameter points (zero without
+    """Dirichlet data D (J, n_boundary) at the parameter points (zero without
     ``dirichlet``, one call of it on all J points otherwise) and the lifting
     K_ib D.
 
-    The coupling entries ``K_ib`` (..., nnz) broadcast against the columns
-    of D row by row: a Monte Carlo block (J, nnz) pairs sample j with column
-    j, and the Galerkin stack (T, 1, nnz) of its affine terms applies each
-    term to every column (T, J, I) before its Gramians contract them.
+    The coupling entries ``K_ib`` (..., nnz) broadcast against the rows of
+    D: a Monte Carlo block (J, nnz) pairs sample j with row j, and the
+    Galerkin stack (T, 1, nnz) of its affine terms applies each term to
+    every row (T, J, I) before its Gramians contract them.
     """
     x_boundary = op.mesh.nodes[op.mesh.boundary]
     D = np.zeros((len(y_points), len(x_boundary)))
     if dirichlet is not None:
         D[:] = dirichlet(x_boundary, y_points)
-    return D.T, op.coupling.apply(K_ib, D)
+    return D, op.coupling.apply(K_ib, D)
 
 
 def scenario_rng(seed: int, index: int) -> np.random.Generator:

@@ -123,7 +123,7 @@ class _AffineSampler:
 
         Returns the ``SparseObstacleSystem`` whose diagonal block j is the
         sample system at ``Y[j]``, the stacked obstacle (B * I,) and the
-        Dirichlet data (n_boundary, B).
+        Dirichlet data (B, n_boundary).
         """
         data = spatial_data(self.op, *(values(Y) for values in self.fields))
         D, lifting = lift(self.op, self.dirichlet, Y, data.K_ib)
@@ -164,7 +164,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         iters += report.iterations
         if not report.converged:
             return 1 if len(Y) == 1 else sum(solve_block(y[None]) for y in Y)
-        for values in mesh.full_values(u.reshape(len(Y), -1), boundary.T):
+        for values in mesh.full_values(u.reshape(len(Y), -1), boundary):
             acc.update(values)
         return 0
 

@@ -207,7 +207,8 @@ class Gramians:
     weighted mass matrices of the hats of dimension d, without and with the
     factor y_d, and G_k is the Kronecker product of ``factors(k)``, dimension
     0 first.  g0[t] = <psi_t, 1> and gk[d][t] = <y_d, psi_t> are the basis
-    integrals.  With no dimensions every G_k is the 1 x 1 identity and g0 = [1].
+    integrals, the row sums of G_0 and G_{d+1}.  With no dimensions every
+    G_k is the 1 x 1 identity and g0 = [1].
     """
 
     g0: np.ndarray
@@ -249,36 +250,35 @@ class Gramians:
 
 
 def _hat_factors_1d(rho: Density1D, breaks: np.ndarray, n_pts: int):
-    """Per-dimension weighted mass matrices and moment vectors of the hats,
-    (mass, mass_y, vec, vec_y), from the per-cell rule of ``rho``."""
+    """Per-dimension weighted mass matrices of the hats, (mass, mass_y), from
+    the per-cell rule of ``rho``."""
     y, w = rho.rule(breaks, n_pts)
     h = np.diff(breaks)[:, None]
     left, right = (breaks[1:, None] - y) / h, (y - breaks[:-1, None]) / h
     v = np.stack([w, w * y])  # cell weights without and with the factor y
     n, d = len(breaks), np.arange(len(breaks) - 1)
-    mass, vec = np.zeros((2, n, n)), np.zeros((2, n))
+    mass = np.zeros((2, n, n))
     mass[:, d, d] += np.sum(v * left * left, axis=-1)
     mass[:, d + 1, d + 1] += np.sum(v * right * right, axis=-1)
     mass[:, d, d + 1] = mass[:, d + 1, d] = np.sum(v * left * right, axis=-1)
-    vec[:, :-1] += np.sum(v * left, axis=-1)
-    vec[:, 1:] += np.sum(v * right, axis=-1)
-    return mass[0], mass[1], vec[0], vec[1]
+    return mass[0], mass[1]
 
 
 def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
-    """The 1-D Gramian factors of each dimension and the basis integrals,
-    which are Kronecker products of the 1-D moment vectors.
+    """The 1-D Gramian factors of each dimension and the basis integrals.
 
-    ``n_pts`` Gauss-Legendre points per parametric cell; 12 points integrate
-    the smooth densities used here to machine precision, which keeps the
-    normalization error out of derived statistics.
+    The hats sum to one, so the basis integrals are row sums of the
+    Gramians, g0 = G_0 1 and gk[d] = G_{d+1} 1: Kronecker products of the
+    factors' row sums.  ``n_pts`` Gauss-Legendre points per parametric cell;
+    12 points integrate the smooth densities used here to machine precision,
+    which keeps the normalization error out of derived statistics.
     """
     factors = [_hat_factors_1d(rho, brk, n_pts)
                for rho, brk in zip(grid.densities, grid.breakpoints)]
 
     def basis_integrals(k):
-        vecs = [f[3] if d == k - 1 else f[2] for d, f in enumerate(factors)]
-        return functools.reduce(np.kron, vecs, np.ones(1))
+        rows = [f[1] if d == k - 1 else f[0] for d, f in enumerate(factors)]
+        return functools.reduce(np.kron, [F.sum(axis=1) for F in rows], np.ones(1))
 
     return Gramians(g0=basis_integrals(0),
                     gk=tuple(basis_integrals(k) for k in range(1, grid.n_dims + 1)),

@@ -2,18 +2,18 @@
 
 First and second moments of a tensor Galerkin solution reduce to weighted
 sums of the coefficient blocks: the parametric basis integrals g0 give the
-mean, and the Gramian G_0, applied by its 1-D factors, the second moment.
-Reference statistics of a known product solution u(x, y) = phi(x) psi(y)
-are E[u^k] = phi^k E[psi^k], with E[psi^k] one tensor Gauss-Legendre
-quadrature against the product density, built from the per-dimension rules
-of ``param.Density1D.rule``.
+mean, and the Gramian G_0, applied by its 1-D factors, the second moment
+and, on the blocks centred at the mean, the variance.  Reference statistics
+of a known product solution u(x, y) = phi(x) psi(y) are
+E[u^k] = phi^k E[psi^k], with E[psi^k] one tensor Gauss-Legendre quadrature
+against the product density, built from the per-dimension rules of
+``param.Density1D.rule``.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,23 +36,13 @@ __all__ = [
     "write_stat_vtk",
 ]
 
-VAR_CLIP_TOL = 1e-12
-
-log = logging.getLogger(__name__)
-
-
 @dataclass(frozen=True)
 class StatField:
-    """A nodal scalar field over the full mesh node set.
-
-    ``n_clipped`` counts nodes whose value was rounded up to zero; only the
-    variance field ever sets it.
-    """
+    """A nodal scalar field over the full mesh node set."""
 
     mesh: Mesh
     name: str
     values: np.ndarray
-    n_clipped: int = 0
 
     def __post_init__(self):
         assert self.values.shape == (self.mesh.n_nodes,)
@@ -61,7 +51,7 @@ class StatField:
 def _full_blocks(system: SGSystem, u: np.ndarray) -> np.ndarray:
     """Coefficient blocks extended by boundary data, shape (J, n_nodes)."""
     return system.mesh.full_values(u.reshape(system.n_param, system.n_spatial),
-                                   system.boundary_values.T)
+                                   system.boundary_values)
 
 
 def sg_mean(system: SGSystem, u: np.ndarray) -> StatField:
@@ -77,25 +67,18 @@ def sg_second_moment(system: SGSystem, u: np.ndarray) -> StatField:
 
 
 def sg_variance(system: SGSystem, u: np.ndarray) -> StatField:
-    """Second moment minus squared mean, clipped at zero.
+    """Centred form (U - m)^T G_0 (U - m) per node, with U the coefficient
+    blocks and m = g0 U the mean.
 
-    Small negative values (quadrature and solver roundoff) are tolerated up
-    to VAR_CLIP_TOL relative to the field scale and clipped, with the count
-    recorded on the returned field; anything more negative raises.
+    Since g0 = G_0 1 and the hats sum to one, it equals the second moment
+    minus the squared mean without subtracting the two.  G_0 is positive
+    definite, so only roundoff at nodes where u does not depend on y can
+    fall below zero; it is clipped.
     """
-    mean = sg_mean(system, u).values
-    m2 = sg_second_moment(system, u).values
-    var = m2 - mean ** 2
-    scale = max(float(np.max(np.abs(m2))), 1.0)
-    if float(np.min(var)) < -VAR_CLIP_TOL * scale:
-        raise FloatingPointError(
-            f"variance fell below -{VAR_CLIP_TOL} * scale: {float(np.min(var))!r}")
-    n_clipped = int(np.count_nonzero(var < 0.0))
-    if n_clipped:
-        log.warning("clipped %d negative variance node(s), most negative %.3e",
-                    n_clipped, float(np.min(var)))
-    return StatField(mesh=system.mesh, name="variance",
-                     values=np.maximum(var, 0.0), n_clipped=n_clipped)
+    full = _full_blocks(system, u)
+    dev = full - system.gram.g0 @ full
+    var = np.sum(dev * kron_apply(system.gram.factors(0), dev), axis=0)
+    return StatField(mesh=system.mesh, name="variance", values=np.maximum(var, 0.0))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ class SGSystem:
     gram : parametric Gramians as 1-D factors, with the basis integrals.
     b : flat right-hand side of length I*J, parameter-major.
     obs : flat obstacle values at the tensor nodes.
-    boundary_values : (n_boundary, J) Dirichlet data per parameter node.
+    boundary_values : (J, n_boundary) Dirichlet data, one row per parameter node.
     A : explicit CSR matrix, None until the first ``explicit()`` call builds
         it (and for good when I*J exceeds ``EXPLICIT_LIMIT``).
     """

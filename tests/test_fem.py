@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from sgobstacle.fem import (P1Operator, SpatialFunction, assemble_load, assemble_mass,
                             assemble_weighted_stiffness, evaluate_p1,
-                            interpolate_nodal, norm_error)
+                            interpolate_nodal, norm_error, p1_distance,
+                            quadrature_points)
 from sgobstacle.mesh import build_uniform_mesh, triangle_quadrature
 
 
@@ -199,6 +200,23 @@ class TestNormError:
         # rows of fields are for evaluate_p1; a norm takes one field
         with pytest.raises(ValueError):
             norm_error(mesh, np.zeros((2, mesh.n_nodes)), SpatialFunction.constant(0.0))
+
+    def test_distance_takes_stacked_fields(self):
+        # a (2, 3) stack of fields and exact data gives the (2, 3) distances
+        # of its rows, for values and for gradients
+        mesh = unit_mesh(3)
+        rng = np.random.default_rng(0)
+        coeffs = rng.standard_normal((2, 3, mesh.n_nodes))
+        n_points = len(quadrature_points(mesh))
+        for exact in (rng.standard_normal((2, 3, n_points)),
+                      rng.standard_normal((2, 3, n_points, 2))):
+            stacked = p1_distance(mesh, coeffs, exact)
+            assert stacked.shape == (2, 3)
+            for i, j in np.ndindex(2, 3):
+                assert stacked[i, j] == pytest.approx(
+                    p1_distance(mesh, coeffs[i, j], exact[i, j]), rel=1e-13)
+        with pytest.raises(ValueError, match="exact data of shape"):
+            p1_distance(mesh, coeffs, rng.standard_normal((3, n_points)))
 
     def test_unknown_kind_rejected(self):
         mesh = unit_mesh(2)

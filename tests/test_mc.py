@@ -117,7 +117,7 @@ class TestAffineSampler:
         system, obs, boundary = sampler.build(Y)
         A = system.A.toarray()
         assert A.shape == (4 * n, 4 * n) and obs.shape == (4 * n,)
-        assert boundary.shape == (mesh.n_nodes - n, 4)
+        assert boundary.shape == (4, mesh.n_nodes - n)
         for j, y in enumerate(Y):
             rows = slice(j * n, (j + 1) * n)
             K, rhs, bvals = direct_sample_system(mesh, a_at, f_at, lift, y)
@@ -125,7 +125,7 @@ class TestAffineSampler:
             assert not np.any(np.delete(A[rows], np.arange(j * n, (j + 1) * n), axis=1))
             assert_allclose(system.b[rows], rhs, rtol=1e-12)
             assert_allclose(obs[rows], g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
-            assert_allclose(boundary[:, j], bvals, rtol=1e-12)
+            assert_allclose(boundary[j], bvals, rtol=1e-12)
         # the affine coefficient has no mode on dimension 1, the callable one
         # does not read y[..., 1]: moving it moves the load, not the matrix
         moved = Y.copy()

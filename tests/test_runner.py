@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgobstacle import param, stats
+from sgobstacle import param
 from sgobstacle.cli import main as cli_main
 from sgobstacle.fem import norm_error
 from sgobstacle.runner import (TABLE_HEADER, ConfigError, ErrorTable,
@@ -198,6 +198,19 @@ class TestValidateConfig:
     def test_custom_problem_needs_section(self):
         with pytest.raises(ConfigError, match="custom"):
             validate_config(base_config(problem="custom"))
+
+    def test_custom_problem_takes_only_exp(self, tmp_path, capsys):
+        # custom fields are affine in y as given; xi used to run them unchanged
+        cfg = custom_config(3.0, mode="mc", parameterization="xi")
+        with pytest.raises(ConfigError, match="problem 'custom' takes parameterization "
+                                              "exp, got 'xi'"):
+            validate_config(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["-q", "info", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        cfg["parameterization"] = "exp"
+        assert validate_config(cfg).problem.parameterization == "exp"
 
     @pytest.mark.parametrize("section, key, name, value", [
         pytest.param(None, "quad_order", "quad_order", "many", id="None-quad_order-quad_order"),
@@ -698,15 +711,6 @@ class TestCLI:
         assert cli_main(["-q", "mc", path]) == 2
         assert capsys.readouterr().err.startswith(
             "solver failure: 8 of 8 sample solves failed to converge")
-
-    def test_negative_variance_exits_two(self, tmp_path, capsys, monkeypatch):
-        # a negative tolerance makes sg_variance refuse any variance field
-        monkeypatch.setattr(stats, "VAR_CLIP_TOL", -1.0)
-        path = self.write_config(tmp_path,
-                                 base_config(output_dir=str(tmp_path / "out")))
-        assert cli_main(["-q", "solve", path]) == 2
-        assert capsys.readouterr().err.startswith(
-            "solver failure: variance fell below")
 
     @pytest.mark.parametrize("command", ["solve", "converge"])
     def test_galerkin_subcommands_require_sg_mode(self, tmp_path, capsys, command):
