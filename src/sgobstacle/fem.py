@@ -32,7 +32,6 @@ __all__ = [
     "evaluate_p1",
     "norm_error",
     "p1_distance",
-    "quadrature_points",
 ]
 
 
@@ -263,38 +262,33 @@ def evaluate_p1(mesh: Mesh, coeffs: np.ndarray, points: np.ndarray) -> np.ndarra
     return vbl + xi * slope_x + eta * slope_y
 
 
-def quadrature_points(mesh: Mesh) -> np.ndarray:
-    """Points (n_triangles * 7, 2) of the degree-5 rule, as ``p1_distance`` reads them."""
-    return _quad_points(mesh, 5)[0].reshape(-1, 2)
-
-
-def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    """Distances of P1 fields to exact data at ``quadrature_points(mesh)``.
+def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact) -> tuple[np.ndarray, np.ndarray]:
+    """L2 and H1-seminorm distances of P1 fields to exact data, by the
+    degree-5 rule on each triangle.
 
     ``coeffs`` has shape (..., n_nodes), one field of full nodal coefficients
-    per row, and the result (...): the L2 norm of the difference for exact
-    values (..., n_points), the H1 seminorm for exact gradients
-    (..., n_points, 2).  Zero coefficients give the norm of the exact data
-    itself.  Exact data of any other shape raise ValueError.
+    per row.  ``exact`` maps the (n_points, 2) quadrature points to the exact
+    values (..., n_points) and gradients (..., n_points, 2), and the result
+    is the pair of distances (...) of the values and of the gradients.  Zero
+    coefficients give the norms of the exact data itself.  Exact data of any
+    other shape raise ValueError.
     """
     coeffs = _nodal_coefficients(mesh, coeffs)
     lead = coeffs.shape[:-1]
     area, grads = _triangle_geometry(mesh)
-    _, shapes, wq = _quad_points(mesh, 5)
-    n_points = mesh.n_triangles * wq.size
-    exact = np.asarray(exact, dtype=float)
-    if exact.shape not in (lead + (n_points,), lead + (n_points, 2)):
-        raise ValueError(f"need exact data of shape {lead + (n_points,)} or "
-                         f"{lead + (n_points, 2)}, got {exact.shape}")
+    pts, shapes, wq = _quad_points(mesh, 5)
+    nt, nq = mesh.n_triangles, wq.size
+    values, gradients = (np.asarray(e, dtype=float) for e in exact(pts.reshape(-1, 2)))
+    want = lead + (nt * nq,)
+    if values.shape != want or gradients.shape != want + (2,):
+        raise ValueError(f"need exact values of shape {want} and gradients of shape "
+                         f"{want + (2,)}, got {values.shape} and {gradients.shape}")
     tri_vals = coeffs[..., mesh.triangles]  # (..., nt, 3)
-    exact = exact.reshape(lead + (mesh.n_triangles, wq.size, -1))
-    if exact.shape[-1] == 1:
-        sq = ((tri_vals @ shapes.T - exact[..., 0]) ** 2) @ wq
-    else:
-        guh = np.einsum("...tv,tvd->...td", tri_vals, grads)  # constant per triangle
-        diff = exact - guh[..., None, :]
-        sq = np.einsum("...tqd,...tqd,q->...t", diff, diff, wq)
-    return np.sqrt(np.sum(2.0 * area * sq, axis=-1))
+    sq = ((tri_vals @ shapes.T - values.reshape(lead + (nt, nq))) ** 2) @ wq
+    guh = np.einsum("...tv,tvd->...td", tri_vals, grads)  # constant per triangle
+    diff = gradients.reshape(lead + (nt, nq, 2)) - guh[..., None, :]
+    sq_grad = np.einsum("...tqd,...tqd,q->...t", diff, diff, wq)
+    return tuple(np.sqrt(np.sum(2.0 * area * q, axis=-1)) for q in (sq, sq_grad))
 
 
 def norm_error(mesh: Mesh, coeffs: np.ndarray, exact, kind: str = "l2") -> float:
@@ -309,5 +303,6 @@ def norm_error(mesh: Mesh, coeffs: np.ndarray, exact, kind: str = "l2") -> float
         raise ValueError(f"unknown norm kind {kind!r}")
     if kind == "h1semi" and exact.grad is None:
         raise ValueError("h1semi error needs an exact gradient")
-    at = exact.values if kind == "l2" else exact.grad
-    return float(p1_distance(mesh, coeffs, at(quadrature_points(mesh))))
+    grad = exact.grad or (lambda x: np.zeros((x.shape[0], 2)))
+    l2, h1 = p1_distance(mesh, coeffs, lambda x: (exact.values(x), grad(x)))
+    return float(l2 if kind == "l2" else h1)

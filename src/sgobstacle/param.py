@@ -3,13 +3,16 @@
 The parametric domain is a box, discretized per dimension by a partition
 into cells carrying piecewise linear hat functions.  The tensor products of
 these hats form the multilinear basis; all inner products are taken with the
-product probability density.  Every integral against a density (moments,
-hat Gramians, the reference statistics of ``stats``) uses one composite
-rule, ``Density1D.rule``, on the cached Gauss-Legendre points of
-``gauss_legendre``.  A tensor Gramian is kept as its 1-D factors and
-applied one dimension at a time (``kron_apply``).  Every product over the
-parameter dimensions is empty when there are none (M = 0, deterministic
-data): one node, unit weight and identity Gramians.
+product probability density.  Each density is the law of y = map(xi) with
+xi uniform on an interval, so every integral against it (moments, hat
+Gramians, the reference statistics of ``stats``) is one composite
+Gauss-Legendre rule in xi, ``Density1D.rule``, on the cached points of
+``gauss_legendre``, and every draw is map(xi) of a uniform draw.  A tensor
+Gramian is kept as its 1-D factors and applied one dimension at a time
+(``kron_apply``); the same product of the hat values at other points
+(``hat_values``) evaluates the multilinear interpolant there.  Every
+product over the parameter dimensions is empty when there are none
+(M = 0, deterministic data): one node, unit weight and identity Gramians.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +35,7 @@ __all__ = [
     "build_param_grid",
     "deterministic_grid",
     "assemble_gramians",
-    "multilinear_evaluate",
+    "hat_values",
 ]
 
 # Cells and points per cell of the composite rule behind ``Density1D.moment``.
@@ -64,79 +67,106 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def kron_apply(factors: Sequence[np.ndarray], V: np.ndarray) -> np.ndarray:
-    """(F_0 ⊗ F_1 ⊗ ...) V for square factors F_d and V of shape (J, ...),
-    J the product of the factor sizes, one dimension at a time on C-ordered
-    reshapes.  Without factors the product is the identity and V is returned
-    as it is."""
-    shape = V.shape
+    """(F_0 ⊗ F_1 ⊗ ...) V for factors F_d of shape (m_d, n_d) and V of shape
+    (J, ...), J the product of the n_d, one dimension at a time on C-ordered
+    reshapes: the result has shape (prod of the m_d, ...).  Without factors
+    the product is the identity and V is returned as it is."""
+    trailing = V.shape[1:]
     lead = 1
     for F in factors:
-        n_d = F.shape[0]
-        V = np.matmul(F, V.reshape(lead, n_d, -1))
-        lead *= n_d
-    return V.reshape(shape)
+        V = np.matmul(F, V.reshape(lead, F.shape[1], -1))
+        lead *= F.shape[0]
+    return V.reshape((lead,) + trailing)
+
+
+def hat_values(breaks: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values (len(y), len(breaks)) of the hats on ``breaks`` at the points
+    ``y``, each point clamped into [breaks[0], breaks[-1]] first."""
+    y = np.clip(y, breaks[0], breaks[-1])
+    cell = np.clip(np.searchsorted(breaks, y, side="right") - 1, 0, len(breaks) - 2)
+    right = (y - breaks[cell]) / (breaks[cell + 1] - breaks[cell])
+    values = np.zeros((len(y), len(breaks)))
+    rows = np.arange(len(y))
+    values[rows, cell] = 1.0 - right
+    values[rows, cell + 1] = right
+    return values
+
+
+# y = map(xi) of each kind of density, the inverse map xi(y), and the widest
+# xi interval one Gauss rule of ``Density1D.rule`` spans.  The hats are
+# polynomials in xi under the identity, so one rule spans any cell; under exp
+# their products are sums of exp(j xi), j <= 3, which 12 points integrate to
+# roundoff over an xi width of 2.
+_MAPS = {"uniform": (lambda xi: xi, lambda y: y, math.inf),
+         "exp-uniform": (np.exp, np.log, 2.0)}
 
 
 @dataclass(frozen=True)
 class Density1D:
-    """Probability density on an interval, with optional exact sampling."""
+    """Law of y = map(xi) with xi uniform on (lo, hi): the identity map for
+    ``uniform`` and exp for ``exp-uniform``.
+
+    In xi the density is the constant 1 / (hi - lo), so every integral and
+    every draw is taken in xi, and the weights of a rule sum to one by
+    construction.
+    """
 
     kind: str
-    support: tuple[float, float]
-    pdf: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
+    lo: float
+    hi: float
 
     def __post_init__(self):
+        if self.kind not in _MAPS:
+            raise ValueError(f"unknown density kind {self.kind!r}")
         c, d = self.support
-        if not d > c:
-            raise ValueError(f"empty support ({c}, {d})")
-        mass = self.moment(0)
-        if abs(mass - 1.0) > 1e-9:
-            raise ValueError(f"density {self.kind!r} integrates to {mass!r}, not 1")
+        if not (d > c and self.hi - self.lo < math.inf):
+            raise ValueError(f"empty or unbounded support ({c}, {d})")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The interval (map(lo), map(hi)) of y."""
+        to_y = _MAPS[self.kind][0]
+        return float(to_y(self.lo)), float(to_y(self.hi))
 
     def rule(self, breaks: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
-        """Composite Gauss-Legendre rule with ``n_pts`` points on each cell
-        between consecutive ``breaks``: the nodes y and the weights w p(y),
-        both of shape (cells, n_pts)."""
-        gx, gw = gauss_legendre(n_pts)
-        a, b = breaks[:-1, None], breaks[1:, None]
+        """Composite Gauss-Legendre rule with ``n_pts`` points on the xi
+        interval of each cell between consecutive ``breaks`` (in y): the
+        nodes y = map(xi) and the weights, which hold the density, both of
+        shape (cells, pieces * n_pts).  Every cell is cut into the same
+        number of equal pieces in xi, the fewest that keep each piece within
+        the span of the map (one piece for ``uniform``)."""
+        return self._xi_rule(_MAPS[self.kind][1](breaks), n_pts)
+
+    def _xi_rule(self, xi: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
+        """``rule`` on the cells between consecutive ``xi`` breaks."""
+        to_y, _, span = _MAPS[self.kind]
+        pieces = max(1, math.ceil(float(np.max(np.diff(xi))) / span))
+        t = np.linspace(0.0, 1.0, pieces + 1)
+        ends = xi[:-1, None] * (1.0 - t) + xi[1:, None] * t  # exact at t = 0 and 1
+        a, b = ends[:, :-1, None], ends[:, 1:, None]
         half = 0.5 * (b - a)
-        y = 0.5 * (a + b) + half * gx
-        return y, half * gw * self.pdf(y)
+        gx, gw = gauss_legendre(n_pts)
+        shape = (len(xi) - 1, pieces * n_pts)
+        return (to_y(0.5 * (a + b) + half * gx).reshape(shape),
+                (half * gw / (self.hi - self.lo)).reshape(shape))
 
     def moment(self, k: int) -> float:
-        """integral of y^k p(y) on MOMENT_CELLS equal cells of the support."""
-        y, w = self.rule(np.linspace(*self.support, MOMENT_CELLS + 1), MOMENT_POINTS)
+        """integral of y^k p(y) on MOMENT_CELLS equal cells of (lo, hi) in xi."""
+        y, w = self._xi_rule(np.linspace(self.lo, self.hi, MOMENT_CELLS + 1), MOMENT_POINTS)
         return float(np.sum(w * y ** k))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.sampler is None:
-            raise ValueError(f"density {self.kind!r} has no sampler")
-        return self.sampler(rng, n)
+        """n draws of y, map(xi) of uniform draws of xi."""
+        return _MAPS[self.kind][0](rng.uniform(self.lo, self.hi, n))
 
     @staticmethod
     def uniform(c: float, d: float) -> "Density1D":
-        if not d > c:
-            raise ValueError(f"empty support ({c}, {d})")
-        height = 1.0 / (d - c)
-        return Density1D(
-            kind="uniform",
-            support=(float(c), float(d)),
-            pdf=lambda y: np.where((y >= c) & (y <= d), height, 0.0),
-            sampler=lambda rng, n: rng.uniform(c, d, n),
-        )
+        return Density1D("uniform", float(c), float(d))
 
     @staticmethod
     def exp_uniform(a: float = -1.0, b: float = 1.0) -> "Density1D":
         """Law of y = exp(xi) with xi uniform on (a, b): p(y) = 1/((b-a) y)."""
-        c, d = np.exp(a), np.exp(b)
-        width = b - a
-        return Density1D(
-            kind="exp-uniform",
-            support=(float(c), float(d)),
-            pdf=lambda y: np.where((y >= c) & (y <= d), 1.0 / (width * y), 0.0),
-            sampler=lambda rng, n: np.exp(rng.uniform(a, b, n)),
-        )
+        return Density1D("exp-uniform", float(a), float(b))
 
 
 @dataclass(frozen=True)
@@ -269,9 +299,10 @@ def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
 
     The hats sum to one, so the basis integrals are row sums of the
     Gramians, g0 = G_0 1 and gk[d] = G_{d+1} 1: Kronecker products of the
-    factors' row sums.  ``n_pts`` Gauss-Legendre points per parametric cell;
-    12 points integrate the smooth densities used here to machine precision,
-    which keeps the normalization error out of derived statistics.
+    factors' row sums.  ``n_pts`` Gauss-Legendre points per piece of a
+    parametric cell, taken in xi (``Density1D.rule``), so g0 sums to one up
+    to roundoff on any number of cells; 12 points integrate the hat
+    products to roundoff at any bounds.
     """
     factors = [_hat_factors_1d(rho, brk, n_pts)
                for rho, brk in zip(grid.densities, grid.breakpoints)]
@@ -283,47 +314,3 @@ def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
     return Gramians(g0=basis_integrals(0),
                     gk=tuple(basis_integrals(k) for k in range(1, grid.n_dims + 1)),
                     mass=tuple(f[0] for f in factors), mass_y=tuple(f[1] for f in factors))
-
-
-def multilinear_evaluate(grid: ParamGrid, block_values: np.ndarray,
-                         y: np.ndarray) -> np.ndarray:
-    """Evaluate the multilinear interpolant at parameter points.
-
-    ``block_values`` has shape (n_nodes, ...) with one block per parameter
-    node (C order); ``y`` has shape (n_pts, n_dims).  Returns (n_pts, ...).
-    Other shapes raise ValueError.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    npts = y.shape[0]
-    if y.shape[1] != grid.n_dims:
-        raise ValueError(f"parameter points have {y.shape[1]} coordinates, "
-                         f"the grid has {grid.n_dims} dimensions")
-    if block_values.shape[0] != grid.n_nodes:
-        raise ValueError(f"{block_values.shape[0]} blocks given for "
-                         f"{grid.n_nodes} parameter nodes")
-
-    shape = grid.shape
-    strides = np.ones(grid.n_dims, dtype=np.int64)
-    for d in range(grid.n_dims - 2, -1, -1):
-        strides[d] = strides[d + 1] * shape[d + 1]
-
-    cells = []
-    wright = []
-    for d in range(grid.n_dims):
-        brk = grid.breakpoints[d]
-        yd = np.clip(y[:, d], brk[0], brk[-1])
-        c = np.clip(np.searchsorted(brk, yd, side="right") - 1, 0, len(brk) - 2)
-        cells.append(c)
-        wright.append((yd - brk[c]) / (brk[c + 1] - brk[c]))
-
-    out = np.zeros((npts,) + block_values.shape[1:])
-    extra = (None,) * (block_values.ndim - 1)
-    for corner in range(2 ** grid.n_dims):
-        idx = np.zeros(npts, dtype=np.int64)
-        w = np.ones(npts)
-        for d in range(grid.n_dims):
-            bit = (corner >> d) & 1
-            idx += (cells[d] + bit) * strides[d]
-            w = w * (wright[d] if bit else 1.0 - wright[d])
-        out += w[(slice(None),) + extra] * block_values[idx]
-    return out

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import integer, known_keys, number, shown
-from .fem import evaluate_p1, p1_distance, quadrature_points
+from .fem import evaluate_p1, p1_distance
 from .fields import AffineField, bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
 from .mc import mc_run
 from .mesh import Mesh, build_uniform_mesh
-from .param import ParamGrid, build_param_grid, multilinear_evaluate
+from .param import ParamGrid, build_param_grid, hat_values, kron_apply
 from .problems import Problem, get_problem, problem_from_config
 from .stats import (ParametricFunction, StatField, _exact_moments, _full_blocks,
                     sg_mean, sg_second_moment, sg_variance, write_stat_csv,
@@ -374,12 +374,14 @@ def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
     fields from the Galerkin coefficients.
     """
     fields = np.stack([sg_mean(system, u).values, sg_second_moment(system, u).values])
-    (em, em2), (egm, egm2) = _exact_moments(exact, quadrature_points(mesh), densities,
-                                            quad_order, (1, 2), with_grad=True)
+
+    def exact_data(x):
+        (em, em2), (egm, egm2) = _exact_moments(exact, x, densities, quad_order, (1, 2),
+                                                with_grad=True)
+        return np.stack([em, em2, em, em2]), np.stack([egm, egm2, egm, egm2])
+
     # the norms of the exact data are the distances of zero fields
-    with_zeros = np.concatenate([fields, np.zeros_like(fields)])
-    l2 = p1_distance(mesh, with_zeros, np.stack([em, em2, em, em2]))
-    h1 = p1_distance(mesh, with_zeros, np.stack([egm, egm2, egm, egm2]))
+    l2, h1 = p1_distance(mesh, np.concatenate([fields, np.zeros_like(fields)]), exact_data)
     return {
         "eL2m1": float(l2[0] / l2[2]),
         "eH1m1": float(h1[0] / h1[2]),
@@ -390,10 +392,15 @@ def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
 
 def _interpolate_solution(old_system: SGSystem, u_old: np.ndarray,
                           new_mesh: Mesh, new_grid: ParamGrid) -> np.ndarray:
-    """Transfer a tensor solution to a finer level (warm start)."""
-    blocks = _full_blocks(old_system, u_old)
-    y_new = new_grid.nodes()
-    interp = multilinear_evaluate(old_system.grid, blocks, y_new)
+    """Transfer a tensor solution to a finer level (warm start).
+
+    The old blocks are interpolated to the new parameter nodes by the
+    Kronecker product of the old hats' values there, then each new block
+    is the old P1 field at the new interior nodes.
+    """
+    transfer = [hat_values(old, new) for old, new in
+                zip(old_system.grid.breakpoints, new_grid.breakpoints)]
+    interp = kron_apply(transfer, _full_blocks(old_system, u_old))
     return evaluate_p1(old_system.mesh, interp, new_mesh.nodes[new_mesh.interior]).reshape(-1)
 
 

@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from sgobstacle.fem import (P1Operator, SpatialFunction, assemble_load, assemble_mass,
                             assemble_weighted_stiffness, evaluate_p1,
-                            interpolate_nodal, norm_error, p1_distance,
-                            quadrature_points)
+                            interpolate_nodal, norm_error, p1_distance)
 from sgobstacle.mesh import build_uniform_mesh, triangle_quadrature
 
 
@@ -207,16 +206,19 @@ class TestNormError:
         mesh = unit_mesh(3)
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal((2, 3, mesh.n_nodes))
-        n_points = len(quadrature_points(mesh))
-        for exact in (rng.standard_normal((2, 3, n_points)),
-                      rng.standard_normal((2, 3, n_points, 2))):
-            stacked = p1_distance(mesh, coeffs, exact)
-            assert stacked.shape == (2, 3)
-            for i, j in np.ndindex(2, 3):
-                assert stacked[i, j] == pytest.approx(
-                    p1_distance(mesh, coeffs[i, j], exact[i, j]), rel=1e-13)
-        with pytest.raises(ValueError, match="exact data of shape"):
-            p1_distance(mesh, coeffs, rng.standard_normal((3, n_points)))
+        n_points = 7 * mesh.n_triangles  # the degree-5 rule has 7 points
+        values = rng.standard_normal((2, 3, n_points))
+        grads = rng.standard_normal((2, 3, n_points, 2))
+        l2, h1 = p1_distance(mesh, coeffs, lambda x: (values, grads))
+        assert l2.shape == h1.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            one = p1_distance(mesh, coeffs[i, j], lambda x: (values[i, j], grads[i, j]))
+            assert l2[i, j] == pytest.approx(one[0], rel=1e-13)
+            assert h1[i, j] == pytest.approx(one[1], rel=1e-13)
+        with pytest.raises(ValueError, match="exact values of shape"):
+            p1_distance(mesh, coeffs, lambda x: (values[0], grads))
+        with pytest.raises(ValueError, match="exact values of shape"):
+            p1_distance(mesh, coeffs, lambda x: (values, grads[..., 0]))
 
     def test_unknown_kind_rejected(self):
         mesh = unit_mesh(2)

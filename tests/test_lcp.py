@@ -408,6 +408,26 @@ class TestActiveSet:
         assert rep.residual == pytest.approx(complementarity_residual(system, u, obs),
                                              abs=1e-14)
 
+    def test_conjugate_gradient_budget_is_fixed(self):
+        # plain conjugate gradients need 1,329 steps on this 1,200-unknown
+        # system; each solve stops at 500, whatever the size, and the
+        # iteration ends there, converged only if that iterate meets tol
+        class Unpreconditioned(SparseObstacleSystem):
+            def reduced_precond(self, active):
+                return lambda r: r
+
+        system = Unpreconditioned(sp.diags(np.geomspace(1.0, 1e4, 1200)).tocsr(),
+                                  np.ones(1200))
+        obs = np.full(1200, -1e6)
+        u, rep = active_set_solve(system, obs, SolverConfig(tol=1e-12))
+        assert not rep.converged and rep.residual > 1e-12
+        steps = [r["pcg"] for r in rep.trace]
+        assert max(steps) == 500 and rep.inner_iterations - sum(steps) == 500
+        # at the default tol the same stopped iterate is a solution
+        u8, rep8 = active_set_solve(system, obs, SolverConfig())
+        assert [r["pcg"] for r in rep8.trace] == steps and steps[-1] == 500
+        assert rep8.converged and rep8.residual == rep.residual <= 1e-8
+
     def test_report_counts_inner_iterations(self):
         rng = np.random.default_rng(29)
         A, b, obs = random_lcp(rng)

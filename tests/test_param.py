@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from sgobstacle.param import (Density1D, _hat_factors_1d, assemble_gramians,
                               build_param_grid, deterministic_grid, gauss_legendre,
-                              kron_apply, multilinear_evaluate, tensor_points)
+                              hat_values, kron_apply, tensor_points)
 from sgobstacle.stats import tensor_quadrature
 
 E = np.e
@@ -26,12 +26,26 @@ class TestDensities:
         assert rho.moment(2) == pytest.approx(EY2, rel=1e-12)
 
     def test_unnormalized_density_rejected(self):
-        with pytest.raises(ValueError):
-            Density1D("custom", (0.0, 1.0), lambda y: np.full_like(y, 0.7))
+        # a density is a map of a uniform variable, so it is normalized by
+        # construction; only the two known maps are accepted
+        with pytest.raises(ValueError, match="unknown density kind"):
+            Density1D("custom", 0.0, 1.0)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             Density1D.uniform(2.0, 2.0)
+        with pytest.raises(ValueError):
+            Density1D.exp_uniform(-800.0, -750.0)  # exp of both bounds is 0
+        with pytest.raises(ValueError):
+            Density1D.uniform(-1e308, 1e308)  # the width overflows
+
+    @pytest.mark.parametrize("half_width", [3.0, 5.0])
+    def test_wide_exp_uniform_constructs(self, half_width):
+        rho = Density1D.exp_uniform(-half_width, half_width)
+        assert rho.support == (np.exp(-half_width), np.exp(half_width))
+        mean = (np.exp(half_width) - np.exp(-half_width)) / (2.0 * half_width)
+        assert rho.moment(0) == pytest.approx(1.0, abs=1e-15)
+        assert rho.moment(1) == pytest.approx(mean, rel=1e-13)
 
     def test_sampling_matches_law(self):
         rho = Density1D.exp_uniform()
@@ -43,10 +57,12 @@ class TestDensities:
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - EY) < 3 * se
 
-    def test_callable_density_has_no_sampler(self):
-        rho = Density1D("custom", (0.0, 2.0), lambda y: np.full_like(y, 0.5))
-        with pytest.raises(ValueError):
-            rho.sample(np.random.default_rng(0), 1)
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-0.5, 2.0)])
+    def test_samples_are_exp_of_uniform_draws(self, lo, hi):
+        # the Monte Carlo draws of an exp-uniform law, bit for bit
+        got = Density1D.exp_uniform(lo, hi).sample(np.random.default_rng(5), 1000)
+        want = np.exp(np.random.default_rng(5).uniform(lo, hi, 1000))
+        assert np.array_equal(got, want)
 
 
 class TestParamGrid:
@@ -114,6 +130,44 @@ class TestGramians:
             # <y_k, 1> twice contracted = E[y_k]
             assert ones @ (gram.matrix(k + 1) @ ones) == pytest.approx(EY, rel=1e-12)
 
+    @pytest.mark.parametrize("half_width", [1.0, 2.0])
+    def test_exp_uniform_basis_integrals_sum_to_one(self, half_width):
+        # the rule is exact in xi, so g0 sums to one on any number of cells
+        rho = Density1D.exp_uniform(-half_width, half_width)
+        for cells in range(1, 17):
+            g0 = assemble_gramians(build_param_grid([rho], cells)).g0
+            assert abs(g0.sum() - 1.0) <= 1e-15, cells
+
+    def test_exp_uniform_factors_match_a_fine_rule(self):
+        # 12 points a cell integrate the hats against exp-uniform(-2, 2) to
+        # roundoff: the factors agree with those of a 64-point rule
+        rho = Density1D.exp_uniform(-2.0, 2.0)
+        for cells in (1, 2, 4, 8, 16):
+            breaks = build_param_grid([rho], cells).breakpoints[0]
+            for got, want in zip(_hat_factors_1d(rho, breaks, 12),
+                                 _hat_factors_1d(rho, breaks, 64)):
+                assert np.max(np.abs(got - want)) <= 1e-13, cells
+
+    @pytest.mark.parametrize("half_width", [10.0, 50.0, 700.0])
+    def test_wide_exp_uniform_factors_match_a_fine_rule(self, half_width):
+        # a wide law spans many units of xi in one cell; the rule cuts each
+        # cell into pieces of xi width at most 2, so the factors stay exact
+        # near xi = 700 one ulp of xi moves y by 1.6e-13 of itself, and a hat
+        # of 16 cells by up to 16 times that: rtol 3e-12 for both rules
+        rho = Density1D.exp_uniform(-half_width, half_width)
+        for cells in (1, 2, 3, 4, 16):
+            breaks = build_param_grid([rho], cells).breakpoints[0]
+            for got, want in zip(_hat_factors_1d(rho, breaks, 12),
+                                 _fine_hat_factors(rho, breaks)):
+                assert_allclose(got, want, rtol=3e-12, atol=0.0, err_msg=str(cells))
+        # on one cell (a, b), <psi_1, psi_1> = (1/2 - r + 2 half_width r^2) /
+        # (2 half_width) with r = a / (b - a), in closed form
+        a, b = rho.support
+        r = a / (b - a)
+        one_cell = _hat_factors_1d(rho, np.array([a, b]), 12)
+        assert one_cell[0][1, 1] == pytest.approx(
+            (0.5 - r + 2.0 * half_width * r * r) / (2.0 * half_width), rel=1e-13)
+
     def test_g0_positive_definite(self):
         grid = build_param_grid([Density1D.exp_uniform()] * 2, 4)
         gram = assemble_gramians(grid)
@@ -164,6 +218,11 @@ class TestKroneckerFactors:
             V = rng.standard_normal((J,) + trailing)
             want = (_dense_kron(factors) @ V.reshape(J, -1)).reshape(V.shape)
             assert_allclose(kron_apply(factors, V), want, rtol=1e-12, atol=1e-14)
+            # rectangular factors map J entries to the product of their row counts
+            tall = [rng.standard_normal((m + 3, m + 1)) for m in cells]
+            rows = int(np.prod([m + 3 for m in cells]))
+            want = (_dense_kron(tall) @ V.reshape(J, -1)).reshape((rows,) + trailing)
+            assert_allclose(kron_apply(tall, V), want, rtol=1e-12, atol=1e-14)
 
     def test_gramian_matrix_and_diagonal_match_dense_kron(self, cells):
         grid = _kron_grid(cells)
@@ -201,6 +260,8 @@ class TestKroneckerFactors:
 
 def _hat_factors_per_cell(rho, breaks, n_pts):
     """The hat factors cell by cell: the reference for the vectorised rule."""
+    to_y, to_xi = (np.exp, np.log) if rho.kind == "exp-uniform" else (lambda x: x,) * 2
+    xi = to_xi(breaks)
     n = len(breaks)
     gx, gw = np.polynomial.legendre.leggauss(n_pts)
     mass0 = np.zeros((n, n))
@@ -210,8 +271,10 @@ def _hat_factors_per_cell(rho, breaks, n_pts):
     for l in range(n - 1):
         a, b = breaks[l], breaks[l + 1]
         h = b - a
-        y = 0.5 * (a + b) + 0.5 * h * gx
-        w = 0.5 * h * gw * rho.pdf(y)
+        # the Gauss points of the cell's xi interval, mapped to y
+        half = 0.5 * (xi[l + 1] - xi[l])
+        y = to_y(0.5 * (xi[l] + xi[l + 1]) + half * gx)
+        w = half * gw / (rho.hi - rho.lo)
         left = (b - y) / h
         right = (y - a) / h
         mass0[l, l] += np.sum(w * left * left)
@@ -227,6 +290,27 @@ def _hat_factors_per_cell(rho, breaks, n_pts):
         vecy[l] += np.sum(w * y * left)
         vecy[l + 1] += np.sum(w * y * right)
     return mass0, massy, vec0, vecy
+
+
+def _fine_hat_factors(rho, breaks):
+    """(mass, mass_y) of the hats on ``breaks``, cell by cell, from 20 Gauss
+    points on each of equal pieces of xi width at most 1/8."""
+    gx, gw = np.polynomial.legendre.leggauss(20)
+    n = len(breaks)
+    mass = np.zeros((2, n, n))
+    for l in range(n - 1):
+        xa, xb = np.log(breaks[l]), np.log(breaks[l + 1])
+        ends = np.linspace(xa, xb, int(np.ceil(8.0 * (xb - xa))) + 1)
+        half = 0.5 * np.diff(ends)[:, None]
+        y = np.exp(0.5 * (ends[:-1, None] + ends[1:, None]) + half * gx).ravel()
+        w = (half * gw).ravel() / (rho.hi - rho.lo)
+        hats = [(breaks[l + 1] - y) / (breaks[l + 1] - breaks[l]),
+                (y - breaks[l]) / (breaks[l + 1] - breaks[l])]
+        for k, weights in enumerate((w, w * y)):
+            for i in range(2):
+                for j in range(2):
+                    mass[k, l + i, l + j] += np.sum(weights * hats[i] * hats[j])
+    return mass[0], mass[1]
 
 
 class TestGaussRule:
@@ -283,40 +367,50 @@ class TestEigenbasis:
         assert assemble_gramians(deterministic_grid()).eigenbasis() == []
 
 
+def _transfer(old, new_breaks, blocks):
+    """The multilinear interpolant of ``blocks`` on the grid ``old`` at the
+    tensor grid of ``new_breaks``, one dimension at a time."""
+    return kron_apply([hat_values(b, y) for b, y in zip(old.breakpoints, new_breaks)],
+                      blocks)
+
+
 class TestMultilinearEvaluate:
     def test_reproduces_multilinear_function(self):
-        grid = build_param_grid([Density1D.uniform(0, 1), Density1D.uniform(-1, 1)], [3, 4])
-        nodes = grid.nodes()
-        fn = lambda y: 2.0 + y[:, 0] - 3.0 * y[:, 1] + 0.5 * y[:, 0] * y[:, 1]
-        coeffs = fn(nodes)
-        rng = np.random.default_rng(5)
-        pts = np.column_stack([rng.uniform(0, 1, 50), rng.uniform(-1, 1, 50)])
-        assert_allclose(multilinear_evaluate(grid, coeffs, pts), fn(pts), rtol=1e-12)
+        # a multilinear function is its own interpolant, so the transfer to
+        # a grid of other cell counts reproduces it there, for M = 0..3
+        def fn(y):
+            return 2.0 + y.sum(axis=1) + np.prod(1.0 - 0.5 * y, axis=1)
+
+        for cells in KRON_CELLS:
+            coarse = _kron_grid(cells)
+            fine = build_param_grid(KRON_DENSITIES[:len(cells)], [2 * m + 1 for m in cells])
+            got = _transfer(coarse, fine.breakpoints, fn(coarse.nodes()))
+            assert got.shape == (fine.n_nodes,)
+            assert_allclose(got, fn(fine.nodes()), rtol=1e-13)
 
     def test_vector_blocks(self):
+        # trailing axes of the blocks are carried along, one field per entry
         grid = build_param_grid([Density1D.uniform(0, 1)], 2)
         blocks = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])  # linear in y
-        got = multilinear_evaluate(grid, blocks, np.array([[0.25], [0.75]]))
+        got = _transfer(grid, [np.array([0.25, 0.75])], blocks)
         assert_allclose(got, [[0.5, 1.0], [1.5, 3.0]], rtol=1e-12)
+        coarse, fine = _kron_grid([2, 4]), _kron_grid([3, 1])
+        blocks = np.random.default_rng(3).standard_normal((coarse.n_nodes, 2, 3))
+        got = _transfer(coarse, fine.breakpoints, blocks)
+        assert got.shape == (fine.n_nodes, 2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert_allclose(got[:, i, j], _transfer(coarse, fine.breakpoints, blocks[:, i, j]),
+                            rtol=1e-14)
 
     def test_clamps_outside_support(self):
-        grid = build_param_grid([Density1D.uniform(0, 1)], 2)
-        coeffs = np.array([1.0, 2.0, 3.0])
-        got = multilinear_evaluate(grid, coeffs, np.array([[-5.0], [5.0]]))
-        assert_allclose(got, [1.0, 3.0])
-
-    def test_point_dimension_must_match_grid(self):
-        grid = build_param_grid([Density1D.uniform(0, 1)] * 2, 2)
-        with pytest.raises(ValueError, match="coordinates"):
-            multilinear_evaluate(grid, np.zeros(grid.n_nodes), np.zeros((4, 3)))
-
-    def test_block_count_must_match_grid(self):
-        grid = build_param_grid([Density1D.uniform(0, 1)] * 2, 2)
-        with pytest.raises(ValueError, match="blocks"):
-            multilinear_evaluate(grid, np.zeros(grid.n_nodes + 1), np.zeros((4, 2)))
+        breaks = build_param_grid([Density1D.uniform(0, 1)], 2).breakpoints[0]
+        values = hat_values(breaks, np.array([-5.0, 0.0, 0.25, 1.0, 5.0]))
+        assert_allclose(values, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0],
+                                 [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        assert_allclose(values @ np.array([1.0, 2.0, 3.0]), [1.0, 1.0, 1.5, 3.0, 3.0])
 
     def test_deterministic_grid_broadcast(self):
-        got = multilinear_evaluate(deterministic_grid(), np.array([[7.0, 8.0]]),
-                                   np.zeros((3, 0)))
-        assert got.shape == (3, 2)
-        assert_allclose(got, [[7.0, 8.0]] * 3)
+        # no parameter dimensions: the one block is the interpolant everywhere
+        got = _transfer(deterministic_grid(), [], np.array([[7.0, 8.0]]))
+        assert got.shape == (1, 2)
+        assert_allclose(got, [[7.0, 8.0]])

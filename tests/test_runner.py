@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgobstacle import param
+from sgobstacle import fem, param
 from sgobstacle.cli import main as cli_main
 from sgobstacle.fem import norm_error
 from sgobstacle.runner import (TABLE_HEADER, ConfigError, ErrorTable,
@@ -582,6 +582,24 @@ def test_converge_builds_each_gauss_rule_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 3
 
 
+def test_errors_build_the_spatial_quadrature_once(monkeypatch):
+    # the values and the gradients of a level's errors share one set of
+    # quadrature points and one triangle geometry
+    from sgobstacle.runner import _solve_level, convergence_errors
+
+    cfg = validate_config({"problem": "example1", "schedule": {"levels": [[4, 2]]},
+                           "quad_order": 8})
+    mesh, _, system, u, _, _ = _solve_level(cfg, cfg.levels[0])
+    calls = []
+    for name in ("_quad_points", "_triangle_geometry"):
+        def counted(*args, name=name, fn=getattr(fem, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(fem, name, counted)
+    convergence_errors(mesh, system, u, cfg.problem.exact, cfg.problem.densities, 8)
+    assert sorted(calls) == ["_quad_points", "_triangle_geometry"]
+
+
 class TestRunSingle:
     def test_writes_fields_and_report(self, tmp_path):
         cfg = validate_config(base_config(output_dir=str(tmp_path)))
@@ -867,6 +885,18 @@ class TestCLI:
         variance = np.loadtxt(out / "custom_level0_variance.csv", delimiter=",",
                               skiprows=1)[:, 2]
         assert variance.size == 81 and not variance.any()
+
+    def test_wide_exp_uniform_solves(self, tmp_path):
+        # exp-uniform bounds -3 and 3 lie in [-700, 700], so the config is
+        # valid and its level solves
+        cfg = custom_config({"mean": 1.0, "modes": [{"coeff": 1.0, "shape": 1.0, "dim": 0}]},
+                            output_dir=str(tmp_path / "out"))
+        cfg["custom"]["densities"] = [{"kind": "exp-uniform", "lo": -3.0, "hi": 3.0}]
+        validate_config(cfg)
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 0
+        report = json.loads((tmp_path / "out" / "custom_level0_report.json").read_text())
+        assert report["solver"]["converged"]
 
     def test_mc_subcommand_requires_mc_mode(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config())
