@@ -19,11 +19,14 @@ loose solve, that set is solved once more to the tight target before the
 iteration stops.  ``iterations`` counts every update, the tight re-solve
 included, and ``trace`` records each one (``active_set_solve``).
 
-Projected SOR sweeps the rows of the explicit matrix in multicolour order:
-a greedy colouring, made once per solve, splits the rows into classes that
-do not couple, and each class is updated as one vectorized projected step.
-That is sequential SOR with the rows taken class by class, so it converges
-for SPD A and omega in (0, 2); ``iterations`` counts sweeps.
+Projected SOR (Cryer, SIAM J. Control 1971) sweeps the rows of the explicit
+matrix in multicolour order: a greedy colouring, made once per solve, splits
+the rows into classes that do not couple, and the matrix is permuted once so
+that each class owns a contiguous row slice.  A class is updated as one
+projected step whose row products are one CSR product of its slice, and the
+complementarity residual after each sweep is one product of the permuted
+matrix.  That is sequential SOR with the rows taken class by class, so it
+converges for SPD A and omega in (0, 2); ``iterations`` counts sweeps.
 """
 
 from __future__ import annotations
@@ -207,28 +210,30 @@ def greedy_colouring(A) -> list:
 
 
 def _colour_ordered(A):
-    """A with rows and columns in greedy colour order, as raw CSR arrays.
+    """A with rows and columns in greedy colour order, as one CSR matrix.
 
-    Returns (data, cols, ptr, bounds, order, rank): row k of the permuted
-    matrix is row ``order[k]`` of A, ``rank`` inverts ``order``, and colour c
-    owns the rows ``bounds[c]:bounds[c + 1]``.  When A's rows already are in
-    colour order (one colour, or a dense matrix) A's own arrays come back
-    and ``order`` and ``rank`` are full slices.  This runs on every PSOR
-    call, so a Monte Carlo block of one-node samples (a diagonal matrix)
-    costs one colouring pass here and no permutation.
+    Returns (P, bounds, order, rank): row k of P is row ``order[k]`` of A
+    with its columns renumbered by ``rank``, which inverts ``order``, and
+    colour c owns the rows ``bounds[c]:bounds[c + 1]``.  P keeps the order
+    of A's stored entries within each row.  When A's rows already are in
+    colour order (one colour, or a dense matrix) P is A itself and
+    ``order`` and ``rank`` are full slices.  This runs on every PSOR call,
+    so a Monte Carlo block of one-node samples (a diagonal matrix) costs
+    one colouring pass here and no permutation.
     """
     colour = greedy_colouring(A)
     ranked = sorted(colour)
     bounds = [bisect_left(ranked, c) for c in range(ranked[-1] + 2)]
     if ranked == colour:
-        return A.data, A.indices, A.indptr, bounds, slice(None), slice(None)
+        return A, bounds, slice(None), slice(None)
     order = np.argsort(colour, kind="stable")
     rank = order.argsort()
     lengths = (A.indptr[1:] - A.indptr[:-1])[order]
     ptr = np.zeros_like(A.indptr)
     lengths.cumsum(out=ptr[1:])
     gather = (A.indptr[:-1][order] - ptr[:-1]).repeat(lengths) + np.arange(ptr[-1])
-    return A.data[gather], rank[A.indices[gather]], ptr, bounds, order, rank
+    P = sp.csr_array((A.data[gather], rank[A.indices[gather]], ptr), shape=A.shape)
+    return P, bounds, order, rank
 
 
 def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(method="psor"),
@@ -236,12 +241,15 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
     """Projected SOR in multicolour order; converges for SPD A and omega in (0, 2).
 
     Needs the explicit CSR matrix.  Its rows are coloured once per call
-    (``greedy_colouring``), and each sweep updates one colour class at a
-    time as a single vectorized projected step.  Rows of one colour do not
-    couple, so a sweep is exactly sequential projected SOR with the rows
-    taken in colour order.  The complementarity residual after each sweep
-    is taken with the same explicit matrix.  Returns (u, SolveReport);
-    ``iterations`` counts sweeps.
+    (``greedy_colouring``) and permuted into colour order (``_colour_ordered``),
+    and each sweep updates one colour class at a time as a single projected
+    step: the class's row products are one CSR product of its row slice.
+    Rows of one colour do not couple, so a sweep is exactly sequential
+    projected SOR with the rows taken in colour order.  The complementarity
+    residual is taken after every sweep, as one product of the permuted
+    matrix.  A start ``x0`` is projected onto the obstacle; without one, the
+    sweeps start at the obstacle.  Returns (u, SolveReport); ``iterations``
+    counts sweeps.
     """
     A = system.explicit()
     if A is None:
@@ -251,27 +259,22 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
         raise ValueError("projected SOR needs a positive diagonal of A")
     t0 = time.perf_counter()
     # work in colour order, where each colour class owns a contiguous block
-    # of rows: per class, its CSR entries, the row starts within them, and
-    # views of u, b, omega / d and the obstacle on its rows
-    data, cols, ptr, bounds, order, rank = _colour_ordered(A)
+    # of rows: per class, its row slice of P and views of u, b, omega / d
+    # and the obstacle on its rows
+    P, bounds, order, rank = _colour_ordered(A)
     omega = config.omega
     u = np.array(obs if x0 is None else np.maximum(x0, obs), dtype=float)[order]
     b, w, g = system.b[order], omega / diag[order], obs[order]
-    classes = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        p, q = int(ptr[s]), int(ptr[e])
-        classes.append((data[p:q], cols[p:q], ptr[s:e] - p,
-                        u[s:e], b[s:e], w[s:e], g[s:e]))
+    classes = [(P[s:e], u[s:e], b[s:e], w[s:e], g[s:e])
+               for s, e in zip(bounds[:-1], bounds[1:])]
     max_sweeps = config.max_iter if config.max_iter is not None else 50
     residual = np.inf
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         # (1 - omega) u + omega (u + (b - A u) / d), as u + (omega / d) (b - A u)
-        for data_c, cols_c, rows_c, u_c, b_c, w_c, g_c in classes:
-            row_dot = np.add.reduceat(data_c * u.take(cols_c), rows_c)
-            np.maximum(g_c, u_c + w_c * (b_c - row_dot), out=u_c)
-        lam = np.add.reduceat(data * u.take(cols), ptr[:-1]) - b
-        residual = _max_violation(u, g, lam)
+        for P_c, u_c, b_c, w_c, g_c in classes:
+            np.maximum(g_c, u_c + w_c * (b_c - P_c @ u), out=u_c)
+        residual = _max_violation(u, g, P @ u - b)
         if residual <= config.tol:
             break
     u = u[rank]

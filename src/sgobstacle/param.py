@@ -257,7 +257,12 @@ class Gramians:
         return functools.reduce(np.kron, [np.diag(F) for F in self.factors(k)], np.ones(1))
 
     def matrix(self, k: int) -> sp.csr_array:
-        """G_k as a sparse CSR matrix; only an explicit Kronecker matrix needs it."""
+        """G_k as a sparse CSR matrix, the Kronecker product of its 1-D factors.
+
+        Exact zeros of the factors (the y-weighted mass of a hat centred at
+        y = 0) are not stored.  Only ``SGSystem.explicit`` needs it, and it
+        reads the stored entries, so G_k is never dense.
+        """
         mats = [sp.csr_array(F) for F in self.factors(k)] or [sp.csr_array(np.ones((1, 1)))]
         return functools.reduce(lambda A, F: sp.kron(A, F, format="csr"), mats)
 

@@ -42,9 +42,9 @@ class SGSystem:
 
     Attributes
     ----------
-    K0, Kk : CSR stiffness factors over interior nodes (Kk entries may be None
-        for parameter dimensions the coefficient does not touch); K0 pairs
-        with the Gramian G_0 and Kk[d] with G_{d+1}.
+    K0, Kk : CSR stiffness factors over interior nodes, all on K0's pattern
+        (Kk entries may be None for parameter dimensions the coefficient
+        does not touch); K0 pairs with the Gramian G_0 and Kk[d] with G_{d+1}.
     gram : parametric Gramians as 1-D factors, with the basis integrals.
     b : flat right-hand side of length I*J, parameter-major.
     obs : flat obstacle values at the tensor nodes.
@@ -92,16 +92,34 @@ class SGSystem:
                    for k, K in self._terms()).reshape(-1)
 
     def explicit(self) -> sp.csr_array | None:
-        """The summed Kronecker matrix, built and cached on the first call.
+        """The summed Kronecker matrix sum_k G_k ⊗ K_k, built and cached on the first call.
 
-        None when I*J exceeds ``EXPLICIT_LIMIT``.
+        Every K_k shares K0's CSR pattern, so A's entries are the union
+        pattern of the sparse G_k against that pattern, with values
+        sum_k outer(G_k on the union, K_k.data), gathered in one COO to CSR
+        conversion.  A stores exactly the nonzeros of the sum, with sorted
+        indices, whatever the number of terms.  The G_k stay sparse: with
+        I = 1, J can reach ``EXPLICIT_LIMIT``.  None when I*J exceeds
+        ``EXPLICIT_LIMIT``.
         """
         if self.A is None and self.n <= EXPLICIT_LIMIT:
-            A = sp.kron(self.gram.matrix(0), self.K0, format="csr")
-            for k, K in self._terms()[1:]:
-                A = A + sp.kron(self.gram.matrix(k), K, format="csr")
-            self.A = sp.csr_array(A)
-            self.A.sort_indices()
+            terms = self._terms()
+            G = [self.gram.matrix(k).tocoo() for k, _ in terms]
+            I, J = self.n_spatial, self.n_param
+            keys, at = np.unique(np.concatenate([g.row.astype(np.int64) * J + g.col
+                                                 for g in G]), return_inverse=True)
+            on_union = np.zeros((len(G), keys.size))
+            on_union[np.repeat(np.arange(len(G)), [g.nnz for g in G]), at] = np.concatenate(
+                [g.data for g in G])
+            data = sum(np.outer(v, K.data) for v, (_, K) in zip(on_union, terms))
+            K_rows = np.repeat(np.arange(I), np.diff(self.K0.indptr))
+            rows = (keys // J * I)[:, None] + K_rows
+            cols = (keys % J * I)[:, None] + self.K0.indices
+            A = sp.coo_array((data.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(self.n, self.n)).tocsr()
+            A.eliminate_zeros()
+            A.sort_indices()
+            self.A = A
         return self.A
 
     def precond(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from sgobstacle.fem import assemble_weighted_stiffness
 from sgobstacle.fields import AffineField
@@ -341,6 +341,32 @@ class TestMulticolourPSOR:
         assert rep_psor.converged and rep_pdas.converged
         assert 0 < rep_psor.active_count < system.n
         assert np.max(np.abs(u_psor - u_pdas)) <= 1e-8
+
+    def test_start_below_the_obstacle_is_projected(self):
+        # x0 is lifted onto the obstacle before the first sweep
+        system = small_sg_system()
+        obs = system.obs
+        x0 = obs + np.random.default_rng(59).uniform(-1.0, 0.1, system.n)
+        assert np.any(x0 < obs) and np.any(x0 > obs)
+        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-300, max_iter=3)
+        for start, lifted in ((obs - 1.0, None), (x0, np.maximum(x0, obs))):
+            u, rep = psor_solve(system, obs, cfg, x0=start)
+            u_ref, rep_ref = psor_solve(system, obs, cfg, x0=lifted)
+            assert_array_equal(u, u_ref)
+            assert rep.residual == rep_ref.residual and rep.iterations == 3
+
+    def test_start_at_a_converged_solution_takes_one_sweep(self):
+        system = small_sg_system()
+        obs = system.obs
+        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-10, max_iter=5000)
+        u, rep = psor_solve(system, obs, cfg)
+        assert rep.converged and rep.iterations > 1
+        u_warm, rep_warm = psor_solve(system, obs, cfg, x0=u)
+        assert rep_warm.converged and rep_warm.iterations == 1
+        assert rep_warm.active_count == rep.active_count
+        assert rep_warm.residual == pytest.approx(
+            complementarity_residual(system, u_warm, obs), abs=1e-15)
+        assert np.max(np.abs(u_warm - u)) <= 1e-8
 
     @pytest.mark.parametrize("diag", [[2.0, 0.0, 1.0], [2.0, -1.0, 1.0]])
     def test_non_positive_diagonal_rejected(self, diag):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from sgobstacle.fields import AffineField
 from sgobstacle.lcp import SolverConfig, active_set_solve
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid, deterministic_grid
+from sgobstacle.problems import get_problem
 from sgobstacle.stats import sg_mean
 from sgobstacle.system import assemble_sg
 
@@ -101,6 +104,48 @@ class TestKroneckerStructure:
         sys_ = make_system(nx=4, cells=2)
         assert sys_.explicit() is None
         assert sys_.A is None
+
+    @pytest.mark.parametrize("kind", ["one term", "uniform"])
+    def test_explicit_stores_exactly_the_nonzeros_of_the_sum(self, kind):
+        if kind == "one term":
+            # example2's constant coefficient: K0 alone, with stored zeros
+            problem = get_problem("example2")
+            fields = problem.fields
+            sys_ = assemble_sg(build_uniform_mesh(problem.rect, 8),
+                               build_param_grid(problem.densities, 2),
+                               fields["a"], fields["f"], fields["g"], problem.dirichlet)
+            assert len(sys_._terms()) == 1 and np.any(sys_.K0.data == 0.0)
+        else:
+            # the y-weighted hat mass at y = 0 is zero, so G_y stores fewer
+            # entries than G_0
+            a = AffineField.build(2.0, [(1.0, lambda x: 1.0 + 0.5 * x[:, 0], 0),
+                                        (0.5, one, 1)])
+            sys_ = assemble_sg(build_uniform_mesh(RECT, 6),
+                               build_param_grid([Density1D.uniform(-1.0, 1.0)] * 2, 2),
+                               a, AffineField.build(1.0), AffineField.build(0.0))
+            assert [sys_.gram.matrix(k).nnz for k in range(3)] == [49, 42, 42]
+        A = sys_.explicit()
+        ref = sum(sp.kron(sys_.gram.matrix(k), K, format="csr") for k, K in sys_._terms())
+        assert A.has_sorted_indices
+        assert np.all(A.data != 0.0)
+        assert A.nnz == np.count_nonzero(ref.toarray())
+        assert abs(A - ref).max() == 0.0
+
+    def test_explicit_keeps_gramians_sparse(self):
+        # I = 1 and J = 65^2: a dense G_k alone would take 143 MB
+        sys_ = assemble_sg(build_uniform_mesh(RECT, 2),
+                           build_param_grid([Density1D.exp_uniform()] * 2, 64),
+                           AffineField.build(1.0, [(1.0, one, 0), (2.0, one, 1)]),
+                           AffineField.build(1.0), AffineField.build(0.0))
+        assert (sys_.n_spatial, sys_.n_param) == (1, 4225)
+        tracemalloc.start()
+        try:
+            A = sys_.explicit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.shape == (4225, 4225)
+        assert peak < 20e6
 
     def test_flat_index_is_parameter_major(self):
         # flat index j*I + i: a vector supported on parameter node j = 1
