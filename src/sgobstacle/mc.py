@@ -5,16 +5,17 @@ Each sample draws an independent parameter vector from its own RNG stream
 samples are grouped.  Samples are solved in blocks: a block of B samples
 is one block-diagonal LCP whose diagonal block j is the obstacle problem at
 the j-th parameter row, solved with the configured LCP solver from the
-running mean and fed sample by sample, in index order, into a Welford
-accumulator.  One sampler per run serves every field: it evaluates a, f
-and g at a block's rows (an affine field as its mean plus the rows times
-its modes, a callable row by row) and maps the values through the mesh
-operator (``fem.P1Operator``) into the block's stiffness entries, loads,
-obstacle values and Dirichlet lifting.  The systems are
-``SparseObstacleSystem``s: the preconditioner of an active-set update is a
-banded Cholesky solve of the system with unit rows on the active entries,
-exact on the inactive ones, so an update takes one conjugate gradient
-step; block-diagonal stacking keeps the band of one sample.
+running mean; its solutions enter the accumulator in one pairwise update
+of the block's mean and sum of squared deviations.  One sampler per run
+serves every field: it evaluates a, f and g at a block's rows (an affine
+field as its mean plus the rows times its modes, a callable in one call
+on all rows) and maps the values through the mesh operator
+(``fem.P1Operator``) into the block's stiffness entries, loads, obstacle
+values and Dirichlet lifting.  The systems are ``SparseObstacleSystem``s:
+the preconditioner of an active-set update is a banded Cholesky solve of
+the system with unit rows on the active entries, exact on the inactive
+ones, so an update takes one conjugate gradient step; block-diagonal
+stacking keeps the band of one sample.
 
 B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
 one sample).  The cap keeps the working set of the band Cholesky small:
@@ -45,37 +46,30 @@ MC_BLOCK_NODES = 4096  # interior nodes per block-diagonal sample system
 
 @dataclass
 class MCAccumulator:
-    """Streaming mean and second central moment (Welford, Chan merge)."""
+    """Streaming mean and sum of squared deviations m2 over blocks of samples.
+
+    Each block is folded in with one pairwise update (Chan, Golub and
+    LeVeque, 1983) of its own mean and m2, so m2 stays a sum of non-negative
+    terms and the variance is never negative.
+    """
 
     n: int = 0
     mean: np.ndarray | None = None
     m2: np.ndarray | None = None
 
-    def update(self, sample: np.ndarray) -> None:
-        sample = np.asarray(sample, dtype=float)
+    def update(self, samples: np.ndarray) -> None:
+        """Add the rows of ``samples``, a (B, n) block or one sample (n,)."""
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if self.mean is None:
-            self.mean = np.zeros_like(sample)
-            self.m2 = np.zeros_like(sample)
-        self.n += 1
-        delta = sample - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (sample - self.mean)
-
-    def merge(self, other: "MCAccumulator") -> "MCAccumulator":
-        """Combine two accumulators as if their samples were one stream."""
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n = other.n
-            self.mean = other.mean.copy()
-            self.m2 = other.m2.copy()
-            return self
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self.mean = self.mean + delta * (other.n / n)
-        self.m2 = self.m2 + other.m2 + delta ** 2 * (self.n * other.n / n)
+            self.mean = np.zeros(samples.shape[1:])
+            self.m2 = np.zeros(samples.shape[1:])
+        count = len(samples)
+        n = self.n + count
+        block_mean = samples.mean(axis=0)
+        delta = block_mean - self.mean
+        self.m2 += ((samples - block_mean) ** 2).sum(axis=0) + delta ** 2 * (self.n * count / n)
+        self.mean += delta * (count / n)
         self.n = n
-        return self
 
     def variance(self, ddof: int = 1) -> np.ndarray:
         if self.n <= ddof:
@@ -164,8 +158,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         iters += report.iterations
         if not report.converged:
             return 1 if len(Y) == 1 else sum(solve_block(y[None]) for y in Y)
-        for values in mesh.full_values(u.reshape(len(Y), -1), boundary):
-            acc.update(values)
+        acc.update(mesh.full_values(u.reshape(len(Y), -1), boundary))
         return 0
 
     t_loop = time.perf_counter()

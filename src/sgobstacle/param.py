@@ -4,12 +4,14 @@ The parametric domain is a box, discretized per dimension by a partition
 into cells carrying piecewise linear hat functions.  The tensor products of
 these hats form the multilinear basis; all inner products are taken with the
 product probability density.  Each density is the law of y = map(xi) with
-xi uniform on an interval, so every integral against it (moments, hat
-Gramians, the reference statistics of ``stats``) is one composite
+xi uniform on an interval, so every integral against it (the hat
+Gramians and the reference statistics of ``stats``) is one composite
 Gauss-Legendre rule in xi, ``Density1D.rule``, on the cached points of
-``gauss_legendre``, and every draw is map(xi) of a uniform draw.  A tensor
-Gramian is kept as its 1-D factors and applied one dimension at a time
-(``kron_apply``); the same product of the hat values at other points
+``gauss_legendre``, and every draw is map(xi) of a uniform draw.  The hats
+sum to one, so the means E[y_d] are the entry sums of the y-weighted
+factors, ``Gramians.mass_y[d].sum()``, and need no rule of their own.  A
+tensor Gramian is kept as its 1-D factors and applied one dimension at a
+time (``kron_apply``); the same product of the hat values at other points
 (``hat_values``) evaluates the multilinear interpolant there.  Every
 product over the parameter dimensions is empty when there are none
 (M = 0, deterministic data): one node, unit weight and identity Gramians.
@@ -37,11 +39,6 @@ __all__ = [
     "assemble_gramians",
     "hat_values",
 ]
-
-# Cells and points per cell of the composite rule behind ``Density1D.moment``.
-MOMENT_CELLS = 64
-MOMENT_POINTS = 10
-
 
 @functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,11 +132,8 @@ class Density1D:
         shape (cells, pieces * n_pts).  Every cell is cut into the same
         number of equal pieces in xi, the fewest that keep each piece within
         the span of the map (one piece for ``uniform``)."""
-        return self._xi_rule(_MAPS[self.kind][1](breaks), n_pts)
-
-    def _xi_rule(self, xi: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
-        """``rule`` on the cells between consecutive ``xi`` breaks."""
-        to_y, _, span = _MAPS[self.kind]
+        to_y, to_xi, span = _MAPS[self.kind]
+        xi = to_xi(breaks)
         pieces = max(1, math.ceil(float(np.max(np.diff(xi))) / span))
         t = np.linspace(0.0, 1.0, pieces + 1)
         ends = xi[:-1, None] * (1.0 - t) + xi[1:, None] * t  # exact at t = 0 and 1
@@ -149,11 +143,6 @@ class Density1D:
         shape = (len(xi) - 1, pieces * n_pts)
         return (to_y(0.5 * (a + b) + half * gx).reshape(shape),
                 (half * gw / (self.hi - self.lo)).reshape(shape))
-
-    def moment(self, k: int) -> float:
-        """integral of y^k p(y) on MOMENT_CELLS equal cells of (lo, hi) in xi."""
-        y, w = self._xi_rule(np.linspace(self.lo, self.hi, MOMENT_CELLS + 1), MOMENT_POINTS)
-        return float(np.sum(w * y ** k))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws of y, map(xi) of uniform draws of xi."""

@@ -23,16 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import integer, known_keys, number, shown
-from .fem import evaluate_p1, p1_distance
+from .fem import _quad_points, evaluate_p1, p1_distance
 from .fields import AffineField, bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
 from .mc import mc_run
 from .mesh import Mesh, build_uniform_mesh
 from .param import ParamGrid, build_param_grid, hat_values, kron_apply
 from .problems import Problem, get_problem, problem_from_config
-from .stats import (ParametricFunction, StatField, _exact_moments, _full_blocks,
-                    sg_mean, sg_second_moment, sg_variance, write_stat_csv,
-                    write_stat_vtk)
+from .stats import (ParametricFunction, StatField, _full_blocks, psi_moments, sg_mean,
+                    sg_second_moment, sg_variance, write_stat_csv, write_stat_vtk)
 from .system import EXPLICIT_LIMIT, SGSystem, assemble_sg
 
 __all__ = [
@@ -169,25 +168,43 @@ def _solver(spec, what: str, errors: list) -> SolverConfig | None:
         return None
 
 
-def _check_ellipticity(problem: Problem, levels: list[Level], errors: list) -> None:
-    """Refuse an affine coefficient that is not positive on the parameter box.
+def _check_well_posed(problem: Problem, levels: list[Level], errors: list) -> None:
+    """Refuse affine data for which the obstacle problem is not well posed.
 
-    The range is taken over the box vertices and the finest level's mesh
-    nodes (``fields.bounds_check``).
+    The coefficient a must be positive, and with zero Dirichlet data (a
+    custom problem) the obstacle g must not exceed 0 on the boundary, or no
+    function of H^1_0 lies above it.  Both ranges are taken over the
+    parameter box (``fields.bounds_check``) on each level's mesh, built one
+    at a time: a at the nodes and at the degree-2 quadrature points of the
+    assembly, g at the boundary nodes.  The checks are discrete: a can
+    still dip below zero between these points.
     """
-    a = problem.fields["a"]
-    if not isinstance(a, AffineField) or not levels:
-        return
-    finest = max(levels, key=lambda lv: lv.nx * lv.ny)
-    nodes = build_uniform_mesh(problem.rect, finest.nx, finest.ny).nodes
+    a, g = problem.fields["a"], problem.fields["g"]
+    check_a = isinstance(a, AffineField)
+    check_g = isinstance(g, AffineField) and problem.dirichlet is None
+    supports = [rho.support for rho in problem.densities]
+    a_lo, g_hi = math.inf, -math.inf
     try:
-        lo = bounds_check(a, [rho.support for rho in problem.densities], nodes).lo
+        for nx, ny in sorted({(lv.nx, lv.ny) for lv in levels} if check_a or check_g else ()):
+            mesh = build_uniform_mesh(problem.rect, nx, ny)
+            if check_a:
+                what = "coefficient a"
+                for points in (mesh.nodes, _quad_points(mesh, 2)[0].reshape(-1, 2)):
+                    a_lo = np.minimum(a_lo, bounds_check(a, supports, points).lo)
+            if check_g:
+                what = "obstacle g"
+                g_hi = np.maximum(g_hi, bounds_check(g, supports, mesh.nodes[mesh.boundary]).hi)
     except ValueError as exc:
-        errors.append(f"coefficient a: {exc}")
+        errors.append(f"{what}: {exc}")
         return
-    if not lo > 0.0:
-        errors.append(f"coefficient a is not uniformly positive: its minimum over "
-                      f"the parameter box and the mesh nodes is {lo:.6g}")
+    if not a_lo > 0.0:
+        errors.append(f"coefficient a is not uniformly positive: its minimum over the "
+                      f"parameter box, the mesh nodes and the assembly quadrature points "
+                      f"is {a_lo:.6g}")
+    if not g_hi <= 0.0:
+        errors.append(f"obstacle g lies above the zero boundary data, so no admissible "
+                      f"function exists: its maximum over the parameter box and the "
+                      f"boundary nodes is {g_hi:.6g}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -283,7 +300,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     solver = _solver(raw.get("solver", {}), "solver", errors)
 
     if problem is not None:
-        _check_ellipticity(problem, levels, errors)
+        _check_well_posed(problem, levels, errors)
 
     mc_raw = raw.get("mc", {})
     if not isinstance(mc_raw, dict):
@@ -368,16 +385,19 @@ def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
                        quad_order: int = 64) -> dict:
     """Relative L2/H1-seminorm errors of the first two moment fields.
 
-    The exact mean, second moment and their gradients at all spatial
-    quadrature points come from one tensor parameter quadrature of the
-    product solution (``stats._exact_moments``); the discrete moments are P1
-    fields from the Galerkin coefficients.
+    The exact solution is phi(x) psi(y), so its mean and second moment are
+    m1 phi and m2 phi^2, with gradients m1 grad phi and 2 m2 phi grad phi,
+    from the scalars (m1, m2) = E[psi], E[psi^2] of one tensor parameter
+    quadrature (``stats.psi_moments``); the discrete moments are P1 fields
+    from the Galerkin coefficients.
     """
     fields = np.stack([sg_mean(system, u).values, sg_second_moment(system, u).values])
+    m1, m2 = psi_moments(exact, densities, quad_order, (1, 2))
 
     def exact_data(x):
-        (em, em2), (egm, egm2) = _exact_moments(exact, x, densities, quad_order, (1, 2),
-                                                with_grad=True)
+        phi, dphi = exact.space(x), exact.space_grad(x)
+        em, em2 = m1 * phi, m2 * phi ** 2
+        egm, egm2 = m1 * dphi, (2.0 * m2) * phi[:, None] * dphi
         return np.stack([em, em2, em, em2]), np.stack([egm, egm2, egm, egm2])
 
     # the norms of the exact data are the distances of zero fields
@@ -543,8 +563,7 @@ def run_mc(cfg: ExperimentConfig):
     mc_seconds = time.perf_counter() - t0
 
     mean = StatField(mesh=mesh, name="mean", values=result.mean)
-    var = StatField(mesh=mesh, name="variance",
-                    values=np.maximum(result.variance(), 0.0))
+    var = StatField(mesh=mesh, name="variance", values=result.variance())
     tag = f"{problem.name}_mc"
     paths = _write_fields(cfg, [mean, var], tag)
     timing_path = os.path.join(cfg.output_dir, f"{tag}_timing.csv")
@@ -559,6 +578,7 @@ def run_mc(cfg: ExperimentConfig):
         "n_samples": cfg.mc_samples,
         "seed": cfg.mc_seed,
         "n_failed": result.n_failed,
+        "solver_iterations": result.solver_iterations,
         "level": cfg.mc_level,
         "nx": level.nx,
         "mc_seconds": mc_seconds,

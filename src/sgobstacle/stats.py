@@ -5,9 +5,10 @@ sums of the coefficient blocks: the parametric basis integrals g0 give the
 mean, and the Gramian G_0, applied by its 1-D factors, the second moment
 and, on the blocks centred at the mean, the variance.  Reference statistics
 of a known product solution u(x, y) = phi(x) psi(y) are
-E[u^k] = phi^k E[psi^k], with E[psi^k] one tensor Gauss-Legendre quadrature
-against the product density, built from the per-dimension rules of
-``param.Density1D.rule``.
+E[u^k] = phi^k E[psi^k]: the scalars E[psi^k] (``psi_moments``) are one
+tensor Gauss-Legendre quadrature against the product density, built from
+the per-dimension rules of ``param.Density1D.rule``, and scale phi^k and
+its gradient at any spatial points.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "sg_mean",
     "sg_second_moment",
     "sg_variance",
+    "psi_moments",
     "exact_statistic",
     "write_stat_csv",
     "write_stat_vtk",
@@ -112,52 +114,39 @@ def tensor_quadrature(densities: tuple[Density1D, ...], order: int):
             functools.reduce(np.kron, [w[0] for _, w in rules], np.ones(1)))
 
 
-def _exact_moments(analytic: ParametricFunction, x: np.ndarray, densities,
-                   quad_order: int, moments: tuple[int, ...], with_grad: bool):
-    """E[u^k] and, if asked, E[k u^(k-1) grad u] at points x for each k >= 1.
-
-    ``analytic.param`` is evaluated once on the tensor quadrature nodes, and
-    E[psi^k] scales phi^k and k phi^(k-1) grad phi.  Returns (values, grads):
-    lists over ``moments`` of arrays of shape (n,) and (n, 2); grads is None
-    without ``with_grad``.
-    """
+def psi_moments(analytic: ParametricFunction, densities, quad_order: int,
+                moments: tuple[int, ...]) -> np.ndarray:
+    """The scalars E[psi^k] of ``analytic.param`` for each k in ``moments``,
+    from one tensor quadrature of order ``quad_order``: psi is evaluated
+    once on its nodes."""
     nodes, weights = tensor_quadrature(tuple(densities), quad_order)
     psi = analytic.param(nodes)
-    phi = analytic.space(x)
-    dphi = analytic.space_grad(x) if with_grad else None
-    vals, grads = [], ([] if with_grad else None)
-    for k in moments:
-        m = weights @ psi ** k
-        vals.append(m * phi ** k)
-        if with_grad:
-            grads.append((k * m) * (phi ** (k - 1))[:, None] * dphi)
-    return vals, grads
+    return np.array([weights @ psi ** k for k in moments])
 
 
 def exact_statistic(analytic: ParametricFunction, densities, moment: int = 1,
                     quad_order: int = 64) -> SpatialFunction:
-    """Spatial function x -> E[u(x, .)^moment] by tensor quadrature.
+    """Spatial function x -> E[u(x, .)^moment] = E[psi^moment] phi(x)^moment.
 
-    The returned gradient is E[moment * u^(moment-1) grad u] and requires
-    ``analytic.space_grad``.  ``moment`` is an integer >= 1.  Intended for
-    solutions smooth in y; 64 points per dimension leave the parametric
-    quadrature error far below the spatial discretization errors studied
-    here.
+    E[psi^moment] is one tensor quadrature (``psi_moments``), taken here
+    once.  The returned gradient is E[moment * u^(moment-1) grad u] and
+    requires ``analytic.space_grad``.  ``moment`` is an integer >= 1.
+    Intended for solutions smooth in y; 64 points per dimension leave the
+    parametric quadrature error far below the spatial discretization errors
+    studied here.
     """
     moment = integer(moment, "moment", 1)
-    densities = tuple(densities)
+    (m,) = psi_moments(analytic, densities, quad_order, (moment,))
 
     def values(x: np.ndarray) -> np.ndarray:
-        vals, _ = _exact_moments(analytic, np.atleast_2d(x), densities,
-                                 quad_order, (moment,), with_grad=False)
-        return vals[0]
+        return m * analytic.space(np.atleast_2d(x)) ** moment
 
     grad = None
     if analytic.space_grad is not None:
         def grad(x: np.ndarray) -> np.ndarray:
-            _, grads = _exact_moments(analytic, np.atleast_2d(x), densities,
-                                      quad_order, (moment,), with_grad=True)
-            return grads[0]
+            x = np.atleast_2d(x)
+            phi_pow = analytic.space(x) ** (moment - 1)
+            return (moment * m) * phi_pow[:, None] * analytic.space_grad(x)
 
     return SpatialFunction(values=values, grad=grad)
 

@@ -127,8 +127,10 @@ class SGSystem:
 
         A = G_0 ⊗ K_0 + sum_k G_k ⊗ K_k, with K_0 = ``K0`` and the stiffness
         K_k = ``Kk[k - 1]`` of y_k.  K̄ = K_0 + sum_k E[y_k] K_k is the
-        stiffness at the y-averaged coefficient, and G̃ = sum_k alpha_k G_k (k = 0
-        included) with alpha_k = <K_k, K̄>_F / <K̄, K̄>_F.  So the
+        stiffness at the y-averaged coefficient, with E[y_k] the entry sum
+        of the y-weighted Gramian factor of dimension k (the hats sum to
+        one), and G̃ = sum_k alpha_k G_k (k = 0 included) with
+        alpha_k = <K_k, K̄>_F / <K̄, K̄>_F.  So the
         preconditioner is A itself when every K_k is a multiple of K̄ (a
         coefficient whose modes all have the mean's shape), and G_0 ⊗ K̄
         without modes.
@@ -146,7 +148,7 @@ class SGSystem:
         positive on the parameter box).
         """
         if self._precond is None:
-            means = [rho.moment(1) for rho in self.grid.densities]
+            means = [my.sum() for my in self.gram.mass_y]
             K_bar = self.K0.copy()
             for mean, K in zip(means, self.Kk):
                 if K is not None:

@@ -33,32 +33,16 @@ class TestAccumulator:
         assert_allclose(acc.standard_error(),
                         data.std(axis=0, ddof=1) / np.sqrt(137), rtol=1e-12)
 
-    def test_merge_equals_single_stream(self):
-        rng = np.random.default_rng(1)
-        data = rng.standard_normal((100, 3))
-        whole = MCAccumulator()
-        for row in data:
-            whole.update(row)
-        left = MCAccumulator()
-        right = MCAccumulator()
-        for row in data[:37]:
-            left.update(row)
-        for row in data[37:]:
-            right.update(row)
-        merged = left.merge(right)
-        assert merged.n == whole.n
-        assert_allclose(merged.mean, whole.mean, rtol=1e-12)
-        assert_allclose(merged.variance(), whole.variance(), rtol=1e-12)
-
-    def test_merge_with_empty(self):
+    @pytest.mark.parametrize("block", [1, 7, 37, 100])
+    def test_blocks_match_batch_moments(self, block):
+        # the same rows in blocks of any size give the batch mean and variance
+        data = np.random.default_rng(1).standard_normal((100, 3)) + 5.0
         acc = MCAccumulator()
-        acc.update(np.array([1.0, 2.0]))
-        acc.update(np.array([3.0, 4.0]))
-        same = acc.merge(MCAccumulator())
-        assert same.n == 2
-        fresh = MCAccumulator().merge(acc)
-        assert fresh.n == 2
-        assert_allclose(fresh.mean, [2.0, 3.0])
+        for start in range(0, len(data), block):
+            acc.update(data[start:start + block])
+        assert acc.n == len(data)
+        assert_allclose(acc.mean, np.mean(data, axis=0), rtol=1e-12)
+        assert_allclose(acc.variance(), np.var(data, axis=0, ddof=1), rtol=1e-12)
 
     def test_variance_needs_two_samples(self):
         acc = MCAccumulator()

@@ -12,18 +12,28 @@ EY = (E - 1.0 / E) / 2.0          # mean of exp(uniform(-1, 1))
 EY2 = (E ** 2 - E ** -2) / 4.0    # second moment of the same law
 
 
+def gramian_mean(rho, cells):
+    """E[y] as the entry sum of the y-weighted hat Gramian on ``cells`` cells."""
+    return assemble_gramians(build_param_grid([rho], cells)).mass_y[0].sum()
+
+
 class TestDensities:
     def test_uniform_moments(self):
+        # the hats sum to one, so the y-weighted Gramian sums to (lo + hi) / 2
         rho = Density1D.uniform(-1.0, 3.0)
-        assert rho.moment(0) == pytest.approx(1.0, abs=1e-12)
-        assert rho.moment(1) == pytest.approx(1.0, rel=1e-12)
-        assert rho.moment(2) == pytest.approx(7.0 / 3.0, rel=1e-12)
+        for cells in range(1, 17):
+            assert gramian_mean(rho, cells) == pytest.approx(1.0, rel=1e-14)
+        y, w = rho.rule(np.array(rho.support), 2)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.sum(w * y ** 2) == pytest.approx(7.0 / 3.0, rel=1e-14)
 
     def test_exp_uniform_moments(self):
         rho = Density1D.exp_uniform()
         assert rho.support == pytest.approx((1.0 / E, E))
-        assert rho.moment(1) == pytest.approx(EY, rel=1e-12)
-        assert rho.moment(2) == pytest.approx(EY2, rel=1e-12)
+        for cells in range(1, 17):
+            assert gramian_mean(rho, cells) == pytest.approx(EY, rel=1e-14)
+        y, w = rho.rule(np.array(rho.support), 12)
+        assert np.sum(w * y ** 2) == pytest.approx(EY2, rel=1e-14)
 
     def test_unnormalized_density_rejected(self):
         # a density is a map of a uniform variable, so it is normalized by
@@ -44,8 +54,8 @@ class TestDensities:
         rho = Density1D.exp_uniform(-half_width, half_width)
         assert rho.support == (np.exp(-half_width), np.exp(half_width))
         mean = (np.exp(half_width) - np.exp(-half_width)) / (2.0 * half_width)
-        assert rho.moment(0) == pytest.approx(1.0, abs=1e-15)
-        assert rho.moment(1) == pytest.approx(mean, rel=1e-13)
+        for cells in range(1, 17):
+            assert gramian_mean(rho, cells) == pytest.approx(mean, rel=1e-14)
 
     def test_sampling_matches_law(self):
         rho = Density1D.exp_uniform()

@@ -418,6 +418,70 @@ def custom_config(a_spec, **overrides):
     return cfg
 
 
+ILL_POSED_FIELDS = {
+    # g = 0.1 lies above the zero Dirichlet data: no function of H^1_0 is >= g
+    "obstacle": {"a": {"mean": 1.0, "modes": [{"coeff": 0.5, "shape": 1.0, "dim": 0}]},
+                 "f": -2.0, "g": 0.1},
+    # a = 16 (x1 - 0.25)^2 - 0.5 + 0.1 y is -0.5 on x1 = 0.25 but 0.5 at every
+    # node of a [2, 2] mesh
+    "coefficient": {"a": {"mean": {"kind": "polynomial",
+                                   "terms": [[16.0, 2, 0], [-8.0, 1, 0], [0.5, 0, 0]]},
+                          "modes": [{"coeff": 0.1, "shape": 1.0, "dim": 0}]},
+                    "f": -2.0, "g": -0.05},
+}
+ILL_POSED_MESSAGES = {"obstacle": "obstacle g lies above the zero boundary data",
+                      "coefficient": "coefficient a is not uniformly positive"}
+
+
+def ill_posed_config(kind, **overrides):
+    """A custom problem on (0, 1)^2 with y ~ U(0, 1) and the ``kind`` fields
+    of ``ILL_POSED_FIELDS``, at level [nx=2, cells=2]."""
+    cfg = {"problem": "custom",
+           "custom": {"domain": [0.0, 1.0, 0.0, 1.0],
+                      "densities": [{"kind": "uniform", "lo": 0.0, "hi": 1.0}],
+                      "fields": copy.deepcopy(ILL_POSED_FIELDS[kind])},
+           "mode": "sg", "schedule": {"levels": [[2, 2]]},
+           "solver": {"method": "active-set"}}
+    cfg.update(overrides)
+    return cfg
+
+
+class TestIllPosedData:
+    @pytest.mark.parametrize("kind", sorted(ILL_POSED_FIELDS))
+    def test_refused(self, kind):
+        # both solved to "converged" with residual 0 or 5.6e-17 before
+        with pytest.raises(ConfigError, match=ILL_POSED_MESSAGES[kind]):
+            validate_config(ill_posed_config(kind))
+
+    def test_obstacle_is_checked_over_the_parameter_box(self):
+        # g = -0.1 + 0.2 y is below the boundary data for y < 0.5 only
+        cfg = ill_posed_config("obstacle")
+        cfg["custom"]["fields"]["g"] = {"mean": -0.1,
+                                        "modes": [{"coeff": 0.2, "shape": 1.0, "dim": 0}]}
+        with pytest.raises(ConfigError, match="maximum over the parameter box and the "
+                                              "boundary nodes is 0.1"):
+            validate_config(cfg)
+
+    def test_obstacle_below_the_boundary_data_is_accepted(self):
+        # g may rise above 0 inside: x1 (1 - x1) x2 (1 - x2) (1 + y) - 0.01
+        # is -0.01 on the boundary; g = 0 touches the data there
+        cfg = ill_posed_config("obstacle", schedule={"levels": [[4, 2]]})
+        bubble = [[1.0, 1, 1], [-1.0, 2, 1], [-1.0, 1, 2], [1.0, 2, 2]]
+        cfg["custom"]["fields"]["g"] = {
+            "mean": {"kind": "polynomial", "terms": bubble + [[-0.01, 0, 0]]},
+            "modes": [{"coeff": 1.0, "shape": {"kind": "polynomial", "terms": bubble},
+                       "dim": 0}]}
+        assert validate_config(cfg).problem.name == "custom"
+        cfg["custom"]["fields"]["g"] = 0.0
+        assert validate_config(cfg).problem.name == "custom"
+
+    def test_positive_coefficient_is_accepted(self):
+        # 16 (x1 - 0.25)^2 + 0.5 + 0.1 y >= 0.5 at every point
+        cfg = ill_posed_config("coefficient")
+        cfg["custom"]["fields"]["a"]["mean"]["terms"][2] = [1.5, 0, 0]
+        assert validate_config(cfg).problem.name == "custom"
+
+
 class TestErrorTable:
     def test_csv_layout(self, tmp_path):
         errs = {"eL2m1": 0.5, "eH1m1": 0.25, "eL2m2": 0.125, "eH1m2": 0.0625}
@@ -563,8 +627,9 @@ def test_error_table_is_pinned(problem):
 
 
 def test_converge_builds_each_gauss_rule_once(monkeypatch):
-    # the moments, the hat Gramians and the reference statistics share one
-    # cached rule per order: 10, 12 and quad_order points
+    # the hat Gramians and the reference statistics share one cached rule
+    # per order: 12 and quad_order points (the preconditioner's means are
+    # Gramian sums and take no rule of their own)
     calls = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -579,7 +644,7 @@ def test_converge_builds_each_gauss_rule_once(monkeypatch):
                            "solver": {"method": "active-set", "tol": 1e-10},
                            "quad_order": 64})
     run_convergence(cfg, write=False)
-    assert len(calls) == len(set(calls)) == 3
+    assert sorted(calls) == [12, 64]
 
 
 def test_errors_build_the_spatial_quadrature_once(monkeypatch):
@@ -633,6 +698,8 @@ class TestRunMC:
         result, payload = run_mc(cfg)
         assert result.n_failed == 0
         assert payload["n_samples"] == 8
+        report = json.loads((tmp_path / "example2_mc_report.json").read_text())
+        assert report["solver_iterations"] == result.solver_iterations
         timing = (tmp_path / "example2_mc_timing.csv").read_text().splitlines()
         assert timing[0] == "phase,seconds"
         assert {row.split(",")[0] for row in timing[1:]} == \
@@ -786,6 +853,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("config error")
         assert "not uniformly positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", sorted(ILL_POSED_FIELDS))
+    def test_ill_posed_data_exits_one(self, tmp_path, capsys, kind):
+        cfg = ill_posed_config(kind, output_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert ILL_POSED_MESSAGES[kind] in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

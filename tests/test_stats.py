@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+from sgobstacle.fem import p1_distance
 from sgobstacle.fields import AffineField
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid, hat_values
@@ -131,15 +132,23 @@ class TestChunkedQuadrature:
         assert_allclose(stat.grad(x), ref_g, rtol=1e-12)
 
     @pytest.mark.parametrize("problem", ["example1", "example2"])
-    def test_convergence_errors_match_per_node_loop(self, problem, monkeypatch):
+    def test_convergence_errors_match_per_node_loop(self, problem):
         cfg = validate_config({"problem": problem,
                                "schedule": {"levels": [[4, 2]]},
                                "solver": {"tol": 1e-10}, "quad_order": 9})
         mesh, _, system, u, _, _ = _solve_level(cfg, cfg.levels[0])
-        args = (mesh, system, u, cfg.problem.exact, cfg.problem.densities, 9)
-        errs = convergence_errors(*args)
-        monkeypatch.setattr("sgobstacle.runner._exact_moments", per_node_moments)
-        ref = convergence_errors(*args)
+        exact, densities = cfg.problem.exact, cfg.problem.densities
+        errs = convergence_errors(mesh, system, u, exact, densities, 9)
+
+        def exact_data(x):
+            vals, grads = per_node_moments(exact, x, densities, 9, (1, 2), with_grad=True)
+            return np.stack(vals), np.stack(grads)
+
+        fields = np.stack([sg_mean(system, u).values, sg_second_moment(system, u).values])
+        dist = p1_distance(mesh, fields, exact_data)
+        norm = p1_distance(mesh, np.zeros_like(fields), exact_data)
+        ref = {f"e{kind}m{k + 1}": d[k] / n[k]
+               for kind, d, n in zip(("L2", "H1"), dist, norm) for k in range(2)}
         assert errs.keys() == ref.keys()
         for key in ref:
             assert errs[key] == pytest.approx(ref[key], rel=1e-12)
