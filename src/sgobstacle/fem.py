@@ -28,6 +28,7 @@ __all__ = [
     "assemble_weighted_stiffness",
     "assemble_mass",
     "assemble_load",
+    "assembly_points",
     "interpolate_nodal",
     "evaluate_p1",
     "norm_error",
@@ -79,14 +80,21 @@ def _triangle_geometry(mesh: Mesh):
     return area, grads
 
 
-def _quad_points(mesh: Mesh, degree: int):
-    """Physical quadrature points (nt, nq, 2), shape values (nq, 3), weights."""
+ASSEMBLY_DEGREE = 2  # triangle rule of the loads and the coefficient integrals
+
+
+def _reference_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values (nq, 3) of the three vertex shapes at the points of the
+    triangle rule of ``degree``, and its weights."""
     rule = triangle_quadrature(degree)
     s, t = rule.points.T
-    shapes = np.column_stack([1.0 - s - t, s, t])  # (nq, 3)
-    p = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
-    pts = np.einsum("qv,tvd->tqd", shapes, p)
-    return pts, shapes, rule.weights
+    return np.column_stack([1.0 - s - t, s, t]), rule.weights
+
+
+def assembly_points(mesh: Mesh) -> np.ndarray:
+    """The points (n_triangles * nq, 2), triangle by triangle, at which
+    ``P1Operator`` takes the values of coefficients and sources."""
+    return (_reference_rule(ASSEMBLY_DEGREE)[0] @ mesh.nodes[mesh.triangles]).reshape(-1, 2)
 
 
 def _eval_weight(weight, pts_flat: np.ndarray) -> np.ndarray:
@@ -165,14 +173,14 @@ def _stiffness_blocks(mesh: Mesh, grads: np.ndarray, *node_sets) -> list[Block]:
 class P1Operator:
     """The linear assembly maps of one mesh: a P1 stiffness matrix is linear
     in the integrals of its coefficient over the triangles, a load vector (a
-    mass matrix) in its source (weight) at the degree-2 quadrature ``points``.
+    mass matrix) in its source (weight) at the ``points`` of ``assembly_points``.
     ``interior`` couples the interior nodes with themselves and ``coupling``
     with the boundary nodes: the two blocks that Dirichlet conditions need."""
 
     def __init__(self, mesh: Mesh):
         area, grads = _triangle_geometry(mesh)
-        pts, self._shapes, self._wq = _quad_points(mesh, 2)
-        self.mesh, self.points, self._area2 = mesh, pts.reshape(-1, 2), 2.0 * area
+        self._shapes, self._wq = _reference_rule(ASSEMBLY_DEGREE)
+        self.mesh, self.points, self._area2 = mesh, assembly_points(mesh), 2.0 * area
         self.interior, self.coupling = _stiffness_blocks(
             mesh, grads, (mesh.interior, mesh.interior),
             (mesh.interior, np.flatnonzero(mesh.boundary)))
@@ -276,9 +284,10 @@ def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact) -> tuple[np.ndarray, np.n
     coeffs = _nodal_coefficients(mesh, coeffs)
     lead = coeffs.shape[:-1]
     area, grads = _triangle_geometry(mesh)
-    pts, shapes, wq = _quad_points(mesh, 5)
+    shapes, wq = _reference_rule(5)
     nt, nq = mesh.n_triangles, wq.size
-    values, gradients = (np.asarray(e, dtype=float) for e in exact(pts.reshape(-1, 2)))
+    pts = (shapes @ mesh.nodes[mesh.triangles]).reshape(-1, 2)
+    values, gradients = (np.asarray(e, dtype=float) for e in exact(pts))
     want = lead + (nt * nq,)
     if values.shape != want or gradients.shape != want + (2,):
         raise ValueError(f"need exact values of shape {want} and gradients of shape "

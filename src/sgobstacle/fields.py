@@ -1,4 +1,4 @@
-"""Parametric coefficient fields, their spatial data and the parameter draw.
+"""Parametric coefficient fields and their spatial data.
 
 An affine field is mu(x) + sum_k c_k phi_k(x) y_{d_k}; several modes may
 attach to the same parameter dimension.  Non-affine parametric fields and
@@ -30,7 +30,6 @@ __all__ = [
     "at_points",
     "bounds_check",
     "lift",
-    "sample_parameters",
     "spatial_data",
 ]
 
@@ -167,17 +166,3 @@ def lift(op: P1Operator, dirichlet, y_points: np.ndarray, K_ib: np.ndarray):
         D[:] = dirichlet(x_boundary, y_points)
     return D, op.coupling.apply(K_ib, D)
 
-
-def scenario_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one sample, reproducible from (seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def sample_parameters(densities, seed: int, index: int) -> np.ndarray:
-    """Draw one parameter vector y, one entry per density.
-
-    The stream depends only on (seed, index), so samples can be drawn in
-    any order.
-    """
-    rng = scenario_rng(seed, index)
-    return np.array([rho.sample(rng, 1)[0] for rho in densities])

@@ -1,7 +1,7 @@
 """Monte Carlo baseline: sample, assemble, solve, accumulate running moments.
 
-Each sample draws an independent parameter vector from its own RNG stream
-(derived from seed and sample index), so the draws do not depend on how
+A run draws its parameter rows from one RNG stream, seeded by its seed,
+one block per call (``param.draw``), so the draws do not depend on how
 samples are grouped.  Samples are solved in blocks: a block of B samples
 is one block-diagonal LCP whose diagonal block j is the obstacle problem at
 the j-th parameter row, solved with the configured LCP solver from the
@@ -22,7 +22,7 @@ one sample).  The cap keeps the working set of the band Cholesky small:
 blocks of 16384 nodes raised the peak memory of a run, 4096 did not.  One
 sample that does not converge (a coefficient that is not positive at the
 drawn point, say) fails its whole block, so a failed block is solved again
-one sample at a time and failures stay counted per sample.
+one sample at a time on its own rows, and failures stay counted per sample.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import P1Operator
-from .fields import at_points, lift, sample_parameters, spatial_data
+from .fields import at_points, lift, spatial_data
 from .lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                   solve_lcp)
 from .mesh import Mesh
+from .param import draw
 
 __all__ = ["MCAccumulator", "MCResult", "mc_run"]
 
@@ -130,9 +131,10 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     """Run the Monte Carlo baseline and return accumulated nodal moments.
 
     ``fields`` maps 'a', 'f', 'g' to AffineFields or parametric callables;
-    ``densities`` is one Density1D per parameter dimension.  Samples whose
-    LCP solve does not converge are skipped and counted; more than 0.1%
-    failures raise ``SolverNotConverged``.
+    ``densities`` is one Density1D per parameter dimension, drawn from
+    ``np.random.default_rng(seed)``.  Samples whose LCP solve does not
+    converge are skipped and counted; more than 0.1% failures raise
+    ``SolverNotConverged``.
     """
     if solver is None:
         solver = SolverConfig(method="active-set")
@@ -140,6 +142,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     sampler = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"], dirichlet,
                              len(densities))
     block = max(1, MC_BLOCK_NODES // mesh.interior.size)
+    rng = np.random.default_rng(seed)
     setup_seconds = time.perf_counter() - t_setup
 
     acc = MCAccumulator()
@@ -163,9 +166,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
 
     t_loop = time.perf_counter()
     for start in range(0, n_samples, block):
-        Y = np.array([sample_parameters(densities, seed, idx)
-                      for idx in range(start, min(start + block, n_samples))])
-        n_failed += solve_block(Y)
+        n_failed += solve_block(draw(densities, rng, min(block, n_samples - start)))
     loop_seconds = time.perf_counter() - t_loop
 
     if n_failed > MAX_FAILURE_FRACTION * n_samples:

@@ -4,17 +4,18 @@ The parametric domain is a box, discretized per dimension by a partition
 into cells carrying piecewise linear hat functions.  The tensor products of
 these hats form the multilinear basis; all inner products are taken with the
 product probability density.  Each density is the law of y = map(xi) with
-xi uniform on an interval, so every integral against it (the hat
-Gramians and the reference statistics of ``stats``) is one composite
-Gauss-Legendre rule in xi, ``Density1D.rule``, on the cached points of
-``gauss_legendre``, and every draw is map(xi) of a uniform draw.  The hats
-sum to one, so the means E[y_d] are the entry sums of the y-weighted
-factors, ``Gramians.mass_y[d].sum()``, and need no rule of their own.  A
-tensor Gramian is kept as its 1-D factors and applied one dimension at a
-time (``kron_apply``); the same product of the hat values at other points
-(``hat_values``) evaluates the multilinear interpolant there.  Every
-product over the parameter dimensions is empty when there are none
-(M = 0, deterministic data): one node, unit weight and identity Gramians.
+xi uniform on an interval, map being ``Density1D.to_y``, so every integral
+against it (the hat Gramians and the reference statistics of ``stats``) is
+one composite Gauss-Legendre rule in xi, ``Density1D.rule``, on the cached
+points of ``gauss_legendre``, and every draw (``draw``) is map(xi) of
+uniform doubles.  The hats sum to one, so the means E[y_d] are the entry
+sums of the y-weighted factors, ``Gramians.mass_y[d].sum()``, and need no
+rule of their own.  A tensor Gramian is kept as its 1-D factors and
+applied one dimension at a time (``kron_apply``); the same product of the
+hat values at other points (``hat_values``) evaluates the multilinear
+interpolant there.  Every product over the parameter dimensions is empty
+when there are none (M = 0, deterministic data): one node, unit weight and
+identity Gramians.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "Gramians",
     "build_param_grid",
     "deterministic_grid",
+    "draw",
     "assemble_gramians",
     "hat_values",
 ]
@@ -104,8 +106,8 @@ class Density1D:
     ``uniform`` and exp for ``exp-uniform``.
 
     In xi the density is the constant 1 / (hi - lo), so every integral and
-    every draw is taken in xi, and the weights of a rule sum to one by
-    construction.
+    every draw is taken in xi and mapped by ``to_y``, and the weights of a
+    rule sum to one by construction.
     """
 
     kind: str
@@ -119,11 +121,14 @@ class Density1D:
         if not (d > c and self.hi - self.lo < math.inf):
             raise ValueError(f"empty or unbounded support ({c}, {d})")
 
+    def to_y(self, xi):
+        """y = map(xi), elementwise."""
+        return _MAPS[self.kind][0](xi)
+
     @property
     def support(self) -> tuple[float, float]:
         """The interval (map(lo), map(hi)) of y."""
-        to_y = _MAPS[self.kind][0]
-        return float(to_y(self.lo)), float(to_y(self.hi))
+        return float(self.to_y(self.lo)), float(self.to_y(self.hi))
 
     def rule(self, breaks: np.ndarray, n_pts: int) -> tuple[np.ndarray, np.ndarray]:
         """Composite Gauss-Legendre rule with ``n_pts`` points on the xi
@@ -132,7 +137,7 @@ class Density1D:
         shape (cells, pieces * n_pts).  Every cell is cut into the same
         number of equal pieces in xi, the fewest that keep each piece within
         the span of the map (one piece for ``uniform``)."""
-        to_y, to_xi, span = _MAPS[self.kind]
+        _, to_xi, span = _MAPS[self.kind]
         xi = to_xi(breaks)
         pieces = max(1, math.ceil(float(np.max(np.diff(xi))) / span))
         t = np.linspace(0.0, 1.0, pieces + 1)
@@ -141,12 +146,8 @@ class Density1D:
         half = 0.5 * (b - a)
         gx, gw = gauss_legendre(n_pts)
         shape = (len(xi) - 1, pieces * n_pts)
-        return (to_y(0.5 * (a + b) + half * gx).reshape(shape),
+        return (self.to_y(0.5 * (a + b) + half * gx).reshape(shape),
                 (half * gw / (self.hi - self.lo)).reshape(shape))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws of y, map(xi) of uniform draws of xi."""
-        return _MAPS[self.kind][0](rng.uniform(self.lo, self.hi, n))
 
     @staticmethod
     def uniform(c: float, d: float) -> "Density1D":
@@ -214,6 +215,18 @@ def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int])
 def deterministic_grid() -> ParamGrid:
     """Zero-dimensional grid: a single parameter node with unit weight."""
     return ParamGrid(densities=(), breakpoints=())
+
+
+def draw(densities: Sequence[Density1D], rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of the parameter vector, one row each: (n, M), (n, 0) without
+    densities.  Column d is to_y(lo_d + (hi_d - lo_d) u) of uniform doubles
+    u, the arithmetic of ``rng.uniform``; row i takes the doubles i M to
+    i M + M - 1 of the stream, so rows do not depend on the split into calls.
+    """
+    y = rng.random((n, len(densities)))
+    for d, rho in enumerate(densities):
+        y[:, d] = rho.to_y(rho.lo + (rho.hi - rho.lo) * y[:, d])
+    return y
 
 
 @dataclass(frozen=True)

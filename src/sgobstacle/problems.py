@@ -1,15 +1,17 @@
 """Built-in obstacle problems and the field registry for custom configs.
 
-Both built-in problems have two parameter dimensions driven by uniform
-variables xi on (-1, 1) entering through y = exp(xi), manufactured exact
-solutions with a circular contact set, and Dirichlet data taken from the
-exact solution (which is nonzero on the boundary of the domain).
+Both built-in problems have two parameter dimensions y_k = exp(xi_k) with
+xi_k uniform on (-1, 1), manufactured exact solutions with a circular
+contact set, and Dirichlet data taken from the exact solution (which is
+nonzero on the boundary of the domain).  Each is written once, affine in y;
+``_parameterized`` derives its form in xi (not affine) through the maps
+``Density1D.to_y`` of its densities.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -22,6 +24,8 @@ from .stats import ParametricFunction
 
 __all__ = ["Problem", "get_problem", "example1", "example2", "spatial_from_spec",
            "density_from_spec", "problem_from_config"]
+
+SPAN = np.e - 1.0 / np.e  # width of the support (1/e, e) of y = exp(xi)
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,34 @@ class Problem:
         return all(isinstance(self.fields[k], AffineField) for k in ("a", "f", "g"))
 
 
-def _one(x):
-    return np.ones(x.shape[0])
+def _parameterized(problem: Problem, parameterization: str) -> Problem:
+    """A built-in problem as written (``exp``) or in the variables xi of its
+    densities, y = to_y(xi) (``xi``): each density becomes the uniform law
+    of its xi, a field with modes the callable (x, xi) -> mean + to_y(xi) @
+    modes (one without modes stays affine), and psi becomes psi(to_y(xi)),
+    which also gives the Dirichlet data."""
+    if parameterization == "exp":
+        return problem
+    if parameterization != "xi":
+        raise ValueError(f"unknown parameterization {parameterization!r}")
+    densities = problem.densities
+
+    def to_y(xi):
+        return np.stack([rho.to_y(xi[..., d]) for d, rho in enumerate(densities)], -1)
+
+    def of_xi(fld: AffineField):
+        def values(x, xi):
+            terms = fld.terms(x, len(densities))
+            return terms[0] + to_y(xi) @ terms[1:]
+        return values if fld.modes else fld
+
+    psi = problem.exact.param
+    exact = replace(problem.exact, param=lambda xi: psi(to_y(xi)))
+    return replace(
+        problem, parameterization="xi",
+        densities=tuple(Density1D.uniform(rho.lo, rho.hi) for rho in densities),
+        fields={key: of_xi(fld) for key, fld in problem.fields.items()},
+        dirichlet=exact.value, exact=exact)
 
 
 def _rho(x):
@@ -75,36 +105,15 @@ def example1(parameterization: str = "exp") -> Problem:
     def inv_denom(y):
         return 1.0 / (1.0 + y[..., 0] + 2.0 * y[..., 1])
 
-    rect = (-1.5, 1.5, -1.5, 1.5)
-    span = np.e - 1.0 / np.e
-    if parameterization == "exp":
-        fields = {
-            "a": AffineField.build(1.0, [(1.0, _one, 0), (2.0, _one, 1)]),
-            "f": AffineField.build(-2.0),
-            "g": AffineField.build(0.0),
-        }
-        exact = ParametricFunction(space=w_profile, param=inv_denom, space_grad=w_grad)
-        densities = (Density1D.exp_uniform(), Density1D.exp_uniform())
-    elif parameterization == "xi":
-        def a_xi(x, xi):
-            a = 1.0 + np.exp(xi[..., 0]) + 2.0 * np.exp(xi[..., 1])
-            return a[..., None] + 0.0 * x[:, 0]
-
-        fields = {
-            "a": a_xi,
-            "f": AffineField.build(-2.0),
-            "g": AffineField.build(0.0),
-        }
-        exact = ParametricFunction(space=w_profile, param=lambda xi: inv_denom(np.exp(xi)),
-                                   space_grad=w_grad)
-        densities = (Density1D.uniform(-1.0, 1.0), Density1D.uniform(-1.0, 1.0))
-    else:
-        raise ValueError(f"unknown parameterization {parameterization!r}")
-    return Problem(
-        name="example1", rect=rect, n_dims=2, parameterization=parameterization,
-        densities=densities, fields=fields, dirichlet=exact.value, exact=exact,
-        h_over_s=3.0 / (2.0 * span),
-    )
+    exact = ParametricFunction(space=w_profile, param=inv_denom, space_grad=w_grad)
+    return _parameterized(Problem(
+        name="example1", rect=(-1.5, 1.5, -1.5, 1.5), n_dims=2, parameterization="exp",
+        densities=(Density1D.exp_uniform(), Density1D.exp_uniform()),
+        fields={"a": AffineField.build(1.0, [(1.0, 1.0, 0), (2.0, 1.0, 1)]),
+                "f": AffineField.build(-2.0),
+                "g": AffineField.build(0.0)},
+        dirichlet=exact.value, exact=exact, h_over_s=3.0 / (2.0 * SPAN),
+    ), parameterization)
 
 
 def example2(parameterization: str = "exp") -> Problem:
@@ -130,35 +139,15 @@ def example2(parameterization: str = "exp") -> Problem:
     def scale(y):
         return y[..., 0] + 2.0 * y[..., 1]
 
-    rect = (-1.0, 1.0, -1.0, 1.0)
-    span = np.e - 1.0 / np.e
-    if parameterization == "exp":
-        fields = {
-            "a": AffineField.build(1.0),
-            "f": AffineField.build(0.0, [(1.0, f_profile, 0), (2.0, f_profile, 1)]),
-            "g": AffineField.build(0.0),
-        }
-        exact = ParametricFunction(space=u_profile, param=scale, space_grad=u_profile_grad)
-        densities = (Density1D.exp_uniform(), Density1D.exp_uniform())
-    elif parameterization == "xi":
-        def f_xi(x, xi):
-            return f_profile(x) * (np.exp(xi[..., 0]) + 2.0 * np.exp(xi[..., 1]))[..., None]
-
-        fields = {
-            "a": AffineField.build(1.0),
-            "f": f_xi,
-            "g": AffineField.build(0.0),
-        }
-        exact = ParametricFunction(space=u_profile, param=lambda xi: scale(np.exp(xi)),
-                                   space_grad=u_profile_grad)
-        densities = (Density1D.uniform(-1.0, 1.0), Density1D.uniform(-1.0, 1.0))
-    else:
-        raise ValueError(f"unknown parameterization {parameterization!r}")
-    return Problem(
-        name="example2", rect=rect, n_dims=2, parameterization=parameterization,
-        densities=densities, fields=fields, dirichlet=exact.value, exact=exact,
-        h_over_s=1.0 / span,
-    )
+    exact = ParametricFunction(space=u_profile, param=scale, space_grad=u_profile_grad)
+    return _parameterized(Problem(
+        name="example2", rect=(-1.0, 1.0, -1.0, 1.0), n_dims=2, parameterization="exp",
+        densities=(Density1D.exp_uniform(), Density1D.exp_uniform()),
+        fields={"a": AffineField.build(1.0),
+                "f": AffineField.build(0.0, [(1.0, f_profile, 0), (2.0, f_profile, 1)]),
+                "g": AffineField.build(0.0)},
+        dirichlet=exact.value, exact=exact, h_over_s=1.0 / SPAN,
+    ), parameterization)
 
 
 _BUILTINS = {"example1": example1, "example2": example2}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import integer, known_keys, number, shown
-from .fem import _quad_points, evaluate_p1, p1_distance
+from .fem import assembly_points, evaluate_p1, p1_distance
 from .fields import AffineField, bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
 from .mc import mc_run
@@ -175,8 +175,8 @@ def _check_well_posed(problem: Problem, levels: list[Level], errors: list) -> No
     custom problem) the obstacle g must not exceed 0 on the boundary, or no
     function of H^1_0 lies above it.  Both ranges are taken over the
     parameter box (``fields.bounds_check``) on each level's mesh, built one
-    at a time: a at the nodes and at the degree-2 quadrature points of the
-    assembly, g at the boundary nodes.  The checks are discrete: a can
+    at a time: a at the nodes and at the quadrature points of the assembly
+    (``fem.assembly_points``), g at the boundary nodes.  The checks are discrete: a can
     still dip below zero between these points.
     """
     a, g = problem.fields["a"], problem.fields["g"]
@@ -189,7 +189,7 @@ def _check_well_posed(problem: Problem, levels: list[Level], errors: list) -> No
             mesh = build_uniform_mesh(problem.rect, nx, ny)
             if check_a:
                 what = "coefficient a"
-                for points in (mesh.nodes, _quad_points(mesh, 2)[0].reshape(-1, 2)):
+                for points in (mesh.nodes, assembly_points(mesh)):
                     a_lo = np.minimum(a_lo, bounds_check(a, supports, points).lo)
             if check_g:
                 what = "obstacle g"

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sgobstacle.fem import (P1Operator, SpatialFunction, assemble_load, assemble_mass,
-                            assemble_weighted_stiffness, evaluate_p1,
+                            assemble_weighted_stiffness, assembly_points, evaluate_p1,
                             interpolate_nodal, norm_error, p1_distance)
 from sgobstacle.mesh import build_uniform_mesh, triangle_quadrature
 
@@ -134,6 +134,17 @@ class TestOperator:
         assert_allclose(op.coupling.apply(op.coupling.data(op.integrals(values[0])), v),
                         coupling @ v, rtol=1e-13)
 
+
+    def test_assembly_points(self):
+        # the points of the degree-2 rule on each triangle, triangle by
+        # triangle: the points at which the operator reads its data
+        mesh = build_uniform_mesh((-0.5, 1.5, 0.0, 0.75), 4, 3)
+        points = assembly_points(mesh)
+        assert np.array_equal(points, P1Operator(mesh).points)
+        rule = triangle_quadrature(2)
+        ref = [np.array([1.0 - s - t, s, t]) @ mesh.nodes[tri]
+               for tri in mesh.triangles for s, t in rule.points]
+        assert_allclose(points, ref, rtol=0, atol=1e-15)
 
 class TestInterpolationAndEvaluation:
     def test_interpolate_nodal(self):

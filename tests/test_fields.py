@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sgobstacle.fields import AffineField, bounds_check, sample_parameters
-from sgobstacle.param import Density1D
+from sgobstacle.fields import AffineField, bounds_check
+from sgobstacle.param import Density1D, draw
 
 E = np.e
 EY = (E - 1.0 / E) / 2.0
@@ -88,25 +88,31 @@ class TestBounds:
 
 class TestScenarios:
     def test_deterministic_in_seed_and_index(self):
+        # row i of a run's draws depends only on the seed and on i
         _, densities = two_fields()
-        y1 = sample_parameters(densities, seed=42, index=7)
-        y2 = sample_parameters(densities, seed=42, index=7)
-        assert y1.shape == (2,)
-        assert_allclose(y1, y2, rtol=0)
-        y3 = sample_parameters(densities, seed=42, index=8)
-        assert not np.allclose(y1, y3)
+        Y = draw(densities, np.random.default_rng(42), 10)
+        assert Y.shape == (10, 2)
+        assert_allclose(draw(densities, np.random.default_rng(42), 8)[7], Y[7], rtol=0)
+        assert not np.allclose(Y[7], Y[8])
+        assert not np.allclose(draw(densities, np.random.default_rng(43), 8)[7], Y[7])
 
-    def test_order_independent_streams(self):
-        # stream i must not depend on how many draws happened before it
-        _, densities = two_fields()
-        ys = [sample_parameters(densities, 0, i) for i in range(5)]
-        ys_rev = [sample_parameters(densities, 0, i) for i in reversed(range(5))]
-        for y, yr in zip(ys, reversed(ys_rev)):
-            assert_allclose(y, yr, rtol=0)
+    @pytest.mark.parametrize("n_dims", [1, 2])
+    def test_rows_do_not_depend_on_the_block_split(self, n_dims):
+        # 37 rows and then 63 from one stream are the 100 rows of one call
+        densities = (Density1D.exp_uniform(), Density1D.uniform(-0.5, 2.0))[:n_dims]
+        whole = draw(densities, np.random.default_rng(0), 100)
+        rng = np.random.default_rng(0)
+        split = np.vstack([draw(densities, rng, 37), draw(densities, rng, 63)])
+        assert np.array_equal(split, whole)
+
+    def test_no_densities_draw_empty_rows(self):
+        rng = np.random.default_rng(0)
+        assert draw((), rng, 5).shape == (5, 0)
+        # and take no doubles from the stream
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_sample_mean_near_expectation(self):
         _, densities = two_fields()
-        draws = np.array([sample_parameters(densities, seed=9, index=i)
-                          for i in range(4000)])
+        draws = draw(densities, np.random.default_rng(9), 4000)
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - EY) < 4 * se)

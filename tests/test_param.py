@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sgobstacle.param import (Density1D, _hat_factors_1d, assemble_gramians,
-                              build_param_grid, deterministic_grid, gauss_legendre,
-                              hat_values, kron_apply, tensor_points)
+                              build_param_grid, deterministic_grid, draw,
+                              gauss_legendre, hat_values, kron_apply, tensor_points)
 from sgobstacle.stats import tensor_quadrature
 
 E = np.e
@@ -59,8 +59,7 @@ class TestDensities:
 
     def test_sampling_matches_law(self):
         rho = Density1D.exp_uniform()
-        rng = np.random.default_rng(11)
-        draws = rho.sample(rng, 100_000)
+        draws = draw([rho], np.random.default_rng(11), 100_000)[:, 0]
         assert draws.min() >= rho.support[0]
         assert draws.max() <= rho.support[1]
         # 3 sigma band around the exact mean
@@ -70,7 +69,7 @@ class TestDensities:
     @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-0.5, 2.0)])
     def test_samples_are_exp_of_uniform_draws(self, lo, hi):
         # the Monte Carlo draws of an exp-uniform law, bit for bit
-        got = Density1D.exp_uniform(lo, hi).sample(np.random.default_rng(5), 1000)
+        got = draw([Density1D.exp_uniform(lo, hi)], np.random.default_rng(5), 1000)[:, 0]
         want = np.exp(np.random.default_rng(5).uniform(lo, hi, 1000))
         assert np.array_equal(got, want)
 

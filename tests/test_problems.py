@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sgobstacle.fields import bounds_check
+from sgobstacle.fields import at_points, bounds_check
+from sgobstacle.mesh import build_uniform_mesh
+from sgobstacle.param import build_param_grid, draw, tensor_points
 from sgobstacle.problems import (density_from_spec, example1, example2,
                                  get_problem, problem_from_config,
                                  spatial_from_spec)
@@ -163,7 +165,7 @@ def test_exact_solution_evaluates_parameter_blocks(make, parameterization):
     prob = make(parameterization)
     rng = np.random.default_rng(10)
     x = ring_points(rng, 0.0, 1.4, n=40)
-    ys = np.column_stack([rho.sample(rng, 9) for rho in prob.densities])
+    ys = draw(prob.densities, rng, 9)
     values = prob.exact.value(x, ys)
     grads = prob.exact.grad(x, ys)
     assert values.shape == (9, 40)
@@ -173,6 +175,24 @@ def test_exact_solution_evaluates_parameter_blocks(make, parameterization):
     assert_allclose(grads, np.stack([prob.exact.grad(x, y) for y in ys]),
                     rtol=1e-14)
 
+
+@pytest.mark.parametrize("make", [example1, example2])
+@pytest.mark.parametrize("parameterization", ["exp", "xi"])
+def test_dirichlet_data_lie_on_or_above_the_obstacle(make, parameterization):
+    # data below g on the boundary would leave no admissible function; the
+    # built-ins have g = 0 and data phi(x) psi(y) with phi >= 0 and psi > 0,
+    # checked at the vertices of the parameter box and at the grid nodes
+    prob = make(parameterization)
+    mesh = build_uniform_mesh(prob.rect, 8)
+    x = mesh.nodes[mesh.boundary]
+    vertices = tensor_points([np.array(rho.support) for rho in prob.densities])
+    Y = np.vstack([vertices, build_param_grid(prob.densities, 4).nodes()])
+    data = prob.dirichlet(x, Y)
+    obstacle = at_points(prob.fields["g"], x, prob.n_dims)(Y)
+    assert data.shape == obstacle.shape == (len(Y), len(x))
+    assert np.all(data >= obstacle) and np.any(data > obstacle)
+    if parameterization == "xi":  # the derived data are the exp data at y = exp(xi)
+        assert_allclose(data, make("exp").dirichlet(x, np.exp(Y)), rtol=1e-14)
 
 class TestRegistry:
     def test_get_problem(self):

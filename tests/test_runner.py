@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from sgobstacle import fem, param
 from sgobstacle.cli import main as cli_main
-from sgobstacle.fem import norm_error
+from sgobstacle.fem import assemble_load, assemble_weighted_stiffness, norm_error
+from sgobstacle.lcp import SolverConfig, SparseObstacleSystem, active_set_solve
+from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.runner import (TABLE_HEADER, ConfigError, ErrorTable,
                                SolverNotConverged, TableRow, load_config,
                                run_convergence, run_mc, run_single,
@@ -656,13 +658,13 @@ def test_errors_build_the_spatial_quadrature_once(monkeypatch):
                            "quad_order": 8})
     mesh, _, system, u, _, _ = _solve_level(cfg, cfg.levels[0])
     calls = []
-    for name in ("_quad_points", "_triangle_geometry"):
+    for name in ("_reference_rule", "_triangle_geometry"):
         def counted(*args, name=name, fn=getattr(fem, name)):
             calls.append(name)
             return fn(*args)
         monkeypatch.setattr(fem, name, counted)
     convergence_errors(mesh, system, u, cfg.problem.exact, cfg.problem.densities, 8)
-    assert sorted(calls) == ["_quad_points", "_triangle_geometry"]
+    assert sorted(calls) == ["_reference_rule", "_triangle_geometry"]
 
 
 class TestRunSingle:
@@ -796,6 +798,31 @@ class TestCLI:
         assert cli_main(["-q", "mc", path]) == 2
         assert capsys.readouterr().err.startswith(
             "solver failure: 8 of 8 sample solves failed to converge")
+
+    def test_mc_without_parameter_dimensions(self, tmp_path):
+        # with no densities every sample is the one deterministic problem
+        # and draws an empty parameter row: the run exits 0, its variance is
+        # zero and its mean is that solve
+        cfg = {"problem": "custom", "mode": "mc", "schedule": {"levels": [[5, 1]]},
+               "solver": {"method": "active-set", "tol": 1e-12},
+               "custom": {"domain": [0.0, 1.0, 0.0, 1.0], "densities": [],
+                          "fields": {"a": 1.0, "f": -4.0, "g": -0.05}},
+               "mc": {"n_samples": 6, "seed": 0, "level": 0},
+               "output_dir": str(tmp_path / "out")}
+        assert cli_main(["-q", "mc", self.write_config(tmp_path, cfg)]) == 0
+
+        def column(name):
+            rows = (tmp_path / "out" / f"custom_mc_{name}.csv").read_text().splitlines()
+            return np.array([float(r.split(",")[2]) for r in rows[1:]])
+
+        mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 5)
+        ii = mesh.interior
+        K = assemble_weighted_stiffness(mesh)[ii][:, ii]
+        u, _ = active_set_solve(SparseObstacleSystem(K, assemble_load(mesh, -4.0)[ii]),
+                                np.full(ii.size, -0.05), SolverConfig(tol=1e-12))
+        assert np.any(u == -0.05)  # the obstacle binds
+        assert np.all(np.abs(column("variance")) <= 1e-30)  # zero up to roundoff
+        np.testing.assert_allclose(column("mean")[ii], u, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("command", ["solve", "converge"])
     def test_galerkin_subcommands_require_sg_mode(self, tmp_path, capsys, command):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from sgobstacle.fem import p1_distance
 from sgobstacle.fields import AffineField
 from sgobstacle.mesh import build_uniform_mesh
-from sgobstacle.param import Density1D, build_param_grid, hat_values
+from sgobstacle.param import Density1D, build_param_grid, draw, hat_values
 from sgobstacle.problems import example1, example2
 from sgobstacle.runner import _solve_level, convergence_errors, validate_config
 from sgobstacle.stats import (ParametricFunction, exact_statistic, sg_mean,
@@ -181,9 +181,7 @@ class TestGalerkinMoments:
 
         from sgobstacle.stats import _full_blocks
         blocks = _full_blocks(sys_, u)
-        rng = np.random.default_rng(99)
-        ys = np.column_stack([rho.sample(rng, 100_000)
-                              for rho in sys_.grid.densities])
+        ys = draw(sys_.grid.densities, np.random.default_rng(99), 100_000)
         # the weight of node (j0, j1) at a point is the product of its hats
         h0, h1 = (hat_values(b, y) for b, y in zip(sys_.grid.breakpoints, ys.T))
         weights = (h0[:, :, None] * h1[:, None, :]).reshape(len(ys), -1)
