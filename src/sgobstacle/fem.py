@@ -1,14 +1,12 @@
 """P1 finite element assembly and norms on triangular meshes.
 
-``P1Operator`` holds the linear assembly maps of one mesh (the CSR patterns
-of the interior and the interior-boundary node couplings with their
-stiffness maps, and the load map), so assembly is one sparse product for any
-number of coefficient rows.  Each map sums in a fixed order, so repeated
-runs produce bitwise-identical matrices.  The ``assemble_*`` functions work
-over all nodes and cut the all-nodes block from the same pattern code
-(``_stiffness_blocks``) when they are called.  ``evaluate_p1`` evaluates any
-number of P1 fields at once, and ``p1_distance`` is the one quadrature of
-L2 and H1-seminorm errors.
+``P1Operator`` is the one assembly path: it holds the linear maps of one
+mesh (the CSR patterns of the interior and the interior-boundary node
+couplings with their stiffness maps, and the load map), so assembly is one
+sparse product for any number of coefficient rows.  Each map sums in a
+fixed order, so repeated runs produce bitwise-identical matrices.
+``evaluate_p1`` evaluates any number of P1 fields at once, and
+``p1_distance`` is the one quadrature of L2 and H1-seminorm errors.
 """
 
 from __future__ import annotations
@@ -25,34 +23,22 @@ __all__ = [
     "Block",
     "P1Operator",
     "SpatialFunction",
-    "assemble_weighted_stiffness",
-    "assemble_mass",
-    "assemble_load",
     "assembly_points",
-    "interpolate_nodal",
     "evaluate_p1",
-    "norm_error",
     "p1_distance",
 ]
 
 
 @dataclass(frozen=True)
 class SpatialFunction:
-    """A scalar function of x = (x1, x2) with an optional gradient.
-
-    ``values`` maps an (n, 2) point array to an (n,) array; ``grad`` maps it
-    to an (n, 2) array.
-    """
+    """A scalar function of x = (x1, x2): ``values`` maps an (n, 2) point
+    array to an (n,) array."""
 
     values: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
 
     @staticmethod
     def constant(c: float) -> "SpatialFunction":
-        return SpatialFunction(
-            values=lambda x: np.full(x.shape[0], float(c)),
-            grad=lambda x: np.zeros((x.shape[0], 2)),
-        )
+        return SpatialFunction(values=lambda x: np.full(x.shape[0], float(c)))
 
 
 def as_spatial_function(f) -> SpatialFunction:
@@ -95,12 +81,6 @@ def assembly_points(mesh: Mesh) -> np.ndarray:
     """The points (n_triangles * nq, 2), triangle by triangle, at which
     ``P1Operator`` takes the values of coefficients and sources."""
     return (_reference_rule(ASSEMBLY_DEGREE)[0] @ mesh.nodes[mesh.triangles]).reshape(-1, 2)
-
-
-def _eval_weight(weight, pts_flat: np.ndarray) -> np.ndarray:
-    """Weight values at the points; None is the unit weight."""
-    weight = as_spatial_function(1.0 if weight is None else weight)
-    return np.asarray(weight.values(pts_flat), dtype=float)
 
 
 def _columns(rows: np.ndarray, values: np.ndarray, n_rows: int) -> sp.csr_array:
@@ -149,25 +129,27 @@ class Block:
                             shape=(B * n, B * m))
 
 
-def _stiffness_blocks(mesh: Mesh, grads: np.ndarray, *node_sets) -> list[Block]:
-    """One ``Block`` per (row nodes, column nodes) pair in ``node_sets``,
-    cut from the pattern of all node couplings and its stiffness map, whose
-    column t holds the gradient products ``grads`` of triangle t."""
+def _stiffness_blocks(mesh: Mesh, grads: np.ndarray) -> tuple[Block, Block]:
+    """The couplings of the interior nodes with the interior and with the
+    boundary nodes, cut from the pattern of all node couplings and its
+    stiffness map, whose column t holds the gradient products ``grads`` of
+    triangle t."""
     tri, n, nt = mesh.triangles, mesh.n_nodes, mesh.n_triangles
     pairs, slot = np.unique((tri[:, :, None] * n + tri[:, None, :]).reshape(nt, 9),
                             return_inverse=True)
     S = _columns(slot.reshape(nt, 9), np.einsum("tid,tjd->tij", grads, grads), pairs.size)
+    rows, cols = pairs // n, pairs % n
+    number = np.empty(n, dtype=np.int64)  # a node's place in its own node set
+    for nodes in (mesh.interior, np.flatnonzero(mesh.boundary)):
+        number[nodes] = np.arange(nodes.size)
 
-    def block(row_nodes, col_nodes) -> Block:
-        number = np.full((2, n), -1)
-        number[0, row_nodes] = np.arange(row_nodes.size)
-        number[1, col_nodes] = np.arange(col_nodes.size)
-        r, c = number[0, pairs // n], number[1, pairs % n]
-        keep = np.flatnonzero((r >= 0) & (c >= 0))
-        indptr = np.append(0, np.cumsum(np.bincount(r[keep], minlength=row_nodes.size)))
-        return Block((row_nodes.size, col_nodes.size), indptr, c[keep], S[keep])
+    def block(on_boundary: bool) -> Block:
+        keep = np.flatnonzero(~mesh.boundary[rows] & (mesh.boundary[cols] == on_boundary))
+        n_rows, n_cols = mesh.interior.size, int(np.sum(mesh.boundary == on_boundary))
+        indptr = np.append(0, np.cumsum(np.bincount(number[rows[keep]], minlength=n_rows)))
+        return Block((n_rows, n_cols), indptr, number[cols[keep]], S[keep])
 
-    return [block(rows, cols) for rows, cols in node_sets]
+    return block(False), block(True)
 
 
 class P1Operator:
@@ -181,9 +163,7 @@ class P1Operator:
         area, grads = _triangle_geometry(mesh)
         self._shapes, self._wq = _reference_rule(ASSEMBLY_DEGREE)
         self.mesh, self.points, self._area2 = mesh, assembly_points(mesh), 2.0 * area
-        self.interior, self.coupling = _stiffness_blocks(
-            mesh, grads, (mesh.interior, mesh.interior),
-            (mesh.interior, np.flatnonzero(mesh.boundary)))
+        self.interior, self.coupling = _stiffness_blocks(mesh, grads)
         self._load = _columns(np.repeat(mesh.triangles, self._wq.size, axis=0),
                               self._area2[:, None, None] * self._wq[:, None] * self._shapes,
                               mesh.n_nodes)
@@ -196,40 +176,6 @@ class P1Operator:
     def load(self, values: np.ndarray) -> np.ndarray:
         """Load vectors (..., n_nodes) of source values (..., n_points) at ``points``."""
         return _apply(self._load, values)
-
-
-def assemble_weighted_stiffness(mesh: Mesh, weight=None) -> sp.csr_array:
-    """Assemble K with K[r, i] = integral of weight(x) grad(phi_i).grad(phi_r).
-
-    ``weight`` may be None (unit coefficient), a scalar, a callable on point
-    batches, or a SpatialFunction.  Returns a CSR matrix over all nodes.
-    """
-    op, nodes = P1Operator(mesh), np.arange(mesh.n_nodes)
-    (full,) = _stiffness_blocks(mesh, _triangle_geometry(mesh)[1], (nodes, nodes))
-    return full.csr(full.data(op.integrals(_eval_weight(weight, op.points))))
-
-
-def assemble_mass(mesh: Mesh, weight=None) -> sp.csr_array:
-    """Assemble M with M[r, i] = integral of weight(x) phi_i phi_r: the load
-    map times the weight at the quadrature points times the P1 basis there."""
-    op = P1Operator(mesh)
-    nq, nt = op._wq.size, mesh.n_triangles
-    basis = _columns(np.repeat(mesh.triangles, nq, axis=0), np.tile(op._shapes, (nt, 1)),
-                     mesh.n_nodes)
-    M = sp.csr_array(op._load.multiply(_eval_weight(weight, op.points)) @ basis.T)
-    M.sort_indices()
-    return M
-
-
-def assemble_load(mesh: Mesh, source) -> np.ndarray:
-    """Assemble f with f[r] = integral of source(x) phi_r, over all nodes."""
-    op = P1Operator(mesh)
-    return op.load(_eval_weight(source, op.points))
-
-
-def interpolate_nodal(mesh: Mesh, fn) -> np.ndarray:
-    """Nodal interpolant coefficients of a function (P1 interpolation)."""
-    return _eval_weight(fn, mesh.nodes)
 
 
 def _nodal_coefficients(mesh: Mesh, coeffs) -> np.ndarray:
@@ -298,20 +244,3 @@ def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact) -> tuple[np.ndarray, np.n
     diff = gradients.reshape(lead + (nt, nq, 2)) - guh[..., None, :]
     sq_grad = np.einsum("...tqd,...tqd,q->...t", diff, diff, wq)
     return tuple(np.sqrt(np.sum(2.0 * area * q, axis=-1)) for q in (sq, sq_grad))
-
-
-def norm_error(mesh: Mesh, coeffs: np.ndarray, exact, kind: str = "l2") -> float:
-    """Norm of (P1 field - exact) over the mesh, by ``p1_distance``.
-
-    kind = "l2" integrates the squared difference of values; kind = "h1semi"
-    integrates the squared difference of gradients and requires ``exact`` to
-    provide a gradient.
-    """
-    exact = as_spatial_function(exact)
-    if kind not in ("l2", "h1semi"):
-        raise ValueError(f"unknown norm kind {kind!r}")
-    if kind == "h1semi" and exact.grad is None:
-        raise ValueError("h1semi error needs an exact gradient")
-    grad = exact.grad or (lambda x: np.zeros((x.shape[0], 2)))
-    l2, h1 = p1_distance(mesh, coeffs, lambda x: (exact.values(x), grad(x)))
-    return float(l2 if kind == "l2" else h1)

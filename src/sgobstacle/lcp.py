@@ -2,15 +2,16 @@
 
 Systems are given as objects exposing ``n``, ``b``, ``matvec``, ``diag``,
 ``precond()`` (approximate inverse of A used by conjugate gradients),
-``reduced_precond(active)`` and ``explicit`` (CSR matrix or None); A must be
-symmetric positive definite.  ``reduced_precond`` takes the boolean mask of
-an active-set update and returns a full-length approximate inverse of the
-inactive block for vectors that are zero on the active entries.  Updates
-never leave the index space of A: masking the matvec and the
-preconditioner output holds the active entries at zero.  The Galerkin
-system returns its Kronecker preconditioner, which does not depend on the
-set; the plain sparse system solves the inactive block exactly by banded
-Cholesky, so each of its updates costs one conjugate gradient step.
+``reduced_precond(active)`` and ``explicit()`` (returns the CSR matrix, or
+None); A must be symmetric positive definite.  ``reduced_precond`` takes
+the boolean mask of an active-set update and returns a full-length
+approximate inverse of the inactive block for vectors that are zero on the
+active entries.  Updates never leave the index space of A: masking the
+matvec and the preconditioner output holds the active entries at zero.
+The Galerkin system returns its Kronecker preconditioner, which does not
+depend on the set; the plain sparse system solves the inactive block
+exactly by banded Cholesky, so each of its updates costs one conjugate
+gradient step.
 
 The active set method is an inexact semismooth Newton iteration: while the
 set still moves, an update's conjugate gradients stop at a relative target

@@ -199,16 +199,7 @@ def spatial_from_spec(spec) -> SpatialFunction:
                 out += c * x[:, 0] ** p * x[:, 1] ** q
             return out
 
-        def grad(x, terms=tuple(terms)):
-            out = np.zeros_like(x)
-            for c, p, q in terms:
-                if p > 0:
-                    out[:, 0] += c * p * x[:, 0] ** (p - 1) * x[:, 1] ** q
-                if q > 0:
-                    out[:, 1] += c * q * x[:, 0] ** p * x[:, 1] ** (q - 1)
-            return out
-
-        return SpatialFunction(values=values, grad=grad)
+        return SpatialFunction(values=values)
     raise ValueError(f"unknown spatial function kind {shown(kind)}")
 
 

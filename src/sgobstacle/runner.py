@@ -552,7 +552,9 @@ def run_single(cfg: ExperimentConfig, level_index: int):
 
 def run_mc(cfg: ExperimentConfig):
     """Monte Carlo run at the configured level; mode 'both' adds a Galerkin
-    run on the same mesh and reports the discrepancy and timing ratio."""
+    run on the same mesh and reports the discrepancy and timing ratio.
+    Raises SolverNotConverged after writing when that Galerkin run does not
+    converge."""
     problem = cfg.problem
     level = cfg.levels[cfg.mc_level]
     mesh = build_uniform_mesh(problem.rect, level.nx, level.ny)
@@ -596,4 +598,7 @@ def run_mc(cfg: ExperimentConfig):
         log.info("mc %.2fs vs sg %.2fs, mean gap %.3e", mc_seconds, sg_seconds, gap)
     with open(os.path.join(cfg.output_dir, f"{tag}_report.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
+    if cfg.mode == "both" and not report.converged:
+        raise SolverNotConverged(f"Galerkin level {cfg.mc_level} did not converge "
+                                 f"(residual {report.residual:.3e})")
     return result, payload

@@ -129,26 +129,13 @@ def exact_statistic(analytic: ParametricFunction, densities, moment: int = 1,
     """Spatial function x -> E[u(x, .)^moment] = E[psi^moment] phi(x)^moment.
 
     E[psi^moment] is one tensor quadrature (``psi_moments``), taken here
-    once.  The returned gradient is E[moment * u^(moment-1) grad u] and
-    requires ``analytic.space_grad``.  ``moment`` is an integer >= 1.
-    Intended for solutions smooth in y; 64 points per dimension leave the
-    parametric quadrature error far below the spatial discretization errors
-    studied here.
+    once.  ``moment`` is an integer >= 1.  Intended for solutions smooth in
+    y; 64 points per dimension leave the parametric quadrature error far
+    below the spatial discretization errors studied here.
     """
     moment = integer(moment, "moment", 1)
     (m,) = psi_moments(analytic, densities, quad_order, (moment,))
-
-    def values(x: np.ndarray) -> np.ndarray:
-        return m * analytic.space(np.atleast_2d(x)) ** moment
-
-    grad = None
-    if analytic.space_grad is not None:
-        def grad(x: np.ndarray) -> np.ndarray:
-            x = np.atleast_2d(x)
-            phi_pow = analytic.space(x) ** (moment - 1)
-            return (moment * m) * phi_pow[:, None] * analytic.space_grad(x)
-
-    return SpatialFunction(values=values, grad=grad)
+    return SpatialFunction(values=lambda x: m * analytic.space(np.atleast_2d(x)) ** moment)
 
 
 def write_stat_csv(field: StatField, path: str) -> None:

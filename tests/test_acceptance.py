@@ -14,9 +14,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sgobstacle.fem import (SpatialFunction, assemble_load, assemble_mass,
-                            assemble_weighted_stiffness, interpolate_nodal,
-                            norm_error)
+from sgobstacle.fem import P1Operator, p1_distance
 from sgobstacle.fields import AffineField
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
                             active_set_solve, brute_force_solve,
@@ -157,8 +155,9 @@ def test_criterion_6_degenerations():
                           AffineField.build(-8.0), AffineField.build(-0.04))
     u_sg, _ = solve_lcp(sys_det, sys_det.obs, cfg)
     ii = mesh.interior
-    K = assemble_weighted_stiffness(mesh)[ii][:, ii]
-    F = assemble_load(mesh, -8.0)[ii]
+    op = P1Operator(mesh)
+    K = op.interior.csr(op.interior.data(op.integrals(one(op.points))))
+    F = op.load(-8.0 * one(op.points))[ii]
     obs = np.full(len(ii), -0.04)
     u_fe, _ = active_set_solve(SparseObstacleSystem(K, F), obs, cfg)
     assert np.any(np.isclose(u_fe, -0.04))  # the obstacle binds somewhere
@@ -175,15 +174,18 @@ def test_criterion_6_degenerations():
 def test_criterion_7_interpolation_rates():
     # nodal interpolation of v = x1^2 + x1 x2: L2 error ratio 4.0 +- 0.2
     # and H1-seminorm ratio 2.0 +- 0.1 per mesh halving
-    v = SpatialFunction(
-        values=lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1],
-        grad=lambda x: np.column_stack([2 * x[:, 0] + x[:, 1], x[:, 0]]))
+    def v(x):
+        return x[:, 0] ** 2 + x[:, 0] * x[:, 1]
+
+    def v_grad(x):
+        return np.column_stack([2 * x[:, 0] + x[:, 1], x[:, 0]])
+
     errs = {"l2": [], "h1semi": []}
     for nx in (4, 8, 16):
         mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), nx)
-        coeffs = interpolate_nodal(mesh, v)
-        for kind in errs:
-            errs[kind].append(norm_error(mesh, coeffs, v, kind))
+        l2, h1 = p1_distance(mesh, v(mesh.nodes), lambda x: (v(x), v_grad(x)))
+        errs["l2"].append(l2)
+        errs["h1semi"].append(h1)
     for e_coarse, e_fine in zip(errs["l2"], errs["l2"][1:]):
         assert e_coarse / e_fine == pytest.approx(4.0, abs=0.2)
     for e_coarse, e_fine in zip(errs["h1semi"], errs["h1semi"][1:]):
@@ -215,11 +217,16 @@ def test_criterion_8_mc_consistency_and_timing():
     sg_seconds = time.perf_counter() - t1
     assert report.converged
 
-    err_mc = norm_error(mesh, res.mean, exact_mean, "l2")
-    err_sg = norm_error(mesh, sg_mean(system, u).values, exact_mean, "l2")
-    M = assemble_mass(mesh)
+    def no_gradient(x):
+        return np.zeros((x.shape[0], 2))
+
+    err_mc = p1_distance(mesh, res.mean, lambda x: (exact_mean.values(x), no_gradient(x)))[0]
+    err_sg = p1_distance(mesh, sg_mean(system, u).values,
+                         lambda x: (exact_mean.values(x), no_gradient(x)))[0]
+    # the L2 norm of the P1 field se: the degree-5 rule integrates P1^2
+    # exactly, so this is sqrt(se' M se) with M the mass matrix
     se = res.accumulator.standard_error()
-    se_l2 = float(np.sqrt(se @ (M @ se)))
+    se_l2 = p1_distance(mesh, se, lambda x: (np.zeros(x.shape[0]), no_gradient(x)))[0]
 
     assert err_mc <= 3.0 * se_l2 + 1.5 * err_sg
     assert sg_seconds < mc_seconds

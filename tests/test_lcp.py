@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sgobstacle.fem import assemble_weighted_stiffness
+from sgobstacle.fem import P1Operator
 from sgobstacle.fields import AffineField
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
                             _banded_cholesky_solver, _pcg, active_set_solve, brute_force_solve,
@@ -17,6 +17,12 @@ from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid
 from sgobstacle.problems import get_problem
 from sgobstacle.system import assemble_sg
+
+
+def unit_stiffness(mesh):
+    """The interior block of the P1 stiffness of the unit coefficient."""
+    op = P1Operator(mesh)
+    return op.interior.csr(op.interior.data(op.integrals(np.ones(len(op.points)))))
 
 
 def random_lcp(rng, n=8):
@@ -188,8 +194,7 @@ class TestReducedPrecond:
         if kind == "stiffness":
             # banded, with explicit zeros where the hypotenuse couplings vanish
             mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7)
-            ii = mesh.interior
-            A = assemble_weighted_stiffness(mesh)[ii][:, ii]
+            A = unit_stiffness(mesh)
             assert np.any(A.data == 0.0)
         else:
             A = sp.csr_array(random_lcp(rng, 12)[0])
@@ -317,7 +322,7 @@ class TestMulticolourPSOR:
     def test_colouring_counts_explicit_zeros(self):
         # the stored zeros of P1 stiffness still separate their rows
         mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7)
-        A = assemble_weighted_stiffness(mesh)[mesh.interior][:, mesh.interior]
+        A = unit_stiffness(mesh)
         assert np.any(A.data == 0.0)
         assert_first_fit_colouring(A, greedy_colouring(A))
 
@@ -528,7 +533,7 @@ class TestInexactUpdates:
         # one step, so every update is tight and no re-solve is added
         mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 16)
         ii = mesh.interior
-        A = assemble_weighted_stiffness(mesh)[ii][:, ii]
+        A = unit_stiffness(mesh)
         x = mesh.nodes[ii]
         obs = -0.02 - 0.05 * x[:, 0]
         system = SparseObstacleSystem(A, np.full(ii.size, -2.0 / 256))

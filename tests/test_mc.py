@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sgobstacle.mc as mc
-from sgobstacle.fem import P1Operator, assemble_load, assemble_weighted_stiffness
+from sgobstacle.fem import P1Operator
 from sgobstacle.fields import AffineField, affine_factors
 from sgobstacle.lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                             active_set_solve)
@@ -51,14 +51,17 @@ class TestAccumulator:
 
 
 def direct_sample_system(mesh, a_at, f_at, dirichlet, y):
-    """One sample system assembled directly at y: interior K, lifted load and
-    the boundary values."""
-    ii = mesh.interior
+    """One sample system assembled directly at y, from the operator's blocks
+    at the point values of a and f: interior K, lifted load and the
+    boundary values."""
+    op = P1Operator(mesh)
     bnd = np.flatnonzero(mesh.boundary)
-    K = assemble_weighted_stiffness(mesh, lambda x: a_at(x, y))
-    rhs = assemble_load(mesh, lambda x: f_at(x, y))[ii]
+    integrals = op.integrals(a_at(op.points, y))
+    K = op.interior.csr(op.interior.data(integrals))
+    K_ib = op.coupling.csr(op.coupling.data(integrals))
+    rhs = op.load(f_at(op.points, y))[mesh.interior]
     lift = np.zeros(bnd.size) if dirichlet is None else dirichlet(mesh.nodes[bnd], y)
-    return K[ii][:, ii], rhs - K[ii][:, bnd] @ lift, lift
+    return K, rhs - K_ib @ lift, lift
 
 
 class TestAffineSampler:
@@ -123,7 +126,6 @@ class TestAffineSampler:
         # zero keep the full pattern, explicit zeros included, and a
         # dimension without modes has a zero row
         mesh = build_uniform_mesh(RECT, 6)
-        ii = mesh.interior
         op = P1Operator(mesh)
         shapes = {1: lambda x: 0.5 * np.maximum(x[:, 0] - 0.5, 0.0),
                   2: lambda x: np.zeros(x.shape[0]), 4: lambda x: 0.3 * x[:, 1]}
@@ -135,7 +137,8 @@ class TestAffineSampler:
         for k, shape in [(0, None), *shapes.items()]:
             K = op.interior.csr(K_ii[k])
             assert K.nnz == op.interior.indices.size
-            direct = assemble_weighted_stiffness(mesh, shape)[ii][:, ii]
+            values = one(op.points) if shape is None else shape(op.points)
+            direct = op.interior.csr(op.interior.data(op.integrals(values)))
             assert_allclose(K.toarray(), direct.toarray(), rtol=1e-12, atol=1e-15)
 
 
@@ -166,8 +169,9 @@ class TestMCRun:
         assert np.max(res.variance()) <= 1e-12
 
         ii = mesh.interior
-        K = assemble_weighted_stiffness(mesh)[ii][:, ii]
-        F = assemble_load(mesh, -4.0)[ii]
+        op = P1Operator(mesh)
+        K = op.interior.csr(op.interior.data(op.integrals(one(op.points))))
+        F = op.load(-4.0 * one(op.points))[ii]
         obs = np.full(len(ii), -0.05)
         u, _ = active_set_solve(SparseObstacleSystem(K, F), obs, cfg)
         assert_allclose(res.mean[ii], u, atol=1e-11)

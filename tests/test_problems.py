@@ -220,7 +220,6 @@ class TestConfigSpecs:
                                 "terms": [[2.0, 1, 0], [1.0, 0, 2]]})
         x = np.array([[3.0, 2.0]])
         assert fn.values(x)[0] == pytest.approx(6.0 + 4.0)
-        assert_allclose(fn.grad(x), [[2.0, 4.0]])
 
     def test_bad_spatial_spec(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sgobstacle import fem, param
 from sgobstacle.cli import main as cli_main
-from sgobstacle.fem import assemble_load, assemble_weighted_stiffness, norm_error
+from sgobstacle.fem import P1Operator, p1_distance
 from sgobstacle.lcp import SolverConfig, SparseObstacleSystem, active_set_solve
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.runner import (TABLE_HEADER, ConfigError, ErrorTable,
@@ -565,8 +565,12 @@ class TestRunConvergence:
         exact_mean = exact_statistic(cfg.problem.exact, cfg.problem.densities,
                                      moment=1, quad_order=16)
         mean = sg_mean(system, u).values
-        direct = (norm_error(mesh, mean, exact_mean, "l2")
-                  / norm_error(mesh, np.zeros_like(mean), exact_mean, "l2"))
+
+        def exact_data(x):
+            return exact_mean.values(x), np.zeros((x.shape[0], 2))
+
+        direct = (p1_distance(mesh, mean, exact_data)[0]
+                  / p1_distance(mesh, np.zeros_like(mean), exact_data)[0])
         assert errs["eL2m1"] == pytest.approx(direct, rel=1e-10)
 
     def test_unconverged_level_raises_after_writing(self, tmp_path):
@@ -799,6 +803,23 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(
             "solver failure: 8 of 8 sample solves failed to converge")
 
+    def test_unconverged_galerkin_half_exits_two_after_writing(self, tmp_path, capsys):
+        # mode both: the Monte Carlo half succeeds, the Galerkin half stops
+        # after one active-set update; the report is written all the same
+        cfg = {"problem": "example1", "mode": "both",
+               "schedule": {"levels": [[8, 4]]},
+               "solver": {"method": "active-set", "max_iter": 1},
+               "mc": {"n_samples": 16, "seed": 0, "level": 0,
+                      "solver": {"method": "active-set"}},
+               "output_dir": str(tmp_path / "out")}
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "mc", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver failure: Galerkin level 0 did not converge")
+        report = json.loads((tmp_path / "out" / "example1_mc_report.json").read_text())
+        assert report["sg_converged"] is False
+        assert report["n_failed"] == 0
+
     def test_mc_without_parameter_dimensions(self, tmp_path):
         # with no densities every sample is the one deterministic problem
         # and draws an empty parameter row: the run exits 0, its variance is
@@ -817,8 +838,10 @@ class TestCLI:
 
         mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 5)
         ii = mesh.interior
-        K = assemble_weighted_stiffness(mesh)[ii][:, ii]
-        u, _ = active_set_solve(SparseObstacleSystem(K, assemble_load(mesh, -4.0)[ii]),
+        op = P1Operator(mesh)
+        ones = np.ones(len(op.points))
+        K = op.interior.csr(op.interior.data(op.integrals(ones)))
+        u, _ = active_set_solve(SparseObstacleSystem(K, op.load(-4.0 * ones)[ii]),
                                 np.full(ii.size, -0.05), SolverConfig(tol=1e-12))
         assert np.any(u == -0.05)  # the obstacle binds
         assert np.all(np.abs(column("variance")) <= 1e-30)  # zero up to roundoff

@@ -69,14 +69,6 @@ class TestExactStatistics:
         expected = 4.0 + 12.0 * EY + 9.0 * EY2
         assert m2.values(np.zeros((1, 2)))[0] == pytest.approx(expected, rel=1e-13)
 
-    def test_gradient_of_second_moment(self):
-        # u = x1 * y: E[2 u grad u] = 2 x1 E[y^2] * (1, 0)
-        fn = ParametricFunction(space=lambda x: x[:, 0], param=lambda y: y[..., 0],
-                                space_grad=lambda x: np.column_stack([one(x), 0.0 * one(x)]))
-        m2 = exact_statistic(fn, (Density1D.exp_uniform(),), moment=2)
-        x = np.array([[0.7, 0.1]])
-        assert_allclose(m2.grad(x), [[2 * 0.7 * EY2, 0.0]], rtol=1e-13)
-
     @pytest.mark.parametrize("moment", [0, -1, 1.5, 2.0, True, "2"])
     def test_moment_must_be_a_positive_integer(self, moment):
         fn = ParametricFunction(space=one, param=lambda y: y[..., 0])
@@ -126,10 +118,9 @@ class TestChunkedQuadrature:
         prob = make(parameterization)
         x = np.random.default_rng(11).uniform(-1.0, 1.0, (40, 2))
         stat = exact_statistic(prob.exact, prob.densities, moment, quad_order=9)
-        (ref_v,), (ref_g,) = per_node_moments(prob.exact, x, prob.densities, 9,
-                                              (moment,), with_grad=True)
+        (ref_v,), _ = per_node_moments(prob.exact, x, prob.densities, 9, (moment,),
+                                       with_grad=False)
         assert_allclose(stat.values(x), ref_v, rtol=1e-12)
-        assert_allclose(stat.grad(x), ref_g, rtol=1e-12)
 
     @pytest.mark.parametrize("problem", ["example1", "example2"])
     def test_convergence_errors_match_per_node_loop(self, problem):

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from sgobstacle import system
-from sgobstacle.fem import assemble_load, assemble_weighted_stiffness
+from sgobstacle.fem import P1Operator
 from sgobstacle.fields import AffineField
 from sgobstacle.lcp import SolverConfig, active_set_solve
 from sgobstacle.mesh import build_uniform_mesh
@@ -40,12 +40,12 @@ class TestDegenerateCases:
         f = AffineField.build(1.0)
         g = AffineField.build(0.0)
         sys_ = assemble_sg(mesh, grid, a, f, g)
-        K = assemble_weighted_stiffness(mesh, lambda x: 2.0 * one(x))
-        F = assemble_load(mesh, 1.0)
-        ii = mesh.interior
+        op = P1Operator(mesh)
+        K = op.interior.csr(op.interior.data(op.integrals(2.0 * one(op.points))))
+        F = op.load(one(op.points))
         assert sys_.n_param == 1
-        assert_allclose(sys_.explicit().toarray(), K[ii][:, ii].toarray(), atol=1e-14)
-        assert_allclose(sys_.b, F[ii], atol=1e-15)
+        assert_allclose(sys_.explicit().toarray(), K.toarray(), atol=1e-14)
+        assert_allclose(sys_.b, F[mesh.interior], atol=1e-15)
 
     def test_non_affine_coefficient_rejected(self):
         mesh = build_uniform_mesh(RECT, 3)
@@ -222,8 +222,8 @@ class TestKroneckerPreconditioner:
         def averaged(x):
             return 2.0 + sum(c * np.asarray(phi(x)) * GRID_MEANS[d] for c, phi, d in modes)
 
-        ii = mesh.interior
-        K_bar = assemble_weighted_stiffness(mesh, averaged)[ii][:, ii]
+        op = P1Operator(mesh)
+        K_bar = op.interior.csr(op.interior.data(op.integrals(averaged(op.points))))
         norm2 = frobenius(K_bar, K_bar)
         G = frobenius(sys_.K0, K_bar) / norm2 * sys_.gram.matrix(0)
         for k, Kk in enumerate(sys_.Kk, 1):
@@ -279,10 +279,11 @@ class TestRightHandSide:
 
         w0 = sys_.gram.g0.sum()          # discrete total mass, ~1
         w1 = sys_.gram.gk[0].sum()       # discrete E[y], ~(e - 1/e)/2
-        K = assemble_weighted_stiffness(mesh, None)
-        F = assemble_load(mesh, lambda x: w0 + w1 * one(x))
+        op = P1Operator(mesh)
+        K = op.interior.csr(op.interior.data(op.integrals(one(op.points))))
+        F = op.load((w0 + w1) * one(op.points))
         ii = mesh.interior
-        u_det = spla.spsolve(sp.csr_matrix(K[ii][:, ii]), F[ii])
+        u_det = spla.spsolve(sp.csr_matrix(K), F[ii])
         assert_allclose(mean.values[ii], u_det, rtol=1e-11)
 
     def test_lifting_reproduces_tensor_exact_solution(self):
