@@ -8,17 +8,21 @@ the boolean mask of an active-set update and returns a full-length
 approximate inverse of the inactive block for vectors that are zero on the
 active entries.  Updates never leave the index space of A: masking the
 matvec and the preconditioner output holds the active entries at zero.
-The Galerkin system returns its Kronecker preconditioner, which does not
-depend on the set; the plain sparse system solves the inactive block
-exactly by banded Cholesky, so each of its updates costs one conjugate
-gradient step.
+A preconditioner is a callable; one whose ``exact`` attribute is true
+declares that it is the exact inverse (of A for ``precond()``, of the
+inactive block for ``reduced_precond``), and the active set method then
+takes one apply of it as the whole linear solve.  The plain sparse system
+solves the inactive block by banded Cholesky and declares it exact; the
+Galerkin system returns its Kronecker preconditioner, which does not depend
+on the set and declares nothing, so its solves run conjugate gradients.
 
 The active set method is an inexact semismooth Newton iteration: while the
 set still moves, an update's conjugate gradients stop at a relative target
 tied to the complementarity residual, and once the set repeats after such a
 loose solve, that set is solved once more to the tight target before the
-iteration stops.  ``iterations`` counts every update, the tight re-solve
-included, and ``trace`` records each one (``active_set_solve``).
+iteration stops.  An exact update is tight by construction.  ``iterations``
+counts every update, the tight re-solve included, and ``trace`` records
+each one (``active_set_solve``).
 
 Projected SOR (Cryer, SIAM J. Control 1971) sweeps the rows of the explicit
 matrix in multicolour order: a greedy colouring, made once per solve, splits
@@ -39,6 +43,7 @@ from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from ._checks import integer, number
@@ -105,10 +110,17 @@ class SolveReport:
 class SparseObstacleSystem:
     """Plain sparse LCP data; the preconditioners are exact banded Cholesky solves.
 
-    The band is read off the CSR pattern, so the solves are cheap for the
-    banded matrices of P1 stiffness on structured meshes.  A matrix that is
-    not positive definite raises ``numpy.linalg.LinAlgError`` on the first
-    apply, which conjugate gradients report as a failed solve.
+    The system keeps one lower band of A (LAPACK lower form, read off the
+    CSR pattern with duplicate entries summed) and one Cholesky factor of
+    it, both made on the first apply.  A splits into diagonal blocks, the
+    runs of columns that no stored entry crosses (the samples of a Monte
+    Carlo block), and each block's rows of the factor are those of the
+    block masked by the active set it was last factored with.  Applying a
+    solver of ``reduced_precond(active)`` brings the factor to ``active``
+    block by block: only the blocks whose set differs are refactored, in one
+    ``cholesky_banded`` call on their stacked columns.  A block that is not
+    positive definite raises numpy.linalg.LinAlgError on that apply, and the
+    factor of every block is left as it was.
     """
 
     def __init__(self, A, b):
@@ -119,9 +131,8 @@ class SparseObstacleSystem:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
         if self.b.shape != (self.n,):
             raise ValueError(f"b must have length {self.n}, got shape {self.b.shape}")
-        rows = np.repeat(np.arange(self.n), np.diff(self.A.indptr))
-        lower = self.A.indices <= rows
-        self._lower = rows[lower], self.A.indices[lower], self.A.data[lower]
+        self._band = self._starts = self._sizes = None  # made on the first apply
+        self._factor = self._mask = None  # the factor and the set of each of its rows
 
     def matvec(self, v):
         return self.A @ v
@@ -141,36 +152,76 @@ class SparseObstacleSystem:
 
         The ``active`` rows and columns of A are zeroed with a unit diagonal,
         which decouples them and keeps the band, so a vector that is zero on
-        the active entries comes back zero there.  The factorization runs on
-        the first apply.
+        the active entries comes back zero there.  The solver is ``exact``;
+        each apply first brings the system's factor to this ``active``.
         """
-        rows, cols, vals = self._lower
-        keep = ~(active[rows] | active[cols])
-        unit = np.flatnonzero(active)
-        return _banded_cholesky_solver(np.concatenate((rows[keep], unit)),
-                                       np.concatenate((cols[keep], unit)),
-                                       np.concatenate((vals[keep], np.ones(unit.size))),
-                                       self.n)
+        active = np.array(active, dtype=bool)
+
+        def solve(r):
+            self._factor_for(active)
+            return cho_solve_banded((self._factor.T, True), r, check_finite=False)
+
+        solve.exact = True
+        return solve
+
+    def _factor_for(self, active):
+        """Refactor the blocks whose rows of the factor hold another set.
+
+        The band and the factor are kept as their transposes, one row per
+        column of A, so the blocks' columns are gathered and scattered as
+        rows and LAPACK reads the transposes without a copy.
+        """
+        if self._band is None:
+            self._band, self._starts = _lower_band(self.A)
+            self._sizes = np.diff(self._starts, append=self.n)
+        if self._factor is None:
+            cols = np.arange(self.n)
+        else:
+            moved = np.logical_or.reduceat(active != self._mask, self._starts)
+            if not moved.any():
+                return
+            cols = np.flatnonzero(np.repeat(moved, self._sizes))
+        held = active[cols]
+        factor = cholesky_banded(_masked(self._band[cols], held).T, lower=True,
+                                 overwrite_ab=True, check_finite=False).T
+        if self._factor is None:
+            self._factor, self._mask = factor, held
+        else:
+            self._factor[cols] = factor
+            self._mask[cols] = held
 
 
-def _banded_cholesky_solver(rows, cols, vals, n):
-    """Solve with the SPD matrix whose lower triangle has the given entries.
+def _lower_band(A):
+    """The lower band of the CSR matrix A, transposed, and the starts of its
+    diagonal blocks.
 
-    LAPACK banded Cholesky (lower form, band from the largest row - col);
-    duplicate entries are summed.  The factorization runs on the first call.
+    band[j, k] = A[j + k, j] with duplicate entries summed, as deep as the
+    farthest stored entry below the diagonal.  A block starts at each column
+    c that no row from c on reaches below: no stored entry (i, j) has
+    j < c <= i.
     """
-    factor = []
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    k = rows - A.indices
+    depth = int(k.max(initial=0)) + 1
+    # flat index j * depth + k of entry (j + k, j), plus one, so that every
+    # entry above the diagonal (k < 0) lands in the dropped bin 0
+    key = np.where(k >= 0, A.indices * depth + k + 1, 0)
+    band = np.bincount(key, weights=A.data, minlength=n * depth + 1)[1:].reshape(n, depth)
+    reach = np.arange(n)  # the first column each row couples to
+    np.minimum.at(reach, rows, A.indices)
+    return band, np.flatnonzero(np.minimum.accumulate(reach[::-1])[::-1] >= np.arange(n))
 
-    def solve(r):
-        if not factor:
-            offset = rows - cols
-            depth = int(offset.max(initial=0)) + 1
-            band = np.bincount(offset * n + cols, weights=vals,
-                               minlength=depth * n).reshape(depth, n)
-            factor.append(cholesky_banded(band, lower=True, check_finite=False))
-        return cho_solve_banded((factor[0], True), r, check_finite=False)
 
-    return solve
+def _masked(band, held):
+    """``band`` (a transposed lower band, changed in place) with the rows and
+    columns of the ``held`` entries zeroed and a unit diagonal on them."""
+    m, depth = band.shape
+    # held_row[j, k]: whether row j + k of entry band[j, k] is held
+    held_row = sliding_window_view(np.concatenate((held, np.zeros(depth - 1, dtype=bool))), depth)
+    band[held_row | held[:, None]] = 0.0
+    band[held, 0] = 1.0
+    return band
 
 
 def complementarity_residual(system, u: np.ndarray, obs: np.ndarray) -> float:
@@ -326,6 +377,18 @@ def _pcg(matvec, b, x0, precond, rtol, max_iter):
     return x, max_iter, False, rnorm
 
 
+def _exact_solve(solve, rhs, fallback):
+    """One apply of an exact preconditioner as the whole linear solve.
+
+    Returns (x, steps, converged): (solve(rhs), 1, True), or (fallback, 0,
+    False) when the factorization finds the operator not positive definite.
+    """
+    try:
+        return solve(rhs), 1, True
+    except np.linalg.LinAlgError:
+        return fallback, 0, False
+
+
 def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(),
                      x0: np.ndarray | None = None):
     """Primal-dual active set iteration, run as an inexact semismooth Newton method.
@@ -333,9 +396,11 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     The contact indicator is lambda - d*(u - obs) > 0 with d = diag(A) and
     lambda = Au - b; ties (u = obs, lambda = 0) count as inactive.  Each
     update holds the active entries at the obstacle and solves for the rest
-    by conjugate gradients on full-length vectors that are zero on the
-    active set, preconditioned with ``system.reduced_precond(active)`` and
-    warm-started from the current iterate.
+    on full-length vectors that are zero on the active set: when
+    ``system.reduced_precond(active)`` is ``exact``, by one apply of it to
+    the masked right-hand side, and otherwise by conjugate gradients
+    preconditioned with it and warm-started from the current iterate.  The
+    cold start (no ``x0``) solves with ``system.precond()`` the same way.
 
     The primal-dual active set method is a semismooth Newton method
     (Hintermüller, Ito and Kunisch, SIOPT 2003), so an update's linear solve
@@ -344,7 +409,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     gets the loose relative target ``rtol_loose``: a tenth of the 2-norm of
     min(u - obs, lambda) over that of the update's right-hand side, never
     below ``rtol_tight``.  A solve is tight when it reaches ``rtol_tight``,
-    whatever it asked for (an exact preconditioner does so in one step).
+    whatever it asked for; an exact apply is tight and asks for no target.
     When the set repeats after a loose solve, that set is solved once more
     at ``rtol_tight``; a revisited earlier set (a cycle) makes every
     remaining solve tight.  The iteration stops when the complementarity
@@ -355,12 +420,14 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
 
     ``iterations`` counts the updates (every linear solve of an active set,
     the tight re-solve included), ``inner_iterations`` every conjugate
-    gradient step (the unconstrained cold-start solve included), and
+    gradient step or exact apply (the unconstrained cold-start solve
+    included), and
     ``trace`` holds one record per update: ``active`` (entries held at the
     obstacle), ``changed`` (entries whose membership differs from the
     previous update's set; the first update counts its whole set),
-    ``rtol`` (the relative target asked of conjugate gradients), ``pcg``
-    (their steps), ``residual`` (the max-norm complementarity residual
+    ``rtol`` (the relative target asked of conjugate gradients;
+    ``rtol_tight`` for an exact apply), ``pcg`` (their steps; 1 for an
+    exact apply), ``residual`` (the max-norm complementarity residual
     after the update) and ``tight``.
     """
     rtol_tight = max(1e-13, min(1e-10, config.tol * 1e-4))
@@ -386,8 +453,11 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     inner_total = 0
     if x0 is None:
         # cold start: the unconstrained solution, lifted onto the obstacle
-        x0, inner_total, _, _ = _pcg(system.matvec, b, np.zeros(system.n), precond,
-                                     rtol_tight, cg_max)
+        if getattr(precond, "exact", False):
+            x0, inner_total, _ = _exact_solve(precond, b, np.zeros(system.n))
+        else:
+            x0, inner_total, _, _ = _pcg(system.matvec, b, np.zeros(system.n), precond,
+                                         rtol_tight, cg_max)
     u = np.maximum(np.asarray(x0, dtype=float), obs)
     lam = system.matvec(u) - b
     active = (lam - d * (u - obs)) > 0.0
@@ -412,13 +482,18 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         # active entries by masking the matvec and the preconditioner output
         free = ~active
         rhs = (b - system.matvec(np.where(active, obs, 0.0))) * free
-        rtol = rtol_tight if all_tight or key in solved else rtol_loose(u, lam, rhs)
         reduced = system.reduced_precond(active)
-        sol, it, ok, achieved = _pcg(lambda v: system.matvec(v) * free, rhs, u * free,
-                                     lambda r: reduced(r) * free, rtol, cg_max)
+        if getattr(reduced, "exact", False):
+            rtol = rtol_tight
+            sol, it, ok = _exact_solve(reduced, rhs, u)
+            tight = ok
+        else:
+            rtol = rtol_tight if all_tight or key in solved else rtol_loose(u, lam, rhs)
+            sol, it, ok, achieved = _pcg(lambda v: system.matvec(v) * free, rhs, u * free,
+                                         lambda r: reduced(r) * free, rtol, cg_max)
+            tight = achieved <= rtol_tight
         inner_total += it
         u = np.where(active, obs, sol)
-        tight = achieved <= rtol_tight
         solved[key] = tight
         lam = system.matvec(u) - b
         residual = _max_violation(u, obs, lam)

@@ -11,11 +11,12 @@ serves every field: it evaluates a, f and g at a block's rows (an affine
 field as its mean plus the rows times its modes, a callable in one call
 on all rows) and maps the values through the mesh operator
 (``fem.P1Operator``) into the block's stiffness entries, loads, obstacle
-values and Dirichlet lifting.  The systems are ``SparseObstacleSystem``s:
-the preconditioner of an active-set update is a banded Cholesky solve of
-the system with unit rows on the active entries, exact on the inactive
-ones, so an update takes one conjugate gradient step; block-diagonal
-stacking keeps the band of one sample.
+values and Dirichlet lifting.  The systems are ``SparseObstacleSystem``s,
+whose preconditioner is an exact banded Cholesky solve of the system with
+unit rows on the active entries, so an active-set update is one apply of
+it and no conjugate gradients.  Block-diagonal stacking keeps the band of
+one sample, and the system finds the samples as the diagonal blocks of
+its pattern: an update refactors only the samples whose active set moved.
 
 B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
 one sample).  The cap keeps the working set of the band Cholesky small:

@@ -89,10 +89,10 @@ class ParametricFunction:
 
     ``space`` maps spatial points x of shape (n, 2) to (n,), ``param`` maps
     parameter points y of shape (..., M) to ``y.shape[:-1]`` and
-    ``space_grad`` maps x to (n, 2).  ``value(x, y)`` returns shape
-    ``y.shape[:-1] + (n,)`` and ``grad(x, y)`` returns
-    ``y.shape[:-1] + (n, 2)``: a single point y of shape (M,) gives (n,) and
-    (n, 2), a block of shape (B, M) gives (B, n) and (B, n, 2).
+    ``space_grad`` maps x to (n, 2), so the x-gradient of u is
+    param(y) * space_grad(x).  ``value(x, y)`` returns shape
+    ``y.shape[:-1] + (n,)``: a single point y of shape (M,) gives (n,), a
+    block of shape (B, M) gives (B, n).
     """
 
     space: Callable[[np.ndarray], np.ndarray]
@@ -101,9 +101,6 @@ class ParametricFunction:
 
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.multiply.outer(self.param(y), self.space(np.atleast_2d(x)))
-
-    def grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.multiply.outer(self.param(y), self.space_grad(np.atleast_2d(x)))
 
 
 def tensor_quadrature(densities: tuple[Density1D, ...], order: int):

@@ -136,7 +136,9 @@ class SGSystem:
         without modes.
 
         K̄ is solved by SuperLU on the (I, J) transpose of the residual
-        blocks.  G̃^-1 = W diag(1 / delta) W^T with W = ⊗ W_d the doubly
+        blocks, in a symmetric minimum degree order (MMD on the pattern of
+        K̄ + K̄^T, pivots on the diagonal), which keeps the fill of the SPD
+        K̄ low.  G̃^-1 = W diag(1 / delta) W^T with W = ⊗ W_d the doubly
         orthogonal basis (``Gramians.eigenbasis``) and delta_j = alpha_0 +
         sum_k alpha_k lam_{k, j_k}, so W and W^T act one parameter dimension
         at a time (``param.kron_apply``).  delta_j = <K(lam_j), K̄>_F /
@@ -154,7 +156,8 @@ class SGSystem:
                 if K is not None:
                     K_bar = K_bar + mean * K
             try:
-                lu_k = spla.splu(sp.csc_matrix(K_bar))
+                lu_k = spla.splu(sp.csc_matrix(K_bar), permc_spec="MMD_AT_PLUS_A",
+                                 options={"SymmetricMode": True})
             except RuntimeError as exc:
                 raise np.linalg.LinAlgError(f"mean stiffness K̄: {exc}") from exc
             norm2 = float(K_bar.multiply(K_bar).sum())

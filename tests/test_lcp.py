@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import sgobstacle.lcp as lcp_module
 from sgobstacle.fem import P1Operator
 from sgobstacle.fields import AffineField
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
-                            _banded_cholesky_solver, _pcg, active_set_solve, brute_force_solve,
+                            _pcg, active_set_solve, brute_force_solve,
                             complementarity_residual, greedy_colouring,
                             psor_solve, solve_lcp)
 from sgobstacle.mesh import build_uniform_mesh
@@ -176,15 +177,17 @@ def test_active_set_matches_enumeration_on_galerkin_systems(lcp):
 
 
 def test_banded_cholesky_sums_duplicate_entries():
-    # lower-triangle entries given in pieces, (0, 0), (2, 1) and (2, 2)
-    # twice, must add up to the matrix they split
+    # a CSR matrix storing (0, 0), (2, 1) and (2, 2) in pieces, one of them
+    # an explicit zero: its band must add them up to the matrix they split
     A = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
-    rows = np.array([0, 0, 1, 1, 2, 2, 2, 2])
-    cols = np.array([0, 0, 0, 1, 1, 1, 2, 2])
-    vals = np.array([1.5, 2.5, 1.0, 5.0, 0.5, 1.5, 2.0, 4.0])
+    indptr = np.array([0, 3, 6, 11])
+    cols = np.array([0, 0, 1, 0, 1, 2, 1, 1, 2, 2, 1])
+    vals = np.array([1.5, 2.5, 1.0, 1.0, 5.0, 2.0, 0.5, 1.5, 2.0, 4.0, 0.0])
+    system = SparseObstacleSystem(sp.csr_array((vals, cols, indptr), shape=(3, 3)),
+                                  np.zeros(3))
+    assert system.A.data.size == 11
     r = np.array([1.0, -2.0, 3.0])
-    assert_allclose(_banded_cholesky_solver(rows, cols, vals, 3)(r),
-                    np.linalg.solve(A, r), rtol=1e-12)
+    assert_allclose(system.precond()(r), np.linalg.solve(A, r), rtol=1e-12)
 
 
 class TestReducedPrecond:
@@ -226,6 +229,152 @@ class TestReducedPrecond:
         expect = system.precond()(r)
         for active in (np.zeros(system.n, dtype=bool), rng.random(system.n) < 0.5):
             assert_allclose(system.reduced_precond(active)(r), expect, rtol=0, atol=0)
+
+
+def block_diagonal_spd(rng, sizes):
+    """A block-diagonal SPD CSR matrix with dense diagonally dominant blocks."""
+    blocks = []
+    for m in sizes:
+        B = rng.standard_normal((m, m))
+        blocks.append(0.5 * (B + B.T) + 2.0 * m * np.eye(m))
+    return sp.csr_array(sp.block_diag(blocks))
+
+
+def assert_same_solve(out, expect):
+    """Agreement within 1e-13 relative to the max-norm of ``expect``."""
+    assert np.max(np.abs(out - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def reduced_solve(A, active, r):
+    """spsolve on the inactive block of A, zero on the active entries."""
+    out = np.zeros(A.shape[0])
+    free = np.flatnonzero(~active)
+    if free.size:
+        out[free] = spla.spsolve(sp.csc_matrix(A[free][:, free]), r[free])
+    return out
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The number of columns of every cholesky_banded call, as they happen."""
+    calls = []
+    real = lcp_module.cholesky_banded
+
+    def cholesky_banded(ab, **kwargs):
+        calls.append(ab.shape[1])
+        return real(ab, **kwargs)
+
+    monkeypatch.setattr(lcp_module, "cholesky_banded", cholesky_banded)
+    return calls
+
+
+class TestBandFactorReuse:
+    SIZES = (5, 1, 3, 1, 1, 7, 2)  # unequal blocks, 1 x 1 ones among them
+
+    def test_preconditioner_declares_exactness(self):
+        A = block_diagonal_spd(np.random.default_rng(0), self.SIZES)
+        system = SparseObstacleSystem(A, np.zeros(A.shape[0]))
+        assert system.precond().exact
+        assert system.reduced_precond(np.ones(A.shape[0], dtype=bool)).exact
+        assert not getattr(small_sg_system().precond(), "exact", False)
+
+    def test_mask_sequence_matches_fresh_factors(self):
+        rng = np.random.default_rng(59)
+        A = block_diagonal_spd(rng, self.SIZES)
+        n = A.shape[0]
+        system = SparseObstacleSystem(A, np.zeros(n))
+        masks = [np.zeros(n, dtype=bool)] + [rng.random(n) < 0.4 for _ in range(6)]
+        masks += [masks[3], np.ones(n, dtype=bool), masks[1], np.zeros(n, dtype=bool)]
+        for active in masks:
+            r = np.where(active, 0.0, rng.standard_normal(n))
+            out = system.reduced_precond(active)(r)
+            fresh = SparseObstacleSystem(A, np.zeros(n)).reduced_precond(active)(r)
+            assert_same_solve(out, fresh)
+            assert_same_solve(out, reduced_solve(A, active, r))
+
+    def test_earlier_solver_keeps_its_own_mask(self):
+        rng = np.random.default_rng(61)
+        A = block_diagonal_spd(rng, self.SIZES)
+        n = A.shape[0]
+        system = SparseObstacleSystem(A, np.zeros(n))
+        first, second = rng.random(n) < 0.5, rng.random(n) < 0.5
+        assert np.any(first != second)
+        solve_first = system.reduced_precond(first)
+        solve_second = system.reduced_precond(second)
+        for active, solve in ((second, solve_second), (first, solve_first),
+                              (second, solve_second)):
+            r = np.where(active, 0.0, rng.standard_normal(n))
+            assert_same_solve(solve(r), reduced_solve(A, active, r))
+
+    def test_only_changed_blocks_are_refactored(self, cholesky_calls):
+        rng = np.random.default_rng(67)
+        A = block_diagonal_spd(rng, self.SIZES)
+        n = A.shape[0]
+        starts = np.cumsum((0,) + self.SIZES[:-1])
+        system = SparseObstacleSystem(A, np.zeros(n))
+        r = rng.standard_normal(n)
+        active = np.zeros(n, dtype=bool)
+        system.reduced_precond(active)(r)
+        assert cholesky_calls == [n]  # the first apply factors every block
+        for block in (5, 0, 3):  # one block's set moves at a time
+            active = active.copy()
+            active[starts[block]] = ~active[starts[block]]
+            system.reduced_precond(active)(np.where(active, 0.0, r))
+            assert cholesky_calls[-1] == self.SIZES[block]
+        count = len(cholesky_calls)
+        for _ in range(2):  # the same set again, by a new solver or the same one
+            solve = system.reduced_precond(active.copy())
+            solve(np.where(active, 0.0, r))
+        assert len(cholesky_calls) == count
+        # two blocks moved at once: one call on their stacked columns
+        active = active.copy()
+        active[[starts[1], starts[6] + 1]] = True
+        out = system.reduced_precond(active)(np.where(active, 0.0, r))
+        assert len(cholesky_calls) == count + 1
+        assert cholesky_calls[-1] == self.SIZES[1] + self.SIZES[6]
+        assert_same_solve(out, reduced_solve(A, active, np.where(active, 0.0, r)))
+
+    def test_block_not_positive_definite_leaves_the_others_usable(self, cholesky_calls):
+        rng = np.random.default_rng(71)
+        A = block_diagonal_spd(rng, self.SIZES).tolil()
+        n = A.shape[0]
+        bad = 5 + 1 + 3  # the 1 x 1 block at index 3
+        A[bad, bad] = -1.0
+        A = sp.csr_array(A)
+        system = SparseObstacleSystem(A, np.zeros(n))
+        good = np.zeros(n, dtype=bool)
+        good[bad] = True  # held at the obstacle, the negative pivot is gone
+        r = np.where(good, 0.0, rng.standard_normal(n))
+        assert_same_solve(system.reduced_precond(good)(r), reduced_solve(A, good, r))
+        released = good.copy()
+        released[[bad, 0]] = False, True
+        with pytest.raises(np.linalg.LinAlgError):
+            system.reduced_precond(released)(np.where(released, 0.0, r))
+        # the factor still holds `good`: a move of block 0 alone refactors block 0
+        moved = good.copy()
+        moved[0] = True
+        out = system.reduced_precond(moved)(np.where(moved, 0.0, r))
+        assert cholesky_calls[-1] == self.SIZES[0]
+        assert_same_solve(out, reduced_solve(A, moved, np.where(moved, 0.0, r)))
+
+    def test_exact_updates_take_no_conjugate_gradient_step(self, monkeypatch):
+        # an exact preconditioner is the update: one apply, recorded as one
+        # step at the tight target, and _pcg is never entered
+        def no_pcg(*args):
+            raise AssertionError("conjugate gradients on an exact system")
+
+        monkeypatch.setattr(lcp_module, "_pcg", no_pcg)
+        mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 16)
+        x = mesh.nodes[mesh.interior]
+        system = SparseObstacleSystem(unit_stiffness(mesh), np.full(len(x), -2.0 / 256))
+        obs = -0.02 - 0.05 * x[:, 0]
+        rtol_tight = max(1e-13, min(1e-10, SolverConfig().tol * 1e-4))
+        for x0 in (None, np.zeros(len(x))):
+            u, rep = active_set_solve(system, obs, SolverConfig(), x0=x0)
+            assert rep.converged and rep.iterations >= 2
+            assert all(r["pcg"] == 1 and r["tight"] and r["rtol"] == rtol_tight
+                       for r in rep.trace)
+            assert rep.inner_iterations == rep.iterations + (x0 is None)
 
 
 class TestPSOR:

@@ -77,8 +77,8 @@ class TestExactStatistics:
 
     @pytest.mark.parametrize("batch", [(), (3,), (3, 4)])
     def test_value_and_grad_shapes(self, batch):
-        # u = x1 x2 (y1 - y2): value is param(y) outer space(x), grad is
-        # param(y) outer space_grad(x)
+        # u = x1 x2 (y1 - y2): value is param(y) outer space(x), and the
+        # x-gradient that convergence_errors forms is param(y) outer space_grad(x)
         fn = ParametricFunction(space=lambda x: x[:, 0] * x[:, 1],
                                 param=lambda y: y[..., 0] - y[..., 1],
                                 space_grad=lambda x: x[:, ::-1])
@@ -86,7 +86,7 @@ class TestExactStatistics:
         x = rng.uniform(-1.0, 1.0, (5, 2))
         y = rng.uniform(-1.0, 1.0, batch + (2,))
         psi = y[..., 0] - y[..., 1]
-        values, grads = fn.value(x, y), fn.grad(x, y)
+        values, grads = fn.value(x, y), np.multiply.outer(fn.param(y), fn.space_grad(x))
         assert values.shape == batch + (5,)
         assert grads.shape == batch + (5, 2)
         assert_allclose(values, psi[..., None] * x[:, 0] * x[:, 1], rtol=1e-14)
@@ -94,13 +94,14 @@ class TestExactStatistics:
 
 
 def per_node_moments(analytic, x, densities, quad_order, moments, with_grad):
-    """Reference for the product-form moments: one value/grad call per quadrature node."""
+    """Reference for the product-form moments: one value call per quadrature node,
+    and the x-gradient as space_grad scaled by param there."""
     nodes, weights = tensor_quadrature(tuple(densities), quad_order)
     vals = [np.zeros(x.shape[0]) for _ in moments]
     grads = [np.zeros((x.shape[0], 2)) for _ in moments]
     for y, w in zip(nodes, weights):
         v = analytic.value(x, y)
-        g = analytic.grad(x, y) if with_grad else None
+        g = analytic.param(y) * analytic.space_grad(x) if with_grad else None
         for i, k in enumerate(moments):
             vals[i] += w * v ** k
             if with_grad:
