@@ -117,12 +117,13 @@ class AffineFactors:
     obs: np.ndarray
 
 
-def spatial_data(op: P1Operator, a_values: np.ndarray, f_values: np.ndarray,
+def spatial_data(op: P1Operator, a_integrals: np.ndarray, f_values: np.ndarray,
                  g_values: np.ndarray) -> AffineFactors:
-    """Map rows of a's and f's values at ``op.points`` and of g's values at
-    the interior nodes through the mesh operator."""
-    integrals = op.integrals(a_values)
-    return AffineFactors(op.interior.data(integrals), op.coupling.data(integrals),
+    """Map rows of a's triangle integrals (``op.integrals`` of its values at
+    ``op.points``), of f's values at ``op.points`` and of g's values at the
+    interior nodes through the mesh operator.  Taking a as its integrals
+    lets a caller drop a's point values before it evaluates f."""
+    return AffineFactors(op.interior.data(a_integrals), op.coupling.data(a_integrals),
                          op.load(f_values)[..., op.mesh.interior], g_values)
 
 
@@ -136,8 +137,8 @@ def affine_factors(op: P1Operator, a: AffineField, f: AffineField, g: AffineFiel
     if not all(isinstance(fld, AffineField) for fld in (a, f, g)):
         raise TypeError("spatial factors need affine fields a, f and g")
     x_int = op.mesh.nodes[op.mesh.interior]
-    return spatial_data(op, a.terms(op.points, n_dims), f.terms(op.points, n_dims),
-                        g.terms(x_int, n_dims))
+    return spatial_data(op, op.integrals(a.terms(op.points, n_dims)),
+                        f.terms(op.points, n_dims), g.terms(x_int, n_dims))
 
 
 def at_points(fld, x: np.ndarray, n_dims: int):

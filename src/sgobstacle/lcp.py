@@ -15,6 +15,10 @@ takes one apply of it as the whole linear solve.  The plain sparse system
 solves the inactive block by banded Cholesky and declares it exact; the
 Galerkin system returns its Kronecker preconditioner, which does not depend
 on the set and declares nothing, so its solves run conjugate gradients.
+The sparse system takes its lower band either from its caller (a Monte
+Carlo block scatters each sample's stiffness entries through the band map
+of one sample, ``band_map``) or from the CSR pattern of A, and it refactors
+and re-solves only the diagonal blocks whose set or right-hand side moved.
 
 The active set method is an inexact semismooth Newton iteration: while the
 set still moves, an update's conjugate gradients stop at a relative target
@@ -53,6 +57,7 @@ __all__ = [
     "SolveReport",
     "SolverNotConverged",
     "SparseObstacleSystem",
+    "band_map",
     "complementarity_residual",
     "greedy_colouring",
     "psor_solve",
@@ -110,20 +115,29 @@ class SolveReport:
 class SparseObstacleSystem:
     """Plain sparse LCP data; the preconditioners are exact banded Cholesky solves.
 
-    The system keeps one lower band of A (LAPACK lower form, read off the
-    CSR pattern with duplicate entries summed) and one Cholesky factor of
-    it, both made on the first apply.  A splits into diagonal blocks, the
-    runs of columns that no stored entry crosses (the samples of a Monte
-    Carlo block), and each block's rows of the factor are those of the
-    block masked by the active set it was last factored with.  Applying a
-    solver of ``reduced_precond(active)`` brings the factor to ``active``
-    block by block: only the blocks whose set differs are refactored, in one
+    The system keeps one lower band of A (LAPACK lower form, transposed: one
+    row per column of A) and the starts of A's diagonal blocks, the runs of
+    columns that no stored entry crosses (the samples of a Monte Carlo
+    block).  A caller that knows them passes ``band`` and ``starts``; the
+    Monte Carlo sampler scatters each block's stiffness entries through the
+    band map of one sample (``band_map``) and repeats that sample's starts.
+    Without them the first apply reads both off the CSR pattern of A, with
+    duplicate entries summed.  The Cholesky factor is made on the first
+    apply, and each block's rows of it are those of the block masked by the
+    active set it was last factored with.  Applying a solver of
+    ``reduced_precond(active)`` brings the factor to ``active`` block by
+    block: only the blocks whose set differs are refactored, in one
     ``cholesky_banded`` call on their stacked columns.  A block that is not
     positive definite raises numpy.linalg.LinAlgError on that apply, and the
-    factor of every block is left as it was.
+    factor of every block is left as it was.  The system remembers the set,
+    right-hand side and solution of its last apply, and the next apply
+    solves again, in one ``cho_solve_banded`` call on their stacked rows,
+    only the blocks whose set or right-hand side differ; it copies the
+    others.  ``factored_blocks`` and ``solved_blocks`` count the diagonal
+    blocks factored and solved over the system's life.
     """
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, band=None, starts=None):
         self.A = sp.csr_array(A)
         self.b = np.asarray(b, dtype=float)
         self.n = self.A.shape[0]
@@ -131,8 +145,14 @@ class SparseObstacleSystem:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
         if self.b.shape != (self.n,):
             raise ValueError(f"b must have length {self.n}, got shape {self.b.shape}")
-        self._band = self._starts = self._sizes = None  # made on the first apply
+        if (band is None) != (starts is None):
+            raise ValueError("band and starts are given together or not at all")
+        if band is not None and band.shape[0] != self.n:
+            raise ValueError(f"band must have {self.n} rows, got shape {band.shape}")
+        self._band, self._starts = band, starts  # else read off A on the first apply
         self._factor = self._mask = None  # the factor and the set of each of its rows
+        self._solved = None  # (set, right-hand side, solution) of the last apply
+        self.factored_blocks = self.solved_blocks = 0
 
     def matvec(self, v):
         return self.A @ v
@@ -159,10 +179,14 @@ class SparseObstacleSystem:
 
         def solve(r):
             self._factor_for(active)
-            return cho_solve_banded((self._factor.T, True), r, check_finite=False)
+            return self._solve(active, np.asarray(r, dtype=float))
 
         solve.exact = True
         return solve
+
+    def _blocks(self, moved):
+        """The rows of the blocks flagged in ``moved``, as an index array."""
+        return np.flatnonzero(np.repeat(moved, np.diff(self._starts, append=self.n)))
 
     def _factor_for(self, active):
         """Refactor the blocks whose rows of the factor hold another set.
@@ -173,44 +197,73 @@ class SparseObstacleSystem:
         """
         if self._band is None:
             self._band, self._starts = _lower_band(self.A)
-            self._sizes = np.diff(self._starts, append=self.n)
         if self._factor is None:
-            cols = np.arange(self.n)
+            cols, count = np.arange(self.n), len(self._starts)
         else:
             moved = np.logical_or.reduceat(active != self._mask, self._starts)
-            if not moved.any():
+            count = int(np.count_nonzero(moved))
+            if not count:
                 return
-            cols = np.flatnonzero(np.repeat(moved, self._sizes))
+            cols = self._blocks(moved)
         held = active[cols]
         factor = cholesky_banded(_masked(self._band[cols], held).T, lower=True,
                                  overwrite_ab=True, check_finite=False).T
+        self.factored_blocks += count
         if self._factor is None:
             self._factor, self._mask = factor, held
         else:
             self._factor[cols] = factor
             self._mask[cols] = held
 
+    def _solve(self, active, r):
+        """The solution for ``r`` with the factor of ``active``: the blocks
+        whose set and right-hand side both equal the last apply's keep its
+        solution, and the others are solved again."""
+        if self._solved is None:
+            x, rows, count = np.empty(self.n), slice(None), len(self._starts)
+        else:
+            last_active, last_r, x = self._solved
+            moved = np.logical_or.reduceat((active != last_active) | (r != last_r),
+                                           self._starts)
+            count = int(np.count_nonzero(moved))
+            rows = slice(None) if count == len(moved) else self._blocks(moved)
+            x = x.copy()
+        if count:
+            x[rows] = cho_solve_banded((self._factor[rows].T, True), r[rows],
+                                       check_finite=False)
+        self.solved_blocks += count
+        self._solved = (active, r.copy(), x)
+        return x.copy()
 
-def _lower_band(A):
-    """The lower band of the CSR matrix A, transposed, and the starts of its
-    diagonal blocks.
 
-    band[j, k] = A[j + k, j] with duplicate entries summed, as deep as the
-    farthest stored entry below the diagonal.  A block starts at each column
-    c that no row from c on reaches below: no stored entry (i, j) has
+def band_map(indptr, indices):
+    """Where the stored entries of a CSR pattern go in its lower band.
+
+    Returns (lower, pos, depth, starts): ``lower`` indexes the stored
+    entries on or below the diagonal, and ``pos`` gives entry (j + k, j)'s
+    flat place j * depth + k in the transposed lower band (n, depth), as
+    deep as the farthest stored entry below the diagonal.  ``starts`` are
+    the starts of the diagonal blocks: a block starts at each column c that
+    no row from c on reaches below, so no stored entry (i, j) has
     j < c <= i.
     """
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    k = rows - A.indices
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    k = rows - indices
     depth = int(k.max(initial=0)) + 1
-    # flat index j * depth + k of entry (j + k, j), plus one, so that every
-    # entry above the diagonal (k < 0) lands in the dropped bin 0
-    key = np.where(k >= 0, A.indices * depth + k + 1, 0)
-    band = np.bincount(key, weights=A.data, minlength=n * depth + 1)[1:].reshape(n, depth)
+    lower = np.flatnonzero(k >= 0)
     reach = np.arange(n)  # the first column each row couples to
-    np.minimum.at(reach, rows, A.indices)
-    return band, np.flatnonzero(np.minimum.accumulate(reach[::-1])[::-1] >= np.arange(n))
+    np.minimum.at(reach, rows, indices)
+    starts = np.flatnonzero(np.minimum.accumulate(reach[::-1])[::-1] >= np.arange(n))
+    return lower, indices[lower] * depth + k[lower], depth, starts
+
+
+def _lower_band(A):
+    """The lower band of the CSR matrix A, transposed, with duplicate entries
+    summed, and the starts of its diagonal blocks (``band_map``)."""
+    lower, pos, depth, starts = band_map(A.indptr, A.indices)
+    band = np.bincount(pos, weights=A.data[lower], minlength=A.shape[0] * depth)
+    return band.reshape(-1, depth), starts
 
 
 def _masked(band, held):

@@ -15,8 +15,12 @@ values and Dirichlet lifting.  The systems are ``SparseObstacleSystem``s,
 whose preconditioner is an exact banded Cholesky solve of the system with
 unit rows on the active entries, so an active-set update is one apply of
 it and no conjugate gradients.  Block-diagonal stacking keeps the band of
-one sample, and the system finds the samples as the diagonal blocks of
-its pattern: an update refactors only the samples whose active set moved.
+one sample: the sampler finds where one sample's stiffness entries go in
+its band once per run (``lcp.band_map``), and a block's band is one
+scatter of its stiffness rows, handed to the system with the samples as
+its diagonal blocks.  An update refactors and solves again only the
+samples whose active set moved; ``MCResult`` counts the sample
+factorizations and sample solves of the run.
 
 B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
 one sample).  The cap keeps the working set of the band Cholesky small:
@@ -36,7 +40,7 @@ import numpy as np
 from .fem import P1Operator
 from .fields import at_points, lift, spatial_data
 from .lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
-                  solve_lcp)
+                  band_map, solve_lcp)
 from .mesh import Mesh
 from .param import draw
 
@@ -90,6 +94,8 @@ class MCResult:
     seed: int
     timings: dict = field(default_factory=dict)
     solver_iterations: int = 0
+    sample_factorizations: int = 0  # sample blocks factored, over every block system
+    sample_solves: int = 0  # sample blocks solved with a factor
 
     @property
     def mean(self) -> np.ndarray:
@@ -102,9 +108,10 @@ class MCResult:
 class _AffineSampler:
     """Block system factory of one run, for affine and callable fields.
 
-    The mesh operator and the points at which a, f (quadrature points) and
-    g (interior nodes) are evaluated are fixed once; ``build`` evaluates the
-    fields at a block of parameter rows and maps the values through the
+    The mesh operator, the points at which a, f (quadrature points) and g
+    (interior nodes) are evaluated, and the band map of one sample's
+    stiffness pattern (``lcp.band_map``) are fixed once; ``build`` evaluates
+    the fields at a block of parameter rows and maps the values through the
     operator (``fields.spatial_data`` and ``fields.lift``).
     """
 
@@ -113,18 +120,30 @@ class _AffineSampler:
         points = (self.op.points, self.op.points, mesh.nodes[mesh.interior])
         self.fields = [at_points(fld, x, n_dims)
                        for fld, x in zip((a_field, f_field, g_field), points)]
+        self.band_map = band_map(self.op.interior.indptr, self.op.interior.indices)
 
     def build(self, Y: np.ndarray):
         """The block-diagonal system of the parameter rows ``Y`` (B, M).
 
         Returns the ``SparseObstacleSystem`` whose diagonal block j is the
         sample system at ``Y[j]``, the stacked obstacle (B * I,) and the
-        Dirichlet data (B, n_boundary).
+        Dirichlet data (B, n_boundary).  a is reduced to its triangle
+        integrals before f is evaluated, and the system's band is one
+        scatter of the block's stiffness rows through the band map, with
+        each sample's block starts repeated.
         """
-        data = spatial_data(self.op, *(values(Y) for values in self.fields))
+        a, f, g = self.fields
+        data = spatial_data(self.op, self.op.integrals(a(Y)), f(Y), g(Y))
         D, lifting = lift(self.op, self.dirichlet, Y, data.K_ib)
-        K = self.op.interior.csr(data.K_ii)
-        return SparseObstacleSystem(K, (data.load - lifting).ravel()), data.obs.ravel(), D
+        lower, pos, depth, starts = self.band_map
+        B, I = len(Y), self.op.interior.shape[0]
+        band = np.zeros((B, I * depth))
+        band[:, pos] = data.K_ii[:, lower]
+        system = SparseObstacleSystem(self.op.interior.csr(data.K_ii),
+                                      (data.load - lifting).ravel(),
+                                      band.reshape(B * I, depth),
+                                      (I * np.arange(B)[:, None] + starts).ravel())
+        return system, data.obs.ravel(), D
 
 
 def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
@@ -148,18 +167,20 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
 
     acc = MCAccumulator()
     n_failed = 0
-    iters = 0
+    iters = factorizations = solves = 0
 
     def solve_block(Y) -> int:
         """Solve the rows of Y as one system, warm-started from the running
         mean, and accumulate them in order; returns the number that failed.
         A failed block is solved again sample by sample."""
-        nonlocal iters
+        nonlocal iters, factorizations, solves
         system, obs, boundary = sampler.build(Y)
         x0 = None if acc.mean is None else np.maximum(
             np.tile(acc.mean[mesh.interior], len(Y)), obs)
         u, report = solve_lcp(system, obs, solver, x0=x0)
         iters += report.iterations
+        factorizations += system.factored_blocks
+        solves += system.solved_blocks
         if not report.converged:
             return 1 if len(Y) == 1 else sum(solve_block(y[None]) for y in Y)
         acc.update(mesh.full_values(u.reshape(len(Y), -1), boundary))
@@ -175,4 +196,5 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
             f"{n_failed} of {n_samples} sample solves failed to converge")
     return MCResult(accumulator=acc, n_samples=n_samples, n_failed=n_failed, seed=seed,
                     timings={"setup": setup_seconds, "samples": loop_seconds},
-                    solver_iterations=iters)
+                    solver_iterations=iters, sample_factorizations=factorizations,
+                    sample_solves=solves)

@@ -581,6 +581,8 @@ def run_mc(cfg: ExperimentConfig):
         "seed": cfg.mc_seed,
         "n_failed": result.n_failed,
         "solver_iterations": result.solver_iterations,
+        "sample_factorizations": result.sample_factorizations,
+        "sample_solves": result.sample_solves,
         "level": cfg.mc_level,
         "nx": level.nx,
         "mc_seconds": mc_seconds,

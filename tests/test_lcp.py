@@ -377,6 +377,96 @@ class TestBandFactorReuse:
             assert rep.inner_iterations == rep.iterations + (x0 is None)
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The right-hand sides of every cho_solve_banded call, as they happen."""
+    calls = []
+    real = lcp_module.cho_solve_banded
+
+    def cho_solve_banded(cb, b, **kwargs):
+        calls.append(np.array(b))
+        return real(cb, b, **kwargs)
+
+    monkeypatch.setattr(lcp_module, "cho_solve_banded", cho_solve_banded)
+    return calls
+
+
+class TestMovedOnlySolves:
+    SIZES = TestBandFactorReuse.SIZES
+
+    def test_only_moved_blocks_are_solved_again(self, solve_calls):
+        # as in an active-set run, the right-hand side of a block depends on
+        # its mask alone, so a block that keeps its mask keeps its solution
+        rng = np.random.default_rng(73)
+        A = block_diagonal_spd(rng, self.SIZES)
+        n = A.shape[0]
+        starts = np.cumsum((0,) + self.SIZES[:-1])
+        block_of = np.repeat(np.arange(len(self.SIZES)), self.SIZES)
+        r0 = rng.standard_normal(n)
+        system = SparseObstacleSystem(A, r0)
+        active = np.zeros(n, dtype=bool)
+        system.reduced_precond(active)(r0)
+        assert len(solve_calls) == 1 and solve_calls[0].size == n  # every block
+        solved = len(self.SIZES)
+        for moves in ([0], [5, 2], [], [0, 3, 4], [6], list(range(7))):
+            active = active.copy()
+            active[starts[moves]] = ~active[starts[moves]]
+            r = np.where(active, 0.0, r0)
+            count = len(solve_calls)
+            out = system.reduced_precond(active)(r)
+            assert_same_solve(out, reduced_solve(A, active, r))
+            if moves:  # one call on the moved blocks' stacked rows
+                assert len(solve_calls) == count + 1
+                assert_array_equal(solve_calls[-1], r[np.isin(block_of, moves)])
+            else:
+                assert len(solve_calls) == count
+            solved += len(moves)
+            assert system.solved_blocks == solved
+        assert system.factored_blocks == system.solved_blocks
+
+    def test_new_right_hand_side_under_the_same_mask_is_solved(self, solve_calls):
+        rng = np.random.default_rng(79)
+        A = block_diagonal_spd(rng, self.SIZES)
+        n = A.shape[0]
+        system = SparseObstacleSystem(A, np.zeros(n))
+        active = rng.random(n) < 0.3
+        active[-1] = False
+        solve = system.reduced_precond(active)
+        r = np.where(active, 0.0, rng.standard_normal(n))
+        first = solve(r)
+        changed = r.copy()
+        changed[-1] += 1.0  # the last block's right-hand side only
+        out = solve(changed)
+        assert len(solve_calls) == 2 and solve_calls[-1].size == self.SIZES[-1]
+        assert_same_solve(out, reduced_solve(A, active, changed))
+        assert_array_equal(out[:-self.SIZES[-1]], first[:-self.SIZES[-1]])
+        # a result changed by its caller does not change what is remembered
+        out[:] = np.nan
+        assert_same_solve(solve(changed), reduced_solve(A, active, changed))
+        assert len(solve_calls) == 2
+        assert system.factored_blocks == len(self.SIZES)
+        assert system.solved_blocks == len(self.SIZES) + 1
+
+    def test_handed_over_band_matches_the_pattern(self):
+        # a band and starts given by the caller drive the same solves as the
+        # ones read off A; giving only one of them is an error
+        rng = np.random.default_rng(83)
+        A = block_diagonal_spd(rng, self.SIZES)
+        n = A.shape[0]
+        band, starts = lcp_module._lower_band(A)
+        assert_array_equal(starts, np.cumsum((0,) + self.SIZES[:-1]))
+        given = SparseObstacleSystem(A, np.zeros(n), band, starts)
+        read = SparseObstacleSystem(A, np.zeros(n))
+        for active in (np.zeros(n, dtype=bool), rng.random(n) < 0.5):
+            r = np.where(active, 0.0, rng.standard_normal(n))
+            assert_array_equal(given.reduced_precond(active)(r),
+                               read.reduced_precond(active)(r))
+        with pytest.raises(ValueError, match="together"):
+            SparseObstacleSystem(A, np.zeros(n), band)
+        with pytest.raises(ValueError, match="rows"):
+            SparseObstacleSystem(A, np.zeros(n), band[1:], starts)
+
+
 class TestPSOR:
     def test_energy_monotone(self):
         # the energy 1/2 u.Au - b.u after k sweeps, k = 1, 2, ..., never rises

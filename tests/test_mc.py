@@ -6,7 +6,7 @@ import sgobstacle.mc as mc
 from sgobstacle.fem import P1Operator
 from sgobstacle.fields import AffineField, affine_factors
 from sgobstacle.lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
-                            active_set_solve)
+                            _lower_band, active_set_solve)
 from sgobstacle.mc import MC_BLOCK_NODES, MCAccumulator, _AffineSampler, mc_run
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, draw
@@ -142,7 +142,40 @@ class TestAffineSampler:
             assert_allclose(K.toarray(), direct.toarray(), rtol=1e-12, atol=1e-15)
 
 
+    @pytest.mark.parametrize("name, parameterization",
+                             [("example1", "exp"), ("example1", "xi"), ("example2", "exp")])
+    def test_band_matches_the_block_pattern(self, name, parameterization):
+        # the band scattered through one sample's map and the repeated
+        # starts are, bit for bit, those read off the block's CSR matrix
+        prob = get_problem(name, parameterization)
+        mesh = build_uniform_mesh(prob.rect, 8)
+        sampler = _AffineSampler(mesh, prob.fields["a"], prob.fields["f"], prob.fields["g"],
+                                 prob.dirichlet, len(prob.densities))
+        rng = np.random.default_rng(13)
+        for B in (18, 12, 1):
+            system, _, _ = sampler.build(draw(prob.densities, rng, B))
+            band, starts = _lower_band(system.A)
+            assert system._band.tobytes() == band.tobytes()
+            assert_allclose(system._starts, mesh.interior.size * np.arange(B), rtol=0)
+            assert system._starts.tobytes() == starts.tobytes()
+
+
 class TestMCRun:
+    def test_outputs_and_counts_are_kept(self):
+        # example1 at nx = 8: the mean and variance of 96 samples, recorded
+        # before the band map and the moved-only solves; a sample is solved
+        # once per factorization
+        prob = get_problem("example1")
+        mesh = build_uniform_mesh(prob.rect, 8)
+        res = mc_run(mesh, prob.fields, prob.densities, 96, seed=7, dirichlet=prob.dirichlet)
+        w = np.arange(1, mesh.n_nodes + 1)
+        var = res.variance()
+        assert_allclose([res.mean.sum(), w @ res.mean, var.sum(), w @ var, var.max()],
+                        [4.175298227808935, 171.18722734016632, 0.061146268762498894,
+                         2.506997019262455, 0.0063809980265574166], rtol=1e-12)
+        assert res.n_failed == 0
+        assert res.sample_solves == res.sample_factorizations > 96
+
     def test_deterministic_in_seed(self):
         mesh = build_uniform_mesh(RECT, 3)
         fields = {"a": AffineField.build(1.0, [(1.0, one, 0)]),
@@ -262,6 +295,7 @@ class TestMCRun:
         assert set(res.timings) == {"setup", "samples"}
         assert res.timings["samples"] > 0.0
         assert res.solver_iterations >= 4  # at least one sweep per sample
+        assert res.sample_factorizations == res.sample_solves == 0  # PSOR factors nothing
 
 
 class TestBlocks:

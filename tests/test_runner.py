@@ -706,6 +706,8 @@ class TestRunMC:
         assert payload["n_samples"] == 8
         report = json.loads((tmp_path / "example2_mc_report.json").read_text())
         assert report["solver_iterations"] == result.solver_iterations
+        assert report["sample_factorizations"] == result.sample_factorizations > 0
+        assert report["sample_solves"] == result.sample_solves > 0
         timing = (tmp_path / "example2_mc_timing.csv").read_text().splitlines()
         assert timing[0] == "phase,seconds"
         assert {row.split(",")[0] for row in timing[1:]} == \
