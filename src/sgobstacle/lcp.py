@@ -21,12 +21,14 @@ of one sample, ``band_map``) or from the CSR pattern of A, and it refactors
 and re-solves only the diagonal blocks whose set or right-hand side moved.
 
 The active set method is an inexact semismooth Newton iteration: while the
-set still moves, an update's conjugate gradients stop at a relative target
-tied to the complementarity residual, and once the set repeats after such a
-loose solve, that set is solved once more to the tight target before the
-iteration stops.  An exact update is tight by construction.  ``iterations``
-counts every update, the tight re-solve included, and ``trace`` records
-each one (``active_set_solve``).
+set still moves, an update's conjugate gradients stop once the 2-norm of
+the masked residual is a tenth of that of the complementarity residual, and
+once the set repeats after such a loose solve, that set is solved once more
+to the tight target, a hundredth of ``tol``, before the iteration stops.
+Both targets are absolute, so an update takes its start residual in one
+matvec and needs no right-hand side of its own.  An exact update is tight
+by construction.  ``iterations`` counts every update, the tight re-solve
+included, and ``trace`` records each one (``active_set_solve``).
 
 Projected SOR (Cryer, SIAM J. Control 1971) sweeps the rows of the explicit
 matrix in multicolour order: a greedy colouring, made once per solve, splits
@@ -73,9 +75,10 @@ class SolverConfig:
 
     ``max_iter`` counts PSOR sweeps or active-set updates; None picks 50
     sweeps for PSOR and 100 updates for the active-set method.  The inner
-    conjugate gradient solves of the active-set method derive their
-    relative residual target from ``tol`` and take at most 500 steps each,
-    whatever the system size.
+    conjugate gradient solves of the active-set method stop at an absolute
+    residual target derived from ``tol`` and the complementarity residual
+    (``active_set_solve``) and take at most 500 steps each, whatever the
+    system size.
     """
 
     method: str = "active-set"
@@ -393,23 +396,24 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
     return u, report
 
 
-def _pcg(matvec, b, x0, precond, rtol, max_iter):
-    """Preconditioned conjugate gradients.
+def _pcg(matvec, r, x0, precond, target, max_iter):
+    """Preconditioned conjugate gradients from ``x0``, whose residual is ``r``.
 
-    Returns (x, iterations, converged, relative residual ||b - Ax|| / ||b||
-    of the returned x).  A step with p.Ap <= 0, or a preconditioner whose
-    factorization finds the operator not positive definite
-    (``LinAlgError``), means A is not SPD; the iteration stops there and
-    reports failure.
+    The caller passes the start residual b - A x0, so a start costs no
+    matvec here, and the iteration stops once the 2-norm of the residual
+    is at most the absolute ``target``.  Returns (x, iterations, converged,
+    ||b - Ax|| of the returned x).  A step with p.Ap <= 0, or a
+    preconditioner whose factorization finds the operator not positive
+    definite (``LinAlgError``), means A is not SPD; the iteration stops
+    there and reports failure.
     """
     x = x0.copy()
-    r = b - matvec(x)
-    scale = max(float(np.linalg.norm(b)), 1e-300)
+    r = np.array(r, dtype=float)
     p = None
     rz = 1.0
     for it in range(max_iter + 1):
-        rnorm = float(np.linalg.norm(r)) / scale
-        if rnorm <= rtol:
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= target:
             return x, it, True, rnorm
         if it == max_iter:
             break
@@ -457,19 +461,25 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
 
     The primal-dual active set method is a semismooth Newton method
     (Hintermüller, Ito and Kunisch, SIOPT 2003), so an update's linear solve
-    need only be as accurate as the current complementarity residual
-    (Eisenstat and Walker, SISC 1996).  A set solved for the first time
-    gets the loose relative target ``rtol_loose``: a tenth of the 2-norm of
-    min(u - obs, lambda) over that of the update's right-hand side, never
-    below ``rtol_tight``.  A solve is tight when it reaches ``rtol_tight``,
-    whatever it asked for; an exact apply is tight and asks for no target.
-    When the set repeats after a loose solve, that set is solved once more
-    at ``rtol_tight``; a revisited earlier set (a cycle) makes every
-    remaining solve tight.  The iteration stops when the complementarity
-    residual drops below tol or the set repeats after a tight solve; a set
-    revisited after a tight solve of it ends the solve with
-    ``converged=False``, and so does a system whose ``precond()`` raises
-    ``numpy.linalg.LinAlgError``.
+    need only be as accurate as the stop test requires (Eisenstat and
+    Walker, SISC 1996).  Conjugate gradients stop at an absolute target for
+    the 2-norm of the masked residual.  The tight target is
+    ``max(0.01 tol, 1e-13 ||b||)``, the second term a round-off floor; the
+    cold start solves to it.  A set solved for the first time gets the
+    loose target: a tenth of the 2-norm of min(u - obs, lambda), never
+    below the tight one.  A solve is tight when it reaches the tight
+    target, whatever it asked for; an exact apply is tight.  When the set
+    repeats after a loose solve, that set is solved once more to the tight
+    target; a revisited earlier set (a cycle) makes every remaining solve
+    tight.  The iteration stops when the complementarity residual drops
+    below tol or the set repeats after a tight solve; a set revisited after
+    a tight solve of it ends the solve with ``converged=False``, and so
+    does a system whose ``precond()`` raises ``numpy.linalg.LinAlgError``.
+    A conjugate gradient update starts from the current iterate with one
+    matvec for its start residual (b - A where(active, obs, u)) on the
+    inactive entries, and one more gives lambda after it; an exact update
+    applies its solver to the masked right-hand side
+    (b - A where(active, obs, 0)) on the inactive entries instead.
 
     ``iterations`` counts the updates (every linear solve of an active set,
     the tight re-solve included), ``inner_iterations`` every conjugate
@@ -478,18 +488,17 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     ``trace`` holds one record per update: ``active`` (entries held at the
     obstacle), ``changed`` (entries whose membership differs from the
     previous update's set; the first update counts its whole set),
-    ``rtol`` (the relative target asked of conjugate gradients;
-    ``rtol_tight`` for an exact apply), ``pcg`` (their steps; 1 for an
+    ``target`` (the absolute target asked of conjugate gradients; the
+    tight target for an exact apply), ``pcg`` (their steps; 1 for an
     exact apply), ``residual`` (the max-norm complementarity residual
     after the update) and ``tight``.
     """
-    rtol_tight = max(1e-13, min(1e-10, config.tol * 1e-4))
-
-    def rtol_loose(u, lam, rhs):
-        return max(rtol_tight, 0.1 * float(np.linalg.norm(np.minimum(u - obs, lam)))
-                   / max(float(np.linalg.norm(rhs)), 1e-300))
-
     b = system.b
+    tight_target = max(0.01 * config.tol, 1e-13 * float(np.linalg.norm(b)))
+
+    def loose_target(u, lam):
+        return max(tight_target, 0.1 * float(np.linalg.norm(np.minimum(u - obs, lam))))
+
     d = system.diag()
     try:
         precond = system.precond()
@@ -510,7 +519,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
             x0, inner_total, _ = _exact_solve(precond, b, np.zeros(system.n))
         else:
             x0, inner_total, _, _ = _pcg(system.matvec, b, np.zeros(system.n), precond,
-                                         rtol_tight, cg_max)
+                                         tight_target, cg_max)
     u = np.maximum(np.asarray(x0, dtype=float), obs)
     lam = system.matvec(u) - b
     active = (lam - d * (u - obs)) > 0.0
@@ -534,24 +543,25 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         # the inactive system on full-length vectors, held at zero on the
         # active entries by masking the matvec and the preconditioner output
         free = ~active
-        rhs = (b - system.matvec(np.where(active, obs, 0.0))) * free
         reduced = system.reduced_precond(active)
         if getattr(reduced, "exact", False):
-            rtol = rtol_tight
+            target = tight_target
+            rhs = (b - system.matvec(np.where(active, obs, 0.0))) * free
             sol, it, ok = _exact_solve(reduced, rhs, u)
             tight = ok
         else:
-            rtol = rtol_tight if all_tight or key in solved else rtol_loose(u, lam, rhs)
-            sol, it, ok, achieved = _pcg(lambda v: system.matvec(v) * free, rhs, u * free,
-                                         lambda r: reduced(r) * free, rtol, cg_max)
-            tight = achieved <= rtol_tight
+            target = tight_target if all_tight or key in solved else loose_target(u, lam)
+            r0 = (b - system.matvec(np.where(active, obs, u))) * free
+            sol, it, ok, achieved = _pcg(lambda v: system.matvec(v) * free, r0, u * free,
+                                         lambda r: reduced(r) * free, target, cg_max)
+            tight = achieved <= tight_target
         inner_total += it
         u = np.where(active, obs, sol)
         solved[key] = tight
         lam = system.matvec(u) - b
         residual = _max_violation(u, obs, lam)
         trace.append({"active": int(np.count_nonzero(active)), "changed": changed,
-                      "rtol": rtol, "pcg": it, "residual": residual, "tight": tight})
+                      "target": target, "pcg": it, "residual": residual, "tight": tight})
         converged = residual <= config.tol
         if not ok:
             break

@@ -368,11 +368,11 @@ class TestBandFactorReuse:
         x = mesh.nodes[mesh.interior]
         system = SparseObstacleSystem(unit_stiffness(mesh), np.full(len(x), -2.0 / 256))
         obs = -0.02 - 0.05 * x[:, 0]
-        rtol_tight = max(1e-13, min(1e-10, SolverConfig().tol * 1e-4))
+        tight = max(0.01 * SolverConfig().tol, 1e-13 * np.linalg.norm(system.b))
         for x0 in (None, np.zeros(len(x))):
             u, rep = active_set_solve(system, obs, SolverConfig(), x0=x0)
             assert rep.converged and rep.iterations >= 2
-            assert all(r["pcg"] == 1 and r["tight"] and r["rtol"] == rtol_tight
+            assert all(r["pcg"] == 1 and r["tight"] and r["target"] == tight
                        for r in rep.trace)
             assert rep.inner_iterations == rep.iterations + (x0 is None)
 
@@ -664,6 +664,17 @@ class TestActiveSet:
         assert not rep.converged
         assert rep.iterations == 1
 
+    def test_conjugate_gradients_start_from_the_given_residual(self):
+        # the caller passes b - A x0; the iteration stops at an absolute
+        # target and returns the norm of the residual it carried
+        rng = np.random.default_rng(47)
+        A, b, _ = random_lcp(rng, 10)
+        x0 = rng.standard_normal(10)
+        x, it, ok, rnorm = _pcg(lambda v: A @ v, b - A @ x0, x0,
+                                lambda r: r / np.diag(A), 1e-9, 100)
+        assert ok and 0 < it <= 10 and rnorm <= 1e-9
+        assert np.linalg.norm(b - A @ x) <= 1e-8
+
     def test_residual_is_that_of_the_returned_iterate(self):
         # the active set reuses lambda = Au - b of its last update
         rng = np.random.default_rng(43)
@@ -711,7 +722,7 @@ class TestActiveSet:
         # one trace record per update; the cold start's steps come on top
         assert len(rep.trace) == rep.iterations >= 1
         assert sum(r["pcg"] for r in rep.trace) <= rep.inner_iterations
-        assert all(set(r) == {"active", "changed", "rtol", "pcg", "residual", "tight"}
+        assert all(set(r) == {"active", "changed", "target", "pcg", "residual", "tight"}
                    for r in rep.trace)
         assert rep.trace[0]["changed"] == rep.trace[0]["active"]
         assert rep.trace[-1]["residual"] == rep.residual
@@ -765,7 +776,29 @@ class TestInexactUpdates:
             assert any(not r["tight"] for r in rep.trace)
             last = rep.trace[-1]
             assert last["tight"] and last["changed"] == 0
-            assert last["rtol"] == max(1e-13, min(1e-10, SolverConfig().tol * 1e-4))
+            assert last["target"] == max(0.01 * SolverConfig().tol,
+                                         1e-13 * np.linalg.norm(system.b))
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_updates_pay_one_matvec_for_their_start(self, tol):
+        # a conjugate gradient update takes its start residual in one matvec
+        # and lambda in one more; the cold start adds its steps and lambda
+        system = galerkin_system("example1-shapes")
+        calls = []
+        matvec = system.matvec
+
+        def counted(v):
+            calls.append(1)
+            return matvec(v)
+
+        system.matvec = counted
+        u, rep = active_set_solve(system, system.obs, SolverConfig(tol=tol))
+        assert rep.converged and rep.iterations >= 2
+        assert len(calls) == rep.inner_iterations + 2 * rep.iterations + 1
+        # the tight target is a hundredth of tol, far above the round-off floor
+        tight = 0.01 * tol
+        assert 1e-13 * np.linalg.norm(system.b) < tight
+        assert rep.trace[-1]["tight"] and rep.trace[-1]["target"] == tight
 
     def test_sparse_system_takes_one_step_per_update(self):
         # the exact banded Cholesky of the inactive block meets any target in

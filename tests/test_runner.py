@@ -522,7 +522,7 @@ class TestRunConvergence:
         for lv in report["levels"]:
             assert lv["errors_seconds"] > 0.0
             assert len(lv["trace"]) == lv["iterations"]
-            assert all(r["pcg"] >= 0 and r["rtol"] > 0.0 for r in lv["trace"])
+            assert all(r["pcg"] >= 0 and r["target"] > 0.0 for r in lv["trace"])
 
     def test_repeated_level_has_no_order(self, tmp_path):
         # neither h nor s changes between the rows, so there is no order to
