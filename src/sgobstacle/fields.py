@@ -1,15 +1,15 @@
 """Parametric coefficient fields and their spatial data.
 
 An affine field is mu(x) + sum_k c_k phi_k(x) y_{d_k}; several modes may
-attach to the same parameter dimension.  Non-affine parametric fields and
-Dirichlet data are plain callables (x, y) -> values that take a block of
-parameter rows at once: for points x (n, 2) and y (..., M) they return
-values of shape y.shape[:-1] + (n,), the shapes of an exact solution's
-``value`` (``stats.ParametricFunction``).  ``spatial_data`` maps rows of field
-values through the mesh operator (``fem.P1Operator``): the affine terms
-for the Galerkin system (``affine_factors``), the parameter rows of a
-sample block for Monte Carlo (``at_points``).  ``lift`` is the one
-Dirichlet lifting of both.
+attach to the same parameter dimension.  Every coefficient, source and
+obstacle is such a field.  Dirichlet data are plain callables (x, y) ->
+values that take a block of parameter rows at once: for points x (n, 2)
+and y (..., M) they return values of shape y.shape[:-1] + (n,), the shapes
+of an exact solution's ``value`` (``stats.ParametricFunction``).
+``spatial_data`` maps rows of field values through the mesh operator
+(``fem.P1Operator``): the affine terms for the Galerkin system
+(``affine_factors``), the parameter rows of a sample block for Monte Carlo
+(``at_points``).  ``lift`` is the one Dirichlet lifting of both.
 """
 
 from __future__ import annotations
@@ -134,21 +134,16 @@ def affine_factors(op: P1Operator, a: AffineField, f: AffineField, g: AffineFiel
     Row 0 is the mean and row k + 1 parameter dimension k; the rows of a
     dimension on which a field has no mode are zero.
     """
-    if not all(isinstance(fld, AffineField) for fld in (a, f, g)):
-        raise TypeError("spatial factors need affine fields a, f and g")
     x_int = op.mesh.nodes[op.mesh.interior]
     return spatial_data(op, op.integrals(a.terms(op.points, n_dims)),
                         f.terms(op.points, n_dims), g.terms(x_int, n_dims))
 
 
-def at_points(fld, x: np.ndarray, n_dims: int):
+def at_points(fld: AffineField, x: np.ndarray, n_dims: int):
     """The map from parameter rows Y (B, M) to a field's values (B, n) at the
-    points x: an AffineField's mean plus Y @ modes, with its terms taken at
-    x once, or one call of a callable (x, y) -> values on the whole block."""
-    if isinstance(fld, AffineField):
-        terms = fld.terms(x, n_dims)
-        return lambda Y: terms[0] + Y @ terms[1:]
-    return lambda Y: np.asarray(fld(x, Y), dtype=float).reshape(len(Y), len(x))
+    points x: its mean plus Y @ modes, with its terms taken at x once."""
+    terms = fld.terms(x, n_dims)
+    return lambda Y: terms[0] + Y @ terms[1:]
 
 
 def lift(op: P1Operator, dirichlet, y_points: np.ndarray, K_ib: np.ndarray):

@@ -6,10 +6,11 @@ samples are grouped.  Samples are solved in blocks: a block of B samples
 is one block-diagonal LCP whose diagonal block j is the obstacle problem at
 the j-th parameter row, solved with the configured LCP solver from the
 running mean; its solutions enter the accumulator in one pairwise update
-of the block's mean and sum of squared deviations.  One sampler per run
-serves every field: it evaluates a, f and g at a block's rows (an affine
-field as its mean plus the rows times its modes, a callable in one call
-on all rows) and maps the values through the mesh operator
+of the block's mean and sum of squared deviations.  The rows are drawn in
+y whatever the problem's parameterization, which only concerns the
+Galerkin hats.  One sampler per run serves every field: it evaluates the
+affine fields a, f and g at a block's rows (the mean plus the rows times
+the modes) and maps the values through the mesh operator
 (``fem.P1Operator``) into the block's stiffness entries, loads, obstacle
 values and Dirichlet lifting.  The systems are ``SparseObstacleSystem``s,
 whose preconditioner is an exact banded Cholesky solve of the system with
@@ -106,7 +107,7 @@ class MCResult:
 
 
 class _AffineSampler:
-    """Block system factory of one run, for affine and callable fields.
+    """Block system factory of one run.
 
     The mesh operator, the points at which a, f (quadrature points) and g
     (interior nodes) are evaluated, and the band map of one sample's
@@ -150,7 +151,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
            solver: SolverConfig | None = None, dirichlet=None) -> MCResult:
     """Run the Monte Carlo baseline and return accumulated nodal moments.
 
-    ``fields`` maps 'a', 'f', 'g' to AffineFields or parametric callables;
+    ``fields`` maps 'a', 'f', 'g' to AffineFields;
     ``densities`` is one Density1D per parameter dimension, drawn from
     ``np.random.default_rng(seed)``.  Samples whose LCP solve does not
     converge are skipped and counted; more than 0.1% failures raise

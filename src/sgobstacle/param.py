@@ -8,7 +8,10 @@ xi uniform on an interval, map being ``Density1D.to_y``, so every integral
 against it (the hat Gramians and the reference statistics of ``stats``) is
 one composite Gauss-Legendre rule in xi, ``Density1D.rule``, on the cached
 points of ``gauss_legendre``, and every draw (``draw``) is map(xi) of
-uniform doubles.  The hats sum to one, so the means E[y_d] are the entry
+uniform doubles.  The fields are affine in y either way; a grid chooses the
+coordinate in which its hats are piecewise linear, y or xi
+(``ParamGrid.in_xi``), keeps its breakpoints in that coordinate and gives
+its nodes in y.  The hats sum to one, so the means E[y_d] are the entry
 sums of the y-weighted factors, ``Gramians.mass_y[d].sum()``, and need no
 rule of their own.  A tensor Gramian is kept as its 1-D factors and
 applied one dimension at a time (``kron_apply``); the same product of the
@@ -94,8 +97,9 @@ def hat_values(breaks: np.ndarray, y: np.ndarray) -> np.ndarray:
 # y = map(xi) of each kind of density, the inverse map xi(y), and the widest
 # xi interval one Gauss rule of ``Density1D.rule`` spans.  The hats are
 # polynomials in xi under the identity, so one rule spans any cell; under exp
-# their products are sums of exp(j xi), j <= 3, which 12 points integrate to
-# roundoff over an xi width of 2.
+# the integrands are sums of exp(j xi), j <= 3 (hats in y), or of
+# xi^k exp(j xi), k <= 2 and j <= 1 (hats in xi), which 12 points integrate
+# to roundoff over an xi width of 2.
 _MAPS = {"uniform": (lambda xi: xi, lambda y: y, math.inf),
          "exp-uniform": (np.exp, np.log, 2.0)}
 
@@ -125,6 +129,10 @@ class Density1D:
         """y = map(xi), elementwise."""
         return _MAPS[self.kind][0](xi)
 
+    def to_xi(self, y):
+        """xi = map^-1(y), elementwise."""
+        return _MAPS[self.kind][1](y)
+
     @property
     def support(self) -> tuple[float, float]:
         """The interval (map(lo), map(hi)) of y."""
@@ -137,8 +145,8 @@ class Density1D:
         shape (cells, pieces * n_pts).  Every cell is cut into the same
         number of equal pieces in xi, the fewest that keep each piece within
         the span of the map (one piece for ``uniform``)."""
-        _, to_xi, span = _MAPS[self.kind]
-        xi = to_xi(breaks)
+        span = _MAPS[self.kind][2]
+        xi = self.to_xi(breaks)
         pieces = max(1, math.ceil(float(np.max(np.diff(xi))) / span))
         t = np.linspace(0.0, 1.0, pieces + 1)
         ends = xi[:-1, None] * (1.0 - t) + xi[1:, None] * t  # exact at t = 0 and 1
@@ -163,12 +171,15 @@ class Density1D:
 class ParamGrid:
     """Tensor grid on a parameter box with per-dimension hat functions.
 
-    Parameter nodes are enumerated in C order (last dimension fastest), so
-    the flat node index matches Kronecker products taken dimension 0 first.
+    The hats are piecewise linear in y, or in xi when ``in_xi``, and the
+    ``breakpoints`` are in that hat coordinate.  Parameter nodes are
+    enumerated in C order (last dimension fastest), so the flat node index
+    matches Kronecker products taken dimension 0 first.
     """
 
     densities: tuple[Density1D, ...]
     breakpoints: tuple[np.ndarray, ...]
+    in_xi: bool = False
 
     @property
     def n_dims(self) -> int:
@@ -184,16 +195,21 @@ class ParamGrid:
 
     @property
     def s(self) -> float:
-        """Largest parametric cell width over all dimensions (0 if M = 0)."""
+        """Largest parametric cell width in the hat coordinate over all
+        dimensions (0 if M = 0)."""
         return max((float(np.max(np.diff(b))) for b in self.breakpoints), default=0.0)
 
     def nodes(self) -> np.ndarray:
-        """All parameter nodes as a (n_nodes, n_dims) array, C order."""
-        return tensor_points(self.breakpoints)
+        """All parameter nodes in y as a (n_nodes, n_dims) array, C order."""
+        if not self.in_xi:
+            return tensor_points(self.breakpoints)
+        return tensor_points([rho.to_y(b) for rho, b in zip(self.densities, self.breakpoints)])
 
 
-def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int]) -> ParamGrid:
-    """Uniform partition of each density's support into ``cells`` cells.
+def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int],
+                     in_xi: bool = False) -> ParamGrid:
+    """Uniform partition of each density's support into ``cells`` cells, in
+    y or, ``in_xi``, in xi: hats linear in y or in xi.
 
     With no densities the data are deterministic: the grid is
     ``deterministic_grid()``, one parameter node of unit weight.
@@ -207,9 +223,9 @@ def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int])
     for rho, m in zip(densities, cells):
         if m < 1:
             raise ValueError("each dimension needs at least one cell")
-        c, d = rho.support
+        c, d = (rho.lo, rho.hi) if in_xi else rho.support
         breaks.append(np.linspace(c, d, m + 1))
-    return ParamGrid(densities=densities, breakpoints=tuple(breaks))
+    return ParamGrid(densities=densities, breakpoints=tuple(breaks), in_xi=in_xi)
 
 
 def deterministic_grid() -> ParamGrid:
@@ -286,12 +302,14 @@ class Gramians:
         return basis
 
 
-def _hat_factors_1d(rho: Density1D, breaks: np.ndarray, n_pts: int):
-    """Per-dimension weighted mass matrices of the hats, (mass, mass_y), from
-    the per-cell rule of ``rho``."""
-    y, w = rho.rule(breaks, n_pts)
+def _hat_factors_1d(rho: Density1D, breaks: np.ndarray, n_pts: int, in_xi: bool = False):
+    """Per-dimension weighted mass matrices of the hats on ``breaks`` (in
+    xi when ``in_xi``, else in y), (mass, mass_y), from the per-cell rule of
+    ``rho``."""
+    y, w = rho.rule(rho.to_y(breaks) if in_xi else breaks, n_pts)
+    t = rho.to_xi(y) if in_xi else y  # the rule's nodes in the hat coordinate
     h = np.diff(breaks)[:, None]
-    left, right = (breaks[1:, None] - y) / h, (y - breaks[:-1, None]) / h
+    left, right = (breaks[1:, None] - t) / h, (t - breaks[:-1, None]) / h
     v = np.stack([w, w * y])  # cell weights without and with the factor y
     n, d = len(breaks), np.arange(len(breaks) - 1)
     mass = np.zeros((2, n, n))
@@ -311,7 +329,7 @@ def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
     to roundoff on any number of cells; 12 points integrate the hat
     products to roundoff at any bounds.
     """
-    factors = [_hat_factors_1d(rho, brk, n_pts)
+    factors = [_hat_factors_1d(rho, brk, n_pts, grid.in_xi)
                for rho, brk in zip(grid.densities, grid.breakpoints)]
 
     def basis_integrals(k):

@@ -3,9 +3,10 @@
 Both built-in problems have two parameter dimensions y_k = exp(xi_k) with
 xi_k uniform on (-1, 1), manufactured exact solutions with a circular
 contact set, and Dirichlet data taken from the exact solution (which is
-nonzero on the boundary of the domain).  Each is written once, affine in y;
-``_parameterized`` derives its form in xi (not affine) through the maps
-``Density1D.to_y`` of its densities.
+nonzero on the boundary of the domain).  Every problem, built-in or custom,
+is affine in y; its ``parameterization`` only chooses the coordinate in
+which the Galerkin hats are piecewise linear: y (``exp``) or the xi of
+its densities (``xi``, see ``param.ParamGrid``).
 """
 
 from __future__ import annotations
@@ -32,47 +33,23 @@ SPAN = np.e - 1.0 / np.e  # width of the support (1/e, e) of y = exp(xi)
 class Problem:
     name: str
     rect: tuple[float, float, float, float]
-    n_dims: int
-    parameterization: str
+    parameterization: str  # hats linear in y ('exp') or in xi ('xi')
     densities: tuple[Density1D, ...]
-    fields: dict  # 'a', 'f', 'g' -> AffineField or callable (x, y) -> values
+    fields: dict  # 'a', 'f', 'g' -> AffineField
     dirichlet: Callable | None
     exact: ParametricFunction | None
     h_over_s: float | None = None  # default coupling constant for h = c * s
 
     @property
-    def sg_ready(self) -> bool:
-        return all(isinstance(self.fields[k], AffineField) for k in ("a", "f", "g"))
+    def n_dims(self) -> int:
+        return len(self.densities)
 
 
 def _parameterized(problem: Problem, parameterization: str) -> Problem:
-    """A built-in problem as written (``exp``) or in the variables xi of its
-    densities, y = to_y(xi) (``xi``): each density becomes the uniform law
-    of its xi, a field with modes the callable (x, xi) -> mean + to_y(xi) @
-    modes (one without modes stays affine), and psi becomes psi(to_y(xi)),
-    which also gives the Dirichlet data."""
-    if parameterization == "exp":
-        return problem
-    if parameterization != "xi":
+    """``problem`` with hats linear in y (``exp``) or in xi (``xi``)."""
+    if parameterization not in ("exp", "xi"):
         raise ValueError(f"unknown parameterization {parameterization!r}")
-    densities = problem.densities
-
-    def to_y(xi):
-        return np.stack([rho.to_y(xi[..., d]) for d, rho in enumerate(densities)], -1)
-
-    def of_xi(fld: AffineField):
-        def values(x, xi):
-            terms = fld.terms(x, len(densities))
-            return terms[0] + to_y(xi) @ terms[1:]
-        return values if fld.modes else fld
-
-    psi = problem.exact.param
-    exact = replace(problem.exact, param=lambda xi: psi(to_y(xi)))
-    return replace(
-        problem, parameterization="xi",
-        densities=tuple(Density1D.uniform(rho.lo, rho.hi) for rho in densities),
-        fields={key: of_xi(fld) for key, fld in problem.fields.items()},
-        dirichlet=exact.value, exact=exact)
+    return replace(problem, parameterization=parameterization)
 
 
 def _rho(x):
@@ -107,7 +84,7 @@ def example1(parameterization: str = "exp") -> Problem:
 
     exact = ParametricFunction(space=w_profile, param=inv_denom, space_grad=w_grad)
     return _parameterized(Problem(
-        name="example1", rect=(-1.5, 1.5, -1.5, 1.5), n_dims=2, parameterization="exp",
+        name="example1", rect=(-1.5, 1.5, -1.5, 1.5), parameterization="exp",
         densities=(Density1D.exp_uniform(), Density1D.exp_uniform()),
         fields={"a": AffineField.build(1.0, [(1.0, 1.0, 0), (2.0, 1.0, 1)]),
                 "f": AffineField.build(-2.0),
@@ -141,7 +118,7 @@ def example2(parameterization: str = "exp") -> Problem:
 
     exact = ParametricFunction(space=u_profile, param=scale, space_grad=u_profile_grad)
     return _parameterized(Problem(
-        name="example2", rect=(-1.0, 1.0, -1.0, 1.0), n_dims=2, parameterization="exp",
+        name="example2", rect=(-1.0, 1.0, -1.0, 1.0), parameterization="exp",
         densities=(Density1D.exp_uniform(), Density1D.exp_uniform()),
         fields={"a": AffineField.build(1.0),
                 "f": AffineField.build(0.0, [(1.0, f_profile, 0), (2.0, f_profile, 1)]),
@@ -245,8 +222,9 @@ def _encodes_as_file_name(name: str) -> bool:
     return True
 
 
-def problem_from_config(custom: dict) -> Problem:
-    """Assemble a custom problem from its config section.
+def problem_from_config(custom: dict, parameterization: str = "exp") -> Problem:
+    """Assemble a custom problem from its config section, with hats linear
+    in y (``exp``) or in xi (``xi``).
 
     Custom problems have no exact solution; convergence errors are not
     available for them.  The name becomes part of output file names, so it
@@ -273,8 +251,7 @@ def problem_from_config(custom: dict) -> Problem:
     if (name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name
             or not _encodes_as_file_name(name)):
         raise ValueError(f"custom name must be a plain file name, got {shown(name)}")
-    return Problem(
-        name=name, rect=rect, n_dims=len(densities),
-        parameterization="exp", densities=densities, fields=fields,
-        dirichlet=None, exact=None, h_over_s=None,
-    )
+    return _parameterized(Problem(
+        name=name, rect=rect, parameterization="exp", densities=densities,
+        fields=fields, dirichlet=None, exact=None, h_over_s=None,
+    ), parameterization)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._checks import integer, known_keys, number, shown
 from .fem import assembly_points, evaluate_p1, p1_distance
-from .fields import AffineField, bounds_check
+from .fields import bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
 from .mc import mc_run
 from .mesh import Mesh, build_uniform_mesh
@@ -143,7 +143,10 @@ def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
     if h_over_s <= 0.0:
         errors.append(f"schedule.coupled.h_over_s must be positive, got {h_over_s!r}")
         return []
-    span = max(rho.support[1] - rho.support[0] for rho in problem.densities)
+    # the widest parameter interval in the hat coordinate, y or xi
+    in_xi = problem.parameterization == "xi"
+    span = max(rho.hi - rho.lo if in_xi else rho.support[1] - rho.support[0]
+               for rho in problem.densities)
     levels = []
     for m in range(m_min, m_max + 1):
         cells = 2 ** m
@@ -180,17 +183,15 @@ def _check_well_posed(problem: Problem, levels: list[Level], errors: list) -> No
     still dip below zero between these points.
     """
     a, g = problem.fields["a"], problem.fields["g"]
-    check_a = isinstance(a, AffineField)
-    check_g = isinstance(g, AffineField) and problem.dirichlet is None
+    check_g = problem.dirichlet is None
     supports = [rho.support for rho in problem.densities]
     a_lo, g_hi = math.inf, -math.inf
     try:
-        for nx, ny in sorted({(lv.nx, lv.ny) for lv in levels} if check_a or check_g else ()):
+        for nx, ny in sorted({(lv.nx, lv.ny) for lv in levels}):
             mesh = build_uniform_mesh(problem.rect, nx, ny)
-            if check_a:
-                what = "coefficient a"
-                for points in (mesh.nodes, assembly_points(mesh)):
-                    a_lo = np.minimum(a_lo, bounds_check(a, supports, points).lo)
+            what = "coefficient a"
+            for points in (mesh.nodes, assembly_points(mesh)):
+                a_lo = np.minimum(a_lo, bounds_check(a, supports, points).lo)
             if check_g:
                 what = "obstacle g"
                 g_hi = np.maximum(g_hi, bounds_check(g, supports, mesh.nodes[mesh.boundary]).hi)
@@ -234,21 +235,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if name == "custom":
             if "custom" not in raw:
                 raise ValueError("problem 'custom' needs a custom section")
-            if parameterization != "exp":
-                # custom fields are affine in y as given: the exp form
-                raise ValueError(f"problem 'custom' takes parameterization exp, "
-                                 f"got {shown(parameterization)}")
-            problem = problem_from_config(raw["custom"])
+            problem = problem_from_config(raw["custom"], parameterization)
         else:
             problem = get_problem(name, parameterization)
     except (KeyError, ValueError, TypeError) as exc:
         errors.append(str(exc))
-
-    if problem is not None and mode in ("sg", "both") and not problem.sg_ready:
-        errors.append(
-            f"problem {problem.name!r} with parameterization "
-            f"{parameterization!r} has non-affine fields; Galerkin runs need "
-            "affine fields (use parameterization 'exp' or mode 'mc')")
 
     levels: list[Level] = []
     schedule = raw.get("schedule", {})
@@ -427,7 +418,7 @@ def _interpolate_solution(old_system: SGSystem, u_old: np.ndarray,
 def _solve_level(cfg: ExperimentConfig, level: Level, warm_from=None):
     problem = cfg.problem
     mesh = build_uniform_mesh(problem.rect, level.nx, level.ny)
-    grid = build_param_grid(problem.densities, level.cells)
+    grid = build_param_grid(problem.densities, level.cells, problem.parameterization == "xi")
     t0 = time.perf_counter()
     system = assemble_sg(mesh, grid, problem.fields["a"], problem.fields["f"],
                          problem.fields["g"], problem.dirichlet)

@@ -65,34 +65,20 @@ def direct_sample_system(mesh, a_at, f_at, dirichlet, y):
 
 
 class TestAffineSampler:
-    @pytest.mark.parametrize("affine, lifted", [
-        pytest.param(True, False, id="False"),
-        pytest.param(True, True, id="True"),
-        pytest.param(False, False, id="callable-False"),
-        pytest.param(False, True, id="callable-True"),
-    ])
-    def test_build_matches_direct_assembly(self, affine, lifted):
-        # the affine coefficient has modes on dimensions 0 and 2 but none on
-        # 1; the dimension-2 shape vanishes on the left half.  The callable a
-        # and f are not affine in y.  One build of four rows must hold each
-        # row's directly assembled system as its diagonal block.
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_build_matches_direct_assembly(self, lifted):
+        # the coefficient has modes on dimensions 0 and 2 but none on 1; the
+        # dimension-2 shape vanishes on the left half.  One build of four
+        # rows must hold each row's directly assembled system as its
+        # diagonal block.
         mesh = build_uniform_mesh(RECT, 6)
         ii = mesh.interior
         n = ii.size
         g = AffineField.build(-0.1, [(0.01, lambda x: x[:, 1], 0)])
-        if affine:
-            a = AffineField.build(2.0, [(0.5, lambda x: x[:, 0] + x[:, 1], 0),
-                                        (0.3, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 2)])
-            f = AffineField.build(-1.0, [(0.5, one, 1)])
-            a_at, f_at = a.evaluate, f.evaluate
-        else:
-            def a(x, y):
-                return 2.0 + np.exp(y[..., 0, None] * x[:, 0]) * y[..., 2, None]
-
-            def f(x, y):
-                return np.sin(y[..., 1, None] * x[:, 1]) - 1.0
-
-            a_at, f_at = a, f
+        a = AffineField.build(2.0, [(0.5, lambda x: x[:, 0] + x[:, 1], 0),
+                                    (0.3, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 2)])
+        f = AffineField.build(-1.0, [(0.5, one, 1)])
+        a_at, f_at = a.evaluate, f.evaluate
 
         def dirichlet(x, y):
             return x[:, 0] * y[..., 0, None] - x[:, 1] * y[..., 2, None]
@@ -112,8 +98,8 @@ class TestAffineSampler:
             assert_allclose(system.b[rows], rhs, rtol=1e-12)
             assert_allclose(obs[rows], g.evaluate(mesh.nodes[ii], y), rtol=1e-12)
             assert_allclose(boundary[j], bvals, rtol=1e-12)
-        # the affine coefficient has no mode on dimension 1, the callable one
-        # does not read y[..., 1]: moving it moves the load, not the matrix
+        # the coefficient has no mode on dimension 1: moving it moves the
+        # load, not the matrix
         moved = Y.copy()
         moved[:, 1] += 0.25
         again, _, _ = sampler.build(moved)
@@ -243,26 +229,11 @@ class TestMCRun:
         with pytest.raises(RuntimeError):
             mc_run(mesh, fields, dens, n_samples=8, seed=0, solver=starved)
 
-    def test_non_affine_field_uses_generic_path(self, monkeypatch):
-        # a coefficient given as a callable of (x, y) is evaluated at each
-        # drawn y; compare against the affine path at matched samples
-        mesh = build_uniform_mesh(RECT, 3)
-        dens = (Density1D.uniform(0.5, 1.5),)
-        f = AffineField.build(-2.0)
-        g = AffineField.build(-10.0)
-        res_gen = mc_run(mesh, {"a": lambda x, y: y[..., 0, None] + 0.0 * x[:, 0],
-                                "f": f, "g": g},
-                         dens, n_samples=12, seed=7,
-                         solver=SolverConfig(tol=1e-12))
-        res_aff = mc_run(mesh, {"a": AffineField.build(0.0, [(1.0, one, 0)]),
-                                "f": f, "g": g},
-                         dens, n_samples=12, seed=7,
-                         solver=SolverConfig(tol=1e-12))
-        assert_allclose(res_gen.mean, res_aff.mean, rtol=1e-9)
-
-        # the paper's examples with y = exp(xi): affine in y (exp) and a
-        # callable of xi (xi) draw the same samples, solved in blocks of
-        # MC_BLOCK_NODES // I samples on both paths
+    def test_exp_and_xi_forms_draw_the_same_samples(self, monkeypatch):
+        # the paper's examples with y = exp(xi): xi only chooses the
+        # coordinate of the Galerkin hats, so both forms draw the same rows,
+        # solved in blocks of MC_BLOCK_NODES // I samples, and give the same
+        # mean to the last bit
         solves = []
 
         def counted(system, obs, config, x0=None):
@@ -284,7 +255,7 @@ class TestMCRun:
                 assert res.n_failed == 0 and solves == [block, n - block]
                 means[parameterization] = res.mean
             assert np.max(np.abs(means["exp"])) > 0.01
-            assert_allclose(means["xi"], means["exp"], rtol=0, atol=1e-12)
+            assert np.array_equal(means["xi"], means["exp"])
 
     def test_timings_reported(self):
         mesh = build_uniform_mesh(RECT, 3)
@@ -302,32 +273,19 @@ class TestBlocks:
     MESH = build_uniform_mesh(RECT, 8)  # I = 49 interior nodes
     BLOCK = MC_BLOCK_NODES // 49
 
-    @pytest.mark.parametrize("affine, lifted", [
-        pytest.param(True, False, id="affine"),
-        pytest.param(True, True, id="lifted"),
-        pytest.param(False, False, id="callable"),
-        pytest.param(False, True, id="callable-lifted"),
-    ])
+    @pytest.mark.parametrize("lifted", [pytest.param(False, id="affine"),
+                                        pytest.param(True, id="lifted")])
     @pytest.mark.parametrize("n_samples", [BLOCK - 3, BLOCK, 2 * BLOCK + 5],
                              ids=["below-B", "B", "not-multiple"])
-    def test_block_solves_match_serial_solves(self, affine, lifted, n_samples):
+    def test_block_solves_match_serial_solves(self, lifted, n_samples):
         # the reference assembles and solves every sample on its own, cold,
         # and feeds the same accumulator; the block run must agree to
-        # rounding.  The callable a and f are not affine in y.
+        # rounding
         mesh = self.MESH
         g = AffineField.build(-0.08, [(0.02, one, 0)])
-        if affine:
-            a = AffineField.build(1.0, [(0.5, lambda x: x[:, 0], 0), (0.3, one, 1)])
-            f = AffineField.build(-6.0, [(2.0, lambda x: x[:, 1], 1)])
-            a_at, f_at = a.evaluate, f.evaluate
-        else:
-            def a(x, y):
-                return 1.0 + 0.5 * np.exp(y[..., 1, None] * x[:, 0]) * y[..., 0, None]
-
-            def f(x, y):
-                return -6.0 + 2.0 * np.sin(3.0 * y[..., 1, None] * x[:, 1])
-
-            a_at, f_at = a, f
+        a = AffineField.build(1.0, [(0.5, lambda x: x[:, 0], 0), (0.3, one, 1)])
+        f = AffineField.build(-6.0, [(2.0, lambda x: x[:, 1], 1)])
+        a_at, f_at = a.evaluate, f.evaluate
         dens = (Density1D.exp_uniform(), Density1D.uniform(-1.0, 1.0))
 
         def dirichlet(x, y):

@@ -301,20 +301,24 @@ def _hat_factors_per_cell(rho, breaks, n_pts):
     return mass0, massy, vec0, vecy
 
 
-def _fine_hat_factors(rho, breaks):
-    """(mass, mass_y) of the hats on ``breaks``, cell by cell, from 20 Gauss
-    points on each of equal pieces of xi width at most 1/8."""
+def _fine_hat_factors(rho, breaks, in_xi=False):
+    """(mass, mass_y) of the hats on ``breaks``, linear in xi when ``in_xi``
+    and in y otherwise, cell by cell, from 20 Gauss points on each of equal
+    pieces of xi width at most 1/8."""
     gx, gw = np.polynomial.legendre.leggauss(20)
     n = len(breaks)
+    xi_breaks = breaks if in_xi else np.log(breaks)
     mass = np.zeros((2, n, n))
     for l in range(n - 1):
-        xa, xb = np.log(breaks[l]), np.log(breaks[l + 1])
+        xa, xb = xi_breaks[l], xi_breaks[l + 1]
         ends = np.linspace(xa, xb, int(np.ceil(8.0 * (xb - xa))) + 1)
         half = 0.5 * np.diff(ends)[:, None]
-        y = np.exp(0.5 * (ends[:-1, None] + ends[1:, None]) + half * gx).ravel()
+        xi = (0.5 * (ends[:-1, None] + ends[1:, None]) + half * gx).ravel()
+        y = np.exp(xi)
         w = (half * gw).ravel() / (rho.hi - rho.lo)
-        hats = [(breaks[l + 1] - y) / (breaks[l + 1] - breaks[l]),
-                (y - breaks[l]) / (breaks[l + 1] - breaks[l])]
+        t = xi if in_xi else y  # the hat coordinate
+        hats = [(breaks[l + 1] - t) / (breaks[l + 1] - breaks[l]),
+                (t - breaks[l]) / (breaks[l + 1] - breaks[l])]
         for k, weights in enumerate((w, w * y)):
             for i in range(2):
                 for j in range(2):
@@ -323,14 +327,24 @@ def _fine_hat_factors(rho, breaks):
 
 
 class TestGaussRule:
-    @pytest.mark.parametrize("rho", [Density1D.uniform(-1.0, 2.0), Density1D.exp_uniform()],
-                             ids=["uniform", "exp-uniform"])
-    def test_hat_factors_match_per_cell_loop(self, rho):
+    @pytest.mark.parametrize("rho, in_xi", [
+        pytest.param(Density1D.uniform(-1.0, 2.0), False, id="uniform"),
+        pytest.param(Density1D.exp_uniform(), False, id="exp-uniform"),
+        pytest.param(Density1D.exp_uniform(-3.0, 3.0), True, id="exp-uniform-xi")])
+    def test_hat_factors_match_per_cell_loop(self, rho, in_xi):
+        # hats linear in y are the per-cell loop to the last bit; hats linear
+        # in xi, on a uniform partition of (lo, hi), agree with a fine
+        # per-cell rule in xi to roundoff
         for cells in range(1, 65):
-            breaks = build_param_grid([rho], cells).breakpoints[0]
-            for got, want in zip(_hat_factors_1d(rho, breaks, 12),
-                                 _hat_factors_per_cell(rho, breaks, 12)):
-                assert np.array_equal(got, want), cells
+            breaks = build_param_grid([rho], cells, in_xi).breakpoints[0]
+            got = _hat_factors_1d(rho, breaks, 12, in_xi)
+            if not in_xi:
+                for g, want in zip(got, _hat_factors_per_cell(rho, breaks, 12)):
+                    assert np.array_equal(g, want), cells
+                continue
+            assert np.array_equal(breaks, np.linspace(rho.lo, rho.hi, cells + 1))
+            for g, want in zip(got, _fine_hat_factors(rho, breaks, in_xi)):
+                assert_allclose(g, want, rtol=1e-13, atol=1e-16, err_msg=str(cells))
 
     def test_cached_rule_is_read_only(self):
         x, w = gauss_legendre(7)

@@ -37,6 +37,24 @@ def fd_laplacian(value, x, y, h=1e-4):
     return out / h ** 2
 
 
+def assert_same_data(make, r_max):
+    """xi only chooses the coordinate of the Galerkin hats: both forms of a
+    built-in carry the same densities, fields, exact solution and Dirichlet
+    data, all in y, to the last bit."""
+    exp, xi = make("exp"), make("xi")
+    assert (exp.parameterization, xi.parameterization) == ("exp", "xi")
+    assert xi.densities == exp.densities and xi.n_dims == exp.n_dims == 2
+    rng = np.random.default_rng(4)
+    pts = ring_points(rng, 0.0, r_max)
+    Y = draw(exp.densities, rng, 5)
+    for key in ("a", "f", "g"):
+        assert np.array_equal(at_points(xi.fields[key], pts, 2)(Y),
+                              at_points(exp.fields[key], pts, 2)(Y))
+    assert np.array_equal(xi.exact.value(pts, Y), exp.exact.value(pts, Y))
+    assert np.array_equal(x_gradient(xi.exact, pts, Y), x_gradient(exp.exact, pts, Y))
+    assert np.array_equal(xi.dirichlet(pts, Y), exp.dirichlet(pts, Y))
+
+
 def ring_points(rng, r_min, r_max, n=30):
     r = np.sqrt(rng.uniform(r_min ** 2, r_max ** 2, n))
     t = rng.uniform(0, 2 * np.pi, n)
@@ -88,20 +106,7 @@ class TestExample1:
         assert b.lo > 0
 
     def test_exp_and_xi_parameterizations_agree(self):
-        xi_prob = example1("xi")
-        rng = np.random.default_rng(4)
-        pts = ring_points(rng, 0.5, 1.4)
-        for _ in range(5):
-            xi = rng.uniform(-1, 1, 2)
-            assert_allclose(xi_prob.exact.value(pts, xi),
-                            self.prob.exact.value(pts, np.exp(xi)), rtol=1e-13)
-            assert_allclose(xi_prob.fields["a"](pts, xi),
-                            self.prob.fields["a"].evaluate(pts, np.exp(xi)),
-                            rtol=1e-13)
-
-    def test_sg_ready_flags(self):
-        assert self.prob.sg_ready
-        assert not example1("xi").sg_ready
+        assert_same_data(example1, 1.4)
 
 
 class TestExample2:
@@ -148,19 +153,7 @@ class TestExample2:
         assert_allclose(x_gradient(self.prob.exact, pts, self.y), fd, atol=1e-7)
 
     def test_exp_and_xi_parameterizations_agree(self):
-        xi_prob = example2("xi")
-        rng = np.random.default_rng(9)
-        pts = ring_points(rng, 0.2, 0.95)
-        xi = rng.uniform(-1, 1, 2)
-        assert_allclose(xi_prob.exact.value(pts, xi),
-                        self.prob.exact.value(pts, np.exp(xi)), rtol=1e-13)
-        assert_allclose(xi_prob.fields["f"](pts, xi),
-                        self.prob.fields["f"].evaluate(pts, np.exp(xi)),
-                        rtol=1e-13)
-
-    def test_sg_ready_flags(self):
-        assert self.prob.sg_ready
-        assert not example2("xi").sg_ready
+        assert_same_data(example2, 0.95)
 
 
 @pytest.mark.parametrize("make", [example1, example2])
@@ -191,13 +184,15 @@ def test_dirichlet_data_lie_on_or_above_the_obstacle(make, parameterization):
     mesh = build_uniform_mesh(prob.rect, 8)
     x = mesh.nodes[mesh.boundary]
     vertices = tensor_points([np.array(rho.support) for rho in prob.densities])
-    Y = np.vstack([vertices, build_param_grid(prob.densities, 4).nodes()])
+    grid = build_param_grid(prob.densities, 4, parameterization == "xi")
+    Y = np.vstack([vertices, grid.nodes()])
     data = prob.dirichlet(x, Y)
     obstacle = at_points(prob.fields["g"], x, prob.n_dims)(Y)
     assert data.shape == obstacle.shape == (len(Y), len(x))
     assert np.all(data >= obstacle) and np.any(data > obstacle)
-    if parameterization == "xi":  # the derived data are the exp data at y = exp(xi)
-        assert_allclose(data, make("exp").dirichlet(x, np.exp(Y)), rtol=1e-14)
+    if parameterization == "xi":  # the grid nodes are exp of a uniform partition in xi
+        assert_allclose(np.log(grid.nodes()), tensor_points([np.linspace(-1.0, 1.0, 5)] * 2),
+                        rtol=0, atol=1e-15)
 
 class TestRegistry:
     def test_get_problem(self):
@@ -255,7 +250,10 @@ class TestConfigSpecs:
         assert prob.name == "toy"
         assert prob.n_dims == 1
         assert prob.exact is None
-        assert prob.sg_ready
+        assert prob.parameterization == "exp"
+        assert problem_from_config(custom, "xi").parameterization == "xi"
+        with pytest.raises(ValueError, match="unknown parameterization"):
+            problem_from_config(custom, "lognormal")
         x = np.zeros((1, 2))
         assert prob.fields["a"].evaluate(x, np.array([1.0]))[0] == pytest.approx(1.5)
 

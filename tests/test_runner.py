@@ -103,12 +103,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="mode.*; .*quad_order"):
             validate_config(bad)
 
-    def test_non_affine_problem_rejected_for_galerkin(self):
-        cfg = base_config(parameterization="xi")
-        with pytest.raises(ConfigError, match="affine"):
-            validate_config(cfg)
-        cfg["mode"] = "mc"
-        assert validate_config(cfg).problem.parameterization == "xi"
+    def test_xi_problem_validates_and_converges_for_galerkin(self):
+        # xi chooses hats linear in xi; the fields stay affine in y
+        cfg = validate_config(base_config(problem="example1", parameterization="xi"))
+        assert cfg.problem.parameterization == "xi" and cfg.mode == "sg"
+        table, reports = run_convergence(cfg, write=False)
+        assert all(report["converged"] for report in reports)
+        errors = [row.errors["eL2m1"] for row in table.rows]
+        assert errors[1] < errors[0]
+        # s is the cell width in xi: 2 / cells on xi in (-1, 1)
+        assert [row.s for row in table.rows] == [2.0, 1.0]
 
     def test_missing_solver_block_warns_and_defaults(self, caplog):
         cfg = base_config()
@@ -201,18 +205,25 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="custom"):
             validate_config(base_config(problem="custom"))
 
-    def test_custom_problem_takes_only_exp(self, tmp_path, capsys):
-        # custom fields are affine in y as given; xi used to run them unchanged
-        cfg = custom_config(3.0, mode="mc", parameterization="xi")
-        with pytest.raises(ConfigError, match="problem 'custom' takes parameterization "
-                                              "exp, got 'xi'"):
-            validate_config(cfg)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
-        assert cli_main(["-q", "info", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("config error")
-        cfg["parameterization"] = "exp"
-        assert validate_config(cfg).problem.parameterization == "exp"
+    def test_uniform_custom_problem_gives_the_same_outputs_in_xi(self, tmp_path):
+        # under uniform densities xi is y, so hats linear in xi are the hats
+        # in y: the Galerkin and Monte Carlo exports are the same bytes
+        a = {"mean": 1.0, "modes": [{"coeff": 0.5, "shape": 1.0, "dim": 0}]}
+        outputs = {}
+        for parameterization in ("exp", "xi"):
+            out = tmp_path / parameterization
+            cfg = custom_config(a, mode="both", parameterization=parameterization,
+                                output_dir=str(out), mc={"n_samples": 24, "seed": 3})
+            cfg["custom"]["densities"].append({"kind": "uniform", "lo": -1.0, "hi": 1.0})
+            path = tmp_path / f"{parameterization}.json"
+            path.write_text(json.dumps(cfg))
+            assert cli_main(["-q", "solve", str(path)]) == 0
+            assert cli_main(["-q", "mc", str(path)]) == 0
+            outputs[parameterization] = {f.name: f.read_bytes() for f in out.iterdir()
+                                         if f.suffix in (".csv", ".vtk")
+                                         and not f.name.endswith("_timing.csv")}
+        assert len(outputs["exp"]) == 6
+        assert outputs["xi"] == outputs["exp"]
 
     @pytest.mark.parametrize("section, key, name, value", [
         pytest.param(None, "quad_order", "quad_order", "many", id="None-quad_order-quad_order"),
@@ -893,6 +904,23 @@ class TestCLI:
         assert err.startswith("config error")
         assert f"limit of {EXPLICIT_LIMIT}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_non_elliptic_coefficient_in_xi_exits_one(self, tmp_path, capsys):
+        # a = 2 - y1 with y1 = exp(xi), xi ~ U(-1, 1), is negative for
+        # y1 > 2: the well-posedness check covers runs in xi as well
+        cfg = custom_config(
+            {"mean": 2.0, "modes": [{"coeff": -1.0, "shape": 1.0, "dim": 0}]},
+            parameterization="xi", output_dir=str(tmp_path / "out"))
+        cfg["custom"]["densities"] = [{"kind": "exp-uniform", "lo": -1.0, "hi": 1.0}]
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert "coefficient a is not uniformly positive" in err
+        assert not (tmp_path / "out").exists()
+        cfg["custom"]["fields"]["a"]["mean"] = 3.0  # a > 0 on the whole box
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 0
 
     def test_non_elliptic_coefficient_exits_one(self, tmp_path, capsys):
         # a = 1 - y1 with y1 ~ U(0, 3) changes sign on the parameter box;
