@@ -6,10 +6,10 @@ obstacle is such a field.  Dirichlet data are plain callables (x, y) ->
 values that take a block of parameter rows at once: for points x (n, 2)
 and y (..., M) they return values of shape y.shape[:-1] + (n,), the shapes
 of an exact solution's ``value`` (``stats.ParametricFunction``).
-``spatial_data`` maps rows of field values through the mesh operator
-(``fem.P1Operator``): the affine terms for the Galerkin system
-(``affine_factors``), the parameter rows of a sample block for Monte Carlo
-(``at_points``).  ``lift`` is the one Dirichlet lifting of both.
+``affine_factors`` maps the affine terms of a, f and g through the mesh
+operator (``fem.P1Operator``) once: the Galerkin system contracts them with
+its Gramians, and a Monte Carlo block takes its samples' data as [1, y]
+times them.  ``lift`` is the one Dirichlet lifting of both.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ __all__ = [
     "AffineFactors",
     "FieldBounds",
     "affine_factors",
-    "at_points",
     "bounds_check",
     "lift",
-    "spatial_data",
 ]
 
 
@@ -106,7 +104,7 @@ def bounds_check(field: AffineField, supports: Sequence[tuple[float, float]],
 
 @dataclass(frozen=True)
 class AffineFactors:
-    """Interior spatial data of a, f and g, one row per affine term or sample:
+    """Interior spatial data of a, f and g, one row per affine term:
     a's stiffness entries (rows, nnz) on the ``interior`` and ``coupling``
     blocks of the mesh operator, f's interior loads and g's values at the
     interior nodes (rows, I)."""
@@ -117,33 +115,18 @@ class AffineFactors:
     obs: np.ndarray
 
 
-def spatial_data(op: P1Operator, a_integrals: np.ndarray, f_values: np.ndarray,
-                 g_values: np.ndarray) -> AffineFactors:
-    """Map rows of a's triangle integrals (``op.integrals`` of its values at
-    ``op.points``), of f's values at ``op.points`` and of g's values at the
-    interior nodes through the mesh operator.  Taking a as its integrals
-    lets a caller drop a's point values before it evaluates f."""
-    return AffineFactors(op.interior.data(a_integrals), op.coupling.data(a_integrals),
-                         op.load(f_values)[..., op.mesh.interior], g_values)
-
-
 def affine_factors(op: P1Operator, a: AffineField, f: AffineField, g: AffineField,
                    n_dims: int) -> AffineFactors:
     """The spatial data of the affine terms of a, f and g over ``n_dims`` dimensions.
 
     Row 0 is the mean and row k + 1 parameter dimension k; the rows of a
-    dimension on which a field has no mode are zero.
+    dimension on which a field has no mode are zero.  The data are linear
+    in the terms, so [1, y] times them are the data of the field at y.
     """
-    x_int = op.mesh.nodes[op.mesh.interior]
-    return spatial_data(op, op.integrals(a.terms(op.points, n_dims)),
-                        f.terms(op.points, n_dims), g.terms(x_int, n_dims))
-
-
-def at_points(fld: AffineField, x: np.ndarray, n_dims: int):
-    """The map from parameter rows Y (B, M) to a field's values (B, n) at the
-    points x: its mean plus Y @ modes, with its terms taken at x once."""
-    terms = fld.terms(x, n_dims)
-    return lambda Y: terms[0] + Y @ terms[1:]
+    a_integrals = op.integrals(a.terms(op.points, n_dims))
+    loads = op.load(f.terms(op.points, n_dims))[..., op.mesh.interior]
+    return AffineFactors(op.interior.data(a_integrals), op.coupling.data(a_integrals),
+                         loads, g.terms(op.mesh.nodes[op.mesh.interior], n_dims))
 
 
 def lift(op: P1Operator, dirichlet, y_points: np.ndarray, K_ib: np.ndarray):

@@ -45,6 +45,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -187,32 +188,40 @@ class SparseObstacleSystem:
         solve.exact = True
         return solve
 
+    @cached_property
+    def _sizes(self):
+        """The sizes of the diagonal blocks, once their starts are known."""
+        return np.diff(self._starts, append=self.n)
+
     def _blocks(self, moved):
         """The rows of the blocks flagged in ``moved``, as an index array."""
-        return np.flatnonzero(np.repeat(moved, np.diff(self._starts, append=self.n)))
+        return np.flatnonzero(np.repeat(moved, self._sizes))
 
     def _factor_for(self, active):
         """Refactor the blocks whose rows of the factor hold another set.
 
         The band and the factor are kept as their transposes, one row per
         column of A, so the blocks' columns are gathered and scattered as
-        rows and LAPACK reads the transposes without a copy.
+        rows and LAPACK reads the transposes without a copy.  When every
+        block moved, the gather is a plain copy of the band.
         """
         if self._band is None:
             self._band, self._starts = _lower_band(self.A)
-        if self._factor is None:
-            cols, count = np.arange(self.n), len(self._starts)
-        else:
+        count = len(self._starts)
+        if self._factor is not None:
             moved = np.logical_or.reduceat(active != self._mask, self._starts)
             count = int(np.count_nonzero(moved))
             if not count:
                 return
+        if count == len(self._starts):
+            cols, band, held = None, self._band.copy(), active.copy()
+        else:
             cols = self._blocks(moved)
-        held = active[cols]
-        factor = cholesky_banded(_masked(self._band[cols], held).T, lower=True,
+            band, held = np.take(self._band, cols, axis=0), active[cols]
+        factor = cholesky_banded(_masked(band, held).T, lower=True,
                                  overwrite_ab=True, check_finite=False).T
         self.factored_blocks += count
-        if self._factor is None:
+        if cols is None:
             self._factor, self._mask = factor, held
         else:
             self._factor[cols] = factor
@@ -271,12 +280,18 @@ def _lower_band(A):
 
 def _masked(band, held):
     """``band`` (a transposed lower band, changed in place) with the rows and
-    columns of the ``held`` entries zeroed and a unit diagonal on them."""
-    m, depth = band.shape
-    # held_row[j, k]: whether row j + k of entry band[j, k] is held
-    held_row = sliding_window_view(np.concatenate((held, np.zeros(depth - 1, dtype=bool))), depth)
-    band[held_row | held[:, None]] = 0.0
-    band[held, 0] = 1.0
+    columns of the ``held`` entries zeroed and a unit diagonal on them.
+
+    The zeros come from multiplying by the float indicator of the free
+    entries, along the columns and, through its sliding windows, along the
+    rows."""
+    depth = band.shape[1]
+    free = 1.0 - held
+    # free_row[j, k]: 1.0 when row j + k of entry band[j, k] is free
+    free_row = sliding_window_view(np.concatenate((free, np.ones(depth - 1))), depth)
+    band *= free_row
+    band *= free[:, None]
+    band[:, 0] += held
     return band
 
 
@@ -290,7 +305,7 @@ def _max_violation(u, obs, lam) -> float:
     return float(np.abs(np.minimum(u - obs, lam)).max())
 
 
-_COLOUR_CHUNK = 64  # rows whose row pointers and column indices are Python ints at once
+_COLOUR_CHUNK = 64  # rows whose lower column indices are Python ints at once
 
 
 def greedy_colouring(A) -> list:
@@ -299,22 +314,31 @@ def greedy_colouring(A) -> list:
     Returns one colour (0, 1, ...) per row as a list of ints: row i gets the
     smallest colour that no row stored in row i's pattern already has.  For
     a matrix with a symmetric pattern (every symmetric A) no stored
-    off-diagonal entry then joins two rows of one colour.  The row pointers
-    and column indices become Python ints one chunk of rows at a time, which
-    keeps the memory of the colouring small next to A itself.
+    off-diagonal entry then joins two rows of one colour.  Only the rows
+    before i are coloured when row i is, so only its strictly lower entries
+    are read.  Each row's colour c is kept as the bit 1 << c, so the colours
+    in use are the OR of its lower entries' bits and the first free colour
+    is their lowest zero bit.  The lower column indices become Python ints
+    one chunk of rows at a time, which keeps the memory of the colouring
+    small next to A itself.
     """
     n = A.shape[0]
-    colour = [-1] * n
+    bit = [0] * n
     for start in range(0, n, _COLOUR_CHUNK):
-        ptr = A.indptr[start:start + _COLOUR_CHUNK + 1].tolist()
-        cols = A.indices[ptr[0]:ptr[-1]].tolist()
-        for i in range(len(ptr) - 1):
-            used = {colour[j] for j in cols[ptr[i] - ptr[0]:ptr[i + 1] - ptr[0]]}
-            c = 0
-            while c in used:
-                c += 1
-            colour[start + i] = c
-    return colour
+        stop = min(start + _COLOUR_CHUNK, n)
+        ptr = A.indptr[start:stop + 1]
+        cols = A.indices[ptr[0]:ptr[-1]]
+        rows = np.repeat(np.arange(start, stop), np.diff(ptr))
+        below = cols < rows
+        bounds = np.zeros(stop - start + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[below] - start, minlength=stop - start), out=bounds[1:])
+        bounds, lower = bounds.tolist(), cols[below].tolist()
+        for i in range(stop - start):
+            used = 0
+            for j in lower[bounds[i]:bounds[i + 1]]:
+                used |= bit[j]
+            bit[start + i] = ~used & (used + 1)
+    return [b.bit_length() - 1 for b in bit]
 
 
 def _colour_ordered(A):

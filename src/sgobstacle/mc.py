@@ -2,26 +2,27 @@
 
 A run draws its parameter rows from one RNG stream, seeded by its seed,
 one block per call (``param.draw``), so the draws do not depend on how
-samples are grouped.  Samples are solved in blocks: a block of B samples
-is one block-diagonal LCP whose diagonal block j is the obstacle problem at
+samples are grouped.  Samples are solved in blocks: a block of B samples is
+one block-diagonal LCP whose diagonal block j is the obstacle problem at
 the j-th parameter row, solved with the configured LCP solver from the
 running mean; its solutions enter the accumulator in one pairwise update
-of the block's mean and sum of squared deviations.  The rows are drawn in
-y whatever the problem's parameterization, which only concerns the
-Galerkin hats.  One sampler per run serves every field: it evaluates the
-affine fields a, f and g at a block's rows (the mean plus the rows times
-the modes) and maps the values through the mesh operator
-(``fem.P1Operator``) into the block's stiffness entries, loads, obstacle
-values and Dirichlet lifting.  The systems are ``SparseObstacleSystem``s,
-whose preconditioner is an exact banded Cholesky solve of the system with
-unit rows on the active entries, so an active-set update is one apply of
-it and no conjugate gradients.  Block-diagonal stacking keeps the band of
-one sample: the sampler finds where one sample's stiffness entries go in
-its band once per run (``lcp.band_map``), and a block's band is one
-scatter of its stiffness rows, handed to the system with the samples as
-its diagonal blocks.  An update refactors and solves again only the
-samples whose active set moved; ``MCResult`` counts the sample
-factorizations and sample solves of the run.
+of the block's mean and sum of squared deviations.  The rows are drawn in y
+whatever the problem's parameterization, which only concerns the Galerkin
+hats.  One sampler per run serves every field: it maps the affine terms of
+a, f and g through the mesh operator once (``fields.affine_factors``, the
+data of the Galerkin system), and a block's stiffness entries, loads and
+obstacle values are [1, Y] times those terms for its rows Y.  The Dirichlet
+data and their lifting are made per block (``fields.lift``), because they
+are not affine in y.  The systems are ``SparseObstacleSystem``s, whose
+preconditioner is an exact banded Cholesky solve of the system with unit
+rows on the active entries, so an active-set update is one apply of it and
+no conjugate gradients.  Block-diagonal stacking keeps the band of one
+sample: the sampler finds where one sample's stiffness entries go in its
+band once per run (``lcp.band_map``), and a block's band is one scatter of
+its stiffness rows, handed to the system with the samples as its diagonal
+blocks.  An update refactors and solves again only the samples whose active
+set moved; ``MCResult`` counts the sample factorizations and sample solves
+of the run.
 
 B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
 one sample).  The cap keeps the working set of the band Cholesky small:
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import P1Operator
-from .fields import at_points, lift, spatial_data
+from .fields import affine_factors, lift
 from .lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                   band_map, solve_lcp)
 from .mesh import Mesh
@@ -109,18 +110,16 @@ class MCResult:
 class _AffineSampler:
     """Block system factory of one run.
 
-    The mesh operator, the points at which a, f (quadrature points) and g
-    (interior nodes) are evaluated, and the band map of one sample's
-    stiffness pattern (``lcp.band_map``) are fixed once; ``build`` evaluates
-    the fields at a block of parameter rows and maps the values through the
-    operator (``fields.spatial_data`` and ``fields.lift``).
+    The spatial data of the affine terms of a, f and g
+    (``fields.affine_factors``) and the band map of one sample's stiffness
+    pattern (``lcp.band_map``) are made once; ``build`` takes a block's
+    stiffness entries, loads and obstacle values as [1, Y] times the terms
+    and its Dirichlet data and lifting from ``fields.lift``.
     """
 
     def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int):
         self.op, self.dirichlet = P1Operator(mesh), dirichlet
-        points = (self.op.points, self.op.points, mesh.nodes[mesh.interior])
-        self.fields = [at_points(fld, x, n_dims)
-                       for fld, x in zip((a_field, f_field, g_field), points)]
+        self.terms = affine_factors(self.op, a_field, f_field, g_field, n_dims)
         self.band_map = band_map(self.op.interior.indptr, self.op.interior.indices)
 
     def build(self, Y: np.ndarray):
@@ -128,23 +127,22 @@ class _AffineSampler:
 
         Returns the ``SparseObstacleSystem`` whose diagonal block j is the
         sample system at ``Y[j]``, the stacked obstacle (B * I,) and the
-        Dirichlet data (B, n_boundary).  a is reduced to its triangle
-        integrals before f is evaluated, and the system's band is one
-        scatter of the block's stiffness rows through the band map, with
-        each sample's block starts repeated.
+        Dirichlet data (B, n_boundary).  The system's band is one scatter of
+        the block's stiffness rows through the band map, with each sample's
+        block starts repeated.
         """
-        a, f, g = self.fields
-        data = spatial_data(self.op, self.op.integrals(a(Y)), f(Y), g(Y))
-        D, lifting = lift(self.op, self.dirichlet, Y, data.K_ib)
+        Y1 = np.column_stack((np.ones(len(Y)), Y))
+        t = self.terms
+        K_ii, K_ib, load, obs = (Y1 @ x for x in (t.K_ii, t.K_ib, t.load, t.obs))
+        D, lifting = lift(self.op, self.dirichlet, Y, K_ib)
         lower, pos, depth, starts = self.band_map
         B, I = len(Y), self.op.interior.shape[0]
         band = np.zeros((B, I * depth))
-        band[:, pos] = data.K_ii[:, lower]
-        system = SparseObstacleSystem(self.op.interior.csr(data.K_ii),
-                                      (data.load - lifting).ravel(),
+        band[:, pos] = K_ii[:, lower]
+        system = SparseObstacleSystem(self.op.interior.csr(K_ii), (load - lifting).ravel(),
                                       band.reshape(B * I, depth),
                                       (I * np.arange(B)[:, None] + starts).ravel())
-        return system, data.obs.ravel(), D
+        return system, obs.ravel(), D
 
 
 def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,

@@ -194,11 +194,9 @@ def write_vtk(mesh: Mesh, path: str, point_data: dict[str, np.ndarray] | None = 
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_nodes} double",
     ]
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.16g} {y:.16g} 0")
+    lines.extend(f"{x:.16g} {y:.16g} 0" for x, y in mesh.nodes.tolist())
     lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    for tri in mesh.triangles:
-        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
+    lines.extend(f"3 {i} {j} {k}" for i, j, k in mesh.triangles.tolist())
     lines.append(f"CELL_TYPES {mesh.n_triangles}")
     lines.extend(["5"] * mesh.n_triangles)
     if point_data:
@@ -210,6 +208,6 @@ def write_vtk(mesh: Mesh, path: str, point_data: dict[str, np.ndarray] | None = 
                                  f"expected ({mesh.n_nodes},)")
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.16g}" for v in values)
+            lines.extend(f"{v:.16g}" for v in values.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

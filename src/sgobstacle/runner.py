@@ -232,7 +232,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     problem = None
     name = raw.get("problem", "example1")
     try:
-        if name == "custom":
+        if parameterization not in ("exp", "xi"):
+            pass  # reported above, and only there: no problem is built
+        elif name == "custom":
             if "custom" not in raw:
                 raise ValueError("problem 'custom' needs a custom section")
             problem = problem_from_config(raw["custom"], parameterization)

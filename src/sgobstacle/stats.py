@@ -139,8 +139,8 @@ def write_stat_csv(field: StatField, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "value"])
-        for (x1, x2), v in zip(field.mesh.nodes, field.values):
-            writer.writerow([f"{x1:.16g}", f"{x2:.16g}", f"{v:.16e}"])
+        writer.writerows([f"{x1:.16g}", f"{x2:.16g}", f"{v:.16e}"]
+                         for (x1, x2), v in zip(field.mesh.nodes.tolist(), field.values.tolist()))
 
 
 def write_stat_vtk(fields: list[StatField], path: str) -> None:

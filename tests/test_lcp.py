@@ -467,6 +467,34 @@ class TestMovedOnlySolves:
             SparseObstacleSystem(A, np.zeros(n), band[1:], starts)
 
 
+def boolean_masked(band, held):
+    """Reference of ``lcp._masked``: boolean assignment of the held rows and columns."""
+    depth = band.shape[1]
+    held_row = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((held, np.zeros(depth - 1, dtype=bool))), depth)
+    band[held_row | held[:, None]] = 0.0
+    band[held, 0] = 1.0
+    return band
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7])
+def test_masked_band_equals_the_boolean_reference(depth):
+    # held entries anywhere, in the last depth - 1 rows (whose band rows
+    # reach past the matrix), all held and none held
+    rng = np.random.default_rng(89 + depth)
+    m = 40
+    band = rng.standard_normal((m, depth))
+    tail = np.zeros(m, dtype=bool)
+    tail[m - depth:] = rng.random(depth) < 0.7
+    tail[-1] = True
+    masks = [rng.random(m) < p for p in (0.1, 0.5, 0.9)]
+    masks += [tail, np.ones(m, dtype=bool), np.zeros(m, dtype=bool)]
+    for held in masks:
+        got = lcp_module._masked(band.copy(), held)
+        assert_array_equal(got, boolean_masked(band.copy(), held))
+        assert np.all(got[held, 0] == 1.0)
+
+
 class TestPSOR:
     def test_energy_monotone(self):
         # the energy 1/2 u.Au - b.u after k sweeps, k = 1, 2, ..., never rises
@@ -526,6 +554,19 @@ def assert_first_fit_colouring(A, colour):
         assert set(range(colour[i])) <= set(colour[earlier].tolist())
 
 
+def set_colouring(A):
+    """Reference first fit: the set of colours of each row's whole pattern."""
+    n = A.shape[0]
+    colour = [-1] * n
+    for i in range(n):
+        used = {colour[j] for j in A.indices[A.indptr[i]:A.indptr[i + 1]].tolist()}
+        c = 0
+        while c in used:
+            c += 1
+        colour[i] = c
+    return colour
+
+
 def sequential_psor(A, b, obs, omega, sweeps, order):
     """Row-by-row projected SOR over the rows in the given order (reference)."""
     A = sp.csr_array(A)
@@ -556,6 +597,28 @@ class TestMulticolourPSOR:
         A = sp.diags_array(np.arange(1.0, 7.0)).tocsr()
         colour = greedy_colouring(A)
         assert colour == [0] * 6
+        assert_first_fit_colouring(A, colour)
+
+    @pytest.mark.parametrize("pattern", ["random", "dense", "diagonal", "tridiagonal",
+                                         "galerkin"])
+    def test_colouring_matches_the_set_reference(self, pattern):
+        # the bitmask over the strictly lower entries gives the colours of
+        # first fit over whole rows, across several chunks of rows
+        rng = np.random.default_rng(97)
+        n = 3 * lcp_module._COLOUR_CHUNK + 5
+        if pattern == "random":
+            stored = rng.random((n, n)) < 0.015
+            A = sp.csr_array((stored | stored.T | np.eye(n, dtype=bool)).astype(float))
+        elif pattern == "dense":
+            A = sp.csr_array(random_lcp(rng, 40)[0])
+        elif pattern == "diagonal":
+            A = sp.csr_array(np.eye(n))
+        elif pattern == "tridiagonal":
+            A = sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n)).tocsr()
+        else:
+            A = small_sg_system().explicit()
+        colour = greedy_colouring(A)
+        assert colour == set_colouring(A)
         assert_first_fit_colouring(A, colour)
 
     def test_colouring_counts_explicit_zeros(self):

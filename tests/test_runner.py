@@ -103,6 +103,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="mode.*; .*quad_order"):
             validate_config(bad)
 
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_unknown_parameterization_reported_once(self, custom):
+        cfg = (custom_config(1.0, parameterization="foo") if custom
+               else base_config(problem="example1", parameterization="foo"))
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value).count("foo") == 1
+        assert "parameterization must be exp or xi, got 'foo'" in str(err.value)
+
     def test_xi_problem_validates_and_converges_for_galerkin(self):
         # xi chooses hats linear in xi; the fields stay affine in y
         cfg = validate_config(base_config(problem="example1", parameterization="xi"))

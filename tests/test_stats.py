@@ -1,3 +1,6 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +13,7 @@ from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid, draw, hat_values
 from sgobstacle.problems import example1, example2
 from sgobstacle.runner import _solve_level, convergence_errors, validate_config
-from sgobstacle.stats import (ParametricFunction, exact_statistic, sg_mean,
+from sgobstacle.stats import (ParametricFunction, StatField, exact_statistic, sg_mean,
                               sg_second_moment, sg_variance, tensor_quadrature,
                               write_stat_csv, write_stat_vtk)
 from sgobstacle.system import assemble_sg
@@ -221,6 +224,44 @@ class TestExports:
         x1, x2, v = lines[1].split(",")
         assert float(x1) == sys_.mesh.nodes[0, 0]
         assert float(v) == pytest.approx(field.values[0])
+
+    def test_writers_match_per_element_formatting(self, tmp_path):
+        # the writers format Python floats; the bytes must be those of
+        # formatting each numpy scalar, for signed zeros, tiny values and
+        # integer-valued doubles alike
+        special = [-0.0, 1e-300, -1e-300, 3.0, -2.0, 0.0, 1e16, 5e-324]
+        mesh = build_uniform_mesh((-1.0, 1.0, -1.0, 1.0), 3)
+        nodes = mesh.nodes.copy()
+        nodes[:4] = np.reshape(special, (4, 2))
+        mesh = replace(mesh, nodes=nodes)
+        values = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+        values[:len(special)] = special
+        fields = [StatField(mesh, "mean", values), StatField(mesh, "variance", values[::-1])]
+
+        write_stat_csv(fields[0], str(tmp_path / "mean.csv"))
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "value"])
+            for (x1, x2), v in zip(mesh.nodes, values):
+                writer.writerow([f"{x1:.16g}", f"{x2:.16g}", f"{v:.16e}"])
+        got = (tmp_path / "mean.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"\n-0,1e-300,-0.0000000000000000e+00" in got
+
+        write_stat_vtk(fields, str(tmp_path / "stats.vtk"))
+        want = ["# vtk DataFile Version 2.0", "solution statistics", "ASCII",
+                "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_nodes} double"]
+        want += [f"{x:.16g} {y:.16g} 0" for x, y in mesh.nodes]
+        want += [f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}"]
+        want += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
+        want += [f"CELL_TYPES {mesh.n_triangles}"] + ["5"] * mesh.n_triangles
+        want += [f"POINT_DATA {mesh.n_nodes}"]
+        for f in fields:
+            want += [f"SCALARS {f.name} double 1", "LOOKUP_TABLE default"]
+            want += [f"{v:.16g}" for v in f.values]
+        got = (tmp_path / "stats.vtk").read_bytes()
+        assert got == ("\n".join(want) + "\n").encode()
+        assert b"\n-0 1e-300 0\n" in got and b"\n1e+16\n" in got
 
     def test_vtk_contains_all_fields(self, tmp_path):
         sys_, u = solved_system([(1.0, one, 0)], AffineField.build(1.0), nx=2)
