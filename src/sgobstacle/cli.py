@@ -3,9 +3,10 @@
 Subcommands: converge (error table over a refinement schedule), solve (one
 level with field exports), mc (Monte Carlo baseline), info (print the
 experiment plan without running).  Exit codes: 0 on success, 1 on config
-errors (a config mode the subcommand does not run and an output directory
-that cannot be created included) and on output files that cannot be
-written, 2 when a solver fails to converge.
+errors (a config mode the subcommand does not run, converge on a problem
+without an exact solution and an output directory that cannot be created
+included) and on output files that cannot be written, 2 when a solver fails
+to converge.  A config error found here leaves no output directory.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ def main(argv=None) -> int:
             if cfg.mode not in needs:
                 raise ConfigError(f"{args.command} subcommand needs mode "
                                   f"{needs[0]!r} or {needs[1]!r}")
+            if args.command == "converge" and cfg.problem.exact is None:
+                raise ConfigError(f"converge needs an exact solution, and problem "
+                                  f"{cfg.problem.name!r} has none")
             make_output_dir(cfg)  # before the solve, not after it
         if args.command == "info":
             _info(cfg)

@@ -1,33 +1,35 @@
 """Solvers for the linear complementarity problem u >= g, Au >= b, complementary.
 
 Systems are given as objects exposing ``n``, ``b``, ``matvec``, ``diag``,
-``precond()`` (approximate inverse of A used by conjugate gradients),
-``reduced_precond(active)`` and ``explicit()`` (returns the CSR matrix, or
-None); A must be symmetric positive definite.  ``reduced_precond`` takes
-the boolean mask of an active-set update and returns a full-length
-approximate inverse of the inactive block for vectors that are zero on the
-active entries.  Updates never leave the index space of A: masking the
-matvec and the preconditioner output holds the active entries at zero.
-A preconditioner is a callable; one whose ``exact`` attribute is true
-declares that it is the exact inverse (of A for ``precond()``, of the
-inactive block for ``reduced_precond``), and the active set method then
-takes one apply of it as the whole linear solve.  The plain sparse system
-solves the inactive block by banded Cholesky and declares it exact; the
-Galerkin system returns its Kronecker preconditioner, which does not depend
-on the set and declares nothing, so its solves run conjugate gradients.
-The sparse system takes its lower band either from its caller (a Monte
-Carlo block scatters each sample's stiffness entries through the band map
-of one sample, ``band_map``) or from the CSR pattern of A, and it refactors
-and re-solves only the diagonal blocks whose set or right-hand side moved.
+``precond()`` and ``explicit()`` (returns the CSR matrix, or None); A must
+be symmetric positive definite.  ``precond()`` is called once per solve
+and returns ``apply(r, active)``: for the boolean mask ``active`` of the
+entries held at the obstacle and a full-length ``r`` that is zero on them,
+an approximate inverse of the inactive block A[free][:, free] applied to
+``r``, again full-length.  Nothing held (an all-false mask) makes it an
+approximate inverse of A.  Solves never leave the index space of A:
+masking the matvec and the preconditioner output holds the active entries
+at zero.  An ``apply`` whose ``exact`` attribute is true declares that it
+is the exact inverse, and the active set method then takes one apply of it
+as the whole linear solve.  The plain sparse system solves the inactive
+block by banded Cholesky and declares it exact; the Galerkin system applies
+its Kronecker preconditioner, which does not depend on the set and declares
+nothing, so its solves run conjugate gradients.  The sparse system takes
+its lower band either from its caller (a Monte Carlo block scatters each
+sample's stiffness entries through the band map of one sample,
+``band_map``) or from the CSR pattern of A, and it refactors and re-solves
+only the diagonal blocks whose set or right-hand side moved.
 
-The active set method is an inexact semismooth Newton iteration: while the
-set still moves, an update's conjugate gradients stop once the 2-norm of
-the masked residual is a tenth of that of the complementarity residual, and
-once the set repeats after such a loose solve, that set is solved once more
-to the tight target, a hundredth of ``tol``, before the iteration stops.
-Both targets are absolute, so an update takes its start residual in one
-matvec and needs no right-hand side of its own.  An exact update is tight
-by construction.  ``iterations`` counts every update, the tight re-solve
+The active set method is an inexact semismooth Newton iteration, and each
+of its steps is one linear solve on the inactive set.  The unconstrained
+cold start is the same solve with nothing held.  While the set still moves,
+an update's conjugate gradients stop once the 2-norm of the masked residual
+is a tenth of that of the complementarity residual, and once the set
+repeats after such a loose solve, that set is solved once more to the
+tight target, a hundredth of ``tol``, before the iteration stops.  Both
+targets are absolute, so an update takes its start residual in one matvec
+and needs no right-hand side of its own.  An exact update is tight by
+construction.  ``iterations`` counts every update, the tight re-solve
 included, and ``trace`` records each one (``active_set_solve``).
 
 Projected SOR (Cryer, SIAM J. Control 1971) sweeps the rows of the explicit
@@ -117,7 +119,7 @@ class SolveReport:
 
 
 class SparseObstacleSystem:
-    """Plain sparse LCP data; the preconditioners are exact banded Cholesky solves.
+    """Plain sparse LCP data; the preconditioner is an exact banded Cholesky solve.
 
     The system keeps one lower band of A (LAPACK lower form, transposed: one
     row per column of A) and the starts of A's diagonal blocks, the runs of
@@ -128,16 +130,16 @@ class SparseObstacleSystem:
     Without them the first apply reads both off the CSR pattern of A, with
     duplicate entries summed.  The Cholesky factor is made on the first
     apply, and each block's rows of it are those of the block masked by the
-    active set it was last factored with.  Applying a solver of
-    ``reduced_precond(active)`` brings the factor to ``active`` block by
-    block: only the blocks whose set differs are refactored, in one
-    ``cholesky_banded`` call on their stacked columns.  A block that is not
-    positive definite raises numpy.linalg.LinAlgError on that apply, and the
-    factor of every block is left as it was.  The system remembers the set,
-    right-hand side and solution of its last apply, and the next apply
-    solves again, in one ``cho_solve_banded`` call on their stacked rows,
-    only the blocks whose set or right-hand side differ; it copies the
-    others.  ``factored_blocks`` and ``solved_blocks`` count the diagonal
+    active set it was last factored with.  An apply of ``precond()`` brings
+    the factor to its ``active`` block by block: only the blocks whose set
+    differs are refactored, in one ``cholesky_banded`` call on their stacked
+    columns.  A block that is not positive definite raises
+    numpy.linalg.LinAlgError on that apply, and the factor of every block is
+    left as it was.  The system remembers the right-hand side and solution
+    of its last apply, and the next apply solves again, in one
+    ``cho_solve_banded`` call on their stacked rows, only the blocks it
+    refactored or whose right-hand side differs; the others keep their
+    solution.  ``factored_blocks`` and ``solved_blocks`` count the diagonal
     blocks factored and solved over the system's life.
     """
 
@@ -155,7 +157,7 @@ class SparseObstacleSystem:
             raise ValueError(f"band must have {self.n} rows, got shape {band.shape}")
         self._band, self._starts = band, starts  # else read off A on the first apply
         self._factor = self._mask = None  # the factor and the set of each of its rows
-        self._solved = None  # (set, right-hand side, solution) of the last apply
+        self._r = self._x = None  # right-hand side and solution of the last apply
         self.factored_blocks = self.solved_blocks = 0
 
     def matvec(self, v):
@@ -168,25 +170,20 @@ class SparseObstacleSystem:
         return self.A
 
     def precond(self):
-        """Exact solve with A: ``reduced_precond`` with nothing active."""
-        return self.reduced_precond(np.zeros(self.n, dtype=bool))
-
-    def reduced_precond(self, active):
-        """Exact solve with A[inactive][:, inactive], on full-length vectors.
+        """``apply(r, active)``: the exact solve with A[free][:, free], on
+        full-length vectors.
 
         The ``active`` rows and columns of A are zeroed with a unit diagonal,
         which decouples them and keeps the band, so a vector that is zero on
-        the active entries comes back zero there.  The solver is ``exact``;
-        each apply first brings the system's factor to this ``active``.
+        the active entries comes back zero there.  The apply is ``exact``;
+        it first brings the system's factor to its ``active``.
         """
-        active = np.array(active, dtype=bool)
+        def apply(r, active):
+            moved = self._factor_for(np.asarray(active, dtype=bool))
+            return self._solve(np.asarray(r, dtype=float), moved)
 
-        def solve(r):
-            self._factor_for(active)
-            return self._solve(active, np.asarray(r, dtype=float))
-
-        solve.exact = True
-        return solve
+        apply.exact = True
+        return apply
 
     @cached_property
     def _sizes(self):
@@ -198,7 +195,8 @@ class SparseObstacleSystem:
         return np.flatnonzero(np.repeat(moved, self._sizes))
 
     def _factor_for(self, active):
-        """Refactor the blocks whose rows of the factor hold another set.
+        """Refactor the blocks whose rows of the factor hold another set, and
+        return the flags of the blocks refactored (all of them at first).
 
         The band and the factor are kept as their transposes, one row per
         column of A, so the blocks' columns are gathered and scattered as
@@ -207,13 +205,14 @@ class SparseObstacleSystem:
         """
         if self._band is None:
             self._band, self._starts = _lower_band(self.A)
-        count = len(self._starts)
-        if self._factor is not None:
+        if self._factor is None:
+            moved = np.ones(len(self._starts), dtype=bool)
+        else:
             moved = np.logical_or.reduceat(active != self._mask, self._starts)
-            count = int(np.count_nonzero(moved))
-            if not count:
-                return
-        if count == len(self._starts):
+        count = int(np.count_nonzero(moved))
+        if not count:
+            return moved
+        if count == len(moved):
             cols, band, held = None, self._band.copy(), active.copy()
         else:
             cols = self._blocks(moved)
@@ -226,26 +225,24 @@ class SparseObstacleSystem:
         else:
             self._factor[cols] = factor
             self._mask[cols] = held
+        return moved
 
-    def _solve(self, active, r):
-        """The solution for ``r`` with the factor of ``active``: the blocks
-        whose set and right-hand side both equal the last apply's keep its
-        solution, and the others are solved again."""
-        if self._solved is None:
-            x, rows, count = np.empty(self.n), slice(None), len(self._starts)
+    def _solve(self, r, moved):
+        """The solution for ``r``: the blocks flagged in ``moved`` (refactored)
+        or whose right-hand side differs from the last apply's are solved
+        again, and the others keep the last solution."""
+        if self._x is None:
+            self._x = np.empty(self.n)  # the first apply refactors every block
         else:
-            last_active, last_r, x = self._solved
-            moved = np.logical_or.reduceat((active != last_active) | (r != last_r),
-                                           self._starts)
-            count = int(np.count_nonzero(moved))
-            rows = slice(None) if count == len(moved) else self._blocks(moved)
-            x = x.copy()
+            moved = moved | np.logical_or.reduceat(r != self._r, self._starts)
+        count = int(np.count_nonzero(moved))
         if count:
-            x[rows] = cho_solve_banded((self._factor[rows].T, True), r[rows],
-                                       check_finite=False)
+            rows = slice(None) if count == len(moved) else self._blocks(moved)
+            self._x[rows] = cho_solve_banded((self._factor[rows].T, True), r[rows],
+                                             check_finite=False)
         self.solved_blocks += count
-        self._solved = (active, r.copy(), x)
-        return x.copy()
+        self._r = r.copy()
+        return self._x.copy()
 
 
 def band_map(indptr, indices):
@@ -458,30 +455,23 @@ def _pcg(matvec, r, x0, precond, target, max_iter):
     return x, max_iter, False, rnorm
 
 
-def _exact_solve(solve, rhs, fallback):
-    """One apply of an exact preconditioner as the whole linear solve.
-
-    Returns (x, steps, converged): (solve(rhs), 1, True), or (fallback, 0,
-    False) when the factorization finds the operator not positive definite.
-    """
-    try:
-        return solve(rhs), 1, True
-    except np.linalg.LinAlgError:
-        return fallback, 0, False
-
-
 def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(),
                      x0: np.ndarray | None = None):
     """Primal-dual active set iteration, run as an inexact semismooth Newton method.
 
     The contact indicator is lambda - d*(u - obs) > 0 with d = diag(A) and
-    lambda = Au - b; ties (u = obs, lambda = 0) count as inactive.  Each
-    update holds the active entries at the obstacle and solves for the rest
-    on full-length vectors that are zero on the active set: when
-    ``system.reduced_precond(active)`` is ``exact``, by one apply of it to
-    the masked right-hand side, and otherwise by conjugate gradients
-    preconditioned with it and warm-started from the current iterate.  The
-    cold start (no ``x0``) solves with ``system.precond()`` the same way.
+    lambda = Au - b; ties (u = obs, lambda = 0) count as inactive.  Every
+    linear solve is one step: it holds the active entries at the obstacle
+    and solves for the rest on full-length vectors that are zero on the
+    active set, with ``apply = system.precond()``.  When ``apply`` is
+    ``exact``, the step is one apply of it to the masked right-hand side
+    (b - A where(active, obs, 0)) on the inactive entries; otherwise it runs
+    conjugate gradients preconditioned with it from the current iterate,
+    whose start residual (b - A where(active, obs, u)) on the inactive
+    entries costs one matvec.  The cold start (no ``x0``) is the step with
+    nothing held, from zero: its start residual is b, taken without a
+    matvec, and its solution is lifted onto the obstacle.  After each update
+    one more matvec gives lambda.
 
     The primal-dual active set method is a semismooth Newton method
     (Hintermüller, Ito and Kunisch, SIOPT 2003), so an update's linear solve
@@ -499,24 +489,20 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     below tol or the set repeats after a tight solve; a set revisited after
     a tight solve of it ends the solve with ``converged=False``, and so
     does a system whose ``precond()`` raises ``numpy.linalg.LinAlgError``.
-    A conjugate gradient update starts from the current iterate with one
-    matvec for its start residual (b - A where(active, obs, u)) on the
-    inactive entries, and one more gives lambda after it; an exact update
-    applies its solver to the masked right-hand side
-    (b - A where(active, obs, 0)) on the inactive entries instead.
 
-    ``iterations`` counts the updates (every linear solve of an active set,
-    the tight re-solve included), ``inner_iterations`` every conjugate
-    gradient step or exact apply (the unconstrained cold-start solve
-    included), and
-    ``trace`` holds one record per update: ``active`` (entries held at the
-    obstacle), ``changed`` (entries whose membership differs from the
-    previous update's set; the first update counts its whole set),
-    ``target`` (the absolute target asked of conjugate gradients; the
-    tight target for an exact apply), ``pcg`` (their steps; 1 for an
-    exact apply), ``residual`` (the max-norm complementarity residual
-    after the update) and ``tight``.
+    ``seconds`` spans the whole call, ``precond()`` included.  ``iterations``
+    counts the updates (every linear solve of an active set, the tight
+    re-solve included), ``inner_iterations`` every conjugate gradient step
+    or exact apply (the cold start's included), and ``trace`` holds one
+    record per update: ``active`` (entries held at the obstacle),
+    ``changed`` (entries whose membership differs from the previous
+    update's set; the first update counts its whole set), ``target`` (the
+    absolute target asked of conjugate gradients; the tight target for an
+    exact apply), ``pcg`` (their steps; 1 for an exact apply),
+    ``residual`` (the max-norm complementarity residual after the update)
+    and ``tight``.
     """
+    t0 = time.perf_counter()
     b = system.b
     tight_target = max(0.01 * config.tol, 1e-13 * float(np.linalg.norm(b)))
 
@@ -525,25 +511,41 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
 
     d = system.diag()
     try:
-        precond = system.precond()
+        apply = system.precond()
     except np.linalg.LinAlgError:
         # precond() found the operator not positive definite
         u = np.array(obs if x0 is None else np.maximum(x0, obs), dtype=float)
         return u, SolveReport(converged=False, iterations=0,
                               residual=complementarity_residual(system, u, obs),
                               active_count=int(np.count_nonzero(u <= obs)),
-                              seconds=0.0)
+                              seconds=time.perf_counter() - t0)
+    exact = getattr(apply, "exact", False)
+    zero = np.broadcast_to(0.0, system.n)  # cold and exact starts; a view, no memory
     cg_max = 500  # steps of one conjugate gradient solve, at any system size
+
+    def step(active, u, target):
+        """The solve that holds ``active`` at the obstacle, from the iterate
+        ``u``: (solution, steps, ok, tight)."""
+        free = ~active
+        start = zero if exact else u
+        if start is zero and not active.any():
+            r0 = b * free  # b - A 0, without the matvec
+        else:
+            r0 = (b - system.matvec(np.where(active, obs, start))) * free
+        if exact:
+            try:
+                return apply(r0, active), 1, True, True
+            except np.linalg.LinAlgError:
+                return u, 0, False, False
+        x, it, ok, achieved = _pcg(lambda v: system.matvec(v) * free, r0, start * free,
+                                   lambda r: apply(r, active) * free, target, cg_max)
+        return x, it, ok, achieved <= tight_target
+
     max_updates = config.max_iter if config.max_iter is not None else 100
-    t0 = time.perf_counter()
     inner_total = 0
     if x0 is None:
-        # cold start: the unconstrained solution, lifted onto the obstacle
-        if getattr(precond, "exact", False):
-            x0, inner_total, _ = _exact_solve(precond, b, np.zeros(system.n))
-        else:
-            x0, inner_total, _, _ = _pcg(system.matvec, b, np.zeros(system.n), precond,
-                                         tight_target, cg_max)
+        # cold start: the step with nothing held, lifted onto the obstacle
+        x0, inner_total, _, _ = step(np.zeros(system.n, dtype=bool), zero, tight_target)
     u = np.maximum(np.asarray(x0, dtype=float), obs)
     lam = system.matvec(u) - b
     active = (lam - d * (u - obs)) > 0.0
@@ -563,22 +565,8 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         if key in solved and changed:
             all_tight = True  # an earlier set, not the one just solved
         updates += 1
-
-        # the inactive system on full-length vectors, held at zero on the
-        # active entries by masking the matvec and the preconditioner output
-        free = ~active
-        reduced = system.reduced_precond(active)
-        if getattr(reduced, "exact", False):
-            target = tight_target
-            rhs = (b - system.matvec(np.where(active, obs, 0.0))) * free
-            sol, it, ok = _exact_solve(reduced, rhs, u)
-            tight = ok
-        else:
-            target = tight_target if all_tight or key in solved else loose_target(u, lam)
-            r0 = (b - system.matvec(np.where(active, obs, u))) * free
-            sol, it, ok, achieved = _pcg(lambda v: system.matvec(v) * free, r0, u * free,
-                                         lambda r: reduced(r) * free, target, cg_max)
-            tight = achieved <= tight_target
+        target = tight_target if exact or all_tight or key in solved else loose_target(u, lam)
+        sol, it, ok, tight = step(active, u, target)
         inner_total += it
         u = np.where(active, obs, sol)
         solved[key] = tight

@@ -10,9 +10,9 @@ time (``param.kron_apply``).  The explicit sparse sum is built only when
 projected SOR asks for it (``SGSystem.explicit``).  Conjugate gradients are
 preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
 (Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
-orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  The
-same preconditioner serves every active-set update, on full-length vectors
-(``reduced_precond``).
+orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  It
+does not depend on the active set, so one apply serves the cold start and
+every active-set update, on full-length vectors (``SGSystem.precond``).
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ class SGSystem:
             self.A = A
         return self.A
 
-    def precond(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Apply (G̃ ⊗ K̄)^-1, the inverse of the best Kronecker approximation of A.
+    def precond(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``apply(r, active)``: (G̃ ⊗ K̄)^-1 r, the inverse of the best
+        Kronecker approximation of A, whatever the ``active`` mask.
 
         A = G_0 ⊗ K_0 + sum_k G_k ⊗ K_k, with K_0 = ``K0`` and the stiffness
         K_k = ``Kk[k - 1]`` of y_k.  K̄ = K_0 + sum_k E[y_k] K_k is the
@@ -178,16 +179,12 @@ class SGSystem:
             W = [W_d for W_d, _ in basis]
             W_T = [W_d.T for W_d in W]
 
-            def apply(r: np.ndarray) -> np.ndarray:
+            def apply(r: np.ndarray, active: np.ndarray) -> np.ndarray:
                 V = lu_k.solve(r.reshape(J, I).T).T
                 return kron_apply(W, kron_apply(W_T, V) * inv_delta).reshape(-1)
 
             self._precond = apply
         return self._precond
-
-    def reduced_precond(self, active: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``precond()`` itself: G̃ ⊗ K̄ does not depend on the ``active`` mask."""
-        return self.precond()
 
 
 def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,

@@ -1,3 +1,5 @@
+import time
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -187,7 +189,8 @@ def test_banded_cholesky_sums_duplicate_entries():
                                   np.zeros(3))
     assert system.A.data.size == 11
     r = np.array([1.0, -2.0, 3.0])
-    assert_allclose(system.precond()(r), np.linalg.solve(A, r), rtol=1e-12)
+    assert_allclose(system.precond()(r, np.zeros(3, dtype=bool)), np.linalg.solve(A, r),
+                    rtol=1e-12)
 
 
 class TestReducedPrecond:
@@ -203,8 +206,9 @@ class TestReducedPrecond:
             A = sp.csr_array(random_lcp(rng, 12)[0])
         n = A.shape[0]
         system = SparseObstacleSystem(A, np.zeros(n))
+        apply = system.precond()
         r = rng.standard_normal(n)
-        assert_allclose(system.precond()(r), spla.spsolve(sp.csc_matrix(A), r),
+        assert_allclose(apply(r, np.zeros(n, dtype=bool)), spla.spsolve(sp.csc_matrix(A), r),
                         rtol=1e-12)
         # full-length contract: for r zero on the active entries, the output
         # is the reduced direct solve on the inactive entries and 0 elsewhere
@@ -213,7 +217,7 @@ class TestReducedPrecond:
         for active in masks:
             inactive = np.flatnonzero(~active)
             r = np.where(active, 0.0, rng.standard_normal(n))
-            out = system.reduced_precond(active)(r)
+            out = apply(r, active)
             assert out.shape == (n,)
             assert np.all(out[active] == 0.0)
             if inactive.size:
@@ -226,9 +230,29 @@ class TestReducedPrecond:
         system = small_sg_system()
         rng = np.random.default_rng(47)
         r = rng.standard_normal(system.n)
-        expect = system.precond()(r)
-        for active in (np.zeros(system.n, dtype=bool), rng.random(system.n) < 0.5):
-            assert_allclose(system.reduced_precond(active)(r), expect, rtol=0, atol=0)
+        apply = system.precond()
+        expect = apply(r, np.zeros(system.n, dtype=bool))
+        for active in (np.ones(system.n, dtype=bool), rng.random(system.n) < 0.5):
+            assert_allclose(apply(r, active), expect, rtol=0, atol=0)
+
+
+def test_each_system_has_one_preconditioner():
+    # the protocol is n, b, matvec, diag, precond() and explicit(): one
+    # preconditioner per system, whose apply takes the held set
+    rng = np.random.default_rng(53)
+    sparse = SparseObstacleSystem(block_diagonal_spd(rng, (3, 2)), np.zeros(5))
+    galerkin = small_sg_system()
+    for system in (sparse, galerkin):
+        methods = {name for name, value in vars(type(system)).items()
+                   if callable(value) and not name.startswith("_")}
+        assert methods == {"matvec", "diag", "precond", "explicit"}
+        assert system.b.shape == (system.n,)
+    assert sparse.precond().exact
+    apply = galerkin.precond()
+    r = rng.standard_normal(galerkin.n)
+    expect = apply(r, np.zeros(galerkin.n, dtype=bool))
+    for active in (np.ones(galerkin.n, dtype=bool), rng.random(galerkin.n) < 0.5):
+        assert_array_equal(apply(r, active), expect)
 
 
 def block_diagonal_spd(rng, sizes):
@@ -273,9 +297,11 @@ class TestBandFactorReuse:
 
     def test_preconditioner_declares_exactness(self):
         A = block_diagonal_spd(np.random.default_rng(0), self.SIZES)
-        system = SparseObstacleSystem(A, np.zeros(A.shape[0]))
+        n = A.shape[0]
+        system = SparseObstacleSystem(A, np.zeros(n))
         assert system.precond().exact
-        assert system.reduced_precond(np.ones(A.shape[0], dtype=bool)).exact
+        # everything held: the inactive block is empty, and its exact solve is zero
+        assert_array_equal(system.precond()(np.zeros(n), np.ones(n, dtype=bool)), 0.0)
         assert not getattr(small_sg_system().precond(), "exact", False)
 
     def test_mask_sequence_matches_fresh_factors(self):
@@ -287,8 +313,8 @@ class TestBandFactorReuse:
         masks += [masks[3], np.ones(n, dtype=bool), masks[1], np.zeros(n, dtype=bool)]
         for active in masks:
             r = np.where(active, 0.0, rng.standard_normal(n))
-            out = system.reduced_precond(active)(r)
-            fresh = SparseObstacleSystem(A, np.zeros(n)).reduced_precond(active)(r)
+            out = system.precond()(r, active)
+            fresh = SparseObstacleSystem(A, np.zeros(n)).precond()(r, active)
             assert_same_solve(out, fresh)
             assert_same_solve(out, reduced_solve(A, active, r))
 
@@ -299,12 +325,11 @@ class TestBandFactorReuse:
         system = SparseObstacleSystem(A, np.zeros(n))
         first, second = rng.random(n) < 0.5, rng.random(n) < 0.5
         assert np.any(first != second)
-        solve_first = system.reduced_precond(first)
-        solve_second = system.reduced_precond(second)
-        for active, solve in ((second, solve_second), (first, solve_first),
-                              (second, solve_second)):
+        apply_first, apply_second = system.precond(), system.precond()
+        for active, apply in ((second, apply_second), (first, apply_first),
+                              (second, apply_second)):
             r = np.where(active, 0.0, rng.standard_normal(n))
-            assert_same_solve(solve(r), reduced_solve(A, active, r))
+            assert_same_solve(apply(r, active), reduced_solve(A, active, r))
 
     def test_only_changed_blocks_are_refactored(self, cholesky_calls):
         rng = np.random.default_rng(67)
@@ -314,22 +339,22 @@ class TestBandFactorReuse:
         system = SparseObstacleSystem(A, np.zeros(n))
         r = rng.standard_normal(n)
         active = np.zeros(n, dtype=bool)
-        system.reduced_precond(active)(r)
+        apply = system.precond()
+        apply(r, active)
         assert cholesky_calls == [n]  # the first apply factors every block
         for block in (5, 0, 3):  # one block's set moves at a time
             active = active.copy()
             active[starts[block]] = ~active[starts[block]]
-            system.reduced_precond(active)(np.where(active, 0.0, r))
+            apply(np.where(active, 0.0, r), active)
             assert cholesky_calls[-1] == self.SIZES[block]
         count = len(cholesky_calls)
-        for _ in range(2):  # the same set again, by a new solver or the same one
-            solve = system.reduced_precond(active.copy())
-            solve(np.where(active, 0.0, r))
+        for again in (system.precond(), apply):  # the same set again, by a new apply or the same
+            again(np.where(active, 0.0, r), active.copy())
         assert len(cholesky_calls) == count
         # two blocks moved at once: one call on their stacked columns
         active = active.copy()
         active[[starts[1], starts[6] + 1]] = True
-        out = system.reduced_precond(active)(np.where(active, 0.0, r))
+        out = apply(np.where(active, 0.0, r), active)
         assert len(cholesky_calls) == count + 1
         assert cholesky_calls[-1] == self.SIZES[1] + self.SIZES[6]
         assert_same_solve(out, reduced_solve(A, active, np.where(active, 0.0, r)))
@@ -345,15 +370,16 @@ class TestBandFactorReuse:
         good = np.zeros(n, dtype=bool)
         good[bad] = True  # held at the obstacle, the negative pivot is gone
         r = np.where(good, 0.0, rng.standard_normal(n))
-        assert_same_solve(system.reduced_precond(good)(r), reduced_solve(A, good, r))
+        apply = system.precond()
+        assert_same_solve(apply(r, good), reduced_solve(A, good, r))
         released = good.copy()
         released[[bad, 0]] = False, True
         with pytest.raises(np.linalg.LinAlgError):
-            system.reduced_precond(released)(np.where(released, 0.0, r))
+            apply(np.where(released, 0.0, r), released)
         # the factor still holds `good`: a move of block 0 alone refactors block 0
         moved = good.copy()
         moved[0] = True
-        out = system.reduced_precond(moved)(np.where(moved, 0.0, r))
+        out = apply(np.where(moved, 0.0, r), moved)
         assert cholesky_calls[-1] == self.SIZES[0]
         assert_same_solve(out, reduced_solve(A, moved, np.where(moved, 0.0, r)))
 
@@ -405,7 +431,8 @@ class TestMovedOnlySolves:
         r0 = rng.standard_normal(n)
         system = SparseObstacleSystem(A, r0)
         active = np.zeros(n, dtype=bool)
-        system.reduced_precond(active)(r0)
+        apply = system.precond()
+        apply(r0, active)
         assert len(solve_calls) == 1 and solve_calls[0].size == n  # every block
         solved = len(self.SIZES)
         for moves in ([0], [5, 2], [], [0, 3, 4], [6], list(range(7))):
@@ -413,7 +440,7 @@ class TestMovedOnlySolves:
             active[starts[moves]] = ~active[starts[moves]]
             r = np.where(active, 0.0, r0)
             count = len(solve_calls)
-            out = system.reduced_precond(active)(r)
+            out = apply(r, active)
             assert_same_solve(out, reduced_solve(A, active, r))
             if moves:  # one call on the moved blocks' stacked rows
                 assert len(solve_calls) == count + 1
@@ -431,18 +458,18 @@ class TestMovedOnlySolves:
         system = SparseObstacleSystem(A, np.zeros(n))
         active = rng.random(n) < 0.3
         active[-1] = False
-        solve = system.reduced_precond(active)
+        apply = system.precond()
         r = np.where(active, 0.0, rng.standard_normal(n))
-        first = solve(r)
+        first = apply(r, active)
         changed = r.copy()
         changed[-1] += 1.0  # the last block's right-hand side only
-        out = solve(changed)
+        out = apply(changed, active)
         assert len(solve_calls) == 2 and solve_calls[-1].size == self.SIZES[-1]
         assert_same_solve(out, reduced_solve(A, active, changed))
         assert_array_equal(out[:-self.SIZES[-1]], first[:-self.SIZES[-1]])
         # a result changed by its caller does not change what is remembered
         out[:] = np.nan
-        assert_same_solve(solve(changed), reduced_solve(A, active, changed))
+        assert_same_solve(apply(changed, active), reduced_solve(A, active, changed))
         assert len(solve_calls) == 2
         assert system.factored_blocks == len(self.SIZES)
         assert system.solved_blocks == len(self.SIZES) + 1
@@ -459,8 +486,7 @@ class TestMovedOnlySolves:
         read = SparseObstacleSystem(A, np.zeros(n))
         for active in (np.zeros(n, dtype=bool), rng.random(n) < 0.5):
             r = np.where(active, 0.0, rng.standard_normal(n))
-            assert_array_equal(given.reduced_precond(active)(r),
-                               read.reduced_precond(active)(r))
+            assert_array_equal(given.precond()(r, active), read.precond()(r, active))
         with pytest.raises(ValueError, match="together"):
             SparseObstacleSystem(A, np.zeros(n), band)
         with pytest.raises(ValueError, match="rows"):
@@ -716,8 +742,9 @@ class TestActiveSet:
         # with A = diag(1, -1) the first PCG step has p.Ap = 0
         system = SparseObstacleSystem(sp.csr_array(np.diag([1.0, -1.0])),
                                       np.ones(2))
+        apply = system.precond()
         _, _, ok, _ = _pcg(system.matvec, system.b, np.zeros(2),
-                        system.precond(), 1e-12, 10)
+                        lambda r: apply(r, np.zeros(2, dtype=bool)), 1e-12, 10)
         assert not ok
         _, rep = active_set_solve(system, np.zeros(2), SolverConfig())
         assert not rep.converged
@@ -757,8 +784,8 @@ class TestActiveSet:
         # system; each solve stops at 500, whatever the size, and the
         # iteration ends there, converged only if that iterate meets tol
         class Unpreconditioned(SparseObstacleSystem):
-            def reduced_precond(self, active):
-                return lambda r: r
+            def precond(self):
+                return lambda r, active: r
 
         system = Unpreconditioned(sp.diags(np.geomspace(1.0, 1e4, 1200)).tocsr(),
                                   np.ones(1200))
@@ -771,6 +798,25 @@ class TestActiveSet:
         u8, rep8 = active_set_solve(system, obs, SolverConfig())
         assert [r["pcg"] for r in rep8.trace] == steps and steps[-1] == 500
         assert rep8.converged and rep8.residual == rep.residual <= 1e-8
+
+    def test_seconds_include_the_preconditioner_set_up(self):
+        # precond() is part of the solve (the Galerkin system factors K̄ and
+        # makes its eigenbasis there), on success and on refusal alike
+        class SlowSetUp(SparseObstacleSystem):
+            def precond(self):
+                time.sleep(0.05)
+                return super().precond()
+
+        class SlowRefusal(SparseObstacleSystem):
+            def precond(self):
+                time.sleep(0.05)
+                raise np.linalg.LinAlgError("not positive definite")
+
+        A, b, obs = random_lcp(np.random.default_rng(89))
+        for kind, converged in ((SlowSetUp, True), (SlowRefusal, False)):
+            _, rep = active_set_solve(kind(sp.csr_array(A), b), obs, SolverConfig(tol=1e-12))
+            assert rep.converged is converged
+            assert rep.seconds >= 0.05
 
     def test_report_counts_inner_iterations(self):
         rng = np.random.default_rng(29)

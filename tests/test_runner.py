@@ -883,6 +883,18 @@ class TestCLI:
                               "'sg' or 'both'")
         assert not (tmp_path / "out").exists()
 
+    def test_converge_without_exact_solution_exits_one(self, tmp_path, capsys):
+        # a custom problem has no exact solution, so no error table: refused
+        # before the output directory is made
+        cfg = custom_config({"mean": 1.0, "modes": [{"coeff": 0.5, "shape": 1.0, "dim": 0}]},
+                            output_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "converge", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "exact solution" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_single_mc_sample_exits_one(self, tmp_path, capsys):
         # one sample has no variance estimate: refused before the run starts
         cfg = {"problem": "example1", "mode": "mc", "schedule": {"levels": [[4, 2]]},
