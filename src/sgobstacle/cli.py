@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _info(cfg) -> None:
     problem = cfg.problem
-    print(f"problem: {problem.name} ({problem.parameterization} parameterization, "
+    print(f"problem: {problem.name} ({cfg.parameterization} parameterization, "
           f"{problem.n_dims} parameter dimensions)")
     print(f"domain:  x in [{problem.rect[0]}, {problem.rect[1]}], "
           f"y in [{problem.rect[2]}, {problem.rect[3]}]")

@@ -489,6 +489,9 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     below tol or the set repeats after a tight solve; a set revisited after
     a tight solve of it ends the solve with ``converged=False``, and so
     does a system whose ``precond()`` raises ``numpy.linalg.LinAlgError``.
+    A failed step (not positive definite, or out of conjugate gradient
+    steps) ends the iteration, a failed cold start before any update
+    unless it only ran out of steps.
 
     ``seconds`` spans the whole call, ``precond()`` included.  ``iterations``
     counts the updates (every linear solve of an active set, the tight
@@ -543,9 +546,12 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
 
     max_updates = config.max_iter if config.max_iter is not None else 100
     inner_total = 0
+    ok = True
     if x0 is None:
-        # cold start: the step with nothing held, lifted onto the obstacle
-        x0, inner_total, _, _ = step(np.zeros(system.n, dtype=bool), zero, tight_target)
+        # cold start: the step with nothing held, lifted onto the obstacle;
+        # out of conjugate gradient steps, it still starts the updates
+        x0, inner_total, ok, _ = step(np.zeros(system.n, dtype=bool), zero, tight_target)
+        ok = ok or inner_total == cg_max
     u = np.maximum(np.asarray(x0, dtype=float), obs)
     lam = system.matvec(u) - b
     active = (lam - d * (u - obs)) > 0.0
@@ -557,7 +563,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     previous = np.zeros_like(active)
     updates = 0
     converged = residual <= config.tol
-    while not converged and updates < max_updates:
+    while ok and not converged and updates < max_updates:
         key = np.packbits(active).tobytes()
         if solved.get(key):
             break  # the set repeats after a tight solve, or cycles back to it
@@ -575,9 +581,8 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         trace.append({"active": int(np.count_nonzero(active)), "changed": changed,
                       "target": target, "pcg": it, "residual": residual, "tight": tight})
         converged = residual <= config.tol
-        if not ok:
-            break
-        previous, active = active, (lam - d * (u - obs)) > 0.0
+        if ok:
+            previous, active = active, (lam - d * (u - obs)) > 0.0
 
     report = SolveReport(
         converged=converged,

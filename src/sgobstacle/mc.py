@@ -7,7 +7,7 @@ one block-diagonal LCP whose diagonal block j is the obstacle problem at
 the j-th parameter row, solved with the configured LCP solver from the
 running mean; its solutions enter the accumulator in one pairwise update
 of the block's mean and sum of squared deviations.  The rows are drawn in y
-whatever the problem's parameterization, which only concerns the Galerkin
+whatever the experiment's parameterization, which only concerns the Galerkin
 hats.  One sampler per run serves every field: it maps the affine terms of
 a, f and g through the mesh operator once (``fields.affine_factors``, the
 data of the Galerkin system), and a block's stiffness entries, loads and

@@ -4,15 +4,16 @@ Both built-in problems have two parameter dimensions y_k = exp(xi_k) with
 xi_k uniform on (-1, 1), manufactured exact solutions with a circular
 contact set, and Dirichlet data taken from the exact solution (which is
 nonzero on the boundary of the domain).  Every problem, built-in or custom,
-is affine in y; its ``parameterization`` only chooses the coordinate in
-which the Galerkin hats are piecewise linear: y (``exp``) or the xi of
-its densities (``xi``, see ``param.ParamGrid``).
+is affine in y.  The coordinate in which the Galerkin hats are piecewise
+linear, y or the xi of the densities, is a choice of the discretization,
+not of the problem: the experiment's ``parameterization`` makes it (see
+``runner.ExperimentConfig`` and ``param.ParamGrid``).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,6 @@ SPAN = np.e - 1.0 / np.e  # width of the support (1/e, e) of y = exp(xi)
 class Problem:
     name: str
     rect: tuple[float, float, float, float]
-    parameterization: str  # hats linear in y ('exp') or in xi ('xi')
     densities: tuple[Density1D, ...]
     fields: dict  # 'a', 'f', 'g' -> AffineField
     dirichlet: Callable | None
@@ -45,18 +45,11 @@ class Problem:
         return len(self.densities)
 
 
-def _parameterized(problem: Problem, parameterization: str) -> Problem:
-    """``problem`` with hats linear in y (``exp``) or in xi (``xi``)."""
-    if parameterization not in ("exp", "xi"):
-        raise ValueError(f"unknown parameterization {parameterization!r}")
-    return replace(problem, parameterization=parameterization)
-
-
 def _rho(x):
     return x[:, 0] ** 2 + x[:, 1] ** 2
 
 
-def example1(parameterization: str = "exp") -> Problem:
+def example1() -> Problem:
     """Random diffusion coefficient, constant source, zero obstacle.
 
     a = 1 + y1 + 2 y2, f = -2, g = 0 on (-1.5, 1.5)^2 with y_k = exp(xi_k);
@@ -83,17 +76,17 @@ def example1(parameterization: str = "exp") -> Problem:
         return 1.0 / (1.0 + y[..., 0] + 2.0 * y[..., 1])
 
     exact = ParametricFunction(space=w_profile, param=inv_denom, space_grad=w_grad)
-    return _parameterized(Problem(
-        name="example1", rect=(-1.5, 1.5, -1.5, 1.5), parameterization="exp",
+    return Problem(
+        name="example1", rect=(-1.5, 1.5, -1.5, 1.5),
         densities=(Density1D.exp_uniform(), Density1D.exp_uniform()),
         fields={"a": AffineField.build(1.0, [(1.0, 1.0, 0), (2.0, 1.0, 1)]),
                 "f": AffineField.build(-2.0),
                 "g": AffineField.build(0.0)},
         dirichlet=exact.value, exact=exact, h_over_s=3.0 / (2.0 * SPAN),
-    ), parameterization)
+    )
 
 
-def example2(parameterization: str = "exp") -> Problem:
+def example2() -> Problem:
     """Unit coefficient, random source, zero obstacle.
 
     a = 1, f = F(x) (y1 + 2 y2) on (-1, 1)^2 with contact radius r0 = 0.7;
@@ -117,14 +110,14 @@ def example2(parameterization: str = "exp") -> Problem:
         return y[..., 0] + 2.0 * y[..., 1]
 
     exact = ParametricFunction(space=u_profile, param=scale, space_grad=u_profile_grad)
-    return _parameterized(Problem(
-        name="example2", rect=(-1.0, 1.0, -1.0, 1.0), parameterization="exp",
+    return Problem(
+        name="example2", rect=(-1.0, 1.0, -1.0, 1.0),
         densities=(Density1D.exp_uniform(), Density1D.exp_uniform()),
         fields={"a": AffineField.build(1.0),
                 "f": AffineField.build(0.0, [(1.0, f_profile, 0), (2.0, f_profile, 1)]),
                 "g": AffineField.build(0.0)},
         dirichlet=exact.value, exact=exact, h_over_s=1.0 / SPAN,
-    ), parameterization)
+    )
 
 
 _BUILTINS = {"example1": example1, "example2": example2}
@@ -132,10 +125,10 @@ _BUILTINS = {"example1": example1, "example2": example2}
 MAX_EXPONENT = 64  # largest power of x1 or x2 in a polynomial spec
 
 
-def get_problem(name: str, parameterization: str = "exp") -> Problem:
+def get_problem(name: str) -> Problem:
     if name not in _BUILTINS:
         raise KeyError(f"unknown problem {name!r}; built-ins: {sorted(_BUILTINS)}")
-    return _BUILTINS[name](parameterization)
+    return _BUILTINS[name]()
 
 
 def _entries(spec, what: str, length: int | None = None) -> list:
@@ -222,9 +215,8 @@ def _encodes_as_file_name(name: str) -> bool:
     return True
 
 
-def problem_from_config(custom: dict, parameterization: str = "exp") -> Problem:
-    """Assemble a custom problem from its config section, with hats linear
-    in y (``exp``) or in xi (``xi``).
+def problem_from_config(custom: dict) -> Problem:
+    """Assemble a custom problem from its config section.
 
     Custom problems have no exact solution; convergence errors are not
     available for them.  The name becomes part of output file names, so it
@@ -251,7 +243,5 @@ def problem_from_config(custom: dict, parameterization: str = "exp") -> Problem:
     if (name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name
             or not _encodes_as_file_name(name)):
         raise ValueError(f"custom name must be a plain file name, got {shown(name)}")
-    return _parameterized(Problem(
-        name=name, rect=rect, parameterization="exp", densities=densities,
-        fields=fields, dirichlet=None, exact=None, h_over_s=None,
-    ), parameterization)
+    return Problem(name=name, rect=rect, densities=densities, fields=fields,
+                   dirichlet=None, exact=None, h_over_s=None)

@@ -4,7 +4,9 @@ Configs are JSON files with nested sections (problem, schedule, solver, mc,
 output).  A convergence study walks a refinement schedule, solves the tensor
 Galerkin problem per level (warm-started from the previous level), computes
 relative errors of the first two moments against the exact solution by
-tensor quadrature, and writes a CSV table plus a JSON report.  The exact
+tensor quadrature, and writes a CSV table plus a JSON report.  The config's
+``parameterization`` puts the Galerkin hats of every level in y (``exp``)
+or xi (``xi``); the problem is the same either way.  The exact
 solution is a product phi(x) psi(y), so the errors of a level take one
 evaluation of psi on the parameter quadrature nodes and one of phi and its
 gradient at the spatial quadrature points.  Reported ``seconds`` cover
@@ -27,8 +29,8 @@ from .fem import assembly_points, evaluate_p1, p1_distance
 from .fields import bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
 from .mc import mc_run
-from .mesh import Mesh, build_uniform_mesh
-from .param import ParamGrid, build_param_grid, hat_values, kron_apply
+from .mesh import build_uniform_mesh
+from .param import build_param_grid, hat_values, kron_apply
 from .problems import Problem, get_problem, problem_from_config
 from .stats import (ParametricFunction, StatField, _full_blocks, psi_moments, sg_mean,
                     sg_second_moment, sg_variance, write_stat_csv, write_stat_vtk)
@@ -79,6 +81,7 @@ class ExperimentConfig:
     mode: str
     levels: list[Level]
     solver: SolverConfig
+    parameterization: str = "exp"  # Galerkin hats linear in y ('exp') or in xi ('xi')
     mc_samples: int = 4096
     mc_seed: int = 0
     mc_level: int = 0
@@ -125,7 +128,8 @@ def _level(problem: Problem, h: float, cells: int, label: str,
     return Level(nx=round(nx), ny=round(ny), cells=cells)
 
 
-def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
+def _coupled_levels(problem: Problem, parameterization: str, spec: dict,
+                    errors: list) -> list[Level]:
     _checked(errors, known_keys, spec, ("h_over_s", "m_min", "m_max"), "schedule.coupled")
     if not problem.densities:
         errors.append("schedule.coupled needs a parameter dimension; use levels")
@@ -144,7 +148,7 @@ def _coupled_levels(problem: Problem, spec: dict, errors: list) -> list[Level]:
         errors.append(f"schedule.coupled.h_over_s must be positive, got {h_over_s!r}")
         return []
     # the widest parameter interval in the hat coordinate, y or xi
-    in_xi = problem.parameterization == "xi"
+    in_xi = parameterization == "xi"
     span = max(rho.hi - rho.lo if in_xi else rho.support[1] - rho.support[0]
                for rho in problem.densities)
     levels = []
@@ -232,14 +236,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
     problem = None
     name = raw.get("problem", "example1")
     try:
-        if parameterization not in ("exp", "xi"):
-            pass  # reported above, and only there: no problem is built
-        elif name == "custom":
+        if name == "custom":
             if "custom" not in raw:
                 raise ValueError("problem 'custom' needs a custom section")
-            problem = problem_from_config(raw["custom"], parameterization)
+            problem = problem_from_config(raw["custom"])
         else:
-            problem = get_problem(name, parameterization)
+            problem = get_problem(name)
     except (KeyError, ValueError, TypeError) as exc:
         errors.append(str(exc))
 
@@ -276,7 +278,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         elif "coupled" in schedule and not isinstance(schedule["coupled"], dict):
             errors.append("schedule.coupled must be an object")
         elif "coupled" in schedule:
-            levels = _coupled_levels(problem, schedule["coupled"], errors)
+            levels = _coupled_levels(problem, parameterization, schedule["coupled"], errors)
         else:
             errors.append("schedule needs a levels list or a coupled rule")
         if not levels and not errors:
@@ -340,8 +342,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         problem=problem, mode=mode, levels=levels, solver=solver,
-        mc_samples=mc_samples, mc_seed=mc_seed, mc_level=mc_level,
-        mc_solver=mc_solver, quad_order=quad_order, output_dir=output_dir,
+        parameterization=parameterization, mc_samples=mc_samples, mc_seed=mc_seed,
+        mc_level=mc_level, mc_solver=mc_solver, quad_order=quad_order, output_dir=output_dir,
     )
 
 
@@ -373,19 +375,18 @@ class ErrorTable:
                 fh.write(",".join(cells) + "\n")
 
 
-def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
-                       exact: ParametricFunction, densities,
+def convergence_errors(system: SGSystem, u: np.ndarray, exact: ParametricFunction,
                        quad_order: int = 64) -> dict:
     """Relative L2/H1-seminorm errors of the first two moment fields.
 
     The exact solution is phi(x) psi(y), so its mean and second moment are
     m1 phi and m2 phi^2, with gradients m1 grad phi and 2 m2 phi grad phi,
     from the scalars (m1, m2) = E[psi], E[psi^2] of one tensor parameter
-    quadrature (``stats.psi_moments``); the discrete moments are P1 fields
-    from the Galerkin coefficients.
+    quadrature over the system's densities (``stats.psi_moments``); the
+    discrete moments are P1 fields on its mesh from the Galerkin coefficients.
     """
     fields = np.stack([sg_mean(system, u).values, sg_second_moment(system, u).values])
-    m1, m2 = psi_moments(exact, densities, quad_order, (1, 2))
+    m1, m2 = psi_moments(exact, system.grid.densities, quad_order, (1, 2))
 
     def exact_data(x):
         phi, dphi = exact.space(x), exact.space_grad(x)
@@ -394,7 +395,7 @@ def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
         return np.stack([em, em2, em, em2]), np.stack([egm, egm2, egm, egm2])
 
     # the norms of the exact data are the distances of zero fields
-    l2, h1 = p1_distance(mesh, np.concatenate([fields, np.zeros_like(fields)]), exact_data)
+    l2, h1 = p1_distance(system.mesh, np.concatenate([fields, np.zeros_like(fields)]), exact_data)
     return {
         "eL2m1": float(l2[0] / l2[2]),
         "eH1m1": float(h1[0] / h1[2]),
@@ -403,33 +404,36 @@ def convergence_errors(mesh: Mesh, system: SGSystem, u: np.ndarray,
     }
 
 
-def _interpolate_solution(old_system: SGSystem, u_old: np.ndarray,
-                          new_mesh: Mesh, new_grid: ParamGrid) -> np.ndarray:
+def _interpolate_solution(old: SGSystem, u_old: np.ndarray, new: SGSystem) -> np.ndarray:
     """Transfer a tensor solution to a finer level (warm start).
 
     The old blocks are interpolated to the new parameter nodes by the
     Kronecker product of the old hats' values there, then each new block
     is the old P1 field at the new interior nodes.
     """
-    transfer = [hat_values(old, new) for old, new in
-                zip(old_system.grid.breakpoints, new_grid.breakpoints)]
-    interp = kron_apply(transfer, _full_blocks(old_system, u_old))
-    return evaluate_p1(old_system.mesh, interp, new_mesh.nodes[new_mesh.interior]).reshape(-1)
+    transfer = [hat_values(o, n) for o, n in zip(old.grid.breakpoints, new.grid.breakpoints)]
+    interp = kron_apply(transfer, _full_blocks(old, u_old))
+    return evaluate_p1(old.mesh, interp, new.mesh.nodes[new.mesh.interior]).reshape(-1)
 
 
 def _solve_level(cfg: ExperimentConfig, level: Level, warm_from=None):
+    """(system, u, report, seconds of assembly and solve) of one level."""
     problem = cfg.problem
     mesh = build_uniform_mesh(problem.rect, level.nx, level.ny)
-    grid = build_param_grid(problem.densities, level.cells, problem.parameterization == "xi")
+    grid = build_param_grid(problem.densities, level.cells, cfg.parameterization == "xi")
     t0 = time.perf_counter()
     system = assemble_sg(mesh, grid, problem.fields["a"], problem.fields["f"],
                          problem.fields["g"], problem.dirichlet)
-    x0 = None
-    if warm_from is not None:
-        x0 = _interpolate_solution(warm_from[0], warm_from[1], mesh, grid)
+    x0 = None if warm_from is None else _interpolate_solution(*warm_from, system)
     u, report = solve_lcp(system, system.obs, cfg.solver, x0=x0)
-    seconds = time.perf_counter() - t0
-    return mesh, grid, system, u, report, seconds
+    return system, u, report, time.perf_counter() - t0
+
+
+def _timed_errors(cfg: ExperimentConfig, system: SGSystem, u: np.ndarray):
+    """``convergence_errors`` of a solved level and the seconds they took."""
+    t0 = time.perf_counter()
+    errs = convergence_errors(system, u, cfg.problem.exact, cfg.quad_order)
+    return errs, time.perf_counter() - t0
 
 
 def run_convergence(cfg: ExperimentConfig, write: bool = True):
@@ -448,13 +452,10 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
     prev_row = None
     failed = []
     for k, level in enumerate(cfg.levels):
-        mesh, grid, system, u, report, seconds = _solve_level(cfg, level, prev)
-        t0 = time.perf_counter()
-        errs = convergence_errors(mesh, system, u, problem.exact,
-                                  problem.densities, cfg.quad_order)
-        errors_seconds = time.perf_counter() - t0
-        h = mesh.cell_side()
-        s = grid.s
+        system, u, report, seconds = _solve_level(cfg, level, prev)
+        errs, errors_seconds = _timed_errors(cfg, system, u)
+        h = system.mesh.cell_side()
+        s = system.grid.s
         # the order is taken in h, or in s where h stays; a repeated level has none
         ratio = None
         if prev_row is not None and abs(prev_row.h - h) > 1e-14:
@@ -518,7 +519,7 @@ def run_single(cfg: ExperimentConfig, level_index: int):
         raise ConfigError(f"level {level_index} outside the schedule "
                           f"(0..{len(cfg.levels) - 1})")
     level = cfg.levels[level_index]
-    mesh, grid, system, u, report, seconds = _solve_level(cfg, level)
+    system, u, report, seconds = _solve_level(cfg, level)
     tag = f"{cfg.problem.name}_level{level_index}"
     paths = _write_fields(cfg, [sg_mean(system, u), sg_variance(system, u)], tag)
     payload = {
@@ -531,10 +532,7 @@ def run_single(cfg: ExperimentConfig, level_index: int):
         "outputs": paths,
     }
     if cfg.problem.exact is not None:
-        t0 = time.perf_counter()
-        payload["errors"] = convergence_errors(mesh, system, u, cfg.problem.exact,
-                                               cfg.problem.densities, cfg.quad_order)
-        payload["errors_seconds"] = time.perf_counter() - t0
+        payload["errors"], payload["errors_seconds"] = _timed_errors(cfg, system, u)
     with open(os.path.join(cfg.output_dir, f"{tag}_report.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
     if not report.converged:
@@ -583,7 +581,7 @@ def run_mc(cfg: ExperimentConfig):
     }
     if cfg.mode == "both":
         t1 = time.perf_counter()
-        _, _, system, u, report, _ = _solve_level(cfg, level)
+        system, u, report, _ = _solve_level(cfg, level)
         sg_mean_f = sg_mean(system, u)
         sg_seconds = time.perf_counter() - t1
         gap = float(np.max(np.abs(sg_mean_f.values - mean.values)))

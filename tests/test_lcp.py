@@ -754,6 +754,16 @@ class TestActiveSet:
         assert not rep.converged
         assert rep.iterations == 1
 
+    def test_failed_cold_start_ends_the_solve(self, cholesky_calls):
+        # the nothing-held solve finds diag(1, -1) not positive definite; the
+        # solve ends there, through the exit of a failed update, and does
+        # not factor the same band again
+        system = SparseObstacleSystem(sp.csr_array(np.diag([1.0, -1.0])), np.ones(2))
+        _, rep = active_set_solve(system, np.zeros(2), SolverConfig())
+        assert cholesky_calls == [2]
+        assert not rep.converged
+        assert (rep.iterations, rep.inner_iterations, rep.trace) == (0, 0, [])
+
     def test_conjugate_gradients_start_from_the_given_residual(self):
         # the caller passes b - A x0; the iteration stops at an absolute
         # target and returns the norm of the residual it carried

@@ -37,23 +37,6 @@ def fd_laplacian(value, x, y, h=1e-4):
     return out / h ** 2
 
 
-def assert_same_data(make, r_max):
-    """xi only chooses the coordinate of the Galerkin hats: both forms of a
-    built-in carry the same densities, fields, exact solution and Dirichlet
-    data, all in y, to the last bit."""
-    exp, xi = make("exp"), make("xi")
-    assert (exp.parameterization, xi.parameterization) == ("exp", "xi")
-    assert xi.densities == exp.densities and xi.n_dims == exp.n_dims == 2
-    rng = np.random.default_rng(4)
-    pts = ring_points(rng, 0.0, r_max)
-    Y = draw(exp.densities, rng, 5)
-    for key in ("a", "f", "g"):
-        assert np.array_equal(xi.fields[key].terms(pts, 2), exp.fields[key].terms(pts, 2))
-    assert np.array_equal(xi.exact.value(pts, Y), exp.exact.value(pts, Y))
-    assert np.array_equal(x_gradient(xi.exact, pts, Y), x_gradient(exp.exact, pts, Y))
-    assert np.array_equal(xi.dirichlet(pts, Y), exp.dirichlet(pts, Y))
-
-
 def ring_points(rng, r_min, r_max, n=30):
     r = np.sqrt(rng.uniform(r_min ** 2, r_max ** 2, n))
     t = rng.uniform(0, 2 * np.pi, n)
@@ -104,9 +87,6 @@ class TestExample1:
         b = bounds_check(self.prob.fields["a"], supports, np.zeros((1, 2)))
         assert b.lo > 0
 
-    def test_exp_and_xi_parameterizations_agree(self):
-        assert_same_data(example1, 1.4)
-
 
 class TestExample2:
     R0SQ = 0.49
@@ -151,15 +131,11 @@ class TestExample2:
         fd = fd_gradient(self.prob.exact.value, pts, self.y)
         assert_allclose(x_gradient(self.prob.exact, pts, self.y), fd, atol=1e-7)
 
-    def test_exp_and_xi_parameterizations_agree(self):
-        assert_same_data(example2, 0.95)
-
 
 @pytest.mark.parametrize("make", [example1, example2])
-@pytest.mark.parametrize("parameterization", ["exp", "xi"])
-def test_exact_solution_evaluates_parameter_blocks(make, parameterization):
+def test_exact_solution_evaluates_parameter_blocks(make):
     # a (B, M) block of parameter points gives the stacked single-point calls
-    prob = make(parameterization)
+    prob = make()
     rng = np.random.default_rng(10)
     x = ring_points(rng, 0.0, 1.4, n=40)
     ys = draw(prob.densities, rng, 9)
@@ -174,34 +150,31 @@ def test_exact_solution_evaluates_parameter_blocks(make, parameterization):
 
 
 @pytest.mark.parametrize("make", [example1, example2])
-@pytest.mark.parametrize("parameterization", ["exp", "xi"])
-def test_dirichlet_data_lie_on_or_above_the_obstacle(make, parameterization):
+def test_dirichlet_data_lie_on_or_above_the_obstacle(make):
     # data below g on the boundary would leave no admissible function; the
     # built-ins have g = 0 and data phi(x) psi(y) with phi >= 0 and psi > 0,
-    # checked at the vertices of the parameter box and at the grid nodes
-    prob = make(parameterization)
+    # checked at the vertices of the parameter box and at the nodes of the
+    # grids with hats in y and in xi
+    prob = make()
     mesh = build_uniform_mesh(prob.rect, 8)
     x = mesh.nodes[mesh.boundary]
     vertices = tensor_points([np.array(rho.support) for rho in prob.densities])
-    grid = build_param_grid(prob.densities, 4, parameterization == "xi")
-    Y = np.vstack([vertices, grid.nodes()])
+    in_y, in_xi = (build_param_grid(prob.densities, 4, xi) for xi in (False, True))
+    Y = np.vstack([vertices, in_y.nodes(), in_xi.nodes()])
     data = prob.dirichlet(x, Y)
     terms = prob.fields["g"].terms(x, prob.n_dims)
     obstacle = terms[0] + Y @ terms[1:]
     assert data.shape == obstacle.shape == (len(Y), len(x))
     assert np.all(data >= obstacle) and np.any(data > obstacle)
-    if parameterization == "xi":  # the grid nodes are exp of a uniform partition in xi
-        assert_allclose(np.log(grid.nodes()), tensor_points([np.linspace(-1.0, 1.0, 5)] * 2),
-                        rtol=0, atol=1e-15)
+    # the xi grid's nodes are exp of a uniform partition in xi
+    assert_allclose(np.log(in_xi.nodes()), tensor_points([np.linspace(-1.0, 1.0, 5)] * 2),
+                    rtol=0, atol=1e-15)
 
 class TestRegistry:
     def test_get_problem(self):
         assert get_problem("example1").name == "example1"
-        assert get_problem("example2", "xi").parameterization == "xi"
         with pytest.raises(KeyError):
             get_problem("example3")
-        with pytest.raises(ValueError):
-            get_problem("example1", "lognormal")
 
     def test_coupling_constants_positive(self):
         assert example1().h_over_s > 0
@@ -250,10 +223,6 @@ class TestConfigSpecs:
         assert prob.name == "toy"
         assert prob.n_dims == 1
         assert prob.exact is None
-        assert prob.parameterization == "exp"
-        assert problem_from_config(custom, "xi").parameterization == "xi"
-        with pytest.raises(ValueError, match="unknown parameterization"):
-            problem_from_config(custom, "lognormal")
         x = np.zeros((1, 2))
         assert prob.fields["a"].evaluate(x, np.array([1.0]))[0] == pytest.approx(1.5)
 

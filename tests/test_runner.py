@@ -112,10 +112,23 @@ class TestValidateConfig:
         assert str(err.value).count("foo") == 1
         assert "parameterization must be exp or xi, got 'foo'" in str(err.value)
 
+    def test_unknown_parameterization_leaves_the_custom_section_checked(self):
+        # the hat coordinate is no part of the problem, so a bad value of it
+        # does not keep a faulty custom section from being reported
+        cfg = custom_config(1.0, parameterization="foo")
+        cfg["custom"]["densities"] = [{"kind": "beta"}]
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        message = str(err.value)
+        assert message.count("foo") == 1
+        assert "parameterization must be exp or xi, got 'foo'" in message
+        assert "unknown density kind 'beta'" in message
+
     def test_xi_problem_validates_and_converges_for_galerkin(self):
         # xi chooses hats linear in xi; the fields stay affine in y
         cfg = validate_config(base_config(problem="example1", parameterization="xi"))
-        assert cfg.problem.parameterization == "xi" and cfg.mode == "sg"
+        assert cfg.parameterization == "xi" and cfg.mode == "sg"
+        assert not hasattr(cfg.problem, "parameterization")
         table, reports = run_convergence(cfg, write=False)
         assert all(report["converged"] for report in reports)
         errors = [row.errors["eL2m1"] for row in table.rows]
@@ -579,9 +592,9 @@ class TestRunConvergence:
         from sgobstacle.stats import exact_statistic, sg_mean
 
         cfg = validate_config(base_config(output_dir=str(tmp_path)))
-        mesh, grid, system, u, report, _ = _solve_level(cfg, cfg.levels[0])
-        errs = convergence_errors(mesh, system, u, cfg.problem.exact,
-                                  cfg.problem.densities, quad_order=16)
+        system, u, report, _ = _solve_level(cfg, cfg.levels[0])
+        mesh = system.mesh
+        errs = convergence_errors(system, u, cfg.problem.exact, quad_order=16)
         exact_mean = exact_statistic(cfg.problem.exact, cfg.problem.densities,
                                      moment=1, quad_order=16)
         mean = sg_mean(system, u).values
@@ -680,14 +693,14 @@ def test_errors_build_the_spatial_quadrature_once(monkeypatch):
 
     cfg = validate_config({"problem": "example1", "schedule": {"levels": [[4, 2]]},
                            "quad_order": 8})
-    mesh, _, system, u, _, _ = _solve_level(cfg, cfg.levels[0])
+    system, u, _, _ = _solve_level(cfg, cfg.levels[0])
     calls = []
     for name in ("_reference_rule", "_triangle_geometry"):
         def counted(*args, name=name, fn=getattr(fem, name)):
             calls.append(name)
             return fn(*args)
         monkeypatch.setattr(fem, name, counted)
-    convergence_errors(mesh, system, u, cfg.problem.exact, cfg.problem.densities, 8)
+    convergence_errors(system, u, cfg.problem.exact, 8)
     assert sorted(calls) == ["_reference_rule", "_triangle_geometry"]
 
 

@@ -116,10 +116,9 @@ class TestChunkedQuadrature:
     """The product-form moments against the per-node quadrature of u itself."""
 
     @pytest.mark.parametrize("make", [example1, example2])
-    @pytest.mark.parametrize("parameterization", ["exp", "xi"])
     @pytest.mark.parametrize("moment", [1, 2, 3])
-    def test_exact_statistic_matches_per_node_loop(self, make, parameterization, moment):
-        prob = make(parameterization)
+    def test_exact_statistic_matches_per_node_loop(self, make, moment):
+        prob = make()
         x = np.random.default_rng(11).uniform(-1.0, 1.0, (40, 2))
         stat = exact_statistic(prob.exact, prob.densities, moment, quad_order=9)
         (ref_v,), _ = per_node_moments(prob.exact, x, prob.densities, 9, (moment,),
@@ -131,9 +130,9 @@ class TestChunkedQuadrature:
         cfg = validate_config({"problem": problem,
                                "schedule": {"levels": [[4, 2]]},
                                "solver": {"tol": 1e-10}, "quad_order": 9})
-        mesh, _, system, u, _, _ = _solve_level(cfg, cfg.levels[0])
-        exact, densities = cfg.problem.exact, cfg.problem.densities
-        errs = convergence_errors(mesh, system, u, exact, densities, 9)
+        system, u, _, _ = _solve_level(cfg, cfg.levels[0])
+        mesh, exact, densities = system.mesh, cfg.problem.exact, cfg.problem.densities
+        errs = convergence_errors(system, u, exact, 9)
 
         def exact_data(x):
             vals, grads = per_node_moments(exact, x, densities, 9, (1, 2), with_grad=True)

@@ -318,7 +318,7 @@ class TestHatsInXi:
     def test_mean_converges_at_second_order_in_the_cells(self):
         # example2 with hats linear in xi at nx = 8: the mean at 2, 4, 8 and
         # 16 cells against 64 cells, measured orders 1.99 / 2.01 / 2.07
-        problem = get_problem("example2", "xi")
+        problem = get_problem("example2")
         mesh = build_uniform_mesh(problem.rect, 8)
 
         def mean(cells):
