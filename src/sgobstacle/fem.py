@@ -118,14 +118,23 @@ class Block:
                                 shape=(self.shape[0], nnz))
         return _apply(row_sums, data * V[..., self.indices])
 
-    def csr(self, data: np.ndarray) -> sp.csr_array:
+    def pattern(self, B: int) -> tuple[np.ndarray, np.ndarray]:
+        """``indptr`` and ``indices`` of the block-diagonal matrix of B copies
+        of the pattern; those of fewer copies are their prefixes."""
+        nnz, m = self.indices.size, self.shape[1]
+        j = np.arange(B)[:, None]
+        return (np.append((self.indptr[:-1] + nnz * j).ravel(), B * nnz),
+                (self.indices + m * j).ravel())
+
+    def csr(self, data: np.ndarray, pattern=None) -> sp.csr_array:
         """The matrix with entries ``data``; the rows of a (B, nnz) array are
-        the diagonal blocks of a block-diagonal matrix."""
+        the diagonal blocks of a block-diagonal matrix, whose pattern is the
+        prefix of ``pattern`` (``Block.pattern`` of B or more copies) when
+        one is given."""
         data = np.atleast_2d(data)
         (B, nnz), (n, m) = data.shape, self.shape
-        j = np.arange(B)[:, None]
-        indptr = np.append((self.indptr[:-1] + nnz * j).ravel(), B * nnz)
-        return sp.csr_array((data.ravel(), (self.indices + m * j).ravel(), indptr),
+        indptr, indices = self.pattern(B) if pattern is None else pattern
+        return sp.csr_array((data.ravel(), indices[:B * nnz], indptr[:B * n + 1]),
                             shape=(B * n, B * m))
 
 

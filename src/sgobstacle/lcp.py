@@ -13,8 +13,9 @@ at zero.  An ``apply`` whose ``exact`` attribute is true declares that it
 is the exact inverse, and the active set method then takes one apply of it
 as the whole linear solve.  The plain sparse system solves the inactive
 block by banded Cholesky and declares it exact; the Galerkin system applies
-its Kronecker preconditioner, which does not depend on the set and declares
-nothing, so its solves run conjugate gradients.  The sparse system takes
+its Kronecker preconditioner, truncated at the spatial nodes that the set
+holds at every parameter node, and declares nothing, so its solves run
+conjugate gradients.  The sparse system takes
 its lower band either from its caller (a Monte Carlo block scatters each
 sample's stiffness entries through the band map of one sample,
 ``band_map``) or from the CSR pattern of A, and it refactors and re-solves

@@ -112,15 +112,18 @@ class _AffineSampler:
 
     The spatial data of the affine terms of a, f and g
     (``fields.affine_factors``) and the band map of one sample's stiffness
-    pattern (``lcp.band_map``) are made once; ``build`` takes a block's
-    stiffness entries, loads and obstacle values as [1, Y] times the terms
-    and its Dirichlet data and lifting from ``fields.lift``.
+    pattern (``lcp.band_map``) are made once, and so is the CSR pattern of
+    the block-diagonal stiffness (``fem.Block.pattern``), on the first and
+    largest block, whose prefix serves the shorter ones; ``build`` takes a
+    block's stiffness entries, loads and obstacle values as [1, Y] times the
+    terms and its Dirichlet data and lifting from ``fields.lift``.
     """
 
     def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int):
         self.op, self.dirichlet = P1Operator(mesh), dirichlet
         self.terms = affine_factors(self.op, a_field, f_field, g_field, n_dims)
         self.band_map = band_map(self.op.interior.indptr, self.op.interior.indices)
+        self.pattern = None  # the block-diagonal CSR pattern of the largest block yet
 
     def build(self, Y: np.ndarray):
         """The block-diagonal system of the parameter rows ``Y`` (B, M).
@@ -137,9 +140,12 @@ class _AffineSampler:
         D, lifting = lift(self.op, self.dirichlet, Y, K_ib)
         lower, pos, depth, starts = self.band_map
         B, I = len(Y), self.op.interior.shape[0]
+        if self.pattern is None or self.pattern[1].size < K_ii.size:
+            self.pattern = self.op.interior.pattern(B)
         band = np.zeros((B, I * depth))
         band[:, pos] = K_ii[:, lower]
-        system = SparseObstacleSystem(self.op.interior.csr(K_ii), (load - lifting).ravel(),
+        system = SparseObstacleSystem(self.op.interior.csr(K_ii, self.pattern),
+                                      (load - lifting).ravel(),
                                       band.reshape(B * I, depth),
                                       (I * np.arange(B)[:, None] + starts).ravel())
         return system, obs.ravel(), D

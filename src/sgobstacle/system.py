@@ -10,9 +10,11 @@ time (``param.kron_apply``).  The explicit sparse sum is built only when
 projected SOR asks for it (``SGSystem.explicit``).  Conjugate gradients are
 preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
 (Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
-orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  It
-does not depend on the active set, so one apply serves the cold start and
-every active-set update, on full-length vectors (``SGSystem.precond``).
+orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  Its
+apply takes the active set and truncates K̄ at the spatial nodes held at
+every parameter node, so it stays a Kronecker product, and it is the exact
+inverse of the inactive block wherever the modes have the mean's shape and
+the contact set does not depend on y (``SGSystem.precond``).
 """
 
 from __future__ import annotations
@@ -123,8 +125,9 @@ class SGSystem:
         return self.A
 
     def precond(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """``apply(r, active)``: (G̃ ⊗ K̄)^-1 r, the inverse of the best
-        Kronecker approximation of A, whatever the ``active`` mask.
+        """``apply(r, active)``: the inverse of the best Kronecker
+        approximation G̃ ⊗ K̄ of A, truncated at the spatial nodes that
+        ``active`` holds at every parameter node.
 
         A = G_0 ⊗ K_0 + sum_k G_k ⊗ K_k, with K_0 = ``K0`` and the stiffness
         K_k = ``Kk[k - 1]`` of y_k.  K̄ = K_0 + sum_k E[y_k] K_k is the
@@ -146,6 +149,19 @@ class SGSystem:
         <K̄, K̄>_F for the stiffness K(lam_j) at a point of the parameter box,
         which is positive when the coefficient is positive on the box.
 
+        Spatial node i is held everywhere when ``active.reshape(J, I)[:, i]``
+        is all true.  With S the other nodes, the apply is (G̃ ⊗ K̄_SS)^-1 on
+        the columns S of the (J, I) blocks of ``r`` and zero on the held
+        columns, where K̄_SS is K̄ gathered from its stored entries on S: the
+        truncation at the contact nodes of obstacle multigrid (Gräser and
+        Kornhuber, J. Comput. Math. 2009), here kept in Kronecker form.  The
+        inactive block of A holds G_k ⊗ (K_k)_SS, so the apply is its exact
+        inverse when every K_k is a multiple of K̄ and the set holds whole
+        columns.  A mask without a whole held column gets (G̃ ⊗ K̄)^-1 r, with
+        the factor of K̄ that ``precond()`` makes, and a mask that holds every
+        node gets zeros.  One factor lives at a time: an apply whose held
+        nodes differ from the factor's frees it, then factors its K̄_SS.
+
         Built on the first call and cached.  Raises numpy.linalg.LinAlgError
         when K̄ is singular or some delta_j <= 0 (a coefficient that is not
         positive on the parameter box).
@@ -156,11 +172,26 @@ class SGSystem:
             for mean, K in zip(means, self.Kk):
                 if K is not None:
                     K_bar = K_bar + mean * K
-            try:
-                lu_k = spla.splu(sp.csc_matrix(K_bar), permc_spec="MMD_AT_PLUS_A",
-                                 options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise np.linalg.LinAlgError(f"mean stiffness K̄: {exc}") from exc
+            I, J = self.n_spatial, self.n_param
+            rows = np.repeat(np.arange(I), np.diff(K_bar.indptr))
+
+            def factor(kept):
+                """SuperLU of K̄ on the ``kept`` nodes, gathered from its
+                stored entries."""
+                stored = kept[rows] & kept[K_bar.indices]
+                indptr = np.zeros(np.count_nonzero(kept) + 1, dtype=K_bar.indptr.dtype)
+                np.cumsum(np.bincount(rows[stored], minlength=I)[kept], out=indptr[1:])
+                rank = np.cumsum(kept) - 1
+                K = sp.csr_array((K_bar.data[stored], rank[K_bar.indices[stored]], indptr),
+                                 shape=(indptr.size - 1,) * 2)
+                try:
+                    return spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
+                                     options={"SymmetricMode": True})
+                except RuntimeError as exc:
+                    raise np.linalg.LinAlgError(f"mean stiffness K̄: {exc}") from exc
+
+            kept = np.ones(I, dtype=bool)
+            lu_k = factor(kept)
             norm2 = float(K_bar.multiply(K_bar).sum())
 
             def alpha(K):
@@ -174,14 +205,22 @@ class SGSystem:
                 raise np.linalg.LinAlgError(
                     "Kronecker preconditioner is not positive definite: the "
                     "coefficient is not positive on the parameter box")
-            I, J = self.n_spatial, self.n_param
             inv_delta = (1.0 / delta).reshape(J, 1)
             W = [W_d for W_d, _ in basis]
             W_T = [W_d.T for W_d in W]
 
             def apply(r: np.ndarray, active: np.ndarray) -> np.ndarray:
-                V = lu_k.solve(r.reshape(J, I).T).T
-                return kron_apply(W, kron_apply(W_T, V) * inv_delta).reshape(-1)
+                nonlocal lu_k, kept
+                now = ~active.reshape(J, I).all(axis=0)  # nodes not held everywhere
+                out = np.zeros((J, I))
+                if not now.any():
+                    return out.reshape(-1)
+                if not np.array_equal(now, kept):
+                    lu_k = kept = None  # free the old factor before the new one is made
+                    lu_k, kept = factor(now), now
+                V = lu_k.solve(r.reshape(J, I)[:, kept].T).T
+                out[:, kept] = kron_apply(W, kron_apply(W_T, V) * inv_delta)
+                return out.reshape(-1)
 
             self._precond = apply
         return self._precond

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from sgobstacle.fem import P1Operator, assembly_points, evaluate_p1, p1_distance
@@ -76,6 +77,18 @@ class TestStiffness:
             for i in range(K.shape[0]):
                 cols = K.indices[K.indptr[i]:K.indptr[i + 1]]
                 assert np.all(np.diff(cols) > 0)
+
+    def test_block_diagonal_pattern_prefixes(self):
+        # a pattern of B copies serves any fewer copies, bit for bit
+        op = P1Operator(unit_mesh(4))
+        data = np.random.default_rng(3).standard_normal((3, op.interior.indices.size))
+        pattern = op.interior.pattern(5)
+        for B in (1, 3):
+            K, expect = op.interior.csr(data[:B], pattern), op.interior.csr(data[:B])
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(K, name), getattr(expect, name))
+            blocks = [op.interior.csr(row).toarray() for row in data[:B]]
+            assert np.array_equal(K.toarray(), sp.block_diag(blocks).toarray())
 
 
 class TestMassAndLoad:

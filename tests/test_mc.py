@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sgobstacle.mc as mc
-from sgobstacle.fem import P1Operator
+from sgobstacle.fem import Block, P1Operator
 from sgobstacle.fields import AffineField, affine_factors
 from sgobstacle.lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                             _lower_band, active_set_solve)
@@ -254,6 +254,24 @@ class TestMCRun:
                          solver=SolverConfig(tol=1e-12), dirichlet=prob.dirichlet)
             assert res.n_failed == 0 and solves == [block, n - block]
             assert np.max(np.abs(res.mean)) > 0.01
+
+    def test_block_pattern_is_built_once_per_run(self, monkeypatch):
+        # the block-diagonal CSR pattern of the first block serves the short
+        # last block as its prefix
+        built = []
+        pattern = Block.pattern
+
+        def counted(self, B):
+            built.append(B)
+            return pattern(self, B)
+
+        monkeypatch.setattr(Block, "pattern", counted)
+        prob = get_problem("example1")
+        mesh = build_uniform_mesh(prob.rect, 8)
+        block = MC_BLOCK_NODES // 49
+        res = mc_run(mesh, prob.fields, prob.densities, 2 * block + 5, seed=5,
+                     dirichlet=prob.dirichlet)
+        assert res.n_failed == 0 and built == [block]
 
     def test_timings_reported(self):
         mesh = build_uniform_mesh(RECT, 3)
