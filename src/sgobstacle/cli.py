@@ -101,9 +101,9 @@ def main(argv=None) -> int:
         if args.command == "info":
             _info(cfg)
         elif args.command == "converge":
-            table, _ = run_convergence(cfg)
+            rows, _ = run_convergence(cfg)
             print(TABLE_PRINT_HEADER)
-            for row in table.rows:
+            for row in rows:
                 print(f"{row.h:10.6g} {row.s:10.6g} {row.errors['eL2m1']:.4e} "
                       f"{row.errors['eH1m1']:.4e} {row.errors['eL2m2']:.4e} "
                       f"{row.errors['eH1m2']:.4e} {row.iters:5d} {row.seconds:8.2f}")

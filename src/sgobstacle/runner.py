@@ -11,6 +11,8 @@ solution is a product phi(x) psi(y), so the errors of a level take one
 evaluation of psi on the parameter quadrature nodes and one of phi and its
 gradient at the spatial quadrature points.  Reported ``seconds`` cover
 assembly and solve; error evaluation is timed apart as ``errors_seconds``.
+Single-level and Monte Carlo runs write their mean and variance, nodal
+arrays, as one CSV each and together as one VTK file (``_write_fields``).
 """
 
 from __future__ import annotations
@@ -29,18 +31,18 @@ from .fem import assembly_points, evaluate_p1, p1_distance
 from .fields import bounds_check
 from .lcp import SolverConfig, SolverNotConverged, solve_lcp
 from .mc import mc_run
-from .mesh import build_uniform_mesh
+from .mesh import Mesh, build_uniform_mesh, write_vtk
 from .param import build_param_grid, hat_values, kron_apply
 from .problems import Problem, get_problem, problem_from_config
-from .stats import (ParametricFunction, StatField, _full_blocks, psi_moments, sg_mean,
-                    sg_second_moment, sg_variance, write_stat_csv, write_stat_vtk)
+from .stats import (ParametricFunction, _full_blocks, psi_moments, sg_mean, sg_second_moment,
+                    sg_variance, write_stat_csv)
 from .system import EXPLICIT_LIMIT, SGSystem, assemble_sg
 
 __all__ = [
     "ConfigError",
     "SolverNotConverged",
     "ExperimentConfig",
-    "ErrorTable",
+    "write_table",
     "validate_config",
     "load_config",
     "make_output_dir",
@@ -357,22 +359,19 @@ class TableRow:
     seconds: float
 
 
-@dataclass
-class ErrorTable:
-    rows: list
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(TABLE_HEADER + "\n")
-            for row in self.rows:
-                cells = [f"{row.h:.10g}", f"{row.s:.10g}"]
-                for key in ("eL2m1", "eH1m1", "eL2m2", "eH1m2"):
-                    cells.append(f"{row.errors[key]:.6e}")
-                    order = row.orders[key]
-                    cells.append("" if order is None else f"{order:.4f}")
-                cells.append(str(row.iters))
-                cells.append(f"{row.seconds:.3f}")
-                fh.write(",".join(cells) + "\n")
+def write_table(rows: list[TableRow], path: str) -> None:
+    """Write the error table as CSV under ``TABLE_HEADER``, one line per row."""
+    with open(path, "w") as fh:
+        fh.write(TABLE_HEADER + "\n")
+        for row in rows:
+            cells = [f"{row.h:.10g}", f"{row.s:.10g}"]
+            for key in ("eL2m1", "eH1m1", "eL2m2", "eH1m2"):
+                cells.append(f"{row.errors[key]:.6e}")
+                order = row.orders[key]
+                cells.append("" if order is None else f"{order:.4f}")
+            cells.append(str(row.iters))
+            cells.append(f"{row.seconds:.3f}")
+            fh.write(",".join(cells) + "\n")
 
 
 def convergence_errors(system: SGSystem, u: np.ndarray, exact: ParametricFunction,
@@ -385,7 +384,7 @@ def convergence_errors(system: SGSystem, u: np.ndarray, exact: ParametricFunctio
     quadrature over the system's densities (``stats.psi_moments``); the
     discrete moments are P1 fields on its mesh from the Galerkin coefficients.
     """
-    fields = np.stack([sg_mean(system, u).values, sg_second_moment(system, u).values])
+    fields = np.stack([sg_mean(system, u), sg_second_moment(system, u)])
     m1, m2 = psi_moments(exact, system.grid.densities, quad_order, (1, 2))
 
     def exact_data(x):
@@ -436,11 +435,11 @@ def _timed_errors(cfg: ExperimentConfig, system: SGSystem, u: np.ndarray):
     return errs, time.perf_counter() - t0
 
 
-def run_convergence(cfg: ExperimentConfig, write: bool = True):
+def run_convergence(cfg: ExperimentConfig):
     """Walk the schedule, build the error table, write table.csv and report.json.
 
-    Returns (ErrorTable, reports).  Raises SolverNotConverged after writing
-    outputs if any level failed.
+    Returns (rows, reports), a TableRow and a report dict per level.  Raises
+    SolverNotConverged after writing outputs if any level failed.
     """
     problem = cfg.problem
     if problem.exact is None:
@@ -449,7 +448,6 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
     rows = []
     reports = []
     prev = None
-    prev_row = None
     failed = []
     for k, level in enumerate(cfg.levels):
         system, u, report, seconds = _solve_level(cfg, level, prev)
@@ -457,6 +455,7 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
         h = system.mesh.cell_side()
         s = system.grid.s
         # the order is taken in h, or in s where h stays; a repeated level has none
+        prev_row = rows[-1] if rows else None
         ratio = None
         if prev_row is not None and abs(prev_row.h - h) > 1e-14:
             ratio = prev_row.h / h
@@ -465,10 +464,8 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
         orders = {key: None if ratio is None
                   else float(np.log(prev_row.errors[key] / e) / np.log(ratio))
                   for key, e in errs.items()}
-        row = TableRow(h=h, s=s, errors=errs, orders=orders,
-                       iters=report.iterations, seconds=seconds)
-        rows.append(row)
-        prev_row = row
+        rows.append(TableRow(h=h, s=s, errors=errs, orders=orders,
+                             iters=report.iterations, seconds=seconds))
         reports.append({"level": k, "nx": level.nx, "cells": level.cells,
                         "I": system.n_spatial, "J": system.n_param,
                         "errors_seconds": errors_seconds, **report.as_dict()})
@@ -478,16 +475,13 @@ def run_convergence(cfg: ExperimentConfig, write: bool = True):
         if not report.converged:
             failed.append(k)
         prev = (system, u)
-    table = ErrorTable(rows=rows)
-    if write:
-        make_output_dir(cfg)
-        table.to_csv(os.path.join(cfg.output_dir, "table.csv"))
-        with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
-            json.dump({"problem": problem.name, "mode": cfg.mode,
-                       "levels": reports}, fh, indent=2)
+    make_output_dir(cfg)
+    write_table(rows, os.path.join(cfg.output_dir, "table.csv"))
+    _write_report(cfg, "report.json",
+                  {"problem": problem.name, "mode": cfg.mode, "levels": reports})
     if failed:
         raise SolverNotConverged(f"levels {failed} did not converge")
-    return table, reports
+    return rows, reports
 
 
 def make_output_dir(cfg: ExperimentConfig) -> None:
@@ -500,16 +494,21 @@ def make_output_dir(cfg: ExperimentConfig) -> None:
                           f"{exc.strerror or exc}") from exc
 
 
-def _write_fields(cfg: ExperimentConfig, fields: list[StatField], tag: str) -> dict:
-    """Write each field as ``<tag>_<name>.csv`` and all of them as ``<tag>.vtk``."""
+def _write_report(cfg: ExperimentConfig, name: str, payload: dict) -> None:
+    with open(os.path.join(cfg.output_dir, name), "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
+def _write_fields(cfg: ExperimentConfig, mesh: Mesh, fields: dict, tag: str) -> dict:
+    """Write each nodal array of ``fields`` (by name) as ``<tag>_<name>.csv``
+    and all of them as ``<tag>.vtk``; returns the paths."""
     make_output_dir(cfg)
     paths = {}
-    for fld in fields:
-        base = os.path.join(cfg.output_dir, f"{tag}_{fld.name}")
-        write_stat_csv(fld, base + ".csv")
-        paths[fld.name] = base + ".csv"
+    for name, values in fields.items():
+        paths[name] = os.path.join(cfg.output_dir, f"{tag}_{name}.csv")
+        write_stat_csv(mesh, values, paths[name])
     paths["vtk"] = os.path.join(cfg.output_dir, f"{tag}.vtk")
-    write_stat_vtk(fields, paths["vtk"])
+    write_vtk(mesh, paths["vtk"], point_data=fields, title="solution statistics")
     return paths
 
 
@@ -521,7 +520,8 @@ def run_single(cfg: ExperimentConfig, level_index: int):
     level = cfg.levels[level_index]
     system, u, report, seconds = _solve_level(cfg, level)
     tag = f"{cfg.problem.name}_level{level_index}"
-    paths = _write_fields(cfg, [sg_mean(system, u), sg_variance(system, u)], tag)
+    paths = _write_fields(cfg, system.mesh, {"mean": sg_mean(system, u),
+                                             "variance": sg_variance(system, u)}, tag)
     payload = {
         "problem": cfg.problem.name,
         "level": level_index,
@@ -533,8 +533,7 @@ def run_single(cfg: ExperimentConfig, level_index: int):
     }
     if cfg.problem.exact is not None:
         payload["errors"], payload["errors_seconds"] = _timed_errors(cfg, system, u)
-    with open(os.path.join(cfg.output_dir, f"{tag}_report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_report(cfg, f"{tag}_report.json", payload)
     if not report.converged:
         raise SolverNotConverged(f"level {level_index} did not converge "
                                  f"(residual {report.residual:.3e})")
@@ -555,10 +554,8 @@ def run_mc(cfg: ExperimentConfig):
                     cfg.mc_seed, solver, problem.dirichlet)
     mc_seconds = time.perf_counter() - t0
 
-    mean = StatField(mesh=mesh, name="mean", values=result.mean)
-    var = StatField(mesh=mesh, name="variance", values=result.variance())
     tag = f"{problem.name}_mc"
-    paths = _write_fields(cfg, [mean, var], tag)
+    paths = _write_fields(cfg, mesh, {"mean": result.mean, "variance": result.variance()}, tag)
     timing_path = os.path.join(cfg.output_dir, f"{tag}_timing.csv")
     with open(timing_path, "w") as fh:
         fh.write("phase,seconds\n")
@@ -580,17 +577,11 @@ def run_mc(cfg: ExperimentConfig):
         "outputs": paths,
     }
     if cfg.mode == "both":
-        t1 = time.perf_counter()
-        system, u, report, _ = _solve_level(cfg, level)
-        sg_mean_f = sg_mean(system, u)
-        sg_seconds = time.perf_counter() - t1
-        gap = float(np.max(np.abs(sg_mean_f.values - mean.values)))
-        payload["sg_seconds"] = sg_seconds
-        payload["mean_max_gap"] = gap
-        payload["sg_converged"] = report.converged
+        system, u, report, sg_seconds = _solve_level(cfg, level)
+        gap = float(np.max(np.abs(sg_mean(system, u) - result.mean)))
+        payload.update(sg_seconds=sg_seconds, mean_max_gap=gap, sg_converged=report.converged)
         log.info("mc %.2fs vs sg %.2fs, mean gap %.3e", mc_seconds, sg_seconds, gap)
-    with open(os.path.join(cfg.output_dir, f"{tag}_report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_report(cfg, f"{tag}_report.json", payload)
     if cfg.mode == "both" and not report.converged:
         raise SolverNotConverged(f"Galerkin level {cfg.mc_level} did not converge "
                                  f"(residual {report.residual:.3e})")

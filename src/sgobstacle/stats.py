@@ -1,10 +1,12 @@
 """Moments of the discrete solution and reference statistics of exact solutions.
 
-First and second moments of a tensor Galerkin solution reduce to weighted
-sums of the coefficient blocks: the parametric basis integrals g0 give the
-mean, and the Gramian G_0, applied by its 1-D factors, the second moment
-and, on the blocks centred at the mean, the variance.  Reference statistics
-of a known product solution u(x, y) = phi(x) psi(y) are
+A statistic of a tensor Galerkin solution is a nodal array of shape
+(n_nodes,) over the full mesh, boundary data included; ``write_stat_csv``
+writes one with the node coordinates.  First and second moments reduce to
+weighted sums of the coefficient blocks: the parametric basis integrals g0
+give the mean, and the Gramian G_0, applied by its 1-D factors, the second
+moment and, on the blocks centred at the mean, the variance.  Reference
+statistics of a known product solution u(x, y) = phi(x) psi(y) are
 E[u^k] = phi^k E[psi^k]: the scalars E[psi^k] (``psi_moments``) are one
 tensor Gauss-Legendre quadrature against the product density, built from
 the per-dimension rules of ``param.Density1D.rule``, and scale phi^k and
@@ -22,12 +24,11 @@ import numpy as np
 
 from ._checks import integer
 from .fem import SpatialFunction
-from .mesh import Mesh, write_vtk
+from .mesh import Mesh
 from .param import Density1D, kron_apply, tensor_points
 from .system import SGSystem
 
 __all__ = [
-    "StatField",
     "ParametricFunction",
     "sg_mean",
     "sg_second_moment",
@@ -35,19 +36,7 @@ __all__ = [
     "psi_moments",
     "exact_statistic",
     "write_stat_csv",
-    "write_stat_vtk",
 ]
-
-@dataclass(frozen=True)
-class StatField:
-    """A nodal scalar field over the full mesh node set."""
-
-    mesh: Mesh
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        assert self.values.shape == (self.mesh.n_nodes,)
 
 
 def _full_blocks(system: SGSystem, u: np.ndarray) -> np.ndarray:
@@ -56,19 +45,16 @@ def _full_blocks(system: SGSystem, u: np.ndarray) -> np.ndarray:
                                    system.boundary_values)
 
 
-def sg_mean(system: SGSystem, u: np.ndarray) -> StatField:
+def sg_mean(system: SGSystem, u: np.ndarray) -> np.ndarray:
+    return system.gram.g0 @ _full_blocks(system, u)
+
+
+def sg_second_moment(system: SGSystem, u: np.ndarray) -> np.ndarray:
     full = _full_blocks(system, u)
-    vals = system.gram.g0 @ full
-    return StatField(mesh=system.mesh, name="mean", values=vals)
+    return np.sum(full * kron_apply(system.gram.factors(0), full), axis=0)
 
 
-def sg_second_moment(system: SGSystem, u: np.ndarray) -> StatField:
-    full = _full_blocks(system, u)
-    vals = np.sum(full * kron_apply(system.gram.factors(0), full), axis=0)
-    return StatField(mesh=system.mesh, name="second_moment", values=vals)
-
-
-def sg_variance(system: SGSystem, u: np.ndarray) -> StatField:
+def sg_variance(system: SGSystem, u: np.ndarray) -> np.ndarray:
     """Centred form (U - m)^T G_0 (U - m) per node, with U the coefficient
     blocks and m = g0 U the mean.
 
@@ -80,7 +66,7 @@ def sg_variance(system: SGSystem, u: np.ndarray) -> StatField:
     full = _full_blocks(system, u)
     dev = full - system.gram.g0 @ full
     var = np.sum(dev * kron_apply(system.gram.factors(0), dev), axis=0)
-    return StatField(mesh=system.mesh, name="variance", values=np.maximum(var, 0.0))
+    return np.maximum(var, 0.0)
 
 
 @dataclass(frozen=True)
@@ -135,17 +121,13 @@ def exact_statistic(analytic: ParametricFunction, densities, moment: int = 1,
     return SpatialFunction(values=lambda x: m * analytic.space(np.atleast_2d(x)) ** moment)
 
 
-def write_stat_csv(field: StatField, path: str) -> None:
+def write_stat_csv(mesh: Mesh, values: np.ndarray, path: str) -> None:
+    """Write a nodal field as rows ``x1,x2,value``, one per mesh node."""
+    values = np.asarray(values)
+    if values.shape != (mesh.n_nodes,):
+        raise ValueError(f"field has shape {values.shape}, expected ({mesh.n_nodes},)")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "value"])
         writer.writerows([f"{x1:.16g}", f"{x2:.16g}", f"{v:.16e}"]
-                         for (x1, x2), v in zip(field.mesh.nodes.tolist(), field.values.tolist()))
-
-
-def write_stat_vtk(fields: list[StatField], path: str) -> None:
-    if not fields:
-        raise ValueError("no fields to write")
-    mesh = fields[0].mesh
-    write_vtk(mesh, path, point_data={f.name: f.values for f in fields},
-              title="solution statistics")
+                         for (x1, x2), v in zip(mesh.nodes.tolist(), values.tolist()))

@@ -32,38 +32,39 @@ def one(x):
     return np.ones(x.shape[0])
 
 
-def run_table(problem, schedule, quad_order=64):
+def run_table(problem, schedule, output_dir, quad_order=64):
     cfg = validate_config({
         "problem": problem,
         "mode": "sg",
         "schedule": schedule,
         "solver": {"method": "active-set", "tol": 1e-10},
         "quad_order": quad_order,
+        "output_dir": str(output_dir),
     })
-    return run_convergence(cfg, write=False)
+    return run_convergence(cfg)
 
 
-def test_criterion_1_mean_convergence_rates():
+def test_criterion_1_mean_convergence_rates(tmp_path):
     # coefficient-random problem, parametric resolution fixed at 8 cells,
     # mesh refined through nx = 4..32; mean-field H1 orders must settle at
     # 1.0 (+-0.15) and L2 orders at 2.0 (+-0.25) over the last two steps,
     # within a five minute budget
     t0 = time.perf_counter()
-    table, _ = run_table("example1",
-                         {"levels": [[4, 8], [8, 8], [16, 8], [32, 8]]})
+    rows, _ = run_table("example1",
+                        {"levels": [[4, 8], [8, 8], [16, 8], [32, 8]]}, tmp_path / "table")
 
     # independent anchor: at 16 parametric cells the nx = 16 row of the
     # H1 mean error is 1.2199e-01 (reference value for this resolution,
     # 25% tolerance absorbs quadrature and boundary handling differences)
-    anchor, _ = run_table("example1", {"levels": [[16, 16]]})
+    anchor, _ = run_table("example1", {"levels": [[16, 16]]}, tmp_path / "anchor")
     elapsed = time.perf_counter() - t0
     assert elapsed <= 300.0
 
-    e_h1_anchor = anchor.rows[0].errors["eH1m1"]
+    e_h1_anchor = anchor[0].errors["eH1m1"]
     assert e_h1_anchor == pytest.approx(1.2199e-01, rel=0.25)
 
-    h1_orders = [row.orders["eH1m1"] for row in table.rows[1:]]
-    l2_orders = [row.orders["eL2m1"] for row in table.rows[1:]]
+    h1_orders = [row.orders["eH1m1"] for row in rows[1:]]
+    l2_orders = [row.orders["eL2m1"] for row in rows[1:]]
     for order in h1_orders[-2:]:
         assert order == pytest.approx(1.0, abs=0.15)
     # the L2 mean error hits the fixed parametric resolution floor on the
@@ -73,26 +74,26 @@ def test_criterion_1_mean_convergence_rates():
         assert order == pytest.approx(2.0, abs=0.25)
 
 
-def test_criterion_2_coupled_schedule_errors():
+def test_criterion_2_coupled_schedule_errors(tmp_path):
     # source-random problem under the coupled refinement rule; mean L2
     # errors frozen from a reference computation, 25% relative tolerance,
     # orders 2.0 +- 0.2
     reference = (5.4709e-01, 1.3864e-01, 3.5350e-02, 8.9860e-03)
-    table, _ = run_table("example2", {"coupled": {"m_min": 1, "m_max": 4}})
-    assert len(table.rows) == 4
-    for row, ref in zip(table.rows, reference):
+    rows, _ = run_table("example2", {"coupled": {"m_min": 1, "m_max": 4}}, tmp_path)
+    assert len(rows) == 4
+    for row, ref in zip(rows, reference):
         assert row.errors["eL2m1"] == pytest.approx(ref, rel=0.25)
-    for row in table.rows[1:]:
+    for row in rows[1:]:
         assert row.orders["eL2m1"] == pytest.approx(2.0, abs=0.2)
 
 
-def test_criterion_3_second_moment_rates():
+def test_criterion_3_second_moment_rates(tmp_path):
     # second-moment H1 orders at fixed parametric resolution, reference
     # pattern (0.9200, 0.9789, 0.9947) trending to 1, +-0.15
     reference = (0.9200, 0.9789, 0.9947)
-    table, _ = run_table("example2",
-                         {"levels": [[8, 8], [16, 8], [32, 8], [64, 8]]})
-    orders = [row.orders["eH1m2"] for row in table.rows[1:]]
+    rows, _ = run_table("example2",
+                        {"levels": [[8, 8], [16, 8], [32, 8], [64, 8]]}, tmp_path)
+    orders = [row.orders["eH1m2"] for row in rows[1:]]
     for got, ref in zip(orders, reference):
         assert got == pytest.approx(ref, abs=0.15)
 
@@ -167,7 +168,7 @@ def test_criterion_6_degenerations():
     sys_const = assemble_sg(mesh, grid, AffineField.build(2.0),
                             AffineField.build(-8.0), AffineField.build(-0.04))
     u_const, _ = solve_lcp(sys_const, sys_const.obs, cfg)
-    var = sg_variance(sys_const, u_const).values
+    var = sg_variance(sys_const, u_const)
     assert np.max(var) <= 1e-12
 
 
@@ -221,7 +222,7 @@ def test_criterion_8_mc_consistency_and_timing():
         return np.zeros((x.shape[0], 2))
 
     err_mc = p1_distance(mesh, res.mean, lambda x: (exact_mean.values(x), no_gradient(x)))[0]
-    err_sg = p1_distance(mesh, sg_mean(system, u).values,
+    err_sg = p1_distance(mesh, sg_mean(system, u),
                          lambda x: (exact_mean.values(x), no_gradient(x)))[0]
     # the L2 norm of the P1 field se: the degree-5 rule integrates P1^2
     # exactly, so this is sqrt(se' M se) with M the mass matrix
@@ -244,7 +245,7 @@ def test_criterion_9_variance_vanishes_on_contact_set():
     u, report = solve_lcp(system, system.obs,
                           SolverConfig(method="active-set", tol=1e-10))
     assert report.converged
-    var = sg_variance(system, u).values
+    var = sg_variance(system, u)
     radii = np.linalg.norm(mesh.nodes, axis=1)
     contact = (radii <= 0.9) & ~mesh.boundary
     assert contact.sum() > 0

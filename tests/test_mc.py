@@ -130,11 +130,11 @@ class TestAffineSampler:
 
 
     @pytest.mark.parametrize("name, parameterization",
-                             [("example1", "exp"), ("example1", "xi"), ("example2", "exp")])
+                             [("example1", "exp"), ("example2", "exp")])
     def test_band_matches_the_block_pattern(self, name, parameterization):
         # the band scattered through one sample's map and the repeated
         # starts are, bit for bit, those read off the block's CSR matrix;
-        # the problem comes from a Monte Carlo config in either hat coordinate
+        # the problem comes from a Monte Carlo config
         prob = validate_config({"problem": name, "parameterization": parameterization,
                                 "mode": "mc", "schedule": {"levels": [[8, 1]]},
                                 "solver": {}}).problem

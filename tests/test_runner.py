@@ -14,10 +14,9 @@ from sgobstacle.cli import main as cli_main
 from sgobstacle.fem import P1Operator, p1_distance
 from sgobstacle.lcp import SolverConfig, SparseObstacleSystem, active_set_solve
 from sgobstacle.mesh import build_uniform_mesh
-from sgobstacle.runner import (TABLE_HEADER, ConfigError, ErrorTable,
-                               SolverNotConverged, TableRow, load_config,
-                               run_convergence, run_mc, run_single,
-                               validate_config)
+from sgobstacle.runner import (TABLE_HEADER, ConfigError, SolverNotConverged, TableRow,
+                               load_config, run_convergence, run_mc, run_single,
+                               validate_config, write_table)
 from sgobstacle.system import EXPLICIT_LIMIT
 
 SPAN = np.e - 1.0 / np.e
@@ -124,17 +123,18 @@ class TestValidateConfig:
         assert "parameterization must be exp or xi, got 'foo'" in message
         assert "unknown density kind 'beta'" in message
 
-    def test_xi_problem_validates_and_converges_for_galerkin(self):
+    def test_xi_problem_validates_and_converges_for_galerkin(self, tmp_path):
         # xi chooses hats linear in xi; the fields stay affine in y
-        cfg = validate_config(base_config(problem="example1", parameterization="xi"))
+        cfg = validate_config(base_config(problem="example1", parameterization="xi",
+                                          output_dir=str(tmp_path)))
         assert cfg.parameterization == "xi" and cfg.mode == "sg"
         assert not hasattr(cfg.problem, "parameterization")
-        table, reports = run_convergence(cfg, write=False)
+        rows, reports = run_convergence(cfg)
         assert all(report["converged"] for report in reports)
-        errors = [row.errors["eL2m1"] for row in table.rows]
+        errors = [row.errors["eL2m1"] for row in rows]
         assert errors[1] < errors[0]
         # s is the cell width in xi: 2 / cells on xi in (-1, 1)
-        assert [row.s for row in table.rows] == [2.0, 1.0]
+        assert [row.s for row in rows] == [2.0, 1.0]
 
     def test_missing_solver_block_warns_and_defaults(self, caplog):
         cfg = base_config()
@@ -527,7 +527,7 @@ class TestErrorTable:
                      orders={k: 2.0 for k in errs}, iters=4, seconds=0.02),
         ]
         path = tmp_path / "table.csv"
-        ErrorTable(rows=rows).to_csv(str(path))
+        write_table(rows, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == TABLE_HEADER
         first = lines[1].split(",")
@@ -540,9 +540,9 @@ class TestErrorTable:
 class TestRunConvergence:
     def test_errors_decrease_and_orders_fill_in(self, tmp_path):
         cfg = validate_config(base_config(output_dir=str(tmp_path)))
-        table, reports = run_convergence(cfg)
-        assert len(table.rows) == 2
-        r0, r1 = table.rows
+        rows, reports = run_convergence(cfg)
+        assert len(rows) == 2
+        r0, r1 = rows
         for key in ("eL2m1", "eH1m1", "eL2m2", "eH1m2"):
             assert r1.errors[key] < r0.errors[key]
             assert r0.orders[key] is None
@@ -564,8 +564,8 @@ class TestRunConvergence:
                                           output_dir=str(tmp_path)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table, _ = run_convergence(cfg)
-        assert all(order is None for row in table.rows for order in row.orders.values())
+            rows, _ = run_convergence(cfg)
+        assert all(order is None for row in rows for order in row.orders.values())
         lines = (tmp_path / "table.csv").read_text().splitlines()
         header = lines[0].split(",")
         for line in lines[1:]:
@@ -597,7 +597,7 @@ class TestRunConvergence:
         errs = convergence_errors(system, u, cfg.problem.exact, quad_order=16)
         exact_mean = exact_statistic(cfg.problem.exact, cfg.problem.densities,
                                      moment=1, quad_order=16)
-        mean = sg_mean(system, u).values
+        mean = sg_mean(system, u)
 
         def exact_data(x):
             return exact_mean.values(x), np.zeros((x.shape[0], 2))
@@ -654,18 +654,18 @@ PINNED_ERRORS = {
 
 
 @pytest.mark.parametrize("problem", sorted(PINNED_ERRORS))
-def test_error_table_is_pinned(problem):
+def test_error_table_is_pinned(problem, tmp_path):
     cfg = validate_config({"problem": problem,
                            "schedule": {"levels": [[4, 8], [8, 8], [16, 8]]},
                            "solver": {"method": "active-set", "tol": 1e-10},
-                           "quad_order": 64})
-    table, _ = run_convergence(cfg, write=False)
+                           "quad_order": 64, "output_dir": str(tmp_path)})
+    rows, _ = run_convergence(cfg)
     got = [tuple(row.errors[k] for k in ("eL2m1", "eH1m1", "eL2m2", "eH1m2"))
-           for row in table.rows]
+           for row in rows]
     np.testing.assert_allclose(got, PINNED_ERRORS[problem], rtol=1e-10, atol=0.0)
 
 
-def test_converge_builds_each_gauss_rule_once(monkeypatch):
+def test_converge_builds_each_gauss_rule_once(monkeypatch, tmp_path):
     # the hat Gramians and the reference statistics share one cached rule
     # per order: 12 and quad_order points (the preconditioner's means are
     # Gramian sums and take no rule of their own)
@@ -681,8 +681,8 @@ def test_converge_builds_each_gauss_rule_once(monkeypatch):
     cfg = validate_config({"problem": "example1",
                            "schedule": {"levels": [[4, 8], [8, 8], [16, 8]]},
                            "solver": {"method": "active-set", "tol": 1e-10},
-                           "quad_order": 64})
-    run_convergence(cfg, write=False)
+                           "quad_order": 64, "output_dir": str(tmp_path)})
+    run_convergence(cfg)
     assert sorted(calls) == [12, 64]
 
 
@@ -760,11 +760,18 @@ class TestRunMC:
         assert payload["mean_max_gap"] < 2.0
 
     def test_non_affine_parameterization_runs_mc(self, tmp_path):
-        cfg = validate_config(base_config(
-            mode="mc", parameterization="xi", output_dir=str(tmp_path),
-            mc={"n_samples": 4, "seed": 0, "level": 0}))
-        result, _ = run_mc(cfg)
-        assert result.accumulator.n == 4
+        # Monte Carlo samples y and never reads the hat coordinate, so a run
+        # in xi writes the bytes of the same run in exp
+        for parameterization in ("xi", "exp"):
+            cfg = validate_config(base_config(
+                mode="mc", parameterization=parameterization,
+                output_dir=str(tmp_path / parameterization),
+                mc={"n_samples": 4, "seed": 0, "level": 0}))
+            result, _ = run_mc(cfg)
+            assert result.accumulator.n == 4
+        for name in ("example2_mc_mean.csv", "example2_mc_variance.csv"):
+            assert (tmp_path / "xi" / name).read_bytes() == \
+                (tmp_path / "exp" / name).read_bytes()
 
 
 class TestCLI:

@@ -9,13 +9,12 @@ from numpy.testing import assert_allclose
 
 from sgobstacle.fem import p1_distance
 from sgobstacle.fields import AffineField
-from sgobstacle.mesh import build_uniform_mesh
+from sgobstacle.mesh import build_uniform_mesh, write_vtk
 from sgobstacle.param import Density1D, build_param_grid, draw, hat_values
 from sgobstacle.problems import example1, example2
 from sgobstacle.runner import _solve_level, convergence_errors, validate_config
-from sgobstacle.stats import (ParametricFunction, StatField, exact_statistic, sg_mean,
-                              sg_second_moment, sg_variance, tensor_quadrature,
-                              write_stat_csv, write_stat_vtk)
+from sgobstacle.stats import (ParametricFunction, exact_statistic, sg_mean, sg_second_moment,
+                              sg_variance, tensor_quadrature, write_stat_csv)
 from sgobstacle.system import assemble_sg
 
 E = np.e
@@ -138,7 +137,7 @@ class TestChunkedQuadrature:
             vals, grads = per_node_moments(exact, x, densities, 9, (1, 2), with_grad=True)
             return np.stack(vals), np.stack(grads)
 
-        fields = np.stack([sg_mean(system, u).values, sg_second_moment(system, u).values])
+        fields = np.stack([sg_mean(system, u), sg_second_moment(system, u)])
         dist = p1_distance(mesh, fields, exact_data)
         norm = p1_distance(mesh, np.zeros_like(fields), exact_data)
         ref = {f"e{kind}m{k + 1}": d[k] / n[k]
@@ -151,17 +150,17 @@ class TestChunkedQuadrature:
 class TestGalerkinMoments:
     def test_y_independent_solution_has_zero_variance(self):
         sys_, u = solved_system([], AffineField.build(1.0))
-        var = sg_variance(sys_, u).values
-        m2 = sg_second_moment(sys_, u).values
-        mean = sg_mean(sys_, u).values
+        var = sg_variance(sys_, u)
+        m2 = sg_second_moment(sys_, u)
+        mean = sg_mean(sys_, u)
         assert np.max(var) <= 1e-12 * max(np.max(m2), 1.0)
         assert_allclose(m2, mean ** 2, atol=1e-14)
 
     def test_second_moment_dominates_squared_mean(self):
         sys_, u = solved_system([(1.0, one, 0), (2.0, one, 1)],
                                 AffineField.build(1.0, [(1.0, one, 0)]))
-        mean = sg_mean(sys_, u).values
-        m2 = sg_second_moment(sys_, u).values
+        mean = sg_mean(sys_, u)
+        m2 = sg_second_moment(sys_, u)
         assert np.all(m2 - mean ** 2 >= -1e-14)
 
     def test_moments_match_sampling_the_interpolant(self):
@@ -170,8 +169,8 @@ class TestGalerkinMoments:
         # interpolant must agree within its own statistical error
         sys_, u = solved_system([(1.0, one, 0), (2.0, one, 1)],
                                 AffineField.build(-2.0))
-        mean = sg_mean(sys_, u).values
-        var = sg_variance(sys_, u).values
+        mean = sg_mean(sys_, u)
+        var = sg_variance(sys_, u)
 
         from sgobstacle.stats import _full_blocks
         blocks = _full_blocks(sys_, u)
@@ -196,7 +195,7 @@ class TestGalerkinMoments:
 
         sys_, u = solved_system([], AffineField.build(0.0), cells=4, nx=4,
                                 dirichlet=dirichlet)
-        mean = sg_mean(sys_, u).values
+        mean = sg_mean(sys_, u)
         corner = np.flatnonzero((sys_.mesh.nodes[:, 0] == 1.0)
                                 & (sys_.mesh.nodes[:, 1] == 1.0))[0]
         assert mean[corner] == pytest.approx(2.0 * EY, rel=1e-12)
@@ -206,23 +205,32 @@ class TestGalerkinMoments:
         # leaves the variance; m2 - mean^2 would lose it to cancellation
         sys_, u = solved_system([(1.0, one, 0), (2.0, one, 1)], AffineField.build(-2.0))
         ii = sys_.mesh.interior
-        var = sg_variance(sys_, u).values[ii]
-        shifted = sg_variance(sys_, u + 100.0).values[ii]
+        var = sg_variance(sys_, u)[ii]
+        shifted = sg_variance(sys_, u + 100.0)[ii]
         assert np.max(np.abs(shifted - var)) <= 1e-11 * np.max(var)
 
 
 class TestExports:
     def test_csv_layout(self, tmp_path):
         sys_, u = solved_system([], AffineField.build(1.0), nx=2)
-        field = sg_mean(sys_, u)
+        mean = sg_mean(sys_, u)
         path = tmp_path / "mean.csv"
-        write_stat_csv(field, str(path))
+        write_stat_csv(sys_.mesh, mean, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,value"
         assert len(lines) == 1 + sys_.mesh.n_nodes
         x1, x2, v = lines[1].split(",")
         assert float(x1) == sys_.mesh.nodes[0, 0]
-        assert float(v) == pytest.approx(field.values[0])
+        assert float(v) == pytest.approx(mean[0])
+
+    def test_csv_needs_one_value_per_node(self, tmp_path):
+        # a short array would lose rows to the zip; it is refused before the
+        # file is opened
+        mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 2)
+        path = tmp_path / "mean.csv"
+        with pytest.raises(ValueError, match=r"expected \(9,\)"):
+            write_stat_csv(mesh, np.zeros(mesh.n_nodes - 1), str(path))
+        assert not path.exists()
 
     def test_writers_match_per_element_formatting(self, tmp_path):
         # the writers format Python floats; the bytes must be those of
@@ -235,9 +243,9 @@ class TestExports:
         mesh = replace(mesh, nodes=nodes)
         values = np.random.default_rng(3).standard_normal(mesh.n_nodes)
         values[:len(special)] = special
-        fields = [StatField(mesh, "mean", values), StatField(mesh, "variance", values[::-1])]
+        fields = {"mean": values, "variance": values[::-1]}
 
-        write_stat_csv(fields[0], str(tmp_path / "mean.csv"))
+        write_stat_csv(mesh, values, str(tmp_path / "mean.csv"))
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x1", "x2", "value"])
@@ -247,7 +255,8 @@ class TestExports:
         assert got == (tmp_path / "want.csv").read_bytes()
         assert b"\n-0,1e-300,-0.0000000000000000e+00" in got
 
-        write_stat_vtk(fields, str(tmp_path / "stats.vtk"))
+        write_vtk(mesh, str(tmp_path / "stats.vtk"), point_data=fields,
+                  title="solution statistics")
         want = ["# vtk DataFile Version 2.0", "solution statistics", "ASCII",
                 "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_nodes} double"]
         want += [f"{x:.16g} {y:.16g} 0" for x, y in mesh.nodes]
@@ -255,9 +264,9 @@ class TestExports:
         want += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
         want += [f"CELL_TYPES {mesh.n_triangles}"] + ["5"] * mesh.n_triangles
         want += [f"POINT_DATA {mesh.n_nodes}"]
-        for f in fields:
-            want += [f"SCALARS {f.name} double 1", "LOOKUP_TABLE default"]
-            want += [f"{v:.16g}" for v in f.values]
+        for name, field in fields.items():
+            want += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            want += [f"{v:.16g}" for v in field]
         got = (tmp_path / "stats.vtk").read_bytes()
         assert got == ("\n".join(want) + "\n").encode()
         assert b"\n-0 1e-300 0\n" in got and b"\n1e+16\n" in got
@@ -265,9 +274,8 @@ class TestExports:
     def test_vtk_contains_all_fields(self, tmp_path):
         sys_, u = solved_system([(1.0, one, 0)], AffineField.build(1.0), nx=2)
         path = tmp_path / "stats.vtk"
-        write_stat_vtk([sg_mean(sys_, u), sg_variance(sys_, u)], str(path))
+        write_vtk(sys_.mesh, str(path),
+                  point_data={"mean": sg_mean(sys_, u), "variance": sg_variance(sys_, u)})
         text = path.read_text()
         assert "SCALARS mean" in text
         assert "SCALARS variance" in text
-        with pytest.raises(ValueError):
-            write_stat_vtk([], str(tmp_path / "empty.vtk"))
