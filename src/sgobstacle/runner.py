@@ -468,6 +468,7 @@ def run_convergence(cfg: ExperimentConfig):
                              iters=report.iterations, seconds=seconds))
         reports.append({"level": k, "nx": level.nx, "cells": level.cells,
                         "I": system.n_spatial, "J": system.n_param,
+                        "spatial_factors": system.spatial_factors,
                         "errors_seconds": errors_seconds, **report.as_dict()})
         log.info("level %d: nx=%d cells=%d IJ=%d eL2m1=%.4e eH1m1=%.4e "
                  "iters=%d (%.2fs)", k, level.nx, level.cells, system.n,
@@ -527,6 +528,7 @@ def run_single(cfg: ExperimentConfig, level_index: int):
         "level": level_index,
         "nx": level.nx, "cells": level.cells,
         "I": system.n_spatial, "J": system.n_param,
+        "spatial_factors": system.spatial_factors,
         "seconds": seconds,
         "solver": report.as_dict(),
         "outputs": paths,

@@ -6,8 +6,14 @@ matrix is a sum of Kronecker products G_k ⊗ K_k and is kept in factored
 form: each parametric Gramian G_k as its 1-D factors (``param.Gramians``).
 Matrix-vector products work blockwise on (J, I) reshapes of flat vectors
 with index j*I + i, K_k on the rows and G_k one parameter dimension at a
-time (``param.kron_apply``).  The explicit sparse sum is built only when
-projected SOR asks for it (``SGSystem.explicit``).  Conjugate gradients are
+time (``param.kron_apply``).  The matvec makes one sparse product per
+spatial shape: a term whose K_k is c K, to rounding (``FOLD_RTOL``), for
+the K of an earlier term joins that term's group, with c folded into its
+first Gramian factor.  So a coefficient whose modes have the mean's shape,
+as in both of the paper's examples, costs one sparse product per matvec.
+An all-zero K_k (a coefficient with zero mean) is skipped.  ``explicit()``
+and ``precond()`` still read every assembled term, and the explicit sparse
+sum is built only when projected SOR asks for it.  Conjugate gradients are
 preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
 (Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
 orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  Its
@@ -36,6 +42,11 @@ __all__ = ["SGSystem", "assemble_sg"]
 # Largest I*J for which ``SGSystem.explicit()`` builds the Kronecker matrix;
 # projected SOR needs that matrix, so a PSOR level above it is a config error.
 EXPLICIT_LIMIT = 500_000
+
+# A stiffness term K_k joins the group of an earlier term's K when
+# ‖K_k − c K‖_F <= FOLD_RTOL ‖K_k‖_F for c = <K_k, K>_F / <K, K>_F: a
+# rounding floor, like the tight solve target's 1e-13 ‖b‖.
+FOLD_RTOL = 1e-13
 
 
 @dataclass
@@ -67,6 +78,23 @@ class SGSystem:
 
     def __post_init__(self):
         self._precond = None
+        # (K, [factors of G_k for each term c K]) per spatial shape, c folded
+        # into the first factor; all terms share K0's pattern, so the
+        # Frobenius products are those of the stored entries, and an
+        # all-zero term joins no group
+        self._groups = []
+        for k, K in self._terms():
+            norm = np.linalg.norm(K.data)
+            if norm == 0.0:
+                continue
+            for K_g, factors in self._groups:
+                c = (K.data @ K_g.data) / (K_g.data @ K_g.data)
+                if np.linalg.norm(K.data - c * K_g.data) <= FOLD_RTOL * norm:
+                    F = self.gram.factors(k)
+                    factors.append([c * F[0], *F[1:]])
+                    break
+            else:
+                self._groups.append((K, [self.gram.factors(k)]))
 
     @property
     def n_spatial(self) -> int:
@@ -84,10 +112,19 @@ class SGSystem:
         """(k, K_k) for every stiffness term that is present."""
         return [(k, K) for k, K in enumerate([self.K0, *self.Kk]) if K is not None]
 
+    @property
+    def spatial_factors(self) -> int:
+        """Sparse products per ``matvec``: the number of spatial shapes."""
+        return len(self._groups)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         V = v.reshape(self.n_param, self.n_spatial)
-        return sum(kron_apply(self.gram.factors(k), (K @ V.T).T)
-                   for k, K in self._terms()).reshape(-1)
+        out = np.zeros(V.shape)
+        for K, factors in self._groups:
+            KV = np.ascontiguousarray((K @ V.T).T)
+            for F in factors:
+                out += kron_apply(F, KV)
+        return out.reshape(-1)
 
     def diag(self) -> np.ndarray:
         return sum(np.outer(self.gram.diagonal(k), K.diagonal())

@@ -554,8 +554,16 @@ class TestRunConvergence:
         # each level carries its per-update trace, one record per update
         for lv in report["levels"]:
             assert lv["errors_seconds"] > 0.0
+            assert lv["spatial_factors"] == 1
             assert len(lv["trace"]) == lv["iterations"]
             assert all(r["pcg"] >= 0 and r["target"] > 0.0 for r in lv["trace"])
+
+    def test_example1_levels_make_one_sparse_product_per_matvec(self, tmp_path):
+        # a = 1 + y1 + 2 y2: the three stiffness terms have one spatial shape
+        cfg = validate_config(base_config(problem="example1", output_dir=str(tmp_path)))
+        run_convergence(cfg)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [lv["spatial_factors"] for lv in report["levels"]] == [1, 1]
 
     def test_repeated_level_has_no_order(self, tmp_path):
         # neither h nor s changes between the rows, so there is no order to
@@ -704,6 +712,25 @@ def test_errors_build_the_spatial_quadrature_once(monkeypatch):
     assert sorted(calls) == ["_reference_rule", "_triangle_geometry"]
 
 
+# mode shapes 1 + 0.5 x1 and 1 - 0.3 x2, not the mean's
+SHIFTED_X1 = {"kind": "polynomial", "terms": [[1.0, 0, 0], [0.5, 1, 0]]}
+SHIFTED_X2 = {"kind": "polynomial", "terms": [[1.0, 0, 0], [-0.3, 0, 1]]}
+
+
+def bench_custom_config(shapes):
+    """The benchmark's custom problem at level [4, 2]: example1's
+    a = 1 + y1 + 2 y2 with y ~ exp-uniform^2, f = -2 and g = -0.05 on
+    (-1.5, 1.5)^2, with the modes' spatial shapes replaced by ``shapes``."""
+    modes = [{"coeff": coeff, "shape": shape, "dim": d}
+             for d, (coeff, shape) in enumerate(zip((1.0, 2.0), shapes))]
+    return {"problem": "custom",
+            "custom": {"name": "ex1custom", "domain": [-1.5, 1.5, -1.5, 1.5],
+                       "densities": [{"kind": "exp-uniform"}] * 2,
+                       "fields": {"a": {"mean": 1.0, "modes": modes}, "f": -2.0, "g": -0.05}},
+            "mode": "sg", "schedule": {"levels": [[4, 2]]},
+            "solver": {"method": "active-set", "tol": 1e-8}}
+
+
 class TestRunSingle:
     def test_writes_fields_and_report(self, tmp_path):
         cfg = validate_config(base_config(output_dir=str(tmp_path)))
@@ -727,6 +754,23 @@ class TestRunSingle:
         cfg = validate_config(base_config(output_dir=str(tmp_path)))
         with pytest.raises(ConfigError, match="level"):
             run_single(cfg, 7)
+
+    @pytest.mark.parametrize("case, factors", [("example1", 1), ("example2", 1),
+                                               ("bench custom", 1), ("hard shapes", 3),
+                                               ("mixed", 2)])
+    def test_report_gives_sparse_products_per_matvec(self, case, factors, tmp_path):
+        if case.startswith("example"):
+            cfg = base_config(problem=case, schedule={"levels": [[4, 2]]})
+        else:
+            cfg = bench_custom_config({"bench custom": (1.0, 1.0),
+                                       "hard shapes": (SHIFTED_X1, SHIFTED_X2),
+                                       "mixed": (SHIFTED_X1, 1.0)}[case])
+        cfg = validate_config({**cfg, "output_dir": str(tmp_path)})
+        _, _, _, payload = run_single(cfg, 0)
+        assert payload["spatial_factors"] == factors
+        name = cfg.problem.name
+        written = json.loads((tmp_path / f"{name}_level0_report.json").read_text())
+        assert written["spatial_factors"] == factors
 
 
 class TestRunMC:

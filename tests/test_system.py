@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from sgobstacle import system
 from sgobstacle.fem import P1Operator
 from sgobstacle.fields import AffineField
-from sgobstacle.lcp import SolverConfig, active_set_solve
+from sgobstacle.lcp import SolverConfig, SparseObstacleSystem, active_set_solve
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid, deterministic_grid
 from sgobstacle.problems import get_problem
@@ -154,6 +154,83 @@ class TestKroneckerStructure:
             expected_0 += sys_.gram.matrix(k)[0, 1] * (K @ v[I:2 * I])
         assert_allclose(blocks[0], expected_0, rtol=1e-13)
 
+
+def shifted_x1(x):
+    return 1.0 + 0.5 * x[:, 0]
+
+
+def shifted_x2(x):
+    return 1.0 - 0.3 * x[:, 1]
+
+
+# coefficient of each case: (mean, modes) with y ~ exp-uniform^2, and the
+# number of spatial shapes, the sparse products per matvec
+COEFFICIENTS = {
+    "proportional modes": ((1.1, [(0.3, one, 0), (0.7, one, 1)]), 1),
+    "hard shapes": ((1.0, [(1.0, shifted_x1, 0), (2.0, shifted_x2, 1)]), 3),
+    "mixed": ((1.0, [(1.0, shifted_x1, 0), (2.0, one, 1)]), 2),
+    "zero mean": ((0.0, [(1.0, one, 0), (2.0, one, 1)]), 1),
+}
+
+
+def case_system(case, nx=6, cells=3):
+    """(system, sparse products per matvec) of a built-in problem or a
+    ``COEFFICIENTS`` case with f = -2 and g = -0.05 on the unit square."""
+    if case in ("example1", "example2"):
+        problem = get_problem(case)
+        fields = problem.fields
+        sys_ = assemble_sg(build_uniform_mesh(problem.rect, nx),
+                           build_param_grid(problem.densities, cells),
+                           fields["a"], fields["f"], fields["g"], problem.dirichlet)
+        return sys_, 1
+    (mean, modes), factors = COEFFICIENTS[case]
+    sys_ = assemble_sg(build_uniform_mesh(RECT, nx),
+                       build_param_grid([Density1D.exp_uniform()] * 2, cells),
+                       AffineField.build(mean, modes), AffineField.build(-2.0),
+                       AffineField.build(-0.05))
+    return sys_, factors
+
+
+class TestSpatialFactors:
+    @pytest.mark.parametrize("case", ["example1", "example2", *COEFFICIENTS])
+    def test_matvec_and_diag_match_explicit(self, case):
+        sys_, factors = case_system(case)
+        assert sys_.spatial_factors == factors
+        A = sys_.explicit()
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            v = rng.standard_normal(sys_.n)
+            Av = A @ v
+            assert np.max(np.abs(sys_.matvec(v) - Av)) <= 1e-13 * np.max(np.abs(Av))
+        assert_allclose(sys_.diag(), A.diagonal(), rtol=1e-13)
+
+    def test_example1_matvec_makes_one_sparse_product(self, monkeypatch):
+        # a = 1 + y1 + 2 y2: three stiffness terms of one spatial shape
+        sys_, _ = case_system("example1")
+        assert len(sys_._terms()) == 3
+        products = []
+        matmul = sp.csr_array.__matmul__
+
+        def counted(K, other):
+            products.append(np.shape(other))
+            return matmul(K, other)
+
+        monkeypatch.setattr(sp.csr_array, "__matmul__", counted)
+        sys_.matvec(np.ones(sys_.n))
+        assert products == [(sys_.n_spatial, sys_.n_param)]
+
+    def test_zero_mean_coefficient_is_solved(self):
+        # a = y1 + 2 y2: K0 is all zero, and the matvec skips it; the solve
+        # agrees with the same LCP on the explicit matrix
+        sys_, _ = case_system("zero mean")
+        assert not sys_.K0.data.any()
+        config = SolverConfig(tol=1e-10)
+        u, report = active_set_solve(sys_, sys_.obs, config)
+        assert report.converged and report.active_count > 0
+        ref, ref_report = active_set_solve(SparseObstacleSystem(sys_.explicit(), sys_.b),
+                                           sys_.obs, config)
+        assert ref_report.converged
+        assert_allclose(u, ref, rtol=0, atol=1e-10 * np.max(np.abs(ref)))
 
 
 def _param_grid(cells):
