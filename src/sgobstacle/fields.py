@@ -9,7 +9,9 @@ of an exact solution's ``value`` (``stats.ParametricFunction``).
 ``affine_factors`` maps the affine terms of a, f and g through the mesh
 operator (``fem.P1Operator``) once: the Galerkin system contracts them with
 its Gramians, and a Monte Carlo block takes its samples' data as [1, y]
-times them.  ``lift`` is the one Dirichlet lifting of both.
+times them.  ``fold_terms`` groups stiffness terms that are multiples of
+each other, so both can treat such a group as one spatial shape.  ``lift``
+is the one Dirichlet lifting of both.
 """
 
 from __future__ import annotations
@@ -28,8 +30,15 @@ __all__ = [
     "FieldBounds",
     "affine_factors",
     "bounds_check",
+    "fold_terms",
     "lift",
 ]
+
+
+# A term joins the group of an earlier term K when ‖K_k − c K‖ <= FOLD_RTOL ‖K_k‖
+# for c = <K_k, K> / <K, K>: a rounding floor, like the tight solve target's
+# 1e-13 ‖b‖.
+FOLD_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,33 @@ def affine_factors(op: P1Operator, a: AffineField, f: AffineField, g: AffineFiel
     loads = op.load(f.terms(op.points, n_dims))[..., op.mesh.interior]
     return AffineFactors(op.interior.data(a_integrals), op.coupling.data(a_integrals),
                          loads, g.terms(op.mesh.nodes[op.mesh.interior], n_dims))
+
+
+def fold_terms(rows) -> list:
+    """Group the terms ``rows`` (entry vectors on one shared pattern) by
+    spatial shape.
+
+    Returns one (g, members) per group, in the order of each group's first
+    term g: ``members`` lists (k, c) for each term k of the group, with
+    rows[k] = c rows[g] to rounding (``FOLD_RTOL``, in the 2-norm of the
+    entries, which is the Frobenius norm of the matrices) and c = 1.0 for g
+    itself.  Terms are taken in order, and each joins the first group that
+    fits it or opens a new one.  An all-zero term joins no group, so no
+    ratio divides by a zero norm.
+    """
+    groups = []
+    for k, row in enumerate(rows):
+        norm = np.linalg.norm(row)
+        if norm == 0.0:
+            continue
+        for g, members in groups:
+            c = (row @ rows[g]) / (rows[g] @ rows[g])
+            if np.linalg.norm(row - c * rows[g]) <= FOLD_RTOL * norm:
+                members.append((k, c))
+                break
+        else:
+            groups.append((k, [(k, 1.0)]))
+    return groups
 
 
 def lift(op: P1Operator, dirichlet, y_points: np.ndarray, K_ib: np.ndarray):

@@ -15,11 +15,14 @@ as the whole linear solve.  The plain sparse system solves the inactive
 block by banded Cholesky and declares it exact; the Galerkin system applies
 its Kronecker preconditioner, truncated at the spatial nodes that the set
 holds at every parameter node, and declares nothing, so its solves run
-conjugate gradients.  The sparse system takes
-its lower band either from its caller (a Monte Carlo block scatters each
+conjugate gradients.  The sparse system takes its lower band either from
+its caller (a Monte Carlo block hands over one band with a scale per
+sample when its samples share a stiffness shape, and else scatters each
 sample's stiffness entries through the band map of one sample,
-``band_map``) or from the CSR pattern of A, and it refactors and re-solves
-only the diagonal blocks whose set or right-hand side moved.
+``band_map``) or from the CSR pattern of A.  It keeps one factor per
+(shape, held set) pair of its diagonal blocks, so samples of one shape
+that hold one set share a factor, and it refactors and re-solves only the
+diagonal blocks whose set or right-hand side moved.
 
 The active set method is an inexact semismooth Newton iteration, and each
 of its steps is one linear solve on the inactive set.  The unconstrained
@@ -122,29 +125,43 @@ class SolveReport:
 class SparseObstacleSystem:
     """Plain sparse LCP data; the preconditioner is an exact banded Cholesky solve.
 
-    The system keeps one lower band of A (LAPACK lower form, transposed: one
-    row per column of A) and the starts of A's diagonal blocks, the runs of
-    columns that no stored entry crosses (the samples of a Monte Carlo
-    block).  A caller that knows them passes ``band`` and ``starts``; the
-    Monte Carlo sampler scatters each block's stiffness entries through the
-    band map of one sample (``band_map``) and repeats that sample's starts.
-    Without them the first apply reads both off the CSR pattern of A, with
-    duplicate entries summed.  The Cholesky factor is made on the first
-    apply, and each block's rows of it are those of the block masked by the
-    active set it was last factored with.  An apply of ``precond()`` brings
-    the factor to its ``active`` block by block: only the blocks whose set
-    differs are refactored, in one ``cholesky_banded`` call on their stacked
-    columns.  A block that is not positive definite raises
-    numpy.linalg.LinAlgError on that apply, and the factor of every block is
-    left as it was.  The system remembers the right-hand side and solution
-    of its last apply, and the next apply solves again, in one
-    ``cho_solve_banded`` call on their stacked rows, only the blocks it
-    refactored or whose right-hand side differs; the others keep their
-    solution.  ``factored_blocks`` and ``solved_blocks`` count the diagonal
-    blocks factored and solved over the system's life.
+    The system keeps a lower band (LAPACK lower form, transposed: one row
+    per column) of the diagonal blocks of A, the runs of columns that no
+    stored entry crosses (the samples of a Monte Carlo block), and their
+    starts.  The band has m rows, where m divides n; copy k of it, A's rows
+    k m to (k + 1) m, is ``scales[k]`` times the band there (1 without
+    ``scales``).  So a block's shape is the band's rows at its start modulo
+    m, and its scale that of its copy.  A caller that knows them passes
+    ``band``, ``starts`` and, for one band shared by every copy, ``scales``:
+    a Monte Carlo block whose samples have one stiffness shape K hands over
+    the band of K and each sample's scale, and one of samples with several
+    shapes scatters each sample's stiffness entries through the band map of
+    one sample (``band_map``); both repeat that sample's starts.  Without
+    them the first apply reads the band (m = n) and starts off the CSR
+    pattern of A, with duplicate entries summed.
+
+    Factors live in a table keyed by (shape, held set): the Cholesky factor
+    of the shape's band masked by the set of the entries held on a block.
+    An apply of ``precond()`` brings each block whose set moved to its
+    ``active`` set: each (shape, set) pair among them that the table lacks
+    is factored once, in one ``cholesky_banded`` call on the stacked new
+    pairs, and a factor that no block holds any more is dropped.  A new
+    pair that is not positive definite, or a block with a free entry whose
+    scale is not positive (so that a shared factor would hide a block that
+    is not positive definite), raises numpy.linalg.LinAlgError on that
+    apply, and every block keeps the factor it had.  The system remembers
+    the right-hand side and solution of its last apply, and the next apply
+    solves again, in one ``cho_solve_banded`` call on their stacked rows,
+    only the blocks it brought to a new set or whose right-hand side
+    differs, each with its pair's factor and its free entries divided by
+    its scale; the others keep their solution.  ``factored_blocks`` counts
+    the blocks brought to a new set, ``solved_blocks`` the blocks solved
+    and ``distinct_factorizations`` the factors made, over the system's
+    life.  A system of one shape per block (m = n) makes one factor per
+    block brought to a new set.
     """
 
-    def __init__(self, A, b, band=None, starts=None):
+    def __init__(self, A, b, band=None, starts=None, scales=None):
         self.A = sp.csr_array(A)
         self.b = np.asarray(b, dtype=float)
         self.n = self.A.shape[0]
@@ -154,12 +171,20 @@ class SparseObstacleSystem:
             raise ValueError(f"b must have length {self.n}, got shape {self.b.shape}")
         if (band is None) != (starts is None):
             raise ValueError("band and starts are given together or not at all")
-        if band is not None and band.shape[0] != self.n:
-            raise ValueError(f"band must have {self.n} rows, got shape {band.shape}")
-        self._band, self._starts = band, starts  # else read off A on the first apply
-        self._factor = self._mask = None  # the factor and the set of each of its rows
+        if band is not None and not (len(band) and self.n % len(band) == 0):
+            raise ValueError(f"the rows of band must divide {self.n}, got shape {band.shape}")
+        if scales is not None:
+            if band is None:
+                raise ValueError("scales need a band")
+            scales = np.asarray(scales, dtype=float)
+            if scales.shape != (self.n // len(band),):
+                raise ValueError(f"scales must have one entry per copy of the band, "
+                                 f"got shape {scales.shape}")
+        self._band, self._starts, self._scales = band, starts, scales  # else read off A
+        self._table = {}  # (shape, held set) -> its factor
+        self._keys = self._mask = None  # each block's pair, and the entries held
         self._r = self._x = None  # right-hand side and solution of the last apply
-        self.factored_blocks = self.solved_blocks = 0
+        self.factored_blocks = self.solved_blocks = self.distinct_factorizations = 0
 
     def matvec(self, v):
         return self.A @ v
@@ -177,71 +202,109 @@ class SparseObstacleSystem:
         The ``active`` rows and columns of A are zeroed with a unit diagonal,
         which decouples them and keeps the band, so a vector that is zero on
         the active entries comes back zero there.  The apply is ``exact``;
-        it first brings the system's factor to its ``active``.
+        it first brings each block's factor to its ``active``.
         """
         def apply(r, active):
-            moved = self._factor_for(np.asarray(active, dtype=bool))
-            return self._solve(np.asarray(r, dtype=float), moved)
+            active = np.asarray(active, dtype=bool)
+            moved, made = self._factor_for(active)
+            return self._solve(np.asarray(r, dtype=float), active, moved, made)
 
         apply.exact = True
         return apply
 
     @cached_property
-    def _sizes(self):
-        """The sizes of the diagonal blocks, once their starts are known."""
-        return np.diff(self._starts, append=self.n)
+    def _layout(self):
+        """(sizes, offsets, scales) of the diagonal blocks, once their starts
+        are known: a block's shape is the band's rows from its start minus
+        its offset, and its scale is None without ``scales``."""
+        m = len(self._band)
+        copy = self._starts // m
+        return (np.diff(self._starts, append=self.n), copy * m,
+                None if self._scales is None else self._scales[copy])
 
-    def _blocks(self, moved):
-        """The rows of the blocks flagged in ``moved``, as an index array."""
-        return np.flatnonzero(np.repeat(moved, self._sizes))
+    def _blocks(self, flags):
+        """The rows of the blocks flagged in ``flags``, as an index array."""
+        return np.flatnonzero(np.repeat(flags, self._layout[0]))
 
     def _factor_for(self, active):
-        """Refactor the blocks whose rows of the factor hold another set, and
-        return the flags of the blocks refactored (all of them at first).
+        """Bring the blocks whose held entries moved to their pairs in
+        ``active``; returns the flags of those blocks (all of them at first)
+        and, when some pair was new, the flags of the blocks that made the
+        new pairs with their stacked factor, else None.
 
-        The band and the factor are kept as their transposes, one row per
-        column of A, so the blocks' columns are gathered and scattered as
-        rows and LAPACK reads the transposes without a copy.  When every
-        block moved, the gather is a plain copy of the band.
+        The band and the factors are kept as their transposes, one row per
+        column of A, so the new pairs' shapes are gathered as rows and LAPACK
+        reads the transposes without a copy.
         """
         if self._band is None:
             self._band, self._starts = _lower_band(self.A)
-        if self._factor is None:
-            moved = np.ones(len(self._starts), dtype=bool)
+        sizes, offsets, scales = self._layout
+        starts = self._starts
+        if self._keys is None:
+            moved = np.ones(len(starts), dtype=bool)
         else:
-            moved = np.logical_or.reduceat(active != self._mask, self._starts)
-        count = int(np.count_nonzero(moved))
-        if not count:
-            return moved
-        if count == len(moved):
-            cols, band, held = None, self._band.copy(), active.copy()
+            moved = np.logical_or.reduceat(active != self._mask, starts)
+        blocks = np.flatnonzero(moved)
+        if not blocks.size:
+            return moved, None
+        if scales is not None and np.any(
+                moved & ~(scales > 0.0) & np.logical_or.reduceat(~active, starts)):
+            raise np.linalg.LinAlgError("a block with a free entry has a scale that is "
+                                        "not positive")
+        keys = [(starts[j] - offsets[j], active[starts[j]:starts[j] + sizes[j]].tobytes())
+                for j in blocks]
+        new = {}  # each pair that the table lacks, and the first block asking for it
+        for j, key in zip(blocks, keys):
+            if key not in self._table:
+                new.setdefault(key, j)
+        made = None
+        if new:
+            first = np.zeros_like(moved)
+            first[list(new.values())] = True
+            rows = self._blocks(first)
+            band = np.take(self._band, rows - np.repeat(offsets[first], sizes[first]), axis=0)
+            factor = cholesky_banded(_masked(band, active[rows]).T, lower=True,
+                                     overwrite_ab=True, check_finite=False).T
+            at = np.cumsum(sizes[first]) - sizes[first]
+            self._table.update((key, factor[a:a + sizes[j]])
+                               for (key, j), a in zip(new.items(), at))
+            self.distinct_factorizations += len(new)
+            made = first, factor
+        self.factored_blocks += blocks.size
+        if self._keys is None:
+            self._keys, self._mask = keys, active.copy()
         else:
-            cols = self._blocks(moved)
-            band, held = np.take(self._band, cols, axis=0), active[cols]
-        factor = cholesky_banded(_masked(band, held).T, lower=True,
-                                 overwrite_ab=True, check_finite=False).T
-        self.factored_blocks += count
-        if cols is None:
-            self._factor, self._mask = factor, held
-        else:
-            self._factor[cols] = factor
-            self._mask[cols] = held
-        return moved
+            for j, key in zip(blocks, keys):
+                self._keys[j] = key
+            rows = self._blocks(moved)
+            self._mask[rows] = active[rows]
+        held = set(self._keys)
+        self._table = {key: f for key, f in self._table.items() if key in held}
+        return moved, made
 
-    def _solve(self, r, moved):
-        """The solution for ``r``: the blocks flagged in ``moved`` (refactored)
-        or whose right-hand side differs from the last apply's are solved
-        again, and the others keep the last solution."""
+    def _solve(self, r, active, moved, made):
+        """The solution for ``r``: the blocks flagged in ``moved`` (brought to
+        a new pair) or whose right-hand side differs from the last apply's
+        are solved again, and the others keep the last solution.  Their
+        factors are stacked from the table, unless they are exactly the
+        blocks that made the new pairs (``made``), whose stack is ready."""
         if self._x is None:
-            self._x = np.empty(self.n)  # the first apply refactors every block
+            self._x = np.empty(self.n)  # the first apply moves every block
         else:
             moved = moved | np.logical_or.reduceat(r != self._r, self._starts)
-        count = int(np.count_nonzero(moved))
-        if count:
-            rows = slice(None) if count == len(moved) else self._blocks(moved)
-            self._x[rows] = cho_solve_banded((self._factor[rows].T, True), r[rows],
-                                             check_finite=False)
-        self.solved_blocks += count
+        blocks = np.flatnonzero(moved)
+        if blocks.size:
+            sizes, _, scales = self._layout
+            rows = slice(None) if blocks.size == len(moved) else self._blocks(moved)
+            if made is not None and np.array_equal(made[0], moved):
+                factor = made[1]
+            else:
+                factor = np.concatenate([self._table[self._keys[j]] for j in blocks])
+            x = cho_solve_banded((factor.T, True), r[rows], check_finite=False)
+            if scales is not None:
+                x /= np.where(active[rows], 1.0, np.repeat(scales[blocks], sizes[blocks]))
+            self._x[rows] = x
+        self.solved_blocks += blocks.size
         self._r = r.copy()
         return self._x.copy()
 

@@ -17,12 +17,17 @@ are not affine in y.  The systems are ``SparseObstacleSystem``s, whose
 preconditioner is an exact banded Cholesky solve of the system with unit
 rows on the active entries, so an active-set update is one apply of it and
 no conjugate gradients.  Block-diagonal stacking keeps the band of one
-sample: the sampler finds where one sample's stiffness entries go in its
-band once per run (``lcp.band_map``), and a block's band is one scatter of
-its stiffness rows, handed to the system with the samples as its diagonal
-blocks.  An update refactors and solves again only the samples whose active
-set moved; ``MCResult`` counts the sample factorizations and sample solves
-of the run.
+sample.  When the stiffness terms fold to one spatial shape K
+(``fields.fold_terms``), as in both of the paper's examples, sample s's
+stiffness is c_s K with c_s = [1, y_s] times the terms' ratios to K: the
+sampler makes the band of K once per run, and a block hands it over with
+its samples' scales, so samples that hold one active set share one
+Cholesky factor.  Otherwise the sampler finds where one sample's stiffness
+entries go in its band once per run (``lcp.band_map``), and a block's band
+is one scatter of its stiffness rows.  Either way the samples are the
+system's diagonal blocks.  An update refactors and solves again only the
+samples whose active set moved; ``MCResult`` counts the samples brought to
+a new set, the Cholesky factors made and the sample solves of the run.
 
 B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
 one sample).  The cap keeps the working set of the band Cholesky small:
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import P1Operator
-from .fields import affine_factors, lift
+from .fields import affine_factors, fold_terms, lift
 from .lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
                   band_map, solve_lcp)
 from .mesh import Mesh
@@ -96,8 +101,9 @@ class MCResult:
     seed: int
     timings: dict = field(default_factory=dict)
     solver_iterations: int = 0
-    sample_factorizations: int = 0  # sample blocks factored, over every block system
+    sample_factorizations: int = 0  # sample blocks brought to a new active set
     sample_solves: int = 0  # sample blocks solved with a factor
+    distinct_factorizations: int = 0  # Cholesky factors made, over every block system
 
     @property
     def mean(self) -> np.ndarray:
@@ -116,7 +122,10 @@ class _AffineSampler:
     the block-diagonal stiffness (``fem.Block.pattern``), on the first and
     largest block, whose prefix serves the shorter ones; ``build`` takes a
     block's stiffness entries, loads and obstacle values as [1, Y] times the
-    terms and its Dirichlet data and lifting from ``fields.lift``.
+    terms and its Dirichlet data and lifting from ``fields.lift``.  When the
+    stiffness terms fold to one shape K, ``band`` is the lower band of K
+    and ``ratios`` gives term k as ratios[k] K (0 for an all-zero term);
+    otherwise both are None.
     """
 
     def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int):
@@ -124,30 +133,48 @@ class _AffineSampler:
         self.terms = affine_factors(self.op, a_field, f_field, g_field, n_dims)
         self.band_map = band_map(self.op.interior.indptr, self.op.interior.indices)
         self.pattern = None  # the block-diagonal CSR pattern of the largest block yet
+        self.band = self.ratios = None
+        groups = fold_terms(self.terms.K_ii)
+        if len(groups) == 1:
+            (g, members), = groups
+            self.ratios = np.zeros(len(self.terms.K_ii))
+            for k, c in members:
+                self.ratios[k] = c
+            self.band = self._band(self.terms.K_ii[g])
+
+    def _band(self, K_ii: np.ndarray) -> np.ndarray:
+        """The lower bands of the stiffness entries ``K_ii`` (..., nnz) of
+        one sample each, stacked along the rows."""
+        lower, pos, depth, _ = self.band_map
+        band = np.zeros(K_ii.shape[:-1] + (self.op.interior.shape[0] * depth,))
+        band[..., pos] = K_ii[..., lower]
+        return band.reshape(-1, depth)
 
     def build(self, Y: np.ndarray):
         """The block-diagonal system of the parameter rows ``Y`` (B, M).
 
         Returns the ``SparseObstacleSystem`` whose diagonal block j is the
         sample system at ``Y[j]``, the stacked obstacle (B * I,) and the
-        Dirichlet data (B, n_boundary).  The system's band is one scatter of
-        the block's stiffness rows through the band map, with each sample's
-        block starts repeated.
+        Dirichlet data (B, n_boundary).  The system's band is the folded
+        band with the samples' scales [1, Y] ``ratios``, or else one scatter
+        of the block's stiffness rows through the band map, and each
+        sample's block starts are repeated.
         """
         Y1 = np.column_stack((np.ones(len(Y)), Y))
         t = self.terms
         K_ii, K_ib, load, obs = (Y1 @ x for x in (t.K_ii, t.K_ib, t.load, t.obs))
         D, lifting = lift(self.op, self.dirichlet, Y, K_ib)
-        lower, pos, depth, starts = self.band_map
         B, I = len(Y), self.op.interior.shape[0]
         if self.pattern is None or self.pattern[1].size < K_ii.size:
             self.pattern = self.op.interior.pattern(B)
-        band = np.zeros((B, I * depth))
-        band[:, pos] = K_ii[:, lower]
+        if self.band is None:
+            band, scales = self._band(K_ii), None
+        else:
+            band, scales = self.band, Y1 @ self.ratios
         system = SparseObstacleSystem(self.op.interior.csr(K_ii, self.pattern),
-                                      (load - lifting).ravel(),
-                                      band.reshape(B * I, depth),
-                                      (I * np.arange(B)[:, None] + starts).ravel())
+                                      (load - lifting).ravel(), band,
+                                      (I * np.arange(B)[:, None] + self.band_map[3]).ravel(),
+                                      scales)
         return system, obs.ravel(), D
 
 
@@ -172,19 +199,20 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
 
     acc = MCAccumulator()
     n_failed = 0
-    iters = factorizations = solves = 0
+    iters = factorizations = distinct = solves = 0
 
     def solve_block(Y) -> int:
         """Solve the rows of Y as one system, warm-started from the running
         mean, and accumulate them in order; returns the number that failed.
         A failed block is solved again sample by sample."""
-        nonlocal iters, factorizations, solves
+        nonlocal iters, factorizations, distinct, solves
         system, obs, boundary = sampler.build(Y)
         x0 = None if acc.mean is None else np.maximum(
             np.tile(acc.mean[mesh.interior], len(Y)), obs)
         u, report = solve_lcp(system, obs, solver, x0=x0)
         iters += report.iterations
         factorizations += system.factored_blocks
+        distinct += system.distinct_factorizations
         solves += system.solved_blocks
         if not report.converged:
             return 1 if len(Y) == 1 else sum(solve_block(y[None]) for y in Y)
@@ -202,4 +230,4 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     return MCResult(accumulator=acc, n_samples=n_samples, n_failed=n_failed, seed=seed,
                     timings={"setup": setup_seconds, "samples": loop_seconds},
                     solver_iterations=iters, sample_factorizations=factorizations,
-                    sample_solves=solves)
+                    sample_solves=solves, distinct_factorizations=distinct)

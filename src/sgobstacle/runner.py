@@ -573,6 +573,7 @@ def run_mc(cfg: ExperimentConfig):
         "solver_iterations": result.solver_iterations,
         "sample_factorizations": result.sample_factorizations,
         "sample_solves": result.sample_solves,
+        "distinct_factorizations": result.distinct_factorizations,
         "level": cfg.mc_level,
         "nx": level.nx,
         "mc_seconds": mc_seconds,
@@ -581,7 +582,9 @@ def run_mc(cfg: ExperimentConfig):
     if cfg.mode == "both":
         system, u, report, sg_seconds = _solve_level(cfg, level)
         gap = float(np.max(np.abs(sg_mean(system, u) - result.mean)))
-        payload.update(sg_seconds=sg_seconds, mean_max_gap=gap, sg_converged=report.converged)
+        payload.update(sg_seconds=sg_seconds, mean_max_gap=gap, sg_converged=report.converged,
+                       I=system.n_spatial, J=system.n_param,
+                       spatial_factors=system.spatial_factors)
         log.info("mc %.2fs vs sg %.2fs, mean gap %.3e", mc_seconds, sg_seconds, gap)
     _write_report(cfg, f"{tag}_report.json", payload)
     if cfg.mode == "both" and not report.converged:

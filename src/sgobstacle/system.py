@@ -7,10 +7,11 @@ form: each parametric Gramian G_k as its 1-D factors (``param.Gramians``).
 Matrix-vector products work blockwise on (J, I) reshapes of flat vectors
 with index j*I + i, K_k on the rows and G_k one parameter dimension at a
 time (``param.kron_apply``).  The matvec makes one sparse product per
-spatial shape: a term whose K_k is c K, to rounding (``FOLD_RTOL``), for
-the K of an earlier term joins that term's group, with c folded into its
-first Gramian factor.  So a coefficient whose modes have the mean's shape,
-as in both of the paper's examples, costs one sparse product per matvec.
+spatial shape: a term whose K_k is c K, to rounding, for the K of an
+earlier term joins that term's group (``fields.fold_terms``), with c
+folded into its first Gramian factor.  So a coefficient whose modes have
+the mean's shape, as in both of the paper's examples, costs one sparse
+product per matvec.
 An all-zero K_k (a coefficient with zero mean) is skipped.  ``explicit()``
 and ``precond()`` still read every assembled term, and the explicit sparse
 sum is built only when projected SOR asks for it.  Conjugate gradients are
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import P1Operator
-from .fields import AffineField, affine_factors, lift
+from .fields import AffineField, affine_factors, fold_terms, lift
 from .mesh import Mesh
 from .param import Gramians, ParamGrid, assemble_gramians, kron_apply
 
@@ -42,11 +43,6 @@ __all__ = ["SGSystem", "assemble_sg"]
 # Largest I*J for which ``SGSystem.explicit()`` builds the Kronecker matrix;
 # projected SOR needs that matrix, so a PSOR level above it is a config error.
 EXPLICIT_LIMIT = 500_000
-
-# A stiffness term K_k joins the group of an earlier term's K when
-# ‖K_k − c K‖_F <= FOLD_RTOL ‖K_k‖_F for c = <K_k, K>_F / <K, K>_F: a
-# rounding floor, like the tight solve target's 1e-13 ‖b‖.
-FOLD_RTOL = 1e-13
 
 
 @dataclass
@@ -79,22 +75,16 @@ class SGSystem:
     def __post_init__(self):
         self._precond = None
         # (K, [factors of G_k for each term c K]) per spatial shape, c folded
-        # into the first factor; all terms share K0's pattern, so the
-        # Frobenius products are those of the stored entries, and an
-        # all-zero term joins no group
+        # into the first factor; all terms share K0's pattern, so they are
+        # compared by their stored entries
+        terms = self._terms()
         self._groups = []
-        for k, K in self._terms():
-            norm = np.linalg.norm(K.data)
-            if norm == 0.0:
-                continue
-            for K_g, factors in self._groups:
-                c = (K.data @ K_g.data) / (K_g.data @ K_g.data)
-                if np.linalg.norm(K.data - c * K_g.data) <= FOLD_RTOL * norm:
-                    F = self.gram.factors(k)
-                    factors.append([c * F[0], *F[1:]])
-                    break
-            else:
-                self._groups.append((K, [self.gram.factors(k)]))
+        for g, members in fold_terms([K.data for _, K in terms]):
+            factors = []
+            for i, c in members:
+                F = self.gram.factors(terms[i][0])
+                factors.append(F if i == g else [c * F[0], *F[1:]])
+            self._groups.append((terms[g][1], factors))
 
     @property
     def n_spatial(self) -> int:

@@ -470,6 +470,109 @@ class TestBandFactorReuse:
             assert rep.inner_iterations == rep.iterations + (x0 is None)
 
 
+class TestSharedFactors:
+    """Blocks that are positive multiples of one shape share its factors."""
+
+    SIZES = (3, 2)  # the shape's own diagonal blocks
+    SCALES = (0.5, 2.0, 1.0, 3.0)
+
+    def scaled_system(self, scales, seed=89):
+        """The block-diagonal system of the ``scales`` times one SPD shape K,
+        with K's band and starts handed over; returns (system, A)."""
+        rng = np.random.default_rng(seed)
+        K = block_diagonal_spd(rng, self.SIZES)
+        m = K.shape[0]
+        A = sp.csr_array(sp.block_diag([c * K for c in scales]))
+        band, starts = lcp_module._lower_band(K)
+        starts = (m * np.arange(len(scales))[:, None] + starts).ravel()
+        return SparseObstacleSystem(A, np.zeros(A.shape[0]), band, starts, scales), A
+
+    def test_mask_sequence_matches_the_reduced_solves(self):
+        system, A = self.scaled_system(self.SCALES)
+        n, m = A.shape[0], sum(self.SIZES)
+        rng = np.random.default_rng(97)
+        one = rng.random(m) < 0.4
+        masks = [np.zeros(n, dtype=bool), np.tile(one, len(self.SCALES)),
+                 *(rng.random(n) < 0.4 for _ in range(4)), np.ones(n, dtype=bool),
+                 np.tile(~one, len(self.SCALES))]
+        apply = system.precond()
+        for active in masks:
+            r = np.where(active, 0.0, rng.standard_normal(n))
+            out = apply(r, active)
+            expect = reduced_solve(A, active, r)
+            assert np.all(out[active] == 0.0)
+            for k in range(len(self.SCALES)):  # block by block, at each scale
+                rows = slice(k * m, (k + 1) * m)
+                assert_same_solve(out[rows], expect[rows])
+
+    def test_one_factor_per_distinct_pair(self, cholesky_calls):
+        system, A = self.scaled_system(self.SCALES)
+        n = A.shape[0]
+        nothing, first = np.zeros(5, dtype=bool), np.array([True, False, False, False, False])
+        r0 = np.random.default_rng(101).standard_normal(n)
+        apply = system.precond()
+
+        def check(copies):
+            active = np.concatenate(copies)
+            r = np.where(active, 0.0, r0)
+            assert_same_solve(apply(r, active), reduced_solve(A, active, r))
+
+        # copies 0-2 hold nothing, copy 3 holds its first node: the pairs
+        # are (3-block, none), (2-block, none) and (3-block, first node)
+        check([nothing, nothing, nothing, first])
+        assert cholesky_calls == [3 + 2 + 3]
+        assert (system.factored_blocks, system.distinct_factorizations) == (8, 3)
+        # copy 3 moves to a set that copies 0-2 still hold: no factorization
+        check([nothing] * 4)
+        assert cholesky_calls == [8]
+        assert (system.factored_blocks, system.distinct_factorizations) == (9, 3)
+        # no block holds the first node any more, so its factor was dropped
+        check([nothing, first, nothing, nothing])
+        assert cholesky_calls == [8, 3]
+        assert (system.factored_blocks, system.distinct_factorizations) == (10, 4)
+        assert system.solved_blocks == 8 + 1 + 1  # only the moved blocks are solved again
+
+    @pytest.mark.parametrize("bad", [-0.5, 0.0])
+    def test_scale_not_positive_raises_and_leaves_the_others_usable(self, bad,
+                                                                    cholesky_calls):
+        # the shape is SPD, but the copy at scale `bad` is not: it raises
+        # when it has a free entry, like the failed factorization of a
+        # block that is not positive definite
+        scales = (1.0, bad, 2.0)
+        system, A = self.scaled_system(scales)
+        n = A.shape[0]
+        rng = np.random.default_rng(103)
+        good = np.zeros(n, dtype=bool)
+        good[5:10] = True  # held at the obstacle, the bad copy is the identity
+        r = np.where(good, 0.0, rng.standard_normal(n))
+        apply = system.precond()
+        out = apply(r, good)
+        assert np.all(np.isfinite(out)) and np.all(out[good] == 0.0)
+        assert_same_solve(out[:5], reduced_solve(A, good, r)[:5])
+        calls = len(cholesky_calls)
+        released = good.copy()
+        released[[5, 0]] = False, True
+        with pytest.raises(np.linalg.LinAlgError):
+            apply(np.where(released, 0.0, r), released)
+        assert len(cholesky_calls) == calls  # raised before any factorization
+        # every block kept its factor: a move of copy 0 alone refactors it
+        moved = good.copy()
+        moved[0] = True
+        out = apply(np.where(moved, 0.0, r), moved)
+        assert cholesky_calls[-1] == self.SIZES[0]
+        expect = reduced_solve(A, moved, np.where(moved, 0.0, r))
+        for rows in (slice(0, 5), slice(10, 15)):
+            assert_same_solve(out[rows], expect[rows])
+
+    def test_scales_must_match_the_copies_of_the_band(self):
+        system, A = self.scaled_system(self.SCALES)
+        n = A.shape[0]
+        with pytest.raises(ValueError, match="copy"):
+            SparseObstacleSystem(A, np.zeros(n), system._band, system._starts, (1.0, 2.0))
+        with pytest.raises(ValueError, match="band"):
+            SparseObstacleSystem(A, np.zeros(n), scales=self.SCALES)
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """The right-hand sides of every cho_solve_banded call, as they happen."""

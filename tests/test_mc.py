@@ -132,22 +132,60 @@ class TestAffineSampler:
     @pytest.mark.parametrize("name, parameterization",
                              [("example1", "exp"), ("example2", "exp")])
     def test_band_matches_the_block_pattern(self, name, parameterization):
-        # the band scattered through one sample's map and the repeated
-        # starts are, bit for bit, those read off the block's CSR matrix;
-        # the problem comes from a Monte Carlo config
+        # the paper's examples fold to one stiffness shape: each block hands
+        # over the band of that shape, made once per run, and each sample's
+        # scale, and the scaled band and the repeated starts are those read
+        # off the sample's block of the CSR matrix; the problem comes from a
+        # Monte Carlo config
         prob = validate_config({"problem": name, "parameterization": parameterization,
                                 "mode": "mc", "schedule": {"levels": [[8, 1]]},
                                 "solver": {}}).problem
         mesh = build_uniform_mesh(prob.rect, 8)
+        n = mesh.interior.size
         sampler = _AffineSampler(mesh, prob.fields["a"], prob.fields["f"], prob.fields["g"],
                                  prob.dirichlet, len(prob.densities))
+        assert sampler.band is not None
         rng = np.random.default_rng(13)
         for B in (18, 12, 1):
             system, _, _ = sampler.build(draw(prob.densities, rng, B))
-            band, starts = _lower_band(system.A)
-            assert system._band.tobytes() == band.tobytes()
-            assert_allclose(system._starts, mesh.interior.size * np.arange(B), rtol=0)
-            assert system._starts.tobytes() == starts.tobytes()
+            assert system._band is sampler.band
+            assert system._scales.shape == (B,) and np.all(system._scales > 0.0)
+            for j in range(B):
+                rows = slice(j * n, (j + 1) * n)
+                band, starts = _lower_band(system.A[rows][:, rows])
+                assert_allclose(system._scales[j] * sampler.band, band, rtol=1e-14,
+                                atol=1e-14 * np.abs(band).max())
+                assert starts.tolist() == [0]
+            assert_allclose(system._starts, n * np.arange(B), rtol=0)
+
+    @pytest.mark.parametrize("case, folds", [("example1", True), ("example2", True),
+                                             ("hard", False), ("direct", False)])
+    def test_stiffness_folds_to_one_shape_where_the_modes_have_the_means(self, case, folds):
+        # example1 (a = 1 + y1 + 2 y2) and example2 (a = 1) fold; the hard
+        # shapes 1 + 0.5 x1 and 1 - 0.3 x2 and the coefficient of
+        # test_build_matches_direct_assembly do not, and their blocks
+        # scatter each sample's band as before
+        mesh = build_uniform_mesh(RECT, 6)
+        f, g, n_dims = AffineField.build(-1.0), AffineField.build(-0.1), 2
+        if case == "hard":
+            a = AffineField.build(1.0, [(1.0, lambda x: 1.0 + 0.5 * x[:, 0], 0),
+                                        (2.0, lambda x: 1.0 - 0.3 * x[:, 1], 1)])
+        elif case == "direct":
+            a = AffineField.build(2.0, [(0.5, lambda x: x[:, 0] + x[:, 1], 0),
+                                        (0.3, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 2)])
+            n_dims = 3
+        else:
+            a = get_problem(case).fields["a"]
+        sampler = _AffineSampler(mesh, a, f, g, None, n_dims)
+        assert (sampler.band is not None) == folds
+        Y = np.random.default_rng(5).uniform(0.5, 1.5, (3, n_dims))
+        system, _, _ = sampler.build(Y)
+        assert (system._scales is not None) == folds
+        if folds:
+            assert_allclose(system._scales, np.column_stack((np.ones(3), Y)) @ sampler.ratios,
+                            rtol=0)
+        else:
+            assert system._band.shape[0] == system.n
 
 
 class TestMCRun:
@@ -289,17 +327,13 @@ class TestBlocks:
     MESH = build_uniform_mesh(RECT, 8)  # I = 49 interior nodes
     BLOCK = MC_BLOCK_NODES // 49
 
-    @pytest.mark.parametrize("lifted", [pytest.param(False, id="affine"),
-                                        pytest.param(True, id="lifted")])
-    @pytest.mark.parametrize("n_samples", [BLOCK - 3, BLOCK, 2 * BLOCK + 5],
-                             ids=["below-B", "B", "not-multiple"])
-    def test_block_solves_match_serial_solves(self, lifted, n_samples):
-        # the reference assembles and solves every sample on its own, cold,
-        # and feeds the same accumulator; the block run must agree to
-        # rounding
+    def block_run_matches_serial_solves(self, a, lifted, n_samples):
+        """Run Monte Carlo with the coefficient ``a`` and compare it with a
+        reference that assembles and solves every sample on its own, cold,
+        and feeds the same accumulator; the block run must agree to
+        rounding.  Returns the run's result."""
         mesh = self.MESH
         g = AffineField.build(-0.08, [(0.02, one, 0)])
-        a = AffineField.build(1.0, [(0.5, lambda x: x[:, 0], 0), (0.3, one, 1)])
         f = AffineField.build(-6.0, [(2.0, lambda x: x[:, 1], 1)])
         a_at, f_at = a.evaluate, f.evaluate
         dens = (Density1D.exp_uniform(), Density1D.uniform(-1.0, 1.0))
@@ -325,6 +359,28 @@ class TestBlocks:
         assert res.n_failed == 0 and res.accumulator.n == n_samples
         assert_allclose(res.mean, ref.mean, rtol=0, atol=1e-12)
         assert_allclose(res.variance(), ref.variance(), rtol=0, atol=1e-12)
+        return res
+
+    @pytest.mark.parametrize("lifted", [pytest.param(False, id="affine"),
+                                        pytest.param(True, id="lifted")])
+    @pytest.mark.parametrize("n_samples", [BLOCK - 3, BLOCK, 2 * BLOCK + 5],
+                             ids=["below-B", "B", "not-multiple"])
+    def test_block_solves_match_serial_solves(self, lifted, n_samples):
+        # the mode of dimension 0 has another shape than the mean: each
+        # sample is factored on its own
+        a = AffineField.build(1.0, [(0.5, lambda x: x[:, 0], 0), (0.3, one, 1)])
+        res = self.block_run_matches_serial_solves(a, lifted, n_samples)
+        assert res.distinct_factorizations == res.sample_factorizations
+
+    @pytest.mark.parametrize("lifted", [pytest.param(False, id="affine"),
+                                        pytest.param(True, id="lifted")])
+    def test_shared_factors_match_serial_solves(self, lifted):
+        # every mode has the mean's shape: samples that hold one active set
+        # share one factor, with fewer factors made than samples brought to
+        # a new set
+        a = AffineField.build(1.0, [(0.5, one, 0), (0.3, one, 1)])
+        res = self.block_run_matches_serial_solves(a, lifted, 2 * self.BLOCK + 5)
+        assert 0 < res.distinct_factorizations < res.sample_factorizations
 
     def test_failures_counted_per_sample(self):
         # a = y0 with y0 ~ uniform(-0.2, 1): a negative draw makes one sample

@@ -785,6 +785,10 @@ class TestRunMC:
         assert report["solver_iterations"] == result.solver_iterations
         assert report["sample_factorizations"] == result.sample_factorizations > 0
         assert report["sample_solves"] == result.sample_solves > 0
+        # example2's samples share one stiffness shape, so samples that hold
+        # one set share a factor
+        assert 0 < report["distinct_factorizations"] == result.distinct_factorizations \
+            <= result.sample_factorizations
         timing = (tmp_path / "example2_mc_timing.csv").read_text().splitlines()
         assert timing[0] == "phase,seconds"
         assert {row.split(",")[0] for row in timing[1:]} == \
@@ -802,6 +806,11 @@ class TestRunMC:
         # the solution peaks around 8.5; with 16 samples the MC noise is
         # order one, so this only guards against scale or layout mixups
         assert payload["mean_max_gap"] < 2.0
+        # the Galerkin level's sizes, as in the solve report: nx = 4 and one
+        # parameter cell on each of example2's two dimensions
+        written = json.loads((tmp_path / "example2_mc_report.json").read_text())
+        for report in (payload, written):
+            assert (report["I"], report["J"], report["spatial_factors"]) == (9, 4, 1)
 
     def test_non_affine_parameterization_runs_mc(self, tmp_path):
         # Monte Carlo samples y and never reads the hat coordinate, so a run
