@@ -19,9 +19,9 @@ conjugate gradients.  The sparse system takes its lower band either from
 its caller (a Monte Carlo block hands over one band with a scale per
 sample when its samples share a stiffness shape, and else scatters each
 sample's stiffness entries through the band map of one sample,
-``band_map``) or from the CSR pattern of A.  It keeps one factor per
-(shape, held set) pair of its diagonal blocks, so samples of one shape
-that hold one set share a factor, and it refactors and re-solves only the
+``band_map``) or from the CSR pattern of A.  It factors each (shape, held
+set) pair of its diagonal blocks once, so samples of one shape that hold
+one set share a factorization, and it refactors and re-solves only the
 diagonal blocks whose set or right-hand side moved.
 
 The active set method is an inexact semismooth Newton iteration, and each
@@ -140,25 +140,27 @@ class SparseObstacleSystem:
     them the first apply reads the band (m = n) and starts off the CSR
     pattern of A, with duplicate entries summed.
 
-    Factors live in a table keyed by (shape, held set): the Cholesky factor
-    of the shape's band masked by the set of the entries held on a block.
-    An apply of ``precond()`` brings each block whose set moved to its
-    ``active`` set: each (shape, set) pair among them that the table lacks
-    is factored once, in one ``cholesky_banded`` call on the stacked new
-    pairs, and a factor that no block holds any more is dropped.  A new
-    pair that is not positive definite, or a block with a free entry whose
-    scale is not positive (so that a shared factor would hide a block that
-    is not positive definite), raises numpy.linalg.LinAlgError on that
-    apply, and every block keeps the factor it had.  The system remembers
-    the right-hand side and solution of its last apply, and the next apply
-    solves again, in one ``cho_solve_banded`` call on their stacked rows,
-    only the blocks it brought to a new set or whose right-hand side
-    differs, each with its pair's factor and its free entries divided by
-    its scale; the others keep their solution.  ``factored_blocks`` counts
-    the blocks brought to a new set, ``solved_blocks`` the blocks solved
-    and ``distinct_factorizations`` the factors made, over the system's
-    life.  A system of one shape per block (m = n) makes one factor per
-    block brought to a new set.
+    Each block's factor is made on the first apply, of its shape masked by
+    the set of entries held on it, and an apply of ``precond()`` brings the
+    factors to its ``active`` block by block: only the blocks whose set
+    differs move.  With one shape per block (m = n) the system keeps the
+    stacked factors of its blocks and refactors each moved block, in one
+    ``cholesky_banded`` call on their stacked columns.  With shared shapes
+    (m < n) it keeps a table of the factors of the (shape, held set) pairs
+    that its blocks hold: each pair among the moved blocks that the table
+    lacks is factored once, in one call on the stacked new pairs, and a
+    factor that no block holds any more is dropped.  A new factor that is
+    not positive definite, or a moved block with a free entry whose scale
+    is not positive (which a shared factor would hide), raises
+    numpy.linalg.LinAlgError on that apply, and every block keeps its
+    factor.  The system remembers the right-hand side and solution of its
+    last apply, and the next apply solves again only the blocks it moved or
+    whose right-hand side differs, with their free entries divided by their
+    scale; the others keep their solution.  Those solves are one
+    ``cho_solve_banded`` call on their stacked rows, with shared shapes on
+    their pairs' factors stacked from the table.  ``factored_blocks`` counts
+    the blocks moved to a new set, ``solved_blocks`` the blocks solved and
+    ``distinct_factorizations`` the factors made, over the system's life.
     """
 
     def __init__(self, A, b, band=None, starts=None, scales=None):
@@ -181,8 +183,10 @@ class SparseObstacleSystem:
                 raise ValueError(f"scales must have one entry per copy of the band, "
                                  f"got shape {scales.shape}")
         self._band, self._starts, self._scales = band, starts, scales  # else read off A
-        self._table = {}  # (shape, held set) -> its factor
-        self._keys = self._mask = None  # each block's pair, and the entries held
+        self._mask = None  # the set of entries held when each row was factored
+        self._factor = None  # with one shape per block: the stacked factors
+        self._table = {}  # with shared shapes: (shape, held set) -> its factor
+        self._keys = None  # with shared shapes: each block's pair
         self._r = self._x = None  # right-hand side and solution of the last apply
         self.factored_blocks = self.solved_blocks = self.distinct_factorizations = 0
 
@@ -202,109 +206,130 @@ class SparseObstacleSystem:
         The ``active`` rows and columns of A are zeroed with a unit diagonal,
         which decouples them and keeps the band, so a vector that is zero on
         the active entries comes back zero there.  The apply is ``exact``;
-        it first brings each block's factor to its ``active``.
+        it first brings the system's factor to its ``active``.
         """
         def apply(r, active):
             active = np.asarray(active, dtype=bool)
-            moved, made = self._factor_for(active)
-            return self._solve(np.asarray(r, dtype=float), active, moved, made)
+            moved = self._factor_for(active)
+            return self._solve(np.asarray(r, dtype=float), active, moved)
 
         apply.exact = True
         return apply
 
     @cached_property
-    def _layout(self):
-        """(sizes, offsets, scales) of the diagonal blocks, once their starts
-        are known: a block's shape is the band's rows from its start minus
-        its offset, and its scale is None without ``scales``."""
-        m = len(self._band)
-        copy = self._starts // m
-        return (np.diff(self._starts, append=self.n), copy * m,
-                None if self._scales is None else self._scales[copy])
+    def _sizes(self):
+        """The sizes of the diagonal blocks, once their starts are known."""
+        return np.diff(self._starts, append=self.n)
+
+    @cached_property
+    def _row_scales(self):
+        """The scale of each row, given ``scales``."""
+        return np.repeat(self._scales, len(self._band))
 
     def _blocks(self, flags):
         """The rows of the blocks flagged in ``flags``, as an index array."""
-        return np.flatnonzero(np.repeat(flags, self._layout[0]))
+        return np.flatnonzero(np.repeat(flags, self._sizes))
 
     def _factor_for(self, active):
-        """Bring the blocks whose held entries moved to their pairs in
-        ``active``; returns the flags of those blocks (all of them at first)
-        and, when some pair was new, the flags of the blocks that made the
-        new pairs with their stacked factor, else None.
+        """Bring the blocks whose set differs from the one they were factored
+        with to ``active``, and return their flags (all of them at first).
 
         The band and the factors are kept as their transposes, one row per
-        column of A, so the new pairs' shapes are gathered as rows and LAPACK
-        reads the transposes without a copy.
+        column of A, so the blocks' columns are gathered and scattered as
+        rows and LAPACK reads the transposes without a copy.
         """
         if self._band is None:
             self._band, self._starts = _lower_band(self.A)
-        sizes, offsets, scales = self._layout
-        starts = self._starts
-        if self._keys is None:
-            moved = np.ones(len(starts), dtype=bool)
+        if self._mask is None:
+            moved = np.ones(len(self._starts), dtype=bool)
         else:
-            moved = np.logical_or.reduceat(active != self._mask, starts)
-        blocks = np.flatnonzero(moved)
-        if not blocks.size:
-            return moved, None
-        if scales is not None and np.any(
-                moved & ~(scales > 0.0) & np.logical_or.reduceat(~active, starts)):
+            moved = np.logical_or.reduceat(active != self._mask, self._starts)
+        count = int(np.count_nonzero(moved))
+        if not count:
+            return moved
+        if self._scales is not None and np.any(moved & np.logical_or.reduceat(
+                ~(active | (self._row_scales > 0.0)), self._starts)):
             raise np.linalg.LinAlgError("a block with a free entry has a scale that is "
                                         "not positive")
-        keys = [(starts[j] - offsets[j], active[starts[j]:starts[j] + sizes[j]].tobytes())
+        rows = None if count == len(moved) else self._blocks(moved)
+        if len(self._band) < self.n:
+            self._share(moved, active)
+        else:  # one shape per block: each moved block is a new pair
+            factor = self._factored(rows, active)
+            if rows is None:
+                self._factor = factor
+            else:
+                self._factor[rows] = factor
+            self.distinct_factorizations += count
+        self.factored_blocks += count
+        if rows is None:
+            self._mask = active.copy()
+        else:
+            self._mask[rows] = active[rows]
+        return moved
+
+    def _factored(self, rows, active):
+        """The stacked Cholesky factors of the blocks on ``rows`` (every
+        block for None), each of its shape masked by its entries held in
+        ``active``.  For every block, the gather is a plain copy of the
+        band's copies."""
+        m = len(self._band)
+        if rows is None:
+            band, held = np.tile(self._band, (self.n // m, 1)), active
+        else:
+            band, held = np.take(self._band, rows % m, axis=0), active[rows]
+        return cholesky_banded(_masked(band, held).T, lower=True,
+                               overwrite_ab=True, check_finite=False).T
+
+    def _share(self, moved, active):
+        """Bring the blocks flagged in ``moved`` to their (shape, held set)
+        pairs in ``active``: each pair that the table lacks is factored
+        first, once, and the pairs that no block holds any more are
+        dropped."""
+        starts, sizes = self._starts, self._sizes
+        blocks = np.flatnonzero(moved)
+        keys = [(starts[j] % len(self._band), active[starts[j]:starts[j] + sizes[j]].tobytes())
                 for j in blocks]
-        new = {}  # each pair that the table lacks, and the first block asking for it
+        new = {}  # each pair that the table lacks, and the first block holding it
         for j, key in zip(blocks, keys):
             if key not in self._table:
                 new.setdefault(key, j)
-        made = None
         if new:
             first = np.zeros_like(moved)
             first[list(new.values())] = True
-            rows = self._blocks(first)
-            band = np.take(self._band, rows - np.repeat(offsets[first], sizes[first]), axis=0)
-            factor = cholesky_banded(_masked(band, active[rows]).T, lower=True,
-                                     overwrite_ab=True, check_finite=False).T
+            factor = self._factored(None if first.all() else self._blocks(first), active)
             at = np.cumsum(sizes[first]) - sizes[first]
-            self._table.update((key, factor[a:a + sizes[j]])
+            self._table.update((key, factor[a:a + sizes[j]].copy())
                                for (key, j), a in zip(new.items(), at))
             self.distinct_factorizations += len(new)
-            made = first, factor
-        self.factored_blocks += blocks.size
         if self._keys is None:
-            self._keys, self._mask = keys, active.copy()
+            self._keys = keys
         else:
             for j, key in zip(blocks, keys):
                 self._keys[j] = key
-            rows = self._blocks(moved)
-            self._mask[rows] = active[rows]
         held = set(self._keys)
         self._table = {key: f for key, f in self._table.items() if key in held}
-        return moved, made
 
-    def _solve(self, r, active, moved, made):
+    def _solve(self, r, active, moved):
         """The solution for ``r``: the blocks flagged in ``moved`` (brought to
-        a new pair) or whose right-hand side differs from the last apply's
-        are solved again, and the others keep the last solution.  Their
-        factors are stacked from the table, unless they are exactly the
-        blocks that made the new pairs (``made``), whose stack is ready."""
+        a new set) or whose right-hand side differs from the last apply's
+        are solved again, and the others keep the last solution."""
         if self._x is None:
             self._x = np.empty(self.n)  # the first apply moves every block
         else:
             moved = moved | np.logical_or.reduceat(r != self._r, self._starts)
-        blocks = np.flatnonzero(moved)
-        if blocks.size:
-            sizes, _, scales = self._layout
-            rows = slice(None) if blocks.size == len(moved) else self._blocks(moved)
-            if made is not None and np.array_equal(made[0], moved):
-                factor = made[1]
+        count = int(np.count_nonzero(moved))
+        if count:
+            rows = slice(None) if count == len(moved) else self._blocks(moved)
+            if len(self._band) < self.n:
+                factor = np.concatenate([self._table[self._keys[j]]
+                                         for j in np.flatnonzero(moved)])
             else:
-                factor = np.concatenate([self._table[self._keys[j]] for j in blocks])
-            x = cho_solve_banded((factor.T, True), r[rows], check_finite=False)
-            if scales is not None:
-                x /= np.where(active[rows], 1.0, np.repeat(scales[blocks], sizes[blocks]))
-            self._x[rows] = x
-        self.solved_blocks += blocks.size
+                factor = self._factor[rows]
+            self._x[rows] = cho_solve_banded((factor.T, True), r[rows], check_finite=False)
+            if self._scales is not None:
+                self._x[rows] /= np.where(active[rows], 1.0, self._row_scales[rows])
+        self.solved_blocks += count
         self._r = r.copy()
         return self._x.copy()
 

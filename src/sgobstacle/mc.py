@@ -123,9 +123,9 @@ class _AffineSampler:
     largest block, whose prefix serves the shorter ones; ``build`` takes a
     block's stiffness entries, loads and obstacle values as [1, Y] times the
     terms and its Dirichlet data and lifting from ``fields.lift``.  When the
-    stiffness terms fold to one shape K, ``band`` is the lower band of K
-    and ``ratios`` gives term k as ratios[k] K (0 for an all-zero term);
-    otherwise both are None.
+    stiffness terms fold to one shape K, ``band`` is the lower band of K,
+    oriented to a positive diagonal, and ``ratios`` gives term k as
+    ratios[k] K (0 for an all-zero term); otherwise both are None.
     """
 
     def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int):
@@ -141,6 +141,8 @@ class _AffineSampler:
             for k, c in members:
                 self.ratios[k] = c
             self.band = self._band(self.terms.K_ii[g])
+            if self.band[:, 0].sum() < 0.0:  # orient K so that a positive scale is SPD
+                self.band, self.ratios = -self.band, -self.ratios
 
     def _band(self, K_ii: np.ndarray) -> np.ndarray:
         """The lower bands of the stiffness entries ``K_ii`` (..., nnz) of

@@ -532,6 +532,19 @@ class TestSharedFactors:
         assert (system.factored_blocks, system.distinct_factorizations) == (10, 4)
         assert system.solved_blocks == 8 + 1 + 1  # only the moved blocks are solved again
 
+    def test_one_shape_per_block_keys_nothing(self):
+        # read off A, every block is its own shape: each moved block is
+        # factored, and no (shape, set) pair is built or kept
+        _, A = self.scaled_system(self.SCALES)
+        system = SparseObstacleSystem(A, np.zeros(A.shape[0]))
+        apply = system.precond()
+        rng = np.random.default_rng(107)
+        for active in (np.zeros(A.shape[0], dtype=bool), rng.random(A.shape[0]) < 0.4):
+            r = np.where(active, 0.0, rng.standard_normal(A.shape[0]))
+            assert_same_solve(apply(r, active), reduced_solve(A, active, r))
+        assert system._keys is None and not system._table
+        assert system.distinct_factorizations == system.factored_blocks > 2 * len(self.SCALES)
+
     @pytest.mark.parametrize("bad", [-0.5, 0.0])
     def test_scale_not_positive_raises_and_leaves_the_others_usable(self, bad,
                                                                     cholesky_calls):

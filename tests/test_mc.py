@@ -184,8 +184,10 @@ class TestAffineSampler:
         if folds:
             assert_allclose(system._scales, np.column_stack((np.ones(3), Y)) @ sampler.ratios,
                             rtol=0)
-        else:
-            assert system._band.shape[0] == system.n
+        else:  # the scattered band and starts are those read off the CSR matrix
+            band, starts = _lower_band(system.A)
+            assert system._band.tobytes() == band.tobytes()
+            assert system._starts.tolist() == starts.tolist()
 
 
 class TestMCRun:
@@ -327,16 +329,17 @@ class TestBlocks:
     MESH = build_uniform_mesh(RECT, 8)  # I = 49 interior nodes
     BLOCK = MC_BLOCK_NODES // 49
 
-    def block_run_matches_serial_solves(self, a, lifted, n_samples):
-        """Run Monte Carlo with the coefficient ``a`` and compare it with a
-        reference that assembles and solves every sample on its own, cold,
-        and feeds the same accumulator; the block run must agree to
-        rounding.  Returns the run's result."""
+    DENSITIES = (Density1D.exp_uniform(), Density1D.uniform(-1.0, 1.0))
+
+    def block_run_matches_serial_solves(self, a, lifted, n_samples, dens=DENSITIES):
+        """Run Monte Carlo with the coefficient ``a`` and the densities
+        ``dens`` and compare it with a reference that assembles and solves
+        every sample on its own, cold, and feeds the same accumulator; the
+        block run must agree to rounding.  Returns the run's result."""
         mesh = self.MESH
         g = AffineField.build(-0.08, [(0.02, one, 0)])
         f = AffineField.build(-6.0, [(2.0, lambda x: x[:, 1], 1)])
         a_at, f_at = a.evaluate, f.evaluate
-        dens = (Density1D.exp_uniform(), Density1D.uniform(-1.0, 1.0))
 
         def dirichlet(x, y):
             return 0.05 * (x[:, 0] * y[..., 0, None] - x[:, 1] * y[..., 1, None])
@@ -380,6 +383,15 @@ class TestBlocks:
         # a new set
         a = AffineField.build(1.0, [(0.5, one, 0), (0.3, one, 1)])
         res = self.block_run_matches_serial_solves(a, lifted, 2 * self.BLOCK + 5)
+        assert 0 < res.distinct_factorizations < res.sample_factorizations
+
+    def test_shape_with_a_negative_leading_term_is_oriented(self):
+        # a = -1 + 2 y0 with y0 ~ uniform(0.6, 1) is positive, but its
+        # leading term is not: the folded shape is turned so that each
+        # sample's scale is positive and its block is solved
+        a = AffineField.build(-1.0, [(2.0, one, 0)])
+        dens = (Density1D.uniform(0.6, 1.0), Density1D.uniform(-1.0, 1.0))
+        res = self.block_run_matches_serial_solves(a, False, 2 * self.BLOCK + 5, dens)
         assert 0 < res.distinct_factorizations < res.sample_factorizations
 
     def test_failures_counted_per_sample(self):
