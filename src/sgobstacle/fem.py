@@ -130,7 +130,14 @@ class Block:
         """The matrix with entries ``data``; the rows of a (B, nnz) array are
         the diagonal blocks of a block-diagonal matrix, whose pattern is the
         prefix of ``pattern`` (``Block.pattern`` of B or more copies) when
-        one is given."""
+        one is given.
+
+        The result shares memory with its inputs: its ``data`` views a
+        contiguous ``data``, its ``indices`` and ``indptr`` a given ``pattern``.
+        So an in-place change of it (``eliminate_zeros``, ``sum_duplicates``,
+        ``*=``) rewrites those arrays, such as the stiffness rows of
+        ``fields.affine_factors`` or a cached pattern, under every matrix
+        built from them later: ``.copy()`` it first."""
         data = np.atleast_2d(data)
         (B, nnz), (n, m) = data.shape, self.shape
         indptr, indices = self.pattern(B) if pattern is None else pattern

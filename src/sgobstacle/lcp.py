@@ -592,7 +592,9 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     absolute target asked of conjugate gradients; the tight target for an
     exact apply), ``pcg`` (their steps; 1 for an exact apply),
     ``residual`` (the max-norm complementarity residual after the update)
-    and ``tight``.
+    and ``tight``.  ``active_count`` counts the entries that the returned u
+    holds at the obstacle: the set of the last update, or the entries on
+    the obstacle when no update ran.
     """
     t0 = time.perf_counter()
     b = system.b
@@ -677,7 +679,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         converged=converged,
         iterations=updates,
         residual=residual,
-        active_count=int(np.sum(active)),
+        active_count=trace[-1]["active"] if trace else int(np.count_nonzero(u <= obs)),
         seconds=time.perf_counter() - t0,
         inner_iterations=inner_total,
         trace=trace,

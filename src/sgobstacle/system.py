@@ -6,15 +6,17 @@ matrix is a sum of Kronecker products G_k ⊗ K_k and is kept in factored
 form: each parametric Gramian G_k as its 1-D factors (``param.Gramians``).
 Matrix-vector products work blockwise on (J, I) reshapes of flat vectors
 with index j*I + i, K_k on the rows and G_k one parameter dimension at a
-time (``param.kron_apply``).  The matvec makes one sparse product per
-spatial shape: a term whose K_k is c K, to rounding, for the K of an
-earlier term joins that term's group (``fields.fold_terms``), with c
-folded into its first Gramian factor.  So a coefficient whose modes have
-the mean's shape, as in both of the paper's examples, costs one sparse
-product per matvec.
-An all-zero K_k (a coefficient with zero mean) is skipped.  ``explicit()``
-and ``precond()`` still read every assembled term, and the explicit sparse
-sum is built only when projected SOR asks for it.  Conjugate gradients are
+time (``param.kron_apply``).  The K_k are held as the rows of stored
+entries that ``fields.affine_factors`` gives, one row per affine term
+(zero for a parameter dimension without modes), all on the interior block
+of the mesh operator; every consumer reads the rows.  The matvec makes one
+sparse product per spatial shape: a term whose K_k is c K, to rounding,
+for the K of an earlier term joins that term's group
+(``fields.fold_terms``), with c folded into its first Gramian factor, and
+an all-zero K_k (a coefficient with zero mean) joins none.  So a
+coefficient whose modes have the mean's shape, as in both of the paper's
+examples, costs one sparse product per matvec.  The explicit sparse sum
+is built only when projected SOR asks for it.  Conjugate gradients are
 preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
 (Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
 orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  Its
@@ -33,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import P1Operator
+from .fem import Block, P1Operator
 from .fields import AffineField, affine_factors, fold_terms, lift
 from .mesh import Mesh
 from .param import Gramians, ParamGrid, assemble_gramians, kron_apply
@@ -51,9 +53,11 @@ class SGSystem:
 
     Attributes
     ----------
-    K0, Kk : CSR stiffness factors over interior nodes, all on K0's pattern
-        (Kk entries may be None for parameter dimensions the coefficient
-        does not touch); K0 pairs with the Gramian G_0 and Kk[d] with G_{d+1}.
+    pattern : the interior block of the mesh operator (``fem.Block``), the
+        CSR pattern of every stiffness term.
+    stiffness : (1 + M, nnz) stored entries of K_k on ``pattern``, row k
+        pairing with the Gramian G_k: the mean's at row 0 and the summed
+        modes of parameter dimension d at row d + 1, zero where d has none.
     gram : parametric Gramians as 1-D factors, with the basis integrals.
     b : flat right-hand side of length I*J, parameter-major.
     obs : flat obstacle values at the tensor nodes.
@@ -64,8 +68,8 @@ class SGSystem:
 
     mesh: Mesh
     grid: ParamGrid
-    K0: sp.csr_array
-    Kk: list
+    pattern: Block
+    stiffness: np.ndarray
     gram: Gramians
     b: np.ndarray
     obs: np.ndarray
@@ -75,20 +79,18 @@ class SGSystem:
     def __post_init__(self):
         self._precond = None
         # (K, [factors of G_k for each term c K]) per spatial shape, c folded
-        # into the first factor; all terms share K0's pattern, so they are
-        # compared by their stored entries
-        terms = self._terms()
+        # into the first factor
         self._groups = []
-        for g, members in fold_terms([K.data for _, K in terms]):
+        for g, members in fold_terms(self.stiffness):
             factors = []
-            for i, c in members:
-                F = self.gram.factors(terms[i][0])
-                factors.append(F if i == g else [c * F[0], *F[1:]])
-            self._groups.append((terms[g][1], factors))
+            for k, c in members:
+                F = self.gram.factors(k)
+                factors.append(F if k == g else [c * F[0], *F[1:]])
+            self._groups.append((self.pattern.csr(self.stiffness[g]), factors))
 
     @property
     def n_spatial(self) -> int:
-        return self.K0.shape[0]
+        return self.pattern.shape[0]
 
     @property
     def n_param(self) -> int:
@@ -97,10 +99,6 @@ class SGSystem:
     @property
     def n(self) -> int:
         return self.n_spatial * self.n_param
-
-    def _terms(self):
-        """(k, K_k) for every stiffness term that is present."""
-        return [(k, K) for k, K in enumerate([self.K0, *self.Kk]) if K is not None]
 
     @property
     def spatial_factors(self) -> int:
@@ -117,33 +115,32 @@ class SGSystem:
         return out.reshape(-1)
 
     def diag(self) -> np.ndarray:
-        return sum(np.outer(self.gram.diagonal(k), K.diagonal())
-                   for k, K in self._terms()).reshape(-1)
+        K_diag = self.pattern.csr(self.stiffness).diagonal().reshape(len(self.stiffness), -1)
+        return sum(np.outer(self.gram.diagonal(k), d) for k, d in enumerate(K_diag)).reshape(-1)
 
     def explicit(self) -> sp.csr_array | None:
         """The summed Kronecker matrix sum_k G_k ⊗ K_k, built and cached on the first call.
 
-        Every K_k shares K0's CSR pattern, so A's entries are the union
+        Every K_k is stored on ``pattern``, so A's entries are the union
         pattern of the sparse G_k against that pattern, with values
-        sum_k outer(G_k on the union, K_k.data), gathered in one COO to CSR
-        conversion.  A stores exactly the nonzeros of the sum, with sorted
-        indices, whatever the number of terms.  The G_k stay sparse: with
-        I = 1, J can reach ``EXPLICIT_LIMIT``.  None when I*J exceeds
+        sum_k outer(G_k on the union, ``stiffness[k]``), gathered in one COO
+        to CSR conversion.  A stores exactly the nonzeros of the sum, with
+        sorted indices, whatever the number of terms.  The G_k stay sparse:
+        with I = 1, J can reach ``EXPLICIT_LIMIT``.  None when I*J exceeds
         ``EXPLICIT_LIMIT``.
         """
         if self.A is None and self.n <= EXPLICIT_LIMIT:
-            terms = self._terms()
-            G = [self.gram.matrix(k).tocoo() for k, _ in terms]
+            G = [self.gram.matrix(k).tocoo() for k in range(len(self.stiffness))]
             I, J = self.n_spatial, self.n_param
             keys, at = np.unique(np.concatenate([g.row.astype(np.int64) * J + g.col
                                                  for g in G]), return_inverse=True)
             on_union = np.zeros((len(G), keys.size))
             on_union[np.repeat(np.arange(len(G)), [g.nnz for g in G]), at] = np.concatenate(
                 [g.data for g in G])
-            data = sum(np.outer(v, K.data) for v, (_, K) in zip(on_union, terms))
-            K_rows = np.repeat(np.arange(I), np.diff(self.K0.indptr))
+            data = sum(np.outer(v, K) for v, K in zip(on_union, self.stiffness))
+            K_rows = np.repeat(np.arange(I), np.diff(self.pattern.indptr))
             rows = (keys // J * I)[:, None] + K_rows
-            cols = (keys % J * I)[:, None] + self.K0.indices
+            cols = (keys % J * I)[:, None] + self.pattern.indices
             A = sp.coo_array((data.ravel(), (rows.ravel(), cols.ravel())),
                              shape=(self.n, self.n)).tocsr()
             A.eliminate_zeros()
@@ -156,12 +153,12 @@ class SGSystem:
         approximation G̃ ⊗ K̄ of A, truncated at the spatial nodes that
         ``active`` holds at every parameter node.
 
-        A = G_0 ⊗ K_0 + sum_k G_k ⊗ K_k, with K_0 = ``K0`` and the stiffness
-        K_k = ``Kk[k - 1]`` of y_k.  K̄ = K_0 + sum_k E[y_k] K_k is the
-        stiffness at the y-averaged coefficient, with E[y_k] the entry sum
-        of the y-weighted Gramian factor of dimension k (the hats sum to
-        one), and G̃ = sum_k alpha_k G_k (k = 0 included) with
-        alpha_k = <K_k, K̄>_F / <K̄, K̄>_F.  So the
+        A = G_0 ⊗ K_0 + sum_k G_k ⊗ K_k, with K_k the ``stiffness`` row k.
+        K̄ = K_0 + sum_k E[y_k] K_k is the stiffness at the y-averaged
+        coefficient, with E[y_k] the entry sum of the y-weighted Gramian
+        factor of dimension k (the hats sum to one), and G̃ = sum_k
+        alpha_k G_k (k = 0 included) with alpha_k = <K_k, K̄>_F / <K̄, K̄>_F,
+        the Frobenius products taken on the stored entries.  So the
         preconditioner is A itself when every K_k is a multiple of K̄ (a
         coefficient whose modes all have the mean's shape), and G_0 ⊗ K̄
         without modes.
@@ -194,12 +191,11 @@ class SGSystem:
         positive on the parameter box).
         """
         if self._precond is None:
-            means = [my.sum() for my in self.gram.mass_y]
-            K_bar = self.K0.copy()
-            for mean, K in zip(means, self.Kk):
-                if K is not None:
-                    K_bar = K_bar + mean * K
+            means = [1.0, *(my.sum() for my in self.gram.mass_y)]
+            k_bar = np.array(means) @ self.stiffness
             I, J = self.n_spatial, self.n_param
+            K_bar = self.pattern.csr(k_bar).copy()  # csr() shares k_bar's memory
+            K_bar.eliminate_zeros()
             rows = np.repeat(np.arange(I), np.diff(K_bar.indptr))
 
             def factor(kept):
@@ -219,15 +215,11 @@ class SGSystem:
 
             kept = np.ones(I, dtype=bool)
             lu_k = factor(kept)
-            norm2 = float(K_bar.multiply(K_bar).sum())
-
-            def alpha(K):
-                return 0.0 if K is None else float(K.multiply(K_bar).sum()) / norm2
-
+            alpha = self.stiffness @ k_bar / (k_bar @ k_bar)
             basis = self.gram.eigenbasis()
-            delta = np.full(self.grid.shape, alpha(self.K0))
-            for k, ((_, lam), K) in enumerate(zip(basis, self.Kk)):
-                delta += alpha(K) * lam.reshape((-1,) + (1,) * (len(basis) - 1 - k))
+            delta = np.full(self.grid.shape, alpha[0])
+            for k, (_, lam) in enumerate(basis):
+                delta += alpha[k + 1] * lam.reshape((-1,) + (1,) * (len(basis) - 1 - k))
             if not delta.min() > 0.0:
                 raise np.linalg.LinAlgError(
                     "Kronecker preconditioner is not positive definite: the "
@@ -272,8 +264,6 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
     for k, L in enumerate(lifting):
         B -= kron_apply(gram.factors(k), L)
     obs = np.column_stack([np.ones(grid.n_nodes), y_nodes]) @ factors.obs
-    # a dimension on which a has no mode has a zero stiffness row
-    Kk = [op.interior.csr(d) if d.any() else None for d in factors.K_ii[1:]]
-    return SGSystem(mesh=mesh, grid=grid, K0=op.interior.csr(factors.K_ii[0]), Kk=Kk,
+    return SGSystem(mesh=mesh, grid=grid, pattern=op.interior, stiffness=factors.K_ii,
                     gram=gram, b=B.reshape(-1), obs=obs.reshape(-1), boundary_values=D)
 

@@ -1,0 +1,82 @@
+"""Iterate paths of the CLI on the benchmark configs.
+
+Each test writes a copy of one benchmark config, runs it through
+``cli.main`` and checks the solver counts in its report: the active-set
+updates and conjugate gradient steps of a Galerkin solve, and the updates,
+factorizations, solves and failures of a Monte Carlo run.  A change that
+moves one of these paths changes how the solvers get to their answer, even
+when the answer stays within its tolerances.  The "hard shapes" variants
+give the coefficient modes that are not multiples of the mean, so the
+Galerkin matvec makes three sparse products and no Monte Carlo samples
+share a factor.
+"""
+
+import copy
+import json
+
+import pytest
+
+from sgobstacle.cli import main as cli_main
+
+# example1's fields with a constant obstacle, written as a custom problem
+EXAMPLE1_FIELDS = {
+    "name": "ex1custom",
+    "domain": [-1.5, 1.5, -1.5, 1.5],
+    "densities": [{"kind": "exp-uniform"}, {"kind": "exp-uniform"}],
+    "fields": {
+        "a": {"mean": 1.0, "modes": [{"coeff": 1.0, "shape": 1.0, "dim": 0},
+                                     {"coeff": 2.0, "shape": 1.0, "dim": 1}]},
+        "f": -2.0,
+        "g": -0.05,
+    },
+}
+
+SG_SOLVE = {"problem": "custom", "custom": EXAMPLE1_FIELDS, "mode": "sg",
+            "schedule": {"levels": [[24, 8]]},
+            "solver": {"method": "active-set", "tol": 1e-8}}
+
+MC = {"problem": "example1", "mode": "mc", "schedule": {"levels": [[16, 4]]},
+      "solver": {"method": "active-set", "tol": 1e-8},
+      "mc": {"n_samples": 768, "seed": 7, "level": 0}}
+
+
+def hard_shapes(fields):
+    """``fields`` with the modes 1 + 0.5 x1 and 1 - 0.3 x2."""
+    fields = copy.deepcopy(fields)
+    modes = fields["fields"]["a"]["modes"]
+    modes[0]["shape"] = {"kind": "polynomial", "terms": [[1, 0, 0], [0.5, 1, 0]]}
+    modes[1]["shape"] = {"kind": "polynomial", "terms": [[1, 0, 0], [-0.3, 0, 1]]}
+    return fields
+
+
+def run(tmp_path, command, cfg, report):
+    """The report ``report`` of ``command`` on ``cfg``, run in ``tmp_path``."""
+    cfg = dict(cfg, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["-q", command, str(path)]) == 0
+    return json.loads((tmp_path / "out" / report).read_text())
+
+
+@pytest.mark.parametrize("fields, path, factors", [
+    (EXAMPLE1_FIELDS, (8, 23), 1),
+    (hard_shapes(EXAMPLE1_FIELDS), (9, 41), 3),
+], ids=["proportional modes", "hard shapes"])
+def test_galerkin_solve(tmp_path, fields, path, factors):
+    r = run(tmp_path, "solve", dict(SG_SOLVE, custom=fields), "ex1custom_level0_report.json")
+    solver = r["solver"]
+    assert solver["converged"]
+    assert (solver["iterations"], solver["inner_iterations"]) == path
+    assert r["spatial_factors"] == factors
+
+
+@pytest.mark.parametrize("cfg, report, counts, distinct", [
+    (MC, "example1_mc_report.json", (127, 1342, 1342, 0), 153),
+    (dict(MC, problem="custom", custom=hard_shapes(EXAMPLE1_FIELDS)),
+     "ex1custom_mc_report.json", (161, 2157, 2157, 0), 2157),
+], ids=["example1", "hard shapes"])
+def test_monte_carlo(tmp_path, cfg, report, counts, distinct):
+    r = run(tmp_path, "mc", cfg, report)
+    assert (r["solver_iterations"], r["sample_factorizations"], r["sample_solves"],
+            r["n_failed"]) == counts
+    assert r["distinct_factorizations"] == distinct

@@ -972,6 +972,19 @@ class TestActiveSet:
         assert rep.residual == pytest.approx(complementarity_residual(system, u, obs),
                                              abs=1e-14)
 
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_active_count_is_that_of_the_returned_iterate(self, max_iter):
+        # an unconverged solve counts the set that produced u, not the set
+        # that the next update would solve
+        sys_ = assemble_sg(build_uniform_mesh((-1.5, 1.5, -1.5, 1.5), 12),
+                           build_param_grid([Density1D.exp_uniform()] * 2, 4),
+                           AffineField.build(1.0, [(1.0, 1.0, 0), (2.0, 1.0, 1)]),
+                           AffineField.build(-2.0), AffineField.build(-0.05))
+        u, rep = active_set_solve(sys_, sys_.obs, SolverConfig(tol=1e-8, max_iter=max_iter))
+        assert not rep.converged and rep.iterations == max_iter
+        assert rep.active_count == rep.trace[-1]["active"]
+        assert rep.active_count == np.count_nonzero(u == sys_.obs)
+
     def test_conjugate_gradient_budget_is_fixed(self):
         # plain conjugate gradients need 1,329 steps on this 1,200-unknown
         # system; each solve stops at 500, whatever the size, and the

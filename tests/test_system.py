@@ -101,13 +101,14 @@ class TestKroneckerStructure:
     @pytest.mark.parametrize("kind", ["one term", "uniform"])
     def test_explicit_stores_exactly_the_nonzeros_of_the_sum(self, kind):
         if kind == "one term":
-            # example2's constant coefficient: K0 alone, with stored zeros
+            # example2's constant coefficient: the mean's stiffness alone,
+            # with stored zeros
             problem = get_problem("example2")
             fields = problem.fields
             sys_ = assemble_sg(build_uniform_mesh(problem.rect, 8),
                                build_param_grid(problem.densities, 2),
                                fields["a"], fields["f"], fields["g"], problem.dirichlet)
-            assert len(sys_._terms()) == 1 and np.any(sys_.K0.data == 0.0)
+            assert not sys_.stiffness[1:].any() and np.any(sys_.stiffness[0] == 0.0)
         else:
             # the y-weighted hat mass at y = 0 is zero, so G_y stores fewer
             # entries than G_0
@@ -118,7 +119,8 @@ class TestKroneckerStructure:
                                a, AffineField.build(1.0), AffineField.build(0.0))
             assert [sys_.gram.matrix(k).nnz for k in range(3)] == [49, 42, 42]
         A = sys_.explicit()
-        ref = sum(sp.kron(sys_.gram.matrix(k), K, format="csr") for k, K in sys_._terms())
+        ref = sum(sp.kron(sys_.gram.matrix(k), sys_.pattern.csr(K), format="csr")
+                  for k, K in enumerate(sys_.stiffness))
         assert A.has_sorted_indices
         assert np.all(A.data != 0.0)
         assert A.nnz == np.count_nonzero(ref.toarray())
@@ -149,9 +151,8 @@ class TestKroneckerStructure:
         v = np.zeros(sys_.n)
         v[1 * I:2 * I] = np.arange(1.0, I + 1.0)
         blocks = sys_.matvec(v).reshape(J, I)
-        expected_0 = (sys_.gram.matrix(0)[0, 1] * (sys_.K0 @ v[I:2 * I]))
-        for k, K in enumerate(sys_.Kk, 1):
-            expected_0 += sys_.gram.matrix(k)[0, 1] * (K @ v[I:2 * I])
+        expected_0 = sum(sys_.gram.matrix(k)[0, 1] * (sys_.pattern.csr(K) @ v[I:2 * I])
+                         for k, K in enumerate(sys_.stiffness))
         assert_allclose(blocks[0], expected_0, rtol=1e-13)
 
 
@@ -207,7 +208,7 @@ class TestSpatialFactors:
     def test_example1_matvec_makes_one_sparse_product(self, monkeypatch):
         # a = 1 + y1 + 2 y2: three stiffness terms of one spatial shape
         sys_, _ = case_system("example1")
-        assert len(sys_._terms()) == 3
+        assert len(sys_.stiffness) == 3 and all(K.any() for K in sys_.stiffness)
         products = []
         matmul = sp.csr_array.__matmul__
 
@@ -220,10 +221,10 @@ class TestSpatialFactors:
         assert products == [(sys_.n_spatial, sys_.n_param)]
 
     def test_zero_mean_coefficient_is_solved(self):
-        # a = y1 + 2 y2: K0 is all zero, and the matvec skips it; the solve
-        # agrees with the same LCP on the explicit matrix
+        # a = y1 + 2 y2: the mean's stiffness row is all zero, and the matvec
+        # skips it; the solve agrees with the same LCP on the explicit matrix
         sys_, _ = case_system("zero mean")
-        assert not sys_.K0.data.any()
+        assert not sys_.stiffness[0].any()
         config = SolverConfig(tol=1e-10)
         u, report = active_set_solve(sys_, sys_.obs, config)
         assert report.converged and report.active_count > 0
@@ -296,10 +297,8 @@ class TestKroneckerPreconditioner:
         op = P1Operator(mesh)
         K_bar = op.interior.csr(op.interior.data(op.integrals(averaged(op.points))))
         norm2 = frobenius(K_bar, K_bar)
-        G = frobenius(sys_.K0, K_bar) / norm2 * sys_.gram.matrix(0)
-        for k, Kk in enumerate(sys_.Kk, 1):
-            if Kk is not None:
-                G = G + frobenius(Kk, K_bar) / norm2 * sys_.gram.matrix(k)
+        G = sum(frobenius(sys_.pattern.csr(K), K_bar) / norm2 * sys_.gram.matrix(k)
+                for k, K in enumerate(sys_.stiffness))
         P = sp.csc_matrix(sp.kron(G, K_bar))
         rng = np.random.default_rng(6)
         for _ in range(3):
