@@ -12,6 +12,7 @@ fixed order, so repeated runs produce bitwise-identical matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -110,13 +111,17 @@ class Block:
         """Stored entries (..., nnz) from triangle integrals (..., n_triangles)."""
         return _apply(self.S, integrals)
 
+    @cached_property
+    def _row_sums(self) -> sp.csr_array:
+        """The (n, nnz) matrix that sums the stored entries of each row."""
+        nnz = self.indices.size
+        return sp.csr_array((np.ones(nnz), np.arange(nnz), self.indptr),
+                            shape=(self.shape[0], nnz))
+
     def apply(self, data: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Products (..., n) of the matrices with entries ``data`` (..., nnz)
         and the vectors ``V`` (..., m), broadcast row by row."""
-        nnz = self.indices.size
-        row_sums = sp.csr_array((np.ones(nnz), np.arange(nnz), self.indptr),
-                                shape=(self.shape[0], nnz))
-        return _apply(row_sums, data * V[..., self.indices])
+        return _apply(self._row_sums, data * V[..., self.indices])
 
     def pattern(self, B: int) -> tuple[np.ndarray, np.ndarray]:
         """``indptr`` and ``indices`` of the block-diagonal matrix of B copies

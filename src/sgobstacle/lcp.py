@@ -15,14 +15,13 @@ as the whole linear solve.  The plain sparse system solves the inactive
 block by banded Cholesky and declares it exact; the Galerkin system applies
 its Kronecker preconditioner, truncated at the spatial nodes that the set
 holds at every parameter node, and declares nothing, so its solves run
-conjugate gradients.  The sparse system takes its lower band either from
-its caller (a Monte Carlo block hands over one band with a scale per
-sample when its samples share a stiffness shape, and else scatters each
-sample's stiffness entries through the band map of one sample,
-``band_map``) or from the CSR pattern of A.  It factors each (shape, held
-set) pair of its diagonal blocks once, so samples of one shape that hold
-one set share a factorization, and it refactors and re-solves only the
-diagonal blocks whose set or right-hand side moved.
+conjugate gradients.  The sparse system refactors and re-solves only the
+diagonal blocks whose set or right-hand side moved.  Handed one band with
+a scale per copy (a Monte Carlo block whose samples share a stiffness
+shape), it keeps the factors of its (shape, held set) pairs in a
+``FactorStore`` that a Monte Carlo run shares among its block systems, and
+solves the blocks of one pair in one LAPACK ``dpbtrs`` call with one
+column per block.
 
 The active set method is an inexact semismooth Newton iteration, and each
 of its steps is one linear solve on the inactive set.  The unconstrained
@@ -37,12 +36,7 @@ construction.  ``iterations`` counts every update, the tight re-solve
 included, and ``trace`` records each one (``active_set_solve``).
 
 Projected SOR (Cryer, SIAM J. Control 1971) sweeps the rows of the explicit
-matrix in multicolour order: a greedy colouring, made once per solve, splits
-the rows into classes that do not couple, and the matrix is permuted once so
-that each class owns a contiguous row slice.  A class is updated as one
-projected step whose row products are one CSR product of its slice, and the
-complementarity residual after each sweep is one product of the permuted
-matrix.  That is sequential SOR with the rows taken class by class, so it
+matrix class by class in a greedy multicolour order (``psor_solve``), so it
 converges for SPD A and omega in (0, 2); ``iterations`` counts sweeps.
 """
 
@@ -50,6 +44,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -57,11 +52,13 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from ._checks import integer, number
 
 __all__ = [
+    "FactorStore",
     "SolverConfig",
     "SolveReport",
     "SolverNotConverged",
@@ -122,48 +119,68 @@ class SolveReport:
         return asdict(self)
 
 
+class FactorStore:
+    """Banded Cholesky factors keyed by (shape, held set), shared by the
+    block systems of one band: a Monte Carlo run hands one to each block.
+    Past ``cap`` bytes the least recently used factor is dropped.  ``hits``
+    counts the block solves served by a factor already made, ``evictions``
+    the factors dropped and ``peak_bytes`` the most bytes kept."""
+
+    def __init__(self, cap=np.inf):
+        self.cap = cap
+        self._factors = OrderedDict()
+        self.bytes = self.peak_bytes = self.hits = self.evictions = 0
+
+    def fetch(self, uses, make):
+        """The factors of the pairs of ``uses`` (pair -> the blocks that need
+        it), now the most recently used.  ``make(new)`` returns the factors
+        of the pairs ``new`` that the store lacks; if it raises, the store is
+        unchanged."""
+        new = [key for key in uses if key not in self._factors]
+        made = make(new) if new else []
+        for key in uses:
+            if key in self._factors:
+                self._factors.move_to_end(key)
+        self._factors.update(zip(new, made))
+        factors = {key: self._factors[key] for key in uses}
+        self.hits += sum(map(len, uses.values())) - len(new)
+        self.bytes += sum(f.nbytes for f in made)
+        while self.bytes > self.cap:
+            self.bytes -= self._factors.popitem(last=False)[1].nbytes
+            self.evictions += 1
+        self.peak_bytes = max(self.peak_bytes, self.bytes)
+        return factors
+
+
 class SparseObstacleSystem:
     """Plain sparse LCP data; the preconditioner is an exact banded Cholesky solve.
 
     The system keeps a lower band (LAPACK lower form, transposed: one row
-    per column) of the diagonal blocks of A, the runs of columns that no
-    stored entry crosses (the samples of a Monte Carlo block), and their
-    starts.  The band has m rows, where m divides n; copy k of it, A's rows
-    k m to (k + 1) m, is ``scales[k]`` times the band there (1 without
-    ``scales``).  So a block's shape is the band's rows at its start modulo
-    m, and its scale that of its copy.  A caller that knows them passes
-    ``band``, ``starts`` and, for one band shared by every copy, ``scales``:
-    a Monte Carlo block whose samples have one stiffness shape K hands over
-    the band of K and each sample's scale, and one of samples with several
-    shapes scatters each sample's stiffness entries through the band map of
-    one sample (``band_map``); both repeat that sample's starts.  Without
-    them the first apply reads the band (m = n) and starts off the CSR
-    pattern of A, with duplicate entries summed.
+    per column) of A's diagonal blocks (the samples of a Monte Carlo block)
+    and their starts.  The band has m rows, m dividing n, and copy k of it,
+    A's rows k m to (k + 1) m, is ``scales[k]`` (else 1) times the band, so
+    a block's shape is the band's rows at its start modulo m.  A caller
+    that knows them passes ``band``, ``starts`` and ``scales``
+    (``mc._AffineSampler.build``); else the first apply reads them off A
+    (m = n), with duplicate entries summed.
 
-    Each block's factor is made on the first apply, of its shape masked by
-    the set of entries held on it, and an apply of ``precond()`` brings the
-    factors to its ``active`` block by block: only the blocks whose set
-    differs move.  With one shape per block (m = n) the system keeps the
-    stacked factors of its blocks and refactors each moved block, in one
-    ``cholesky_banded`` call on their stacked columns.  With shared shapes
-    (m < n) it keeps a table of the factors of the (shape, held set) pairs
-    that its blocks hold: each pair among the moved blocks that the table
-    lacks is factored once, in one call on the stacked new pairs, and a
-    factor that no block holds any more is dropped.  A new factor that is
-    not positive definite, or a moved block with a free entry whose scale
-    is not positive (which a shared factor would hide), raises
-    numpy.linalg.LinAlgError on that apply, and every block keeps its
-    factor.  The system remembers the right-hand side and solution of its
-    last apply, and the next apply solves again only the blocks it moved or
-    whose right-hand side differs, with their free entries divided by their
-    scale; the others keep their solution.  Those solves are one
-    ``cho_solve_banded`` call on their stacked rows, with shared shapes on
-    their pairs' factors stacked from the table.  ``factored_blocks`` counts
-    the blocks moved to a new set, ``solved_blocks`` the blocks solved and
-    ``distinct_factorizations`` the factors made, over the system's life.
+    An apply of ``precond()`` moves the blocks whose held set differs from
+    the one they were factored with (all at first) and solves again the
+    moved blocks and those whose right-hand side changed.  With ``scales``
+    the factors of the (shape, held set) pairs live in ``store`` (a
+    ``FactorStore`` of its own without one): the pairs it lacks are
+    factored in one ``cholesky_banded`` call, and the blocks of one pair are
+    solved in one ``dpbtrs`` call, a column each, then divided by their
+    scales.  Without ``scales`` the moved blocks' stacked factors are remade
+    and the blocks solved on their stacked rows, one call each.  A factor
+    that is not positive definite, or a moved block with a free entry whose
+    scale is not positive (which a shared factor would hide), raises
+    numpy.linalg.LinAlgError on that apply before anything changes.
+    ``factored_blocks``, ``solved_blocks`` and ``distinct_factorizations``
+    count the blocks moved, the blocks solved and the factors made.
     """
 
-    def __init__(self, A, b, band=None, starts=None, scales=None):
+    def __init__(self, A, b, band=None, starts=None, scales=None, store=None):
         self.A = sp.csr_array(A)
         self.b = np.asarray(b, dtype=float)
         self.n = self.A.shape[0]
@@ -182,12 +199,14 @@ class SparseObstacleSystem:
             if scales.shape != (self.n // len(band),):
                 raise ValueError(f"scales must have one entry per copy of the band, "
                                  f"got shape {scales.shape}")
+            store = FactorStore() if store is None else store
+        elif store is not None:
+            raise ValueError("a factor store needs scales")
         self._band, self._starts, self._scales = band, starts, scales  # else read off A
+        self._store = store  # with scales: the factors of the (shape, held set) pairs
+        self._factor = None  # without scales: the stacked factors of the blocks
         self._mask = None  # the set of entries held when each row was factored
-        self._factor = None  # with one shape per block: the stacked factors
-        self._table = {}  # with shared shapes: (shape, held set) -> its factor
-        self._keys = None  # with shared shapes: each block's pair
-        self._r = self._x = None  # right-hand side and solution of the last apply
+        self._r, self._x = None, np.empty(self.n)  # right-hand side, solution of the last apply
         self.factored_blocks = self.solved_blocks = self.distinct_factorizations = 0
 
     def matvec(self, v):
@@ -206,12 +225,10 @@ class SparseObstacleSystem:
         The ``active`` rows and columns of A are zeroed with a unit diagonal,
         which decouples them and keeps the band, so a vector that is zero on
         the active entries comes back zero there.  The apply is ``exact``;
-        it first brings the system's factor to its ``active``.
+        it first brings the system's factors to its ``active``.
         """
         def apply(r, active):
-            active = np.asarray(active, dtype=bool)
-            moved = self._factor_for(active)
-            return self._solve(np.asarray(r, dtype=float), active, moved)
+            return self._apply(np.asarray(r, dtype=float), np.asarray(active, dtype=bool))
 
         apply.exact = True
         return apply
@@ -230,43 +247,29 @@ class SparseObstacleSystem:
         """The rows of the blocks flagged in ``flags``, as an index array."""
         return np.flatnonzero(np.repeat(flags, self._sizes))
 
-    def _factor_for(self, active):
-        """Bring the blocks whose set differs from the one they were factored
-        with to ``active``, and return their flags (all of them at first).
-
-        The band and the factors are kept as their transposes, one row per
-        column of A, so the blocks' columns are gathered and scattered as
-        rows and LAPACK reads the transposes without a copy.
-        """
+    def _apply(self, r, active):
+        """The solution for ``r`` with the ``active`` entries held.  The band
+        and the factors are kept transposed, one row per column of A, so the
+        blocks are gathered as rows and LAPACK reads them without a copy."""
         if self._band is None:
             self._band, self._starts = _lower_band(self.A)
-        if self._mask is None:
-            moved = np.ones(len(self._starts), dtype=bool)
-        else:
-            moved = np.logical_or.reduceat(active != self._mask, self._starts)
-        count = int(np.count_nonzero(moved))
-        if not count:
-            return moved
+        moved = (np.ones(len(self._starts), dtype=bool) if self._mask is None
+                 else np.logical_or.reduceat(active != self._mask, self._starts))
         if self._scales is not None and np.any(moved & np.logical_or.reduceat(
                 ~(active | (self._row_scales > 0.0)), self._starts)):
             raise np.linalg.LinAlgError("a block with a free entry has a scale that is "
                                         "not positive")
-        rows = None if count == len(moved) else self._blocks(moved)
-        if len(self._band) < self.n:
-            self._share(moved, active)
-        else:  # one shape per block: each moved block is a new pair
-            factor = self._factored(rows, active)
-            if rows is None:
-                self._factor = factor
-            else:
-                self._factor[rows] = factor
-            self.distinct_factorizations += count
-        self.factored_blocks += count
-        if rows is None:
-            self._mask = active.copy()
+        solve = moved if self._r is None else (
+            moved | np.logical_or.reduceat(r != self._r, self._starts))
+        if self._scales is None:
+            self._stacked_solve(r, active, moved, solve)
         else:
-            self._mask[rows] = active[rows]
-        return moved
+            self._shared_solve(r, active, solve)
+        self._mask = active.copy()  # the blocks that did not move hold it already
+        self.factored_blocks += int(np.count_nonzero(moved))
+        self.solved_blocks += int(np.count_nonzero(solve))
+        self._r = r.copy()
+        return self._x.copy()
 
     def _factored(self, rows, active):
         """The stacked Cholesky factors of the blocks on ``rows`` (every
@@ -281,57 +284,51 @@ class SparseObstacleSystem:
         return cholesky_banded(_masked(band, held).T, lower=True,
                                overwrite_ab=True, check_finite=False).T
 
-    def _share(self, moved, active):
-        """Bring the blocks flagged in ``moved`` to their (shape, held set)
-        pairs in ``active``: each pair that the table lacks is factored
-        first, once, and the pairs that no block holds any more are
-        dropped."""
-        starts, sizes = self._starts, self._sizes
-        blocks = np.flatnonzero(moved)
-        keys = [(starts[j] % len(self._band), active[starts[j]:starts[j] + sizes[j]].tobytes())
-                for j in blocks]
-        new = {}  # each pair that the table lacks, and the first block holding it
-        for j, key in zip(blocks, keys):
-            if key not in self._table:
-                new.setdefault(key, j)
-        if new:
-            first = np.zeros_like(moved)
-            first[list(new.values())] = True
-            factor = self._factored(None if first.all() else self._blocks(first), active)
-            at = np.cumsum(sizes[first]) - sizes[first]
-            self._table.update((key, factor[a:a + sizes[j]].copy())
-                               for (key, j), a in zip(new.items(), at))
-            self.distinct_factorizations += len(new)
-        if self._keys is None:
-            self._keys = keys
-        else:
-            for j, key in zip(blocks, keys):
-                self._keys[j] = key
-        held = set(self._keys)
-        self._table = {key: f for key, f in self._table.items() if key in held}
-
-    def _solve(self, r, active, moved):
-        """The solution for ``r``: the blocks flagged in ``moved`` (brought to
-        a new set) or whose right-hand side differs from the last apply's
-        are solved again, and the others keep the last solution."""
-        if self._x is None:
-            self._x = np.empty(self.n)  # the first apply moves every block
-        else:
-            moved = moved | np.logical_or.reduceat(r != self._r, self._starts)
+    def _stacked_solve(self, r, active, moved, solve):
+        """Refactor the blocks flagged in ``moved``, each a pair of its own,
+        and solve those flagged in ``solve`` on their stacked rows."""
         count = int(np.count_nonzero(moved))
-        if count:
-            rows = slice(None) if count == len(moved) else self._blocks(moved)
-            if len(self._band) < self.n:
-                factor = np.concatenate([self._table[self._keys[j]]
-                                         for j in np.flatnonzero(moved)])
-            else:
-                factor = self._factor[rows]
-            self._x[rows] = cho_solve_banded((factor.T, True), r[rows], check_finite=False)
-            if self._scales is not None:
-                self._x[rows] /= np.where(active[rows], 1.0, self._row_scales[rows])
-        self.solved_blocks += count
-        self._r = r.copy()
-        return self._x.copy()
+        if count == len(moved):
+            self._factor = self._factored(None, active)
+        elif count:
+            rows = self._blocks(moved)
+            self._factor[rows] = self._factored(rows, active)
+        self.distinct_factorizations += count
+        if solve.any():
+            rows = slice(None) if solve.all() else self._blocks(solve)
+            self._x[rows] = _band_solve(self._factor[rows], r[rows])
+
+    def _shared_solve(self, r, active, solve):
+        """Solve the blocks flagged in ``solve`` on their pairs' factors from
+        the store, one ``dpbtrs`` call per pair; the pairs that the store
+        lacks are factored first, in one call on their first blocks."""
+        m, starts, sizes = len(self._band), self._starts, self._sizes
+        uses = {}  # each pair, and the blocks to solve that hold it
+        for j in np.flatnonzero(solve):
+            s = starts[j]
+            uses.setdefault((s % m, active[s:s + sizes[j]].tobytes()), []).append(j)
+
+        def make(new):
+            first = np.zeros_like(solve)
+            first[[uses[key][0] for key in new]] = True
+            factor = self._factored(None if first.all() else self._blocks(first), active)
+            self.distinct_factorizations += len(new)
+            return [f.copy() for f in np.split(factor, np.cumsum(sizes[first])[:-1])]
+
+        for key, f in self._store.fetch(uses, make).items():
+            blocks = uses[key]
+            rows = (starts[blocks][:, None] + np.arange(len(f))).ravel()
+            x = _band_solve(f, r[rows].reshape(len(blocks), -1).T)
+            self._x[rows] = x.T.ravel() / np.where(active[rows], 1.0, self._row_scales[rows])
+
+
+def _band_solve(factor, rhs):
+    """``rhs`` (n,) or (n, k) solved with a banded Cholesky factor, given in
+    transposed lower form (n, depth), in one LAPACK ``dpbtrs`` call."""
+    x, info = dpbtrs(factor.T, rhs, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpbtrs failed with info {info}")
+    return x
 
 
 def band_map(indptr, indices):

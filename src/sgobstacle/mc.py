@@ -21,17 +21,23 @@ sample.  When the stiffness terms fold to one spatial shape K
 (``fields.fold_terms``), as in both of the paper's examples, sample s's
 stiffness is c_s K with c_s = [1, y_s] times the terms' ratios to K: the
 sampler makes the band of K once per run, and a block hands it over with
-its samples' scales, so samples that hold one active set share one
-Cholesky factor.  Otherwise the sampler finds where one sample's stiffness
-entries go in its band once per run (``lcp.band_map``), and a block's band
-is one scatter of its stiffness rows.  Either way the samples are the
-system's diagonal blocks.  An update refactors and solves again only the
-samples whose active set moved; ``MCResult`` counts the samples brought to
-a new set, the Cholesky factors made and the sample solves of the run.
+its samples' scales and the run's one ``lcp.FactorStore``, so samples that
+hold one active set share one Cholesky factor across every block of the
+run, and a block solves its samples of one factor in one call.  Otherwise
+the sampler finds where one sample's stiffness entries go in its band once
+per run (``lcp.band_map``), a block's band is one scatter of its stiffness
+rows, and each sample is factored on its own.  Either way the samples are
+the system's diagonal blocks.  An update refactors and solves again only
+the samples whose active set moved; ``MCResult`` counts the samples
+brought to a new set, the Cholesky factors made and the sample solves of
+the run, and the store's hits, evictions and peak bytes.
 
 B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
 one sample).  The cap keeps the working set of the band Cholesky small:
-blocks of 16384 nodes raised the peak memory of a run, 4096 did not.  One
+blocks of 16384 nodes raised the peak memory of a run, 4096 did not.  The
+store keeps at most ``MC_FACTOR_BYTES`` of factors and drops the least
+recently used beyond: a factor takes 2.1 MB at nx = 64, where 768 samples
+of a moving contact set can hold 414 distinct sets, 0.87 GB of factors.  One
 sample that does not converge (a coefficient that is not positive at the
 drawn point, say) fails its whole block, so a failed block is solved again
 one sample at a time on its own rows, and failures stay counted per sample.
@@ -46,7 +52,7 @@ import numpy as np
 
 from .fem import P1Operator
 from .fields import affine_factors, fold_terms, lift
-from .lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
+from .lcp import (FactorStore, SolverConfig, SolverNotConverged, SparseObstacleSystem,
                   band_map, solve_lcp)
 from .mesh import Mesh
 from .param import draw
@@ -55,6 +61,7 @@ __all__ = ["MCAccumulator", "MCResult", "mc_run"]
 
 MAX_FAILURE_FRACTION = 1e-3
 MC_BLOCK_NODES = 4096  # interior nodes per block-diagonal sample system
+MC_FACTOR_BYTES = 2 ** 28  # bytes of shared Cholesky factors a run keeps at most
 
 
 @dataclass
@@ -104,6 +111,9 @@ class MCResult:
     sample_factorizations: int = 0  # sample blocks brought to a new active set
     sample_solves: int = 0  # sample blocks solved with a factor
     distinct_factorizations: int = 0  # Cholesky factors made, over every block system
+    store_hits: int = 0  # sample solves served by a factor in the run's store
+    store_evictions: int = 0  # factors the store dropped at its cap
+    store_peak_bytes: int = 0  # the most bytes the store held
 
     @property
     def mean(self) -> np.ndarray:
@@ -124,8 +134,9 @@ class _AffineSampler:
     block's stiffness entries, loads and obstacle values as [1, Y] times the
     terms and its Dirichlet data and lifting from ``fields.lift``.  When the
     stiffness terms fold to one shape K, ``band`` is the lower band of K,
-    oriented to a positive diagonal, and ``ratios`` gives term k as
-    ratios[k] K (0 for an all-zero term); otherwise both are None.
+    oriented to a positive diagonal, ``ratios`` gives term k as ratios[k] K
+    (0 for an all-zero term) and ``store`` holds the run's shared factors;
+    otherwise all three are None.
     """
 
     def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int):
@@ -133,7 +144,7 @@ class _AffineSampler:
         self.terms = affine_factors(self.op, a_field, f_field, g_field, n_dims)
         self.band_map = band_map(self.op.interior.indptr, self.op.interior.indices)
         self.pattern = None  # the block-diagonal CSR pattern of the largest block yet
-        self.band = self.ratios = None
+        self.band = self.ratios = self.store = None
         groups = fold_terms(self.terms.K_ii)
         if len(groups) == 1:
             (g, members), = groups
@@ -143,6 +154,7 @@ class _AffineSampler:
             self.band = self._band(self.terms.K_ii[g])
             if self.band[:, 0].sum() < 0.0:  # orient K so that a positive scale is SPD
                 self.band, self.ratios = -self.band, -self.ratios
+            self.store = FactorStore(MC_FACTOR_BYTES)
 
     def _band(self, K_ii: np.ndarray) -> np.ndarray:
         """The lower bands of the stiffness entries ``K_ii`` (..., nnz) of
@@ -160,7 +172,8 @@ class _AffineSampler:
         Dirichlet data (B, n_boundary).  The system's band is the folded
         band with the samples' scales [1, Y] ``ratios``, or else one scatter
         of the block's stiffness rows through the band map, and each
-        sample's block starts are repeated.
+        sample's block starts are repeated.  The folded band comes with the
+        run's factor store.
         """
         Y1 = np.column_stack((np.ones(len(Y)), Y))
         t = self.terms
@@ -176,7 +189,7 @@ class _AffineSampler:
         system = SparseObstacleSystem(self.op.interior.csr(K_ii, self.pattern),
                                       (load - lifting).ravel(), band,
                                       (I * np.arange(B)[:, None] + self.band_map[3]).ravel(),
-                                      scales)
+                                      scales, self.store)
         return system, obs.ravel(), D
 
 
@@ -203,10 +216,10 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     n_failed = 0
     iters = factorizations = distinct = solves = 0
 
-    def solve_block(Y) -> int:
+    def solve_block(Y) -> bool:
         """Solve the rows of Y as one system, warm-started from the running
-        mean, and accumulate them in order; returns the number that failed.
-        A failed block is solved again sample by sample."""
+        mean, and accumulate them in order if it converged; returns whether
+        it did."""
         nonlocal iters, factorizations, distinct, solves
         system, obs, boundary = sampler.build(Y)
         x0 = None if acc.mean is None else np.maximum(
@@ -216,20 +229,27 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         factorizations += system.factored_blocks
         distinct += system.distinct_factorizations
         solves += system.solved_blocks
-        if not report.converged:
-            return 1 if len(Y) == 1 else sum(solve_block(y[None]) for y in Y)
-        acc.update(mesh.full_values(u.reshape(len(Y), -1), boundary))
-        return 0
+        if report.converged:
+            acc.update(mesh.full_values(u.reshape(len(Y), -1), boundary))
+        return report.converged
 
     t_loop = time.perf_counter()
     for start in range(0, n_samples, block):
-        n_failed += solve_block(draw(densities, rng, min(block, n_samples - start)))
+        Y = draw(densities, rng, min(block, n_samples - start))
+        # a failed block is solved again sample by sample, here: a solve_block
+        # that called itself would keep the run's factor store alive in a
+        # reference cycle until the cyclic garbage collector ran
+        if not solve_block(Y):
+            n_failed += 1 if len(Y) == 1 else sum(not solve_block(y[None]) for y in Y)
     loop_seconds = time.perf_counter() - t_loop
 
     if n_failed > MAX_FAILURE_FRACTION * n_samples:
         raise SolverNotConverged(
             f"{n_failed} of {n_samples} sample solves failed to converge")
+    store = sampler.store or FactorStore()
     return MCResult(accumulator=acc, n_samples=n_samples, n_failed=n_failed, seed=seed,
                     timings={"setup": setup_seconds, "samples": loop_seconds},
                     solver_iterations=iters, sample_factorizations=factorizations,
-                    sample_solves=solves, distinct_factorizations=distinct)
+                    sample_solves=solves, distinct_factorizations=distinct,
+                    store_hits=store.hits, store_evictions=store.evictions,
+                    store_peak_bytes=store.peak_bytes)

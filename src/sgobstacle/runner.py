@@ -574,6 +574,9 @@ def run_mc(cfg: ExperimentConfig):
         "sample_factorizations": result.sample_factorizations,
         "sample_solves": result.sample_solves,
         "distinct_factorizations": result.distinct_factorizations,
+        "store_hits": result.store_hits,
+        "store_evictions": result.store_evictions,
+        "store_peak_bytes": result.store_peak_bytes,
         "level": cfg.mc_level,
         "nx": level.nx,
         "mc_seconds": mc_seconds,

@@ -71,7 +71,7 @@ def test_galerkin_solve(tmp_path, fields, path, factors):
 
 
 @pytest.mark.parametrize("cfg, report, counts, distinct", [
-    (MC, "example1_mc_report.json", (127, 1342, 1342, 0), 153),
+    (MC, "example1_mc_report.json", (127, 1342, 1342, 0), 8),
     (dict(MC, problem="custom", custom=hard_shapes(EXAMPLE1_FIELDS)),
      "ex1custom_mc_report.json", (161, 2157, 2157, 0), 2157),
 ], ids=["example1", "hard shapes"])
@@ -80,3 +80,8 @@ def test_monte_carlo(tmp_path, cfg, report, counts, distinct):
     assert (r["solver_iterations"], r["sample_factorizations"], r["sample_solves"],
             r["n_failed"]) == counts
     assert r["distinct_factorizations"] == distinct
+    # every moved sample hits the run's factor store or makes a new pair;
+    # samples of other shapes have no store, so each makes its own
+    assert r["store_hits"] + distinct == r["sample_factorizations"]
+    assert r["store_evictions"] == 0
+    assert (r["store_peak_bytes"] > 0) == (r["store_hits"] > 0)

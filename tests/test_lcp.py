@@ -476,16 +476,24 @@ class TestSharedFactors:
     SIZES = (3, 2)  # the shape's own diagonal blocks
     SCALES = (0.5, 2.0, 1.0, 3.0)
 
-    def scaled_system(self, scales, seed=89):
+    def scaled_system(self, scales, seed=89, store=None):
         """The block-diagonal system of the ``scales`` times one SPD shape K,
-        with K's band and starts handed over; returns (system, A)."""
+        with K's band and starts handed over, on ``store`` when one is
+        given; returns (system, A)."""
         rng = np.random.default_rng(seed)
         K = block_diagonal_spd(rng, self.SIZES)
         m = K.shape[0]
         A = sp.csr_array(sp.block_diag([c * K for c in scales]))
         band, starts = lcp_module._lower_band(K)
         starts = (m * np.arange(len(scales))[:, None] + starts).ravel()
-        return SparseObstacleSystem(A, np.zeros(A.shape[0]), band, starts, scales), A
+        return SparseObstacleSystem(A, np.zeros(A.shape[0]), band, starts, scales, store), A
+
+    def check(self, system, A, copies, r0):
+        """Apply ``system`` on the held set ``copies`` (one mask per copy of
+        the shape) and compare with the reduced solve."""
+        active = np.concatenate(copies)
+        r = np.where(active, 0.0, r0[:len(active)])
+        assert_same_solve(system.precond()(r, active), reduced_solve(A, active, r))
 
     def test_mask_sequence_matches_the_reduced_solves(self):
         system, A = self.scaled_system(self.SCALES)
@@ -510,27 +518,73 @@ class TestSharedFactors:
         n = A.shape[0]
         nothing, first = np.zeros(5, dtype=bool), np.array([True, False, False, False, False])
         r0 = np.random.default_rng(101).standard_normal(n)
-        apply = system.precond()
-
-        def check(copies):
-            active = np.concatenate(copies)
-            r = np.where(active, 0.0, r0)
-            assert_same_solve(apply(r, active), reduced_solve(A, active, r))
+        store = system._store
 
         # copies 0-2 hold nothing, copy 3 holds its first node: the pairs
         # are (3-block, none), (2-block, none) and (3-block, first node)
-        check([nothing, nothing, nothing, first])
+        self.check(system, A, [nothing, nothing, nothing, first], r0)
         assert cholesky_calls == [3 + 2 + 3]
         assert (system.factored_blocks, system.distinct_factorizations) == (8, 3)
         # copy 3 moves to a set that copies 0-2 still hold: no factorization
-        check([nothing] * 4)
+        self.check(system, A, [nothing] * 4, r0)
         assert cholesky_calls == [8]
         assert (system.factored_blocks, system.distinct_factorizations) == (9, 3)
-        # no block holds the first node any more, so its factor was dropped
-        check([nothing, first, nothing, nothing])
-        assert cholesky_calls == [8, 3]
-        assert (system.factored_blocks, system.distinct_factorizations) == (10, 4)
+        # no block holds the first node any more, yet the store keeps its
+        # factor: copy 1 moving there makes none
+        self.check(system, A, [nothing, first, nothing, nothing], r0)
+        assert cholesky_calls == [8]
+        assert (system.factored_blocks, system.distinct_factorizations) == (10, 3)
         assert system.solved_blocks == 8 + 1 + 1  # only the moved blocks are solved again
+        # every solved block made its pair or hit the store
+        assert store.hits == system.solved_blocks - system.distinct_factorizations == 7
+        assert store.evictions == 0 and store.peak_bytes == store.bytes > 0
+
+    def test_one_store_shares_pairs_across_block_systems(self, cholesky_calls):
+        # two block systems on one store, as two blocks of a Monte Carlo run:
+        # one factorization per distinct pair over both
+        store = lcp_module.FactorStore()
+        nothing, first = np.zeros(5, dtype=bool), np.array([True, False, False, False, False])
+        r0 = np.random.default_rng(109).standard_normal(5 * len(self.SCALES))
+        one, A1 = self.scaled_system(self.SCALES, store=store)
+        two, A2 = self.scaled_system((1.5, 0.25), store=store)
+        self.check(one, A1, [nothing, first, nothing, first], r0)
+        assert cholesky_calls == [3 + 2 + 3]
+        self.check(two, A2, [first, nothing], r0)
+        assert cholesky_calls == [8]  # both pairs are in the store
+        self.check(two, A2, [first, np.array([False, False, False, True, True])], r0)
+        assert cholesky_calls == [8, 2]  # only (2-block, all held) is new
+        made = one.distinct_factorizations + two.distinct_factorizations
+        assert made == 4 == len(store._factors)
+        assert store.hits == one.solved_blocks + two.solved_blocks - made
+
+    def test_evicted_pair_is_made_again_bit_for_bit(self, monkeypatch):
+        # a cap that holds one factor: each apply that needs two pairs
+        # keeps only one, and a pair needed again is factored again; the
+        # blocks here are below LAPACK's block size, so its unblocked
+        # factorization gives the same bits wherever the pair is stacked
+        made = []
+        real = lcp_module.cholesky_banded
+
+        def cholesky_banded(ab, **kwargs):
+            made.append(real(ab, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(lcp_module, "cholesky_banded", cholesky_banded)
+        depth = lcp_module._lower_band(self.scaled_system((1.0,))[1])[0].shape[1]
+        store = lcp_module.FactorStore(cap=max(self.SIZES) * depth * 8)
+        nothing, first = np.zeros(5, dtype=bool), np.array([True, False, False, False, False])
+        r0 = np.random.default_rng(113).standard_normal(5 * len(self.SCALES))
+        one, A1 = self.scaled_system(self.SCALES, store=store)
+        self.check(one, A1, [nothing] * 4, r0)  # (3-block, none) and (2-block, none)
+        assert len(made) == 1 and store.evictions == 1
+        kept, = store._factors.values()
+        assert kept.shape[0] == 2  # the 2-block's pair came last, so it stays
+        two, A2 = self.scaled_system((2.0,), store=store)
+        self.check(two, A2, [nothing], r0)  # the evicted (3-block, none) is made again
+        assert len(made) == 2 and store.evictions == 2
+        assert one.distinct_factorizations + two.distinct_factorizations == 3
+        assert made[1].tobytes() == made[0][:, :3].tobytes()
+        assert store.peak_bytes <= store.cap
 
     def test_one_shape_per_block_keys_nothing(self):
         # read off A, every block is its own shape: each moved block is
@@ -542,7 +596,7 @@ class TestSharedFactors:
         for active in (np.zeros(A.shape[0], dtype=bool), rng.random(A.shape[0]) < 0.4):
             r = np.where(active, 0.0, rng.standard_normal(A.shape[0]))
             assert_same_solve(apply(r, active), reduced_solve(A, active, r))
-        assert system._keys is None and not system._table
+        assert system._store is None
         assert system.distinct_factorizations == system.factored_blocks > 2 * len(self.SCALES)
 
     @pytest.mark.parametrize("bad", [-0.5, 0.0])
@@ -550,9 +604,10 @@ class TestSharedFactors:
                                                                     cholesky_calls):
         # the shape is SPD, but the copy at scale `bad` is not: it raises
         # when it has a free entry, like the failed factorization of a
-        # block that is not positive definite
+        # block that is not positive definite, and leaves the store as it was
         scales = (1.0, bad, 2.0)
-        system, A = self.scaled_system(scales)
+        store = lcp_module.FactorStore()
+        system, A = self.scaled_system(scales, store=store)
         n = A.shape[0]
         rng = np.random.default_rng(103)
         good = np.zeros(n, dtype=bool)
@@ -565,9 +620,15 @@ class TestSharedFactors:
         calls = len(cholesky_calls)
         released = good.copy()
         released[[5, 0]] = False, True
+        state = (list(store._factors), store.hits, store.bytes)
         with pytest.raises(np.linalg.LinAlgError):
             apply(np.where(released, 0.0, r), released)
         assert len(cholesky_calls) == calls  # raised before any factorization
+        assert (list(store._factors), store.hits, store.bytes) == state
+        # a later block system on the store finds its pairs there
+        later, A_later = self.scaled_system((4.0,), store=store)
+        self.check(later, A_later, [good[:5]], r)
+        assert len(cholesky_calls) == calls and later.distinct_factorizations == 0
         # every block kept its factor: a move of copy 0 alone refactors it
         moved = good.copy()
         moved[0] = True
@@ -584,19 +645,22 @@ class TestSharedFactors:
             SparseObstacleSystem(A, np.zeros(n), system._band, system._starts, (1.0, 2.0))
         with pytest.raises(ValueError, match="band"):
             SparseObstacleSystem(A, np.zeros(n), scales=self.SCALES)
+        with pytest.raises(ValueError, match="store"):
+            SparseObstacleSystem(A, np.zeros(n), system._band, system._starts,
+                                 store=lcp_module.FactorStore())
 
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """The right-hand sides of every cho_solve_banded call, as they happen."""
+    """The right-hand sides of every dpbtrs call, as they happen."""
     calls = []
-    real = lcp_module.cho_solve_banded
+    real = lcp_module.dpbtrs
 
-    def cho_solve_banded(cb, b, **kwargs):
+    def dpbtrs(ab, b, **kwargs):
         calls.append(np.array(b))
-        return real(cb, b, **kwargs)
+        return real(ab, b, **kwargs)
 
-    monkeypatch.setattr(lcp_module, "cho_solve_banded", cho_solve_banded)
+    monkeypatch.setattr(lcp_module, "dpbtrs", dpbtrs)
     return calls
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,8 +8,8 @@ from numpy.testing import assert_allclose
 import sgobstacle.mc as mc
 from sgobstacle.fem import Block, P1Operator
 from sgobstacle.fields import AffineField, affine_factors
-from sgobstacle.lcp import (SolverConfig, SolverNotConverged, SparseObstacleSystem,
-                            _lower_band, active_set_solve)
+from sgobstacle.lcp import (FactorStore, SolverConfig, SolverNotConverged,
+                            SparseObstacleSystem, _lower_band, active_set_solve)
 from sgobstacle.mc import MC_BLOCK_NODES, MCAccumulator, _AffineSampler, mc_run
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, draw
@@ -205,6 +208,55 @@ class TestMCRun:
                          2.506997019262455, 0.0063809980265574166], rtol=1e-12)
         assert res.n_failed == 0
         assert res.sample_solves == res.sample_factorizations > 96
+
+    def test_capped_store_keeps_the_run(self, monkeypatch):
+        # a factor store that holds one factor evicts pairs and makes them
+        # again, yet the run takes the same path to the same moments
+        prob = get_problem("example1")
+        mesh = build_uniform_mesh(prob.rect, 8)
+
+        def run():
+            return mc_run(mesh, prob.fields, prob.densities, 96, seed=7,
+                          dirichlet=prob.dirichlet)
+
+        def path(res):
+            return (res.solver_iterations, res.sample_factorizations, res.sample_solves,
+                    res.n_failed)
+
+        free = run()
+        one = _AffineSampler(mesh, prob.fields["a"], prob.fields["f"], prob.fields["g"],
+                             prob.dirichlet, len(prob.densities)).band.nbytes
+        monkeypatch.setattr(mc, "MC_FACTOR_BYTES", one)
+        capped = run()
+        assert path(capped) == path(free)
+        assert capped.store_evictions > 0 == free.store_evictions
+        assert capped.distinct_factorizations > free.distinct_factorizations
+        assert capped.store_peak_bytes == one < free.store_peak_bytes
+        for res in (free, capped):
+            assert res.store_hits + res.distinct_factorizations == res.sample_factorizations
+        assert_allclose(capped.mean, free.mean, rtol=0, atol=1e-15)
+        assert_allclose(capped.variance(), free.variance(), rtol=0, atol=1e-15)
+
+    def test_run_frees_its_factor_store(self, monkeypatch):
+        # the store can hold hundreds of MB, so it goes with its run and
+        # does not wait for the cyclic garbage collector
+        stores = []
+
+        def tracked(*args):
+            stores.append(FactorStore(*args))
+            return stores[-1]
+
+        monkeypatch.setattr(mc, "FactorStore", tracked)
+        prob = get_problem("example1")
+        mesh = build_uniform_mesh(prob.rect, 4)
+        gc.disable()
+        try:
+            res = mc_run(mesh, prob.fields, prob.densities, 16, seed=3, dirichlet=prob.dirichlet)
+            refs = [weakref.ref(store) for store in stores]
+            stores.clear()
+        finally:
+            gc.enable()
+        assert res.store_hits > 0 and refs and all(ref() is None for ref in refs)
 
     def test_deterministic_in_seed(self):
         mesh = build_uniform_mesh(RECT, 3)

@@ -789,6 +789,10 @@ class TestRunMC:
         # one set share a factor
         assert 0 < report["distinct_factorizations"] == result.distinct_factorizations \
             <= result.sample_factorizations
+        for key in ("store_hits", "store_evictions", "store_peak_bytes"):
+            assert report[key] == getattr(result, key)
+        assert result.store_hits + result.distinct_factorizations \
+            == result.sample_factorizations
         timing = (tmp_path / "example2_mc_timing.csv").read_text().splitlines()
         assert timing[0] == "phase,seconds"
         assert {row.split(",")[0] for row in timing[1:]} == \
