@@ -30,14 +30,20 @@ rows, and each sample is factored on its own.  Either way the samples are
 the system's diagonal blocks.  An update refactors and solves again only
 the samples whose active set moved; ``MCResult`` counts the samples
 brought to a new set, the Cholesky factors made and the sample solves of
-the run, and the store's hits, evictions and peak bytes.
+the run, the store's hits, evictions and peak bytes, and the block systems
+solved.
 
-B is ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at least
-one sample).  The cap keeps the working set of the band Cholesky small:
-blocks of 16384 nodes raised the peak memory of a run, 4096 did not.  The
-store keeps at most ``MC_FACTOR_BYTES`` of factors and drops the least
-recently used beyond: a factor takes 2.1 MB at nx = 64, where 768 samples
-of a moving contact set can hold 414 distinct sets, 0.87 GB of factors.  One
+The first block holds one sample and each next one twice as many, up to
+the cap of ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at
+least one sample), so only the first sample starts cold and the rest start
+from a running mean.  Past the first few blocks a run solves few block
+systems, and more samples of one (shape, active set) pair share each solve
+call.  The block's arrays grow with the cap, the shared factors do not: a
+CLI run of 768 samples of the paper's example 1 at nx = 16 peaked at 64.2 /
+66.8 / 76.5 MB RSS with caps of 4096 / 16384 / 65536 nodes.  The store
+keeps at most ``MC_FACTOR_BYTES`` of factors and drops the least recently
+used beyond: a factor takes 2.1 MB at nx = 64, where 768 samples of a
+moving contact set can hold 414 distinct sets, 0.87 GB of factors.  One
 sample that does not converge (a coefficient that is not positive at the
 drawn point, say) fails its whole block, so a failed block is solved again
 one sample at a time on its own rows, and failures stay counted per sample.
@@ -60,7 +66,7 @@ from .param import draw
 __all__ = ["MCAccumulator", "MCResult", "mc_run"]
 
 MAX_FAILURE_FRACTION = 1e-3
-MC_BLOCK_NODES = 4096  # interior nodes per block-diagonal sample system
+MC_BLOCK_NODES = 16384  # interior nodes per block-diagonal sample system
 MC_FACTOR_BYTES = 2 ** 28  # bytes of shared Cholesky factors a run keeps at most
 
 
@@ -114,6 +120,7 @@ class MCResult:
     store_hits: int = 0  # sample solves served by a factor in the run's store
     store_evictions: int = 0  # factors the store dropped at its cap
     store_peak_bytes: int = 0  # the most bytes the store held
+    blocks: int = 0  # block systems solved, not counting per-sample retries
 
     @property
     def mean(self) -> np.ndarray:
@@ -129,8 +136,9 @@ class _AffineSampler:
     The spatial data of the affine terms of a, f and g
     (``fields.affine_factors``) and the band map of one sample's stiffness
     pattern (``lcp.band_map``) are made once, and so is the CSR pattern of
-    the block-diagonal stiffness (``fem.Block.pattern``), on the first and
-    largest block, whose prefix serves the shorter ones; ``build`` takes a
+    the block-diagonal stiffness (``fem.Block.pattern``) of ``block``
+    samples, the run's largest block, whose prefix serves the shorter ones
+    (a longer block builds it again); ``build`` takes a
     block's stiffness entries, loads and obstacle values as [1, Y] times the
     terms and its Dirichlet data and lifting from ``fields.lift``.  When the
     stiffness terms fold to one shape K, ``band`` is the lower band of K,
@@ -139,11 +147,13 @@ class _AffineSampler:
     otherwise all three are None.
     """
 
-    def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int):
+    def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int,
+                 block: int = 1):
         self.op, self.dirichlet = P1Operator(mesh), dirichlet
         self.terms = affine_factors(self.op, a_field, f_field, g_field, n_dims)
         self.band_map = band_map(self.op.interior.indptr, self.op.interior.indices)
-        self.pattern = None  # the block-diagonal CSR pattern of the largest block yet
+        # the block-diagonal CSR pattern of the largest block yet
+        self.pattern = self.op.interior.pattern(block)
         self.band = self.ratios = self.store = None
         groups = fold_terms(self.terms.K_ii)
         if len(groups) == 1:
@@ -180,7 +190,7 @@ class _AffineSampler:
         K_ii, K_ib, load, obs = (Y1 @ x for x in (t.K_ii, t.K_ib, t.load, t.obs))
         D, lifting = lift(self.op, self.dirichlet, Y, K_ib)
         B, I = len(Y), self.op.interior.shape[0]
-        if self.pattern is None or self.pattern[1].size < K_ii.size:
+        if self.pattern[1].size < K_ii.size:
             self.pattern = self.op.interior.pattern(B)
         if self.band is None:
             band, scales = self._band(K_ii), None
@@ -206,15 +216,15 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     if solver is None:
         solver = SolverConfig(method="active-set")
     t_setup = time.perf_counter()
+    cap = max(1, MC_BLOCK_NODES // mesh.interior.size)
     sampler = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"], dirichlet,
-                             len(densities))
-    block = max(1, MC_BLOCK_NODES // mesh.interior.size)
+                             len(densities), min(cap, n_samples))
     rng = np.random.default_rng(seed)
     setup_seconds = time.perf_counter() - t_setup
 
     acc = MCAccumulator()
     n_failed = 0
-    iters = factorizations = distinct = solves = 0
+    iters = factorizations = distinct = solves = blocks = 0
 
     def solve_block(Y) -> bool:
         """Solve the rows of Y as one system, warm-started from the running
@@ -234,13 +244,15 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         return report.converged
 
     t_loop = time.perf_counter()
-    for start in range(0, n_samples, block):
+    start, block = 0, 1
+    while start < n_samples:
         Y = draw(densities, rng, min(block, n_samples - start))
         # a failed block is solved again sample by sample, here: a solve_block
         # that called itself would keep the run's factor store alive in a
         # reference cycle until the cyclic garbage collector ran
         if not solve_block(Y):
             n_failed += 1 if len(Y) == 1 else sum(not solve_block(y[None]) for y in Y)
+        start, block, blocks = start + len(Y), min(2 * block, cap), blocks + 1
     loop_seconds = time.perf_counter() - t_loop
 
     if n_failed > MAX_FAILURE_FRACTION * n_samples:
@@ -252,4 +264,4 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
                     solver_iterations=iters, sample_factorizations=factorizations,
                     sample_solves=solves, distinct_factorizations=distinct,
                     store_hits=store.hits, store_evictions=store.evictions,
-                    store_peak_bytes=store.peak_bytes)
+                    store_peak_bytes=store.peak_bytes, blocks=blocks)

@@ -577,6 +577,7 @@ def run_mc(cfg: ExperimentConfig):
         "store_hits": result.store_hits,
         "store_evictions": result.store_evictions,
         "store_peak_bytes": result.store_peak_bytes,
+        "blocks": result.blocks,
         "level": cfg.mc_level,
         "nx": level.nx,
         "mc_seconds": mc_seconds,

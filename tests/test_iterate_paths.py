@@ -71,9 +71,9 @@ def test_galerkin_solve(tmp_path, fields, path, factors):
 
 
 @pytest.mark.parametrize("cfg, report, counts, distinct", [
-    (MC, "example1_mc_report.json", (127, 1342, 1342, 0), 8),
+    (MC, "example1_mc_report.json", (50, 1282, 1282, 0), 8),
     (dict(MC, problem="custom", custom=hard_shapes(EXAMPLE1_FIELDS)),
-     "ex1custom_mc_report.json", (161, 2157, 2157, 0), 2157),
+     "ex1custom_mc_report.json", (64, 2122, 2122, 0), 2122),
 ], ids=["example1", "hard shapes"])
 def test_monte_carlo(tmp_path, cfg, report, counts, distinct):
     r = run(tmp_path, "mc", cfg, report)

@@ -239,7 +239,8 @@ class TestMCRun:
 
     def test_run_frees_its_factor_store(self, monkeypatch):
         # the store can hold hundreds of MB, so it goes with its run and
-        # does not wait for the cyclic garbage collector
+        # does not wait for the cyclic garbage collector; the run is one
+        # whose samples leave the running mean's set and hit the store
         stores = []
 
         def tracked(*args):
@@ -248,10 +249,10 @@ class TestMCRun:
 
         monkeypatch.setattr(mc, "FactorStore", tracked)
         prob = get_problem("example1")
-        mesh = build_uniform_mesh(prob.rect, 4)
+        mesh = build_uniform_mesh(prob.rect, 8)
         gc.disable()
         try:
-            res = mc_run(mesh, prob.fields, prob.densities, 16, seed=3, dirichlet=prob.dirichlet)
+            res = mc_run(mesh, prob.fields, prob.densities, 96, seed=7, dirichlet=prob.dirichlet)
             refs = [weakref.ref(store) for store in stores]
             stores.clear()
         finally:
@@ -325,9 +326,10 @@ class TestMCRun:
         with pytest.raises(RuntimeError):
             mc_run(mesh, fields, dens, n_samples=8, seed=0, solver=starved)
 
-    def test_samples_are_solved_in_blocks_of_the_cap(self, monkeypatch):
-        # the paper's examples: samples are solved in blocks of
-        # MC_BLOCK_NODES // I samples, the last block holding the rest
+    def test_block_sizes_double_up_to_the_cap(self, monkeypatch):
+        # the paper's examples: the first block holds one sample and each
+        # next one twice as many, up to MC_BLOCK_NODES // I samples, the last
+        # block holding the rest
         solves = []
 
         def counted(system, obs, config, x0=None):
@@ -336,20 +338,23 @@ class TestMCRun:
 
         solve_lcp = mc.solve_lcp
         monkeypatch.setattr(mc, "solve_lcp", counted)
-        block = MC_BLOCK_NODES // 49  # I = 49 on the 8 x 8 meshes
-        n = block + 17
+        cap = MC_BLOCK_NODES // 49  # I = 49 on the 8 x 8 meshes
+        doubling = [1 << k for k in range(cap.bit_length()) if 1 << k < cap]
+        schedule = doubling + [cap, 17]
         for name in ("example1", "example2"):
             prob = get_problem(name)
             mesh = build_uniform_mesh(prob.rect, 8)
             solves.clear()
-            res = mc_run(mesh, prob.fields, prob.densities, n, seed=5,
+            res = mc_run(mesh, prob.fields, prob.densities, sum(schedule), seed=5,
                          solver=SolverConfig(tol=1e-12), dirichlet=prob.dirichlet)
-            assert res.n_failed == 0 and solves == [block, n - block]
+            assert res.n_failed == 0 and solves == schedule
+            assert res.blocks == len(schedule)
             assert np.max(np.abs(res.mean)) > 0.01
 
     def test_block_pattern_is_built_once_per_run(self, monkeypatch):
-        # the block-diagonal CSR pattern of the first block serves the short
-        # last block as its prefix
+        # the sampler builds the block-diagonal CSR pattern of the run's
+        # largest block, min(cap, n_samples), up front, and its prefix serves
+        # every shorter block: once below the cap, once with a cap of 8
         built = []
         pattern = Block.pattern
 
@@ -360,10 +365,14 @@ class TestMCRun:
         monkeypatch.setattr(Block, "pattern", counted)
         prob = get_problem("example1")
         mesh = build_uniform_mesh(prob.rect, 8)
-        block = MC_BLOCK_NODES // 49
-        res = mc_run(mesh, prob.fields, prob.densities, 2 * block + 5, seed=5,
-                     dirichlet=prob.dirichlet)
-        assert res.n_failed == 0 and built == [block]
+
+        def run(n):
+            return mc_run(mesh, prob.fields, prob.densities, n, seed=5,
+                          dirichlet=prob.dirichlet)
+
+        assert run(100).blocks == 7 and built == [100]  # 1, 2, ..., 32 and 37
+        monkeypatch.setattr(mc, "MC_BLOCK_NODES", 8 * 49)
+        assert run(40).blocks == 8 and built == [100, 8]  # 1, 2, 4, four of 8 and 1
 
     def test_timings_reported(self):
         mesh = build_uniform_mesh(RECT, 3)
@@ -379,7 +388,14 @@ class TestMCRun:
 
 class TestBlocks:
     MESH = build_uniform_mesh(RECT, 8)  # I = 49 interior nodes
-    BLOCK = MC_BLOCK_NODES // 49
+    # a cap of 83 samples: the runs below cross several doublings and the
+    # cap, and the serial references stay as short as those runs
+    NODES = 4096
+    BLOCK = NODES // 49
+
+    @pytest.fixture(autouse=True)
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(mc, "MC_BLOCK_NODES", self.NODES)
 
     DENSITIES = (Density1D.exp_uniform(), Density1D.uniform(-1.0, 1.0))
 
