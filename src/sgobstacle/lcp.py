@@ -15,13 +15,13 @@ as the whole linear solve.  The plain sparse system solves the inactive
 block by banded Cholesky and declares it exact; the Galerkin system applies
 its Kronecker preconditioner, truncated at the spatial nodes that the set
 holds at every parameter node, and declares nothing, so its solves run
-conjugate gradients.  The sparse system refactors and re-solves only the
-diagonal blocks whose set or right-hand side moved.  Handed one band with
-a scale per copy (a Monte Carlo block whose samples share a stiffness
-shape), it keeps the factors of its (shape, held set) pairs in a
-``FactorStore`` that a Monte Carlo run shares among its block systems, and
-solves the blocks of one pair in one LAPACK ``dpbtrs`` call with one
-column per block.
+conjugate gradients.  The sparse system's diagonal blocks share one size,
+and it refactors and re-solves only the blocks whose set or right-hand side
+moved.  Handed one shape with a scale per block (a Monte Carlo block whose
+samples share a stiffness shape), it keeps the factors of its (shape, held
+set) pairs in a ``FactorStore`` that a Monte Carlo run shares among its
+block systems, and solves the blocks of one pair in one LAPACK ``dpbtrs``
+call with one column per block.
 
 The active set method is an inexact semismooth Newton iteration, and each
 of its steps is one linear solve on the inactive set.  The unconstrained
@@ -46,7 +46,6 @@ import time
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -155,14 +154,13 @@ class FactorStore:
 class SparseObstacleSystem:
     """Plain sparse LCP data; the preconditioner is an exact banded Cholesky solve.
 
-    The system keeps a lower band (LAPACK lower form, transposed: one row
-    per column) of A's diagonal blocks (the samples of a Monte Carlo block)
-    and their starts.  The band has m rows, m dividing n, and copy k of it,
-    A's rows k m to (k + 1) m, is ``scales[k]`` (else 1) times the band, so
-    a block's shape is the band's rows at its start modulo m.  A caller
-    that knows them passes ``band``, ``starts`` and ``scales``
-    (``mc._AffineSampler.build``); else the first apply reads them off A
-    (m = n), with duplicate entries summed.
+    A's diagonal blocks (the samples of a Monte Carlo block) share one size,
+    and the system keeps their lower bands (LAPACK lower form, transposed:
+    one row per column) as ``band`` (shapes, size, depth): block j, A's rows
+    j size to (j + 1) size, is ``scales[j]`` (else 1) times shape j modulo
+    shapes.  A caller that knows them passes ``band`` and ``scales``
+    (``mc._AffineSampler.build``); else the first apply reads the band off A
+    as one block, (1, n, depth), with duplicate entries summed.
 
     An apply of ``precond()`` moves the blocks whose held set differs from
     the one they were factored with (all at first) and solves again the
@@ -180,7 +178,7 @@ class SparseObstacleSystem:
     count the blocks moved, the blocks solved and the factors made.
     """
 
-    def __init__(self, A, b, band=None, starts=None, scales=None, store=None):
+    def __init__(self, A, b, band=None, scales=None, store=None):
         self.A = sp.csr_array(A)
         self.b = np.asarray(b, dtype=float)
         self.n = self.A.shape[0]
@@ -188,24 +186,26 @@ class SparseObstacleSystem:
             raise ValueError(f"A must be square, got shape {self.A.shape}")
         if self.b.shape != (self.n,):
             raise ValueError(f"b must have length {self.n}, got shape {self.b.shape}")
-        if (band is None) != (starts is None):
-            raise ValueError("band and starts are given together or not at all")
-        if band is not None and not (len(band) and self.n % len(band) == 0):
-            raise ValueError(f"the rows of band must divide {self.n}, got shape {band.shape}")
+        if band is not None:
+            if band.ndim != 3:
+                raise ValueError(f"band must be (shapes, size, depth), got shape {band.shape}")
+            if not (len(band) and band.shape[1] and self.n % (len(band) * band.shape[1]) == 0):
+                raise ValueError(f"the shapes times the size of band must divide {self.n}, "
+                                 f"got shape {band.shape}")
         if scales is not None:
             if band is None:
                 raise ValueError("scales need a band")
             scales = np.asarray(scales, dtype=float)
-            if scales.shape != (self.n // len(band),):
-                raise ValueError(f"scales must have one entry per copy of the band, "
+            if scales.shape != (self.n // band.shape[1],):
+                raise ValueError(f"scales must have one entry per block, "
                                  f"got shape {scales.shape}")
             store = FactorStore() if store is None else store
         elif store is not None:
             raise ValueError("a factor store needs scales")
-        self._band, self._starts, self._scales = band, starts, scales  # else read off A
+        self._band, self._scales = band, scales  # else read off A
         self._store = store  # with scales: the factors of the (shape, held set) pairs
         self._factor = None  # without scales: the stacked factors of the blocks
-        self._mask = None  # the set of entries held when each row was factored
+        self._held = None  # the set of entries held when each block was factored
         self._r, self._x = None, np.empty(self.n)  # right-hand side, solution of the last apply
         self.factored_blocks = self.solved_blocks = self.distinct_factorizations = 0
 
@@ -233,99 +233,87 @@ class SparseObstacleSystem:
         apply.exact = True
         return apply
 
-    @cached_property
-    def _sizes(self):
-        """The sizes of the diagonal blocks, once their starts are known."""
-        return np.diff(self._starts, append=self.n)
-
-    @cached_property
-    def _row_scales(self):
-        """The scale of each row, given ``scales``."""
-        return np.repeat(self._scales, len(self._band))
-
-    def _blocks(self, flags):
-        """The rows of the blocks flagged in ``flags``, as an index array."""
-        return np.flatnonzero(np.repeat(flags, self._sizes))
-
     def _apply(self, r, active):
-        """The solution for ``r`` with the ``active`` entries held.  The band
-        and the factors are kept transposed, one row per column of A, so the
-        blocks are gathered as rows and LAPACK reads them without a copy."""
+        """The solution for ``r`` with the ``active`` entries held.  ``r``,
+        ``active`` and the solution are seen as (blocks, size), so a block is
+        one index.  The band and the factors are kept transposed, one row per
+        column of A, so LAPACK reads the stacked blocks without a copy."""
         if self._band is None:
-            self._band, self._starts = _lower_band(self.A)
-        moved = (np.ones(len(self._starts), dtype=bool) if self._mask is None
-                 else np.logical_or.reduceat(active != self._mask, self._starts))
-        if self._scales is not None and np.any(moved & np.logical_or.reduceat(
-                ~(active | (self._row_scales > 0.0)), self._starts)):
+            self._band = _lower_band(self.A)[None]
+        r, held = r.reshape(-1, self._band.shape[1]), active.reshape(-1, self._band.shape[1])
+        moved = (np.ones(len(held), dtype=bool) if self._held is None
+                 else (held != self._held).any(axis=1))
+        if self._scales is not None and np.any(moved & ~(self._scales > 0.0)
+                                               & ~held.all(axis=1)):
             raise np.linalg.LinAlgError("a block with a free entry has a scale that is "
                                         "not positive")
-        solve = moved if self._r is None else (
-            moved | np.logical_or.reduceat(r != self._r, self._starts))
+        solve = moved if self._r is None else moved | (r != self._r).any(axis=1)
         if self._scales is None:
-            self._stacked_solve(r, active, moved, solve)
+            self._stacked_solve(r, held, moved, solve)
         else:
-            self._shared_solve(r, active, solve)
-        self._mask = active.copy()  # the blocks that did not move hold it already
+            self._shared_solve(r, held, solve)
+        self._held = held.copy()  # the blocks that did not move hold it already
         self.factored_blocks += int(np.count_nonzero(moved))
         self.solved_blocks += int(np.count_nonzero(solve))
         self._r = r.copy()
         return self._x.copy()
 
-    def _factored(self, rows, active):
-        """The stacked Cholesky factors of the blocks on ``rows`` (every
-        block for None), each of its shape masked by its entries held in
-        ``active``.  For every block, the gather is a plain copy of the
-        band's copies."""
-        m = len(self._band)
-        if rows is None:
-            band, held = np.tile(self._band, (self.n // m, 1)), active
+    def _factored(self, blocks, held):
+        """The stacked Cholesky factors (blocks, size, depth) of ``blocks``
+        (every block for None), each its shape masked by its row of
+        ``held``.  For every block, the gather is a plain copy of the band's
+        shapes."""
+        shapes, size, depth = self._band.shape
+        if blocks is None:
+            band = np.tile(self._band, (len(held) // shapes, 1, 1))
         else:
-            band, held = np.take(self._band, rows % m, axis=0), active[rows]
-        return cholesky_banded(_masked(band, held).T, lower=True,
-                               overwrite_ab=True, check_finite=False).T
+            band, held = self._band[blocks % shapes], held[blocks]
+        factor = cholesky_banded(_masked(band.reshape(-1, depth), held.ravel()).T, lower=True,
+                                 overwrite_ab=True, check_finite=False).T
+        return factor.reshape(-1, size, depth)
 
-    def _stacked_solve(self, r, active, moved, solve):
+    def _stacked_solve(self, r, held, moved, solve):
         """Refactor the blocks flagged in ``moved``, each a pair of its own,
         and solve those flagged in ``solve`` on their stacked rows."""
         count = int(np.count_nonzero(moved))
         if count == len(moved):
-            self._factor = self._factored(None, active)
+            self._factor = self._factored(None, held)
         elif count:
-            rows = self._blocks(moved)
-            self._factor[rows] = self._factored(rows, active)
+            blocks = np.flatnonzero(moved)
+            self._factor[blocks] = self._factored(blocks, held)
         self.distinct_factorizations += count
         if solve.any():
-            rows = slice(None) if solve.all() else self._blocks(solve)
-            self._x[rows] = _band_solve(self._factor[rows], r[rows])
+            blocks = slice(None) if solve.all() else np.flatnonzero(solve)
+            x = _band_solve(self._factor[blocks], r[blocks].ravel())
+            self._x.reshape(r.shape)[blocks] = x.reshape(-1, r.shape[1])
 
-    def _shared_solve(self, r, active, solve):
+    def _shared_solve(self, r, held, solve):
         """Solve the blocks flagged in ``solve`` on their pairs' factors from
         the store, one ``dpbtrs`` call per pair; the pairs that the store
         lacks are factored first, in one call on their first blocks."""
-        m, starts, sizes = len(self._band), self._starts, self._sizes
+        shapes = len(self._band)
         uses = {}  # each pair, and the blocks to solve that hold it
         for j in np.flatnonzero(solve):
-            s = starts[j]
-            uses.setdefault((s % m, active[s:s + sizes[j]].tobytes()), []).append(j)
+            uses.setdefault((j % shapes, held[j].tobytes()), []).append(j)
 
         def make(new):
-            first = np.zeros_like(solve)
-            first[[uses[key][0] for key in new]] = True
-            factor = self._factored(None if first.all() else self._blocks(first), active)
+            first = np.array([uses[key][0] for key in new])
+            factor = self._factored(None if len(new) == len(held) else first, held)
             self.distinct_factorizations += len(new)
-            return [f.copy() for f in np.split(factor, np.cumsum(sizes[first])[:-1])]
+            return [f.copy() for f in factor]
 
+        x = self._x.reshape(r.shape)
         for key, f in self._store.fetch(uses, make).items():
             blocks = uses[key]
-            rows = (starts[blocks][:, None] + np.arange(len(f))).ravel()
-            x = _band_solve(f, r[rows].reshape(len(blocks), -1).T)
-            self._x[rows] = x.T.ravel() / np.where(active[rows], 1.0, self._row_scales[rows])
+            x[blocks] = (_band_solve(f, r[blocks].T).T
+                         / np.where(held[blocks], 1.0, self._scales[blocks, None]))
 
 
 def _band_solve(factor, rhs):
     """``rhs`` (n,) or (n, k) solved with a banded Cholesky factor, given in
-    transposed lower form (n, depth), in one LAPACK ``dpbtrs`` call."""
-    x, info = dpbtrs(factor.T, rhs, lower=1)
+    transposed lower form (..., depth) of n rows, in one LAPACK ``dpbtrs``
+    call."""
+    x, info = dpbtrs(factor.reshape(-1, factor.shape[-1]).T, rhs, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"dpbtrs failed with info {info}")
     return x
@@ -334,31 +322,23 @@ def _band_solve(factor, rhs):
 def band_map(indptr, indices):
     """Where the stored entries of a CSR pattern go in its lower band.
 
-    Returns (lower, pos, depth, starts): ``lower`` indexes the stored
-    entries on or below the diagonal, and ``pos`` gives entry (j + k, j)'s
-    flat place j * depth + k in the transposed lower band (n, depth), as
-    deep as the farthest stored entry below the diagonal.  ``starts`` are
-    the starts of the diagonal blocks: a block starts at each column c that
-    no row from c on reaches below, so no stored entry (i, j) has
-    j < c <= i.
+    Returns (lower, pos, depth): ``lower`` indexes the stored entries on or
+    below the diagonal, and ``pos`` gives entry (j + k, j)'s flat place
+    j * depth + k in the transposed lower band (n, depth), as deep as the
+    farthest stored entry below the diagonal.
     """
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    k = rows - indices
+    k = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)) - indices
     depth = int(k.max(initial=0)) + 1
     lower = np.flatnonzero(k >= 0)
-    reach = np.arange(n)  # the first column each row couples to
-    np.minimum.at(reach, rows, indices)
-    starts = np.flatnonzero(np.minimum.accumulate(reach[::-1])[::-1] >= np.arange(n))
-    return lower, indices[lower] * depth + k[lower], depth, starts
+    return lower, indices[lower] * depth + k[lower], depth
 
 
 def _lower_band(A):
     """The lower band of the CSR matrix A, transposed, with duplicate entries
-    summed, and the starts of its diagonal blocks (``band_map``)."""
-    lower, pos, depth, starts = band_map(A.indptr, A.indices)
+    summed (``band_map``)."""
+    lower, pos, depth = band_map(A.indptr, A.indices)
     band = np.bincount(pos, weights=A.data[lower], minlength=A.shape[0] * depth)
-    return band.reshape(-1, depth), starts
+    return band.reshape(-1, depth)
 
 
 def _masked(band, held):

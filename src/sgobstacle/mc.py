@@ -16,22 +16,22 @@ data and their lifting are made per block (``fields.lift``), because they
 are not affine in y.  The systems are ``SparseObstacleSystem``s, whose
 preconditioner is an exact banded Cholesky solve of the system with unit
 rows on the active entries, so an active-set update is one apply of it and
-no conjugate gradients.  Block-diagonal stacking keeps the band of one
-sample.  When the stiffness terms fold to one spatial shape K
-(``fields.fold_terms``), as in both of the paper's examples, sample s's
-stiffness is c_s K with c_s = [1, y_s] times the terms' ratios to K: the
-sampler makes the band of K once per run, and a block hands it over with
-its samples' scales and the run's one ``lcp.FactorStore``, so samples that
-hold one active set share one Cholesky factor across every block of the
-run, and a block solves its samples of one factor in one call.  Otherwise
-the sampler finds where one sample's stiffness entries go in its band once
-per run (``lcp.band_map``), a block's band is one scatter of its stiffness
-rows, and each sample is factored on its own.  Either way the samples are
-the system's diagonal blocks.  An update refactors and solves again only
-the samples whose active set moved; ``MCResult`` counts the samples
-brought to a new set, the Cholesky factors made and the sample solves of
-the run, the store's hits, evictions and peak bytes, and the block systems
-solved.
+no conjugate gradients.  The samples are the system's diagonal blocks, of
+I rows each, so its band is (shapes, I, depth).  When the stiffness terms
+fold to one spatial shape K (``fields.fold_terms``), as in both of the
+paper's examples, sample s's stiffness is c_s K with c_s = [1, y_s] times
+the terms' ratios to K: the sampler makes the band of K once per run, and a
+block hands it over as its one shape (1, I, depth) with its samples' scales
+and the run's one ``lcp.FactorStore``, so samples that hold one active set
+share one Cholesky factor across every block of the run, and a block solves
+its samples of one factor in one call.  Otherwise the sampler finds where
+one sample's stiffness entries go in its band once per run
+(``lcp.band_map``), a block's band is one scatter of its stiffness rows, a
+shape per sample (B, I, depth), and each sample is factored on its own.  An
+update refactors and solves again only the samples whose active set moved;
+``MCResult`` counts the samples brought to a new set, the Cholesky factors
+made and the sample solves of the run, the store's hits, evictions and peak
+bytes, and the block systems solved.
 
 The first block holds one sample and each next one twice as many, up to
 the cap of ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at
@@ -169,7 +169,7 @@ class _AffineSampler:
     def _band(self, K_ii: np.ndarray) -> np.ndarray:
         """The lower bands of the stiffness entries ``K_ii`` (..., nnz) of
         one sample each, stacked along the rows."""
-        lower, pos, depth, _ = self.band_map
+        lower, pos, depth = self.band_map
         band = np.zeros(K_ii.shape[:-1] + (self.op.interior.shape[0] * depth,))
         band[..., pos] = K_ii[..., lower]
         return band.reshape(-1, depth)
@@ -180,25 +180,24 @@ class _AffineSampler:
         Returns the ``SparseObstacleSystem`` whose diagonal block j is the
         sample system at ``Y[j]``, the stacked obstacle (B * I,) and the
         Dirichlet data (B, n_boundary).  The system's band is the folded
-        band with the samples' scales [1, Y] ``ratios``, or else one scatter
-        of the block's stiffness rows through the band map, and each
-        sample's block starts are repeated.  The folded band comes with the
-        run's factor store.
+        band as its one shape (1, I, depth), with the samples' scales [1, Y]
+        ``ratios`` and the run's factor store, or else one scatter of the
+        block's stiffness rows through the band map, a shape per sample
+        (B, I, depth).
         """
         Y1 = np.column_stack((np.ones(len(Y)), Y))
         t = self.terms
         K_ii, K_ib, load, obs = (Y1 @ x for x in (t.K_ii, t.K_ib, t.load, t.obs))
         D, lifting = lift(self.op, self.dirichlet, Y, K_ib)
-        B, I = len(Y), self.op.interior.shape[0]
+        I, depth = self.op.interior.shape[0], self.band_map[2]
         if self.pattern[1].size < K_ii.size:
-            self.pattern = self.op.interior.pattern(B)
+            self.pattern = self.op.interior.pattern(len(Y))
         if self.band is None:
             band, scales = self._band(K_ii), None
         else:
             band, scales = self.band, Y1 @ self.ratios
         system = SparseObstacleSystem(self.op.interior.csr(K_ii, self.pattern),
-                                      (load - lifting).ravel(), band,
-                                      (I * np.arange(B)[:, None] + self.band_map[3]).ravel(),
+                                      (load - lifting).ravel(), band.reshape(-1, I, depth),
                                       scales, self.store)
         return system, obs.ravel(), D
 

@@ -39,7 +39,6 @@ __all__ = [
     "ParamGrid",
     "Gramians",
     "build_param_grid",
-    "deterministic_grid",
     "draw",
     "assemble_gramians",
     "hat_values",
@@ -211,8 +210,8 @@ def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int],
     """Uniform partition of each density's support into ``cells`` cells, in
     y or, ``in_xi``, in xi: hats linear in y or in xi.
 
-    With no densities the data are deterministic: the grid is
-    ``deterministic_grid()``, one parameter node of unit weight.
+    With no densities the data are deterministic: the grid is one
+    parameter node of unit weight.
     """
     densities = tuple(densities)
     if np.isscalar(cells):
@@ -226,11 +225,6 @@ def build_param_grid(densities: Sequence[Density1D], cells: int | Sequence[int],
         c, d = (rho.lo, rho.hi) if in_xi else rho.support
         breaks.append(np.linspace(c, d, m + 1))
     return ParamGrid(densities=densities, breakpoints=tuple(breaks), in_xi=in_xi)
-
-
-def deterministic_grid() -> ParamGrid:
-    """Zero-dimensional grid: a single parameter node with unit weight."""
-    return ParamGrid(densities=(), breakpoints=())
 
 
 def draw(densities: Sequence[Density1D], rng: np.random.Generator, n: int) -> np.ndarray:

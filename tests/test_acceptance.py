@@ -21,7 +21,7 @@ from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
                             complementarity_residual, psor_solve, solve_lcp)
 from sgobstacle.mc import mc_run
 from sgobstacle.mesh import build_uniform_mesh
-from sgobstacle.param import Density1D, build_param_grid, deterministic_grid
+from sgobstacle.param import Density1D, build_param_grid
 from sgobstacle.problems import example1
 from sgobstacle.runner import run_convergence, validate_config
 from sgobstacle.stats import exact_statistic, sg_mean, sg_variance
@@ -152,7 +152,7 @@ def test_criterion_6_degenerations():
 
     # (b) a single parameter node reproduces the deterministic FE obstacle
     # solution computed without any tensor machinery
-    sys_det = assemble_sg(mesh, deterministic_grid(), AffineField.build(1.0),
+    sys_det = assemble_sg(mesh, build_param_grid((), 1), AffineField.build(1.0),
                           AffineField.build(-8.0), AffineField.build(-0.04))
     u_sg, _ = solve_lcp(sys_det, sys_det.obs, cfg)
     ii = mesh.interior

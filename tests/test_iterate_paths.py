@@ -8,7 +8,10 @@ moves one of these paths changes how the solvers get to their answer, even
 when the answer stays within its tolerances.  The "hard shapes" variants
 give the coefficient modes that are not multiples of the mean, so the
 Galerkin matvec makes three sparse products and no Monte Carlo samples
-share a factor.
+share a factor.  The "moving contact" Monte Carlo run takes example1's
+fields with the constant obstacle -0.05 at nx = 32, where a block holds
+up to 17 samples whose contact sets differ, and the run's samples share 71
+factors.
 """
 
 import copy
@@ -70,16 +73,19 @@ def test_galerkin_solve(tmp_path, fields, path, factors):
     assert r["spatial_factors"] == factors
 
 
-@pytest.mark.parametrize("cfg, report, counts, distinct", [
-    (MC, "example1_mc_report.json", (50, 1282, 1282, 0), 8),
+@pytest.mark.parametrize("cfg, report, counts, distinct, blocks", [
+    (MC, "example1_mc_report.json", (50, 1282, 1282, 0), 8, 16),
     (dict(MC, problem="custom", custom=hard_shapes(EXAMPLE1_FIELDS)),
-     "ex1custom_mc_report.json", (64, 2122, 2122, 0), 2122),
-], ids=["example1", "hard shapes"])
-def test_monte_carlo(tmp_path, cfg, report, counts, distinct):
+     "ex1custom_mc_report.json", (64, 2122, 2122, 0), 2122, 16),
+    (dict(MC, problem="custom", custom=EXAMPLE1_FIELDS, schedule={"levels": [[32, 4]]}),
+     "ex1custom_mc_report.json", (206, 2306, 2306, 0), 71, 49),
+], ids=["example1", "hard shapes", "moving contact"])
+def test_monte_carlo(tmp_path, cfg, report, counts, distinct, blocks):
     r = run(tmp_path, "mc", cfg, report)
     assert (r["solver_iterations"], r["sample_factorizations"], r["sample_solves"],
             r["n_failed"]) == counts
     assert r["distinct_factorizations"] == distinct
+    assert r["blocks"] == blocks
     # every moved sample hits the run's factor store or makes a new pair;
     # samples of other shapes have no store, so each makes its own
     assert r["store_hits"] + distinct == r["sample_factorizations"]

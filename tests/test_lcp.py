@@ -359,8 +359,16 @@ def cholesky_calls(monkeypatch):
     return calls
 
 
+def given_blocks(A, b, size, scales=None, store=None):
+    """The system of A, whose diagonal blocks all have ``size`` rows, with
+    its band handed over as a shape per block, (blocks, size, depth)."""
+    band = lcp_module._lower_band(A)
+    return SparseObstacleSystem(A, b, band.reshape(-1, size, band.shape[1]), scales, store)
+
+
 class TestBandFactorReuse:
-    SIZES = (5, 1, 3, 1, 1, 7, 2)  # unequal blocks, 1 x 1 ones among them
+    SIZES = (5, 1, 3, 1, 1, 7, 2)  # unequal blocks, read off A as one
+    SIZE, BLOCKS = 3, 7  # equal blocks, handed over as a band of one shape each
 
     def test_preconditioner_declares_exactness(self):
         A = block_diagonal_spd(np.random.default_rng(0), self.SIZES)
@@ -400,10 +408,9 @@ class TestBandFactorReuse:
 
     def test_only_changed_blocks_are_refactored(self, cholesky_calls):
         rng = np.random.default_rng(67)
-        A = block_diagonal_spd(rng, self.SIZES)
+        A = block_diagonal_spd(rng, (self.SIZE,) * self.BLOCKS)
         n = A.shape[0]
-        starts = np.cumsum((0,) + self.SIZES[:-1])
-        system = SparseObstacleSystem(A, np.zeros(n))
+        system = given_blocks(A, np.zeros(n), self.SIZE)
         r = rng.standard_normal(n)
         active = np.zeros(n, dtype=bool)
         apply = system.precond()
@@ -411,29 +418,30 @@ class TestBandFactorReuse:
         assert cholesky_calls == [n]  # the first apply factors every block
         for block in (5, 0, 3):  # one block's set moves at a time
             active = active.copy()
-            active[starts[block]] = ~active[starts[block]]
+            active[block * self.SIZE] = ~active[block * self.SIZE]
             apply(np.where(active, 0.0, r), active)
-            assert cholesky_calls[-1] == self.SIZES[block]
+            assert cholesky_calls[-1] == self.SIZE
         count = len(cholesky_calls)
+        assert count == 4
         for again in (system.precond(), apply):  # the same set again, by a new apply or the same
             again(np.where(active, 0.0, r), active.copy())
         assert len(cholesky_calls) == count
         # two blocks moved at once: one call on their stacked columns
         active = active.copy()
-        active[[starts[1], starts[6] + 1]] = True
+        active[[1 * self.SIZE, 6 * self.SIZE + 1]] = True
         out = apply(np.where(active, 0.0, r), active)
         assert len(cholesky_calls) == count + 1
-        assert cholesky_calls[-1] == self.SIZES[1] + self.SIZES[6]
+        assert cholesky_calls[-1] == 2 * self.SIZE
         assert_same_solve(out, reduced_solve(A, active, np.where(active, 0.0, r)))
 
     def test_block_not_positive_definite_leaves_the_others_usable(self, cholesky_calls):
         rng = np.random.default_rng(71)
-        A = block_diagonal_spd(rng, self.SIZES).tolil()
+        A = block_diagonal_spd(rng, (self.SIZE,) * self.BLOCKS).tolil()
         n = A.shape[0]
-        bad = 5 + 1 + 3  # the 1 x 1 block at index 3
+        bad = 3 * self.SIZE  # the first entry of block 3
         A[bad, bad] = -1.0
         A = sp.csr_array(A)
-        system = SparseObstacleSystem(A, np.zeros(n))
+        system = given_blocks(A, np.zeros(n), self.SIZE)
         good = np.zeros(n, dtype=bool)
         good[bad] = True  # held at the obstacle, the negative pivot is gone
         r = np.where(good, 0.0, rng.standard_normal(n))
@@ -447,7 +455,7 @@ class TestBandFactorReuse:
         moved = good.copy()
         moved[0] = True
         out = apply(np.where(moved, 0.0, r), moved)
-        assert cholesky_calls[-1] == self.SIZES[0]
+        assert cholesky_calls[-1] == self.SIZE
         assert_same_solve(out, reduced_solve(A, moved, np.where(moved, 0.0, r)))
 
     def test_exact_updates_take_no_conjugate_gradient_step(self, monkeypatch):
@@ -470,23 +478,59 @@ class TestBandFactorReuse:
             assert rep.inner_iterations == rep.iterations + (x0 is None)
 
 
+class TestBlockContract:
+    """A system's diagonal blocks share one size, given by its band."""
+
+    SIZES = TestBandFactorReuse.SIZES
+
+    def test_system_read_off_A_is_one_block(self, cholesky_calls):
+        # unequal diagonal blocks read off A make one block of n rows: any
+        # move refactors and solves all of it, in one call on n columns
+        rng = np.random.default_rng(127)
+        A = block_diagonal_spd(rng, self.SIZES)
+        n = A.shape[0]
+        system = SparseObstacleSystem(A, np.zeros(n))
+        apply = system.precond()
+        active = np.zeros(n, dtype=bool)
+        for node in (None, 0, n - 1, n // 2):
+            if node is not None:
+                active = active.copy()
+                active[node] = True
+            r = np.where(active, 0.0, rng.standard_normal(n))
+            assert_same_solve(apply(r, active), reduced_solve(A, active, r))
+            assert cholesky_calls[-1] == n
+        assert system._band.shape == (1, n, max(self.SIZES))
+        assert len(cholesky_calls) == system.factored_blocks == system.solved_blocks == 4
+
+    def test_band_and_scales_must_fit_the_blocks(self):
+        A = block_diagonal_spd(np.random.default_rng(131), (3,) * 7)
+        n = A.shape[0]
+        band = lcp_module._lower_band(A)
+        with pytest.raises(ValueError, match=r"band must be \(shapes, size, depth\)"):
+            SparseObstacleSystem(A, np.zeros(n), band)
+        for shape in ((2, 3, -1), (1, 4, -1)):  # 6 and 4 rows do not divide 21
+            with pytest.raises(ValueError, match=f"size of band must divide {n}"):
+                SparseObstacleSystem(A, np.zeros(n), band[:np.prod(shape[:2])].reshape(shape))
+        for scales in ((1.0,), np.ones(21)):  # one block of 21 rows, or 21 of 1
+            with pytest.raises(ValueError, match="one entry per block"):
+                SparseObstacleSystem(A, np.zeros(n), band.reshape(1, 3, -1), scales)
+
+
 class TestSharedFactors:
     """Blocks that are positive multiples of one shape share its factors."""
 
-    SIZES = (3, 2)  # the shape's own diagonal blocks
+    SIZE = 5  # the shape's rows
     SCALES = (0.5, 2.0, 1.0, 3.0)
 
     def scaled_system(self, scales, seed=89, store=None):
         """The block-diagonal system of the ``scales`` times one SPD shape K,
-        with K's band and starts handed over, on ``store`` when one is
+        with K's band handed over as its one shape, on ``store`` when one is
         given; returns (system, A)."""
         rng = np.random.default_rng(seed)
-        K = block_diagonal_spd(rng, self.SIZES)
-        m = K.shape[0]
+        K = block_diagonal_spd(rng, (self.SIZE,))
         A = sp.csr_array(sp.block_diag([c * K for c in scales]))
-        band, starts = lcp_module._lower_band(K)
-        starts = (m * np.arange(len(scales))[:, None] + starts).ravel()
-        return SparseObstacleSystem(A, np.zeros(A.shape[0]), band, starts, scales, store), A
+        band = lcp_module._lower_band(K)[None]
+        return SparseObstacleSystem(A, np.zeros(A.shape[0]), band, scales, store), A
 
     def check(self, system, A, copies, r0):
         """Apply ``system`` on the held set ``copies`` (one mask per copy of
@@ -497,7 +541,7 @@ class TestSharedFactors:
 
     def test_mask_sequence_matches_the_reduced_solves(self):
         system, A = self.scaled_system(self.SCALES)
-        n, m = A.shape[0], sum(self.SIZES)
+        n, m = A.shape[0], self.SIZE
         rng = np.random.default_rng(97)
         one = rng.random(m) < 0.4
         masks = [np.zeros(n, dtype=bool), np.tile(one, len(self.SCALES)),
@@ -521,22 +565,22 @@ class TestSharedFactors:
         store = system._store
 
         # copies 0-2 hold nothing, copy 3 holds its first node: the pairs
-        # are (3-block, none), (2-block, none) and (3-block, first node)
+        # are (shape, none) and (shape, first node)
         self.check(system, A, [nothing, nothing, nothing, first], r0)
-        assert cholesky_calls == [3 + 2 + 3]
-        assert (system.factored_blocks, system.distinct_factorizations) == (8, 3)
+        assert cholesky_calls == [5 + 5]
+        assert (system.factored_blocks, system.distinct_factorizations) == (4, 2)
         # copy 3 moves to a set that copies 0-2 still hold: no factorization
         self.check(system, A, [nothing] * 4, r0)
-        assert cholesky_calls == [8]
-        assert (system.factored_blocks, system.distinct_factorizations) == (9, 3)
+        assert cholesky_calls == [10]
+        assert (system.factored_blocks, system.distinct_factorizations) == (5, 2)
         # no block holds the first node any more, yet the store keeps its
         # factor: copy 1 moving there makes none
         self.check(system, A, [nothing, first, nothing, nothing], r0)
-        assert cholesky_calls == [8]
-        assert (system.factored_blocks, system.distinct_factorizations) == (10, 3)
-        assert system.solved_blocks == 8 + 1 + 1  # only the moved blocks are solved again
+        assert cholesky_calls == [10]
+        assert (system.factored_blocks, system.distinct_factorizations) == (6, 2)
+        assert system.solved_blocks == 4 + 1 + 1  # only the moved blocks are solved again
         # every solved block made its pair or hit the store
-        assert store.hits == system.solved_blocks - system.distinct_factorizations == 7
+        assert store.hits == system.solved_blocks - system.distinct_factorizations == 4
         assert store.evictions == 0 and store.peak_bytes == store.bytes > 0
 
     def test_one_store_shares_pairs_across_block_systems(self, cholesky_calls):
@@ -548,13 +592,13 @@ class TestSharedFactors:
         one, A1 = self.scaled_system(self.SCALES, store=store)
         two, A2 = self.scaled_system((1.5, 0.25), store=store)
         self.check(one, A1, [nothing, first, nothing, first], r0)
-        assert cholesky_calls == [3 + 2 + 3]
+        assert cholesky_calls == [5 + 5]
         self.check(two, A2, [first, nothing], r0)
-        assert cholesky_calls == [8]  # both pairs are in the store
+        assert cholesky_calls == [10]  # both pairs are in the store
         self.check(two, A2, [first, np.array([False, False, False, True, True])], r0)
-        assert cholesky_calls == [8, 2]  # only (2-block, all held) is new
+        assert cholesky_calls == [10, 5]  # only (shape, last two held) is new
         made = one.distinct_factorizations + two.distinct_factorizations
-        assert made == 4 == len(store._factors)
+        assert made == 3 == len(store._factors)
         assert store.hits == one.solved_blocks + two.solved_blocks - made
 
     def test_evicted_pair_is_made_again_bit_for_bit(self, monkeypatch):
@@ -570,34 +614,34 @@ class TestSharedFactors:
             return made[-1]
 
         monkeypatch.setattr(lcp_module, "cholesky_banded", cholesky_banded)
-        depth = lcp_module._lower_band(self.scaled_system((1.0,))[1])[0].shape[1]
-        store = lcp_module.FactorStore(cap=max(self.SIZES) * depth * 8)
+        depth = lcp_module._lower_band(self.scaled_system((1.0,))[1]).shape[1]
+        store = lcp_module.FactorStore(cap=self.SIZE * depth * 8)
         nothing, first = np.zeros(5, dtype=bool), np.array([True, False, False, False, False])
         r0 = np.random.default_rng(113).standard_normal(5 * len(self.SCALES))
         one, A1 = self.scaled_system(self.SCALES, store=store)
-        self.check(one, A1, [nothing] * 4, r0)  # (3-block, none) and (2-block, none)
+        self.check(one, A1, [nothing, first, nothing, nothing], r0)  # (shape, none) and (shape, first)
         assert len(made) == 1 and store.evictions == 1
-        kept, = store._factors.values()
-        assert kept.shape[0] == 2  # the 2-block's pair came last, so it stays
+        assert list(store._factors) == [(0, first.tobytes())]  # the pair made last stays
         two, A2 = self.scaled_system((2.0,), store=store)
-        self.check(two, A2, [nothing], r0)  # the evicted (3-block, none) is made again
+        self.check(two, A2, [nothing], r0)  # the evicted (shape, none) is made again
         assert len(made) == 2 and store.evictions == 2
         assert one.distinct_factorizations + two.distinct_factorizations == 3
-        assert made[1].tobytes() == made[0][:, :3].tobytes()
+        assert made[1].tobytes() == made[0][:, :self.SIZE].tobytes()
         assert store.peak_bytes <= store.cap
 
     def test_one_shape_per_block_keys_nothing(self):
-        # read off A, every block is its own shape: each moved block is
+        # a band of one shape per block and no scales: each moved block is
         # factored, and no (shape, set) pair is built or kept
         _, A = self.scaled_system(self.SCALES)
-        system = SparseObstacleSystem(A, np.zeros(A.shape[0]))
+        system = given_blocks(A, np.zeros(A.shape[0]), self.SIZE)
+        assert len(system._band) == len(self.SCALES)
         apply = system.precond()
         rng = np.random.default_rng(107)
         for active in (np.zeros(A.shape[0], dtype=bool), rng.random(A.shape[0]) < 0.4):
             r = np.where(active, 0.0, rng.standard_normal(A.shape[0]))
             assert_same_solve(apply(r, active), reduced_solve(A, active, r))
         assert system._store is None
-        assert system.distinct_factorizations == system.factored_blocks > 2 * len(self.SCALES)
+        assert system.distinct_factorizations == system.factored_blocks > len(self.SCALES)
 
     @pytest.mark.parametrize("bad", [-0.5, 0.0])
     def test_scale_not_positive_raises_and_leaves_the_others_usable(self, bad,
@@ -633,7 +677,7 @@ class TestSharedFactors:
         moved = good.copy()
         moved[0] = True
         out = apply(np.where(moved, 0.0, r), moved)
-        assert cholesky_calls[-1] == self.SIZES[0]
+        assert cholesky_calls[-1] == self.SIZE
         expect = reduced_solve(A, moved, np.where(moved, 0.0, r))
         for rows in (slice(0, 5), slice(10, 15)):
             assert_same_solve(out[rows], expect[rows])
@@ -641,12 +685,12 @@ class TestSharedFactors:
     def test_scales_must_match_the_copies_of_the_band(self):
         system, A = self.scaled_system(self.SCALES)
         n = A.shape[0]
-        with pytest.raises(ValueError, match="copy"):
-            SparseObstacleSystem(A, np.zeros(n), system._band, system._starts, (1.0, 2.0))
+        with pytest.raises(ValueError, match="one entry per block"):
+            SparseObstacleSystem(A, np.zeros(n), system._band, (1.0, 2.0))
         with pytest.raises(ValueError, match="band"):
             SparseObstacleSystem(A, np.zeros(n), scales=self.SCALES)
         with pytest.raises(ValueError, match="store"):
-            SparseObstacleSystem(A, np.zeros(n), system._band, system._starts,
+            SparseObstacleSystem(A, np.zeros(n), system._band,
                                  store=lcp_module.FactorStore())
 
 
@@ -665,23 +709,23 @@ def solve_calls(monkeypatch):
 
 
 class TestMovedOnlySolves:
-    SIZES = TestBandFactorReuse.SIZES
+    SIZE, BLOCKS = TestBandFactorReuse.SIZE, TestBandFactorReuse.BLOCKS
 
     def test_only_moved_blocks_are_solved_again(self, solve_calls):
         # as in an active-set run, the right-hand side of a block depends on
         # its mask alone, so a block that keeps its mask keeps its solution
         rng = np.random.default_rng(73)
-        A = block_diagonal_spd(rng, self.SIZES)
+        A = block_diagonal_spd(rng, (self.SIZE,) * self.BLOCKS)
         n = A.shape[0]
-        starts = np.cumsum((0,) + self.SIZES[:-1])
-        block_of = np.repeat(np.arange(len(self.SIZES)), self.SIZES)
+        starts = np.arange(0, n, self.SIZE)
+        block_of = np.arange(n) // self.SIZE
         r0 = rng.standard_normal(n)
-        system = SparseObstacleSystem(A, r0)
+        system = given_blocks(A, r0, self.SIZE)
         active = np.zeros(n, dtype=bool)
         apply = system.precond()
         apply(r0, active)
         assert len(solve_calls) == 1 and solve_calls[0].size == n  # every block
-        solved = len(self.SIZES)
+        solved = self.BLOCKS
         for moves in ([0], [5, 2], [], [0, 3, 4], [6], list(range(7))):
             active = active.copy()
             active[starts[moves]] = ~active[starts[moves]]
@@ -700,9 +744,9 @@ class TestMovedOnlySolves:
 
     def test_new_right_hand_side_under_the_same_mask_is_solved(self, solve_calls):
         rng = np.random.default_rng(79)
-        A = block_diagonal_spd(rng, self.SIZES)
+        A = block_diagonal_spd(rng, (self.SIZE,) * self.BLOCKS)
         n = A.shape[0]
-        system = SparseObstacleSystem(A, np.zeros(n))
+        system = given_blocks(A, np.zeros(n), self.SIZE)
         active = rng.random(n) < 0.3
         active[-1] = False
         apply = system.precond()
@@ -711,33 +755,30 @@ class TestMovedOnlySolves:
         changed = r.copy()
         changed[-1] += 1.0  # the last block's right-hand side only
         out = apply(changed, active)
-        assert len(solve_calls) == 2 and solve_calls[-1].size == self.SIZES[-1]
+        assert len(solve_calls) == 2 and solve_calls[-1].size == self.SIZE
         assert_same_solve(out, reduced_solve(A, active, changed))
-        assert_array_equal(out[:-self.SIZES[-1]], first[:-self.SIZES[-1]])
+        assert_array_equal(out[:-self.SIZE], first[:-self.SIZE])
         # a result changed by its caller does not change what is remembered
         out[:] = np.nan
         assert_same_solve(apply(changed, active), reduced_solve(A, active, changed))
         assert len(solve_calls) == 2
-        assert system.factored_blocks == len(self.SIZES)
-        assert system.solved_blocks == len(self.SIZES) + 1
+        assert system.factored_blocks == self.BLOCKS
+        assert system.solved_blocks == self.BLOCKS + 1
 
     def test_handed_over_band_matches_the_pattern(self):
-        # a band and starts given by the caller drive the same solves as the
-        # ones read off A; giving only one of them is an error
+        # a band handed over as a shape per block drives the same solves as
+        # the one read off A, one block
         rng = np.random.default_rng(83)
-        A = block_diagonal_spd(rng, self.SIZES)
+        A = block_diagonal_spd(rng, (self.SIZE,) * self.BLOCKS)
         n = A.shape[0]
-        band, starts = lcp_module._lower_band(A)
-        assert_array_equal(starts, np.cumsum((0,) + self.SIZES[:-1]))
-        given = SparseObstacleSystem(A, np.zeros(n), band, starts)
+        band = lcp_module._lower_band(A)
+        given = given_blocks(A, np.zeros(n), self.SIZE)
         read = SparseObstacleSystem(A, np.zeros(n))
         for active in (np.zeros(n, dtype=bool), rng.random(n) < 0.5):
             r = np.where(active, 0.0, rng.standard_normal(n))
             assert_array_equal(given.precond()(r, active), read.precond()(r, active))
-        with pytest.raises(ValueError, match="together"):
-            SparseObstacleSystem(A, np.zeros(n), band)
-        with pytest.raises(ValueError, match="rows"):
-            SparseObstacleSystem(A, np.zeros(n), band[1:], starts)
+        assert given._band.shape == (self.BLOCKS, self.SIZE, band.shape[1])
+        assert read._band.tobytes() == given._band.tobytes()
 
 
 def boolean_masked(band, held):

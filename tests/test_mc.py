@@ -136,9 +136,9 @@ class TestAffineSampler:
                              [("example1", "exp"), ("example2", "exp")])
     def test_band_matches_the_block_pattern(self, name, parameterization):
         # the paper's examples fold to one stiffness shape: each block hands
-        # over the band of that shape, made once per run, and each sample's
-        # scale, and the scaled band and the repeated starts are those read
-        # off the sample's block of the CSR matrix; the problem comes from a
+        # over the band of that shape, made once per run, as its one shape,
+        # and each sample's scale, and the scaled band is the one read off
+        # the sample's block of the CSR matrix; the problem comes from a
         # Monte Carlo config
         prob = validate_config({"problem": name, "parameterization": parameterization,
                                 "mode": "mc", "schedule": {"levels": [[8, 1]]},
@@ -151,15 +151,14 @@ class TestAffineSampler:
         rng = np.random.default_rng(13)
         for B in (18, 12, 1):
             system, _, _ = sampler.build(draw(prob.densities, rng, B))
-            assert system._band is sampler.band
+            assert system._band.shape == (1,) + sampler.band.shape
+            assert np.shares_memory(system._band, sampler.band)
             assert system._scales.shape == (B,) and np.all(system._scales > 0.0)
             for j in range(B):
                 rows = slice(j * n, (j + 1) * n)
-                band, starts = _lower_band(system.A[rows][:, rows])
+                band = _lower_band(system.A[rows][:, rows])
                 assert_allclose(system._scales[j] * sampler.band, band, rtol=1e-14,
                                 atol=1e-14 * np.abs(band).max())
-                assert starts.tolist() == [0]
-            assert_allclose(system._starts, n * np.arange(B), rtol=0)
 
     @pytest.mark.parametrize("case, folds", [("example1", True), ("example2", True),
                                              ("hard", False), ("direct", False)])
@@ -187,10 +186,10 @@ class TestAffineSampler:
         if folds:
             assert_allclose(system._scales, np.column_stack((np.ones(3), Y)) @ sampler.ratios,
                             rtol=0)
-        else:  # the scattered band and starts are those read off the CSR matrix
-            band, starts = _lower_band(system.A)
+        else:  # the scattered band, a shape per sample, is the one read off the CSR matrix
+            band = _lower_band(system.A)
+            assert system._band.shape == (3, mesh.interior.size, band.shape[1])
             assert system._band.tobytes() == band.tobytes()
-            assert system._starts.tolist() == starts.tolist()
 
 
 class TestMCRun:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sgobstacle.param import (Density1D, _hat_factors_1d, assemble_gramians,
-                              build_param_grid, deterministic_grid, draw,
+                              build_param_grid, draw,
                               gauss_legendre, hat_values, kron_apply, tensor_points)
 from sgobstacle.stats import tensor_quadrature
 
@@ -96,7 +96,7 @@ class TestParamGrid:
         assert_allclose(nodes[:4, 0], 0.0)
 
     def test_deterministic_grid(self):
-        grid = deterministic_grid()
+        grid = build_param_grid((), 1)
         assert grid.n_dims == 0
         assert grid.n_nodes == 1
         assert grid.s == 0.0
@@ -184,7 +184,7 @@ class TestGramians:
         assert eigs.min() > 0
 
     def test_deterministic_gramians(self):
-        gram = assemble_gramians(deterministic_grid())
+        gram = assemble_gramians(build_param_grid((), 1))
         assert_allclose(gram.matrix(0).toarray(), [[1.0]])
         assert_allclose(gram.g0, [1.0])
         assert gram.gk == () and gram.mass_y == ()
@@ -387,7 +387,7 @@ class TestEigenbasis:
             assert np.all(np.diff(lam) > 0)
 
     def test_deterministic_grid_has_no_factors(self):
-        assert assemble_gramians(deterministic_grid()).eigenbasis() == []
+        assert assemble_gramians(build_param_grid((), 1)).eigenbasis() == []
 
 
 def _transfer(old, new_breaks, blocks):
@@ -434,6 +434,6 @@ class TestMultilinearEvaluate:
 
     def test_deterministic_grid_broadcast(self):
         # no parameter dimensions: the one block is the interpolant everywhere
-        got = _transfer(deterministic_grid(), [], np.array([[7.0, 8.0]]))
+        got = _transfer(build_param_grid((), 1), [], np.array([[7.0, 8.0]]))
         assert got.shape == (1, 2)
         assert_allclose(got, [[7.0, 8.0]])

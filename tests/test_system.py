@@ -11,7 +11,7 @@ from sgobstacle.fem import P1Operator
 from sgobstacle.fields import AffineField
 from sgobstacle.lcp import SolverConfig, SparseObstacleSystem, active_set_solve
 from sgobstacle.mesh import build_uniform_mesh
-from sgobstacle.param import Density1D, build_param_grid, deterministic_grid
+from sgobstacle.param import Density1D, build_param_grid
 from sgobstacle.problems import get_problem
 from sgobstacle.stats import sg_mean
 from sgobstacle.system import assemble_sg
@@ -35,7 +35,7 @@ def make_system(nx=4, cells=2):
 class TestDegenerateCases:
     def test_deterministic_grid_reduces_to_fem(self):
         mesh = build_uniform_mesh(RECT, 4)
-        grid = deterministic_grid()
+        grid = build_param_grid((), 1)
         a = AffineField.build(2.0)
         f = AffineField.build(1.0)
         g = AffineField.build(0.0)
@@ -237,7 +237,7 @@ class TestSpatialFactors:
 def _param_grid(cells):
     """Grid with unequal densities and cell counts; None is the deterministic grid."""
     if cells is None:
-        return deterministic_grid()
+        return build_param_grid((), 1)
     densities = [Density1D.exp_uniform(), Density1D.uniform(0.5, 2.0),
                  Density1D.exp_uniform(-0.5, 0.5)][:len(cells)]
     return build_param_grid(densities, cells)
