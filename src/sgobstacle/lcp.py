@@ -522,7 +522,7 @@ def _pcg(matvec, r, x0, precond, target, max_iter):
 
 
 def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(),
-                     x0: np.ndarray | None = None):
+                     x0: np.ndarray | None = None, held: np.ndarray | None = None):
     """Primal-dual active set iteration, run as an inexact semismooth Newton method.
 
     The contact indicator is lambda - d*(u - obs) > 0 with d = diag(A) and
@@ -537,7 +537,12 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     entries costs one matvec.  The cold start (no ``x0``) is the step with
     nothing held, from zero: its start residual is b, taken without a
     matvec, and its solution is lifted onto the obstacle.  After each update
-    one more matvec gives lambda.
+    one more matvec gives lambda.  The first update holds the contact
+    indicator of the start, or the boolean mask ``held`` when one is given
+    (the set of a nearby problem already solved, say); the start still gives
+    the start residual, so a start that already solves takes no update.  The
+    method converges from any start set on M-matrix systems, so ``held``
+    changes the path, not the answer.
 
     The primal-dual active set method is a semismooth Newton method
     (Hintermüller, Ito and Kunisch, SIOPT 2003), so an update's linear solve
@@ -622,7 +627,12 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
         ok = ok or inner_total == cg_max
     u = np.maximum(np.asarray(x0, dtype=float), obs)
     lam = system.matvec(u) - b
-    active = (lam - d * (u - obs)) > 0.0
+    if held is None:
+        active = (lam - d * (u - obs)) > 0.0
+    else:
+        active = np.array(held, dtype=bool)
+        if active.shape != (system.n,):
+            raise ValueError(f"held must have length {system.n}, got shape {active.shape}")
     residual = _max_violation(u, obs, lam)
 
     solved = {}  # set (as bytes) -> whether its last solve was tight
@@ -665,10 +675,11 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
 
 
 def solve_lcp(system, obs: np.ndarray, config: SolverConfig,
-              x0: np.ndarray | None = None):
+              x0: np.ndarray | None = None, held: np.ndarray | None = None):
+    """``config.method``'s solve from ``x0``; projected SOR ignores ``held``."""
     if config.method == "psor":
         return psor_solve(system, obs, config, x0)
-    return active_set_solve(system, obs, config, x0)
+    return active_set_solve(system, obs, config, x0, held)
 
 
 def brute_force_solve(A: np.ndarray, b: np.ndarray, obs: np.ndarray,

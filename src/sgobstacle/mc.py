@@ -4,11 +4,10 @@ A run draws its parameter rows from one RNG stream, seeded by its seed,
 one block per call (``param.draw``), so the draws do not depend on how
 samples are grouped.  Samples are solved in blocks: a block of B samples is
 one block-diagonal LCP whose diagonal block j is the obstacle problem at
-the j-th parameter row, solved with the configured LCP solver from the
-running mean; its solutions enter the accumulator in one pairwise update
-of the block's mean and sum of squared deviations.  The rows are drawn in y
-whatever the experiment's parameterization, which only concerns the Galerkin
-hats.  One sampler per run serves every field: it maps the affine terms of
+the j-th parameter row, solved with the configured LCP solver; its
+solutions enter the accumulator in one pairwise update of the block's mean
+and sum of squared deviations.  The rows are drawn in y whatever the
+experiment's parameterization, which only concerns the Galerkin hats.  One sampler per run serves every field: it maps the affine terms of
 a, f and g through the mesh operator once (``fields.affine_factors``, the
 data of the Galerkin system), and a block's stiffness entries, loads and
 obstacle values are [1, Y] times those terms for its rows Y.  The Dirichlet
@@ -31,16 +30,26 @@ shape per sample (B, I, depth), and each sample is factored on its own.  An
 update refactors and solves again only the samples whose active set moved;
 ``MCResult`` counts the samples brought to a new set, the Cholesky factors
 made and the sample solves of the run, the store's hits, evictions and peak
-bytes, and the block systems solved.
+bytes, the block systems solved and the samples that kept their start set.
 
-The first block holds one sample and each next one twice as many, up to
-the cap of ``MC_BLOCK_NODES`` interior nodes divided by the sample size (at
-least one sample), so only the first sample starts cold and the rest start
-from a running mean.  Past the first few blocks a run solves few block
-systems, and more samples of one (shape, active set) pair share each solve
-call.  The block's arrays grow with the cap, the shared factors do not: a
-CLI run of 768 samples of the paper's example 1 at nx = 16 peaked at 64.2 /
-66.8 / 76.5 MB RSS with caps of 4096 / 16384 / 65536 nodes.  The store
+The first block holds one sample and starts cold.  Each next block holds
+twice as many, up to the cap of ``MC_BLOCK_NODES`` interior nodes divided
+by the sample size (at least one sample), and starts from the running mean
+with a start set per sample.  Of the last block that converged the run
+keeps one parameter row per distinct final set (the entries where u sits
+on the obstacle), and a sample's first active-set update holds the set of
+the kept row nearest to its own in y (projected SOR ignores the set).  The
+active set method converges from any start set on these M-matrix systems,
+so a start set changes the path, not the answer; a block whose samples all
+keep their start sets takes one update, and ``start_sets_kept`` counts the
+samples that keep theirs.  The nearest rows come from one (B, D) table for
+a block of B samples and D <= min(B, 2^I) kept sets, not from a table of
+the two blocks' rows (16,384 x 8,192 doubles at nx = 2).  Past the first
+few blocks a run solves few block systems, and more samples of one (shape,
+active set) pair share each solve call.  The block's arrays grow with the
+cap, the shared factors do not: a CLI run of 768 samples of the paper's
+example 1 at nx = 16 peaked at 64.2 / 66.8 / 76.5 MB RSS with caps of
+4096 / 16384 / 65536 nodes.  The store
 keeps at most ``MC_FACTOR_BYTES`` of factors and drops the least recently
 used beyond: a factor takes 2.1 MB at nx = 64, where 768 samples of a
 moving contact set can hold 414 distinct sets, 0.87 GB of factors.  One
@@ -121,6 +130,7 @@ class MCResult:
     store_evictions: int = 0  # factors the store dropped at its cap
     store_peak_bytes: int = 0  # the most bytes the store held
     blocks: int = 0  # block systems solved, not counting per-sample retries
+    start_sets_kept: int = 0  # samples whose start set was also their final set
 
     @property
     def mean(self) -> np.ndarray:
@@ -202,6 +212,12 @@ class _AffineSampler:
         return system, obs.ravel(), D
 
 
+def _nearest(Y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index of the row of ``rows`` (D, M) nearest to each row of ``Y``
+    (B, M) in the Euclidean norm, from one (B, D) table."""
+    return np.argmin(np.einsum("ij,ij->i", rows, rows) - 2.0 * (Y @ rows.T), axis=1)
+
+
 def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
            solver: SolverConfig | None = None, dirichlet=None) -> MCResult:
     """Run the Monte Carlo baseline and return accumulated nodal moments.
@@ -223,23 +239,36 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
 
     acc = MCAccumulator()
     n_failed = 0
-    iters = factorizations = distinct = solves = blocks = 0
+    iters = factorizations = distinct = solves = blocks = kept = 0
+    # of the last block that converged: a parameter row per distinct final set
+    rows = sets = None
 
     def solve_block(Y) -> bool:
-        """Solve the rows of Y as one system, warm-started from the running
-        mean, and accumulate them in order if it converged; returns whether
-        it did."""
-        nonlocal iters, factorizations, distinct, solves
+        """Solve the rows of Y as one system, from the running mean with each
+        sample's first update holding the final set of its nearest row, and
+        accumulate them in order if it converged; returns whether it did."""
+        nonlocal iters, factorizations, distinct, solves, kept, rows, sets
         system, obs, boundary = sampler.build(Y)
-        x0 = None if acc.mean is None else np.maximum(
-            np.tile(acc.mean[mesh.interior], len(Y)), obs)
-        u, report = solve_lcp(system, obs, solver, x0=x0)
+        x0 = held = None
+        if acc.mean is not None:
+            x0 = np.maximum(np.tile(acc.mean[mesh.interior], len(Y)), obs)
+            held = sets[_nearest(Y, rows)].ravel()
+        u, report = solve_lcp(system, obs, solver, x0=x0, held=held)
         iters += report.iterations
         factorizations += system.factored_blocks
         distinct += system.distinct_factorizations
         solves += system.solved_blocks
         if report.converged:
-            acc.update(mesh.full_values(u.reshape(len(Y), -1), boundary))
+            u = u.reshape(len(Y), -1)
+            final = u <= obs.reshape(u.shape)
+            if held is not None:
+                kept += int(np.count_nonzero((held.reshape(u.shape) == final).all(axis=1)))
+            # each packed row as one item of bytes: np.unique(axis=0) on the
+            # packed rows is about 200 times slower on a block at nx = 64
+            packed = np.packbits(final, axis=1)
+            first = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True)[1]
+            rows, sets = Y[first], final[first]
+            acc.update(mesh.full_values(u, boundary))
         return report.converged
 
     t_loop = time.perf_counter()
@@ -263,4 +292,5 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
                     solver_iterations=iters, sample_factorizations=factorizations,
                     sample_solves=solves, distinct_factorizations=distinct,
                     store_hits=store.hits, store_evictions=store.evictions,
-                    store_peak_bytes=store.peak_bytes, blocks=blocks)
+                    store_peak_bytes=store.peak_bytes, blocks=blocks,
+                    start_sets_kept=kept)

@@ -578,6 +578,7 @@ def run_mc(cfg: ExperimentConfig):
         "store_evictions": result.store_evictions,
         "store_peak_bytes": result.store_peak_bytes,
         "blocks": result.blocks,
+        "start_sets_kept": result.start_sets_kept,
         "level": cfg.mc_level,
         "nx": level.nx,
         "mc_seconds": mc_seconds,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -165,7 +165,13 @@ def small_sg_lcps(draw):
     return system, obs, obs + lift
 
 
-@settings(max_examples=40, deadline=None, database=None)
+# the strategy assembles a Galerkin system per example, which Hypothesis's
+# too_slow health check times along with the draws; the solves are not timed
+GALERKIN_SETTINGS = settings(max_examples=40, deadline=None, database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@GALERKIN_SETTINGS
 @given(small_sg_lcps())
 def test_active_set_matches_enumeration_on_galerkin_systems(lcp):
     # the Kronecker preconditioner is inexact once a mode's shape differs
@@ -177,6 +183,85 @@ def test_active_set_matches_enumeration_on_galerkin_systems(lcp):
         u, rep = active_set_solve(system, obs, SolverConfig(tol=1e-12), x0=start)
         assert rep.converged
         assert np.max(np.abs(u - exact)) <= 1e-8
+
+
+def solve_catching_sets(system, obs, config, **kwargs):
+    """``active_set_solve`` and the sets that its preconditioner applies
+    held, in call order: the cold start's empty set first, if there is one,
+    and the set of the last update last."""
+    sets = []
+    precond = system.precond
+
+    def catching():
+        apply = precond()
+
+        def caught(r, active):
+            sets.append(np.array(active, dtype=bool))
+            return apply(r, active)
+
+        caught.exact = getattr(apply, "exact", False)
+        return caught
+
+    system.precond = catching
+    try:
+        u, rep = active_set_solve(system, obs, config, **kwargs)
+    finally:
+        del system.precond
+    return u, rep, sets
+
+
+def check_start_sets(make_system, exact, obs, held, exact_path):
+    """From ``held``, with a cold start and with the start on the obstacle,
+    the solve matches the enumerated solution ``exact``, and so does a cold
+    solve whose first update holds the final set of an earlier solve.  On
+    the exact path that solve takes one update (none if the earlier one
+    took none) and returns the earlier u, bit for bit."""
+    cfg = SolverConfig(tol=1e-12)
+    for x0 in (None, obs):
+        u, rep = active_set_solve(make_system(), obs, cfg, x0=x0, held=held)
+        assert rep.converged
+        assert np.max(np.abs(u - exact)) <= 1e-8
+    u, rep, sets = solve_catching_sets(make_system(), obs, cfg)
+    final = sets[-1] if sets else np.zeros(len(obs), dtype=bool)
+    again, rep_again = active_set_solve(make_system(), obs, cfg, held=final)
+    assert rep.converged and rep_again.converged
+    assert np.max(np.abs(again - exact)) <= 1e-8
+    if exact_path:
+        assert rep_again.iterations == min(rep.iterations, 1)
+        assert again.tobytes() == u.tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(m_matrix_lcps(), st.data())
+def test_start_set_matches_enumeration_on_m_matrices(lcp, data):
+    # the first update holds a drawn set in place of the start's contact
+    # indicator; on M-matrices the method converges from any set
+    A, b, obs = lcp
+    held = data.draw(hnp.arrays(bool, len(b)))
+    check_start_sets(lambda: SparseObstacleSystem(sp.csr_array(A), b),
+                     brute_force_solve(A, b, obs), obs, held, True)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(m_matrix_lcps(), min_size=1, max_size=4), st.data())
+def test_start_set_matches_enumeration_on_block_diagonal_lcps(lcps, data):
+    # a Monte Carlo block: each sample's rows start from a set of their own
+    A = sp.block_diag([A for A, _, _ in lcps], format="csr")
+    b = np.concatenate([b for _, b, _ in lcps])
+    obs = np.concatenate([obs for _, _, obs in lcps])
+    exact = np.concatenate([brute_force_solve(*lcp) for lcp in lcps])
+    held = data.draw(hnp.arrays(bool, len(b)))
+    check_start_sets(lambda: SparseObstacleSystem(A, b), exact, obs, held, True)
+
+
+@GALERKIN_SETTINGS
+@given(small_sg_lcps(), st.data())
+def test_start_set_matches_enumeration_on_galerkin_systems(lcp, data):
+    # the conjugate gradient path: the first update's solve is loose
+    system, obs, _ = lcp
+    held = data.draw(hnp.arrays(bool, system.n))
+    check_start_sets(lambda: system, brute_force_solve(system.explicit().toarray(), system.b, obs),
+                     obs, held, False)
 
 
 def test_banded_cholesky_sums_duplicate_entries():
@@ -1026,6 +1111,25 @@ class TestActiveSet:
         u_warm, _ = active_set_solve(system, obs, cfg, x0=x0)
         assert np.max(np.abs(u_cold - u_warm)) <= 1e-9
 
+    def test_start_that_solves_takes_no_update_whatever_it_holds(self):
+        # the start gives the start residual even when ``held`` gives the
+        # first set, so a solved start returns at once
+        A, b, obs = random_lcp(np.random.default_rng(23))
+        system = SparseObstacleSystem(sp.csr_array(A), b)
+        cfg = SolverConfig(tol=1e-10)
+        u, rep = active_set_solve(system, obs, cfg)
+        assert rep.converged and rep.iterations > 0
+        for held in (np.zeros(8, dtype=bool), np.ones(8, dtype=bool), u > obs):
+            again, rep_again = active_set_solve(system, obs, cfg, x0=u, held=held)
+            assert rep_again.converged and rep_again.iterations == 0
+            assert again.tobytes() == np.maximum(u, obs).tobytes()
+
+    def test_start_set_must_fit_the_system(self):
+        A, b, obs = random_lcp(np.random.default_rng(23))
+        with pytest.raises(ValueError, match="held must have length 8"):
+            active_set_solve(SparseObstacleSystem(sp.csr_array(A), b), obs, SolverConfig(),
+                             held=np.zeros(7, dtype=bool))
+
     def test_indefinite_system_reports_failure(self):
         # with A = diag(1, -1) the first PCG step has p.Ap = 0
         system = SparseObstacleSystem(sp.csr_array(np.diag([1.0, -1.0])),
@@ -1275,6 +1379,14 @@ class TestDispatcherAndConfig:
             cfg = SolverConfig(method=method, tol=1e-12, max_iter=20_000)
             u, rep = solve_lcp(system, obs, cfg)
             assert np.max(np.abs(u - exact)) <= 1e-9
+
+    def test_projected_sor_ignores_the_start_set(self):
+        A, b, obs = random_lcp(np.random.default_rng(31))
+        system = SparseObstacleSystem(sp.csr_array(A), b)
+        cfg = SolverConfig(method="psor", tol=1e-12, max_iter=20_000)
+        u, rep = solve_lcp(system, obs, cfg, x0=obs + 1.0)
+        held, rep_held = solve_lcp(system, obs, cfg, x0=obs + 1.0, held=np.ones(8, dtype=bool))
+        assert held.tobytes() == u.tobytes() and rep_held.iterations == rep.iterations
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

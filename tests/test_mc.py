@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -210,21 +211,23 @@ class TestMCRun:
 
     def test_capped_store_keeps_the_run(self, monkeypatch):
         # a factor store that holds one factor evicts pairs and makes them
-        # again, yet the run takes the same path to the same moments
+        # again, yet the run takes the same path to the same moments; with
+        # example1's fields and the constant obstacle -0.05 the contact set
+        # moves from sample to sample, so evicted pairs come back
         prob = get_problem("example1")
         mesh = build_uniform_mesh(prob.rect, 8)
+        fields = dict(prob.fields, g=AffineField.build(-0.05))
 
         def run():
-            return mc_run(mesh, prob.fields, prob.densities, 96, seed=7,
-                          dirichlet=prob.dirichlet)
+            return mc_run(mesh, fields, prob.densities, 96, seed=7)
 
         def path(res):
             return (res.solver_iterations, res.sample_factorizations, res.sample_solves,
                     res.n_failed)
 
         free = run()
-        one = _AffineSampler(mesh, prob.fields["a"], prob.fields["f"], prob.fields["g"],
-                             prob.dirichlet, len(prob.densities)).band.nbytes
+        one = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"], None,
+                             len(prob.densities)).band.nbytes
         monkeypatch.setattr(mc, "MC_FACTOR_BYTES", one)
         capped = run()
         assert path(capped) == path(free)
@@ -236,10 +239,61 @@ class TestMCRun:
         assert_allclose(capped.mean, free.mean, rtol=0, atol=1e-15)
         assert_allclose(capped.variance(), free.variance(), rtol=0, atol=1e-15)
 
+    def test_samples_start_from_the_set_of_the_nearest_row(self, monkeypatch):
+        # after the cold first block, each sample's first update holds the
+        # final set (u on the obstacle) of the nearest parameter row among
+        # the previous block's first rows of each distinct final set;
+        # start_sets_kept counts the samples whose final set is that set
+        calls = []
+
+        def recorded(system, obs, config, x0=None, held=None):
+            u, report = solve_lcp(system, obs, config, x0=x0, held=held)
+            calls.append((held, u <= obs))
+            return u, report
+
+        solve_lcp = mc.solve_lcp
+        monkeypatch.setattr(mc, "solve_lcp", recorded)
+        prob = get_problem("example1")
+        mesh = build_uniform_mesh(prob.rect, 8)
+        fields = dict(prob.fields, g=AffineField.build(-0.05))  # a moving contact set
+        res = mc_run(mesh, fields, prob.densities, 40, seed=7)
+        assert res.n_failed == 0 and res.blocks == len(calls) == 6  # 1, 2, 4, 8, 16 and 9
+        Y = np.split(draw(prob.densities, np.random.default_rng(7), 40), [1, 3, 7, 15, 31])
+        assert calls[0][0] is None
+        kept = 0
+        for Y_prev, (_, final), Y_now, (held, now) in zip(Y, calls, Y[1:], calls[1:]):
+            first = {}  # each distinct final set and its first row
+            for y, row in zip(Y_prev, final.reshape(len(Y_prev), -1)):
+                first.setdefault(row.tobytes(), (y, row))
+            for y, start, end in zip(Y_now, held.reshape(len(Y_now), -1),
+                                     now.reshape(len(Y_now), -1)):
+                nearest = min(first.values(), key=lambda pair: np.sum((pair[0] - y) ** 2))
+                assert np.array_equal(start, nearest[1])
+                kept += np.array_equal(start, end)
+        assert 0 < res.start_sets_kept == kept < 39
+
+    def test_start_sets_keep_a_run_of_tiny_samples_small(self):
+        # at I = 1 a block holds MC_BLOCK_NODES samples; the next block's
+        # rows find their start sets among the distinct final sets of the
+        # previous block, not in a table of every pair of rows
+        mesh = build_uniform_mesh(RECT, 2)
+        fields = {"a": AffineField.build(1.0, [(1.0, one, 0)]),
+                  "f": AffineField.build(-1.0),
+                  "g": AffineField.build(-0.04)}  # binds at some samples only
+        n = 2 * MC_BLOCK_NODES + 1
+        tracemalloc.start()
+        try:
+            res = mc_run(mesh, fields, (Density1D.exp_uniform(),), n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_failed == 0 and 0 < res.start_sets_kept < n - 1
+        assert peak < 16 * 2 ** 20
+
     def test_run_frees_its_factor_store(self, monkeypatch):
         # the store can hold hundreds of MB, so it goes with its run and
         # does not wait for the cyclic garbage collector; the run is one
-        # whose samples leave the running mean's set and hit the store
+        # whose samples hit the store
         stores = []
 
         def tracked(*args):
@@ -331,9 +385,9 @@ class TestMCRun:
         # block holding the rest
         solves = []
 
-        def counted(system, obs, config, x0=None):
+        def counted(system, obs, config, x0=None, held=None):
             solves.append(obs.size // mesh.interior.size)
-            return solve_lcp(system, obs, config, x0=x0)
+            return solve_lcp(system, obs, config, x0=x0, held=held)
 
         solve_lcp = mc.solve_lcp
         monkeypatch.setattr(mc, "solve_lcp", counted)

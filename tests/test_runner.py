@@ -789,7 +789,8 @@ class TestRunMC:
         # one set share a factor
         assert 0 < report["distinct_factorizations"] == result.distinct_factorizations \
             <= result.sample_factorizations
-        for key in ("store_hits", "store_evictions", "store_peak_bytes", "blocks"):
+        for key in ("store_hits", "store_evictions", "store_peak_bytes", "blocks",
+                    "start_sets_kept"):
             assert report[key] == getattr(result, key)
         assert result.blocks == 4  # 1, 2, 4 and the last sample
         assert result.store_hits + result.distinct_factorizations \
