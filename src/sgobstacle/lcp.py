@@ -259,29 +259,23 @@ class SparseObstacleSystem:
         return self._x.copy()
 
     def _factored(self, blocks, held):
-        """The stacked Cholesky factors (blocks, size, depth) of ``blocks``
-        (every block for None), each its shape masked by its row of
-        ``held``.  For every block, the gather is a plain copy of the band's
-        shapes."""
+        """The stacked Cholesky factors (blocks, size, depth) of the block
+        indices ``blocks``, each its shape masked by its row of ``held``."""
         shapes, size, depth = self._band.shape
-        if blocks is None:
-            band = np.tile(self._band, (len(held) // shapes, 1, 1))
-        else:
-            band, held = self._band[blocks % shapes], held[blocks]
-        factor = cholesky_banded(_masked(band.reshape(-1, depth), held.ravel()).T, lower=True,
+        band = self._band[blocks % shapes].reshape(-1, depth)
+        factor = cholesky_banded(_masked(band, held[blocks].ravel()).T, lower=True,
                                  overwrite_ab=True, check_finite=False).T
         return factor.reshape(-1, size, depth)
 
     def _stacked_solve(self, r, held, moved, solve):
         """Refactor the blocks flagged in ``moved``, each a pair of its own,
         and solve those flagged in ``solve`` on their stacked rows."""
-        count = int(np.count_nonzero(moved))
-        if count == len(moved):
-            self._factor = self._factored(None, held)
-        elif count:
-            blocks = np.flatnonzero(moved)
+        blocks = np.flatnonzero(moved)
+        if self._factor is None:  # the first apply moves every block
+            self._factor = self._factored(blocks, held)
+        elif blocks.size:
             self._factor[blocks] = self._factored(blocks, held)
-        self.distinct_factorizations += count
+        self.distinct_factorizations += blocks.size
         if solve.any():
             blocks = slice(None) if solve.all() else np.flatnonzero(solve)
             x = _band_solve(self._factor[blocks], r[blocks].ravel())
@@ -297,8 +291,7 @@ class SparseObstacleSystem:
             uses.setdefault((j % shapes, held[j].tobytes()), []).append(j)
 
         def make(new):
-            first = np.array([uses[key][0] for key in new])
-            factor = self._factored(None if len(new) == len(held) else first, held)
+            factor = self._factored(np.array([uses[key][0] for key in new]), held)
             self.distinct_factorizations += len(new)
             return [f.copy() for f in factor]
 
@@ -405,16 +398,17 @@ def greedy_colouring(A) -> list:
 
 
 def _colour_ordered(A):
-    """A with rows and columns in greedy colour order, as one CSR matrix.
+    """A with rows and columns in greedy colour order, ``A[order][:, order]``.
 
     Returns (P, bounds, order, rank): row k of P is row ``order[k]`` of A
     with its columns renumbered by ``rank``, which inverts ``order``, and
-    colour c owns the rows ``bounds[c]:bounds[c + 1]``.  P keeps the order
-    of A's stored entries within each row.  When A's rows already are in
-    colour order (one colour, or a dense matrix) P is A itself and
-    ``order`` and ``rank`` are full slices.  This runs on every PSOR call,
-    so a Monte Carlo block of one-node samples (a diagonal matrix) costs
-    one colouring pass here and no permutation.
+    colour c owns the rows ``bounds[c]:bounds[c + 1]``.  scipy's column
+    gather keeps the order of A's stored entries within each row, so a row
+    product of P sums in A's order.  When A's rows already are in colour
+    order (one colour, or a dense matrix) P is A itself and ``order`` and
+    ``rank`` are full slices.  This runs on every PSOR call, so a Monte
+    Carlo block of one-node samples (a diagonal matrix) costs one colouring
+    pass here and no permutation.
     """
     colour = greedy_colouring(A)
     ranked = sorted(colour)
@@ -422,13 +416,7 @@ def _colour_ordered(A):
     if ranked == colour:
         return A, bounds, slice(None), slice(None)
     order = np.argsort(colour, kind="stable")
-    rank = order.argsort()
-    lengths = (A.indptr[1:] - A.indptr[:-1])[order]
-    ptr = np.zeros_like(A.indptr)
-    lengths.cumsum(out=ptr[1:])
-    gather = (A.indptr[:-1][order] - ptr[:-1]).repeat(lengths) + np.arange(ptr[-1])
-    P = sp.csr_array((A.data[gather], rank[A.indices[gather]], ptr), shape=A.shape)
-    return P, bounds, order, rank
+    return A[order][:, order], bounds, order, order.argsort()
 
 
 def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(method="psor"),

@@ -61,7 +61,7 @@ one sample at a time on its own rows, and failures stay counted per sample.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
@@ -106,10 +106,11 @@ class MCAccumulator:
         self.mean += delta * (count / n)
         self.n = n
 
-    def variance(self, ddof: int = 1) -> np.ndarray:
-        if self.n <= ddof:
-            raise ValueError("not enough samples for the requested ddof")
-        return self.m2 / (self.n - ddof)
+    def variance(self) -> np.ndarray:
+        """The unbiased sample variance, m2 / (n - 1)."""
+        if self.n < 2:
+            raise ValueError("the sample variance needs at least two samples")
+        return self.m2 / (self.n - 1)
 
     def standard_error(self) -> np.ndarray:
         return np.sqrt(self.variance() / self.n)
@@ -117,12 +118,15 @@ class MCAccumulator:
 
 @dataclass
 class MCResult:
+    """The moments and counters of one ``mc_run``.  The counters are the
+    fields that start at 0, and ``counters()`` lists them in their order."""
+
     accumulator: MCAccumulator
     n_samples: int
-    n_failed: int
     seed: int
     timings: dict = field(default_factory=dict)
-    solver_iterations: int = 0
+    n_failed: int = 0  # samples whose solve did not converge
+    solver_iterations: int = 0  # active-set updates or PSOR sweeps, over every block system
     sample_factorizations: int = 0  # sample blocks brought to a new active set
     sample_solves: int = 0  # sample blocks solved with a factor
     distinct_factorizations: int = 0  # Cholesky factors made, over every block system
@@ -138,6 +142,10 @@ class MCResult:
 
     def variance(self) -> np.ndarray:
         return self.accumulator.variance()
+
+    def counters(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)
+                if f.default == 0}
 
 
 class _AffineSampler:
@@ -226,7 +234,8 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     ``densities`` is one Density1D per parameter dimension, drawn from
     ``np.random.default_rng(seed)``.  Samples whose LCP solve does not
     converge are skipped and counted; more than 0.1% failures raise
-    ``SolverNotConverged``.
+    ``SolverNotConverged``.  The ``MCResult`` is made before the first
+    block, and each block adds its counts to it.
     """
     if solver is None:
         solver = SolverConfig(method="active-set")
@@ -235,11 +244,9 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     sampler = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"], dirichlet,
                              len(densities), min(cap, n_samples))
     rng = np.random.default_rng(seed)
-    setup_seconds = time.perf_counter() - t_setup
-
-    acc = MCAccumulator()
-    n_failed = 0
-    iters = factorizations = distinct = solves = blocks = kept = 0
+    result = MCResult(MCAccumulator(), n_samples, seed,
+                      timings={"setup": time.perf_counter() - t_setup})
+    acc = result.accumulator
     # of the last block that converged: a parameter row per distinct final set
     rows = sets = None
 
@@ -247,22 +254,23 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         """Solve the rows of Y as one system, from the running mean with each
         sample's first update holding the final set of its nearest row, and
         accumulate them in order if it converged; returns whether it did."""
-        nonlocal iters, factorizations, distinct, solves, kept, rows, sets
+        nonlocal rows, sets
         system, obs, boundary = sampler.build(Y)
         x0 = held = None
         if acc.mean is not None:
             x0 = np.maximum(np.tile(acc.mean[mesh.interior], len(Y)), obs)
             held = sets[_nearest(Y, rows)].ravel()
         u, report = solve_lcp(system, obs, solver, x0=x0, held=held)
-        iters += report.iterations
-        factorizations += system.factored_blocks
-        distinct += system.distinct_factorizations
-        solves += system.solved_blocks
+        result.solver_iterations += report.iterations
+        result.sample_factorizations += system.factored_blocks
+        result.distinct_factorizations += system.distinct_factorizations
+        result.sample_solves += system.solved_blocks
         if report.converged:
             u = u.reshape(len(Y), -1)
             final = u <= obs.reshape(u.shape)
             if held is not None:
-                kept += int(np.count_nonzero((held.reshape(u.shape) == final).all(axis=1)))
+                result.start_sets_kept += int(np.count_nonzero(
+                    (held.reshape(u.shape) == final).all(axis=1)))
             # each packed row as one item of bytes: np.unique(axis=0) on the
             # packed rows is about 200 times slower on a block at nx = 64
             packed = np.packbits(final, axis=1)
@@ -279,18 +287,15 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         # that called itself would keep the run's factor store alive in a
         # reference cycle until the cyclic garbage collector ran
         if not solve_block(Y):
-            n_failed += 1 if len(Y) == 1 else sum(not solve_block(y[None]) for y in Y)
-        start, block, blocks = start + len(Y), min(2 * block, cap), blocks + 1
-    loop_seconds = time.perf_counter() - t_loop
+            result.n_failed += 1 if len(Y) == 1 else sum(not solve_block(y[None]) for y in Y)
+        start, block = start + len(Y), min(2 * block, cap)
+        result.blocks += 1
+    result.timings["samples"] = time.perf_counter() - t_loop
 
-    if n_failed > MAX_FAILURE_FRACTION * n_samples:
+    if result.n_failed > MAX_FAILURE_FRACTION * n_samples:
         raise SolverNotConverged(
-            f"{n_failed} of {n_samples} sample solves failed to converge")
+            f"{result.n_failed} of {n_samples} sample solves failed to converge")
     store = sampler.store or FactorStore()
-    return MCResult(accumulator=acc, n_samples=n_samples, n_failed=n_failed, seed=seed,
-                    timings={"setup": setup_seconds, "samples": loop_seconds},
-                    solver_iterations=iters, sample_factorizations=factorizations,
-                    sample_solves=solves, distinct_factorizations=distinct,
-                    store_hits=store.hits, store_evictions=store.evictions,
-                    store_peak_bytes=store.peak_bytes, blocks=blocks,
-                    start_sets_kept=kept)
+    result.store_hits, result.store_evictions = store.hits, store.evictions
+    result.store_peak_bytes = store.peak_bytes
+    return result

@@ -569,16 +569,7 @@ def run_mc(cfg: ExperimentConfig):
         "problem": problem.name,
         "n_samples": cfg.mc_samples,
         "seed": cfg.mc_seed,
-        "n_failed": result.n_failed,
-        "solver_iterations": result.solver_iterations,
-        "sample_factorizations": result.sample_factorizations,
-        "sample_solves": result.sample_solves,
-        "distinct_factorizations": result.distinct_factorizations,
-        "store_hits": result.store_hits,
-        "store_evictions": result.store_evictions,
-        "store_peak_bytes": result.store_peak_bytes,
-        "blocks": result.blocks,
-        "start_sets_kept": result.start_sets_kept,
+        **result.counters(),
         "level": cfg.mc_level,
         "nx": level.nx,
         "mc_seconds": mc_seconds,

@@ -176,9 +176,9 @@ class SGSystem:
         Spatial node i is held everywhere when ``active.reshape(J, I)[:, i]``
         is all true.  With S the other nodes, the apply is (G̃ ⊗ K̄_SS)^-1 on
         the columns S of the (J, I) blocks of ``r`` and zero on the held
-        columns, where K̄_SS is K̄ gathered from its stored entries on S: the
-        truncation at the contact nodes of obstacle multigrid (Gräser and
-        Kornhuber, J. Comput. Math. 2009), here kept in Kronecker form.  The
+        columns, where K̄_SS is K̄ on the rows and columns S: the truncation
+        at the contact nodes of obstacle multigrid (Gräser and Kornhuber,
+        J. Comput. Math. 2009), here kept in Kronecker form.  The
         inactive block of A holds G_k ⊗ (K_k)_SS, so the apply is its exact
         inverse when every K_k is a multiple of K̄ and the set holds whole
         columns.  A mask without a whole held column gets (G̃ ⊗ K̄)^-1 r, with
@@ -196,19 +196,12 @@ class SGSystem:
             I, J = self.n_spatial, self.n_param
             K_bar = self.pattern.csr(k_bar).copy()  # csr() shares k_bar's memory
             K_bar.eliminate_zeros()
-            rows = np.repeat(np.arange(I), np.diff(K_bar.indptr))
 
             def factor(kept):
-                """SuperLU of K̄ on the ``kept`` nodes, gathered from its
-                stored entries."""
-                stored = kept[rows] & kept[K_bar.indices]
-                indptr = np.zeros(np.count_nonzero(kept) + 1, dtype=K_bar.indptr.dtype)
-                np.cumsum(np.bincount(rows[stored], minlength=I)[kept], out=indptr[1:])
-                rank = np.cumsum(kept) - 1
-                K = sp.csr_array((K_bar.data[stored], rank[K_bar.indices[stored]], indptr),
-                                 shape=(indptr.size - 1,) * 2)
+                """SuperLU of K̄ on the ``kept`` nodes."""
                 try:
-                    return spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
+                    return spla.splu(sp.csc_matrix(K_bar[kept][:, kept]),
+                                     permc_spec="MMD_AT_PLUS_A",
                                      options={"SymmetricMode": True})
                 except RuntimeError as exc:
                     raise np.linalg.LinAlgError(f"mean stiffness K̄: {exc}") from exc

@@ -1027,6 +1027,24 @@ class TestMulticolourPSOR:
         assert np.any(A.data == 0.0)
         assert_first_fit_colouring(A, greedy_colouring(A))
 
+    def test_colour_order_permutes_rows_and_columns(self):
+        # row k of P is row order[k] of A with its columns renumbered by rank
+        # and its stored entries in A's order, so P's row products sum in A's
+        # order; colour c owns the rows bounds[c]:bounds[c + 1]
+        A = small_sg_system().explicit()
+        colour = np.array(greedy_colouring(A))
+        P, bounds, order, rank = lcp_module._colour_ordered(A)
+        assert len(bounds) - 1 == colour.max() + 1 > 1
+        assert_array_equal(order, np.argsort(colour, kind="stable"))
+        assert_array_equal(rank[order], np.arange(A.shape[0]))
+        for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            assert np.all(colour[order[start:stop]] == c)
+        for k, i in enumerate(order):
+            in_P = slice(P.indptr[k], P.indptr[k + 1])
+            in_A = slice(A.indptr[i], A.indptr[i + 1])
+            assert_array_equal(P.indices[in_P], rank[A.indices[in_A]])
+            assert_array_equal(P.data[in_P], A.data[in_A])
+
     def test_matches_sequential_sweeps_in_colour_order(self):
         system = small_sg_system()
         A = system.explicit()

@@ -54,6 +54,18 @@ class TestAccumulator:
         with pytest.raises(ValueError):
             acc.variance()
 
+    def test_block_of_one_sample_has_no_variance(self):
+        # a block of one sample, as the first Monte Carlo block is, has no
+        # sample variance and no standard error; a second block gives both
+        acc = MCAccumulator()
+        acc.update(np.ones((1, 5)))
+        assert acc.n == 1
+        for moment in (acc.variance, acc.standard_error):
+            with pytest.raises(ValueError, match="two samples"):
+                moment()
+        acc.update(np.zeros((1, 5)))
+        assert_allclose(acc.variance(), np.full(5, 0.5), rtol=1e-15)
+
 
 def direct_sample_system(mesh, a_at, f_at, dirichlet, y):
     """One sample system assembled directly at y, from the operator's blocks
@@ -162,17 +174,21 @@ class TestAffineSampler:
                                 atol=1e-14 * np.abs(band).max())
 
     @pytest.mark.parametrize("case, folds", [("example1", True), ("example2", True),
-                                             ("hard", False), ("direct", False)])
+                                             ("hard", False), ("direct", False),
+                                             ("nearly", False)])
     def test_stiffness_folds_to_one_shape_where_the_modes_have_the_means(self, case, folds):
         # example1 (a = 1 + y1 + 2 y2) and example2 (a = 1) fold; the hard
-        # shapes 1 + 0.5 x1 and 1 - 0.3 x2 and the coefficient of
-        # test_build_matches_direct_assembly do not, and their blocks
-        # scatter each sample's band as before
+        # shapes 1 + 0.5 x1 and 1 - 0.3 x2, the coefficient of
+        # test_build_matches_direct_assembly and example1's with a first
+        # mode of shape 1 + 1e-6 x1, off the mean's by far more than
+        # rounding, do not, and their blocks scatter each sample's band
         mesh = build_uniform_mesh(RECT, 6)
         f, g, n_dims = AffineField.build(-1.0), AffineField.build(-0.1), 2
         if case == "hard":
             a = AffineField.build(1.0, [(1.0, lambda x: 1.0 + 0.5 * x[:, 0], 0),
                                         (2.0, lambda x: 1.0 - 0.3 * x[:, 1], 1)])
+        elif case == "nearly":
+            a = AffineField.build(1.0, [(1.0, lambda x: 1.0 + 1e-6 * x[:, 0], 0), (2.0, 1.0, 1)])
         elif case == "direct":
             a = AffineField.build(2.0, [(0.5, lambda x: x[:, 0] + x[:, 1], 0),
                                         (0.3, lambda x: np.maximum(x[:, 0] - 0.5, 0.0), 2)])

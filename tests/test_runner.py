@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import logging
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgobstacle import fem, param
+from sgobstacle import fem, mc, param, runner
 from sgobstacle.cli import main as cli_main
 from sgobstacle.fem import P1Operator, p1_distance
 from sgobstacle.lcp import SolverConfig, SparseObstacleSystem, active_set_solve
@@ -789,9 +790,17 @@ class TestRunMC:
         # one set share a factor
         assert 0 < report["distinct_factorizations"] == result.distinct_factorizations \
             <= result.sample_factorizations
-        for key in ("store_hits", "store_evictions", "store_peak_bytes", "blocks",
-                    "start_sets_kept"):
-            assert report[key] == getattr(result, key)
+        # every counter reaches the report, in MCResult's order, after the seed
+        counters = result.counters()
+        keys = list(report)
+        assert list(counters) == ["n_failed", "solver_iterations", "sample_factorizations",
+                                  "sample_solves", "distinct_factorizations", "store_hits",
+                                  "store_evictions", "store_peak_bytes", "blocks",
+                                  "start_sets_kept"]
+        start = keys.index("seed") + 1
+        assert keys[start:start + len(counters)] == list(counters)
+        assert keys[start + len(counters)] == "level"
+        assert {key: report[key] for key in counters} == counters
         assert result.blocks == 4  # 1, 2, 4 and the last sample
         assert result.store_hits + result.distinct_factorizations \
             == result.sample_factorizations
@@ -801,6 +810,28 @@ class TestRunMC:
             {"setup", "samples", "total"}
         assert (tmp_path / "example2_mc_mean.csv").exists()
         assert (tmp_path / "example2_mc_variance.csv").exists()
+
+    def test_a_new_counter_reaches_the_report(self, tmp_path, monkeypatch):
+        # a counter field added to MCResult is reported after the others,
+        # with no edit to run_mc
+        @dataclasses.dataclass
+        class Counted(mc.MCResult):
+            extra_count: int = 0
+
+        def counted_run(*args):
+            result = mc.mc_run(*args)
+            return Counted(**{f.name: getattr(result, f.name)
+                              for f in dataclasses.fields(result)}, extra_count=3)
+
+        monkeypatch.setattr(runner, "mc_run", counted_run)
+        cfg = validate_config(base_config(
+            mode="mc", output_dir=str(tmp_path),
+            mc={"n_samples": 4, "seed": 1, "level": 0}))
+        _, payload = run_mc(cfg)
+        report = json.loads((tmp_path / "example2_mc_report.json").read_text())
+        keys = list(report)
+        assert report["extra_count"] == payload["extra_count"] == 3
+        assert keys.index("extra_count") == keys.index("start_sets_kept") + 1
 
     def test_both_mode_reports_comparison(self, tmp_path):
         cfg = validate_config(base_config(

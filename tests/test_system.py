@@ -164,6 +164,12 @@ def shifted_x2(x):
     return 1.0 - 0.3 * x[:, 1]
 
 
+def nearly_one(x):
+    # off the mean's shape by about 1e-6 of its norm, far above the fold's
+    # rounding tolerance: folded, its term would be off by that much
+    return 1.0 + 1e-6 * x[:, 0]
+
+
 # coefficient of each case: (mean, modes) with y ~ exp-uniform^2, and the
 # number of spatial shapes, the sparse products per matvec
 COEFFICIENTS = {
@@ -171,6 +177,7 @@ COEFFICIENTS = {
     "hard shapes": ((1.0, [(1.0, shifted_x1, 0), (2.0, shifted_x2, 1)]), 3),
     "mixed": ((1.0, [(1.0, shifted_x1, 0), (2.0, one, 1)]), 2),
     "zero mean": ((0.0, [(1.0, one, 0), (2.0, one, 1)]), 1),
+    "nearly folding": ((1.0, [(1.0, nearly_one, 0), (2.0, one, 1)]), 2),
 }
 
 

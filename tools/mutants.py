@@ -1,0 +1,118 @@
+"""Committed mutants: each is one textual change to the package that the
+tier-1 tests must catch.
+
+For every mutant the script copies ``src`` and ``tests`` to a temporary
+directory, applies the change there and runs tier-1 on the copy with ``-x``
+(stop at the first failure), with criterion 1 deselected: it fails for a
+known cause (the nodal Dirichlet data), so it would kill every mutant.  An
+unchanged copy runs first and must pass, else no kill would mean anything.
+The script prints, per mutant, whether a test failed, the first failing
+test and how long the run took, and exits 1 if any mutant survives or no
+longer applies (its old text is not found exactly once).
+
+    python3 tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--deselect", "tests/test_acceptance.py::test_criterion_1_mean_convergence_rates"]
+TIMEOUT = 900  # seconds of one tier-1 run; a mutant that runs longer counts as killed
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    defect: str  # the class of defect the mutant stands for
+    path: str  # relative to the repository root
+    old: str
+    new: str
+
+
+MUTANTS = [
+    Mutant("masked-no-unit-diagonal", "banded Cholesky of the held entries",
+           "src/sgobstacle/lcp.py",
+           "    band[:, 0] += held\n", ""),
+    Mutant("colour-rows-only", "projected SOR's colour permutation",
+           "src/sgobstacle/lcp.py",
+           "return A[order][:, order], bounds", "return A[order], bounds"),
+    Mutant("start-set-first-row", "Monte Carlo start sets",
+           "src/sgobstacle/mc.py",
+           "held = sets[_nearest(Y, rows)].ravel()",
+           "held = sets[np.zeros(len(Y), dtype=int)].ravel()"),
+    Mutant("counter-dropped", "Monte Carlo counters",
+           "src/sgobstacle/mc.py",
+           "        result.sample_solves += system.solved_blocks\n", ""),
+    Mutant("precond-mean-delta", "Kronecker preconditioner",
+           "src/sgobstacle/system.py",
+           "inv_delta = (1.0 / delta).reshape(J, 1)",
+           "inv_delta = np.full((J, 1), (1.0 / delta).mean())"),
+    Mutant("fold-rtol-loose", "folding of stiffness terms",
+           "src/sgobstacle/fields.py",
+           "FOLD_RTOL = 1e-13", "FOLD_RTOL = 1e-2"),
+]
+
+
+def tier1(copy: Path) -> tuple[bool, str, float]:
+    """(passed, first failing test or '', seconds) of tier-1 on ``copy``."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    t0 = time.perf_counter()
+    try:
+        run = subprocess.run(PYTEST, cwd=copy, env=env, capture_output=True, text=True,
+                             timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return False, f"timeout after {TIMEOUT} s", time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
+    first = next((line.split(" - ")[0].split(" ", 1)[1] for line in run.stdout.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))), "")
+    return run.returncode == 0, first or f"exit {run.returncode}", seconds
+
+
+def fresh_copy(tmp: Path) -> Path:
+    copy = tmp / "repo"
+    shutil.rmtree(copy, ignore_errors=True)
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+    return copy
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="sgobstacle-mutants-") as tmp:
+        tmp = Path(tmp)
+        passed, first, seconds = tier1(fresh_copy(tmp))
+        print(f"unchanged copy: {'passed' if passed else 'FAILED ' + first} in {seconds:.1f} s",
+              flush=True)
+        if not passed:
+            return 1
+        bad = 0
+        for m in MUTANTS:
+            copy = fresh_copy(tmp)
+            target = copy / m.path
+            text = target.read_text()
+            if text.count(m.old) != 1:
+                print(f"{m.name}: STALE, its old text is found {text.count(m.old)} times")
+                bad += 1
+                continue
+            target.write_text(text.replace(m.old, m.new))
+            passed, first, seconds = tier1(copy)
+            if passed:
+                bad += 1
+            verdict = "SURVIVED" if passed else f"killed by {first}"
+            print(f"{m.name} ({m.defect}): {verdict} in {seconds:.1f} s", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
