@@ -11,7 +11,9 @@ approximate inverse of A.  Solves never leave the index space of A:
 masking the matvec and the preconditioner output holds the active entries
 at zero.  An ``apply`` whose ``exact`` attribute is true declares that it
 is the exact inverse, and the active set method then takes one apply of it
-as the whole linear solve.  The plain sparse system solves the inactive
+as the whole linear solve.  ``matvec`` and ``apply`` return either arrays
+of their own, which the solver may overwrite, or their input, which it
+does not.  The plain sparse system solves the inactive
 block by banded Cholesky and declares it exact; the Galerkin system applies
 its Kronecker preconditioner, truncated at the spatial nodes that the set
 holds at every parameter node, and declares nothing, so its solves run
@@ -31,9 +33,18 @@ is a tenth of that of the complementarity residual, and once the set
 repeats after such a loose solve, that set is solved once more to the
 tight target, a hundredth of ``tol``, before the iteration stops.  Both
 targets are absolute, so an update takes its start residual in one matvec
-and needs no right-hand side of its own.  An exact update is tight by
-construction.  ``iterations`` counts every update, the tight re-solve
-included, and ``trace`` records each one (``active_set_solve``).
+and needs no right-hand side of its own; an update whose set holds no entry
+off the obstacle takes it from lambda = Au - b, without the matvec.  An
+exact update is tight by construction.  ``iterations`` counts every update,
+the tight re-solve included, and ``trace`` records each one
+(``active_set_solve``).
+
+Conjugate gradients run in buffers that the solve owns: they take over the
+start iterate and residual that the step builds, update x, r and p in
+place, and mask the matvec and preconditioner outputs in place.  So a
+Galerkin solve holds at its peak b, the obstacle, diag(A), the iterate u,
+x, r, p, one work vector (the product being made) and the temporaries of
+that product: about 14 vectors of the system's size.
 
 Projected SOR (Cryer, SIAM J. Control 1971) sweeps the rows of the explicit
 matrix class by class in a greedy multicolour order (``psor_solve``), so it
@@ -471,19 +482,21 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
     return u, report
 
 
-def _pcg(matvec, r, x0, precond, target, max_iter):
-    """Preconditioned conjugate gradients from ``x0``, whose residual is ``r``.
+def _pcg(matvec, r, x, precond, target, max_iter):
+    """Preconditioned conjugate gradients from ``x``, whose residual is ``r``.
 
-    The caller passes the start residual b - A x0, so a start costs no
-    matvec here, and the iteration stops once the 2-norm of the residual
-    is at most the absolute ``target``.  Returns (x, iterations, converged,
+    The caller passes the start residual b - A x, so a start costs no
+    matvec here, and hands ``x`` and ``r`` over: both are updated in place.
+    ``matvec`` and ``precond`` return arrays of their own, which the
+    iteration overwrites: the first preconditioned residual becomes the
+    search direction p, and each product Ap the work vector of the x and r
+    updates.  The iteration stops once the 2-norm of the residual is at
+    most the absolute ``target``.  Returns (x, iterations, converged,
     ||b - Ax|| of the returned x).  A step with p.Ap <= 0, or a
     preconditioner whose factorization finds the operator not positive
     definite (``LinAlgError``), means A is not SPD; the iteration stops
     there and reports failure.
     """
-    x = x0.copy()
-    r = np.array(r, dtype=float)
     p = None
     rz = 1.0
     for it in range(max_iter + 1):
@@ -497,16 +510,34 @@ def _pcg(matvec, r, x0, precond, target, max_iter):
         except np.linalg.LinAlgError:
             return x, it, False, rnorm
         rz_new = float(r @ z)
-        p = z.copy() if p is None else z + (rz_new / rz) * p
+        if p is None:
+            p = z
+        else:
+            p *= rz_new / rz
+            p += z
+        del z  # p holds it
         rz = rz_new
-        Ap = matvec(p)
-        pAp = float(p @ Ap)
+        work = matvec(p)
+        pAp = float(p @ work)
         if pAp <= 0.0:
             return x, it + 1, False, rnorm
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        work *= alpha
+        r -= work
+        np.multiply(p, alpha, out=work)
+        x += work
+        del work  # dead before the next product is made
     return x, max_iter, False, rnorm
+
+
+def _masked_output(out, arg, free):
+    """``out * free`` for the output ``out`` of a product of ``arg``: in
+    place, unless ``out`` may share memory with ``arg`` (an ``apply`` may
+    return its input), which the solver does not own."""
+    if np.may_share_memory(out, arg):
+        return out * free
+    out *= free
+    return out
 
 
 def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(),
@@ -522,9 +553,10 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     (b - A where(active, obs, 0)) on the inactive entries; otherwise it runs
     conjugate gradients preconditioned with it from the current iterate,
     whose start residual (b - A where(active, obs, u)) on the inactive
-    entries costs one matvec.  The cold start (no ``x0``) is the step with
-    nothing held, from zero: its start residual is b, taken without a
-    matvec, and its solution is lifted onto the obstacle.  After each update
+    entries costs one matvec, or none when the set holds no entry off the
+    obstacle: then it is -lambda there.  The cold start (no ``x0``) is the
+    step with nothing held, from zero: its start residual is b, taken
+    without a matvec, and its solution is lifted onto the obstacle.  After each update
     one more matvec gives lambda.  The first update holds the contact
     indicator of the start, or the boolean mask ``held`` when one is given
     (the set of a nearby problem already solved, say); the start still gives
@@ -587,22 +619,37 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     zero = np.broadcast_to(0.0, system.n)  # cold and exact starts; a view, no memory
     cg_max = 500  # steps of one conjugate gradient solve, at any system size
 
-    def step(active, u, target):
-        """The solve that holds ``active`` at the obstacle, from the iterate
-        ``u``: (solution, steps, ok, tight)."""
-        free = ~active
+    def start_residual(active, u, lam=None):
+        """The start residual (b - A where(active, obs, start)) on the free
+        entries, in an array of its own, with start = u, or zero for an
+        exact apply.  ``lam`` = A u - b is overwritten to give it without a
+        matvec when where(active, obs, u) is u: the set holds no entry off
+        the obstacle, and b - Au rounds as -(Au - b)."""
         start = zero if exact else u
-        if start is zero and not active.any():
-            r0 = b * free  # b - A 0, without the matvec
+        if lam is not None and not exact and not np.any(active & (u != obs)):
+            r = np.negative(lam, out=lam)
+        elif start is zero and not active.any():
+            r = b.copy()  # b - A 0, without the matvec
         else:
-            r0 = (b - system.matvec(np.where(active, obs, start))) * free
+            r = system.matvec(np.where(active, obs, start))
+            np.subtract(b, r, out=r)
+        r *= ~active
+        return r
+
+    def step(active, u, r, target):
+        """The solve that holds ``active`` at the obstacle, from the iterate
+        ``u`` and its ``start_residual`` ``r``, which it takes over:
+        (solution, steps, ok, tight)."""
         if exact:
             try:
-                return apply(r0, active), 1, True, True
+                return apply(r, active), 1, True, True
             except np.linalg.LinAlgError:
                 return u, 0, False, False
-        x, it, ok, achieved = _pcg(lambda v: system.matvec(v) * free, r0, start * free,
-                                   lambda r: apply(r, active) * free, target, cg_max)
+        free = ~active
+        x, it, ok, achieved = _pcg(lambda v: _masked_output(system.matvec(v), v, free), r,
+                                   u * free,
+                                   lambda v: _masked_output(apply(v, active), v, free),
+                                   target, cg_max)
         return x, it, ok, achieved <= tight_target
 
     max_updates = config.max_iter if config.max_iter is not None else 100
@@ -611,9 +658,12 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     if x0 is None:
         # cold start: the step with nothing held, lifted onto the obstacle;
         # out of conjugate gradient steps, it still starts the updates
-        x0, inner_total, ok, _ = step(np.zeros(system.n, dtype=bool), zero, tight_target)
+        nothing = np.zeros(system.n, dtype=bool)
+        x0, inner_total, ok, _ = step(nothing, zero, start_residual(nothing, zero),
+                                      tight_target)
         ok = ok or inner_total == cg_max
     u = np.maximum(np.asarray(x0, dtype=float), obs)
+    del x0  # the cold start's solution, dead once lifted
     lam = system.matvec(u) - b
     if held is None:
         active = (lam - d * (u - obs)) > 0.0
@@ -638,9 +688,13 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
             all_tight = True  # an earlier set, not the one just solved
         updates += 1
         target = tight_target if exact or all_tight or key in solved else loose_target(u, lam)
-        sol, it, ok, tight = step(active, u, target)
+        r = start_residual(active, u, lam)
+        del lam  # r holds it, or no longer needs it
+        sol, it, ok, tight = step(active, u, r, target)
+        del r
         inner_total += it
         u = np.where(active, obs, sol)
+        del sol
         solved[key] = tight
         lam = system.matvec(u) - b
         residual = _max_violation(u, obs, lam)

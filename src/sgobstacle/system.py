@@ -230,8 +230,9 @@ class SGSystem:
                 if not np.array_equal(now, kept):
                     lu_k = kept = None  # free the old factor before the new one is made
                     lu_k, kept = factor(now), now
-                V = lu_k.solve(r.reshape(J, I)[:, kept].T).T
-                out[:, kept] = kron_apply(W, kron_apply(W_T, V) * inv_delta)
+                V = kron_apply(W_T, lu_k.solve(r.reshape(J, I)[:, kept].T).T)
+                V *= inv_delta
+                out[:, kept] = kron_apply(W, V)
                 return out.reshape(-1)
 
             self._precond = apply

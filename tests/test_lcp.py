@@ -63,6 +63,176 @@ class TestBruteForce:
             brute_force_solve(A, b, obs)
 
 
+def small_sg_system():
+    """Tensor Galerkin LCP of example1's data, I = 25, J = 9, with contact."""
+    mesh = build_uniform_mesh((-1.5, 1.5, -1.5, 1.5), 6)
+    grid = build_param_grid([Density1D.exp_uniform()] * 2, 2)
+    a = AffineField.build(1.0, [(1.0, 1.0, 0), (2.0, 1.0, 1)])
+    return assemble_sg(mesh, grid, a, AffineField.build(-2.0), AffineField.build(-0.05))
+
+
+def assert_first_fit_colouring(A, colour):
+    """One colour per row, no stored off-diagonal entry inside a colour, first fit."""
+    A = sp.csr_array(A)
+    n = A.shape[0]
+    assert len(colour) == n
+    assert all(isinstance(c, int) and c >= 0 for c in colour)
+    colour = np.asarray(colour)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    off = rows != A.indices
+    assert not np.any(colour[rows[off]] == colour[A.indices[off]])
+    for i in range(n):
+        earlier = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        earlier = earlier[earlier < i]
+        assert set(range(colour[i])) <= set(colour[earlier].tolist())
+
+
+def set_colouring(A):
+    """Reference first fit: the set of colours of each row's whole pattern."""
+    n = A.shape[0]
+    colour = [-1] * n
+    for i in range(n):
+        used = {colour[j] for j in A.indices[A.indptr[i]:A.indptr[i + 1]].tolist()}
+        c = 0
+        while c in used:
+            c += 1
+        colour[i] = c
+    return colour
+
+
+def sequential_psor(A, b, obs, omega, sweeps, order):
+    """Row-by-row projected SOR over the rows in the given order (reference)."""
+    A = sp.csr_array(A)
+    d = A.diagonal()
+    u = np.array(obs, dtype=float)
+    for _ in range(sweeps):
+        for i in order:
+            sl = slice(A.indptr[i], A.indptr[i + 1])
+            gs = u[i] + (b[i] - A.data[sl] @ u[A.indices[sl]]) / d[i]
+            u[i] = max(obs[i], (1.0 - omega) * u[i] + omega * gs)
+    return u
+
+
+class TestMulticolourPSOR:
+    def test_colouring_of_galerkin_matrix(self):
+        A = small_sg_system().explicit()
+        colour = greedy_colouring(A)
+        assert_first_fit_colouring(A, colour)
+        assert 1 < max(colour) + 1 <= np.diff(A.indptr).max()
+
+    def test_colouring_of_dense_matrix(self):
+        A = random_lcp(np.random.default_rng(41), 8)[0]
+        colour = greedy_colouring(sp.csr_array(A))
+        assert colour == list(range(8))
+        assert_first_fit_colouring(A, colour)
+
+    def test_colouring_of_diagonal_matrix(self):
+        A = sp.diags_array(np.arange(1.0, 7.0)).tocsr()
+        colour = greedy_colouring(A)
+        assert colour == [0] * 6
+        assert_first_fit_colouring(A, colour)
+
+    @pytest.mark.parametrize("pattern", ["random", "dense", "diagonal", "tridiagonal",
+                                         "galerkin"])
+    def test_colouring_matches_the_set_reference(self, pattern):
+        # the bitmask over the strictly lower entries gives the colours of
+        # first fit over whole rows, across several chunks of rows
+        rng = np.random.default_rng(97)
+        n = 3 * lcp_module._COLOUR_CHUNK + 5
+        if pattern == "random":
+            stored = rng.random((n, n)) < 0.015
+            A = sp.csr_array((stored | stored.T | np.eye(n, dtype=bool)).astype(float))
+        elif pattern == "dense":
+            A = sp.csr_array(random_lcp(rng, 40)[0])
+        elif pattern == "diagonal":
+            A = sp.csr_array(np.eye(n))
+        elif pattern == "tridiagonal":
+            A = sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n)).tocsr()
+        else:
+            A = small_sg_system().explicit()
+        colour = greedy_colouring(A)
+        assert colour == set_colouring(A)
+        assert_first_fit_colouring(A, colour)
+
+    def test_colouring_counts_explicit_zeros(self):
+        # the stored zeros of P1 stiffness still separate their rows
+        mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7)
+        A = unit_stiffness(mesh)
+        assert np.any(A.data == 0.0)
+        assert_first_fit_colouring(A, greedy_colouring(A))
+
+    def test_colour_order_permutes_rows_and_columns(self):
+        # row k of P is row order[k] of A with its columns renumbered by rank
+        # and its stored entries in A's order, so P's row products sum in A's
+        # order; colour c owns the rows bounds[c]:bounds[c + 1]
+        A = small_sg_system().explicit()
+        colour = np.array(greedy_colouring(A))
+        P, bounds, order, rank = lcp_module._colour_ordered(A)
+        assert len(bounds) - 1 == colour.max() + 1 > 1
+        assert_array_equal(order, np.argsort(colour, kind="stable"))
+        assert_array_equal(rank[order], np.arange(A.shape[0]))
+        for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            assert np.all(colour[order[start:stop]] == c)
+        for k, i in enumerate(order):
+            in_P = slice(P.indptr[k], P.indptr[k + 1])
+            in_A = slice(A.indptr[i], A.indptr[i + 1])
+            assert_array_equal(P.indices[in_P], rank[A.indices[in_A]])
+            assert_array_equal(P.data[in_P], A.data[in_A])
+
+    def test_matches_sequential_sweeps_in_colour_order(self):
+        system = small_sg_system()
+        A = system.explicit()
+        order = np.argsort(greedy_colouring(A), kind="stable")
+        assert np.any(order != np.arange(system.n))
+        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-300, max_iter=3)
+        u, rep = psor_solve(system, system.obs, cfg)
+        assert rep.iterations == 3 and not rep.converged
+        ref = sequential_psor(A, system.b, system.obs, 1.7, 3, order)
+        assert_allclose(u, ref, rtol=1e-13)
+
+    def test_agrees_with_active_set_on_galerkin_system(self):
+        system = small_sg_system()
+        u_psor, rep_psor = psor_solve(
+            system, system.obs, SolverConfig(method="psor", omega=1.7, tol=1e-12,
+                                             max_iter=5000))
+        u_pdas, rep_pdas = active_set_solve(system, system.obs, SolverConfig(tol=1e-12))
+        assert rep_psor.converged and rep_pdas.converged
+        assert 0 < rep_psor.active_count < system.n
+        assert np.max(np.abs(u_psor - u_pdas)) <= 1e-8
+
+    def test_start_below_the_obstacle_is_projected(self):
+        # x0 is lifted onto the obstacle before the first sweep
+        system = small_sg_system()
+        obs = system.obs
+        x0 = obs + np.random.default_rng(59).uniform(-1.0, 0.1, system.n)
+        assert np.any(x0 < obs) and np.any(x0 > obs)
+        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-300, max_iter=3)
+        for start, lifted in ((obs - 1.0, None), (x0, np.maximum(x0, obs))):
+            u, rep = psor_solve(system, obs, cfg, x0=start)
+            u_ref, rep_ref = psor_solve(system, obs, cfg, x0=lifted)
+            assert_array_equal(u, u_ref)
+            assert rep.residual == rep_ref.residual and rep.iterations == 3
+
+    def test_start_at_a_converged_solution_takes_one_sweep(self):
+        system = small_sg_system()
+        obs = system.obs
+        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-10, max_iter=5000)
+        u, rep = psor_solve(system, obs, cfg)
+        assert rep.converged and rep.iterations > 1
+        u_warm, rep_warm = psor_solve(system, obs, cfg, x0=u)
+        assert rep_warm.converged and rep_warm.iterations == 1
+        assert rep_warm.active_count == rep.active_count
+        assert rep_warm.residual == pytest.approx(
+            complementarity_residual(system, u_warm, obs), abs=1e-15)
+        assert np.max(np.abs(u_warm - u)) <= 1e-8
+
+    @pytest.mark.parametrize("diag", [[2.0, 0.0, 1.0], [2.0, -1.0, 1.0]])
+    def test_non_positive_diagonal_rejected(self, diag):
+        system = SparseObstacleSystem(np.diag(diag), np.ones(3))
+        with pytest.raises(ValueError, match="positive diagonal"):
+            psor_solve(system, np.zeros(3))
+
+
 class TestSolversAgainstEnumeration:
     def test_both_methods_match_brute_force(self):
         rng = np.random.default_rng(123)
@@ -929,176 +1099,6 @@ class TestPSOR:
         assert complementarity_residual(system, u, obs) <= 1e-10
 
 
-def small_sg_system():
-    """Tensor Galerkin LCP of example1's data, I = 25, J = 9, with contact."""
-    mesh = build_uniform_mesh((-1.5, 1.5, -1.5, 1.5), 6)
-    grid = build_param_grid([Density1D.exp_uniform()] * 2, 2)
-    a = AffineField.build(1.0, [(1.0, 1.0, 0), (2.0, 1.0, 1)])
-    return assemble_sg(mesh, grid, a, AffineField.build(-2.0), AffineField.build(-0.05))
-
-
-def assert_first_fit_colouring(A, colour):
-    """One colour per row, no stored off-diagonal entry inside a colour, first fit."""
-    A = sp.csr_array(A)
-    n = A.shape[0]
-    assert len(colour) == n
-    assert all(isinstance(c, int) and c >= 0 for c in colour)
-    colour = np.asarray(colour)
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    off = rows != A.indices
-    assert not np.any(colour[rows[off]] == colour[A.indices[off]])
-    for i in range(n):
-        earlier = A.indices[A.indptr[i]:A.indptr[i + 1]]
-        earlier = earlier[earlier < i]
-        assert set(range(colour[i])) <= set(colour[earlier].tolist())
-
-
-def set_colouring(A):
-    """Reference first fit: the set of colours of each row's whole pattern."""
-    n = A.shape[0]
-    colour = [-1] * n
-    for i in range(n):
-        used = {colour[j] for j in A.indices[A.indptr[i]:A.indptr[i + 1]].tolist()}
-        c = 0
-        while c in used:
-            c += 1
-        colour[i] = c
-    return colour
-
-
-def sequential_psor(A, b, obs, omega, sweeps, order):
-    """Row-by-row projected SOR over the rows in the given order (reference)."""
-    A = sp.csr_array(A)
-    d = A.diagonal()
-    u = np.array(obs, dtype=float)
-    for _ in range(sweeps):
-        for i in order:
-            sl = slice(A.indptr[i], A.indptr[i + 1])
-            gs = u[i] + (b[i] - A.data[sl] @ u[A.indices[sl]]) / d[i]
-            u[i] = max(obs[i], (1.0 - omega) * u[i] + omega * gs)
-    return u
-
-
-class TestMulticolourPSOR:
-    def test_colouring_of_galerkin_matrix(self):
-        A = small_sg_system().explicit()
-        colour = greedy_colouring(A)
-        assert_first_fit_colouring(A, colour)
-        assert 1 < max(colour) + 1 <= np.diff(A.indptr).max()
-
-    def test_colouring_of_dense_matrix(self):
-        A = random_lcp(np.random.default_rng(41), 8)[0]
-        colour = greedy_colouring(sp.csr_array(A))
-        assert colour == list(range(8))
-        assert_first_fit_colouring(A, colour)
-
-    def test_colouring_of_diagonal_matrix(self):
-        A = sp.diags_array(np.arange(1.0, 7.0)).tocsr()
-        colour = greedy_colouring(A)
-        assert colour == [0] * 6
-        assert_first_fit_colouring(A, colour)
-
-    @pytest.mark.parametrize("pattern", ["random", "dense", "diagonal", "tridiagonal",
-                                         "galerkin"])
-    def test_colouring_matches_the_set_reference(self, pattern):
-        # the bitmask over the strictly lower entries gives the colours of
-        # first fit over whole rows, across several chunks of rows
-        rng = np.random.default_rng(97)
-        n = 3 * lcp_module._COLOUR_CHUNK + 5
-        if pattern == "random":
-            stored = rng.random((n, n)) < 0.015
-            A = sp.csr_array((stored | stored.T | np.eye(n, dtype=bool)).astype(float))
-        elif pattern == "dense":
-            A = sp.csr_array(random_lcp(rng, 40)[0])
-        elif pattern == "diagonal":
-            A = sp.csr_array(np.eye(n))
-        elif pattern == "tridiagonal":
-            A = sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n)).tocsr()
-        else:
-            A = small_sg_system().explicit()
-        colour = greedy_colouring(A)
-        assert colour == set_colouring(A)
-        assert_first_fit_colouring(A, colour)
-
-    def test_colouring_counts_explicit_zeros(self):
-        # the stored zeros of P1 stiffness still separate their rows
-        mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7)
-        A = unit_stiffness(mesh)
-        assert np.any(A.data == 0.0)
-        assert_first_fit_colouring(A, greedy_colouring(A))
-
-    def test_colour_order_permutes_rows_and_columns(self):
-        # row k of P is row order[k] of A with its columns renumbered by rank
-        # and its stored entries in A's order, so P's row products sum in A's
-        # order; colour c owns the rows bounds[c]:bounds[c + 1]
-        A = small_sg_system().explicit()
-        colour = np.array(greedy_colouring(A))
-        P, bounds, order, rank = lcp_module._colour_ordered(A)
-        assert len(bounds) - 1 == colour.max() + 1 > 1
-        assert_array_equal(order, np.argsort(colour, kind="stable"))
-        assert_array_equal(rank[order], np.arange(A.shape[0]))
-        for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-            assert np.all(colour[order[start:stop]] == c)
-        for k, i in enumerate(order):
-            in_P = slice(P.indptr[k], P.indptr[k + 1])
-            in_A = slice(A.indptr[i], A.indptr[i + 1])
-            assert_array_equal(P.indices[in_P], rank[A.indices[in_A]])
-            assert_array_equal(P.data[in_P], A.data[in_A])
-
-    def test_matches_sequential_sweeps_in_colour_order(self):
-        system = small_sg_system()
-        A = system.explicit()
-        order = np.argsort(greedy_colouring(A), kind="stable")
-        assert np.any(order != np.arange(system.n))
-        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-300, max_iter=3)
-        u, rep = psor_solve(system, system.obs, cfg)
-        assert rep.iterations == 3 and not rep.converged
-        ref = sequential_psor(A, system.b, system.obs, 1.7, 3, order)
-        assert_allclose(u, ref, rtol=1e-13)
-
-    def test_agrees_with_active_set_on_galerkin_system(self):
-        system = small_sg_system()
-        u_psor, rep_psor = psor_solve(
-            system, system.obs, SolverConfig(method="psor", omega=1.7, tol=1e-12,
-                                             max_iter=5000))
-        u_pdas, rep_pdas = active_set_solve(system, system.obs, SolverConfig(tol=1e-12))
-        assert rep_psor.converged and rep_pdas.converged
-        assert 0 < rep_psor.active_count < system.n
-        assert np.max(np.abs(u_psor - u_pdas)) <= 1e-8
-
-    def test_start_below_the_obstacle_is_projected(self):
-        # x0 is lifted onto the obstacle before the first sweep
-        system = small_sg_system()
-        obs = system.obs
-        x0 = obs + np.random.default_rng(59).uniform(-1.0, 0.1, system.n)
-        assert np.any(x0 < obs) and np.any(x0 > obs)
-        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-300, max_iter=3)
-        for start, lifted in ((obs - 1.0, None), (x0, np.maximum(x0, obs))):
-            u, rep = psor_solve(system, obs, cfg, x0=start)
-            u_ref, rep_ref = psor_solve(system, obs, cfg, x0=lifted)
-            assert_array_equal(u, u_ref)
-            assert rep.residual == rep_ref.residual and rep.iterations == 3
-
-    def test_start_at_a_converged_solution_takes_one_sweep(self):
-        system = small_sg_system()
-        obs = system.obs
-        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-10, max_iter=5000)
-        u, rep = psor_solve(system, obs, cfg)
-        assert rep.converged and rep.iterations > 1
-        u_warm, rep_warm = psor_solve(system, obs, cfg, x0=u)
-        assert rep_warm.converged and rep_warm.iterations == 1
-        assert rep_warm.active_count == rep.active_count
-        assert rep_warm.residual == pytest.approx(
-            complementarity_residual(system, u_warm, obs), abs=1e-15)
-        assert np.max(np.abs(u_warm - u)) <= 1e-8
-
-    @pytest.mark.parametrize("diag", [[2.0, 0.0, 1.0], [2.0, -1.0, 1.0]])
-    def test_non_positive_diagonal_rejected(self, diag):
-        system = SparseObstacleSystem(np.diag(diag), np.ones(3))
-        with pytest.raises(ValueError, match="positive diagonal"):
-            psor_solve(system, np.zeros(3))
-
-
 class TestSparseSystemShapes:
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -1153,7 +1153,7 @@ class TestActiveSet:
         system = SparseObstacleSystem(sp.csr_array(np.diag([1.0, -1.0])),
                                       np.ones(2))
         apply = system.precond()
-        _, _, ok, _ = _pcg(system.matvec, system.b, np.zeros(2),
+        _, _, ok, _ = _pcg(system.matvec, system.b.copy(), np.zeros(2),
                         lambda r: apply(r, np.zeros(2, dtype=bool)), 1e-12, 10)
         assert not ok
         _, rep = active_set_solve(system, np.zeros(2), SolverConfig())
@@ -1231,6 +1231,37 @@ class TestActiveSet:
         u8, rep8 = active_set_solve(system, obs, SolverConfig())
         assert [r["pcg"] for r in rep8.trace] == steps and steps[-1] == 500
         assert rep8.converged and rep8.residual == rep.residual <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["galerkin", "sparse", "apply returns its input"])
+    def test_solver_writes_only_into_its_own_arrays(self, kind):
+        # read-only b, obs, x0 and held, and a preconditioner that hands
+        # back r, give the same solve as writable copies, which the solve
+        # leaves as they were, and one that hands back a copy of r: the
+        # solver writes only into arrays that it made
+        def run(frozen, warm):
+            if kind == "galerkin":
+                system = galerkin_system("example1-shapes")
+                obs = system.obs
+            else:
+                A, b, obs = random_lcp(np.random.default_rng(53))
+                system = SparseObstacleSystem(sp.csr_array(A), b)
+                if kind == "apply returns its input":
+                    apply = (lambda r, active: r) if frozen else (lambda r, active: r.copy())
+                    system.precond = lambda: apply
+            start = ({"x0": np.maximum(obs, 0.0) + 0.01,
+                      "held": np.arange(system.n) % 3 == 0} if warm else {})
+            inputs = [system.b, obs, *start.values()]
+            before = [a.copy() for a in inputs]
+            for a in inputs:
+                a.flags.writeable = not frozen
+            u, rep = active_set_solve(system, obs, SolverConfig(tol=1e-10), **start)
+            assert rep.converged
+            for a, was in zip(inputs, before):
+                assert a.tobytes() == was.tobytes()
+            return u.tobytes(), rep.trace
+
+        for warm in (False, True):
+            assert run(True, warm) == run(False, warm)
 
     def test_seconds_include_the_preconditioner_set_up(self):
         # precond() is part of the solve (the Galerkin system factors K̄ and
@@ -1337,8 +1368,10 @@ class TestInexactUpdates:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_updates_pay_one_matvec_for_their_start(self, tol):
-        # a conjugate gradient update takes its start residual in one matvec
-        # and lambda in one more; the cold start adds its steps and lambda
+        # a conjugate gradient update takes its start residual in one matvec,
+        # none when its set holds no entry off the obstacle (then lambda
+        # gives it), and lambda in one more; the cold start adds its steps
+        # and lambda
         system = galerkin_system("example1-shapes")
         calls = []
         matvec = system.matvec
@@ -1350,7 +1383,22 @@ class TestInexactUpdates:
         system.matvec = counted
         u, rep = active_set_solve(system, system.obs, SolverConfig(tol=tol))
         assert rep.converged and rep.iterations >= 2
-        assert len(calls) == rep.inner_iterations + 2 * rep.iterations + 1
+        matvecs = len(calls)
+        # replay the iterates: the cold start is the solve under no obstacle,
+        # update k's set is the contact indicator of iterate k - 1, and the
+        # iterate after k updates is the solve stopped there
+        obs, d = system.obs, system.diag()
+        start, free_rep = active_set_solve(system, np.full(system.n, -np.inf),
+                                           SolverConfig(tol=tol))
+        assert free_rep.converged and free_rep.iterations == 0
+        iterate = np.maximum(start, obs)
+        reused = 0
+        for k in range(1, rep.iterations + 1):
+            active = (matvec(iterate) - system.b - d * (iterate - obs)) > 0.0
+            reused += bool(np.all(iterate[active] == obs[active]))
+            iterate, _ = active_set_solve(system, obs, SolverConfig(tol=tol, max_iter=k))
+        assert iterate.tobytes() == u.tobytes() and reused >= 1
+        assert matvecs == rep.inner_iterations + 2 * rep.iterations + 1 - reused
         # the tight target is a hundredth of tol, far above the round-off floor
         tight = 0.01 * tol
         assert 1e-13 * np.linalg.norm(system.b) < tight

@@ -142,6 +142,24 @@ class TestKroneckerStructure:
         assert A.shape == (4225, 4225)
         assert peak < 20e6
 
+    def test_galerkin_solve_peaks_below_fifteen_vectors(self):
+        # assembly and an active-set solve hold b, obs, d and u, conjugate
+        # gradients' x, r and p, and the temporaries of one product: about
+        # 13 vectors of I*J floats at their peak, 20 when each step copied
+        # its start and each product its mask
+        mesh = build_uniform_mesh((-1.5, 1.5, -1.5, 1.5), 16)
+        grid = build_param_grid([Density1D.exp_uniform()] * 2, 8)
+        tracemalloc.start()
+        try:
+            sys_ = assemble_sg(mesh, grid, AffineField.build(1.0, [(1.0, one, 0), (2.0, one, 1)]),
+                               AffineField.build(-2.0), AffineField.build(-0.05))
+            u, rep = active_set_solve(sys_, sys_.obs, SolverConfig(tol=1e-8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.iterations >= 2 and sys_.n == 225 * 81
+        assert peak / (8 * sys_.n) <= 15.0
+
     def test_flat_index_is_parameter_major(self):
         # flat index j*I + i: a vector supported on parameter node j = 1
         # must produce output supported on rows of the same parameter block

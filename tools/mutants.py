@@ -60,6 +60,10 @@ MUTANTS = [
     Mutant("fold-rtol-loose", "folding of stiffness terms",
            "src/sgobstacle/fields.py",
            "FOLD_RTOL = 1e-13", "FOLD_RTOL = 1e-2"),
+    Mutant("lambda-start-off-obstacle", "start residual of an update",
+           "src/sgobstacle/lcp.py",
+           "if lam is not None and not exact and not np.any(active & (u != obs)):",
+           "if lam is not None and not exact:"),
 ]
 
 
