@@ -20,10 +20,10 @@ holds at every parameter node, and declares nothing, so its solves run
 conjugate gradients.  The sparse system's diagonal blocks share one size,
 and it refactors and re-solves only the blocks whose set or right-hand side
 moved.  Handed one shape with a scale per block (a Monte Carlo block whose
-samples share a stiffness shape), it keeps the factors of its (shape, held
-set) pairs in a ``FactorStore`` that a Monte Carlo run shares among its
-block systems, and solves the blocks of one pair in one LAPACK ``dpbtrs``
-call with one column per block.
+samples share a stiffness shape), it keeps the factors of its held sets in
+a ``FactorStore`` that a Monte Carlo run shares among its block systems,
+and solves the blocks of one held set in one LAPACK ``dpbtrs`` call with
+one column per block.
 
 The active set method is an inexact semismooth Newton iteration, and each
 of its steps is one linear solve on the inactive set.  The unconstrained
@@ -130,8 +130,8 @@ class SolveReport:
 
 
 class FactorStore:
-    """Banded Cholesky factors keyed by (shape, held set), shared by the
-    block systems of one band: a Monte Carlo run hands one to each block.
+    """Banded Cholesky factors of one shape keyed by held set, shared by the
+    block systems of that shape: a Monte Carlo run hands one to each block.
     Past ``cap`` bytes the least recently used factor is dropped.  ``hits``
     counts the block solves served by a factor already made, ``evictions``
     the factors dropped and ``peak_bytes`` the most bytes kept."""
@@ -142,10 +142,10 @@ class FactorStore:
         self.bytes = self.peak_bytes = self.hits = self.evictions = 0
 
     def fetch(self, uses, make):
-        """The factors of the pairs of ``uses`` (pair -> the blocks that need
-        it), now the most recently used.  ``make(new)`` returns the factors
-        of the pairs ``new`` that the store lacks; if it raises, the store is
-        unchanged."""
+        """The factors of the held sets of ``uses`` (set -> the blocks that
+        need it), now the most recently used.  ``make(new)`` returns the
+        factors of the sets ``new`` that the store lacks; if it raises, the
+        store is unchanged."""
         new = [key for key in uses if key not in self._factors]
         made = make(new) if new else []
         for key in uses:
@@ -169,19 +169,19 @@ class SparseObstacleSystem:
     and the system keeps their lower bands (LAPACK lower form, transposed:
     one row per column) as ``band`` (shapes, size, depth): block j, A's rows
     j size to (j + 1) size, is ``scales[j]`` (else 1) times shape j modulo
-    shapes.  A caller that knows them passes ``band`` and ``scales``
-    (``mc._AffineSampler.build``); else the first apply reads the band off A
-    as one block, (1, n, depth), with duplicate entries summed.
+    shapes.  A caller that knows them passes ``band``, and ``scales`` with a
+    band of one shape (``mc._AffineSampler.build``); else the first apply
+    reads the band off A as one block (1, n, depth), duplicate entries summed.
 
     An apply of ``precond()`` moves the blocks whose held set differs from
     the one they were factored with (all at first) and solves again the
     moved blocks and those whose right-hand side changed.  With ``scales``
-    the factors of the (shape, held set) pairs live in ``store`` (a
-    ``FactorStore`` of its own without one): the pairs it lacks are
-    factored in one ``cholesky_banded`` call, and the blocks of one pair are
-    solved in one ``dpbtrs`` call, a column each, then divided by their
-    scales.  Without ``scales`` the moved blocks' stacked factors are remade
-    and the blocks solved on their stacked rows, one call each.  A factor
+    the factors of the shape, one per held set, live in ``store`` (a
+    ``FactorStore`` of its own without one): the sets it lacks are factored
+    in one ``cholesky_banded`` call, and the blocks of one set are solved in
+    one ``dpbtrs`` call, a column each, then divided by their scales.
+    Without ``scales`` the moved blocks' stacked factors are remade and the
+    blocks solved on their stacked rows, one call each.  A factor
     that is not positive definite, or a moved block with a free entry whose
     scale is not positive (which a shared factor would hide), raises
     numpy.linalg.LinAlgError on that apply before anything changes.
@@ -204,8 +204,8 @@ class SparseObstacleSystem:
                 raise ValueError(f"the shapes times the size of band must divide {self.n}, "
                                  f"got shape {band.shape}")
         if scales is not None:
-            if band is None:
-                raise ValueError("scales need a band")
+            if band is None or len(band) != 1:
+                raise ValueError("scales need a band of one shape")
             scales = np.asarray(scales, dtype=float)
             if scales.shape != (self.n // band.shape[1],):
                 raise ValueError(f"scales must have one entry per block, "
@@ -214,7 +214,7 @@ class SparseObstacleSystem:
         elif store is not None:
             raise ValueError("a factor store needs scales")
         self._band, self._scales = band, scales  # else read off A
-        self._store = store  # with scales: the factors of the (shape, held set) pairs
+        self._store = store  # with scales: the shape's factors by held set
         self._factor = None  # without scales: the stacked factors of the blocks
         self._held = None  # the set of entries held when each block was factored
         self._r, self._x = None, np.empty(self.n)  # right-hand side, solution of the last apply
@@ -279,7 +279,7 @@ class SparseObstacleSystem:
         return factor.reshape(-1, size, depth)
 
     def _stacked_solve(self, r, held, moved, solve):
-        """Refactor the blocks flagged in ``moved``, each a pair of its own,
+        """Refactor the blocks flagged in ``moved``, each on its own,
         and solve those flagged in ``solve`` on their stacked rows."""
         blocks = np.flatnonzero(moved)
         if self._factor is None:  # the first apply moves every block
@@ -293,13 +293,12 @@ class SparseObstacleSystem:
             self._x.reshape(r.shape)[blocks] = x.reshape(-1, r.shape[1])
 
     def _shared_solve(self, r, held, solve):
-        """Solve the blocks flagged in ``solve`` on their pairs' factors from
-        the store, one ``dpbtrs`` call per pair; the pairs that the store
+        """Solve the blocks flagged in ``solve`` on their held sets' factors
+        from the store, one ``dpbtrs`` call per set; the sets that the store
         lacks are factored first, in one call on their first blocks."""
-        shapes = len(self._band)
-        uses = {}  # each pair, and the blocks to solve that hold it
+        uses = {}  # each held set, and the blocks to solve that hold it
         for j in np.flatnonzero(solve):
-            uses.setdefault((j % shapes, held[j].tobytes()), []).append(j)
+            uses.setdefault(held[j].tobytes(), []).append(j)
 
         def make(new):
             factor = self._factored(np.array([uses[key][0] for key in new]), held)

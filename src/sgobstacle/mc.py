@@ -21,9 +21,9 @@ fold to one spatial shape K (``fields.fold_terms``), as in both of the
 paper's examples, sample s's stiffness is c_s K with c_s = [1, y_s] times
 the terms' ratios to K: the sampler makes the band of K once per run, and a
 block hands it over as its one shape (1, I, depth) with its samples' scales
-and the run's one ``lcp.FactorStore``, so samples that hold one active set
-share one Cholesky factor across every block of the run, and a block solves
-its samples of one factor in one call.  Otherwise the sampler finds where
+and the run's one ``lcp.FactorStore``, keyed by held set, so samples that
+hold one active set share one Cholesky factor across every block of the run,
+and a block solves its samples of one factor in one call.  Otherwise the sampler finds where
 one sample's stiffness entries go in its band once per run
 (``lcp.band_map``), a block's band is one scatter of its stiffness rows, a
 shape per sample (B, I, depth), and each sample is factored on its own.  An
@@ -45,8 +45,8 @@ keep their start sets takes one update, and ``start_sets_kept`` counts the
 samples that keep theirs.  The nearest rows come from one (B, D) table for
 a block of B samples and D <= min(B, 2^I) kept sets, not from a table of
 the two blocks' rows (16,384 x 8,192 doubles at nx = 2).  Past the first
-few blocks a run solves few block systems, and more samples of one (shape,
-active set) pair share each solve call.  The block's arrays grow with the
+few blocks a run solves few block systems, and more samples of one active
+set share each solve call.  The block's arrays grow with the
 cap, the shared factors do not: a CLI run of 768 samples of the paper's
 example 1 at nx = 16 peaked at 64.2 / 66.8 / 76.5 MB RSS with caps of
 4096 / 16384 / 65536 nodes.  The store

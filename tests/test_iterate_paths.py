@@ -1,16 +1,17 @@
 """Iterate paths of the CLI on the benchmark configs.
 
-Each test writes a copy of one benchmark config, runs it through
-``cli.main`` and checks the solver counts in its report: the active-set
-updates and conjugate gradient steps of a Galerkin solve, and the updates,
-factorizations, solves and failures of a Monte Carlo run.  A change that
-moves one of these paths changes how the solvers get to their answer, even
-when the answer stays within its tolerances.  The "hard shapes" variants
-give the coefficient modes that are not multiples of the mean, so the
-Galerkin matvec makes three sparse products and no Monte Carlo samples
-share a factor.  The "moving contact" Monte Carlo run takes example1's
-fields with the constant obstacle -0.05 at nx = 32, where a block holds
-up to 17 samples whose contact sets differ, and the run's samples share 53
+Each test writes a copy of one benchmark config, as ``bench/workloads.py``
+makes it at seed 7, runs it through ``cli.main`` and checks the solver
+counts in its report: the active-set updates and conjugate gradient steps
+of a Galerkin solve, and the updates, factorizations, solves and failures
+of a Monte Carlo run.  A change that moves one of these paths changes how
+the solvers get to their answer, even when the answer stays within its
+tolerances.  The "hard shapes" variants give the coefficient modes that
+are not multiples of the mean, so the Galerkin matvec makes three sparse
+products and no Monte Carlo samples share a factor.  The "moving contact"
+Monte Carlo run takes example1's fields with the constant obstacle -0.05
+(the sg-solve config's custom problem) at nx = 32, where a block holds up
+to 17 samples whose contact sets differ, and the run's samples share 53
 factors.  A Monte Carlo sample's first update holds the final set of the
 nearest sample of the last converged block, and the report counts the
 samples that kept that start set; every sample but the first, which starts
@@ -18,32 +19,22 @@ cold, can.
 """
 
 import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from sgobstacle.cli import main as cli_main
 
-# example1's fields with a constant obstacle, written as a custom problem
-EXAMPLE1_FIELDS = {
-    "name": "ex1custom",
-    "domain": [-1.5, 1.5, -1.5, 1.5],
-    "densities": [{"kind": "exp-uniform"}, {"kind": "exp-uniform"}],
-    "fields": {
-        "a": {"mean": 1.0, "modes": [{"coeff": 1.0, "shape": 1.0, "dim": 0},
-                                     {"coeff": 2.0, "shape": 1.0, "dim": 1}]},
-        "f": -2.0,
-        "g": -0.05,
-    },
-}
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
-SG_SOLVE = {"problem": "custom", "custom": EXAMPLE1_FIELDS, "mode": "sg",
-            "schedule": {"levels": [[24, 8]]},
-            "solver": {"method": "active-set", "tol": 1e-8}}
-
-MC = {"problem": "example1", "mode": "mc", "schedule": {"levels": [[16, 4]]},
-      "solver": {"method": "active-set", "tol": 1e-8},
-      "mc": {"n_samples": 768, "seed": 7, "level": 0}}
+SG_SOLVE, _ = workloads.make_config("sg-solve", 7)
+MC, _ = workloads.make_config("mc", 7)
+EXAMPLE1_FIELDS = SG_SOLVE["custom"]  # example1's fields with a constant obstacle
 
 
 def hard_shapes(fields):

@@ -769,6 +769,9 @@ class TestBlockContract:
         for scales in ((1.0,), np.ones(21)):  # one block of 21 rows, or 21 of 1
             with pytest.raises(ValueError, match="one entry per block"):
                 SparseObstacleSystem(A, np.zeros(n), band.reshape(1, 3, -1), scales)
+        for shapes in (None, band.reshape(7, 3, -1)):  # scales share one shape's factors
+            with pytest.raises(ValueError, match="scales need a band of one shape"):
+                SparseObstacleSystem(A, np.zeros(n), shapes, np.ones(7))
 
 
 class TestSharedFactors:
@@ -819,8 +822,8 @@ class TestSharedFactors:
         r0 = np.random.default_rng(101).standard_normal(n)
         store = system._store
 
-        # copies 0-2 hold nothing, copy 3 holds its first node: the pairs
-        # are (shape, none) and (shape, first node)
+        # copies 0-2 hold nothing, copy 3 holds its first node: the held
+        # sets are none and the first node
         self.check(system, A, [nothing, nothing, nothing, first], r0)
         assert cholesky_calls == [5 + 5]
         assert (system.factored_blocks, system.distinct_factorizations) == (4, 2)
@@ -851,7 +854,7 @@ class TestSharedFactors:
         self.check(two, A2, [first, nothing], r0)
         assert cholesky_calls == [10]  # both pairs are in the store
         self.check(two, A2, [first, np.array([False, False, False, True, True])], r0)
-        assert cholesky_calls == [10, 5]  # only (shape, last two held) is new
+        assert cholesky_calls == [10, 5]  # only the set of the last two is new
         made = one.distinct_factorizations + two.distinct_factorizations
         assert made == 3 == len(store._factors)
         assert store.hits == one.solved_blocks + two.solved_blocks - made
@@ -874,11 +877,11 @@ class TestSharedFactors:
         nothing, first = np.zeros(5, dtype=bool), np.array([True, False, False, False, False])
         r0 = np.random.default_rng(113).standard_normal(5 * len(self.SCALES))
         one, A1 = self.scaled_system(self.SCALES, store=store)
-        self.check(one, A1, [nothing, first, nothing, nothing], r0)  # (shape, none) and (shape, first)
+        self.check(one, A1, [nothing, first, nothing, nothing], r0)  # none held, and the first node
         assert len(made) == 1 and store.evictions == 1
-        assert list(store._factors) == [(0, first.tobytes())]  # the pair made last stays
+        assert list(store._factors) == [first.tobytes()]  # the set made last stays
         two, A2 = self.scaled_system((2.0,), store=store)
-        self.check(two, A2, [nothing], r0)  # the evicted (shape, none) is made again
+        self.check(two, A2, [nothing], r0)  # the evicted set of none is made again
         assert len(made) == 2 and store.evictions == 2
         assert one.distinct_factorizations + two.distinct_factorizations == 3
         assert made[1].tobytes() == made[0][:, :self.SIZE].tobytes()
@@ -886,7 +889,7 @@ class TestSharedFactors:
 
     def test_one_shape_per_block_keys_nothing(self):
         # a band of one shape per block and no scales: each moved block is
-        # factored, and no (shape, set) pair is built or kept
+        # factored, and no factor is kept by held set
         _, A = self.scaled_system(self.SCALES)
         system = given_blocks(A, np.zeros(A.shape[0]), self.SIZE)
         assert len(system._band) == len(self.SCALES)

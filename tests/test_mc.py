@@ -419,6 +419,24 @@ class TestMCRun:
             assert res.n_failed == 0 and solves == schedule
             assert res.blocks == len(schedule)
             assert np.max(np.abs(res.mean)) > 0.01
+        # below the cap, by either solver: 19 samples of example1 at nx = 16
+        # make blocks of 1, 2, 4, 8 and 4; projected SOR factors and solves
+        # nothing, and the active set method solves each sample it brings
+        # to a new set once, every sample at least once
+        prob = get_problem("example1")
+        mesh = build_uniform_mesh(prob.rect, 16)
+        for method in ("active-set", "psor"):
+            solves.clear()
+            res = mc_run(mesh, prob.fields, prob.densities, 19, seed=0,
+                         solver=SolverConfig(method=method, omega=1.7, tol=1e-8, max_iter=2000),
+                         dirichlet=prob.dirichlet)
+            assert res.n_failed == 0 and solves == [1, 2, 4, 8, 4]
+            assert np.all(np.isfinite(res.mean)) and np.all(np.isfinite(res.variance()))
+            counts = (res.sample_factorizations, res.sample_solves)
+            if method == "psor":
+                assert counts == (0, 0)
+            else:
+                assert counts[0] == counts[1] >= 19
 
     def test_block_pattern_is_built_once_per_run(self, monkeypatch):
         # the sampler builds the block-diagonal CSR pattern of the run's

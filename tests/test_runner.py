@@ -540,24 +540,35 @@ class TestErrorTable:
 
 class TestRunConvergence:
     def test_errors_decrease_and_orders_fill_in(self, tmp_path):
-        cfg = validate_config(base_config(output_dir=str(tmp_path)))
-        rows, reports = run_convergence(cfg)
-        assert len(rows) == 2
-        r0, r1 = rows
-        for key in ("eL2m1", "eH1m1", "eL2m2", "eH1m2"):
-            assert r1.errors[key] < r0.errors[key]
-            assert r0.orders[key] is None
-            assert 0.3 < r1.orders[key] < 3.5
-        assert (tmp_path / "table.csv").exists()
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert len(report["levels"]) == 2
-        assert all(lv["converged"] for lv in report["levels"])
-        # each level carries its per-update trace, one record per update
-        for lv in report["levels"]:
-            assert lv["errors_seconds"] > 0.0
-            assert lv["spatial_factors"] == 1
-            assert len(lv["trace"]) == lv["iterations"]
-            assert all(r["pcg"] >= 0 and r["target"] > 0.0 for r in lv["trace"])
+        # example2 by the active set method and by warm-started projected
+        # SOR, and example1 on the coupled schedule from one parameter cell
+        cases = [(base_config(), 2),
+                 (base_config(schedule={"levels": [[4, 2], [8, 2]]},
+                              solver={"method": "psor", "tol": 1e-8, "max_iter": 2000}), 2),
+                 (base_config(problem="example1",
+                              schedule={"coupled": {"m_min": 0, "m_max": 2}}), 3)]
+        for k, (raw, levels) in enumerate(cases):
+            out = tmp_path / str(k)
+            cfg = validate_config(dict(raw, output_dir=str(out)))
+            rows, _ = run_convergence(cfg)
+            assert len(rows) == levels
+            for key in ("eL2m1", "eH1m1", "eL2m2", "eH1m2"):
+                assert rows[0].orders[key] is None
+                for coarse, fine in zip(rows, rows[1:]):
+                    assert fine.errors[key] < coarse.errors[key]
+                    assert 0.3 < fine.orders[key] < 3.5
+            assert (out / "table.csv").exists()
+            report = json.loads((out / "report.json").read_text())
+            assert len(report["levels"]) == len(rows)
+            assert all(lv["converged"] for lv in report["levels"])
+            # an active-set level carries its per-update trace, one record
+            # per update; projected SOR records none
+            for lv in report["levels"]:
+                assert lv["errors_seconds"] > 0.0
+                assert lv["spatial_factors"] == 1
+                updates = lv["iterations"] if cfg.solver.method == "active-set" else 0
+                assert len(lv["trace"]) == updates
+                assert all(r["pcg"] >= 0 and r["target"] > 0.0 for r in lv["trace"])
 
     def test_example1_levels_make_one_sparse_product_per_matvec(self, tmp_path):
         # a = 1 + y1 + 2 y2: the three stiffness terms have one spatial shape

@@ -1,11 +1,12 @@
 """Committed mutants: each is one textual change to the package that the
 tier-1 tests must catch.
 
-For every mutant the script copies ``src`` and ``tests`` to a temporary
-directory, applies the change there and runs tier-1 on the copy with ``-x``
-(stop at the first failure), with criterion 1 deselected: it fails for a
-known cause (the nodal Dirichlet data), so it would kill every mutant.  An
-unchanged copy runs first and must pass, else no kill would mean anything.
+For every mutant the script copies ``src``, ``tests`` and ``bench`` (whose
+configs the iterate-path pins run) to a temporary directory, applies the
+change there and runs tier-1 on the copy with ``-x`` (stop at the first
+failure), with criterion 1 deselected: it fails for a known cause (the
+nodal Dirichlet data), so it would kill every mutant.  An unchanged copy
+runs first and must pass, else no kill would mean anything.
 The script prints, per mutant, whether a test failed, the first failing
 test and how long the run took, and exits 1 if any mutant survives or no
 longer applies (its old text is not found exactly once).
@@ -64,6 +65,26 @@ MUTANTS = [
            "src/sgobstacle/lcp.py",
            "if lam is not None and not exact and not np.any(active & (u != obs)):",
            "if lam is not None and not exact:"),
+    Mutant("lifting-added", "Dirichlet lifting",
+           "src/sgobstacle/system.py",
+           "B -= kron_apply(gram.factors(k), L)", "B += kron_apply(gram.factors(k), L)"),
+    Mutant("chan-no-cross-term", "moment accumulation",
+           "src/sgobstacle/mc.py",
+           " + delta ** 2 * (self.n * count / n)", ""),
+    Mutant("store-evicts-newest", "factor store eviction",
+           "src/sgobstacle/lcp.py",
+           "popitem(last=False)", "popitem(last=True)"),
+    Mutant("coefficient-check-loose", "config checks",
+           "src/sgobstacle/runner.py",
+           "if not a_lo > 0.0:", "if not a_lo > -1.0:"),
+    Mutant("active-set-stop-loose", "active set stop test",
+           "src/sgobstacle/lcp.py",
+           "        converged = residual <= config.tol\n",
+           "        converged = residual <= 100 * config.tol\n"),
+    Mutant("psor-stop-loose", "projected SOR stop test",
+           "src/sgobstacle/lcp.py",
+           "        if residual <= config.tol:\n            break",
+           "        if residual <= 100 * config.tol:\n            break"),
 ]
 
 
@@ -86,7 +107,7 @@ def fresh_copy(tmp: Path) -> Path:
     copy = tmp / "repo"
     shutil.rmtree(copy, ignore_errors=True)
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "bench"):
         shutil.copytree(ROOT / part, copy / part, ignore=ignore)
     return copy
 
