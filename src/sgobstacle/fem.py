@@ -6,7 +6,8 @@ couplings with their stiffness maps, and the load map), so assembly is one
 sparse product for any number of coefficient rows.  Each map sums in a
 fixed order, so repeated runs produce bitwise-identical matrices.
 ``evaluate_p1`` evaluates any number of P1 fields at once, and
-``p1_distance`` is the one quadrature of L2 and H1-seminorm errors.
+``p1_distance`` is the one quadrature of L2 and H1-seminorm errors.  The
+module owns the two triangle rules (``_RULES``) and the P1 triangle geometry.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, triangle_quadrature
+from .mesh import Mesh
 
 __all__ = [
     "Block",
@@ -70,18 +71,36 @@ def _triangle_geometry(mesh: Mesh):
 ASSEMBLY_DEGREE = 2  # triangle rule of the loads and the coefficient integrals
 
 
+# Rules on the reference triangle {(s, t): s, t >= 0, s + t <= 1}, by the
+# degree up to which they are exact: points (nq, 2) and weights (nq,).  The
+# weights sum to 1/2, the reference area, so the integral over a triangle T
+# is 2 |T| sum_q w_q f(x_q).  Degree 5 is Radon's seven-point rule: the
+# centroid and two orbits of barycentric coordinates (a, a, 1 - 2a).
+_RULES = {
+    2: (np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]]), np.full(3, 1 / 6)),
+    5: (np.array([[1 / 3, 1 / 3]] + [p for a in (0.470142064105115, 0.101286507323456)
+                                     for p in ([a, a], [1 - 2 * a, a], [a, 1 - 2 * a])]),
+        np.repeat([0.1125, 0.132394152788506 / 2, 0.125939180544827 / 2], [1, 3, 3])),
+}
+
+
 def _reference_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Values (nq, 3) of the three vertex shapes at the points of the
-    triangle rule of ``degree``, and its weights."""
-    rule = triangle_quadrature(degree)
-    s, t = rule.points.T
-    return np.column_stack([1.0 - s - t, s, t]), rule.weights
+    triangle rule of ``degree`` (2 or 5), and its weights."""
+    points, weights = _RULES[degree]
+    s, t = points.T
+    return np.column_stack([1.0 - s - t, s, t]), weights
+
+
+def _rule_points(mesh: Mesh, shapes: np.ndarray) -> np.ndarray:
+    """Points (n_triangles * nq, 2), triangle by triangle, of vertex ``shapes`` (nq, 3)."""
+    return (shapes @ mesh.nodes[mesh.triangles]).reshape(-1, 2)
 
 
 def assembly_points(mesh: Mesh) -> np.ndarray:
     """The points (n_triangles * nq, 2), triangle by triangle, at which
     ``P1Operator`` takes the values of coefficients and sources."""
-    return (_reference_rule(ASSEMBLY_DEGREE)[0] @ mesh.nodes[mesh.triangles]).reshape(-1, 2)
+    return _rule_points(mesh, _reference_rule(ASSEMBLY_DEGREE)[0])
 
 
 def _columns(rows: np.ndarray, values: np.ndarray, n_rows: int) -> sp.csr_array:
@@ -183,7 +202,7 @@ class P1Operator:
     def __init__(self, mesh: Mesh):
         area, grads = _triangle_geometry(mesh)
         self._shapes, self._wq = _reference_rule(ASSEMBLY_DEGREE)
-        self.mesh, self.points, self._area2 = mesh, assembly_points(mesh), 2.0 * area
+        self.mesh, self.points, self._area2 = mesh, _rule_points(mesh, self._shapes), 2.0 * area
         self.interior, self.coupling = _stiffness_blocks(mesh, grads)
         self._load = _columns(np.repeat(mesh.triangles, self._wq.size, axis=0),
                               self._area2[:, None, None] * self._wq[:, None] * self._shapes,
@@ -253,7 +272,7 @@ def p1_distance(mesh: Mesh, coeffs: np.ndarray, exact) -> tuple[np.ndarray, np.n
     area, grads = _triangle_geometry(mesh)
     shapes, wq = _reference_rule(5)
     nt, nq = mesh.n_triangles, wq.size
-    pts = (shapes @ mesh.nodes[mesh.triangles]).reshape(-1, 2)
+    pts = _rule_points(mesh, shapes)
     values, gradients = (np.asarray(e, dtype=float) for e in exact(pts))
     want = lead + (nt * nq,)
     if values.shape != want or gradients.shape != want + (2,):

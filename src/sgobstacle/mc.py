@@ -258,7 +258,7 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         system, obs, boundary = sampler.build(Y)
         x0 = held = None
         if acc.mean is not None:
-            x0 = np.maximum(np.tile(acc.mean[mesh.interior], len(Y)), obs)
+            x0 = np.tile(acc.mean[mesh.interior], len(Y))
             held = sets[_nearest(Y, rows)].ravel()
         u, report = solve_lcp(system, obs, solver, x0=x0, held=held)
         result.solver_iterations += report.iterations

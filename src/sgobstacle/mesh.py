@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Mesh",
-    "TriQuadRule",
-    "build_uniform_mesh",
-    "triangle_quadrature",
-    "write_vtk",
-]
+__all__ = ["Mesh", "build_uniform_mesh", "write_vtk"]
 
 Rect = tuple[float, float, float, float]
 
@@ -83,12 +77,6 @@ class Mesh:
         """Largest cell edge length (the h reported in convergence tables)."""
         return max(self.dx, self.dy)
 
-    def triangle_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
 
 def build_uniform_mesh(rect: Rect, nx: int, ny: int | None = None) -> Mesh:
     """Build the uniform criss-cross-free triangulation of ``rect``.
@@ -132,56 +120,8 @@ def build_uniform_mesh(rect: Rect, nx: int, ny: int | None = None) -> Mesh:
         (gx.ravel() == 0) | (gx.ravel() == nx) | (gy.ravel() == 0) | (gy.ravel() == ny)
     )
 
-    mesh = Mesh(rect=(x0, x1, y0, y1), nx=nx, ny=ny, nodes=nodes,
+    return Mesh(rect=(x0, x1, y0, y1), nx=nx, ny=ny, nodes=nodes,
                 triangles=triangles, boundary=boundary)
-    areas = mesh.triangle_areas()
-    assert np.all(areas > 0.0)
-    assert abs(areas.sum() - (x1 - x0) * (y1 - y0)) <= 1e-12 * (x1 - x0) * (y1 - y0)
-    return mesh
-
-
-@dataclass(frozen=True)
-class TriQuadRule:
-    """Quadrature on the reference triangle {(s, t): s, t >= 0, s + t <= 1}.
-
-    Weights sum to 1/2 (the reference area), so an integral over a physical
-    triangle T is 2*|T| * sum_q w_q f(x_q).
-    """
-
-    degree: int
-    points: np.ndarray  # (n_q, 2) reference coordinates
-    weights: np.ndarray  # (n_q,)
-
-
-def _rule_deg2() -> TriQuadRule:
-    pts = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-    return TriQuadRule(2, pts, np.full(3, 1 / 6))
-
-
-def _rule_deg5() -> TriQuadRule:
-    a = 0.470142064105115
-    b = 0.101286507323456
-    wa = 0.132394152788506 / 2
-    wb = 0.125939180544827 / 2
-    pts = np.array([
-        [1 / 3, 1 / 3],
-        [a, a], [1 - 2 * a, a], [a, 1 - 2 * a],
-        [b, b], [1 - 2 * b, b], [b, 1 - 2 * b],
-    ])
-    return TriQuadRule(5, pts, np.array([0.1125, wa, wa, wa, wb, wb, wb]))
-
-
-# The rules the package reads, lowest degree first: degree 2 for assembly,
-# degree 5 for error norms.
-_RULES = {2: _rule_deg2, 5: _rule_deg5}
-
-
-def triangle_quadrature(degree: int) -> TriQuadRule:
-    """Smallest tabulated rule exact for polynomials up to ``degree`` (1..5)."""
-    for top, rule in _RULES.items():
-        if 1 <= degree <= top:
-            return rule()
-    raise ValueError(f"no tabulated triangle rule of degree {degree}")
 
 
 def write_vtk(mesh: Mesh, path: str, point_data: dict[str, np.ndarray] | None = None,

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from sgobstacle.fem import P1Operator, assembly_points, evaluate_p1, p1_distance
-from sgobstacle.mesh import build_uniform_mesh, triangle_quadrature
+from sgobstacle.fem import _RULES, P1Operator, assembly_points, evaluate_p1, p1_distance
+from sgobstacle.mesh import build_uniform_mesh
 
 
 def unit_mesh(n):
@@ -25,6 +27,31 @@ def unit(x):
 def exact_data(values, grads):
     """Exact data for ``p1_distance`` from functions of the points."""
     return lambda x: (values(x), grads(x))
+
+
+class TestTriangleQuadrature:
+    # integral of s^p t^q over the reference triangle is p! q! / (p+q+2)!
+    @staticmethod
+    def _exact(p, q):
+        return math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_exact_on_monomials(self, degree):
+        points, weights = _RULES[degree]
+        for p in range(degree + 1):
+            for q in range(degree + 1 - p):
+                val = np.sum(weights * points[:, 0] ** p * points[:, 1] ** q)
+                assert val == pytest.approx(self._exact(p, q), abs=1e-15, rel=1e-13)
+
+    def test_weights_sum_to_reference_area(self):
+        assert sorted(_RULES) == [2, 5]
+        for points, weights in _RULES.values():
+            assert weights.sum() == pytest.approx(0.5, rel=1e-14)
+
+    def test_first_moment_oracle(self):
+        # integral of s over the reference triangle is 1/6
+        points, weights = _RULES[2]
+        assert np.sum(weights * points[:, 0]) == pytest.approx(1 / 6)
 
 
 class TestStiffness:
@@ -132,7 +159,7 @@ class TestOperator:
         # vertex coordinates, added entry by entry in a plain loop over all
         # nodes; the interior and coupling blocks are its interior rows
         mesh = build_uniform_mesh((-0.5, 1.5, 0.0, 0.75), 4, 3)
-        rule = triangle_quadrature(2)
+        rule_points, rule_weights = _RULES[2]
 
         def reference(weight):
             n = mesh.n_nodes
@@ -143,7 +170,7 @@ class TestOperator:
                 coef = np.linalg.inv(np.column_stack([np.ones(3), p]))
                 grads = coef[1:].T
                 area = 0.5 * abs(np.linalg.det(np.column_stack([np.ones(3), p])))
-                for (s, t), wq in zip(rule.points, rule.weights):
+                for (s, t), wq in zip(rule_points, rule_weights):
                     shapes = np.array([1.0 - s - t, s, t])
                     w = 2.0 * area * wq * weight((shapes @ p)[None])[0]
                     for i in range(3):
@@ -178,9 +205,8 @@ class TestOperator:
         mesh = build_uniform_mesh((-0.5, 1.5, 0.0, 0.75), 4, 3)
         points = assembly_points(mesh)
         assert np.array_equal(points, P1Operator(mesh).points)
-        rule = triangle_quadrature(2)
         ref = [np.array([1.0 - s - t, s, t]) @ mesh.nodes[tri]
-               for tri in mesh.triangles for s, t in rule.points]
+               for tri in mesh.triangles for s, t in _RULES[2][0]]
         assert_allclose(points, ref, rtol=0, atol=1e-15)
 
 

@@ -1177,6 +1177,23 @@ class TestActiveSet:
         assert not rep.converged
         assert (rep.iterations, rep.inner_iterations, rep.trace) == (0, 0, [])
 
+    def test_indefinite_operator_stops_conjugate_gradients(self):
+        # an inexact identity apply sends each solve through conjugate
+        # gradients, whose first step on A = diag(1, -1) has p.Ap = 1 - 4 < 0:
+        # the step fails there, cold or warm started
+        class Unpreconditioned(SparseObstacleSystem):
+            def precond(self):
+                return lambda r, active: r.copy()
+
+        system = Unpreconditioned(sp.csr_array(np.diag([1.0, -1.0])), np.array([1.0, 2.0]))
+        obs = np.full(2, -1.0)
+        _, rep = active_set_solve(system, obs, SolverConfig())
+        assert not rep.converged
+        assert (rep.iterations, rep.inner_iterations) == (0, 1)
+        _, rep = solve_lcp(system, obs, SolverConfig(), x0=np.zeros(2))
+        assert not rep.converged
+        assert rep.iterations == 1 and rep.trace[0]["pcg"] == 1
+
     def test_conjugate_gradients_start_from_the_given_residual(self):
         # the caller passes b - A x0; the iteration stops at an absolute
         # target and returns the norm of the residual it carried

@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from sgobstacle.mesh import build_uniform_mesh, triangle_quadrature, write_vtk
+from sgobstacle.fem import _triangle_geometry
+from sgobstacle.mesh import build_uniform_mesh, write_vtk
 
 
 class TestUniformMesh:
@@ -23,7 +22,7 @@ class TestUniformMesh:
 
     def test_areas_positive_and_sum_to_domain(self):
         mesh = build_uniform_mesh((-1.5, 1.5, -1.5, 1.5), 8)
-        areas = mesh.triangle_areas()
+        areas = _triangle_geometry(mesh)[0]
         assert np.all(areas > 0)
         assert areas.sum() == pytest.approx(9.0, rel=1e-13)
 
@@ -49,43 +48,13 @@ class TestUniformMesh:
 
     def test_counterclockwise_orientation(self):
         mesh = build_uniform_mesh((0.0, 1.0, 0.0, 2.0), 3, 6)
-        assert np.all(mesh.triangle_areas() > 0)
+        assert np.all(_triangle_geometry(mesh)[0] > 0)
 
     def test_degenerate_rect_rejected(self):
         with pytest.raises(ValueError):
             build_uniform_mesh((1.0, 1.0, 0.0, 1.0), 4)
         with pytest.raises(ValueError):
             build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 0)
-
-
-class TestTriangleQuadrature:
-    # integral of s^p t^q over the reference triangle is p! q! / (p+q+2)!
-    @staticmethod
-    def _exact(p, q):
-        return math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
-
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
-    def test_exact_on_monomials(self, degree):
-        rule = triangle_quadrature(degree)
-        for p in range(degree + 1):
-            for q in range(degree + 1 - p):
-                val = np.sum(rule.weights * rule.points[:, 0] ** p
-                             * rule.points[:, 1] ** q)
-                assert val == pytest.approx(self._exact(p, q), abs=1e-15, rel=1e-13)
-
-    def test_weights_sum_to_reference_area(self):
-        for degree in range(1, 6):
-            rule = triangle_quadrature(degree)
-            assert rule.weights.sum() == pytest.approx(0.5, rel=1e-14)
-
-    def test_first_moment_oracle(self):
-        # integral of s over the reference triangle is 1/6
-        rule = triangle_quadrature(2)
-        assert np.sum(rule.weights * rule.points[:, 0]) == pytest.approx(1 / 6)
-
-    def test_unknown_degree_rejected(self):
-        with pytest.raises(ValueError):
-            triangle_quadrature(6)
 
 
 def test_vtk_dump(tmp_path):

@@ -592,6 +592,18 @@ class TestRunConvergence:
             cells = dict(zip(header, line.split(",")))
             assert [cells[k] for k in header if k.startswith("ord")] == [""] * 4
 
+    def test_order_in_s_where_h_stays(self, tmp_path):
+        # h stays at nx = 8 while the cells double, so each order is taken in s
+        cfg = validate_config(base_config(problem="example1",
+                                          schedule={"levels": [[8, 1], [8, 2]]},
+                                          output_dir=str(tmp_path)))
+        (coarse, fine), _ = run_convergence(cfg)
+        assert fine.h == coarse.h and fine.s == coarse.s / 2
+        for key, e in fine.errors.items():
+            assert fine.orders[key] is not None
+            assert fine.orders[key] == pytest.approx(
+                math.log(coarse.errors[key] / e) / math.log(coarse.s / fine.s), rel=1e-12)
+
     def test_table_deterministic_up_to_timings(self, tmp_path):
         cfg1 = validate_config(base_config(output_dir=str(tmp_path / "a")))
         cfg2 = validate_config(base_config(output_dir=str(tmp_path / "b")))
@@ -929,11 +941,23 @@ class TestCLI:
         assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_solver_failure_exits_two(self, tmp_path, capsys):
-        cfg = base_config(output_dir=str(tmp_path / "out"),
+        out = tmp_path / "out"
+        cfg = base_config(output_dir=str(out),
                           solver={"method": "psor", "tol": 1e-14, "max_iter": 1})
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["-q", "converge", path]) == 2
         assert "solver failure" in capsys.readouterr().err
+        # solve writes the fields and the report of the level before it fails
+        cfg["schedule"] = {"levels": [[8, 2]]}
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["-q", "solve", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver failure: level 0 did not converge")
+        for name in ("mean.csv", "variance.csv", "report.json"):
+            assert (out / f"example2_level0_{name}").exists()
+        assert (out / "example2_level0.vtk").exists()
+        report = json.loads((out / "example2_level0_report.json").read_text())
+        assert report["solver"]["converged"] is False
 
     def test_mc_sample_failures_exit_two(self, tmp_path, capsys):
         cfg = {"problem": "example1", "mode": "mc",

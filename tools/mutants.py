@@ -85,6 +85,13 @@ MUTANTS = [
            "src/sgobstacle/lcp.py",
            "        if residual <= config.tol:\n            break",
            "        if residual <= 100 * config.tol:\n            break"),
+    Mutant("store-key-drops-first-entry", "factor store keys",
+           "src/sgobstacle/lcp.py",
+           "uses.setdefault(held[j].tobytes(), []).append(j)",
+           "uses.setdefault(held[j][1:].tobytes(), []).append(j)"),
+    Mutant("rule5-point-typo", "triangle quadrature rules",
+           "src/sgobstacle/fem.py",
+           "0.470142064105115", "0.470142064015115"),
 ]
 
 
