@@ -73,9 +73,9 @@ __all__ = [
     "SolveReport",
     "SolverNotConverged",
     "SparseObstacleSystem",
-    "band_map",
     "complementarity_residual",
     "greedy_colouring",
+    "lower_band",
     "psor_solve",
     "active_set_solve",
     "solve_lcp",
@@ -171,7 +171,8 @@ class SparseObstacleSystem:
     j size to (j + 1) size, is ``scales[j]`` (else 1) times shape j modulo
     shapes.  A caller that knows them passes ``band``, and ``scales`` with a
     band of one shape (``mc._AffineSampler.build``); else the first apply
-    reads the band off A as one block (1, n, depth), duplicate entries summed.
+    reads the band off A as one block (1, n, depth) with the same builder
+    (``lower_band``), duplicate entries summed.
 
     An apply of ``precond()`` moves the blocks whose held set differs from
     the one they were factored with (all at first) and solves again the
@@ -250,7 +251,11 @@ class SparseObstacleSystem:
         one index.  The band and the factors are kept transposed, one row per
         column of A, so LAPACK reads the stacked blocks without a copy."""
         if self._band is None:
-            self._band = _lower_band(self.A)[None]
+            A = self.A
+            if not A.has_canonical_format:
+                A = A.copy()
+                A.sum_duplicates()
+            self._band = lower_band(A.indptr, A.indices, A.data[None])
         r, held = r.reshape(-1, self._band.shape[1]), active.reshape(-1, self._band.shape[1])
         moved = (np.ones(len(held), dtype=bool) if self._held is None
                  else (held != self._held).any(axis=1))
@@ -322,26 +327,18 @@ def _band_solve(factor, rhs):
     return x
 
 
-def band_map(indptr, indices):
-    """Where the stored entries of a CSR pattern go in its lower band.
-
-    Returns (lower, pos, depth): ``lower`` indexes the stored entries on or
-    below the diagonal, and ``pos`` gives entry (j + k, j)'s flat place
-    j * depth + k in the transposed lower band (n, depth), as deep as the
-    farthest stored entry below the diagonal.
-    """
-    k = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)) - indices
+def lower_band(indptr, indices, data):
+    """The transposed lower bands (..., n, depth) of the rows of stored
+    entries ``data`` (..., nnz) on one CSR pattern without duplicate
+    entries: entry (j + k, j) goes to [..., j, k], as deep as the farthest
+    stored entry below the diagonal, and the rest is zero."""
+    n = len(indptr) - 1
+    k = np.repeat(np.arange(n), np.diff(indptr)) - indices
     depth = int(k.max(initial=0)) + 1
     lower = np.flatnonzero(k >= 0)
-    return lower, indices[lower] * depth + k[lower], depth
-
-
-def _lower_band(A):
-    """The lower band of the CSR matrix A, transposed, with duplicate entries
-    summed (``band_map``)."""
-    lower, pos, depth = band_map(A.indptr, A.indices)
-    band = np.bincount(pos, weights=A.data[lower], minlength=A.shape[0] * depth)
-    return band.reshape(-1, depth)
+    band = np.zeros(data.shape[:-1] + (n * depth,))
+    band[..., indices[lower] * depth + k[lower]] = data[..., lower]
+    return band.reshape(data.shape[:-1] + (n, depth))
 
 
 def _masked(band, held):

@@ -19,18 +19,18 @@ no conjugate gradients.  The samples are the system's diagonal blocks, of
 I rows each, so its band is (shapes, I, depth).  When the stiffness terms
 fold to one spatial shape K (``fields.fold_terms``), as in both of the
 paper's examples, sample s's stiffness is c_s K with c_s = [1, y_s] times
-the terms' ratios to K: the sampler makes the band of K once per run, and a
-block hands it over as its one shape (1, I, depth) with its samples' scales
-and the run's one ``lcp.FactorStore``, keyed by held set, so samples that
-hold one active set share one Cholesky factor across every block of the run,
-and a block solves its samples of one factor in one call.  Otherwise the sampler finds where
-one sample's stiffness entries go in its band once per run
-(``lcp.band_map``), a block's band is one scatter of its stiffness rows, a
-shape per sample (B, I, depth), and each sample is factored on its own.  An
-update refactors and solves again only the samples whose active set moved;
-``MCResult`` counts the samples brought to a new set, the Cholesky factors
-made and the sample solves of the run, the store's hits, evictions and peak
-bytes, the block systems solved and the samples that kept their start set.
+the terms' ratios to K: the sampler makes the band (1, I, depth) of K once
+per run (``lcp.lower_band``), and a block hands it over as its one shape
+with its samples' scales and the run's one ``lcp.FactorStore``, keyed by
+held set, so samples that hold one active set share one Cholesky factor
+across every block of the run, and a block solves its samples of one factor
+in one call.  Otherwise a block's band is the bands of its stiffness rows
+(``lcp.lower_band``), a shape per sample (B, I, depth), and each sample is
+factored on its own.  An update refactors and solves again only the samples
+whose active set moved; ``MCResult`` counts the samples brought to a new
+set, the Cholesky factors made and the sample solves of the run, the
+store's hits, evictions and peak bytes, the block systems solved and the
+samples that kept their start set.
 
 The first block holds one sample and starts cold.  Each next block holds
 twice as many, up to the cap of ``MC_BLOCK_NODES`` interior nodes divided
@@ -68,7 +68,7 @@ import numpy as np
 from .fem import P1Operator
 from .fields import affine_factors, fold_terms, lift
 from .lcp import (FactorStore, SolverConfig, SolverNotConverged, SparseObstacleSystem,
-                  band_map, solve_lcp)
+                  lower_band, solve_lcp)
 from .mesh import Mesh
 from .param import draw
 
@@ -152,15 +152,15 @@ class _AffineSampler:
     """Block system factory of one run.
 
     The spatial data of the affine terms of a, f and g
-    (``fields.affine_factors``) and the band map of one sample's stiffness
-    pattern (``lcp.band_map``) are made once, and so is the CSR pattern of
+    (``fields.affine_factors``) are made once, and so is the CSR pattern of
     the block-diagonal stiffness (``fem.Block.pattern``) of ``block``
     samples, the run's largest block, whose prefix serves the shorter ones
     (a longer block builds it again); ``build`` takes a
     block's stiffness entries, loads and obstacle values as [1, Y] times the
     terms and its Dirichlet data and lifting from ``fields.lift``.  When the
-    stiffness terms fold to one shape K, ``band`` is the lower band of K,
-    oriented to a positive diagonal, ``ratios`` gives term k as ratios[k] K
+    stiffness terms fold to one shape K, ``band`` is the lower band
+    (1, I, depth) of K (``lcp.lower_band``), oriented to a positive
+    diagonal, ``ratios`` gives term k as ratios[k] K
     (0 for an all-zero term) and ``store`` holds the run's shared factors;
     otherwise all three are None.
     """
@@ -169,7 +169,6 @@ class _AffineSampler:
                  block: int = 1):
         self.op, self.dirichlet = P1Operator(mesh), dirichlet
         self.terms = affine_factors(self.op, a_field, f_field, g_field, n_dims)
-        self.band_map = band_map(self.op.interior.indptr, self.op.interior.indices)
         # the block-diagonal CSR pattern of the largest block yet
         self.pattern = self.op.interior.pattern(block)
         self.band = self.ratios = self.store = None
@@ -179,18 +178,11 @@ class _AffineSampler:
             self.ratios = np.zeros(len(self.terms.K_ii))
             for k, c in members:
                 self.ratios[k] = c
-            self.band = self._band(self.terms.K_ii[g])
-            if self.band[:, 0].sum() < 0.0:  # orient K so that a positive scale is SPD
+            self.band = lower_band(self.op.interior.indptr, self.op.interior.indices,
+                                   self.terms.K_ii[g][None])
+            if self.band[..., 0].sum() < 0.0:  # orient K so that a positive scale is SPD
                 self.band, self.ratios = -self.band, -self.ratios
             self.store = FactorStore(MC_FACTOR_BYTES)
-
-    def _band(self, K_ii: np.ndarray) -> np.ndarray:
-        """The lower bands of the stiffness entries ``K_ii`` (..., nnz) of
-        one sample each, stacked along the rows."""
-        lower, pos, depth = self.band_map
-        band = np.zeros(K_ii.shape[:-1] + (self.op.interior.shape[0] * depth,))
-        band[..., pos] = K_ii[..., lower]
-        return band.reshape(-1, depth)
 
     def build(self, Y: np.ndarray):
         """The block-diagonal system of the parameter rows ``Y`` (B, M).
@@ -199,24 +191,22 @@ class _AffineSampler:
         sample system at ``Y[j]``, the stacked obstacle (B * I,) and the
         Dirichlet data (B, n_boundary).  The system's band is the folded
         band as its one shape (1, I, depth), with the samples' scales [1, Y]
-        ``ratios`` and the run's factor store, or else one scatter of the
-        block's stiffness rows through the band map, a shape per sample
-        (B, I, depth).
+        ``ratios`` and the run's factor store, or else the bands of the
+        block's stiffness rows, a shape per sample (B, I, depth).
         """
         Y1 = np.column_stack((np.ones(len(Y)), Y))
         t = self.terms
         K_ii, K_ib, load, obs = (Y1 @ x for x in (t.K_ii, t.K_ib, t.load, t.obs))
         D, lifting = lift(self.op, self.dirichlet, Y, K_ib)
-        I, depth = self.op.interior.shape[0], self.band_map[2]
+        interior = self.op.interior
         if self.pattern[1].size < K_ii.size:
-            self.pattern = self.op.interior.pattern(len(Y))
+            self.pattern = interior.pattern(len(Y))
         if self.band is None:
-            band, scales = self._band(K_ii), None
+            band, scales = lower_band(interior.indptr, interior.indices, K_ii), None
         else:
             band, scales = self.band, Y1 @ self.ratios
-        system = SparseObstacleSystem(self.op.interior.csr(K_ii, self.pattern),
-                                      (load - lifting).ravel(), band.reshape(-1, I, depth),
-                                      scales, self.store)
+        system = SparseObstacleSystem(interior.csr(K_ii, self.pattern),
+                                      (load - lifting).ravel(), band, scales, self.store)
         return system, obs.ravel(), D
 
 

@@ -16,7 +16,7 @@ from sgobstacle.fields import AffineField
 from sgobstacle.lcp import (SolverConfig, SparseObstacleSystem,
                             _pcg, active_set_solve, brute_force_solve,
                             complementarity_residual, greedy_colouring,
-                            psor_solve, solve_lcp)
+                            lower_band, psor_solve, solve_lcp)
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, build_param_grid
 from sgobstacle.problems import get_problem
@@ -434,6 +434,27 @@ def test_start_set_matches_enumeration_on_galerkin_systems(lcp, data):
                      obs, held, False)
 
 
+def test_lower_band_matches_the_dense_matrix():
+    # entry (j + k, j) of each row of entries lands at [..., j, k], on a
+    # pattern whose columns run backwards in every row and whose upper
+    # triangle is not symmetric to the lower; the rest of the band is zero
+    rng = np.random.default_rng(71)
+    dense = np.where(rng.random((6, 6)) < 0.4, rng.standard_normal((6, 6)), 0.0)
+    np.fill_diagonal(dense, 1.0 + rng.random(6))
+    dense[4, 0], dense[5, 1] = 0.0, 0.5  # the farthest entry below: depth 5 or 6
+    A = sp.csr_array(dense)
+    flip = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(A.indptr, A.indptr[1:])])
+    scales = np.array([[1.0], [-2.0], [0.5]])
+    band = lower_band(A.indptr, A.indices[flip], scales * A.data[flip])
+    depth = max(i - j for i, j in zip(*np.nonzero(np.tril(dense)))) + 1
+    assert band.shape == (3, 6, depth)
+    expect = np.zeros((6, depth))
+    for j in range(6):
+        for k in range(min(depth, 6 - j)):
+            expect[j, k] = dense[j + k, j]
+    assert_array_equal(band, scales[:, :, None] * expect)
+
+
 def test_banded_cholesky_sums_duplicate_entries():
     # a CSR matrix storing (0, 0), (2, 1) and (2, 2) in pieces, one of them
     # an explicit zero: its band must add them up to the matrix they split
@@ -614,10 +635,16 @@ def cholesky_calls(monkeypatch):
     return calls
 
 
+def band_of(A):
+    """The transposed lower band (n, depth) of the CSR matrix A, which
+    stores no duplicate entries."""
+    return lower_band(A.indptr, A.indices, A.data)
+
+
 def given_blocks(A, b, size, scales=None, store=None):
     """The system of A, whose diagonal blocks all have ``size`` rows, with
     its band handed over as a shape per block, (blocks, size, depth)."""
-    band = lcp_module._lower_band(A)
+    band = band_of(A)
     return SparseObstacleSystem(A, b, band.reshape(-1, size, band.shape[1]), scales, store)
 
 
@@ -760,7 +787,7 @@ class TestBlockContract:
     def test_band_and_scales_must_fit_the_blocks(self):
         A = block_diagonal_spd(np.random.default_rng(131), (3,) * 7)
         n = A.shape[0]
-        band = lcp_module._lower_band(A)
+        band = band_of(A)
         with pytest.raises(ValueError, match=r"band must be \(shapes, size, depth\)"):
             SparseObstacleSystem(A, np.zeros(n), band)
         for shape in ((2, 3, -1), (1, 4, -1)):  # 6 and 4 rows do not divide 21
@@ -787,7 +814,7 @@ class TestSharedFactors:
         rng = np.random.default_rng(seed)
         K = block_diagonal_spd(rng, (self.SIZE,))
         A = sp.csr_array(sp.block_diag([c * K for c in scales]))
-        band = lcp_module._lower_band(K)[None]
+        band = band_of(K)[None]
         return SparseObstacleSystem(A, np.zeros(A.shape[0]), band, scales, store), A
 
     def check(self, system, A, copies, r0):
@@ -872,7 +899,7 @@ class TestSharedFactors:
             return made[-1]
 
         monkeypatch.setattr(lcp_module, "cholesky_banded", cholesky_banded)
-        depth = lcp_module._lower_band(self.scaled_system((1.0,))[1]).shape[1]
+        depth = band_of(self.scaled_system((1.0,))[1]).shape[1]
         store = lcp_module.FactorStore(cap=self.SIZE * depth * 8)
         nothing, first = np.zeros(5, dtype=bool), np.array([True, False, False, False, False])
         r0 = np.random.default_rng(113).standard_normal(5 * len(self.SCALES))
@@ -1029,7 +1056,7 @@ class TestMovedOnlySolves:
         rng = np.random.default_rng(83)
         A = block_diagonal_spd(rng, (self.SIZE,) * self.BLOCKS)
         n = A.shape[0]
-        band = lcp_module._lower_band(A)
+        band = band_of(A)
         given = given_blocks(A, np.zeros(n), self.SIZE)
         read = SparseObstacleSystem(A, np.zeros(n))
         for active in (np.zeros(n, dtype=bool), rng.random(n) < 0.5):
@@ -1101,6 +1128,15 @@ class TestPSOR:
         assert rep.converged
         assert complementarity_residual(system, u, obs) <= 1e-10
 
+    def test_system_without_an_explicit_matrix_is_refused(self):
+        class Implicit(SparseObstacleSystem):
+            def explicit(self):
+                return None
+
+        A, b, obs = random_lcp(np.random.default_rng(13))
+        with pytest.raises(ValueError, match="needs an explicit sparse matrix"):
+            psor_solve(Implicit(sp.csr_array(A), b), obs)
+
 
 class TestSparseSystemShapes:
     def test_non_square_matrix_rejected(self):
@@ -1110,6 +1146,14 @@ class TestSparseSystemShapes:
     def test_wrong_rhs_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             SparseObstacleSystem(np.eye(3), np.ones(2))
+
+
+class Unpreconditioned(SparseObstacleSystem):
+    """The sparse system with an inexact identity apply: every solve runs
+    conjugate gradients without a preconditioner."""
+
+    def precond(self):
+        return lambda r, active: r.copy()
 
 
 class TestActiveSet:
@@ -1181,10 +1225,6 @@ class TestActiveSet:
         # an inexact identity apply sends each solve through conjugate
         # gradients, whose first step on A = diag(1, -1) has p.Ap = 1 - 4 < 0:
         # the step fails there, cold or warm started
-        class Unpreconditioned(SparseObstacleSystem):
-            def precond(self):
-                return lambda r, active: r.copy()
-
         system = Unpreconditioned(sp.csr_array(np.diag([1.0, -1.0])), np.array([1.0, 2.0]))
         obs = np.full(2, -1.0)
         _, rep = active_set_solve(system, obs, SolverConfig())
@@ -1193,6 +1233,53 @@ class TestActiveSet:
         _, rep = solve_lcp(system, obs, SolverConfig(), x0=np.zeros(2))
         assert not rep.converged
         assert rep.iterations == 1 and rep.trace[0]["pcg"] == 1
+
+    def test_set_repeated_after_a_tight_solve_stops_unconverged(self):
+        # stagnation: the exact update on tridiag(-1, 2, -1) leaves a
+        # residual of one rounding error, above tol = 1e-300, and the next
+        # update would hold the same set again
+        A = sp.csr_array(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(3, 3)))
+        system = SparseObstacleSystem(A, np.array([1.0, -3.0, 1.0]))
+        _, rep = active_set_solve(system, np.zeros(3), SolverConfig(tol=1e-300))
+        assert not rep.converged
+        assert rep.iterations == len(rep.trace) == 1
+        assert 0.0 < rep.residual <= 1e-15
+
+    def test_cycle_of_tight_solves_stops_unconverged(self):
+        # A = B B^T + 0.01 I is SPD but not an M-matrix: from the obstacle
+        # with nothing held, the exact updates visit the empty set and two
+        # sets of two entries, then come back to the empty set
+        B = np.array([[-0.6, 0.5, 0.4, -0.4, -1.7], [2.5, 0.1, -1.2, -2.4, 1.4],
+                      [0.3, 0.0, -1.0, -0.1, -0.4], [-2.5, 2.7, 0.4, -0.4, -1.0],
+                      [-0.6, 2.4, 0.4, -1.4, 0.9]])
+        A = B @ B.T + 0.01 * np.eye(5)
+        b = np.array([0.5, 0.5, -0.1, -0.2, 0.2])
+        obs = np.array([-0.1, -0.7, -0.5, 0.0, -0.8])
+        _, rep, sets = solve_catching_sets(SparseObstacleSystem(sp.csr_array(A), b), obs,
+                                           SolverConfig(), x0=obs, held=np.zeros(5, dtype=bool))
+        assert not rep.converged and rep.iterations == 3
+        assert [int(s.sum()) for s in sets] == [0, 2, 2] and np.any(sets[1] != sets[2])
+        assert rep.residual > 0.5
+
+    def test_cycle_after_a_loose_solve_makes_every_later_solve_tight(self):
+        # the inexact identity apply: the empty set's first solve is loose,
+        # one set of one entry later the iteration comes back to it, and
+        # from then on every solve, that of a set not seen before included,
+        # asks for the tight target
+        B = np.array([[0.8, 0.0, -2.0], [0.4, -0.3, 1.6], [2.1, -0.5, 0.9]])
+        A = B @ B.T + 0.01 * np.eye(3)
+        b, obs = np.array([0.8, -0.1, 0.2]), np.array([-0.6, -0.3, -0.1])
+        u, rep, sets = solve_catching_sets(Unpreconditioned(sp.csr_array(A), b), obs,
+                                           SolverConfig(), x0=obs, held=np.zeros(3, dtype=bool))
+        updates = [s for i, s in enumerate(sets) if i == 0 or np.any(s != sets[i - 1])]
+        assert [int(s.sum()) for s in updates] == [0, 1, 0, 1]
+        assert np.any(updates[1] != updates[3])
+        tight = max(0.01 * 1e-8, 1e-13 * np.linalg.norm(b))
+        assert [t["tight"] for t in rep.trace] == [False, True, True, True]
+        assert rep.trace[1]["target"] > tight
+        assert [t["target"] for t in rep.trace[2:]] == [tight, tight]
+        assert rep.converged and rep.iterations == 4
+        assert_allclose(u, brute_force_solve(A, b, obs), atol=1e-9)
 
     def test_conjugate_gradients_start_from_the_given_residual(self):
         # the caller passes b - A x0; the iteration stops at an absolute

@@ -10,7 +10,7 @@ import sgobstacle.mc as mc
 from sgobstacle.fem import Block, P1Operator
 from sgobstacle.fields import AffineField, affine_factors
 from sgobstacle.lcp import (FactorStore, SolverConfig, SolverNotConverged,
-                            SparseObstacleSystem, _lower_band, active_set_solve)
+                            SparseObstacleSystem, active_set_solve, lower_band)
 from sgobstacle.mc import MC_BLOCK_NODES, MCAccumulator, _AffineSampler, mc_run
 from sgobstacle.mesh import build_uniform_mesh
 from sgobstacle.param import Density1D, draw
@@ -164,13 +164,14 @@ class TestAffineSampler:
         rng = np.random.default_rng(13)
         for B in (18, 12, 1):
             system, _, _ = sampler.build(draw(prob.densities, rng, B))
-            assert system._band.shape == (1,) + sampler.band.shape
+            assert system._band.shape == sampler.band.shape
             assert np.shares_memory(system._band, sampler.band)
             assert system._scales.shape == (B,) and np.all(system._scales > 0.0)
             for j in range(B):
                 rows = slice(j * n, (j + 1) * n)
-                band = _lower_band(system.A[rows][:, rows])
-                assert_allclose(system._scales[j] * sampler.band, band, rtol=1e-14,
+                A = system.A[rows][:, rows]
+                band = lower_band(A.indptr, A.indices, A.data)
+                assert_allclose(system._scales[j] * sampler.band[0], band, rtol=1e-14,
                                 atol=1e-14 * np.abs(band).max())
 
     @pytest.mark.parametrize("case, folds", [("example1", True), ("example2", True),
@@ -204,7 +205,7 @@ class TestAffineSampler:
             assert_allclose(system._scales, np.column_stack((np.ones(3), Y)) @ sampler.ratios,
                             rtol=0)
         else:  # the scattered band, a shape per sample, is the one read off the CSR matrix
-            band = _lower_band(system.A)
+            band = lower_band(system.A.indptr, system.A.indices, system.A.data)
             assert system._band.shape == (3, mesh.interior.size, band.shape[1])
             assert system._band.tobytes() == band.tobytes()
 

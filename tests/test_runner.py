@@ -287,6 +287,8 @@ class TestValidateConfig:
         ({"schedule": {"coupled": {"m_min": "a"}}},
          "schedule.coupled.m_min must be an integer"),
         ({"output_dir": 5}, "output_dir must be a string"),
+        ({"schedule": {"levels": []}}, "schedule is empty"),
+        ({"problem": "custom", "custom": 5}, "custom must be an object"),
     ])
     def test_wrongly_typed_sections_rejected(self, overrides, message, tmp_path,
                                              capsys):
@@ -298,7 +300,7 @@ class TestValidateConfig:
         assert cli_main(["-q", "solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error")
-        assert message in err
+        assert message in err and "Traceback" not in err
 
     def test_psor_within_explicit_limit(self):
         # level [100, 8] of example1 (two parameter dimensions) has
@@ -351,6 +353,9 @@ class TestValidateConfigRegressions:
         ({"fields": {"a": 3.0, "f": {"mean": {"kind": "polynomial", "terms": [],
                                               "term": [[1.0, 0, 0]]}}, "g": 0.0}},
          "unknown spatial function key 'term'"),
+        ({"fields": {"a": {"mean": {"terms": []}}, "f": 1.0, "g": 0.0}},
+         "bad spatial function spec"),
+        ({"densities": [5]}, "bad density spec"),
     ])
     def test_malformed_custom_section(self, custom_overrides, message):
         cfg = custom_config(3.0)
@@ -899,6 +904,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "example2" in out
         assert "IJ=" in out
+        assert "mc:" not in out
+        cfg = base_config(mode="mc", mc={"n_samples": 24, "seed": 5, "level": 1})
+        assert cli_main(["-q", "info", self.write_config(tmp_path, cfg)]) == 0
+        assert "mc:      24 samples, seed 5, level 1\n" in capsys.readouterr().out
 
     def test_converge_exits_zero_and_prints_table(self, tmp_path, capsys):
         path = self.write_config(tmp_path,

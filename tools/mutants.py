@@ -92,6 +92,13 @@ MUTANTS = [
     Mutant("rule5-point-typo", "triangle quadrature rules",
            "src/sgobstacle/fem.py",
            "0.470142064105115", "0.470142064015115"),
+    Mutant("repeated-set-goes-on", "active set stop at a repeated set",
+           "src/sgobstacle/lcp.py",
+           "            break  # the set repeats after a tight solve",
+           "            pass  # the set repeats after a tight solve"),
+    Mutant("band-drops-diagonal", "lower band builder",
+           "src/sgobstacle/lcp.py",
+           "lower = np.flatnonzero(k >= 0)", "lower = np.flatnonzero(k > 0)"),
 ]
 
 
