@@ -6,7 +6,8 @@ experiment plan without running).  Exit codes: 0 on success, 1 on config
 errors (a config mode the subcommand does not run, converge on a problem
 without an exact solution and an output directory that cannot be created
 included) and on output files that cannot be written, 2 when a solver fails
-to converge.  A config error found here leaves no output directory.
+to converge.  The runner's ``run_*`` functions make these refusals, before
+they make the output directory, so a refused command leaves none.
 """
 
 from __future__ import annotations
@@ -15,14 +16,10 @@ import argparse
 import logging
 import sys
 
-from .runner import (ConfigError, SolverNotConverged, load_config, make_output_dir,
-                     run_convergence, run_mc, run_single)
+from .runner import (ConfigError, SolverNotConverged, load_config, run_convergence, run_mc,
+                     run_single)
 
 log = logging.getLogger("sgobstacle")
-
-# config modes each solving subcommand runs on
-COMMAND_MODES = {"converge": ("sg", "both"), "solve": ("sg", "both"),
-                 "mc": ("mc", "both")}
 
 TABLE_PRINT_HEADER = (f"{'h':>10} {'s':>10} {'eL2m1':>10} {'eH1m1':>10} "
                       f"{'eL2m2':>10} {'eH1m2':>10} {'iters':>5} {'seconds':>8}")
@@ -89,15 +86,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if getattr(args, "output_dir", None):
             cfg.output_dir = args.output_dir
-        needs = COMMAND_MODES.get(args.command)
-        if needs is not None:
-            if cfg.mode not in needs:
-                raise ConfigError(f"{args.command} subcommand needs mode "
-                                  f"{needs[0]!r} or {needs[1]!r}")
-            if args.command == "converge" and cfg.problem.exact is None:
-                raise ConfigError(f"converge needs an exact solution, and problem "
-                                  f"{cfg.problem.name!r} has none")
-            make_output_dir(cfg)  # before the solve, not after it
         if args.command == "info":
             _info(cfg)
         elif args.command == "converge":

@@ -186,8 +186,8 @@ class SparseObstacleSystem:
     that is not positive definite, or a moved block with a free entry whose
     scale is not positive (which a shared factor would hide), raises
     numpy.linalg.LinAlgError on that apply before anything changes.
-    ``factored_blocks``, ``solved_blocks`` and ``distinct_factorizations``
-    count the blocks moved, the blocks solved and the factors made.
+    ``factored_blocks`` and ``distinct_factorizations`` count the blocks
+    moved and the factors made.
     """
 
     def __init__(self, A, b, band=None, scales=None, store=None):
@@ -219,7 +219,7 @@ class SparseObstacleSystem:
         self._factor = None  # without scales: the stacked factors of the blocks
         self._held = None  # the set of entries held when each block was factored
         self._r, self._x = None, np.empty(self.n)  # right-hand side, solution of the last apply
-        self.factored_blocks = self.solved_blocks = self.distinct_factorizations = 0
+        self.factored_blocks = self.distinct_factorizations = 0
 
     def matvec(self, v):
         return self.A @ v
@@ -270,7 +270,6 @@ class SparseObstacleSystem:
             self._shared_solve(r, held, solve)
         self._held = held.copy()  # the blocks that did not move hold it already
         self.factored_blocks += int(np.count_nonzero(moved))
-        self.solved_blocks += int(np.count_nonzero(solve))
         self._r = r.copy()
         return self._x.copy()
 
@@ -574,11 +573,12 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     target; a revisited earlier set (a cycle) makes every remaining solve
     tight.  The iteration stops when the complementarity residual drops
     below tol or the set repeats after a tight solve; a set revisited after
-    a tight solve of it ends the solve with ``converged=False``, and so
-    does a system whose ``precond()`` raises ``numpy.linalg.LinAlgError``.
+    a tight solve of it ends the solve with ``converged=False``.
     A failed step (not positive definite, or out of conjugate gradient
-    steps) ends the iteration, a failed cold start before any update
-    unless it only ran out of steps.
+    steps) ends the iteration; a failed cold start, unless it only ran out
+    of steps, ends the solve before any update with ``converged=False``.  A
+    ``precond()`` that raises ``numpy.linalg.LinAlgError`` leaves no apply:
+    no cold start and no update run, and the start is reported unconverged.
 
     ``seconds`` spans the whole call, ``precond()`` included.  ``iterations``
     counts the updates (every linear solve of an active set, the tight
@@ -605,12 +605,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     try:
         apply = system.precond()
     except np.linalg.LinAlgError:
-        # precond() found the operator not positive definite
-        u = np.array(obs if x0 is None else np.maximum(x0, obs), dtype=float)
-        return u, SolveReport(converged=False, iterations=0,
-                              residual=complementarity_residual(system, u, obs),
-                              active_count=int(np.count_nonzero(u <= obs)),
-                              seconds=time.perf_counter() - t0)
+        apply = None  # the operator is not positive definite: no solve runs
     exact = getattr(apply, "exact", False)
     zero = np.broadcast_to(0.0, system.n)  # cold and exact starts; a view, no memory
     cg_max = 500  # steps of one conjugate gradient solve, at any system size
@@ -650,15 +645,15 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
 
     max_updates = config.max_iter if config.max_iter is not None else 100
     inner_total = 0
-    ok = True
-    if x0 is None:
+    ok = apply is not None
+    if x0 is None and ok:
         # cold start: the step with nothing held, lifted onto the obstacle;
         # out of conjugate gradient steps, it still starts the updates
         nothing = np.zeros(system.n, dtype=bool)
         x0, inner_total, ok, _ = step(nothing, zero, start_residual(nothing, zero),
                                       tight_target)
         ok = ok or inner_total == cg_max
-    u = np.maximum(np.asarray(x0, dtype=float), obs)
+    u = np.maximum(np.asarray(obs if x0 is None else x0, dtype=float), obs)
     del x0  # the cold start's solution, dead once lifted
     lam = system.matvec(u) - b
     if held is None:
@@ -674,7 +669,7 @@ def active_set_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfi
     trace = []
     previous = np.zeros_like(active)
     updates = 0
-    converged = residual <= config.tol
+    converged = ok and residual <= config.tol
     while ok and not converged and updates < max_updates:
         key = np.packbits(active).tobytes()
         if solved.get(key):

@@ -28,9 +28,9 @@ in one call.  Otherwise a block's band is the bands of its stiffness rows
 (``lcp.lower_band``), a shape per sample (B, I, depth), and each sample is
 factored on its own.  An update refactors and solves again only the samples
 whose active set moved; ``MCResult`` counts the samples brought to a new
-set, the Cholesky factors made and the sample solves of the run, the
-store's hits, evictions and peak bytes, the block systems solved and the
-samples that kept their start set.
+set and the Cholesky factors made in the run, the store's hits, evictions
+and peak bytes, the block systems solved and the samples that kept their
+start set.
 
 The first block holds one sample and starts cold.  Each next block holds
 twice as many, up to the cap of ``MC_BLOCK_NODES`` interior nodes divided
@@ -128,7 +128,6 @@ class MCResult:
     n_failed: int = 0  # samples whose solve did not converge
     solver_iterations: int = 0  # active-set updates or PSOR sweeps, over every block system
     sample_factorizations: int = 0  # sample blocks brought to a new active set
-    sample_solves: int = 0  # sample blocks solved with a factor
     distinct_factorizations: int = 0  # Cholesky factors made, over every block system
     store_hits: int = 0  # sample solves served by a factor in the run's store
     store_evictions: int = 0  # factors the store dropped at its cap
@@ -217,7 +216,7 @@ def _nearest(Y: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
-           solver: SolverConfig | None = None, dirichlet=None) -> MCResult:
+           solver: SolverConfig = SolverConfig(), dirichlet=None) -> MCResult:
     """Run the Monte Carlo baseline and return accumulated nodal moments.
 
     ``fields`` maps 'a', 'f', 'g' to AffineFields;
@@ -227,8 +226,6 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
     ``SolverNotConverged``.  The ``MCResult`` is made before the first
     block, and each block adds its counts to it.
     """
-    if solver is None:
-        solver = SolverConfig(method="active-set")
     t_setup = time.perf_counter()
     cap = max(1, MC_BLOCK_NODES // mesh.interior.size)
     sampler = _AffineSampler(mesh, fields["a"], fields["f"], fields["g"], dirichlet,
@@ -254,7 +251,6 @@ def mc_run(mesh: Mesh, fields: dict, densities, n_samples: int, seed: int,
         result.solver_iterations += report.iterations
         result.sample_factorizations += system.factored_blocks
         result.distinct_factorizations += system.distinct_factorizations
-        result.sample_solves += system.solved_blocks
         if report.converged:
             u = u.reshape(len(Y), -1)
             final = u <= obs.reshape(u.shape)

@@ -83,11 +83,11 @@ class ExperimentConfig:
     mode: str
     levels: list[Level]
     solver: SolverConfig
+    mc_solver: SolverConfig  # the mc section's solver, else ``solver``
     parameterization: str = "exp"  # Galerkin hats linear in y ('exp') or in xi ('xi')
     mc_samples: int = 4096
     mc_seed: int = 0
     mc_level: int = 0
-    mc_solver: SolverConfig | None = None
     quad_order: int = 64
     output_dir: str = "out"
 
@@ -309,7 +309,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     mc_seed = _checked(errors, integer, mc_raw.get("seed", 0), "mc.seed")
     mc_level = _checked(errors, integer, mc_raw.get("level", 0), "mc.level", 0,
                         len(levels) - 1 if levels else None)
-    mc_solver = _solver(mc_raw["solver"], "mc.solver", errors) if "solver" in mc_raw else None
+    mc_solver = _solver(mc_raw["solver"], "mc.solver", errors) if "solver" in mc_raw else solver
 
     # leggauss(q) solves a q x q eigenproblem, and a 2-D tensor rule of this
     # order has at most MAX_NODES nodes, the bound of a parameter grid
@@ -435,16 +435,27 @@ def _timed_errors(cfg: ExperimentConfig, system: SGSystem, u: np.ndarray):
     return errs, time.perf_counter() - t0
 
 
+def _check_mode(cfg: ExperimentConfig, command: str, mode: str) -> None:
+    """Refuse a config whose mode is neither ``mode`` nor 'both', the modes
+    that the ``command`` subcommand runs."""
+    if cfg.mode not in (mode, "both"):
+        raise ConfigError(f"{command} subcommand needs mode {mode!r} or 'both'")
+
+
 def run_convergence(cfg: ExperimentConfig):
     """Walk the schedule, build the error table, write table.csv and report.json.
 
     Returns (rows, reports), a TableRow and a report dict per level.  Raises
+    ConfigError, before it makes the output directory, on a mode other than
+    'sg' or 'both' and on a problem without an exact solution, and
     SolverNotConverged after writing outputs if any level failed.
     """
     problem = cfg.problem
+    _check_mode(cfg, "converge", "sg")
     if problem.exact is None:
-        raise ConfigError(f"problem {problem.name!r} has no exact solution; "
-                          "convergence errors are unavailable")
+        raise ConfigError(f"converge needs an exact solution, and problem "
+                          f"{problem.name!r} has none")
+    make_output_dir(cfg)
     rows = []
     reports = []
     prev = None
@@ -476,7 +487,6 @@ def run_convergence(cfg: ExperimentConfig):
         if not report.converged:
             failed.append(k)
         prev = (system, u)
-    make_output_dir(cfg)
     write_table(rows, os.path.join(cfg.output_dir, "table.csv"))
     _write_report(cfg, "report.json",
                   {"problem": problem.name, "mode": cfg.mode, "levels": reports})
@@ -503,7 +513,6 @@ def _write_report(cfg: ExperimentConfig, name: str, payload: dict) -> None:
 def _write_fields(cfg: ExperimentConfig, mesh: Mesh, fields: dict, tag: str) -> dict:
     """Write each nodal array of ``fields`` (by name) as ``<tag>_<name>.csv``
     and all of them as ``<tag>.vtk``; returns the paths."""
-    make_output_dir(cfg)
     paths = {}
     for name, values in fields.items():
         paths[name] = os.path.join(cfg.output_dir, f"{tag}_{name}.csv")
@@ -514,10 +523,15 @@ def _write_fields(cfg: ExperimentConfig, mesh: Mesh, fields: dict, tag: str) -> 
 
 
 def run_single(cfg: ExperimentConfig, level_index: int):
-    """Solve one schedule level, write mean/variance exports and a report."""
+    """Solve one schedule level, write mean/variance exports and a report.
+
+    Raises ConfigError, before it makes the output directory, on a mode
+    other than 'sg' or 'both' and on a level outside the schedule."""
+    _check_mode(cfg, "solve", "sg")
     if not (0 <= level_index < len(cfg.levels)):
         raise ConfigError(f"level {level_index} outside the schedule "
                           f"(0..{len(cfg.levels) - 1})")
+    make_output_dir(cfg)
     level = cfg.levels[level_index]
     system, u, report, seconds = _solve_level(cfg, level)
     tag = f"{cfg.problem.name}_level{level_index}"
@@ -545,15 +559,17 @@ def run_single(cfg: ExperimentConfig, level_index: int):
 def run_mc(cfg: ExperimentConfig):
     """Monte Carlo run at the configured level; mode 'both' adds a Galerkin
     run on the same mesh and reports the discrepancy and timing ratio.
-    Raises SolverNotConverged after writing when that Galerkin run does not
-    converge."""
+    Raises ConfigError, before it makes the output directory, on a mode
+    other than 'mc' or 'both', and SolverNotConverged after writing when
+    that Galerkin run does not converge."""
+    _check_mode(cfg, "mc", "mc")
+    make_output_dir(cfg)
     problem = cfg.problem
     level = cfg.levels[cfg.mc_level]
     mesh = build_uniform_mesh(problem.rect, level.nx, level.ny)
-    solver = cfg.mc_solver if cfg.mc_solver is not None else cfg.solver
     t0 = time.perf_counter()
     result = mc_run(mesh, problem.fields, problem.densities, cfg.mc_samples,
-                    cfg.mc_seed, solver, problem.dirichlet)
+                    cfg.mc_seed, cfg.mc_solver, problem.dirichlet)
     mc_seconds = time.perf_counter() - t0
 
     tag = f"{problem.name}_mc"

@@ -635,6 +635,26 @@ def cholesky_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The right-hand sides of every dpbtrs call, as they happen."""
+    calls = []
+    real = lcp_module.dpbtrs
+
+    def dpbtrs(ab, b, **kwargs):
+        calls.append(np.array(b))
+        return real(ab, b, **kwargs)
+
+    monkeypatch.setattr(lcp_module, "dpbtrs", dpbtrs)
+    return calls
+
+
+def blocks_solved(calls, size):
+    """The blocks of ``size`` rows that the dpbtrs ``calls`` solved: a column
+    each of a shared factor's solve, ``size`` rows each of a stacked one."""
+    return sum(b.shape[1] if b.ndim == 2 else b.size // size for b in calls)
+
+
 def band_of(A):
     """The transposed lower band (n, depth) of the CSR matrix A, which
     stores no duplicate entries."""
@@ -765,7 +785,7 @@ class TestBlockContract:
 
     SIZES = TestBandFactorReuse.SIZES
 
-    def test_system_read_off_A_is_one_block(self, cholesky_calls):
+    def test_system_read_off_A_is_one_block(self, cholesky_calls, solve_calls):
         # unequal diagonal blocks read off A make one block of n rows: any
         # move refactors and solves all of it, in one call on n columns
         rng = np.random.default_rng(127)
@@ -782,7 +802,7 @@ class TestBlockContract:
             assert_same_solve(apply(r, active), reduced_solve(A, active, r))
             assert cholesky_calls[-1] == n
         assert system._band.shape == (1, n, max(self.SIZES))
-        assert len(cholesky_calls) == system.factored_blocks == system.solved_blocks == 4
+        assert len(cholesky_calls) == system.factored_blocks == len(solve_calls) == 4
 
     def test_band_and_scales_must_fit_the_blocks(self):
         A = block_diagonal_spd(np.random.default_rng(131), (3,) * 7)
@@ -842,7 +862,7 @@ class TestSharedFactors:
                 rows = slice(k * m, (k + 1) * m)
                 assert_same_solve(out[rows], expect[rows])
 
-    def test_one_factor_per_distinct_pair(self, cholesky_calls):
+    def test_one_factor_per_distinct_pair(self, cholesky_calls, solve_calls):
         system, A = self.scaled_system(self.SCALES)
         n = A.shape[0]
         nothing, first = np.zeros(5, dtype=bool), np.array([True, False, False, False, False])
@@ -863,12 +883,13 @@ class TestSharedFactors:
         self.check(system, A, [nothing, first, nothing, nothing], r0)
         assert cholesky_calls == [10]
         assert (system.factored_blocks, system.distinct_factorizations) == (6, 2)
-        assert system.solved_blocks == 4 + 1 + 1  # only the moved blocks are solved again
+        solved = blocks_solved(solve_calls, self.SIZE)
+        assert solved == 4 + 1 + 1  # only the moved blocks are solved again
         # every solved block made its pair or hit the store
-        assert store.hits == system.solved_blocks - system.distinct_factorizations == 4
+        assert store.hits == solved - system.distinct_factorizations == 4
         assert store.evictions == 0 and store.peak_bytes == store.bytes > 0
 
-    def test_one_store_shares_pairs_across_block_systems(self, cholesky_calls):
+    def test_one_store_shares_pairs_across_block_systems(self, cholesky_calls, solve_calls):
         # two block systems on one store, as two blocks of a Monte Carlo run:
         # one factorization per distinct pair over both
         store = lcp_module.FactorStore()
@@ -884,7 +905,7 @@ class TestSharedFactors:
         assert cholesky_calls == [10, 5]  # only the set of the last two is new
         made = one.distinct_factorizations + two.distinct_factorizations
         assert made == 3 == len(store._factors)
-        assert store.hits == one.solved_blocks + two.solved_blocks - made
+        assert store.hits == blocks_solved(solve_calls, self.SIZE) - made
 
     def test_evicted_pair_is_made_again_bit_for_bit(self, monkeypatch):
         # a cap that holds one factor: each apply that needs two pairs
@@ -979,20 +1000,6 @@ class TestSharedFactors:
                                  store=lcp_module.FactorStore())
 
 
-@pytest.fixture
-def solve_calls(monkeypatch):
-    """The right-hand sides of every dpbtrs call, as they happen."""
-    calls = []
-    real = lcp_module.dpbtrs
-
-    def dpbtrs(ab, b, **kwargs):
-        calls.append(np.array(b))
-        return real(ab, b, **kwargs)
-
-    monkeypatch.setattr(lcp_module, "dpbtrs", dpbtrs)
-    return calls
-
-
 class TestMovedOnlySolves:
     SIZE, BLOCKS = TestBandFactorReuse.SIZE, TestBandFactorReuse.BLOCKS
 
@@ -1024,8 +1031,8 @@ class TestMovedOnlySolves:
             else:
                 assert len(solve_calls) == count
             solved += len(moves)
-            assert system.solved_blocks == solved
-        assert system.factored_blocks == system.solved_blocks
+            assert blocks_solved(solve_calls, self.SIZE) == solved
+        assert system.factored_blocks == solved
 
     def test_new_right_hand_side_under_the_same_mask_is_solved(self, solve_calls):
         rng = np.random.default_rng(79)
@@ -1048,7 +1055,7 @@ class TestMovedOnlySolves:
         assert_same_solve(apply(changed, active), reduced_solve(A, active, changed))
         assert len(solve_calls) == 2
         assert system.factored_blocks == self.BLOCKS
-        assert system.solved_blocks == self.BLOCKS + 1
+        assert blocks_solved(solve_calls, self.SIZE) == self.BLOCKS + 1
 
     def test_handed_over_band_matches_the_pattern(self):
         # a band handed over as a shape per block drives the same solves as
@@ -1156,6 +1163,13 @@ class Unpreconditioned(SparseObstacleSystem):
         return lambda r, active: r.copy()
 
 
+class Refusing(SparseObstacleSystem):
+    """The sparse system whose ``precond()`` finds A not positive definite."""
+
+    def precond(self):
+        raise np.linalg.LinAlgError("not positive definite")
+
+
 class TestActiveSet:
     def test_inactive_obstacle_gives_linear_solution(self):
         rng = np.random.default_rng(19)
@@ -1190,10 +1204,28 @@ class TestActiveSet:
             assert again.tobytes() == np.maximum(u, obs).tobytes()
 
     def test_start_set_must_fit_the_system(self):
+        # whether or not precond() fails
         A, b, obs = random_lcp(np.random.default_rng(23))
-        with pytest.raises(ValueError, match="held must have length 8"):
-            active_set_solve(SparseObstacleSystem(sp.csr_array(A), b), obs, SolverConfig(),
-                             held=np.zeros(7, dtype=bool))
+        for kind in (SparseObstacleSystem, Refusing):
+            with pytest.raises(ValueError, match="held must have length 8"):
+                active_set_solve(kind(sp.csr_array(A), b), obs, SolverConfig(),
+                                 held=np.zeros(7, dtype=bool))
+
+    def test_refused_preconditioner_leaves_even_a_solved_start_unconverged(self):
+        # a precond() that raises leaves no solve to run: the start, lifted
+        # onto the obstacle, comes back with its residual and no update
+        A, b, obs = random_lcp(np.random.default_rng(23))
+        cfg = SolverConfig(tol=1e-10)
+        u, _ = active_set_solve(SparseObstacleSystem(sp.csr_array(A), b), obs, cfg)
+        system = Refusing(sp.csr_array(A), b)
+        assert complementarity_residual(system, u, obs) <= cfg.tol
+        for x0 in (u, None):
+            start, rep = active_set_solve(system, obs, cfg, x0=x0)
+            assert start.tobytes() == np.maximum(obs if x0 is None else x0, obs).tobytes()
+            assert not rep.converged
+            assert (rep.iterations, rep.inner_iterations, rep.trace) == (0, 0, [])
+            assert rep.residual == complementarity_residual(system, start, obs)
+            assert rep.active_count == np.count_nonzero(start <= obs)
 
     def test_indefinite_system_reports_failure(self):
         # with A = diag(1, -1) the first PCG step has p.Ap = 0

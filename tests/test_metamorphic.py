@@ -75,8 +75,8 @@ def test_scaling_the_coefficient_and_the_obstacle_scales_the_solution(method, le
 
 
 def mc_counts(res):
-    return (res.solver_iterations, res.sample_factorizations, res.sample_solves,
-            res.distinct_factorizations, res.store_hits, res.blocks, res.n_failed)
+    return (res.solver_iterations, res.sample_factorizations, res.distinct_factorizations,
+            res.store_hits, res.blocks, res.n_failed)
 
 
 @pytest.mark.parametrize("hard", [False, True], ids=["shared factors", "hard shapes"])

@@ -813,7 +813,6 @@ class TestRunMC:
         report = json.loads((tmp_path / "example2_mc_report.json").read_text())
         assert report["solver_iterations"] == result.solver_iterations
         assert report["sample_factorizations"] == result.sample_factorizations > 0
-        assert report["sample_solves"] == result.sample_solves > 0
         # example2's samples share one stiffness shape, so samples that hold
         # one set share a factor
         assert 0 < report["distinct_factorizations"] == result.distinct_factorizations \
@@ -822,9 +821,8 @@ class TestRunMC:
         counters = result.counters()
         keys = list(report)
         assert list(counters) == ["n_failed", "solver_iterations", "sample_factorizations",
-                                  "sample_solves", "distinct_factorizations", "store_hits",
-                                  "store_evictions", "store_peak_bytes", "blocks",
-                                  "start_sets_kept"]
+                                  "distinct_factorizations", "store_hits", "store_evictions",
+                                  "store_peak_bytes", "blocks", "start_sets_kept"]
         start = keys.index("seed") + 1
         assert keys[start:start + len(counters)] == list(counters)
         assert keys[start + len(counters)] == "level"
@@ -892,6 +890,24 @@ class TestRunMC:
                 (tmp_path / "exp" / name).read_bytes()
 
 
+@pytest.mark.parametrize("raw, run, match", [
+    (base_config(mode="mc"), run_convergence, "converge subcommand needs mode 'sg' or 'both'"),
+    (base_config(mode="mc"), lambda cfg: run_single(cfg, 0),
+     "solve subcommand needs mode 'sg' or 'both'"),
+    (base_config(), run_mc, "mc subcommand needs mode 'mc' or 'both'"),
+    (custom_config(3.0), run_convergence, "converge needs an exact solution"),
+    (base_config(), lambda cfg: run_single(cfg, 2), r"level 2 outside the schedule \(0..1\)"),
+], ids=["converge mode", "solve mode", "mc mode", "converge exact", "solve level"])
+def test_runs_refuse_before_making_the_output_dir(tmp_path, raw, run, match):
+    # the library refuses what the CLI refuses: run_convergence and
+    # run_single used to solve a mode-mc config
+    out = tmp_path / "out"
+    cfg = validate_config(dict(raw, output_dir=str(out)))
+    with pytest.raises(ConfigError, match=match):
+        run(cfg)
+    assert not out.exists()
+
+
 class TestCLI:
     def write_config(self, tmp_path, cfg):
         path = tmp_path / "config.json"
@@ -925,6 +941,13 @@ class TestCLI:
                          "--output-dir", str(override)]) == 0
         assert (override / "example2_level0_mean.csv").exists()
         assert not (tmp_path / "orig").exists()
+
+    def test_level_outside_the_schedule_exits_one(self, tmp_path, capsys):
+        # refused before the output directory is made, not after
+        path = self.write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
+        assert cli_main(["-q", "solve", path, "--level", "7"]) == 1
+        assert capsys.readouterr().err == "config error: level 7 outside the schedule (0..1)\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exits_one(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config(mode="hybrid"))

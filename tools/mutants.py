@@ -53,7 +53,7 @@ MUTANTS = [
            "held = sets[np.zeros(len(Y), dtype=int)].ravel()"),
     Mutant("counter-dropped", "Monte Carlo counters",
            "src/sgobstacle/mc.py",
-           "        result.sample_solves += system.solved_blocks\n", ""),
+           "        result.distinct_factorizations += system.distinct_factorizations\n", ""),
     Mutant("precond-mean-delta", "Kronecker preconditioner",
            "src/sgobstacle/system.py",
            "inv_delta = (1.0 / delta).reshape(J, 1)",
@@ -99,6 +99,13 @@ MUTANTS = [
     Mutant("band-drops-diagonal", "lower band builder",
            "src/sgobstacle/lcp.py",
            "lower = np.flatnonzero(k >= 0)", "lower = np.flatnonzero(k > 0)"),
+    Mutant("mode-refusal-dropped", "the runner's refusal of a mode",
+           "src/sgobstacle/runner.py",
+           "    if cfg.mode not in (mode, \"both\"):", "    if False:"),
+    Mutant("failed-precond-converges", "the active set exit of a failed preconditioner",
+           "src/sgobstacle/lcp.py",
+           "    converged = ok and residual <= config.tol\n",
+           "    converged = residual <= config.tol\n"),
 ]
 
 
