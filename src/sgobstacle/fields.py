@@ -142,26 +142,29 @@ def fold_terms(rows) -> list:
     """Group the terms ``rows`` (entry vectors on one shared pattern) by
     spatial shape.
 
-    Returns one (g, members) per group, in the order of each group's first
-    term g: ``members`` lists (k, c) for each term k of the group, with
-    rows[k] = c rows[g] to rounding (``FOLD_RTOL``, in the 2-norm of the
-    entries, which is the Frobenius norm of the matrices) and c = 1.0 for g
-    itself.  Terms are taken in order, and each joins the first group that
-    fits it or opens a new one.  An all-zero term joins no group, so no
-    ratio divides by a zero norm.
+    Returns one (g, ratios) per group, in the order of each group's first
+    term g: ``ratios`` has an entry per term, c for each term k of the
+    group, with rows[k] = c rows[g] to rounding (``FOLD_RTOL``, in the 2-norm
+    of the entries, which is the Frobenius norm of the matrices), 1.0 for g
+    itself and 0 off the group, so a combination w @ rows of the group's
+    terms is (w @ ratios) rows[g].  Terms are taken in order, and each joins
+    the first group that fits it or opens a new one.  An all-zero term joins
+    no group, so no ratio divides by a zero norm.
     """
     groups = []
     for k, row in enumerate(rows):
         norm = np.linalg.norm(row)
         if norm == 0.0:
             continue
-        for g, members in groups:
+        for g, ratios in groups:
             c = (row @ rows[g]) / (rows[g] @ rows[g])
             if np.linalg.norm(row - c * rows[g]) <= FOLD_RTOL * norm:
-                members.append((k, c))
+                ratios[k] = c
                 break
         else:
-            groups.append((k, [(k, 1.0)]))
+            ratios = np.zeros(len(rows))
+            ratios[k] = 1.0
+            groups.append((k, ratios))
     return groups
 
 

@@ -159,9 +159,9 @@ class _AffineSampler:
     terms and its Dirichlet data and lifting from ``fields.lift``.  When the
     stiffness terms fold to one shape K, ``band`` is the lower band
     (1, I, depth) of K (``lcp.lower_band``), oriented to a positive
-    diagonal, ``ratios`` gives term k as ratios[k] K
-    (0 for an all-zero term) and ``store`` holds the run's shared factors;
-    otherwise all three are None.
+    diagonal, ``ratios`` gives term k as ratios[k] K (``fields.fold_terms``'
+    ratio vector, 0 for an all-zero term) and ``store`` holds the run's
+    shared factors; otherwise all three are None.
     """
 
     def __init__(self, mesh: Mesh, a_field, f_field, g_field, dirichlet, n_dims: int,
@@ -173,10 +173,7 @@ class _AffineSampler:
         self.band = self.ratios = self.store = None
         groups = fold_terms(self.terms.K_ii)
         if len(groups) == 1:
-            (g, members), = groups
-            self.ratios = np.zeros(len(self.terms.K_ii))
-            for k, c in members:
-                self.ratios[k] = c
+            (g, self.ratios), = groups
             self.band = lower_band(self.op.interior.indptr, self.op.interior.indices,
                                    self.terms.K_ii[g][None])
             if self.band[..., 0].sum() < 0.0:  # orient K so that a positive scale is SPD

@@ -248,13 +248,10 @@ class Gramians:
     with the product density.  ``mass[d]`` and ``mass_y[d]`` are the dense
     weighted mass matrices of the hats of dimension d, without and with the
     factor y_d, and G_k is the Kronecker product of ``factors(k)``, dimension
-    0 first.  g0[t] = <psi_t, 1> and gk[d][t] = <y_d, psi_t> are the basis
-    integrals, the row sums of G_0 and G_{d+1}.  With no dimensions every
-    G_k is the 1 x 1 identity and g0 = [1].
+    0 first; every view of G_k below is taken from those factors.  With no
+    dimensions every G_k is the 1 x 1 identity.
     """
 
-    g0: np.ndarray
-    gk: tuple[np.ndarray, ...]
     mass: tuple[np.ndarray, ...]
     mass_y: tuple[np.ndarray, ...]
 
@@ -263,6 +260,13 @@ class Gramians:
         k - 1 for k >= 1."""
         return [my if d == k - 1 else m
                 for d, (m, my) in enumerate(zip(self.mass, self.mass_y))]
+
+    def integrals(self, k: int) -> np.ndarray:
+        """The basis integrals of term k, G_k 1: <psi_t, 1> for k = 0 and
+        <y_d, psi_t> for k = d + 1.  The hats sum to one, so these are the
+        row sums of G_k, the Kronecker product of the factors' row sums;
+        [1] without dimensions."""
+        return functools.reduce(np.kron, [F.sum(axis=1) for F in self.factors(k)], np.ones(1))
 
     def diagonal(self, k: int) -> np.ndarray:
         """The diagonal of G_k, the Kronecker product of the factors' diagonals."""
@@ -314,22 +318,13 @@ def _hat_factors_1d(rho: Density1D, breaks: np.ndarray, n_pts: int, in_xi: bool 
 
 
 def assemble_gramians(grid: ParamGrid, n_pts: int = 12) -> Gramians:
-    """The 1-D Gramian factors of each dimension and the basis integrals.
+    """The 1-D Gramian factors of each dimension.
 
-    The hats sum to one, so the basis integrals are row sums of the
-    Gramians, g0 = G_0 1 and gk[d] = G_{d+1} 1: Kronecker products of the
-    factors' row sums.  ``n_pts`` Gauss-Legendre points per piece of a
-    parametric cell, taken in xi (``Density1D.rule``), so g0 sums to one up
+    ``n_pts`` Gauss-Legendre points per piece of a parametric cell, taken
+    in xi (``Density1D.rule``), so the basis integrals G_0 1 sum to one up
     to roundoff on any number of cells; 12 points integrate the hat
     products to roundoff at any bounds.
     """
     factors = [_hat_factors_1d(rho, brk, n_pts, grid.in_xi)
                for rho, brk in zip(grid.densities, grid.breakpoints)]
-
-    def basis_integrals(k):
-        rows = [f[1] if d == k - 1 else f[0] for d, f in enumerate(factors)]
-        return functools.reduce(np.kron, [F.sum(axis=1) for F in rows], np.ones(1))
-
-    return Gramians(g0=basis_integrals(0),
-                    gk=tuple(basis_integrals(k) for k in range(1, grid.n_dims + 1)),
-                    mass=tuple(f[0] for f in factors), mass_y=tuple(f[1] for f in factors))
+    return Gramians(mass=tuple(f[0] for f in factors), mass_y=tuple(f[1] for f in factors))

@@ -428,6 +428,13 @@ def _solve_level(cfg: ExperimentConfig, level: Level, warm_from=None):
     return system, u, report, time.perf_counter() - t0
 
 
+def _sizes(system: SGSystem) -> dict:
+    """The sizes that every report of a Galerkin level gives: interior
+    nodes I, parameter nodes J and sparse products per matvec."""
+    return {"I": system.n_spatial, "J": system.n_param,
+            "spatial_factors": system.spatial_factors}
+
+
 def _timed_errors(cfg: ExperimentConfig, system: SGSystem, u: np.ndarray):
     """``convergence_errors`` of a solved level and the seconds they took."""
     t0 = time.perf_counter()
@@ -477,9 +484,7 @@ def run_convergence(cfg: ExperimentConfig):
                   for key, e in errs.items()}
         rows.append(TableRow(h=h, s=s, errors=errs, orders=orders,
                              iters=report.iterations, seconds=seconds))
-        reports.append({"level": k, "nx": level.nx, "cells": level.cells,
-                        "I": system.n_spatial, "J": system.n_param,
-                        "spatial_factors": system.spatial_factors,
+        reports.append({"level": k, "nx": level.nx, "cells": level.cells, **_sizes(system),
                         "errors_seconds": errors_seconds, **report.as_dict()})
         log.info("level %d: nx=%d cells=%d IJ=%d eL2m1=%.4e eH1m1=%.4e "
                  "iters=%d (%.2fs)", k, level.nx, level.cells, system.n,
@@ -540,9 +545,7 @@ def run_single(cfg: ExperimentConfig, level_index: int):
     payload = {
         "problem": cfg.problem.name,
         "level": level_index,
-        "nx": level.nx, "cells": level.cells,
-        "I": system.n_spatial, "J": system.n_param,
-        "spatial_factors": system.spatial_factors,
+        "nx": level.nx, "cells": level.cells, **_sizes(system),
         "seconds": seconds,
         "solver": report.as_dict(),
         "outputs": paths,
@@ -595,8 +598,7 @@ def run_mc(cfg: ExperimentConfig):
         system, u, report, sg_seconds = _solve_level(cfg, level)
         gap = float(np.max(np.abs(sg_mean(system, u) - result.mean)))
         payload.update(sg_seconds=sg_seconds, mean_max_gap=gap, sg_converged=report.converged,
-                       I=system.n_spatial, J=system.n_param,
-                       spatial_factors=system.spatial_factors)
+                       **_sizes(system))
         log.info("mc %.2fs vs sg %.2fs, mean gap %.3e", mc_seconds, sg_seconds, gap)
     _write_report(cfg, f"{tag}_report.json", payload)
     if cfg.mode == "both" and not report.converged:

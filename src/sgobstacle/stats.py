@@ -3,9 +3,10 @@
 A statistic of a tensor Galerkin solution is a nodal array of shape
 (n_nodes,) over the full mesh, boundary data included; ``write_stat_csv``
 writes one with the node coordinates.  First and second moments reduce to
-weighted sums of the coefficient blocks: the parametric basis integrals g0
-give the mean, and the Gramian G_0, applied by its 1-D factors, the second
-moment and, on the blocks centred at the mean, the variance.  Reference
+weighted sums of the coefficient blocks: the parametric basis integrals
+g0 = G_0 1 (``Gramians.integrals``) give the mean, and the Gramian G_0,
+applied by its 1-D factors, the second moment and, on the blocks centred
+at the mean, the variance.  Reference
 statistics of a known product solution u(x, y) = phi(x) psi(y) are
 E[u^k] = phi^k E[psi^k]: the scalars E[psi^k] (``psi_moments``) are one
 tensor Gauss-Legendre quadrature against the product density, built from
@@ -46,7 +47,7 @@ def _full_blocks(system: SGSystem, u: np.ndarray) -> np.ndarray:
 
 
 def sg_mean(system: SGSystem, u: np.ndarray) -> np.ndarray:
-    return system.gram.g0 @ _full_blocks(system, u)
+    return system.gram.integrals(0) @ _full_blocks(system, u)
 
 
 def sg_second_moment(system: SGSystem, u: np.ndarray) -> np.ndarray:
@@ -64,7 +65,7 @@ def sg_variance(system: SGSystem, u: np.ndarray) -> np.ndarray:
     fall below zero; it is clipped.
     """
     full = _full_blocks(system, u)
-    dev = full - system.gram.g0 @ full
+    dev = full - system.gram.integrals(0) @ full
     var = np.sum(dev * kron_apply(system.gram.factors(0), dev), axis=0)
     return np.maximum(var, 0.0)
 

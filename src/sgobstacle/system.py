@@ -58,7 +58,7 @@ class SGSystem:
     stiffness : (1 + M, nnz) stored entries of K_k on ``pattern``, row k
         pairing with the Gramian G_k: the mean's at row 0 and the summed
         modes of parameter dimension d at row d + 1, zero where d has none.
-    gram : parametric Gramians as 1-D factors, with the basis integrals.
+    gram : parametric Gramians as 1-D factors.
     b : flat right-hand side of length I*J, parameter-major.
     obs : flat obstacle values at the tensor nodes.
     boundary_values : (J, n_boundary) Dirichlet data, one row per parameter node.
@@ -77,15 +77,14 @@ class SGSystem:
     A: sp.csr_array | None = None
 
     def __post_init__(self):
-        self._precond = None
         # (K, [factors of G_k for each term c K]) per spatial shape, c folded
         # into the first factor
         self._groups = []
-        for g, members in fold_terms(self.stiffness):
+        for g, ratios in fold_terms(self.stiffness):
             factors = []
-            for k, c in members:
+            for k in np.flatnonzero(ratios):
                 F = self.gram.factors(k)
-                factors.append(F if k == g else [c * F[0], *F[1:]])
+                factors.append(F if k == g else [ratios[k] * F[0], *F[1:]])
             self._groups.append((self.pattern.csr(self.stiffness[g]), factors))
 
     @property
@@ -94,7 +93,7 @@ class SGSystem:
 
     @property
     def n_param(self) -> int:
-        return len(self.gram.g0)
+        return self.grid.n_nodes
 
     @property
     def n(self) -> int:
@@ -186,57 +185,56 @@ class SGSystem:
         node gets zeros.  One factor lives at a time: an apply whose held
         nodes differ from the factor's frees it, then factors its K̄_SS.
 
-        Built on the first call and cached.  Raises numpy.linalg.LinAlgError
+        Built anew on each call, which the solvers make once per solve, so
+        a solved system keeps no factor.  Raises numpy.linalg.LinAlgError
         when K̄ is singular or some delta_j <= 0 (a coefficient that is not
         positive on the parameter box).
         """
-        if self._precond is None:
-            means = [1.0, *(my.sum() for my in self.gram.mass_y)]
-            k_bar = np.array(means) @ self.stiffness
-            I, J = self.n_spatial, self.n_param
-            K_bar = self.pattern.csr(k_bar).copy()  # csr() shares k_bar's memory
-            K_bar.eliminate_zeros()
+        means = [1.0, *(my.sum() for my in self.gram.mass_y)]
+        k_bar = np.array(means) @ self.stiffness
+        I, J = self.n_spatial, self.n_param
+        K_bar = self.pattern.csr(k_bar).copy()  # csr() shares k_bar's memory
+        K_bar.eliminate_zeros()
 
-            def factor(kept):
-                """SuperLU of K̄ on the ``kept`` nodes."""
-                try:
-                    return spla.splu(sp.csc_matrix(K_bar[kept][:, kept]),
-                                     permc_spec="MMD_AT_PLUS_A",
-                                     options={"SymmetricMode": True})
-                except RuntimeError as exc:
-                    raise np.linalg.LinAlgError(f"mean stiffness K̄: {exc}") from exc
+        def factor(kept):
+            """SuperLU of K̄ on the ``kept`` nodes."""
+            try:
+                return spla.splu(sp.csc_matrix(K_bar[kept][:, kept]),
+                                 permc_spec="MMD_AT_PLUS_A",
+                                 options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise np.linalg.LinAlgError(f"mean stiffness K̄: {exc}") from exc
 
-            kept = np.ones(I, dtype=bool)
-            lu_k = factor(kept)
-            alpha = self.stiffness @ k_bar / (k_bar @ k_bar)
-            basis = self.gram.eigenbasis()
-            delta = np.full(self.grid.shape, alpha[0])
-            for k, (_, lam) in enumerate(basis):
-                delta += alpha[k + 1] * lam.reshape((-1,) + (1,) * (len(basis) - 1 - k))
-            if not delta.min() > 0.0:
-                raise np.linalg.LinAlgError(
-                    "Kronecker preconditioner is not positive definite: the "
-                    "coefficient is not positive on the parameter box")
-            inv_delta = (1.0 / delta).reshape(J, 1)
-            W = [W_d for W_d, _ in basis]
-            W_T = [W_d.T for W_d in W]
+        kept = np.ones(I, dtype=bool)
+        lu_k = factor(kept)
+        alpha = self.stiffness @ k_bar / (k_bar @ k_bar)
+        basis = self.gram.eigenbasis()
+        delta = np.full(self.grid.shape, alpha[0])
+        for k, (_, lam) in enumerate(basis):
+            delta += alpha[k + 1] * lam.reshape((-1,) + (1,) * (len(basis) - 1 - k))
+        if not delta.min() > 0.0:
+            raise np.linalg.LinAlgError(
+                "Kronecker preconditioner is not positive definite: the "
+                "coefficient is not positive on the parameter box")
+        inv_delta = (1.0 / delta).reshape(J, 1)
+        W = [W_d for W_d, _ in basis]
+        W_T = [W_d.T for W_d in W]
 
-            def apply(r: np.ndarray, active: np.ndarray) -> np.ndarray:
-                nonlocal lu_k, kept
-                now = ~active.reshape(J, I).all(axis=0)  # nodes not held everywhere
-                out = np.zeros((J, I))
-                if not now.any():
-                    return out.reshape(-1)
-                if not np.array_equal(now, kept):
-                    lu_k = kept = None  # free the old factor before the new one is made
-                    lu_k, kept = factor(now), now
-                V = kron_apply(W_T, lu_k.solve(r.reshape(J, I)[:, kept].T).T)
-                V *= inv_delta
-                out[:, kept] = kron_apply(W, V)
+        def apply(r: np.ndarray, active: np.ndarray) -> np.ndarray:
+            nonlocal lu_k, kept
+            now = ~active.reshape(J, I).all(axis=0)  # nodes not held everywhere
+            out = np.zeros((J, I))
+            if not now.any():
                 return out.reshape(-1)
+            if not np.array_equal(now, kept):
+                lu_k = kept = None  # free the old factor before the new one is made
+                lu_k, kept = factor(now), now
+            V = kron_apply(W_T, lu_k.solve(r.reshape(J, I)[:, kept].T).T)
+            V *= inv_delta
+            out[:, kept] = kron_apply(W, V)
+            return out.reshape(-1)
 
-            self._precond = apply
-        return self._precond
+        return apply
 
 
 def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
@@ -253,7 +251,7 @@ def assemble_sg(mesh: Mesh, grid: ParamGrid, a_field: AffineField,
     factors = affine_factors(op, a_field, f_field, g_field, grid.n_dims)
     gram = assemble_gramians(grid)
     y_nodes = grid.nodes()
-    B = np.array([gram.g0, *gram.gk]).T @ factors.load
+    B = np.array([gram.integrals(k) for k in range(len(factors.load))]).T @ factors.load
     D, lifting = lift(op, dirichlet, y_nodes, factors.K_ib[:, None])
     for k, L in enumerate(lifting):
         B -= kron_apply(gram.factors(k), L)

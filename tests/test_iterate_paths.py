@@ -3,8 +3,9 @@
 Each test writes a copy of one benchmark config, as ``bench/workloads.py``
 makes it at seed 7, runs it through ``cli.main`` and checks the solver
 counts in its report: the active-set updates and conjugate gradient steps
-of a Galerkin solve, and the updates, factorizations and failures of a
-Monte Carlo run.  A change that moves one of these paths changes how
+of a Galerkin solve (per level of a convergence study), the sweeps of
+projected SOR, and the updates, factorizations and failures of a Monte
+Carlo run.  A change that moves one of these paths changes how
 the solvers get to their answer, even when the answer stays within its
 tolerances.  The "hard shapes" variants give the coefficient modes that
 are not multiples of the mean, so the Galerkin matvec makes three sparse
@@ -33,6 +34,8 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 SG_SOLVE, _ = workloads.make_config("sg-solve", 7)
+SG_PSOR, _ = workloads.make_config("sg-psor", 7)
+SG_CONVERGE, _ = workloads.make_config("sg-converge", 7)
 MC, _ = workloads.make_config("mc", 7)
 EXAMPLE1_FIELDS = SG_SOLVE["custom"]  # example1's fields with a constant obstacle
 
@@ -55,16 +58,25 @@ def run(tmp_path, command, cfg, report):
     return json.loads((tmp_path / "out" / report).read_text())
 
 
-@pytest.mark.parametrize("fields, path, factors", [
-    (EXAMPLE1_FIELDS, (8, 23), 1),
-    (hard_shapes(EXAMPLE1_FIELDS), (9, 41), 3),
-], ids=["proportional modes", "hard shapes"])
-def test_galerkin_solve(tmp_path, fields, path, factors):
-    r = run(tmp_path, "solve", dict(SG_SOLVE, custom=fields), "ex1custom_level0_report.json")
+@pytest.mark.parametrize("cfg, path, factors", [
+    (SG_SOLVE, (8, 23), 1),
+    (dict(SG_SOLVE, custom=hard_shapes(EXAMPLE1_FIELDS)), (9, 41), 3),
+    (SG_PSOR, (92, 0), 1),
+], ids=["proportional modes", "hard shapes", "projected SOR"])
+def test_galerkin_solve(tmp_path, cfg, path, factors):
+    r = run(tmp_path, "solve", cfg, "ex1custom_level0_report.json")
     solver = r["solver"]
     assert solver["converged"]
     assert (solver["iterations"], solver["inner_iterations"]) == path
     assert r["spatial_factors"] == factors
+
+
+def test_galerkin_convergence(tmp_path):
+    r = run(tmp_path, "converge", SG_CONVERGE, "report.json")
+    levels = r["levels"]
+    assert all(lv["converged"] and lv["spatial_factors"] == 1 for lv in levels)
+    assert [(lv["iterations"], lv["inner_iterations"]) for lv in levels] == \
+        [(0, 1), (5, 5), (3, 3)]
 
 
 @pytest.mark.parametrize("cfg, report, counts, distinct, blocks", [

@@ -117,15 +117,16 @@ class TestGramians:
         gram = assemble_gramians(grid)
         assert_allclose(gram.matrix(0).toarray(),
                         [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], rtol=1e-12)
-        assert_allclose(gram.g0, [0.5, 0.5], rtol=1e-12)
+        assert_allclose(gram.integrals(0), [0.5, 0.5], rtol=1e-12)
 
     def test_partition_of_unity(self):
         # hats sum to one, so row sums of G_0 give g0 regardless of the
         # quadrature used (same points on both sides)
         grid = build_param_grid([Density1D.exp_uniform()] * 2, 4)
         gram = assemble_gramians(grid)
-        assert_allclose(gram.matrix(0) @ np.ones(grid.n_nodes), gram.g0, rtol=1e-12)
-        assert_allclose(gram.matrix(1) @ np.ones(grid.n_nodes), gram.gk[0], rtol=1e-12)
+        for k in range(3):
+            assert_allclose(gram.matrix(k) @ np.ones(grid.n_nodes), gram.integrals(k),
+                            rtol=1e-12)
 
     def test_weighted_gramians_reduce_to_moments(self):
         # value-level checks need the density integrated accurately, so
@@ -133,9 +134,9 @@ class TestGramians:
         grid = build_param_grid([Density1D.exp_uniform()] * 2, 3)
         gram = assemble_gramians(grid, n_pts=24)
         ones = np.ones(grid.n_nodes)
-        assert gram.g0.sum() == pytest.approx(1.0, rel=1e-12)
+        assert gram.integrals(0).sum() == pytest.approx(1.0, rel=1e-12)
         for k in range(2):
-            assert gram.gk[k].sum() == pytest.approx(EY, rel=1e-12)
+            assert gram.integrals(k + 1).sum() == pytest.approx(EY, rel=1e-12)
             # <y_k, 1> twice contracted = E[y_k]
             assert ones @ (gram.matrix(k + 1) @ ones) == pytest.approx(EY, rel=1e-12)
 
@@ -144,7 +145,7 @@ class TestGramians:
         # the rule is exact in xi, so g0 sums to one on any number of cells
         rho = Density1D.exp_uniform(-half_width, half_width)
         for cells in range(1, 17):
-            g0 = assemble_gramians(build_param_grid([rho], cells)).g0
+            g0 = assemble_gramians(build_param_grid([rho], cells)).integrals(0)
             assert abs(g0.sum() - 1.0) <= 1e-15, cells
 
     def test_exp_uniform_factors_match_a_fine_rule(self):
@@ -186,8 +187,8 @@ class TestGramians:
     def test_deterministic_gramians(self):
         gram = assemble_gramians(build_param_grid((), 1))
         assert_allclose(gram.matrix(0).toarray(), [[1.0]])
-        assert_allclose(gram.g0, [1.0])
-        assert gram.gk == () and gram.mass_y == ()
+        assert_allclose(gram.integrals(0), [1.0])
+        assert gram.mass == () and gram.mass_y == ()
 
     def test_interpolated_affine_function_integrates_exactly(self):
         # y1 + 2 y2 is multilinear, so its interpolant is itself; integrating
@@ -196,7 +197,7 @@ class TestGramians:
         gram = assemble_gramians(grid, n_pts=24)
         nodes = grid.nodes()
         vals = nodes[:, 0] + 2.0 * nodes[:, 1]
-        assert gram.g0 @ vals == pytest.approx(3 * EY, rel=1e-11)
+        assert gram.integrals(0) @ vals == pytest.approx(3 * EY, rel=1e-11)
 
 
 # grids of M = 0..3 dimensions with unequal densities and cell counts
@@ -245,8 +246,7 @@ class TestKroneckerFactors:
             V = np.random.default_rng(k).standard_normal((grid.n_nodes, 4))
             assert_allclose(kron_apply(gram.factors(k), V), want @ V, rtol=1e-12,
                             atol=1e-15)
-        assert len(gram.gk) == grid.n_dims
-        assert gram.g0.shape == (grid.n_nodes,)
+            assert_allclose(gram.integrals(k), want.sum(axis=1), rtol=1e-12)
 
     def test_tensor_points_match_meshgrid(self, cells):
         grid = _kron_grid(cells)

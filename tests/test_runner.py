@@ -3,6 +3,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -33,6 +34,20 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def cli_config_error(tmp_path, capsys, cfg) -> str:
+    """The stderr of ``solve`` on ``cfg`` through the CLI, which must exit 1
+    with a config error, no traceback and no output directory."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"))))
+    capsys.readouterr()
+    assert cli_main(["-q", "solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    return err
 
 
 class TestValidateConfig:
@@ -161,10 +176,13 @@ class TestValidateConfig:
         ({"max_iter": "7"}, "max_iter must be an integer >= 1"),
         ({"max_iter": 0}, "max_iter must be an integer >= 1"),
         ({"max_iter": True}, "max_iter must be an integer >= 1"),
+        # too large for a float: the OverflowError of the conversion
+        ({"tol": 10 ** 400}, "tol must be a finite number"),
     ])
-    def test_solver_values_checked(self, solver, message):
+    def test_solver_values_checked(self, tmp_path, capsys, solver, message):
         with pytest.raises(ConfigError, match=f"solver: .*{message}"):
             validate_config(base_config(solver=solver))
+        assert message in cli_config_error(tmp_path, capsys, base_config(solver=solver))
         with pytest.raises(ConfigError, match=f"mc.solver: .*{message}"):
             validate_config(base_config(mc={"solver": solver}))
 
@@ -380,10 +398,14 @@ class TestValidateConfigRegressions:
         ({"levels": [[1e300, 1]]}, "nx must be an integer >= 2, got 1e"),
         ({"coupled": {"h_over_s": 1.0, "m_min": 1.9}},
          "schedule.coupled.m_min must be an integer in 0..30, got 1.9"),
+        # a custom problem has no h_over_s of its own
+        ({"coupled": {}}, r"schedule.coupled needs h_over_s \(no problem default\)"),
     ])
-    def test_unbuildable_levels(self, schedule, message):
+    def test_unbuildable_levels(self, tmp_path, capsys, schedule, message):
+        cfg = custom_config(3.0, schedule=schedule)
         with pytest.raises(ConfigError, match=message):
-            validate_config(custom_config(3.0, schedule=schedule))
+            validate_config(cfg)
+        assert re.search(message, cli_config_error(tmp_path, capsys, cfg))
 
     def test_huge_level_is_quoted_short(self):
         with pytest.raises(ConfigError, match="more than 4194304 nodes") as info:

@@ -106,6 +106,12 @@ MUTANTS = [
            "src/sgobstacle/lcp.py",
            "    converged = ok and residual <= config.tol\n",
            "    converged = residual <= config.tol\n"),
+    Mutant("fold-ratio-one", "the ratios of folded stiffness terms",
+           "src/sgobstacle/fields.py",
+           "ratios[k] = c\n", "ratios[k] = 1.0\n"),
+    Mutant("integrals-plain-gramian", "the basis integrals of the Gramians",
+           "src/sgobstacle/param.py",
+           "F.sum(axis=1) for F in self.factors(k)", "F.sum(axis=1) for F in self.factors(0)"),
 ]
 
 
