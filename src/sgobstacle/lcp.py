@@ -1,29 +1,30 @@
 """Solvers for the linear complementarity problem u >= g, Au >= b, complementary.
 
 Systems are given as objects exposing ``n``, ``b``, ``matvec``, ``diag``,
-``precond()`` and ``explicit()`` (returns the CSR matrix, or None); A must
-be symmetric positive definite.  ``precond()`` is called once per solve
-and returns ``apply(r, active)``: for the boolean mask ``active`` of the
-entries held at the obstacle and a full-length ``r`` that is zero on them,
-an approximate inverse of the inactive block A[free][:, free] applied to
-``r``, again full-length.  Nothing held (an all-false mask) makes it an
-approximate inverse of A.  Solves never leave the index space of A:
-masking the matvec and the preconditioner output holds the active entries
-at zero.  An ``apply`` whose ``exact`` attribute is true declares that it
-is the exact inverse, and the active set method then takes one apply of it
-as the whole linear solve.  ``matvec`` and ``apply`` return either arrays
-of their own, which the solver may overwrite, or their input, which it
-does not.  The plain sparse system solves the inactive
-block by banded Cholesky and declares it exact; the Galerkin system applies
-its Kronecker preconditioner, truncated at the spatial nodes that the set
-holds at every parameter node, and declares nothing, so its solves run
-conjugate gradients.  The sparse system's diagonal blocks share one size,
-and it refactors and re-solves only the blocks whose set or right-hand side
-moved.  Handed one shape with a scale per block (a Monte Carlo block whose
-samples share a stiffness shape), it keeps the factors of its held sets in
-a ``FactorStore`` that a Monte Carlo run shares among its block systems,
-and solves the blocks of one held set in one LAPACK ``dpbtrs`` call with
-one column per block.
+``precond()``, ``explicit()`` (returns the CSR matrix, or None) and
+``colours()`` (one colour per row, no two rows of one colour coupled by a
+stored entry of ``explicit()``); A must be symmetric positive definite.
+``precond()`` is called once per solve and returns ``apply(r, active)``:
+for the boolean mask ``active`` of the entries held at the obstacle and a
+full-length ``r`` that is zero on them, an approximate inverse of the
+inactive block A[free][:, free] applied to ``r``, again full-length.
+Nothing held (an all-false mask) makes it an approximate inverse of A.
+Solves never leave the index space of A: masking the matvec and the
+preconditioner output holds the active entries at zero.  An ``apply`` whose
+``exact`` attribute is true declares that it is the exact inverse, and the
+active set method then takes one apply of it as the whole linear solve.
+``matvec`` and ``apply`` return either arrays of their own, which the
+solver may overwrite, or their input, which it does not.  The plain sparse
+system solves the inactive block by banded Cholesky and declares it exact;
+the Galerkin system applies its Kronecker preconditioner, truncated at the
+spatial nodes that the set holds at every parameter node, and declares
+nothing, so its solves run conjugate gradients.  The sparse system's
+diagonal blocks share one size, and it refactors and re-solves only the
+blocks whose set or right-hand side moved.  Handed one shape with a scale
+per block (a Monte Carlo block whose samples share a stiffness shape), it
+keeps the factors of its held sets in a ``FactorStore`` that a Monte Carlo
+run shares among its block systems, and solves the blocks of one held set
+in one LAPACK ``dpbtrs`` call with one column per block.
 
 The active set method is an inexact semismooth Newton iteration, and each
 of its steps is one linear solve on the inactive set.  The unconstrained
@@ -47,14 +48,19 @@ x, r, p, one work vector (the product being made) and the temporaries of
 that product: about 14 vectors of the system's size.
 
 Projected SOR (Cryer, SIAM J. Control 1971) sweeps the rows of the explicit
-matrix class by class in a greedy multicolour order (``psor_solve``), so it
-converges for SPD A and omega in (0, 2); ``iterations`` counts sweeps.
+matrix class by class in the system's multicolour order (``psor_solve``),
+so it converges for SPD A and omega in (0, 2); ``iterations`` counts
+sweeps.  The plain sparse system colours A's rows first fit
+(``greedy_colouring``); the Galerkin system colours the patterns of its
+Kronecker factors and combines the two.  A sweep's stop test starts from
+the first class's product with the new iterate, which the next sweep needs
+anyway: its rows bound the complementarity residual from below, and the
+product of the whole matrix is made only once that bound reaches ``tol``.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -230,6 +236,9 @@ class SparseObstacleSystem:
     def explicit(self):
         return self.A
 
+    def colours(self):
+        return greedy_colouring(self.A)
+
     def precond(self):
         """``apply(r, active)``: the exact solve with A[free][:, free], on
         full-length vectors.
@@ -403,23 +412,23 @@ def greedy_colouring(A) -> list:
     return [b.bit_length() - 1 for b in bit]
 
 
-def _colour_ordered(A):
-    """A with rows and columns in greedy colour order, ``A[order][:, order]``.
+def _colour_ordered(A, colour):
+    """A with rows and columns in colour order, ``A[order][:, order]``.
 
-    Returns (P, bounds, order, rank): row k of P is row ``order[k]`` of A
-    with its columns renumbered by ``rank``, which inverts ``order``, and
-    colour c owns the rows ``bounds[c]:bounds[c + 1]``.  scipy's column
-    gather keeps the order of A's stored entries within each row, so a row
-    product of P sums in A's order.  When A's rows already are in colour
-    order (one colour, or a dense matrix) P is A itself and ``order`` and
-    ``rank`` are full slices.  This runs on every PSOR call, so a Monte
-    Carlo block of one-node samples (a diagonal matrix) costs one colouring
-    pass here and no permutation.
+    ``colour`` gives one colour per row.  Returns (P, bounds, order, rank):
+    row k of P is row ``order[k]`` of A with its columns renumbered by
+    ``rank``, which inverts ``order``, and the k-th colour in use owns the
+    rows ``bounds[k]:bounds[k + 1]``.  scipy's column gather keeps the order
+    of A's stored entries within each row, so a row product of P sums in
+    A's order.  When A's rows already are in colour order (one colour, or a
+    dense matrix) P is A itself and ``order`` and ``rank`` are full slices.
+    This runs on every PSOR call, so a Monte Carlo block of one-node samples
+    (a diagonal matrix, one colour) costs no permutation.
     """
-    colour = greedy_colouring(A)
-    ranked = sorted(colour)
-    bounds = [bisect_left(ranked, c) for c in range(ranked[-1] + 2)]
-    if ranked == colour:
+    colour = np.asarray(colour)
+    ranked = np.sort(colour)
+    bounds = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), len(ranked)]
+    if np.array_equal(ranked, colour):
         return A, bounds, slice(None), slice(None)
     order = np.argsort(colour, kind="stable")
     return A[order][:, order], bounds, order, order.argsort()
@@ -429,16 +438,25 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
                x0: np.ndarray | None = None):
     """Projected SOR in multicolour order; converges for SPD A and omega in (0, 2).
 
-    Needs the explicit CSR matrix.  Its rows are coloured once per call
-    (``greedy_colouring``) and permuted into colour order (``_colour_ordered``),
-    and each sweep updates one colour class at a time as a single projected
-    step: the class's row products are one CSR product of its row slice.
-    Rows of one colour do not couple, so a sweep is exactly sequential
-    projected SOR with the rows taken in colour order.  The complementarity
-    residual is taken after every sweep, as one product of the permuted
-    matrix.  A start ``x0`` is projected onto the obstacle; without one, the
-    sweeps start at the obstacle.  Returns (u, SolveReport); ``iterations``
-    counts sweeps.
+    Needs the explicit CSR matrix.  Its rows are permuted once per call into
+    the order of ``system.colours()`` (``_colour_ordered``), and each sweep
+    updates one colour class at a time as a single projected step: the
+    class's row products are one CSR product of its row slice.  Rows of one
+    colour do not couple, so a sweep is exactly sequential projected SOR
+    with the rows taken in colour order.
+
+    After a sweep the first class's product with the new iterate is made
+    and kept, because the next sweep's first update needs exactly it.  A
+    CSR row slice sums in the order of the whole product, so its rows give
+    the complementarity residual on them bit for bit, a lower bound of the
+    whole residual.  While that bound exceeds ``tol`` the iterate has not
+    converged and the sweeps go on; otherwise, and after the last sweep
+    allowed, the residual is taken over all rows, as one product of the
+    permuted matrix.  With one class the bound is the whole residual.  So
+    the sweeps and the reported ``residual`` are those of a test after
+    every sweep.  A start ``x0`` is projected onto the obstacle; without
+    one, the sweeps start at the obstacle.  Returns (u, SolveReport);
+    ``iterations`` counts sweeps.
     """
     A = system.explicit()
     if A is None:
@@ -450,20 +468,25 @@ def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(meth
     # work in colour order, where each colour class owns a contiguous block
     # of rows: per class, its row slice of P and views of u, b, omega / d
     # and the obstacle on its rows
-    P, bounds, order, rank = _colour_ordered(A)
+    P, bounds, order, rank = _colour_ordered(A, system.colours())
     omega = config.omega
     u = np.array(obs if x0 is None else np.maximum(x0, obs), dtype=float)[order]
     b, w, g = system.b[order], omega / diag[order], obs[order]
     classes = [(P[s:e], u[s:e], b[s:e], w[s:e], g[s:e])
                for s, e in zip(bounds[:-1], bounds[1:])]
+    P_0, u_0, b_0, _, g_0 = classes[0]
+    first = P_0 @ u  # the first class's product, made before each sweep
     max_sweeps = config.max_iter if config.max_iter is not None else 50
     residual = np.inf
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         # (1 - omega) u + omega (u + (b - A u) / d), as u + (omega / d) (b - A u)
-        for P_c, u_c, b_c, w_c, g_c in classes:
-            np.maximum(g_c, u_c + w_c * (b_c - P_c @ u), out=u_c)
-        residual = _max_violation(u, g, P @ u - b)
+        for c, (P_c, u_c, b_c, w_c, g_c) in enumerate(classes):
+            np.maximum(g_c, u_c + w_c * (b_c - (P_c @ u if c else first)), out=u_c)
+        first = P_0 @ u
+        residual = _max_violation(u_0, g_0, first - b_0)  # the first class's rows
+        if len(classes) > 1 and (residual <= config.tol or sweeps == max_sweeps):
+            residual = _max_violation(u, g, P @ u - b)
         if residual <= config.tol:
             break
     u = u[rank]

@@ -16,14 +16,16 @@ for the K of an earlier term joins that term's group
 an all-zero K_k (a coefficient with zero mean) joins none.  So a
 coefficient whose modes have the mean's shape, as in both of the paper's
 examples, costs one sparse product per matvec.  The explicit sparse sum
-is built only when projected SOR asks for it.  Conjugate gradients are
-preconditioned with the best Kronecker approximation G̃ ⊗ K̄ of the sum
-(Ullmann, SISC 2010), whose parametric factor is inverted in the doubly
-orthogonal hat basis (Babuška, Tempone and Zouraris, SINUM 2004).  Its
-apply takes the active set and truncates K̄ at the spatial nodes held at
-every parameter node, so it stays a Kronecker product, and it is the exact
-inverse of the inactive block wherever the modes have the mean's shape and
-the contact set does not depend on y (``SGSystem.precond``).
+is built only when projected SOR asks for it, and the rows' colours that
+it sweeps in come from the patterns of the factors (``SGSystem.colours``).
+Conjugate gradients are preconditioned with the best Kronecker
+approximation G̃ ⊗ K̄ of the sum (Ullmann, SISC 2010), whose parametric
+factor is inverted in the doubly orthogonal hat basis (Babuška, Tempone
+and Zouraris, SINUM 2004).  Its apply takes the active set and truncates
+K̄ at the spatial nodes held at every parameter node, so it stays a
+Kronecker product, and it is the exact inverse of the inactive block
+wherever the modes have the mean's shape and the contact set does not
+depend on y (``SGSystem.precond``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .fem import Block, P1Operator
 from .fields import AffineField, affine_factors, fold_terms, lift
+from .lcp import greedy_colouring
 from .mesh import Mesh
 from .param import Gramians, ParamGrid, assemble_gramians, kron_apply
 
@@ -146,6 +149,25 @@ class SGSystem:
             A.sort_indices()
             self.A = A
         return self.A
+
+    def colours(self) -> np.ndarray:
+        """One colour per row of A, no two rows of one colour coupled by A.
+
+        A's pattern lies in the strong product of two small patterns: the
+        union of the G_k (J rows) and the nonzeros of sum_k |K_k| (I rows),
+        where the stored zeros of ``pattern`` drop out as ``explicit()``
+        drops them.  With c_G and c_K their first-fit colourings
+        (``lcp.greedy_colouring``) and n_K the colours of c_K, row j*I + i
+        gets c_G(j) n_K + c_K(i): two distinct rows coupled by A have
+        coupled j, so they differ in c_G, or share j and have coupled i, so
+        they differ in c_K.  So projected SOR colours the factors and never
+        walks the rows of A.
+        """
+        G = sum(abs(self.gram.matrix(k)) for k in range(len(self.stiffness)))
+        K = self.pattern.csr(np.abs(self.stiffness).sum(axis=0))
+        K.eliminate_zeros()  # rewrites only the summed entries, an array of its own
+        c_G, c_K = np.array(greedy_colouring(G)), np.array(greedy_colouring(K))
+        return (c_G[:, None] * (c_K.max() + 1) + c_K).ravel()
 
     def precond(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``apply(r, active)``: the inverse of the best Kronecker

@@ -16,7 +16,10 @@ to 17 samples whose contact sets differ, and the run's samples share 53
 factors.  A Monte Carlo sample's first update holds the final set of the
 nearest sample of the last converged block, and the report counts the
 samples that kept that start set; every sample but the first, which starts
-cold, can.
+cold, can.  Projected SOR colours the Galerkin rows from the Kronecker
+factors; on these configs the colours are those of first fit on the
+explicit matrix, and the product of the whole matrix is made only in the
+few sweeps whose first colour class is within the tolerance.
 """
 
 import copy
@@ -24,9 +27,17 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from numpy.testing import assert_array_equal
 
 from sgobstacle.cli import main as cli_main
+from sgobstacle.lcp import greedy_colouring, solve_lcp
+from sgobstacle.mesh import build_uniform_mesh
+from sgobstacle.param import build_param_grid
+from sgobstacle.runner import validate_config
+from sgobstacle.system import assemble_sg
 
 _spec = importlib.util.spec_from_file_location(
     "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
@@ -69,6 +80,50 @@ def test_galerkin_solve(tmp_path, cfg, path, factors):
     assert solver["converged"]
     assert (solver["iterations"], solver["inner_iterations"]) == path
     assert r["spatial_factors"] == factors
+
+
+def galerkin_system(cfg):
+    """The Galerkin system of the first level of ``cfg`` and its solver config."""
+    cfg = validate_config(cfg)
+    problem, level = cfg.problem, cfg.levels[0]
+    system = assemble_sg(build_uniform_mesh(problem.rect, level.nx, level.ny),
+                         build_param_grid(problem.densities, level.cells,
+                                          cfg.parameterization == "xi"),
+                         problem.fields["a"], problem.fields["f"], problem.fields["g"],
+                         problem.dirichlet)
+    return system, cfg.solver
+
+
+@pytest.mark.parametrize("cfg", [SG_PSOR, dict(SG_PSOR, custom=hard_shapes(EXAMPLE1_FIELDS))],
+                         ids=["proportional modes", "hard shapes"])
+def test_galerkin_colours_are_first_fit_on_the_explicit_matrix(cfg):
+    system, _ = galerkin_system(cfg)
+    A = system.explicit()
+    colour = np.asarray(system.colours())
+    rows = np.repeat(np.arange(system.n), np.diff(A.indptr))
+    off = rows != A.indices
+    assert not np.any(colour[rows[off]] == colour[A.indices[off]])
+    assert_array_equal(colour, greedy_colouring(A))
+
+
+def test_projected_sor_makes_few_whole_products(monkeypatch):
+    # a sweep makes the product of the whole matrix only when its first
+    # class is within the tolerance, or in the last sweep allowed
+    system, solver = galerkin_system(SG_PSOR)
+    products = []
+    matmul = sp.csr_array.__matmul__
+
+    def counted(A, v):
+        products.append(A.shape[0])
+        return matmul(A, v)
+
+    monkeypatch.setattr(sp.csr_array, "__matmul__", counted)
+    _, report = solve_lcp(system, system.obs, solver)
+    assert report.converged and report.iterations == 92
+    assert products.count(system.n) <= 5
+    # one product per class and sweep, the first class's made after the
+    # sweep before (or before the first sweep)
+    assert len(products) == 92 * 8 + products.count(system.n) + 1
 
 
 def test_galerkin_convergence(tmp_path):

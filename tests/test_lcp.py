@@ -113,6 +113,47 @@ def sequential_psor(A, b, obs, omega, sweeps, order):
     return u
 
 
+def full_residual_psor(system, obs, config, x0=None):
+    """Projected SOR in the first-fit colour order of the explicit matrix,
+    with the whole complementarity residual after every sweep (reference):
+    (u, sweeps, residual)."""
+    A = system.explicit()
+    P, bounds, order, rank = lcp_module._colour_ordered(A, greedy_colouring(A))
+    u = np.array(obs if x0 is None else np.maximum(x0, obs), dtype=float)[order]
+    b, w, g = system.b[order], config.omega / A.diagonal()[order], obs[order]
+    residual, sweeps = np.inf, 0
+    for sweeps in range(1, config.max_iter + 1):
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            u[s:e] = np.maximum(g[s:e], u[s:e] + w[s:e] * (b[s:e] - P[s:e] @ u))
+        residual = float(np.abs(np.minimum(u - g, P @ u - b)).max())
+        if residual <= config.tol:
+            break
+    return u[rank], sweeps, residual
+
+
+def diagonal_lcp():
+    """A diagonal LCP: one colour, so one class holds every row."""
+    rng = np.random.default_rng(31)
+    return SparseObstacleSystem(sp.diags_array(rng.uniform(1.0, 3.0, 6)).tocsr(),
+                                rng.standard_normal(6)), rng.standard_normal(6) - 0.5
+
+
+def dense_lcp():
+    """A dense LCP: one row per colour."""
+    A, b, obs = random_lcp(np.random.default_rng(37))
+    return SparseObstacleSystem(sp.csr_array(A), b), obs
+
+
+def galerkin_lcp(raise_first_class=False):
+    """``small_sg_system`` and its obstacle, raised by 1 on the rows of
+    colour 0 with ``raise_first_class``, so that they stay on it."""
+    system = small_sg_system()
+    obs = system.obs.copy()
+    if raise_first_class:
+        obs[np.asarray(system.colours()) == 0] += 1.0
+    return system, obs
+
+
 class TestMulticolourPSOR:
     def test_colouring_of_galerkin_matrix(self):
         A = small_sg_system().explicit()
@@ -167,7 +208,7 @@ class TestMulticolourPSOR:
         # order; colour c owns the rows bounds[c]:bounds[c + 1]
         A = small_sg_system().explicit()
         colour = np.array(greedy_colouring(A))
-        P, bounds, order, rank = lcp_module._colour_ordered(A)
+        P, bounds, order, rank = lcp_module._colour_ordered(A, colour)
         assert len(bounds) - 1 == colour.max() + 1 > 1
         assert_array_equal(order, np.argsort(colour, kind="stable"))
         assert_array_equal(rank[order], np.arange(A.shape[0]))
@@ -178,6 +219,58 @@ class TestMulticolourPSOR:
             in_A = slice(A.indptr[i], A.indptr[i + 1])
             assert_array_equal(P.indices[in_P], rank[A.indices[in_A]])
             assert_array_equal(P.data[in_P], A.data[in_A])
+
+    @pytest.mark.parametrize("in_xi", [False, True], ids=["hats in y", "hats in xi"])
+    def test_galerkin_colours_are_first_fit_on_the_explicit_matrix(self, in_xi):
+        # the colours combined from the Kronecker factors are those that
+        # first fit gives on the rows of A
+        if in_xi:
+            problem = get_problem("example2")
+            system = assemble_sg(build_uniform_mesh(problem.rect, 8),
+                                 build_param_grid(problem.densities, 3, in_xi=True),
+                                 problem.fields["a"], problem.fields["f"],
+                                 problem.fields["g"], problem.dirichlet)
+        else:
+            system = small_sg_system()
+        A = system.explicit()
+        colour = system.colours()
+        assert_first_fit_colouring(A, np.asarray(colour).tolist())
+        assert_array_equal(colour, greedy_colouring(A))
+
+    @pytest.mark.parametrize("lcp, colours, max_iter, converged", [
+        (galerkin_lcp, 8, 5000, True),
+        (dense_lcp, 8, 20_000, True),
+        (diagonal_lcp, 1, 20_000, True),
+        (galerkin_lcp, 8, 1, False),
+        (galerkin_lcp, 8, 3, False),
+        (galerkin_lcp, 8, 40, False),
+    ], ids=["galerkin", "dense", "diagonal", "one sweep", "three sweeps", "exhausted"])
+    def test_stop_test_matches_a_full_residual_after_every_sweep(self, lcp, colours, max_iter,
+                                                                  converged):
+        # the first class's rows bound the residual from below, so testing
+        # them first changes neither the sweeps nor a bit of u or residual
+        system, obs = lcp()
+        assert max(system.colours()) + 1 == colours
+        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-10, max_iter=max_iter)
+        u, rep = psor_solve(system, obs, cfg)
+        u_ref, sweeps, residual = full_residual_psor(system, obs, cfg)
+        assert u.tobytes() == u_ref.tobytes()
+        assert (rep.iterations, rep.residual) == (sweeps, residual)
+        assert rep.converged == (residual <= cfg.tol) == converged
+
+    def test_start_on_the_first_class_obstacle_matches_the_full_residual(self):
+        # the first class starts and stays on the obstacle, so its rows bound
+        # the residual by 0 after every sweep and each sweep takes the whole
+        # residual
+        system, obs = galerkin_lcp(raise_first_class=True)
+        first = np.asarray(system.colours()) == 0
+        cfg = SolverConfig(method="psor", omega=1.7, tol=1e-10, max_iter=5000)
+        for x0 in (None, np.where(first, obs, obs + 0.5)):
+            u, rep = psor_solve(system, obs, cfg, x0=x0)
+            u_ref, sweeps, residual = full_residual_psor(system, obs, cfg, x0=x0)
+            assert rep.converged and np.all(u[first] == obs[first])
+            assert u.tobytes() == u_ref.tobytes()
+            assert (rep.iterations, rep.residual) == (sweeps, residual)
 
     def test_matches_sequential_sweeps_in_colour_order(self):
         system = small_sg_system()
@@ -505,15 +598,15 @@ class TestReducedPrecond:
 
 
 def test_each_system_has_one_preconditioner():
-    # the protocol is n, b, matvec, diag, precond() and explicit(): one
-    # preconditioner per system, whose apply takes the held set
+    # the protocol is n, b, matvec, diag, precond(), explicit() and
+    # colours(): one preconditioner per system, whose apply takes the held set
     rng = np.random.default_rng(53)
     sparse = SparseObstacleSystem(block_diagonal_spd(rng, (3, 2)), np.zeros(5))
     galerkin = small_sg_system()
     for system in (sparse, galerkin):
         methods = {name for name, value in vars(type(system)).items()
                    if callable(value) and not name.startswith("_")}
-        assert methods == {"matvec", "diag", "precond", "explicit"}
+        assert methods == {"matvec", "diag", "precond", "explicit", "colours"}
         assert system.b.shape == (system.n,)
     assert sparse.precond().exact
 

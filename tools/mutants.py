@@ -112,6 +112,13 @@ MUTANTS = [
     Mutant("integrals-plain-gramian", "the basis integrals of the Gramians",
            "src/sgobstacle/param.py",
            "F.sum(axis=1) for F in self.factors(k)", "F.sum(axis=1) for F in self.factors(0)"),
+    Mutant("psor-stop-first-class", "projected SOR's lower bound in the stop test",
+           "src/sgobstacle/lcp.py",
+           "if len(classes) > 1 and (residual <= config.tol or sweeps == max_sweeps):",
+           "if len(classes) > 1 and sweeps == max_sweeps:"),
+    Mutant("colours-merge", "the Galerkin colours combined from the Kronecker factors",
+           "src/sgobstacle/system.py",
+           "c_G[:, None] * (c_K.max() + 1)", "c_G[:, None] * c_K.max()"),
 ]
 
 
