@@ -418,9 +418,12 @@ def _colour_ordered(A, colour):
     ``colour`` gives one colour per row.  Returns (P, bounds, order, rank):
     row k of P is row ``order[k]`` of A with its columns renumbered by
     ``rank``, which inverts ``order``, and the k-th colour in use owns the
-    rows ``bounds[k]:bounds[k + 1]``.  scipy's column gather keeps the order
-    of A's stored entries within each row, so a row product of P sums in
-    A's order.  When A's rows already are in colour order (one colour, or a
+    rows ``bounds[k]:bounds[k + 1]``.  P is scipy's row gather of A with
+    each stored column index j replaced by ``rank[j]``, which keeps the
+    order of A's stored entries within each row, as scipy's column gather
+    does, so a row product of P sums in A's order and P holds the bytes of
+    ``A[order][:, order]`` without that gather's passes.  ``rank`` has A's
+    index type.  When A's rows already are in colour order (one colour, or a
     dense matrix) P is A itself and ``order`` and ``rank`` are full slices.
     This runs on every PSOR call, so a Monte Carlo block of one-node samples
     (a diagonal matrix, one colour) costs no permutation.
@@ -431,7 +434,9 @@ def _colour_ordered(A, colour):
     if np.array_equal(ranked, colour):
         return A, bounds, slice(None), slice(None)
     order = np.argsort(colour, kind="stable")
-    return A[order][:, order], bounds, order, order.argsort()
+    rank = order.argsort().astype(A.indices.dtype)
+    P = A[order]
+    return type(A)((P.data, rank[P.indices], P.indptr), shape=A.shape), bounds, order, rank
 
 
 def psor_solve(system, obs: np.ndarray, config: SolverConfig = SolverConfig(method="psor"),

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "gauss_legendre",
@@ -271,16 +270,6 @@ class Gramians:
     def diagonal(self, k: int) -> np.ndarray:
         """The diagonal of G_k, the Kronecker product of the factors' diagonals."""
         return functools.reduce(np.kron, [np.diag(F) for F in self.factors(k)], np.ones(1))
-
-    def matrix(self, k: int) -> sp.csr_array:
-        """G_k as a sparse CSR matrix, the Kronecker product of its 1-D factors.
-
-        Exact zeros of the factors (the y-weighted mass of a hat centred at
-        y = 0) are not stored.  Only ``SGSystem.explicit`` needs it, and it
-        reads the stored entries, so G_k is never dense.
-        """
-        mats = [sp.csr_array(F) for F in self.factors(k)] or [sp.csr_array(np.ones((1, 1)))]
-        return functools.reduce(lambda A, F: sp.kron(A, F, format="csr"), mats)
 
     def eigenbasis(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-dimension generalized eigenpairs of ``mass_y[d]`` against ``mass[d]``.

@@ -16,8 +16,10 @@ for the K of an earlier term joins that term's group
 an all-zero K_k (a coefficient with zero mean) joins none.  So a
 coefficient whose modes have the mean's shape, as in both of the paper's
 examples, costs one sparse product per matvec.  The explicit sparse sum
-is built only when projected SOR asks for it, and the rows' colours that
-it sweeps in come from the patterns of the factors (``SGSystem.colours``).
+is built only when projected SOR asks for it, written straight into CSR
+arrays from two small patterns, the union of the G_k and the entries that
+some K_k stores nonzero (``SGSystem.explicit``), and the rows' colours
+that it sweeps in come from the same two patterns (``SGSystem.colours``).
 Conjugate gradients are preconditioned with the best Kronecker
 approximation G̃ ⊗ K̄ of the sum (Ullmann, SISC 2010), whose parametric
 factor is inverted in the doubly orthogonal hat basis (Babuška, Tempone
@@ -120,52 +122,90 @@ class SGSystem:
         K_diag = self.pattern.csr(self.stiffness).diagonal().reshape(len(self.stiffness), -1)
         return sum(np.outer(self.gram.diagonal(k), d) for k, d in enumerate(K_diag)).reshape(-1)
 
+    def _factor_patterns(self):
+        """The patterns of G and K whose Kronecker product is A's, each as
+        (indptr, indices, values) in CSR order with sorted columns:
+
+        - G's is the union of the G_k, which is G_0's, since every
+          ``mass_y[d]`` stores inside the tridiagonal ``mass[d]``: the
+          Kronecker product of the patterns of the ``mass[d]``.  Its values
+          (terms, nnz) are the G_k on it, their factors multiplied in
+          dimension order as ``sp.kron`` chains them, so an entry that a
+          G_k does not store is ±0 there.
+        - K's holds the entries of ``pattern`` that some K_k stores nonzero,
+          with values (terms, nnz) the K_k on them.
+        """
+        factors = [self.gram.factors(k) for k in range(len(self.stiffness))]
+        rows, cols, g_val = np.zeros(1, int), np.zeros(1, int), np.ones((len(factors), 1))
+        for d, m in enumerate(self.gram.mass):
+            r, c = np.nonzero(m)
+            rows, cols = (rows[:, None] * len(m) + r).ravel(), (cols[:, None] * len(m) + c).ravel()
+            g_val = (g_val[:, :, None] * np.array([F[d][r, c] for F in factors])[:, None]
+                     ).reshape(len(factors), -1)
+        by_row = np.argsort(rows, kind="stable")  # each row's columns stay sorted
+        g_ptr = np.zeros(self.n_param + 1, dtype=int)
+        np.cumsum(np.bincount(rows, minlength=self.n_param), out=g_ptr[1:])
+        kept = np.any(self.stiffness != 0.0, axis=0)
+        k_ptr = np.concatenate([[0], np.cumsum(kept)])[self.pattern.indptr]
+        return ((g_ptr, cols[by_row], g_val[:, by_row]),
+                (k_ptr, self.pattern.indices[kept], self.stiffness[:, kept]))
+
     def explicit(self) -> sp.csr_array | None:
         """The summed Kronecker matrix sum_k G_k ⊗ K_k, built and cached on the first call.
 
-        Every K_k is stored on ``pattern``, so A's entries are the union
-        pattern of the sparse G_k against that pattern, with values
-        sum_k outer(G_k on the union, ``stiffness[k]``), gathered in one COO
-        to CSR conversion.  A stores exactly the nonzeros of the sum, with
-        sorted indices, whatever the number of terms.  The G_k stay sparse:
-        with I = 1, J can reach ``EXPLICIT_LIMIT``.  None when I*J exceeds
-        ``EXPLICIT_LIMIT``.
+        A's CSR arrays are written straight from the patterns of G and K
+        (``_factor_patterns``): row j*I + i starts at G.indptr[j] nnz_K +
+        len_G(j) K.indptr[i] and holds, in sorted column order, the entries
+        of G's row j against those of K's row i.  So the product of the
+        entry e_off into G's row j and the entry f_off into K's row i sits
+        e_off len_K(i) + f_off past that start, in column t*I + s for their
+        columns t and s, and its value is sum_k G_k[e] K_k[f], summed in
+        term order.  Sums that cancel to zero are dropped, so A stores
+        exactly the nonzeros of the sum, with sorted indices, int32 when
+        they fit.  No G_k is formed: with I = 1, J can reach
+        ``EXPLICIT_LIMIT``.  None when I*J exceeds ``EXPLICIT_LIMIT``.
         """
         if self.A is None and self.n <= EXPLICIT_LIMIT:
-            G = [self.gram.matrix(k).tocoo() for k in range(len(self.stiffness))]
-            I, J = self.n_spatial, self.n_param
-            keys, at = np.unique(np.concatenate([g.row.astype(np.int64) * J + g.col
-                                                 for g in G]), return_inverse=True)
-            on_union = np.zeros((len(G), keys.size))
-            on_union[np.repeat(np.arange(len(G)), [g.nnz for g in G]), at] = np.concatenate(
-                [g.data for g in G])
-            data = sum(np.outer(v, K) for v, K in zip(on_union, self.stiffness))
-            K_rows = np.repeat(np.arange(I), np.diff(self.pattern.indptr))
-            rows = (keys // J * I)[:, None] + K_rows
-            cols = (keys % J * I)[:, None] + self.pattern.indices
-            A = sp.coo_array((data.ravel(), (rows.ravel(), cols.ravel())),
-                             shape=(self.n, self.n)).tocsr()
+            (g_ptr, g_ind, g_val), (k_ptr, k_ind, k_val) = self._factor_patterns()
+            nnz_K = k_ind.size
+            g_len, k_len = np.diff(g_ptr), np.diff(k_ptr)
+            # per entry of G and of K: its row's start and length, its offset in the row
+            e_start, e_len = np.repeat(g_ptr[:-1], g_len), np.repeat(g_len, g_len)
+            f_start, f_len = np.repeat(k_ptr[:-1], k_len), np.repeat(k_len, k_len)
+            e_off, f_off = np.arange(g_ind.size) - e_start, np.arange(nnz_K) - f_start
+            at = ((e_start * nnz_K)[:, None] + e_len[:, None] * f_start
+                  + e_off[:, None] * f_len + f_off)
+            idx = np.int32 if max(at.size, self.n) <= np.iinfo(np.int32).max else np.int64
+            indices = np.empty(at.size, dtype=idx)
+            indices[at] = g_ind[:, None] * self.n_spatial + k_ind
+            values = np.multiply.outer(g_val[0], k_val[0])
+            for g, K in zip(g_val[1:], k_val[1:]):
+                values += np.multiply.outer(g, K)
+            data = np.empty(at.size)
+            data[at] = values
+            indptr = np.append((g_ptr[:-1, None] * nnz_K + g_len[:, None] * k_ptr[:-1]).ravel(),
+                               at.size).astype(idx)
+            A = sp.csr_array((data, indices, indptr), shape=(self.n, self.n))
             A.eliminate_zeros()
-            A.sort_indices()
             self.A = A
         return self.A
 
     def colours(self) -> np.ndarray:
         """One colour per row of A, no two rows of one colour coupled by A.
 
-        A's pattern lies in the strong product of two small patterns: the
-        union of the G_k (J rows) and the nonzeros of sum_k |K_k| (I rows),
-        where the stored zeros of ``pattern`` drop out as ``explicit()``
-        drops them.  With c_G and c_K their first-fit colourings
-        (``lcp.greedy_colouring``) and n_K the colours of c_K, row j*I + i
-        gets c_G(j) n_K + c_K(i): two distinct rows coupled by A have
-        coupled j, so they differ in c_G, or share j and have coupled i, so
-        they differ in c_K.  So projected SOR colours the factors and never
-        walks the rows of A.
+        A's pattern lies in the strong product of the two patterns of
+        ``_factor_patterns``: the union of the G_k (J rows) and the
+        entries that some K_k stores nonzero (I rows), where the stored
+        zeros of ``pattern`` drop out as ``explicit()`` drops them.  With
+        c_G and c_K their first-fit colourings (``lcp.greedy_colouring``)
+        and n_K the colours of c_K, row j*I + i gets c_G(j) n_K + c_K(i):
+        two distinct rows coupled by A have coupled j, so they differ in
+        c_G, or share j and have coupled i, so they differ in c_K.  So
+        projected SOR colours the factors and never walks the rows of A.
         """
-        G = sum(abs(self.gram.matrix(k)) for k in range(len(self.stiffness)))
-        K = self.pattern.csr(np.abs(self.stiffness).sum(axis=0))
-        K.eliminate_zeros()  # rewrites only the summed entries, an array of its own
+        (g_ptr, g_ind, _), (k_ptr, k_ind, _) = self._factor_patterns()
+        G = sp.csr_array((np.ones(g_ind.size), g_ind, g_ptr), shape=(self.n_param,) * 2)
+        K = sp.csr_array((np.ones(k_ind.size), k_ind, k_ptr), shape=(self.n_spatial,) * 2)
         c_G, c_K = np.array(greedy_colouring(G)), np.array(greedy_colouring(K))
         return (c_G[:, None] * (c_K.max() + 1) + c_K).ravel()
 

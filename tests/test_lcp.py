@@ -220,6 +220,31 @@ class TestMulticolourPSOR:
             assert_array_equal(P.indices[in_P], rank[A.indices[in_A]])
             assert_array_equal(P.data[in_P], A.data[in_A])
 
+    @pytest.mark.parametrize("lcp", ["galerkin", "sparse"])
+    def test_colour_order_is_the_row_and_column_gather(self, lcp):
+        # the row gather with renumbered columns holds the bytes of scipy's
+        # row and column gathers, for the colours of the Kronecker factors
+        # and for first fit on a sparse system's rows
+        if lcp == "galerkin":
+            system = small_sg_system()
+        else:
+            A = unit_stiffness(build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7))
+            system = SparseObstacleSystem(A, np.ones(A.shape[0]))
+        A, colour = system.explicit(), system.colours()
+        P, bounds, order, rank = lcp_module._colour_ordered(A, colour)
+        ref = A[order][:, order]
+        assert len(bounds) > 2
+        assert P.indices.dtype == P.indptr.dtype == A.indices.dtype == rank.dtype
+        for name in ("indptr", "indices", "data"):
+            assert getattr(P, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_one_colour_keeps_the_matrix(self):
+        system, _ = diagonal_lcp()
+        A = system.explicit()
+        P, bounds, order, rank = lcp_module._colour_ordered(A, system.colours())
+        assert P is A and bounds == [0, A.shape[0]]
+        assert order == rank == slice(None)
+
     @pytest.mark.parametrize("in_xi", [False, True], ids=["hats in y", "hats in xi"])
     def test_galerkin_colours_are_first_fit_on_the_explicit_matrix(self, in_xi):
         # the colours combined from the Kronecker factors are those that

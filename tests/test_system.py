@@ -16,6 +16,8 @@ from sgobstacle.problems import get_problem
 from sgobstacle.stats import sg_mean
 from sgobstacle.system import assemble_sg
 
+from oracles import assert_same_csr, coo_explicit, gramian
+
 RECT = (0.0, 1.0, 0.0, 1.0)
 
 
@@ -53,6 +55,35 @@ class TestDegenerateCases:
         a = AffineField.build(1.0, [(1.0, one, 1)])  # needs 2 dims
         with pytest.raises(ValueError):
             assemble_sg(mesh, grid, a, AffineField.build(1.0), AffineField.build(0.0))
+
+
+# systems whose explicit matrix is checked against the COO build: example1's
+# data at I = 25, J = 9, the built-in problems with hats in y and in xi,
+# uniform densities whose y-weighted Gramians store exact zeros, modes off
+# the mean's shape and a zero mean (``COEFFICIENTS``), one spatial node
+# against J = 65^2, and no parameter dimension
+DIRECT_BUILD_CASES = {
+    "small": lambda: assemble_sg(
+        build_uniform_mesh((-1.5, 1.5, -1.5, 1.5), 6),
+        build_param_grid([Density1D.exp_uniform()] * 2, 2),
+        AffineField.build(1.0, [(1.0, 1.0, 0), (2.0, 1.0, 1)]),
+        AffineField.build(-2.0), AffineField.build(-0.05)),
+    **{f"{name} {cells} cells, hats in {'xi' if in_xi else 'y'}":
+       (lambda name=name, cells=cells, in_xi=in_xi: case_system(name, 8, cells, in_xi)[0])
+       for name in ("example1", "example2") for cells in (1, 2, 3) for in_xi in (False, True)},
+    "uniform": lambda: assemble_sg(
+        build_uniform_mesh(RECT, 6), build_param_grid([Density1D.uniform(-1.0, 1.0)] * 2, 2),
+        AffineField.build(2.0, [(1.0, lambda x: 1.0 + 0.5 * x[:, 0], 0), (0.5, one, 1)]),
+        AffineField.build(1.0), AffineField.build(0.0)),
+    **{case: (lambda case=case: case_system(case)[0]) for case in ("hard shapes", "zero mean")},
+    "one spatial node": lambda: assemble_sg(
+        build_uniform_mesh(RECT, 2), build_param_grid([Density1D.exp_uniform()] * 2, 64),
+        AffineField.build(1.0, [(1.0, one, 0), (2.0, one, 1)]),
+        AffineField.build(1.0), AffineField.build(0.0)),
+    "deterministic": lambda: assemble_sg(
+        build_uniform_mesh(RECT, 4), build_param_grid((), 1), AffineField.build(2.0),
+        AffineField.build(1.0), AffineField.build(0.0)),
+}
 
 
 class TestKroneckerStructure:
@@ -117,14 +148,22 @@ class TestKroneckerStructure:
             sys_ = assemble_sg(build_uniform_mesh(RECT, 6),
                                build_param_grid([Density1D.uniform(-1.0, 1.0)] * 2, 2),
                                a, AffineField.build(1.0), AffineField.build(0.0))
-            assert [sys_.gram.matrix(k).nnz for k in range(3)] == [49, 42, 42]
+            assert [gramian(sys_.gram, k).nnz for k in range(3)] == [49, 42, 42]
         A = sys_.explicit()
-        ref = sum(sp.kron(sys_.gram.matrix(k), sys_.pattern.csr(K), format="csr")
+        ref = sum(sp.kron(gramian(sys_.gram, k), sys_.pattern.csr(K), format="csr")
                   for k, K in enumerate(sys_.stiffness))
         assert A.has_sorted_indices
         assert np.all(A.data != 0.0)
         assert A.nnz == np.count_nonzero(ref.toarray())
         assert abs(A - ref).max() == 0.0
+
+    @pytest.mark.parametrize("case", list(DIRECT_BUILD_CASES))
+    def test_explicit_matches_the_coo_build(self, case):
+        # the CSR arrays written from the two factor patterns are those of
+        # the COO to CSR conversion of the union pattern, sorted and without
+        # zeros, byte for byte
+        sys_ = DIRECT_BUILD_CASES[case]()
+        assert_same_csr(sys_.explicit(), coo_explicit(sys_))
 
     def test_explicit_keeps_gramians_sparse(self):
         # I = 1 and J = 65^2: a dense G_k alone would take 143 MB
@@ -169,7 +208,7 @@ class TestKroneckerStructure:
         v = np.zeros(sys_.n)
         v[1 * I:2 * I] = np.arange(1.0, I + 1.0)
         blocks = sys_.matvec(v).reshape(J, I)
-        expected_0 = sum(sys_.gram.matrix(k)[0, 1] * (sys_.pattern.csr(K) @ v[I:2 * I])
+        expected_0 = sum(gramian(sys_.gram, k)[0, 1] * (sys_.pattern.csr(K) @ v[I:2 * I])
                          for k, K in enumerate(sys_.stiffness))
         assert_allclose(blocks[0], expected_0, rtol=1e-13)
 
@@ -199,14 +238,15 @@ COEFFICIENTS = {
 }
 
 
-def case_system(case, nx=6, cells=3):
-    """(system, sparse products per matvec) of a built-in problem or a
-    ``COEFFICIENTS`` case with f = -2 and g = -0.05 on the unit square."""
+def case_system(case, nx=6, cells=3, in_xi=False):
+    """(system, sparse products per matvec) of a built-in problem, with hats
+    in xi when ``in_xi``, or a ``COEFFICIENTS`` case with f = -2 and
+    g = -0.05 on the unit square."""
     if case in ("example1", "example2"):
         problem = get_problem(case)
         fields = problem.fields
         sys_ = assemble_sg(build_uniform_mesh(problem.rect, nx),
-                           build_param_grid(problem.densities, cells),
+                           build_param_grid(problem.densities, cells, in_xi),
                            fields["a"], fields["f"], fields["g"], problem.dirichlet)
         return sys_, 1
     (mean, modes), factors = COEFFICIENTS[case]
@@ -321,7 +361,7 @@ class TestKroneckerPreconditioner:
         op = P1Operator(mesh)
         K_bar = op.interior.csr(op.interior.data(op.integrals(averaged(op.points))))
         norm2 = frobenius(K_bar, K_bar)
-        G = sum(frobenius(sys_.pattern.csr(K), K_bar) / norm2 * sys_.gram.matrix(k)
+        G = sum(frobenius(sys_.pattern.csr(K), K_bar) / norm2 * gramian(sys_.gram, k)
                 for k, K in enumerate(sys_.stiffness))
         P = sp.csc_matrix(sp.kron(G, K_bar))
         rng = np.random.default_rng(6)

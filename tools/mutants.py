@@ -46,7 +46,7 @@ MUTANTS = [
            "    band[:, 0] += held\n", ""),
     Mutant("colour-rows-only", "projected SOR's colour permutation",
            "src/sgobstacle/lcp.py",
-           "return A[order][:, order], bounds", "return A[order], bounds"),
+           "(P.data, rank[P.indices], P.indptr)", "(P.data, P.indices, P.indptr)"),
     Mutant("start-set-first-row", "Monte Carlo start sets",
            "src/sgobstacle/mc.py",
            "held = sets[_nearest(Y, rows)].ravel()",
@@ -119,6 +119,12 @@ MUTANTS = [
     Mutant("colours-merge", "the Galerkin colours combined from the Kronecker factors",
            "src/sgobstacle/system.py",
            "c_G[:, None] * (c_K.max() + 1)", "c_G[:, None] * c_K.max()"),
+    Mutant("explicit-position-no-row-offset", "the CSR positions of the direct Kronecker build",
+           "src/sgobstacle/system.py",
+           " + e_off[:, None] * f_len + f_off)", " + f_off)"),
+    Mutant("explicit-pattern-from-mass-y", "the union pattern of the Gramians",
+           "src/sgobstacle/system.py",
+           "for d, m in enumerate(self.gram.mass):", "for d, m in enumerate(self.gram.mass_y):"),
 ]
 
 
