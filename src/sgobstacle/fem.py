@@ -2,9 +2,10 @@
 
 ``P1Operator`` is the one assembly path: it holds the linear maps of one
 mesh (the CSR patterns of the interior and the interior-boundary node
-couplings with their stiffness maps, and the load map), so assembly is one
-sparse product for any number of coefficient rows.  Each map sums in a
-fixed order, so repeated runs produce bitwise-identical matrices.
+couplings that a coefficient can make nonzero, with their stiffness maps,
+and the load map), so assembly is one sparse product for any number of
+coefficient rows.  Each map sums in a fixed order, so repeated runs
+produce bitwise-identical matrices.
 ``evaluate_p1`` evaluates any number of P1 fields at once, and
 ``p1_distance`` is the one quadrature of L2 and H1-seminorm errors.  The
 module owns the two triangle rules (``_RULES``) and the P1 triangle geometry.
@@ -117,9 +118,9 @@ def _apply(A: sp.csr_array, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Block:
-    """Couplings of a row node set with a column node set: a CSR pattern and
-    its stiffness map ``S`` (nnz, n_triangles) from the triangle integrals
-    of a coefficient to the stored entries, explicit zeros included."""
+    """Couplings of a row node set with a column node set: a CSR pattern of
+    the couplings a coefficient can make nonzero and its stiffness map ``S``
+    (nnz, n_triangles) from a coefficient's triangle integrals to them."""
 
     shape: tuple[int, int]
     indptr: np.ndarray
@@ -173,18 +174,22 @@ def _stiffness_blocks(mesh: Mesh, grads: np.ndarray) -> tuple[Block, Block]:
     """The couplings of the interior nodes with the interior and with the
     boundary nodes, cut from the pattern of all node couplings and its
     stiffness map, whose column t holds the gradient products ``grads`` of
-    triangle t."""
+    triangle t.  So a node pair whose product is zero on each of its
+    triangles, such as a cell diagonal of a uniform mesh, has a zero entry
+    for every coefficient, and the blocks do not store it."""
     tri, n, nt = mesh.triangles, mesh.n_nodes, mesh.n_triangles
     pairs, slot = np.unique((tri[:, :, None] * n + tri[:, None, :]).reshape(nt, 9),
                             return_inverse=True)
-    S = _columns(slot.reshape(nt, 9), np.einsum("tid,tjd->tij", grads, grads), pairs.size)
+    products = np.einsum("tid,tjd->tij", grads, grads)
+    S = _columns(slot.reshape(nt, 9), products, pairs.size)
     rows, cols = pairs // n, pairs % n
+    kept = ~mesh.boundary[rows] & (np.bincount(slot.ravel(), (products != 0.0).ravel()) > 0)
     number = np.empty(n, dtype=np.int64)  # a node's place in its own node set
     for nodes in (mesh.interior, np.flatnonzero(mesh.boundary)):
         number[nodes] = np.arange(nodes.size)
 
     def block(on_boundary: bool) -> Block:
-        keep = np.flatnonzero(~mesh.boundary[rows] & (mesh.boundary[cols] == on_boundary))
+        keep = np.flatnonzero(kept & (mesh.boundary[cols] == on_boundary))
         n_rows, n_cols = mesh.interior.size, int(np.sum(mesh.boundary == on_boundary))
         indptr = np.append(0, np.cumsum(np.bincount(number[rows[keep]], minlength=n_rows)))
         return Block((n_rows, n_cols), indptr, number[cols[keep]], S[keep])

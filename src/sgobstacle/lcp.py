@@ -50,9 +50,9 @@ that product: about 14 vectors of the system's size.
 Projected SOR (Cryer, SIAM J. Control 1971) sweeps the rows of the explicit
 matrix class by class in the system's multicolour order (``psor_solve``),
 so it converges for SPD A and omega in (0, 2); ``iterations`` counts
-sweeps.  The plain sparse system colours A's rows first fit
-(``greedy_colouring``); the Galerkin system colours the patterns of its
-Kronecker factors and combines the two.  A sweep's stop test starts from
+sweeps.  Each system colours a pattern first fit (``greedy_colouring``):
+the plain sparse system A's, the Galerkin system those of its Kronecker
+factors, whose colours it combines.  A sweep's stop test starts from
 the first class's product with the new iterate, which the next sweep needs
 anyway: its rows bound the complementarity residual from below, and the
 product of the whole matrix is made only once that bound reaches ``tol``.
@@ -376,40 +376,26 @@ def _max_violation(u, obs, lam) -> float:
     return float(np.abs(np.minimum(u - obs, lam)).max())
 
 
-_COLOUR_CHUNK = 64  # rows whose lower column indices are Python ints at once
-
-
 def greedy_colouring(A) -> list:
-    """First-fit greedy colouring of the rows of a CSR matrix, in row order.
+    """First-fit greedy colouring of the rows of a CSR pattern, in row order.
 
-    Returns one colour (0, 1, ...) per row as a list of ints: row i gets the
-    smallest colour that no row stored in row i's pattern already has.  For
-    a matrix with a symmetric pattern (every symmetric A) no stored
-    off-diagonal entry then joins two rows of one colour.  Only the rows
-    before i are coloured when row i is, so only its strictly lower entries
-    are read.  Each row's colour c is kept as the bit 1 << c, so the colours
-    in use are the OR of its lower entries' bits and the first free colour
-    is their lowest zero bit.  The lower column indices become Python ints
-    one chunk of rows at a time, which keeps the memory of the colouring
-    small next to A itself.
+    ``A`` has CSR ``indptr`` and ``indices`` and a ``shape``: a sparse
+    matrix or a ``fem.Block``.  Returns one colour (0, 1, ...) per row as a
+    list of ints: row i gets the smallest colour that no row stored in row
+    i's pattern already has.  For a symmetric pattern (every symmetric A)
+    no stored off-diagonal entry then joins two rows of one colour.  Only
+    the rows before i are coloured when row i is, so only its strictly
+    lower entries are read.
     """
-    n = A.shape[0]
-    bit = [0] * n
-    for start in range(0, n, _COLOUR_CHUNK):
-        stop = min(start + _COLOUR_CHUNK, n)
-        ptr = A.indptr[start:stop + 1]
-        cols = A.indices[ptr[0]:ptr[-1]]
-        rows = np.repeat(np.arange(start, stop), np.diff(ptr))
-        below = cols < rows
-        bounds = np.zeros(stop - start + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[below] - start, minlength=stop - start), out=bounds[1:])
-        bounds, lower = bounds.tolist(), cols[below].tolist()
-        for i in range(stop - start):
-            used = 0
-            for j in lower[bounds[i]:bounds[i + 1]]:
-                used |= bit[j]
-            bit[start + i] = ~used & (used + 1)
-    return [b.bit_length() - 1 for b in bit]
+    ptr, cols = A.indptr.tolist(), A.indices.tolist()
+    colour = []
+    for i in range(A.shape[0]):
+        used = {colour[j] for j in cols[ptr[i]:ptr[i + 1]] if j < i}
+        c = 0
+        while c in used:
+            c += 1
+        colour.append(c)
+    return colour
 
 
 def _colour_ordered(A, colour):

@@ -17,9 +17,9 @@ an all-zero K_k (a coefficient with zero mean) joins none.  So a
 coefficient whose modes have the mean's shape, as in both of the paper's
 examples, costs one sparse product per matvec.  The explicit sparse sum
 is built only when projected SOR asks for it, written straight into CSR
-arrays from two small patterns, the union of the G_k and the entries that
-some K_k stores nonzero (``SGSystem.explicit``), and the rows' colours
-that it sweeps in come from the same two patterns (``SGSystem.colours``).
+arrays from two small patterns, the union of the G_k and ``pattern``
+(``SGSystem.explicit``), and the rows' colours that it sweeps in come
+from the same two patterns (``SGSystem.colours``).
 Conjugate gradients are preconditioned with the best Kronecker
 approximation G̃ ⊗ K̄ of the sum (Ullmann, SISC 2010), whose parametric
 factor is inverted in the doubly orthogonal hat basis (Babuška, Tempone
@@ -132,8 +132,7 @@ class SGSystem:
           (terms, nnz) are the G_k on it, their factors multiplied in
           dimension order as ``sp.kron`` chains them, so an entry that a
           G_k does not store is ±0 there.
-        - K's holds the entries of ``pattern`` that some K_k stores nonzero,
-          with values (terms, nnz) the K_k on them.
+        - K's is ``pattern``, with values (terms, nnz) the K_k on it.
         """
         factors = [self.gram.factors(k) for k in range(len(self.stiffness))]
         rows, cols, g_val = np.zeros(1, int), np.zeros(1, int), np.ones((len(factors), 1))
@@ -145,10 +144,8 @@ class SGSystem:
         by_row = np.argsort(rows, kind="stable")  # each row's columns stay sorted
         g_ptr = np.zeros(self.n_param + 1, dtype=int)
         np.cumsum(np.bincount(rows, minlength=self.n_param), out=g_ptr[1:])
-        kept = np.any(self.stiffness != 0.0, axis=0)
-        k_ptr = np.concatenate([[0], np.cumsum(kept)])[self.pattern.indptr]
         return ((g_ptr, cols[by_row], g_val[:, by_row]),
-                (k_ptr, self.pattern.indices[kept], self.stiffness[:, kept]))
+                (self.pattern.indptr, self.pattern.indices, self.stiffness))
 
     def explicit(self) -> sp.csr_array | None:
         """The summed Kronecker matrix sum_k G_k ⊗ K_k, built and cached on the first call.
@@ -194,19 +191,17 @@ class SGSystem:
         """One colour per row of A, no two rows of one colour coupled by A.
 
         A's pattern lies in the strong product of the two patterns of
-        ``_factor_patterns``: the union of the G_k (J rows) and the
-        entries that some K_k stores nonzero (I rows), where the stored
-        zeros of ``pattern`` drop out as ``explicit()`` drops them.  With
-        c_G and c_K their first-fit colourings (``lcp.greedy_colouring``)
-        and n_K the colours of c_K, row j*I + i gets c_G(j) n_K + c_K(i):
-        two distinct rows coupled by A have coupled j, so they differ in
-        c_G, or share j and have coupled i, so they differ in c_K.  So
-        projected SOR colours the factors and never walks the rows of A.
+        ``_factor_patterns``: the union of the G_k (J rows) and ``pattern``
+        (I rows).  With c_G and c_K their first-fit colourings
+        (``lcp.greedy_colouring``) and n_K the colours of c_K, row j*I + i
+        gets c_G(j) n_K + c_K(i): two distinct rows coupled by A have
+        coupled j, so they differ in c_G, or share j and have coupled i, so
+        they differ in c_K.  So projected SOR colours the factors and never
+        walks the rows of A.
         """
-        (g_ptr, g_ind, _), (k_ptr, k_ind, _) = self._factor_patterns()
+        (g_ptr, g_ind, _), _ = self._factor_patterns()
         G = sp.csr_array((np.ones(g_ind.size), g_ind, g_ptr), shape=(self.n_param,) * 2)
-        K = sp.csr_array((np.ones(k_ind.size), k_ind, k_ptr), shape=(self.n_spatial,) * 2)
-        c_G, c_K = np.array(greedy_colouring(G)), np.array(greedy_colouring(K))
+        c_G, c_K = np.array(greedy_colouring(G)), np.array(greedy_colouring(self.pattern))
         return (c_G[:, None] * (c_K.max() + 1) + c_K).ravel()
 
     def precond(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -255,8 +250,7 @@ class SGSystem:
         means = [1.0, *(my.sum() for my in self.gram.mass_y)]
         k_bar = np.array(means) @ self.stiffness
         I, J = self.n_spatial, self.n_param
-        K_bar = self.pattern.csr(k_bar).copy()  # csr() shares k_bar's memory
-        K_bar.eliminate_zeros()
+        K_bar = self.pattern.csr(k_bar)
 
         def factor(kept):
             """SuperLU of K̄ on the ``kept`` nodes."""

@@ -29,6 +29,29 @@ def exact_data(values, grads):
     return lambda x: (values(x), grads(x))
 
 
+def per_triangle_loop(mesh, weight):
+    """Reference stiffness matrix and load vector over all nodes for the
+    coefficient and source ``weight``: element matrices and loads of each
+    triangle from its vertex coordinates, added entry by entry in a plain
+    loop."""
+    n = mesh.n_nodes
+    K, F = np.zeros((n, n)), np.zeros(n)
+    for tri in mesh.triangles:
+        p = mesh.nodes[tri]
+        # phi_i = c0 + c1 x1 + c2 x2
+        coef = np.linalg.inv(np.column_stack([np.ones(3), p]))
+        grads = coef[1:].T
+        area = 0.5 * abs(np.linalg.det(np.column_stack([np.ones(3), p])))
+        for (s, t), wq in zip(*_RULES[2]):
+            shapes = np.array([1.0 - s - t, s, t])
+            w = 2.0 * area * wq * weight((shapes @ p)[None])[0]
+            for i in range(3):
+                F[tri[i]] += w * shapes[i]
+                for j in range(3):
+                    K[tri[i], tri[j]] += w * grads[i] @ grads[j]
+    return K, F
+
+
 class TestTriangleQuadrature:
     # integral of s^p t^q over the reference triangle is p! q! / (p+q+2)!
     @staticmethod
@@ -73,6 +96,28 @@ class TestStiffness:
         for neighbor in (center - 1, center + 1, center - 5, center + 5):
             expected[neighbor] = -1.0
         assert_allclose(row, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("mesh", [unit_mesh(6),
+                                      build_uniform_mesh((-0.5, 1.5, 0.0, 0.75), 4, 3)],
+                             ids=["square", "4x3"])
+    def test_blocks_store_only_the_couplings_a_coefficient_can_make_nonzero(self, mesh):
+        # a cell diagonal's gradient product is zero on both of its
+        # triangles, so an interior row keeps its node and its four grid
+        # neighbours (5 entries over both blocks, all interior off the
+        # boundary), every stored entry of the unit coefficient is nonzero,
+        # and the matrices are those of the reference, whose entries on the
+        # cell diagonals are zero
+        op = P1Operator(mesh)
+        ii_data, ib_data = stiffness_data(op, unit)
+        assert np.all(ii_data != 0.0) and np.all(ib_data != 0.0)
+        assert np.all(np.diff(op.interior.indptr) + np.diff(op.coupling.indptr) == 5)
+        off_boundary = np.diff(op.coupling.indptr) == 0
+        assert np.count_nonzero(off_boundary) == max(mesh.nx - 3, 0) * max(mesh.ny - 3, 0)
+        K = per_triangle_loop(mesh, unit)[0]
+        ii, bnd = mesh.interior, np.flatnonzero(mesh.boundary)
+        close = {"rtol": 1e-13, "atol": 1e-13 * np.abs(K).max()}
+        assert_allclose(op.interior.csr(ii_data).toarray(), K[np.ix_(ii, ii)], **close)
+        assert_allclose(op.coupling.csr(ib_data).toarray(), K[np.ix_(ii, bnd)], **close)
 
     def test_weight_scaling(self):
         op = P1Operator(unit_mesh(3))
@@ -155,33 +200,12 @@ class TestMassAndLoad:
 
 class TestOperator:
     def test_matches_per_triangle_loop(self):
-        # reference: element matrices and loads of each triangle from its
-        # vertex coordinates, added entry by entry in a plain loop over all
-        # nodes; the interior and coupling blocks are its interior rows
+        # the interior and coupling blocks are the interior rows of the
+        # reference
         mesh = build_uniform_mesh((-0.5, 1.5, 0.0, 0.75), 4, 3)
-        rule_points, rule_weights = _RULES[2]
-
-        def reference(weight):
-            n = mesh.n_nodes
-            K, F = np.zeros((n, n)), np.zeros(n)
-            for tri in mesh.triangles:
-                p = mesh.nodes[tri]
-                # phi_i = c0 + c1 x1 + c2 x2
-                coef = np.linalg.inv(np.column_stack([np.ones(3), p]))
-                grads = coef[1:].T
-                area = 0.5 * abs(np.linalg.det(np.column_stack([np.ones(3), p])))
-                for (s, t), wq in zip(rule_points, rule_weights):
-                    shapes = np.array([1.0 - s - t, s, t])
-                    w = 2.0 * area * wq * weight((shapes @ p)[None])[0]
-                    for i in range(3):
-                        F[tri[i]] += w * shapes[i]
-                        for j in range(3):
-                            K[tri[i], tri[j]] += w * grads[i] @ grads[j]
-            return K, F
-
         weights = (lambda x: 1.0 + x[:, 0] ** 2 + 0.5 * np.sin(3.0 * x[:, 1]),
                    lambda x: 2.0 - x[:, 1] + x[:, 0] * x[:, 1])
-        (K, F), (K2, F2) = (reference(w) for w in weights)
+        (K, F), (K2, F2) = (per_triangle_loop(mesh, w) for w in weights)
         op = P1Operator(mesh)
         ii, bnd = mesh.interior, np.flatnonzero(mesh.boundary)
         # a pair of coefficient and source rows: a block-diagonal interior

@@ -4,12 +4,12 @@ Each test writes a copy of one benchmark config, as ``bench/workloads.py``
 makes it at seed 7, runs it through ``cli.main`` and checks the solver
 counts in its report: the active-set updates and conjugate gradient steps
 of a Galerkin solve (per level of a convergence study), the sweeps of
-projected SOR, and the updates, factorizations and failures of a Monte
-Carlo run.  A change that moves one of these paths changes how
-the solvers get to their answer, even when the answer stays within its
-tolerances.  The "hard shapes" variants give the coefficient modes that
-are not multiples of the mean, so the Galerkin matvec makes three sparse
-products and no Monte Carlo samples share a factor.  The "moving contact"
+projected SOR, and the updates (or projected SOR sweeps), factorizations
+and failures of a Monte Carlo run.  A change that moves one of these paths
+changes how the solvers get to their answer, even when the answer stays
+within its tolerances.  The "hard shapes" variants give the coefficient
+modes that are not multiples of the mean, so the Galerkin matvec makes
+three sparse products and no Monte Carlo samples share a factor.  The "moving contact"
 Monte Carlo run takes example1's fields with the constant obstacle -0.05
 (the sg-solve config's custom problem) at nx = 32, where a block holds up
 to 17 samples whose contact sets differ, and the run's samples share 53
@@ -165,14 +165,18 @@ def test_galerkin_convergence(tmp_path):
      "ex1custom_mc_report.json", (54, 1583, 0), 1583, 16),
     (dict(MC, problem="custom", custom=EXAMPLE1_FIELDS, schedule={"levels": [[32, 4]]}),
      "ex1custom_mc_report.json", (187, 1667, 0), 53, 49),
-], ids=["example1", "hard shapes", "moving contact"])
+    (dict(MC, mc=dict(MC["mc"], solver={"method": "psor", "omega": 1.5, "tol": 1e-8,
+                                        "max_iter": 2000})),
+     "example1_mc_report.json", (428, 0, 0), 0, 16),
+], ids=["example1", "hard shapes", "moving contact", "projected SOR"])
 def test_monte_carlo(tmp_path, cfg, report, counts, distinct, blocks):
     r = run(tmp_path, "mc", cfg, report)
     assert (r["solver_iterations"], r["sample_factorizations"], r["n_failed"]) == counts
     assert r["distinct_factorizations"] == distinct
     assert r["blocks"] == blocks
     # every moved sample hits the run's factor store or makes a new pair;
-    # samples of other shapes have no store, so each makes its own
+    # samples of other shapes have no store, so each makes its own, and
+    # projected SOR factors nothing
     assert r["store_hits"] + distinct == r["sample_factorizations"]
     assert r["store_evictions"] == 0
     assert (r["store_peak_bytes"] > 0) == (r["store_hits"] > 0)

@@ -176,10 +176,10 @@ class TestMulticolourPSOR:
     @pytest.mark.parametrize("pattern", ["random", "dense", "diagonal", "tridiagonal",
                                          "galerkin"])
     def test_colouring_matches_the_set_reference(self, pattern):
-        # the bitmask over the strictly lower entries gives the colours of
-        # first fit over whole rows, across several chunks of rows
+        # first fit over the strictly lower entries gives the colours of
+        # first fit over whole rows
         rng = np.random.default_rng(97)
-        n = 3 * lcp_module._COLOUR_CHUNK + 5
+        n = 197
         if pattern == "random":
             stored = rng.random((n, n)) < 0.015
             A = sp.csr_array((stored | stored.T | np.eye(n, dtype=bool)).astype(float))
@@ -195,12 +195,16 @@ class TestMulticolourPSOR:
         assert colour == set_colouring(A)
         assert_first_fit_colouring(A, colour)
 
-    def test_colouring_counts_explicit_zeros(self):
-        # the stored zeros of P1 stiffness still separate their rows
+    def test_colouring_of_p1_stiffness_is_red_black(self):
+        # P1 stiffness on a uniform mesh couples a node with its four grid
+        # neighbours only, so first fit in row order finds two colours; a
+        # ``fem.Block`` is coloured from its pattern as its matrix is
         mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7)
         A = unit_stiffness(mesh)
-        assert np.any(A.data == 0.0)
-        assert_first_fit_colouring(A, greedy_colouring(A))
+        colour = greedy_colouring(A)
+        assert_first_fit_colouring(A, colour)
+        assert max(colour) == 1
+        assert greedy_colouring(P1Operator(mesh).interior) == colour
 
     def test_colour_order_permutes_rows_and_columns(self):
         # row k of P is row order[k] of A with its columns renumbered by rank
@@ -593,10 +597,8 @@ class TestReducedPrecond:
     def test_matches_sparse_direct_solve(self, kind):
         rng = np.random.default_rng(37)
         if kind == "stiffness":
-            # banded, with explicit zeros where the hypotenuse couplings vanish
-            mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7)
-            A = unit_stiffness(mesh)
-            assert np.any(A.data == 0.0)
+            # banded
+            A = unit_stiffness(build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 7))
         else:
             A = sp.csr_array(random_lcp(rng, 12)[0])
         n = A.shape[0]

@@ -125,6 +125,12 @@ MUTANTS = [
     Mutant("explicit-pattern-from-mass-y", "the union pattern of the Gramians",
            "src/sgobstacle/system.py",
            "for d, m in enumerate(self.gram.mass):", "for d, m in enumerate(self.gram.mass_y):"),
+    Mutant("p1-keeps-zero-couplings", "the P1 couplings a coefficient can make nonzero",
+           "src/sgobstacle/fem.py",
+           " & (np.bincount(slot.ravel(), (products != 0.0).ravel()) > 0)", ""),
+    Mutant("first-fit-from-one", "first-fit colouring",
+           "src/sgobstacle/lcp.py",
+           "        c = 0\n        while c in used:", "        c = 1\n        while c in used:"),
 ]
 
 
